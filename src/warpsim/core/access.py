@@ -60,6 +60,7 @@ def bank_conflict_degree(
 
 
 _PAIR_SHIFT = np.int64(1) << 40  # warp/key packing headroom; addresses stay far below this
+_BANK_HIST_MAX = 1 << 16  # largest (warp, bank) histogram the sort-free path builds
 
 
 def _warp_segment_total(
@@ -70,6 +71,10 @@ def _warp_segment_total(
         return 0
     segs = byte_addrs // segment_bytes
     keys = warp_ids.astype(np.int64) * _PAIR_SHIFT + segs
+    steps = np.diff(keys)
+    if bool((steps >= 0).all()):
+        # Sorted keys (the usual ascending lane addresses): count the runs.
+        return int(np.count_nonzero(steps)) + 1
     return int(np.unique(keys).size)
 
 
@@ -83,7 +88,20 @@ def _warp_bank_extra_cycles(
     if byte_addrs.size == 0:
         return 0
     # Distinct (warp, address) pairs first: identical addresses broadcast.
-    keys = warp_ids.astype(np.int64) * _PAIR_SHIFT + byte_addrs
+    warps = warp_ids.astype(np.int64)
+    keys = warps * _PAIR_SHIFT + byte_addrs
+    if (
+        bool((keys[1:] > keys[:-1]).all())
+        and (int(warps[-1]) - int(warps[0]) + 1) * bank_count <= _BANK_HIST_MAX
+    ):
+        # Strictly ascending keys are already distinct and grouped by warp:
+        # a (warp, bank) histogram gives each warp's bank populations.
+        pair_warp = warps - warps[0]
+        banks = (byte_addrs // bank_width_bytes) % bank_count
+        hist = np.bincount(pair_warp * bank_count + banks, minlength=(int(pair_warp[-1]) + 1) * bank_count)
+        degree_per_warp = hist.reshape(-1, bank_count).max(axis=1)
+        # Warps without active lanes have degree 0 and add nothing.
+        return int(degree_per_warp.sum()) - int(np.count_nonzero(degree_per_warp))
     uniq = np.unique(keys)
     pair_warp = uniq // _PAIR_SHIFT
     pair_addr = uniq % _PAIR_SHIFT

@@ -53,56 +53,99 @@ class _Idx3(NamedTuple):
 
 
 class _RaceTrack:
-    """Conflict bookkeeping for one address space within one launch.
+    """Conflict bookkeeping for one address space, reused for a whole launch.
 
     Interval state (reset at barriers and block starts) answers "did another
     thread of this block touch this address since the last barrier"; the
-    cross-block state persists for the whole launch because barriers never
+    cross-block state persists for the whole grid because barriers never
     synchronize distinct blocks.
 
     Reads are buffered and only materialized into per-address state when a
     write to the same space arrives in the interval, which keeps read-only
-    traffic (the common case) cheap.
+    traffic (the common case) cheap. The writer-side arrays are allocated on
+    the first store, so a buffer that is only read never has them.
+
+    A reset costs what was touched, not the buffer length. Every address an
+    interval wrote into the interval arrays is kept on an undo list, and
+    ``reset_interval`` restores only those entries. A track that sibling
+    child grids reuse (``undo_cross``) likewise lists the addresses its
+    cross-block arrays took, and ``start_grid`` restores them before the
+    next grid; a top-level track sees only one grid and lists none.
     """
 
-    def __init__(self, length: int, cross_block: bool):
+    def __init__(self, length: int, cross_block: bool, undo_cross: bool):
         self.length = length
-        self.reader1 = np.full(length, _NO_TID)
-        self.reader_multi = np.zeros(length, dtype=bool)
-        self.writer1 = np.full(length, _NO_TID)
-        self.writer_multi = np.zeros(length, dtype=bool)
-        self.writer_max = np.full(length, _NO_TID)
+        self.undo_cross = undo_cross
         self.pending_reads: list[tuple[np.ndarray, np.ndarray]] = []
         self.interval_writes = 0
-        self.dirty = False
+        self.touched: list[np.ndarray] = []  # undo list of the interval arrays
+        self.cross_touched: list[np.ndarray] = []  # undo list of the cross-block arrays
+        self.writer_blocks: set[int] = set()
+        self.writer1: Optional[np.ndarray] = None  # interval arrays, from the first store
+        self.rb_block1: Optional[np.ndarray] = None  # reads by block, for multi-block grids
+        self.w_block1: Optional[np.ndarray] = None  # writes by block, from the first store
+        self.start_grid(cross_block)
+
+    def start_grid(self, cross_block: bool) -> None:
+        """Forget what the previous grid recorded and track a new one."""
+        self.reset_interval()
+        if self.cross_touched:
+            idx = np.concatenate(self.cross_touched)
+            self.rb_block1[idx] = _NO_TID
+            self.rb_block_multi[idx] = False
+            if self.w_block1 is not None:
+                self.w_block1[idx] = _NO_TID
+                self.w_block_multi[idx] = False
+            self.cross_touched.clear()
+        self.writer_blocks.clear()
         self.cross_block = cross_block
-        if cross_block:
-            self.rb_block1 = np.full(length, _NO_TID)  # reads, by block
-            self.rb_block_multi = np.zeros(length, dtype=bool)
-            self.w_block1 = np.full(length, _NO_TID)  # writes, by block
-            self.w_block_multi = np.zeros(length, dtype=bool)
-            self.writer_blocks: set[int] = set()
+        if cross_block and self.rb_block1 is None:
+            self.rb_block1 = np.full(self.length, _NO_TID)
+            self.rb_block_multi = np.zeros(self.length, dtype=bool)
 
     def reset_interval(self) -> None:
         self.pending_reads.clear()
         self.interval_writes = 0
-        if self.dirty:
-            self.reader1.fill(_NO_TID)
-            self.reader_multi.fill(False)
-            self.writer1.fill(_NO_TID)
-            self.writer_multi.fill(False)
-            self.writer_max.fill(_NO_TID)
-            self.dirty = False
+        if self.touched:
+            idx = np.concatenate(self.touched)
+            self.reader1[idx] = _NO_TID
+            self.reader_multi[idx] = False
+            self.writer1[idx] = _NO_TID
+            self.writer_multi[idx] = False
+            self.writer_max[idx] = _NO_TID
+            self.touched.clear()
 
-    def materialize_reads(self) -> None:
+    def begin_store(self) -> None:
+        """Allocate the writer-side arrays if needed, then fold in pending reads."""
+        if self.writer1 is None:
+            self.reader1 = np.full(self.length, _NO_TID)
+            self.reader_multi = np.zeros(self.length, dtype=bool)
+            self.writer1 = np.full(self.length, _NO_TID)
+            self.writer_multi = np.zeros(self.length, dtype=bool)
+            self.writer_max = np.full(self.length, _NO_TID)
+        if self.cross_block and self.w_block1 is None:
+            self.w_block1 = np.full(self.length, _NO_TID)
+            self.w_block_multi = np.zeros(self.length, dtype=bool)
         for addrs, tids in self.pending_reads:
-            u_addr, first_idx, counts = np.unique(addrs, return_index=True, return_counts=True)
-            rep = tids[first_idx]
+            u_addr, rep, dup = _distinct(addrs, tids)
             cur = self.reader1[u_addr]
-            self.reader_multi[u_addr] |= (counts > 1) | ((cur != _NO_TID) & (cur != rep))
+            self.reader_multi[u_addr] |= dup | ((cur != _NO_TID) & (cur != rep))
             self.reader1[u_addr] = np.where(cur == _NO_TID, rep, cur)
-            self.dirty = True
+            self.touched.append(u_addr)
         self.pending_reads.clear()
+
+
+def _distinct(addrs: np.ndarray, tids: np.ndarray) -> tuple[np.ndarray, np.ndarray, Any]:
+    """Distinct addresses, the thread of each one's first lane, and which repeat.
+
+    Lane addresses usually ascend strictly; then ``np.unique`` would be the
+    identity, so the sort is skipped and the repeat mask is a scalar False.
+    The returned addresses never alias ``addrs``, which the kernel may own.
+    """
+    if bool((addrs[1:] > addrs[:-1]).all()):
+        return addrs.copy(), tids, np.False_
+    u_addr, first_idx, counts = np.unique(addrs, return_index=True, return_counts=True)
+    return u_addr, tids[first_idx], counts > 1
 
 
 @dataclass
@@ -117,7 +160,7 @@ class _PredicateEntry:
 
 
 class _LaunchState:
-    """Mutable state shared by every block (and child grid) of one launch."""
+    """Mutable state shared by every block of one grid at one nesting depth."""
 
     def __init__(self, sim: "Simulator", mem: DeviceMemory, metrics: MetricsReport, mode: str, depth: int):
         self.sim = sim
@@ -127,23 +170,49 @@ class _LaunchState:
         self.depth = depth
         self.multi_block = True  # refined per grid before blocks run
         self.tracks: dict[str, _RaceTrack] = {}
+        self.shared_track: Optional[_RaceTrack] = None
+        self._child: Optional[_LaunchState] = None
+
+    def begin_grid(self, config: LaunchConfig) -> None:
+        """Reset the tracks an earlier grid at this depth left, for ``config``."""
+        self.multi_block = config.blocks_per_grid > 1
+        for t in self.tracks.values():
+            t.start_grid(self.multi_block)
+        if self.shared_track is None or self.shared_track.length != config.shared_mem_bytes:
+            self.shared_track = _RaceTrack(config.shared_mem_bytes, cross_block=False, undo_cross=False)
 
     def track_for(self, buf: Buffer) -> _RaceTrack:
         t = self.tracks.get(buf.name)
-        if t is None:
-            t = _RaceTrack(len(buf), cross_block=self.multi_block)
+        if t is None or t.length != len(buf):
+            t = _RaceTrack(len(buf), cross_block=self.multi_block, undo_cross=self.depth > 0)
             self.tracks[buf.name] = t
         return t
 
     def reset_intervals(self) -> None:
+        self.shared_track.reset_interval()
         for t in self.tracks.values():
             t.reset_interval()
 
     def child(self) -> "_LaunchState":
-        # Child grids get fresh race bookkeeping; parent/child conflicts are
-        # outside the checked model (the child completes before the parent's
-        # next step).
-        return _LaunchState(self.sim, self.mem, self.metrics, self.mode, self.depth + 1)
+        """The state of every child grid launched from this grid's blocks.
+
+        Sibling child grids run one after another, so they share one state
+        and its race tracks, which ``begin_grid`` resets for each. A child
+        grid's accesses are checked against each other only: conflicts
+        between a parent and its child are outside the checked model (the
+        child completes before the parent's next step).
+        """
+        if self._child is None:
+            self._child = _LaunchState(self.sim, self.mem, self.metrics, self.mode, self.depth + 1)
+        return self._child
+
+    def release(self) -> None:
+        """Drop the race state of this depth and every deeper one."""
+        self.tracks.clear()
+        self.shared_track = None
+        if self._child is not None:
+            self._child.release()
+            self._child = None
 
 
 class GlobalView:
@@ -219,7 +288,6 @@ class KernelContext:
         self.gz = bz * config.block_dim[2] + self._tz
 
         self._mask_stack: list[np.ndarray] = [np.ones(T, dtype=bool)]
-        self._shared_track = _RaceTrack(config.shared_mem_bytes, cross_block=False)
         self._shared_offset = 0
         self._shared_views: list[SharedView] = []
         self.step = 0
@@ -373,7 +441,7 @@ class KernelContext:
             "bank_conflict_extra_cycles",
             _warp_bank_extra_cycles(warp_ids, byte_addrs, self._sim.bank_count, self._sim.bank_width_bytes),
         )
-        track = self._shared_track
+        track = self._state.shared_track
         result: Optional[np.ndarray] = None
         if value is None:
             self._race_read(track, byte_addrs, tids, view.name)
@@ -439,6 +507,8 @@ class KernelContext:
             cur = track.rb_block1[addrs]
             track.rb_block_multi[addrs] |= (cur != _NO_TID) & (cur != b)
             track.rb_block1[addrs] = np.where(cur == _NO_TID, b, cur)
+            if track.undo_cross:
+                track.cross_touched.append(addrs.copy())
 
     def _race_write(self, track: _RaceTrack, addrs: np.ndarray, tids: np.ndarray, name: str) -> np.ndarray:
         """Check a store instruction; returns the per-lane apply mask.
@@ -447,10 +517,9 @@ class KernelContext:
         order: a lane's write lands only if no higher-id thread already wrote
         this address in the current interval.
         """
-        track.materialize_reads()
+        track.begin_store()
         b = self.block_linear
-        u_addr, first_idx, counts = np.unique(addrs, return_index=True, return_counts=True)
-        dup = counts > 1
+        u_addr, rep, dup = _distinct(addrs, tids)
 
         r1 = track.reader1[addrs]
         w1 = track.writer1[addrs]
@@ -466,14 +535,12 @@ class KernelContext:
             other = int(w1[i]) if w1[i] != _NO_TID else int(r1[i])
             self._race_fail(name, int(addrs[i]), int(tids[i]), other)
         if dup.any():
-            i = int(first_idx[np.argmax(dup)])
-            dup_addr = addrs[i]
+            dup_addr = u_addr[np.argmax(dup)]
             peers = np.flatnonzero(addrs == dup_addr)
             self._race_fail(name, int(dup_addr), int(tids[peers[0]]), int(tids[peers[1]]))
 
         eff = track.writer_max[addrs] <= tids
 
-        rep = tids[first_idx]
         cur = track.writer1[u_addr]
         track.writer_multi[u_addr] |= dup | ((cur != _NO_TID) & (cur != rep))
         track.writer1[u_addr] = np.where(cur == _NO_TID, rep, cur)
@@ -481,13 +548,15 @@ class KernelContext:
             np.maximum.at(track.writer_max, addrs, tids)
         else:
             track.writer_max[addrs] = np.maximum(track.writer_max[addrs], tids)
+        track.touched.append(u_addr)
         track.interval_writes += 1
-        track.dirty = True
         if track.cross_block:
             wb = track.w_block1[u_addr]
             track.w_block_multi[u_addr] |= (wb != _NO_TID) & (wb != b)
             track.w_block1[u_addr] = np.where(wb == _NO_TID, b, wb)
             track.writer_blocks.add(b)
+            if track.undo_cross:
+                track.cross_touched.append(u_addr)
         return eff
 
     # ------------------------------------------------------------------
@@ -560,7 +629,6 @@ class KernelContext:
                 **self._err_kw([gid]),
             )
         self._state.metrics.bump(self.kernel_name, "barriers_executed", 1)
-        self._shared_track.reset_interval()
         self._state.reset_intervals()
         self.step += 1
 
@@ -676,7 +744,12 @@ class Simulator:
         self.predicate_log.clear()
         report = metrics if metrics is not None else MetricsReport()
         state = _LaunchState(self, mem, report, mode, depth=0)
-        self._run_grid(kernel, config, tuple(args), state, name or kernel.__name__)
+        try:
+            self._run_grid(kernel, config, tuple(args), state, name or kernel.__name__)
+        finally:
+            # Contexts and shared views form reference cycles that would keep
+            # the race arrays alive until the cyclic collector runs.
+            state.release()
         return report
 
     def _run_grid(
@@ -687,7 +760,7 @@ class Simulator:
         state: _LaunchState,
         kernel_name: str,
     ) -> None:
-        state.multi_block = config.blocks_per_grid > 1
+        state.begin_grid(config)
         for block_linear in range(config.blocks_per_grid):
             state.reset_intervals()
             ctx = KernelContext(state, config, block_linear, kernel_name)

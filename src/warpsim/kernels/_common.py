@@ -51,11 +51,5 @@ def trace_sentinel(dtype: np.dtype):
     return np.nan
 
 
-def is_sentinel(value, dtype: np.dtype) -> bool:
-    if np.issubdtype(dtype, np.integer):
-        return value == np.iinfo(dtype).min
-    return bool(np.isnan(value))
-
-
 def setup(simulator: Optional[Simulator], metrics: Optional[MetricsReport]):
     return simulator if simulator is not None else Simulator(), metrics

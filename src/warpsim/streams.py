@@ -329,6 +329,9 @@ def _critical_path(
 
     cur = max(schedule.entries.values(), key=lambda s: (s.end, s.op.id))
     path = [cur.op.id]
+    # A zero-duration op ends where it starts, so it can touch itself or an
+    # op already on the path; skipping those bounds the walk by the op count.
+    on_path = {cur.op.id}
     while cur.start > 0:
         candidates: list[str] = []
         pred = stream_pred.get(cur.op.id)
@@ -341,10 +344,12 @@ def _critical_path(
         for s in sorted(by_engine.get(cur.engine, []), key=lambda s: s.op.id):
             if s.end == cur.start:
                 candidates.append(s.op.id)
+        candidates = [c for c in candidates if c not in on_path]
         if not candidates:
             break
         cur = schedule.entries[candidates[0]]
         path.append(cur.op.id)
+        on_path.add(cur.op.id)
     path.reverse()
     return path
 

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from warpsim import bank_conflict_degree, coalesce_count
+from warpsim.core.access import _warp_bank_extra_cycles, _warp_segment_total
 
 
 def segment_oracle(addresses, segment_bytes=128):
@@ -94,3 +95,60 @@ class TestBankConflictDegree:
         # 16 banks of 8 bytes: addresses 0 and 128 share bank 0.
         assert bank_conflict_degree([0, 128], bank_count=16, bank_width_bytes=8) == 2
         assert bank_conflict_degree([0, 8], bank_count=16, bank_width_bytes=8) == 1
+
+
+class TestWarpVectorizedForms:
+    """The engine's whole-block forms equal per-warp sums of the scalar oracles.
+
+    Ascending lane addresses take a sort-free path; the other cases take the
+    general one, so every input family below runs through both or either.
+    """
+
+    @staticmethod
+    def per_warp_sums(warp_ids, addrs, segment_bytes, bank_count, bank_width):
+        segments = extra = 0
+        for w in np.unique(warp_ids):
+            lanes = addrs[warp_ids == w].tolist()
+            segments += coalesce_count([(a, 4) for a in lanes], segment_bytes)
+            extra += bank_conflict_degree(lanes, bank_count, bank_width) - 1
+        return segments, extra
+
+    @staticmethod
+    def block_access(rng, family, warp_size=32, warps=4):
+        lane_ids = np.arange(warp_size * warps)
+        if family == "ascending":
+            addrs = lane_ids * 4 * int(rng.integers(1, 5)) + 4 * int(rng.integers(0, 64))
+        elif family == "non_monotone":
+            addrs = rng.permutation(lane_ids) * 4
+        elif family == "broadcast":
+            addrs = (lane_ids // int(rng.integers(2, 9))) * 4
+        else:  # "scattered": arbitrary, with repeats and unaligned bytes
+            addrs = rng.integers(0, 4096, size=lane_ids.size)
+        # Drop some lanes and whole warps, as a partial mask does.
+        keep = rng.random(lane_ids.size) < 0.7
+        keep[warp_size:2 * warp_size] = False
+        return (lane_ids // warp_size)[keep], addrs[keep].astype(np.int64)
+
+    FAMILIES = ["ascending", "non_monotone", "broadcast", "scattered"]
+
+    @pytest.mark.parametrize("family", FAMILIES)
+    @pytest.mark.parametrize("geometry", [(128, 32, 4), (32, 16, 4), (64, 32, 8), (256, 8, 16)])
+    def test_match_scalar_oracles(self, family, geometry):
+        segment_bytes, bank_count, bank_width = geometry
+        rng = np.random.default_rng([*geometry, self.FAMILIES.index(family)])
+        for _ in range(25):
+            warp_ids, addrs = self.block_access(rng, family)
+            want = self.per_warp_sums(warp_ids, addrs, segment_bytes, bank_count, bank_width)
+            got = (
+                _warp_segment_total(warp_ids, addrs, segment_bytes),
+                _warp_bank_extra_cycles(warp_ids, addrs, bank_count, bank_width),
+            )
+            assert got == want
+
+    def test_single_lane_and_empty(self):
+        one = np.array([3]), np.array([100])
+        assert _warp_segment_total(*one, 128) == 1
+        assert _warp_bank_extra_cycles(*one, 32, 4) == 0
+        empty = np.array([], dtype=np.int64), np.array([], dtype=np.int64)
+        assert _warp_segment_total(*empty, 128) == 0
+        assert _warp_bank_extra_cycles(*empty, 32, 4) == 0

@@ -372,6 +372,33 @@ class TestBarriersAndRaces:
         assert out.tolist() == [500]
         assert mem.race_warnings
 
+    def test_barrier_forgets_the_interval(self):
+        # Each entry the first interval leaves behind would flag or drop a
+        # store of the second if the barrier did not clear it.
+        def kernel(ctx, buf):
+            first = buf[0]  # every thread reads address 0
+
+            def copy():
+                buf[1] = first
+
+            def increment():
+                buf[0] = ctx.add(buf[0], 1)
+
+            def overwrite():
+                buf[1] = 7
+
+            ctx.if_(ctx.global_id == 1, copy)
+            ctx.barrier()
+            ctx.if_(ctx.global_id == 3, increment)
+            ctx.if_(ctx.global_id == 0, overwrite)
+
+        for mode in ("strict", "permissive"):
+            mem = DeviceMemory()
+            buf = mem.alloc("buf", [5, 0])
+            launch_kernel(kernel, LaunchConfig(1, 4), mem, (buf,), mode=mode)
+            assert buf.tolist() == [6, 7]
+            assert not mem.race_warnings
+
     def test_shared_memory_fresh_per_block(self):
         mem = DeviceMemory()
         out = mem.alloc("out", 3)

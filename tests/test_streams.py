@@ -1,6 +1,7 @@
 """Timeline scheduling: golden scenarios, invariants, brute-force comparison."""
 
 import json
+import signal
 from pathlib import Path
 
 import numpy as np
@@ -248,6 +249,60 @@ class TestSchedulerProperties:
         new_ops = [replaced if o.id == target.id else o for o in ops]
         heavier = simulate_timeline(new_ops, list(events) + [new_event]).makespan
         assert heavier >= base
+
+
+def critical_path_within(seconds, schedule, ops, events=()):
+    """makespan_report's critical path, failing instead of hanging."""
+
+    def expire(signum, frame):
+        raise TimeoutError(f"makespan_report ran longer than {seconds} s")
+
+    previous = signal.signal(signal.SIGALRM, expire)
+    signal.setitimer(signal.ITIMER_REAL, seconds)
+    try:
+        return makespan_report(schedule, ops, events).critical_path
+    finally:
+        signal.setitimer(signal.ITIMER_REAL, 0)
+        signal.signal(signal.SIGALRM, previous)
+
+
+def assert_touching_chain(schedule, path):
+    """Distinct ops, each ending where the next starts, ending at the makespan."""
+    assert len(set(path)) == len(path)
+    entries = [schedule.entries[op_id] for op_id in path]
+    assert entries[-1].end == schedule.makespan
+    for before, after in zip(entries, entries[1:]):
+        assert before.end == after.start
+
+
+class TestZeroDurationOps:
+    """A zero-duration op ends where it starts, so it touches itself."""
+
+    def test_zero_ops_after_busy_engine(self):
+        ops = [
+            StreamOp("op0", 2, OpKind.KERNEL, 0),
+            StreamOp("op1", 2, OpKind.COPY_D2H, 0),
+            StreamOp("op2", 2, OpKind.COPY_H2D, 10),
+            StreamOp("op3", 1, OpKind.KERNEL, 5),
+        ]
+        schedule = simulate_timeline(ops)
+        assert schedule.makespan == 15
+        assert critical_path_within(2.0, schedule, ops) == ["op3", "op0", "op1", "op2"]
+
+    @pytest.mark.parametrize("seed", [13, 119, 170, 307])
+    def test_generated_programs_that_hung(self, seed):
+        ops, events = random_program(np.random.default_rng(seed), max_ops=5)
+        assert any(op.duration == 0 for op in ops)
+        schedule = simulate_timeline(ops, events)
+        path = critical_path_within(2.0, schedule, ops, events)
+        assert_touching_chain(schedule, path)
+
+    @pytest.mark.parametrize("seed", range(40))
+    def test_random_programs_give_a_touching_chain(self, seed):
+        ops, events = random_program(np.random.default_rng(600 + seed), max_ops=6)
+        schedule = simulate_timeline(ops, events)
+        path = critical_path_within(2.0, schedule, ops, events)
+        assert_touching_chain(schedule, path)
 
 
 class TestDurationWeights:
