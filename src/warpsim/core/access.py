@@ -59,8 +59,9 @@ def bank_conflict_degree(
     return max(counts.values())
 
 
-_PAIR_SHIFT = np.int64(1) << 40  # warp/key packing headroom; addresses stay far below this
-_BANK_HIST_MAX = 1 << 16  # largest (warp, bank) histogram the sort-free path builds
+_PAIR_BITS = 40  # warp/key packing headroom; addresses stay far below 2**40
+_PAIR_SHIFT = np.int64(1) << _PAIR_BITS
+_BANK_HIST_MAX = 1 << 16  # largest (warp, bank) histogram built; larger ones sort
 
 
 def _warp_segment_total(
@@ -69,13 +70,10 @@ def _warp_segment_total(
     """Sum over warps of distinct segments touched, for one access instruction."""
     if byte_addrs.size == 0:
         return 0
-    segs = byte_addrs // segment_bytes
-    keys = warp_ids.astype(np.int64) * _PAIR_SHIFT + segs
-    steps = np.diff(keys)
-    if bool((steps >= 0).all()):
-        # Sorted keys (the usual ascending lane addresses): count the runs.
-        return int(np.count_nonzero(steps)) + 1
-    return int(np.unique(keys).size)
+    keys = warp_ids * _PAIR_SHIFT + byte_addrs // segment_bytes
+    keys.sort()
+    # Sorted keys group each warp's segments: count the runs.
+    return int(np.count_nonzero(keys[1:] != keys[:-1])) + 1
 
 
 def _warp_bank_extra_cycles(
@@ -88,28 +86,30 @@ def _warp_bank_extra_cycles(
     if byte_addrs.size == 0:
         return 0
     # Distinct (warp, address) pairs first: identical addresses broadcast.
-    warps = warp_ids.astype(np.int64)
-    keys = warps * _PAIR_SHIFT + byte_addrs
-    if (
-        bool((keys[1:] > keys[:-1]).all())
-        and (int(warps[-1]) - int(warps[0]) + 1) * bank_count <= _BANK_HIST_MAX
-    ):
-        # Strictly ascending keys are already distinct and grouped by warp:
-        # a (warp, bank) histogram gives each warp's bank populations.
-        pair_warp = warps - warps[0]
-        banks = (byte_addrs // bank_width_bytes) % bank_count
-        hist = np.bincount(pair_warp * bank_count + banks, minlength=(int(pair_warp[-1]) + 1) * bank_count)
-        degree_per_warp = hist.reshape(-1, bank_count).max(axis=1)
-        # Warps without active lanes have degree 0 and add nothing.
+    keys = warp_ids * _PAIR_SHIFT + byte_addrs
+    if not (keys[1:] > keys[:-1]).all():
+        keys.sort()
+        fresh = np.empty(keys.size, dtype=bool)
+        fresh[0] = True
+        np.not_equal(keys[1:], keys[:-1], out=fresh[1:])
+        keys = keys[fresh]
+        warp_ids = keys >> _PAIR_BITS
+        byte_addrs = keys & (_PAIR_SHIFT - 1)
+    # Keys now ascend strictly, grouped by warp; each warp's degree is its
+    # largest bank population. Warps without active lanes add nothing.
+    first_warp = warp_ids[0]
+    span = int(warp_ids[-1] - first_warp) + 1
+    banks = (byte_addrs // bank_width_bytes) % bank_count
+    if span * bank_count <= _BANK_HIST_MAX:
+        hist = np.bincount((warp_ids - first_warp) * bank_count + banks, minlength=span * bank_count)
+        degree_per_warp = hist.reshape(span, bank_count).max(axis=1)
         return int(degree_per_warp.sum()) - int(np.count_nonzero(degree_per_warp))
-    uniq = np.unique(keys)
-    pair_warp = uniq // _PAIR_SHIFT
-    pair_addr = uniq % _PAIR_SHIFT
-    banks = (pair_addr // bank_width_bytes) % bank_count
-    bank_keys = pair_warp * bank_count + banks
-    uniq_keys, counts = np.unique(bank_keys, return_counts=True)
-    # Degree per warp is the max bank population; sum (degree - 1) over warps.
-    warp_of_key = uniq_keys // bank_count
-    boundaries = np.flatnonzero(np.diff(warp_of_key)) + 1
-    degree_per_warp = np.maximum.reduceat(counts, np.concatenate(([0], boundaries)))
-    return int(np.sum(degree_per_warp - 1))
+    # A geometry too wide for the histogram: sort (warp, bank) keys and take
+    # the longest run of each warp.
+    bank_keys = np.sort(warp_ids * bank_count + banks)
+    starts = np.flatnonzero(np.concatenate(([True], bank_keys[1:] != bank_keys[:-1])))
+    runs = np.diff(np.append(starts, bank_keys.size))
+    run_warps = bank_keys[starts] // bank_count
+    warp_starts = np.flatnonzero(np.concatenate(([True], run_warps[1:] != run_warps[:-1])))
+    degree_per_warp = np.maximum.reduceat(runs, warp_starts)
+    return int(degree_per_warp.sum()) - degree_per_warp.size

@@ -17,6 +17,8 @@ branching has no direct expression, which is what keeps execution lockstep.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import groupby
+from operator import itemgetter
 from typing import Any, Callable, NamedTuple, Optional, Sequence, Union
 
 import numpy as np
@@ -44,6 +46,7 @@ from .metrics import MetricsReport
 LaneValue = Union[int, float, np.ndarray]
 
 _NO_TID = np.int64(-1)
+_NO_BLOCK = np.iinfo(np.int64).max  # above every block: "no block yet"
 
 
 class _Idx3(NamedTuple):
@@ -58,12 +61,19 @@ class _RaceTrack:
     Interval state (reset at barriers and block starts) answers "did another
     thread of this block touch this address since the last barrier"; the
     cross-block state persists for the whole grid because barriers never
-    synchronize distinct blocks.
+    synchronize distinct blocks. Blocks run in ascending order, so another
+    block touched an address before block b exactly when the first block to
+    touch it is below b: the cross-block state is that first block per
+    address, one array for reads and one for writes.
 
     Reads are buffered and only materialized into per-address state when a
-    write to the same space arrives in the interval, which keeps read-only
-    traffic (the common case) cheap. The writer-side arrays are allocated on
-    the first store, so a buffer that is only read never has them.
+    write to the same space arrives, which keeps read-only traffic (the
+    common case) cheap. Interval reads wait for a store in the interval;
+    cross-block reads wait for the grid's first store, then fold as they
+    come. Cross-block reads that pile up past the buffer length fold early,
+    so the list never holds more addresses than the buffer has elements. The
+    arrays are allocated on the first fold or store, so a buffer that is
+    only read never has the writer-side ones.
 
     A reset costs what was touched, not the buffer length. Every address an
     interval wrote into the interval arrays is kept on an undo list, and
@@ -79,29 +89,27 @@ class _RaceTrack:
         self.pending_reads: list[tuple[np.ndarray, np.ndarray]] = []
         self.interval_writes = 0
         self.touched: list[np.ndarray] = []  # undo list of the interval arrays
+        self.cross_reads: list[tuple[np.ndarray, int]] = []  # (addresses, block) not yet folded
+        self.cross_read_count = 0  # addresses on cross_reads
         self.cross_touched: list[np.ndarray] = []  # undo list of the cross-block arrays
-        self.writer_blocks: set[int] = set()
         self.writer1: Optional[np.ndarray] = None  # interval arrays, from the first store
-        self.rb_block1: Optional[np.ndarray] = None  # reads by block, for multi-block grids
-        self.w_block1: Optional[np.ndarray] = None  # writes by block, from the first store
+        self.rb_block1: Optional[np.ndarray] = None  # first block to read, from the first fold
+        self.w_block1: Optional[np.ndarray] = None  # first block to write, from the first store
         self.start_grid(cross_block)
 
     def start_grid(self, cross_block: bool) -> None:
         """Forget what the previous grid recorded and track a new one."""
         self.reset_interval()
+        self.cross_reads.clear()
+        self.cross_read_count = 0
         if self.cross_touched:
             idx = np.concatenate(self.cross_touched)
-            self.rb_block1[idx] = _NO_TID
-            self.rb_block_multi[idx] = False
+            self.rb_block1[idx] = _NO_BLOCK
             if self.w_block1 is not None:
-                self.w_block1[idx] = _NO_TID
-                self.w_block_multi[idx] = False
+                self.w_block1[idx] = _NO_BLOCK
             self.cross_touched.clear()
-        self.writer_blocks.clear()
+        self.first_store_block = _NO_BLOCK
         self.cross_block = cross_block
-        if cross_block and self.rb_block1 is None:
-            self.rb_block1 = np.full(self.length, _NO_TID)
-            self.rb_block_multi = np.zeros(self.length, dtype=bool)
 
     def reset_interval(self) -> None:
         self.pending_reads.clear()
@@ -115,6 +123,27 @@ class _RaceTrack:
             self.writer_max[idx] = _NO_TID
             self.touched.clear()
 
+    def read_cross(self, addrs: np.ndarray, block: int) -> None:
+        """Record that ``block`` read ``addrs``; folds once the grid has stored."""
+        self.cross_reads.append((addrs, block))
+        self.cross_read_count += addrs.size
+        if self.first_store_block != _NO_BLOCK or self.cross_read_count > self.length:
+            self.fold_cross_reads()
+
+    def fold_cross_reads(self) -> None:
+        """Fold the deferred cross-block reads into the first-reader array."""
+        if self.rb_block1 is None:
+            self.rb_block1 = np.full(self.length, _NO_BLOCK)
+        # Each block's reads are one run of the list, and a later block
+        # never lowers the first reader.
+        for b, run in groupby(self.cross_reads, key=itemgetter(1)):
+            addrs = np.concatenate([a for a, _ in run])
+            self.rb_block1[addrs] = np.minimum(self.rb_block1[addrs], b)
+            if self.undo_cross:
+                self.cross_touched.append(addrs)
+        self.cross_reads.clear()
+        self.cross_read_count = 0
+
     def begin_store(self) -> None:
         """Allocate the writer-side arrays if needed, then fold in pending reads."""
         if self.writer1 is None:
@@ -123,9 +152,10 @@ class _RaceTrack:
             self.writer1 = np.full(self.length, _NO_TID)
             self.writer_multi = np.zeros(self.length, dtype=bool)
             self.writer_max = np.full(self.length, _NO_TID)
-        if self.cross_block and self.w_block1 is None:
-            self.w_block1 = np.full(self.length, _NO_TID)
-            self.w_block_multi = np.zeros(self.length, dtype=bool)
+        if self.cross_block:
+            if self.w_block1 is None:
+                self.w_block1 = np.full(self.length, _NO_BLOCK)
+            self.fold_cross_reads()
         for addrs, tids in self.pending_reads:
             u_addr, rep, dup = _distinct(addrs, tids)
             cur = self.reader1[u_addr]
@@ -140,10 +170,11 @@ def _distinct(addrs: np.ndarray, tids: np.ndarray) -> tuple[np.ndarray, np.ndarr
 
     Lane addresses usually ascend strictly; then ``np.unique`` would be the
     identity, so the sort is skipped and the repeat mask is a scalar False.
-    The returned addresses never alias ``addrs``, which the kernel may own.
+    ``addrs`` is the engine's own array, never one the kernel holds, so the
+    ascending case may return it as is.
     """
     if bool((addrs[1:] > addrs[:-1]).all()):
-        return addrs.copy(), tids, np.False_
+        return addrs, tids, np.False_
     u_addr, first_idx, counts = np.unique(addrs, return_index=True, return_counts=True)
     return u_addr, tids[first_idx], counts > 1
 
@@ -287,9 +318,9 @@ class KernelContext:
         self.gy = by * bdy + self._ty
         self.gz = bz * config.block_dim[2] + self._tz
 
-        self._mask_stack: list[np.ndarray] = [np.ones(T, dtype=bool)]
+        # (mask, active lane count) per open branch; the block is all active at first.
+        self._mask_stack: list[tuple[np.ndarray, int]] = [(np.ones(T, dtype=bool), T)]
         self._shared_offset = 0
-        self._shared_views: list[SharedView] = []
         self.step = 0
 
     # ------------------------------------------------------------------
@@ -297,7 +328,7 @@ class KernelContext:
 
     @property
     def active(self) -> np.ndarray:
-        return self._mask_stack[-1]
+        return self._mask_stack[-1][0]
 
     def _lanes(self, value: LaneValue, dtype=None) -> np.ndarray:
         arr = np.asarray(value)
@@ -352,25 +383,25 @@ class KernelContext:
             element_width,
         )
         self._shared_offset += nbytes
-        self._shared_views.append(view)
         return view
 
     # ------------------------------------------------------------------
     # memory instructions
 
     def _global_access(self, buf: Buffer, idx: LaneValue, value: Optional[LaneValue]) -> Optional[np.ndarray]:
-        act = self.active
-        if not act.any():
+        act, n_active = self._mask_stack[-1]
+        if not n_active:
             return None if value is not None else np.zeros(self.nthreads, dtype=buf.dtype)
-        full = bool(act.all())
+        full = n_active == self.nthreads
         ei = self._lanes(idx, np.int64)
         if full:
+            if ei is idx:
+                ei = ei.copy()  # the race tracker keeps it; the kernel may change its own
             tids, warp_ids = self.global_id, self.warp
         else:
             ei, tids, warp_ids = ei[act], self.global_id[act], self.warp[act]
-        bad = (ei < 0) | (ei >= len(buf))
-        if bad.any():
-            first = int(np.argmax(bad))
+        if ei.min() < 0 or ei.max() >= len(buf):
+            first = int(np.argmax((ei < 0) | (ei >= len(buf))))
             raise OutOfBounds(
                 f"index {int(ei[first])} outside buffer {buf.name!r} of length {len(buf)}",
                 **self._err_kw([int(tids[first])], buf.name),
@@ -417,18 +448,17 @@ class KernelContext:
         return result
 
     def _shared_access(self, view: SharedView, idx: LaneValue, value: Optional[LaneValue]) -> Optional[np.ndarray]:
-        act = self.active
-        if not act.any():
+        act, n_active = self._mask_stack[-1]
+        if not n_active:
             return None if value is not None else np.zeros(self.nthreads, dtype=view.data.dtype)
-        full = bool(act.all())
+        full = n_active == self.nthreads
         ei = self._lanes(idx, np.int64)
         if full:
             tids, warp_ids = self.global_id, self.warp
         else:
             ei, tids, warp_ids = ei[act], self.global_id[act], self.warp[act]
-        bad = (ei < 0) | (ei >= len(view))
-        if bad.any():
-            first = int(np.argmax(bad))
+        if ei.min() < 0 or ei.max() >= len(view):
+            first = int(np.argmax((ei < 0) | (ei >= len(view))))
             raise OutOfBounds(
                 f"index {int(ei[first])} outside shared array {view.name!r} of length {len(view)}",
                 **self._err_kw([int(tids[first])], view.name),
@@ -495,20 +525,15 @@ class KernelContext:
             if conflict.any():
                 i = int(np.argmax(conflict))
                 self._race_fail(name, int(addrs[i]), int(tids[i]), int(w1[i]))
-        if track.cross_block and (track.writer_blocks - {b}):
-            wb = track.w_block1[addrs]
-            conflict = (wb != _NO_TID) & ((wb != b) | track.w_block_multi[addrs])
+        if track.first_store_block < b:  # another block of this grid stored here
+            conflict = track.w_block1[addrs] < b
             if conflict.any():
                 i = int(np.argmax(conflict))
                 self._race_fail(name, int(addrs[i]), int(tids[i]), -1)
 
         track.pending_reads.append((addrs, tids))
         if track.cross_block:
-            cur = track.rb_block1[addrs]
-            track.rb_block_multi[addrs] |= (cur != _NO_TID) & (cur != b)
-            track.rb_block1[addrs] = np.where(cur == _NO_TID, b, cur)
-            if track.undo_cross:
-                track.cross_touched.append(addrs.copy())
+            track.read_cross(addrs, b)
 
     def _race_write(self, track: _RaceTrack, addrs: np.ndarray, tids: np.ndarray, name: str) -> np.ndarray:
         """Check a store instruction; returns the per-lane apply mask.
@@ -526,10 +551,8 @@ class KernelContext:
         conflict = (r1 != _NO_TID) & ((r1 != tids) | track.reader_multi[addrs])
         conflict |= (w1 != _NO_TID) & ((w1 != tids) | track.writer_multi[addrs])
         if track.cross_block:
-            rb = track.rb_block1[addrs]
-            conflict |= (rb != _NO_TID) & ((rb != b) | track.rb_block_multi[addrs])
-            wb = track.w_block1[addrs]
-            conflict |= (wb != _NO_TID) & ((wb != b) | track.w_block_multi[addrs])
+            conflict |= track.rb_block1[addrs] < b
+            conflict |= track.w_block1[addrs] < b
         if conflict.any():
             i = int(np.argmax(conflict))
             other = int(w1[i]) if w1[i] != _NO_TID else int(r1[i])
@@ -551,10 +574,8 @@ class KernelContext:
         track.touched.append(u_addr)
         track.interval_writes += 1
         if track.cross_block:
-            wb = track.w_block1[u_addr]
-            track.w_block_multi[u_addr] |= (wb != _NO_TID) & (wb != b)
-            track.w_block1[u_addr] = np.where(wb == _NO_TID, b, wb)
-            track.writer_blocks.add(b)
+            track.w_block1[u_addr] = np.minimum(track.w_block1[u_addr], b)
+            track.first_store_block = min(track.first_store_block, b)
             if track.undo_cross:
                 track.cross_touched.append(u_addr)
         return eff
@@ -585,25 +606,29 @@ class KernelContext:
         diverged = int(((t_cnt > 0) & (f_cnt > 0)).sum())
         if diverged:
             self._state.metrics.bump(self.kernel_name, "divergence_events", diverged)
+        true_counts = tuple(t_cnt.tolist())
+        false_counts = tuple(f_cnt.tolist())
         self._sim.predicate_log.append(
             _PredicateEntry(
                 kernel=self.kernel_name,
                 block=self.block_linear,
                 step=self.step,
-                true_lane_counts=tuple(int(c) for c in t_cnt),
-                false_lane_counts=tuple(int(c) for c in f_cnt),
+                true_lane_counts=true_counts,
+                false_lane_counts=false_counts,
             )
         )
         self.step += 1
 
-        if t_mask.any():
-            self._mask_stack.append(t_mask)
+        n_true = sum(true_counts)
+        if n_true:
+            self._mask_stack.append((t_mask, n_true))
             try:
                 then_branch()
             finally:
                 self._mask_stack.pop()
-        if else_branch is not None and f_mask.any():
-            self._mask_stack.append(f_mask)
+        n_false = sum(false_counts)
+        if else_branch is not None and n_false:
+            self._mask_stack.append((f_mask, n_false))
             try:
                 else_branch()
             finally:
@@ -620,8 +645,8 @@ class KernelContext:
         by a divergent branch can never arrive, which is the deadlock this
         error models.
         """
-        act = self.active
-        if not act.all():
+        act, n_active = self._mask_stack[-1]
+        if n_active != self.nthreads:
             missing = int(np.argmin(act))
             gid = int(self.global_id[missing])
             raise BarrierDivergence(
@@ -637,11 +662,11 @@ class KernelContext:
     # active lane; masked lanes compute nothing and yield 0)
 
     def _arith(self, a: LaneValue, b: LaneValue, op: Callable) -> np.ndarray:
-        act = self.active
+        act, n_active = self._mask_stack[-1]
         av = self._lanes(a)
         bv = self._lanes(b)
-        self._state.metrics.bump(self.kernel_name, "thread_steps", int(act.sum()))
-        if act.all():
+        self._state.metrics.bump(self.kernel_name, "thread_steps", n_active)
+        if n_active == self.nthreads:
             return op(av, bv)
         out = np.zeros(self.nthreads, dtype=np.result_type(av, bv))
         out[act] = op(av[act], bv[act])
@@ -747,8 +772,9 @@ class Simulator:
         try:
             self._run_grid(kernel, config, tuple(args), state, name or kernel.__name__)
         finally:
-            # Contexts and shared views form reference cycles that would keep
-            # the race arrays alive until the cyclic collector runs.
+            # A kernel's closures can hold its context in a reference cycle
+            # that would keep the race arrays alive until the cyclic
+            # collector runs.
             state.release()
         return report
 

@@ -2,12 +2,14 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from typing import Any
 
 
 @dataclass
 class KernelCounters:
+    """The six counters, in their JSON order; defined here only."""
+
     global_transactions: int = 0
     divergence_events: int = 0
     bank_conflict_extra_cycles: int = 0
@@ -16,26 +18,15 @@ class KernelCounters:
     child_launches: int = 0
 
     def add(self, other: "KernelCounters") -> None:
-        self.global_transactions += other.global_transactions
-        self.divergence_events += other.divergence_events
-        self.bank_conflict_extra_cycles += other.bank_conflict_extra_cycles
-        self.barriers_executed += other.barriers_executed
-        self.thread_steps += other.thread_steps
-        self.child_launches += other.child_launches
+        for f in fields(KernelCounters):
+            setattr(self, f.name, getattr(self, f.name) + getattr(other, f.name))
 
-    def to_json(self) -> dict[str, int]:
-        return {
-            "global_transactions": self.global_transactions,
-            "divergence_events": self.divergence_events,
-            "bank_conflict_extra_cycles": self.bank_conflict_extra_cycles,
-            "barriers_executed": self.barriers_executed,
-            "thread_steps": self.thread_steps,
-            "child_launches": self.child_launches,
-        }
+    def to_json(self) -> dict[str, Any]:
+        return {f.name: getattr(self, f.name) for f in fields(KernelCounters)}
 
 
 @dataclass
-class MetricsReport:
+class MetricsReport(KernelCounters):
     """Totals for a launch plus a per-kernel breakdown.
 
     ``thread_steps`` counts per-lane arithmetic operations executed through
@@ -43,36 +34,19 @@ class MetricsReport:
     so algorithmic work like scan additions is countable exactly.
     """
 
-    global_transactions: int = 0
-    divergence_events: int = 0
-    bank_conflict_extra_cycles: int = 0
-    barriers_executed: int = 0
-    thread_steps: int = 0
-    child_launches: int = 0
     per_kernel: dict[str, KernelCounters] = field(default_factory=dict)
 
     def bump(self, kernel: str, field_name: str, amount: int) -> None:
         setattr(self, field_name, getattr(self, field_name) + amount)
-        entry = self.per_kernel.setdefault(kernel, KernelCounters())
+        entry = self.per_kernel.get(kernel)
+        if entry is None:
+            entry = self.per_kernel[kernel] = KernelCounters()
         setattr(entry, field_name, getattr(entry, field_name) + amount)
 
     def merge(self, other: "MetricsReport") -> None:
-        self.global_transactions += other.global_transactions
-        self.divergence_events += other.divergence_events
-        self.bank_conflict_extra_cycles += other.bank_conflict_extra_cycles
-        self.barriers_executed += other.barriers_executed
-        self.thread_steps += other.thread_steps
-        self.child_launches += other.child_launches
+        self.add(other)
         for name, counters in other.per_kernel.items():
             self.per_kernel.setdefault(name, KernelCounters()).add(counters)
 
     def to_json(self) -> dict[str, Any]:
-        return {
-            "global_transactions": self.global_transactions,
-            "divergence_events": self.divergence_events,
-            "bank_conflict_extra_cycles": self.bank_conflict_extra_cycles,
-            "barriers_executed": self.barriers_executed,
-            "thread_steps": self.thread_steps,
-            "child_launches": self.child_launches,
-            "per_kernel": {k: v.to_json() for k, v in sorted(self.per_kernel.items())},
-        }
+        return {**super().to_json(), "per_kernel": {k: v.to_json() for k, v in sorted(self.per_kernel.items())}}

@@ -2,11 +2,9 @@
 
 from __future__ import annotations
 
-from typing import Optional, Sequence
+from typing import Sequence
 
 import numpy as np
-
-from ..core import MetricsReport, Simulator
 
 
 class LengthMismatch(ValueError):
@@ -49,7 +47,3 @@ def trace_sentinel(dtype: np.dtype):
     if np.issubdtype(dtype, np.integer):
         return np.iinfo(dtype).min
     return np.nan
-
-
-def setup(simulator: Optional[Simulator], metrics: Optional[MetricsReport]):
-    return simulator if simulator is not None else Simulator(), metrics

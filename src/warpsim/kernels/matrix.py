@@ -14,7 +14,7 @@ from typing import Optional, Sequence
 import numpy as np
 
 from ..core import DeviceMemory, LaunchConfig, MetricsReport, Simulator, ceil_div
-from ._common import ShapeMismatch, setup, value_dtype
+from ._common import ShapeMismatch, value_dtype
 
 TILE = 16
 
@@ -76,7 +76,7 @@ def matrix_add(
     """Elementwise sum via a 2-D launch of 16x16 thread blocks."""
     if a.shape != b.shape:
         raise ShapeMismatch(f"shapes differ: {a.shape} vs {b.shape}")
-    sim, metrics = setup(simulator, metrics)
+    sim = simulator or Simulator()
     rows, cols = a.shape
     dtype = value_dtype(a.data, b.data)
     mem = DeviceMemory()
@@ -157,7 +157,7 @@ def matmul(
         raise ValueError(f"unknown variant {variant!r}")
     if a.cols != b.rows:
         raise ShapeMismatch(f"inner dimensions differ: {a.shape} x {b.shape}")
-    sim, metrics = setup(simulator, metrics)
+    sim = simulator or Simulator()
     m, n, p = a.rows, a.cols, b.cols
     dtype = value_dtype(a.data, b.data)
     mem = DeviceMemory()

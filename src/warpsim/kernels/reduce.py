@@ -17,7 +17,6 @@ from ._common import (
     MAX_BLOCK_THREADS,
     NotPowerOfTwo,
     is_pow2,
-    setup,
     trace_sentinel,
     value_dtype,
 )
@@ -98,7 +97,7 @@ def reduce_sum(
     if n == 1:
         return values[0], StepTrace([list(values)])
 
-    sim, metrics = setup(simulator, metrics)
+    sim = simulator or Simulator()
     dtype = value_dtype(values)
     single_block = n <= MAX_BLOCK_THREADS
     block = n if single_block else MAX_BLOCK_THREADS

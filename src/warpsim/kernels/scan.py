@@ -19,7 +19,6 @@ from ._common import (
     NotPowerOfTwo,
     is_pow2,
     next_pow2,
-    setup,
     value_dtype,
 )
 from .trace import StepTrace
@@ -82,7 +81,7 @@ def inclusive_scan_hillis_steele(
     n0 = len(values)
     if n0 == 0:
         return [], StepTrace([[]])
-    sim, metrics = setup(simulator, metrics)
+    sim = simulator or Simulator()
     n = next_pow2(n0)
     dtype = value_dtype(values)
     padded = values + [0] * (n - n0)
@@ -191,7 +190,7 @@ def exclusive_scan_blelloch(
         return [0]
     if n > BLELLOCH_MAX:
         raise ValueError(f"single-block scan capacity is {BLELLOCH_MAX} elements, got {n}")
-    sim, metrics = setup(simulator, metrics)
+    sim = simulator or Simulator()
     dtype = value_dtype(values)
     mem = DeviceMemory()
     inp = mem.alloc("input", values, dtype=dtype)

@@ -5,7 +5,7 @@ from __future__ import annotations
 from typing import Optional, Sequence
 
 from ..core import DeviceMemory, LaunchConfig, MetricsReport, Simulator, ceil_div
-from ._common import THREADS_PER_BLOCK, LengthMismatch, setup, value_dtype
+from ._common import THREADS_PER_BLOCK, LengthMismatch, value_dtype
 
 
 def vector_add_kernel(ctx, a, b, c, n):
@@ -33,7 +33,7 @@ def vector_add(
     n = len(a)
     if n == 0:
         return []
-    sim, metrics = setup(simulator, metrics)
+    sim = simulator or Simulator()
     dtype = value_dtype(a, b)
     mem = DeviceMemory()
     buf_a = mem.alloc("a", a, dtype=dtype)

@@ -69,6 +69,12 @@ class HierarchySpec:
 
     @classmethod
     def from_json(cls, data: Sequence[dict]) -> "HierarchySpec":
+        if not isinstance(data, (list, tuple)) or not all(isinstance(d, dict) for d in data):
+            raise SpecInvalid("hierarchy must be a JSON array of level objects")
+        for i, d in enumerate(data):
+            missing = [key for key in ("name", "latency", "bandwidth", "capacity") if key not in d]
+            if missing:
+                raise SpecInvalid(f"hierarchy[{i}] is missing {', '.join(missing)}")
         return cls(
             [
                 MemoryLevelSpec(
@@ -226,6 +232,11 @@ class TrainingFlowSpec:
                 data = json.load(fh)
         else:
             data = source
+        if not isinstance(data, dict):
+            raise SpecInvalid("a training-flow spec must be a JSON object")
+        missing = [key for key in ("dataset_bytes", "batch_bytes", "epochs") if key not in data]
+        if missing:
+            raise SpecInvalid(f"training-flow spec is missing {', '.join(missing)}")
         hierarchy = (
             HierarchySpec.from_json(data["hierarchy"])
             if "hierarchy" in data

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from warpsim import bank_conflict_degree, coalesce_count
-from warpsim.core.access import _warp_bank_extra_cycles, _warp_segment_total
+from warpsim.core.access import _BANK_HIST_MAX, _warp_bank_extra_cycles, _warp_segment_total
 
 
 def segment_oracle(addresses, segment_bytes=128):
@@ -100,8 +100,9 @@ class TestBankConflictDegree:
 class TestWarpVectorizedForms:
     """The engine's whole-block forms equal per-warp sums of the scalar oracles.
 
-    Ascending lane addresses take a sort-free path; the other cases take the
-    general one, so every input family below runs through both or either.
+    Strictly ascending lane addresses skip the bank analysis's sort; the
+    other cases sort, so every input family below runs through both or
+    either.
     """
 
     @staticmethod
@@ -152,3 +153,61 @@ class TestWarpVectorizedForms:
         empty = np.array([], dtype=np.int64), np.array([], dtype=np.int64)
         assert _warp_segment_total(*empty, 128) == 0
         assert _warp_bank_extra_cycles(*empty, 32, 4) == 0
+
+    # The matrix products' access patterns over one 16x16 block (x fastest),
+    # as byte addresses: the naive product's ``a[i*n+k]`` and ``b[k*p+j]``
+    # with 8-byte elements, and the tiled product's three shared patterns
+    # with 4-byte elements and ``tile_b`` after ``tile_a``.
+    TILE = 16
+    PRODUCT_PATTERNS = {
+        "naive_a": lambda tx, ty, k: ((2 * 16 + tx) * 64 + k) * 8,
+        "naive_b": lambda tx, ty, k: (k * 64 + 16 + ty) * 8,
+        "tile_store": lambda tx, ty, k: (tx * 16 + ty) * 4,
+        "tile_a": lambda tx, ty, k: (tx * 16 + k) * 4,
+        "tile_b": lambda tx, ty, k: 1024 + (k * 16 + ty) * 4,
+    }
+
+    @pytest.mark.parametrize("mask", ["full", "partial", "edge"])
+    @pytest.mark.parametrize("pattern", sorted(PRODUCT_PATTERNS))
+    def test_product_patterns(self, pattern, mask):
+        linear = np.arange(self.TILE * self.TILE)
+        tx, ty = linear % self.TILE, linear // self.TILE
+        warp_ids = linear // 32
+        rng = np.random.default_rng(len(pattern))
+        for k in range(self.TILE):
+            addrs = self.PRODUCT_PATTERNS[pattern](tx, ty, k).astype(np.int64)
+            if mask == "full":
+                keep = np.ones(linear.size, dtype=bool)
+            elif mask == "partial":
+                keep = rng.random(linear.size) < 0.5
+            else:  # a matrix edge: rows and columns past the bounds are masked off
+                keep = (tx < 11) & (ty < 7)
+            want = self.per_warp_sums(warp_ids[keep], addrs[keep], 128, 32, 4)
+            got = (
+                _warp_segment_total(warp_ids[keep], addrs[keep], 128),
+                _warp_bank_extra_cycles(warp_ids[keep], addrs[keep], 32, 4),
+            )
+            assert got == want
+
+    @pytest.mark.parametrize("group", [2, 4, 32, 256])
+    def test_broadcast_repeats(self, group):
+        linear = np.arange(256)
+        warp_ids = linear // 32
+        for scale in (4, 8, 128):
+            # Lanes in groups of ``group`` share an address, in both orders.
+            for addrs in ((linear // group) * scale, ((255 - linear) // group) * scale):
+                want = self.per_warp_sums(warp_ids, addrs, 128, 32, 4)
+                assert (_warp_segment_total(warp_ids, addrs, 128), _warp_bank_extra_cycles(warp_ids, addrs, 32, 4)) == want
+
+    @pytest.mark.parametrize("family", FAMILIES)
+    def test_geometry_past_the_histogram_bound(self, family):
+        # 4096 banks over 32 warps need a (warp, bank) histogram of 2**17
+        # entries; the analysis sorts instead and must agree.
+        bank_count, bank_width = 4096, 4
+        rng = np.random.default_rng(self.FAMILIES.index(family))
+        for _ in range(10):
+            warp_ids, addrs = self.block_access(rng, family, warps=32)
+            addrs = addrs * 64  # spread over the many banks, with repeats kept
+            assert (int(warp_ids[-1]) - int(warp_ids[0]) + 1) * bank_count > _BANK_HIST_MAX
+            want = self.per_warp_sums(warp_ids, addrs, 128, bank_count, bank_width)
+            assert _warp_bank_extra_cycles(warp_ids, addrs, bank_count, bank_width) == want[1]

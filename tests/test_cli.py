@@ -240,3 +240,25 @@ class TestMemflow:
         )
         code = main(["memflow", path])
         assert code == 2
+
+    def test_stream_scenario_names_the_missing_keys(self, capsys):
+        code = main(["memflow", str(SCENARIOS / "overlap_two_stream.json")])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.out == ""
+        assert captured.err == "error: training-flow spec is missing dataset_bytes, batch_bytes, epochs\n"
+
+    def test_non_object_spec_rejected(self, tmp_path, capsys):
+        path = write_json(tmp_path, "list.json", [1, 2, 3])
+        code = main(["memflow", path])
+        assert code == 2
+        assert capsys.readouterr().err.startswith("error: ")
+
+    def test_hierarchy_level_names_the_missing_keys(self, tmp_path, capsys):
+        path = write_json(
+            tmp_path, "level.json",
+            {"dataset_bytes": 10, "batch_bytes": 5, "epochs": 1, "hierarchy": [{"name": "RAM"}]},
+        )
+        code = main(["memflow", path])
+        assert code == 2
+        assert capsys.readouterr().err == "error: hierarchy[0] is missing latency, bandwidth, capacity\n"

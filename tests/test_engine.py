@@ -399,6 +399,45 @@ class TestBarriersAndRaces:
             assert buf.tolist() == [6, 7]
             assert not mem.race_warnings
 
+    def test_read_keeps_the_addresses_it_read(self):
+        # The kernel changes its own index array after the read; the tracker
+        # must still know the addresses the read touched.
+        def kernel(ctx, a):
+            i = ctx.global_id.copy()
+            x = a[i]
+            i += 1
+            a[i % 8] = x
+
+        mem = DeviceMemory()
+        a = mem.alloc("a", list(range(8)))
+        with pytest.raises(DataRace) as exc:
+            launch_kernel(kernel, LaunchConfig(1, 8), mem, (a,))
+        assert [t.global_linear_id for t in exc.value.threads] == [0, 1]
+
+        mem = DeviceMemory()
+        a = mem.alloc("a", list(range(8)))
+        launch_kernel(kernel, LaunchConfig(1, 8), mem, (a,), mode="permissive")
+        assert a.tolist() == [7, 0, 1, 2, 3, 4, 5, 6]
+        assert mem.race_warnings
+
+    def test_cross_block_read_keeps_the_addresses_it_read(self):
+        # Block 0's read waits for the grid's first store, which block 1
+        # makes after block 0 changed its index array.
+        def kernel(ctx, a):
+            i = ctx.global_id.copy()
+            if ctx.block_linear == 0:
+                a[i]
+                i += 1
+            else:
+                a[i - 8] = i
+
+        mem = DeviceMemory()
+        a = mem.alloc("a", 16)
+        with pytest.raises(DataRace) as exc:
+            launch_kernel(kernel, LaunchConfig(2, 8), mem, (a,))
+        assert [t.global_linear_id for t in exc.value.threads] == [8]
+        assert "address 0 " in str(exc.value)
+
     def test_shared_memory_fresh_per_block(self):
         mem = DeviceMemory()
         out = mem.alloc("out", 3)

@@ -2,20 +2,23 @@
 
 ``WholeBufferTrack`` and the two ``whole_buffer_race_*`` functions are a copy
 of the tracker as it stood before resets went by touched address: fresh
-arrays for every grid and every block's shared memory, and a reset that
-refills every array of the buffer. Random small kernels run once on the
-engine and once with that copy patched in; every observable must match.
+arrays for every grid and every block's shared memory, a reset that refills
+every array of the buffer, and cross-block reads folded into per-address
+state (first reading block plus a several-blocks flag) as they happen.
+Random small kernels run once on the engine and once with that copy patched
+in; every observable must match.
 """
 
 import contextlib
 from unittest import mock
 
 import numpy as np
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from warpsim import DeviceMemory, LaunchConfig, SimError, Simulator
+from warpsim import DeviceMemory, LaunchConfig, MetricsReport, SimError, Simulator
 from warpsim.core import engine
+from warpsim.kernels.matrix import TILE, matmul_naive_kernel, matrix_add_kernel
 
 _NO_TID = np.int64(-1)
 
@@ -232,6 +235,9 @@ def run_program(ctx, x, y, program):
                 sh[addresses(ins[1], ctx, SHARED_LEN)] = ctx.add(reg[0], ins[2])
             elif op == "barrier":
                 ctx.barrier()
+            elif op == "from_block":  # a uniform branch: only blocks from ins[1] on
+                if ctx.block_linear >= ins[1]:
+                    execute(ins[2])
             elif op == "if":
                 _, modulus, cut, then_body, else_body = ins
                 ctx.if_(
@@ -270,9 +276,9 @@ def observe(case, mode, whole_buffer):
     return x.tolist(), y.tolist(), report, error, list(mem.race_warnings)
 
 
-def cases(programs):
+def cases(programs, min_blocks=1):
     return st.tuples(
-        st.integers(1, 4),
+        st.integers(min_blocks, 4),
         st.integers(1, MAX_THREADS),
         st.lists(st.integers(-50, 50), min_size=1, max_size=96),
         st.lists(st.integers(-50, 50), min_size=1, max_size=96),
@@ -291,7 +297,101 @@ def test_tracker_matches_whole_buffer_design(case):
     assert_same_observables(case)
 
 
+LOCAL0 = ("local", 0, [0])
+SHIFT0 = ("shift", 0, [0])
+
+
 @settings(max_examples=120, deadline=None)
 @given(cases(st.lists(launches(min_launchers=2), min_size=1, max_size=2)))
+# Two blocks of a child grid read x and never store it; the next child grid
+# stores there from its block 1 only, which conflicts with nothing.
+@example((1, 1, [0] * 16, [0] * 16, [
+    ("launch", 1, 2, 8, [("gload", "x", LOCAL0)]),
+    ("launch", 1, 2, 8, [("from_block", 1, [("gstore", "x", LOCAL0, 1)])]),
+]))
 def test_sibling_child_grids_match_whole_buffer_design(case):
     assert_same_observables(case)
+
+
+def reads_before_the_first_store():
+    """Every block reads; stores start in block k, so blocks 0..k-1 only read.
+
+    The reads of the first blocks wait for block k's first store. With up to
+    64 threads, eight reads a block and buffers of 1 to 96 elements, they
+    often outnumber the buffer's elements and fold early.
+    """
+    read = st.tuples(st.just("gload"), st.sampled_from(["x", "y"]), patterns)
+    store = st.tuples(st.just("gstore"), st.sampled_from(["x", "y"]), patterns, st.integers(0, 9))
+    late = st.tuples(store, st.lists(instructions(1, False), max_size=3)).map(lambda t: [t[0], *t[1]])
+    return st.tuples(
+        st.lists(read, min_size=1, max_size=8),
+        st.integers(1, 3),
+        late,
+        st.lists(instructions(1, False), max_size=3),
+    ).map(lambda t: [*t[0], ("from_block", t[1], t[2]), *t[3]])
+
+
+@settings(max_examples=120, deadline=None)
+@given(cases(reads_before_the_first_store(), min_blocks=2))
+# Early fold: block 0 alone reads 64 addresses of an 8-element buffer.
+@example((4, 32, [1] * 8, [2] * 8, [("gload", "x", SHIFT0), ("gload", "x", ("stride", 3, [0])),
+                                   ("from_block", 3, [("gstore", "x", ("local", 1, [0]), 4)])]))
+# No early fold: 8 of 96 addresses a block, and block 1 stores where block 0 read.
+@example((2, 8, [1] * 96, [2] * 96, [("gload", "x", SHIFT0),
+                                     ("from_block", 1, [("gstore", "x", ("local", 0, [0]), 4)])]))
+def test_reads_before_the_first_store_match_whole_buffer_design(case):
+    assert_same_observables(case)
+
+
+# ----------------------------------------------------------------------
+# what the tracks of one grid allocate
+
+
+def run_grid(kernel, config, mem, args):
+    """One grid on a launch state the test keeps, to look at its tracks."""
+    sim = Simulator()
+    state = engine._LaunchState(sim, mem, MetricsReport(), "strict", depth=0)
+    sim._run_grid(kernel, config, tuple(args), state, kernel.__name__)
+    return state
+
+
+def matrix_buffers(n):
+    mem = DeviceMemory()
+    a = mem.alloc("a", list(range(n * n)))
+    b = mem.alloc("b", list(range(n * n)))
+    c = mem.alloc("c", n * n)
+    return mem, (a, b, c)
+
+
+def test_inputs_read_once_keep_no_cross_block_arrays():
+    mem, (a, b, c) = matrix_buffers(48)
+    state = run_grid(matrix_add_kernel, LaunchConfig((3, 3), (TILE, TILE)), mem, (a, b, c, 48, 48))
+    for name in ("a", "b"):
+        track = state.tracks[name]
+        assert track.rb_block1 is None and track.w_block1 is None and track.writer1 is None
+        assert track.cross_read_count == 48 * 48  # every read still waits, none folded
+    assert state.tracks["c"].w_block1 is not None
+
+
+def test_naive_product_inputs_hold_at_most_one_buffer_of_reads():
+    # Each element of a and b is read 16 * 3 times, so the deferred reads
+    # outgrow the buffer and fold early; a and b are never written, so they
+    # never get writer-side arrays.
+    n = 48
+    mem, (a, b, c) = matrix_buffers(n)
+    folds = []
+    fold = engine._RaceTrack.fold_cross_reads
+
+    def counting_fold(track):
+        folds.append(track.cross_read_count)
+        fold(track)
+
+    with mock.patch.object(engine._RaceTrack, "fold_cross_reads", counting_fold):
+        state = run_grid(matmul_naive_kernel, LaunchConfig((3, 3), (TILE, TILE)), mem, (a, b, c, n, n, n))
+    assert c.tolist() == (np.arange(n * n).reshape(n, n) @ np.arange(n * n).reshape(n, n)).ravel().tolist()
+    for name in ("a", "b"):
+        track = state.tracks[name]
+        assert track.writer1 is None and track.w_block1 is None
+        assert track.rb_block1 is not None
+        assert track.cross_read_count <= track.length
+    assert folds and max(folds) <= n * n + TILE * TILE
