@@ -269,10 +269,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except UsageError as e:
-        print(f"error: {e}", file=sys.stderr)
-        return USAGE_EXIT
-    except (ValueError, OSError, memperf.SpecInvalid) as e:
+    except (UsageError, ValueError, OSError) as e:
         print(f"error: {e}", file=sys.stderr)
         return USAGE_EXIT
     except (streams.CyclicDependency, streams.UnknownEvent) as e:

@@ -249,19 +249,27 @@ class _LaunchState:
 class GlobalView:
     """Kernel-side handle to a global buffer, indexable by lane arrays."""
 
+    space = "global"
+    byte_offset = 0
+
     def __init__(self, ctx: "KernelContext", buffer: Buffer):
         self._ctx = ctx
         self.buffer = buffer
+        self.name = buffer.name
+        self.data = buffer.data
+        self.element_width = buffer.element_width
 
     def __getitem__(self, idx: LaneValue) -> np.ndarray:
-        return self._ctx._global_access(self.buffer, idx, None)
+        return self._ctx._access(self, idx, None)
 
     def __setitem__(self, idx: LaneValue, value: LaneValue) -> None:
-        self._ctx._global_access(self.buffer, idx, value)
+        self._ctx._access(self, idx, value)
 
 
 class SharedView:
     """One typed allocation inside the block's shared memory region."""
+
+    space = "shared"
 
     def __init__(self, ctx: "KernelContext", name: str, length: int, dtype, byte_offset: int, element_width: int):
         self._ctx = ctx
@@ -274,10 +282,10 @@ class SharedView:
         return int(self.data.size)
 
     def __getitem__(self, idx: LaneValue) -> np.ndarray:
-        return self._ctx._shared_access(self, idx, None)
+        return self._ctx._access(self, idx, None)
 
     def __setitem__(self, idx: LaneValue, value: LaneValue) -> None:
-        self._ctx._shared_access(self, idx, value)
+        self._ctx._access(self, idx, value)
 
 
 class KernelContext:
@@ -388,112 +396,70 @@ class KernelContext:
     # ------------------------------------------------------------------
     # memory instructions
 
-    def _global_access(self, buf: Buffer, idx: LaneValue, value: Optional[LaneValue]) -> Optional[np.ndarray]:
+    def _access(
+        self, view: Union[GlobalView, SharedView], idx: LaneValue, value: Optional[LaneValue]
+    ) -> Optional[np.ndarray]:
+        """One memory instruction of the active lanes; ``value is None`` is a load.
+
+        Only the cost and the race bookkeeping depend on the address space:
+        global memory counts coalesced segments and tracks element indices,
+        shared memory counts bank conflicts and tracks byte offsets.
+        """
+        data = view.data
         act, n_active = self._mask_stack[-1]
         if not n_active:
-            return None if value is not None else np.zeros(self.nthreads, dtype=buf.dtype)
-        full = n_active == self.nthreads
-        ei = self._lanes(idx, np.int64)
-        if full:
-            if ei is idx:
-                ei = ei.copy()  # the race tracker keeps it; the kernel may change its own
-            tids, warp_ids = self.global_id, self.warp
-        else:
-            ei, tids, warp_ids = ei[act], self.global_id[act], self.warp[act]
-        if ei.min() < 0 or ei.max() >= len(buf):
-            first = int(np.argmax((ei < 0) | (ei >= len(buf))))
-            raise OutOfBounds(
-                f"index {int(ei[first])} outside buffer {buf.name!r} of length {len(buf)}",
-                **self._err_kw([int(tids[first])], buf.name),
-            )
-        byte_addrs = ei * buf.element_width
-        kind = "read" if value is None else "write"
-
-        self._state.metrics.bump(
-            self.kernel_name,
-            "global_transactions",
-            _warp_segment_total(warp_ids, byte_addrs, self._sim.segment_bytes),
-        )
-        track = self._state.track_for(buf)
-        result: Optional[np.ndarray] = None
-        if value is None:
-            self._race_read(track, ei, tids, buf.name)
-            if full:
-                result = buf.data[ei]
-            else:
-                result = np.zeros(self.nthreads, dtype=buf.dtype)
-                result[act] = buf.data[ei]
-        else:
-            vals = self._lanes(value)
-            if not full:
-                vals = vals[act]
-            vals = vals.astype(buf.dtype, copy=False)
-            eff = self._race_write(track, ei, tids, buf.name)
-            buf.data[ei[eff]] = vals[eff]
-        self._state.mem.access_log.append(
-            AccessRecord(
-                kernel=self.kernel_name,
-                block=self.block_linear,
-                step=self.step,
-                space="global",
-                kind=kind,
-                buffer=buf.name,
-                width=buf.element_width,
-                warp_ids=warp_ids,
-                lanes=tids,
-                addresses=byte_addrs,
-            )
-        )
-        self.step += 1
-        return result
-
-    def _shared_access(self, view: SharedView, idx: LaneValue, value: Optional[LaneValue]) -> Optional[np.ndarray]:
-        act, n_active = self._mask_stack[-1]
-        if not n_active:
-            return None if value is not None else np.zeros(self.nthreads, dtype=view.data.dtype)
+            return None if value is not None else np.zeros(self.nthreads, dtype=data.dtype)
         full = n_active == self.nthreads
         ei = self._lanes(idx, np.int64)
         if full:
             tids, warp_ids = self.global_id, self.warp
         else:
             ei, tids, warp_ids = ei[act], self.global_id[act], self.warp[act]
-        if ei.min() < 0 or ei.max() >= len(view):
-            first = int(np.argmax((ei < 0) | (ei >= len(view))))
+        if ei.min() < 0 or ei.max() >= data.size:
+            first = int(np.argmax((ei < 0) | (ei >= data.size)))
+            noun = "buffer" if view.space == "global" else "shared array"
             raise OutOfBounds(
-                f"index {int(ei[first])} outside shared array {view.name!r} of length {len(view)}",
+                f"index {int(ei[first])} outside {noun} {view.name!r} of length {data.size}",
                 **self._err_kw([int(tids[first])], view.name),
             )
-        byte_addrs = view.byte_offset + ei * view.element_width
-        kind = "read" if value is None else "write"
+        byte_addrs = ei * view.element_width
+        if view.byte_offset:
+            byte_addrs += view.byte_offset
 
-        self._state.metrics.bump(
-            self.kernel_name,
-            "bank_conflict_extra_cycles",
-            _warp_bank_extra_cycles(warp_ids, byte_addrs, self._sim.bank_count, self._sim.bank_width_bytes),
-        )
-        track = self._state.shared_track
+        sim, state = self._sim, self._state
+        if view.space == "global":
+            counter = "global_transactions"
+            cost = _warp_segment_total(warp_ids, byte_addrs, sim.segment_bytes)
+            track = state.track_for(view.buffer)
+            addrs = ei.copy() if ei is idx else ei  # the race tracker keeps it; the kernel may change its own
+        else:
+            counter = "bank_conflict_extra_cycles"
+            cost = _warp_bank_extra_cycles(warp_ids, byte_addrs, sim.bank_count, sim.bank_width_bytes)
+            track, addrs = state.shared_track, byte_addrs
+        state.metrics.bump(self.kernel_name, counter, cost)
+
         result: Optional[np.ndarray] = None
         if value is None:
-            self._race_read(track, byte_addrs, tids, view.name)
+            self._race_read(track, addrs, tids, view.name)
             if full:
-                result = view.data[ei]
+                result = data[ei]
             else:
-                result = np.zeros(self.nthreads, dtype=view.data.dtype)
-                result[act] = view.data[ei]
+                result = np.zeros(self.nthreads, dtype=data.dtype)
+                result[act] = data[ei]
         else:
             vals = self._lanes(value)
             if not full:
                 vals = vals[act]
-            vals = vals.astype(view.data.dtype, copy=False)
-            eff = self._race_write(track, byte_addrs, tids, view.name)
-            view.data[ei[eff]] = vals[eff]
-        self._state.mem.access_log.append(
+            vals = vals.astype(data.dtype, copy=False)
+            eff = self._race_write(track, addrs, tids, view.name)
+            data[ei[eff]] = vals[eff]
+        state.mem.access_log.append(
             AccessRecord(
                 kernel=self.kernel_name,
                 block=self.block_linear,
                 step=self.step,
-                space="shared",
-                kind=kind,
+                space=view.space,
+                kind="read" if value is None else "write",
                 buffer=view.name,
                 width=view.element_width,
                 warp_ids=warp_ids,
@@ -735,6 +701,13 @@ class Simulator:
         max_threads_per_block: int = DEFAULT_MAX_THREADS_PER_BLOCK,
         max_nesting_depth: int = 2,
     ):
+        for name, value in (
+            ("segment_bytes", segment_bytes),
+            ("bank_count", bank_count),
+            ("bank_width_bytes", bank_width_bytes),
+        ):
+            if value < 1:
+                raise ValueError(f"{name}={value} must be positive")
         self.segment_bytes = segment_bytes
         self.bank_count = bank_count
         self.bank_width_bytes = bank_width_bytes

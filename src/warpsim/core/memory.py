@@ -10,11 +10,13 @@ import numpy as np
 DEFAULT_ELEMENT_WIDTH = 4
 
 
-def _dtype_for(values: Sequence) -> np.dtype:
-    arr = np.asarray(values)
-    if arr.size == 0 or np.issubdtype(arr.dtype, np.integer) or arr.dtype == np.bool_:
-        return np.dtype(np.int64)
-    return np.dtype(np.float64)
+def value_dtype(*seqs: Sequence) -> np.dtype:
+    """int64 when every element is integral, float64 otherwise."""
+    for seq in seqs:
+        arr = np.asarray(seq)
+        if arr.size and not (np.issubdtype(arr.dtype, np.integer) or arr.dtype == np.bool_):
+            return np.dtype(np.float64)
+    return np.dtype(np.int64)
 
 
 class Buffer:
@@ -92,7 +94,7 @@ class DeviceMemory:
             dt = np.dtype(dtype) if dtype is not None else np.dtype(np.int64)
             data = np.zeros(int(size_or_data), dtype=dt)
         else:
-            dt = np.dtype(dtype) if dtype is not None else _dtype_for(size_or_data)
+            dt = np.dtype(dtype) if dtype is not None else value_dtype(size_or_data)
             data = np.asarray(size_or_data, dtype=dt).copy()
         buf = Buffer(name, data, element_width)
         self.buffers[name] = buf

@@ -17,10 +17,6 @@ class KernelCounters:
     thread_steps: int = 0
     child_launches: int = 0
 
-    def add(self, other: "KernelCounters") -> None:
-        for f in fields(KernelCounters):
-            setattr(self, f.name, getattr(self, f.name) + getattr(other, f.name))
-
     def to_json(self) -> dict[str, Any]:
         return {f.name: getattr(self, f.name) for f in fields(KernelCounters)}
 
@@ -42,11 +38,6 @@ class MetricsReport(KernelCounters):
         if entry is None:
             entry = self.per_kernel[kernel] = KernelCounters()
         setattr(entry, field_name, getattr(entry, field_name) + amount)
-
-    def merge(self, other: "MetricsReport") -> None:
-        self.add(other)
-        for name, counters in other.per_kernel.items():
-            self.per_kernel.setdefault(name, KernelCounters()).add(counters)
 
     def to_json(self) -> dict[str, Any]:
         return {**super().to_json(), "per_kernel": {k: v.to_json() for k, v in sorted(self.per_kernel.items())}}

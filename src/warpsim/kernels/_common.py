@@ -2,8 +2,6 @@
 
 from __future__ import annotations
 
-from typing import Sequence
-
 import numpy as np
 
 
@@ -31,15 +29,6 @@ def next_pow2(n: int) -> int:
     if n <= 1:
         return 1
     return 1 << (n - 1).bit_length()
-
-
-def value_dtype(*seqs: Sequence) -> np.dtype:
-    """int64 when every element is integral, float64 otherwise."""
-    for seq in seqs:
-        arr = np.asarray(seq)
-        if arr.size and not (np.issubdtype(arr.dtype, np.integer) or arr.dtype == np.bool_):
-            return np.dtype(np.float64)
-    return np.dtype(np.int64)
 
 
 def trace_sentinel(dtype: np.dtype):

@@ -14,7 +14,8 @@ from typing import Optional, Sequence
 import numpy as np
 
 from ..core import DeviceMemory, LaunchConfig, MetricsReport, Simulator, ceil_div
-from ._common import ShapeMismatch, value_dtype
+from ..core.memory import value_dtype
+from ._common import ShapeMismatch
 
 TILE = 16
 

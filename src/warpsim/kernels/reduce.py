@@ -13,12 +13,12 @@ from typing import Optional, Sequence
 import numpy as np
 
 from ..core import DeviceMemory, LaunchConfig, MetricsReport, Simulator
+from ..core.memory import value_dtype
 from ._common import (
     MAX_BLOCK_THREADS,
     NotPowerOfTwo,
     is_pow2,
     trace_sentinel,
-    value_dtype,
 )
 from .trace import StepTrace
 

@@ -13,13 +13,13 @@ from __future__ import annotations
 from typing import Optional, Sequence
 
 from ..core import DeviceMemory, LaunchConfig, MetricsReport, Simulator, ceil_div
+from ..core.memory import value_dtype
 from ._common import (
     MAX_BLOCK_THREADS,
     THREADS_PER_BLOCK,
     NotPowerOfTwo,
     is_pow2,
     next_pow2,
-    value_dtype,
 )
 from .trace import StepTrace
 

@@ -5,7 +5,8 @@ from __future__ import annotations
 from typing import Optional, Sequence
 
 from ..core import DeviceMemory, LaunchConfig, MetricsReport, Simulator, ceil_div
-from ._common import THREADS_PER_BLOCK, LengthMismatch, value_dtype
+from ..core.memory import value_dtype
+from ._common import THREADS_PER_BLOCK, LengthMismatch
 
 
 def vector_add_kernel(ctx, a, b, c, n):

@@ -640,6 +640,16 @@ class TestMachineGeometry:
         assert default.bank_conflict_extra_cycles == 2 * 3
         assert sixteen.bank_conflict_extra_cycles == 2 * 7
 
+    @pytest.mark.parametrize(
+        "param, value", [("segment_bytes", 0), ("bank_count", 0), ("bank_width_bytes", -4)]
+    )
+    def test_non_positive_geometry_rejected(self, param, value):
+        # Accepted, these gave wrong transaction or bank counts, or a bare
+        # reshape error, on the first launch.
+        with pytest.raises(ValueError, match=f"^{param}={value} must be positive$"):
+            Simulator(**{param: value})
+        Simulator(**{param: 1})
+
     def test_warp_size_changes_divergence_granularity(self):
         values = [1 if i % 2 == 0 else -1 for i in range(32)]
         mem = DeviceMemory()
