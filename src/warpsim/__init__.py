@@ -19,6 +19,7 @@ from .core import (
     MetricsReport,
     NestingLimit,
     OutOfBounds,
+    Recorder,
     SimError,
     Simulator,
     ThreadCoord,
@@ -43,6 +44,7 @@ __all__ = [
     "MetricsReport",
     "NestingLimit",
     "OutOfBounds",
+    "Recorder",
     "SimError",
     "Simulator",
     "ThreadCoord",

@@ -3,8 +3,10 @@
 from .access import bank_conflict_degree, coalesce_count
 from .config import LaunchConfig, ceil_div
 from .engine import (
+    BranchRecord,
     GlobalView,
     KernelContext,
+    Recorder,
     SharedView,
     Simulator,
     barrier_sync,
@@ -27,6 +29,7 @@ from .metrics import KernelCounters, MetricsReport
 __all__ = [
     "AccessRecord",
     "BarrierDivergence",
+    "BranchRecord",
     "Buffer",
     "DataRace",
     "DeviceMemory",
@@ -38,6 +41,7 @@ __all__ = [
     "MetricsReport",
     "NestingLimit",
     "OutOfBounds",
+    "Recorder",
     "SharedView",
     "SimError",
     "Simulator",

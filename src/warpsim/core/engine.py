@@ -16,7 +16,7 @@ branching has no direct expression, which is what keeps execution lockstep.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from itertools import groupby
 from operator import itemgetter
 from typing import Any, Callable, NamedTuple, Optional, Sequence, Union
@@ -180,7 +180,7 @@ def _distinct(addrs: np.ndarray, tids: np.ndarray) -> tuple[np.ndarray, np.ndarr
 
 
 @dataclass
-class _PredicateEntry:
+class BranchRecord:
     """One structured branch: per-warp active-lane predicate tallies."""
 
     kernel: str
@@ -190,15 +190,26 @@ class _PredicateEntry:
     false_lane_counts: tuple[int, ...]
 
 
+@dataclass
+class Recorder:
+    """A launch's memory instructions, branches and barriers in order; see ``Simulator.launch``."""
+
+    accesses: list[AccessRecord] = field(default_factory=list)
+    branches: list[BranchRecord] = field(default_factory=list)
+    barriers: list[tuple[str, int, int]] = field(default_factory=list)  # (kernel, block, step)
+
+
 class _LaunchState:
     """Mutable state shared by every block of one grid at one nesting depth."""
 
-    def __init__(self, sim: "Simulator", mem: DeviceMemory, metrics: MetricsReport, mode: str, depth: int):
+    def __init__(self, sim: "Simulator", mem: DeviceMemory, metrics: MetricsReport, mode: str, depth: int,
+                 recorder: Optional[Recorder] = None):
         self.sim = sim
         self.mem = mem
         self.metrics = metrics
         self.mode = mode
         self.depth = depth
+        self.recorder = recorder
         self.multi_block = True  # refined per grid before blocks run
         self.tracks: dict[str, _RaceTrack] = {}
         self.shared_track: Optional[_RaceTrack] = None
@@ -234,7 +245,7 @@ class _LaunchState:
         child completes before the parent's next step).
         """
         if self._child is None:
-            self._child = _LaunchState(self.sim, self.mem, self.metrics, self.mode, self.depth + 1)
+            self._child = _LaunchState(self.sim, self.mem, self.metrics, self.mode, self.depth + 1, self.recorder)
         return self._child
 
     def release(self) -> None:
@@ -453,20 +464,22 @@ class KernelContext:
             vals = vals.astype(data.dtype, copy=False)
             eff = self._race_write(track, addrs, tids, view.name)
             data[ei[eff]] = vals[eff]
-        state.mem.access_log.append(
-            AccessRecord(
-                kernel=self.kernel_name,
-                block=self.block_linear,
-                step=self.step,
-                space=view.space,
-                kind="read" if value is None else "write",
-                buffer=view.name,
-                width=view.element_width,
-                warp_ids=warp_ids,
-                lanes=tids,
-                addresses=byte_addrs,
+        if state.recorder is not None:
+            state.recorder.accesses.append(
+                AccessRecord(
+                    kernel=self.kernel_name,
+                    block=self.block_linear,
+                    step=self.step,
+                    space=view.space,
+                    kind="read" if value is None else "write",
+                    buffer=view.name,
+                    width=view.element_width,
+                    warp_ids=warp_ids,
+                    lanes=tids,
+                    addresses=byte_addrs,
+                    values=None if value is None else vals.copy(),  # the kernel may change its own array
+                )
             )
-        )
         self.step += 1
         return result
 
@@ -572,17 +585,11 @@ class KernelContext:
         diverged = int(((t_cnt > 0) & (f_cnt > 0)).sum())
         if diverged:
             self._state.metrics.bump(self.kernel_name, "divergence_events", diverged)
-        true_counts = tuple(t_cnt.tolist())
-        false_counts = tuple(f_cnt.tolist())
-        self._sim.predicate_log.append(
-            _PredicateEntry(
-                kernel=self.kernel_name,
-                block=self.block_linear,
-                step=self.step,
-                true_lane_counts=true_counts,
-                false_lane_counts=false_counts,
+        true_counts, false_counts = t_cnt.tolist(), f_cnt.tolist()
+        if self._state.recorder is not None:
+            self._state.recorder.branches.append(
+                BranchRecord(self.kernel_name, self.block_linear, self.step, tuple(true_counts), tuple(false_counts))
             )
-        )
         self.step += 1
 
         n_true = sum(true_counts)
@@ -621,6 +628,8 @@ class KernelContext:
             )
         self._state.metrics.bump(self.kernel_name, "barriers_executed", 1)
         self._state.reset_intervals()
+        if self._state.recorder is not None:
+            self._state.recorder.barriers.append((self.kernel_name, self.block_linear, self.step))
         self.step += 1
 
     # ------------------------------------------------------------------
@@ -713,7 +722,6 @@ class Simulator:
         self.bank_width_bytes = bank_width_bytes
         self.max_threads_per_block = max_threads_per_block
         self.max_nesting_depth = max_nesting_depth
-        self.predicate_log: list[_PredicateEntry] = []
 
     def launch(
         self,
@@ -725,12 +733,15 @@ class Simulator:
         name: Optional[str] = None,
         mode: str = "strict",
         metrics: Optional[MetricsReport] = None,
+        recorder: Optional[Recorder] = None,
     ) -> MetricsReport:
         """Run one grid to completion; deterministic for identical inputs.
 
         ``mode`` is "strict" (conflicting unsynchronized accesses abort the
         launch) or "permissive" (they are logged on ``mem.race_warnings`` and
-        writes resolve in ascending global thread id order).
+        writes resolve in ascending global thread id order). A ``recorder``
+        collects the accesses, branches and barriers of the grid and its
+        child grids; attaching one changes no result, counter or error.
         """
         if mode not in ("strict", "permissive"):
             raise ValueError(f"unknown race mode {mode!r}")
@@ -738,10 +749,9 @@ class Simulator:
         for a in args:
             if isinstance(a, Buffer) and mem.buffers.get(a.name) is not a:
                 raise SimError(f"buffer {a.name!r} does not belong to this DeviceMemory")
-        mem.clear_log()
-        self.predicate_log.clear()
+        mem.race_warnings.clear()
         report = metrics if metrics is not None else MetricsReport()
-        state = _LaunchState(self, mem, report, mode, depth=0)
+        state = _LaunchState(self, mem, report, mode, 0, recorder)
         try:
             self._run_grid(kernel, config, tuple(args), state, name or kernel.__name__)
         finally:

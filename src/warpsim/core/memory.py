@@ -1,4 +1,4 @@
-"""Device-global buffers with bounds checking and access logging."""
+"""Device-global buffers and the record of one memory instruction."""
 
 from __future__ import annotations
 
@@ -64,20 +64,17 @@ class AccessRecord:
     warp_ids: np.ndarray  # block-local warp of each active lane
     lanes: np.ndarray  # global linear thread ids of active lanes
     addresses: np.ndarray  # byte addresses, parallel to lanes
-
-    def by_warp(self) -> dict[int, list[tuple[int, int, str]]]:
-        """Per-warp (address, width, kind) lists for this step."""
-        out: dict[int, list[tuple[int, int, str]]] = {}
-        for w, a in zip(self.warp_ids.tolist(), self.addresses.tolist()):
-            out.setdefault(w, []).append((a, self.width, self.kind))
-        return out
+    values: Optional[np.ndarray]  # stored values, parallel to lanes; None for a load
 
 
 class DeviceMemory:
-    """Global memory: named buffers plus the per-launch access log."""
+    """Global memory: named buffers plus the last launch's race warnings."""
 
     def __init__(self):
         self.buffers: dict[str, Buffer] = {}
+        # Never filled: a launch records accesses only on an attached
+        # ``Recorder``. Kept because bench/tracer.py reads it after every
+        # traced launch.
         self.access_log: list[AccessRecord] = []
         self.race_warnings: list[str] = []
 
@@ -111,14 +108,3 @@ class DeviceMemory:
 
     def __iter__(self) -> Iterator[Buffer]:
         return iter(self.buffers.values())
-
-    def clear_log(self) -> None:
-        self.access_log.clear()
-        self.race_warnings.clear()
-
-    def lanes_touching_memory(self) -> set[int]:
-        """Global thread ids that performed at least one access (any space)."""
-        touched: set[int] = set()
-        for rec in self.access_log:
-            touched.update(rec.lanes.tolist())
-        return touched

@@ -1,9 +1,5 @@
 """Shared helpers for the primitive library."""
 
-from __future__ import annotations
-
-import numpy as np
-
 
 class LengthMismatch(ValueError):
     pass
@@ -29,10 +25,3 @@ def next_pow2(n: int) -> int:
     if n <= 1:
         return 1
     return 1 << (n - 1).bit_length()
-
-
-def trace_sentinel(dtype: np.dtype):
-    """A value no simulated thread would write; marks idle trace cells."""
-    if np.issubdtype(dtype, np.integer):
-        return np.iinfo(dtype).min
-    return np.nan

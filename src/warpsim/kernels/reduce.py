@@ -1,48 +1,37 @@
 """Parallel reduction: adjacent-pair (interleaved) and sequential-halving variants.
 
 Both variants reduce each block in shared memory and, for inputs wider than
-one block, sum the per-block partials on the host. The step table is emitted
-by the kernel itself: active threads write their freshly computed value into
-a trace buffer, so idle cells stay at the sentinel and render as blanks.
+one block, sum the per-block partials on the host. The kernels carry no
+instrumentation: for a single-block input the step table is read from a
+``Recorder`` attached to the launch, one row per span between barriers, each
+cell the value that thread stored to shared memory in the span. Threads that
+stored nothing render as blanks.
 """
 
 from __future__ import annotations
 
 from typing import Optional, Sequence
 
-import numpy as np
-
-from ..core import DeviceMemory, LaunchConfig, MetricsReport, Simulator
+from ..core import DeviceMemory, LaunchConfig, MetricsReport, Recorder, Simulator
 from ..core.memory import value_dtype
-from ._common import (
-    MAX_BLOCK_THREADS,
-    NotPowerOfTwo,
-    is_pow2,
-    trace_sentinel,
-)
-from .trace import StepTrace
+from ._common import MAX_BLOCK_THREADS, NotPowerOfTwo, is_pow2
+from .trace import StepTrace, barrier_rows
 
 VARIANTS = ("interleaved", "sequential")
 
 
-def reduce_interleaved_kernel(ctx, inp, out, trace, use_trace):
+def _reduce_block(ctx, inp, out, strides, adds):
+    """Sum one block in shared memory: at stride s, lanes where ``adds(tid, s)`` add cell tid + s."""
     tid = ctx.thread_idx.x
-    bdim = ctx.block_dim.x
-    sdata = ctx.shared_array(bdim, dtype=inp.buffer.dtype)
+    sdata = ctx.shared_array(ctx.block_dim.x, dtype=inp.buffer.dtype)
     sdata[tid] = inp[ctx.gx]
     ctx.barrier()
-    stride, step = 1, 1
-    while stride < bdim:
-        def body(s=stride, row=step):
-            v = ctx.add(sdata[tid], sdata[tid + s])
-            sdata[tid] = v
-            if use_trace:
-                trace[(row - 1) * bdim + tid] = v
+    for stride in strides:
+        def body(s=stride):
+            sdata[tid] = ctx.add(sdata[tid], sdata[tid + s])
 
-        ctx.if_(tid % (2 * stride) == 0, body)
+        ctx.if_(adds(tid, stride), body)
         ctx.barrier()
-        stride *= 2
-        step += 1
 
     def write_partial():
         out[ctx.block_idx.x] = sdata[0]
@@ -50,29 +39,18 @@ def reduce_interleaved_kernel(ctx, inp, out, trace, use_trace):
     ctx.if_(tid == 0, write_partial)
 
 
-def reduce_sequential_kernel(ctx, inp, out, trace, use_trace):
-    tid = ctx.thread_idx.x
+def reduce_interleaved_kernel(ctx, inp, out):
+    """Adjacent pairs: s = 1, 2, 4, ... and the threads at multiples of 2s add."""
     bdim = ctx.block_dim.x
-    sdata = ctx.shared_array(bdim, dtype=inp.buffer.dtype)
-    sdata[tid] = inp[ctx.gx]
-    ctx.barrier()
-    stride, step = bdim // 2, 1
-    while stride > 0:
-        def body(s=stride, row=step):
-            v = ctx.add(sdata[tid], sdata[tid + s])
-            sdata[tid] = v
-            if use_trace:
-                trace[(row - 1) * bdim + tid] = v
+    strides = [1 << k for k in range(bdim.bit_length()) if 1 << k < bdim]
+    _reduce_block(ctx, inp, out, strides, lambda tid, s: tid % (2 * s) == 0)
 
-        ctx.if_(tid < stride, body)
-        ctx.barrier()
-        stride //= 2
-        step += 1
 
-    def write_partial():
-        out[ctx.block_idx.x] = sdata[0]
-
-    ctx.if_(tid == 0, write_partial)
+def reduce_sequential_kernel(ctx, inp, out):
+    """Sequential halving: s = n/2, n/4, ..., 1 and the first s threads add."""
+    bdim = ctx.block_dim.x
+    strides = [bdim >> k for k in range(1, bdim.bit_length())]
+    _reduce_block(ctx, inp, out, strides, lambda tid, s: tid < s)
 
 
 def reduce_sum(
@@ -99,43 +77,18 @@ def reduce_sum(
 
     sim = simulator or Simulator()
     dtype = value_dtype(values)
-    single_block = n <= MAX_BLOCK_THREADS
-    block = n if single_block else MAX_BLOCK_THREADS
+    block = min(n, MAX_BLOCK_THREADS)
     blocks = n // block
-    steps = block.bit_length() - 1
 
     mem = DeviceMemory()
     inp = mem.alloc("input", values, dtype=dtype)
     partials = mem.alloc("partials", blocks, dtype=dtype)
-    sentinel = trace_sentinel(dtype)
-    trace_len = steps * n if single_block else 1
-    trace_buf = mem.alloc("trace", np.full(trace_len, sentinel, dtype=dtype))
-
+    recorder = Recorder() if blocks == 1 else None
     kernel = reduce_interleaved_kernel if variant == "interleaved" else reduce_sequential_kernel
     config = LaunchConfig(blocks, block, shared_mem_bytes=block * 4)
-    sim.launch(
-        kernel,
-        config,
-        mem,
-        (inp, partials, trace_buf, single_block),
-        name=f"reduce_{variant}",
-        metrics=metrics,
-    )
+    sim.launch(kernel, config, mem, (inp, partials), name=f"reduce_{variant}", metrics=metrics, recorder=recorder)
 
     parts = partials.tolist()
     total = sum(parts[1:], start=parts[0])
-
-    rows: list[list] = [list(values)]
-    if single_block:
-        flat = trace_buf.data
-        idle = np.isnan(flat) if np.issubdtype(dtype, np.floating) else flat == sentinel
-        cells = flat.tolist()
-        idle_cells = idle.tolist()
-        for s in range(steps):
-            rows.append(
-                [
-                    None if idle_cells[s * n + i] else cells[s * n + i]
-                    for i in range(n)
-                ]
-            )
+    rows = [list(values)] + (barrier_rows(recorder, n) if recorder is not None else [])
     return total, StepTrace(rows)

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 from typing import Optional, Sequence
 
-from ..core import DeviceMemory, LaunchConfig, MetricsReport, Simulator, ceil_div
+from ..core import DeviceMemory, LaunchConfig, MetricsReport, Recorder, Simulator, ceil_div
 from ..core.memory import value_dtype
 from ._common import (
     MAX_BLOCK_THREADS,
@@ -21,15 +21,13 @@ from ._common import (
     is_pow2,
     next_pow2,
 )
-from .trace import StepTrace
+from .trace import StepTrace, barrier_rows
 
 BLELLOCH_MAX = 2 * MAX_BLOCK_THREADS  # two elements per thread, one block
 
 
-def scan_step_kernel(ctx, src, dst, trace, distance, step_row, n):
-    """One distance-d pass over the full array with ping-pong buffers."""
-    i = ctx.gx
-
+def _distance_step(ctx, i, src, dst, distance):
+    """dst[i] = src[i] + src[i - distance] where that exists, else src[i]."""
     def shifted():
         dst[i] = ctx.add(src[i], src[i - distance])
 
@@ -37,33 +35,27 @@ def scan_step_kernel(ctx, src, dst, trace, distance, step_row, n):
         dst[i] = src[i]
 
     ctx.if_(i >= distance, shifted, passthrough)
-    trace[step_row * n + i] = dst[i]
 
 
-def hillis_steele_block_kernel(ctx, inp, out, trace, n):
+def scan_step_kernel(ctx, src, dst, distance):
+    """One distance-d pass over the full array with ping-pong buffers."""
+    _distance_step(ctx, ctx.gx, src, dst, distance)
+
+
+def hillis_steele_block_kernel(ctx, inp, out, n):
+    """Every distance in one block, ping-ponging in shared memory."""
     tid = ctx.thread_idx.x
-    dt = inp.buffer.dtype
-    ping = ctx.shared_array(n, dtype=dt)
-    pong = ctx.shared_array(n, dtype=dt)
-    ping[tid] = inp[tid]
+    src = ctx.shared_array(n, dtype=inp.buffer.dtype)
+    dst = ctx.shared_array(n, dtype=inp.buffer.dtype)
+    src[tid] = inp[tid]
     ctx.barrier()
-    bufs = (ping, pong)
-    distance, step = 1, 1
+    distance = 1
     while distance < n:
-        src, dst = bufs[(step - 1) % 2], bufs[step % 2]
-
-        def shifted(d=distance, s=src, t=dst):
-            t[tid] = ctx.add(s[tid], s[tid - d])
-
-        def passthrough(s=src, t=dst):
-            t[tid] = s[tid]
-
-        ctx.if_(tid >= distance, shifted, passthrough)
+        _distance_step(ctx, tid, src, dst, distance)
         ctx.barrier()
-        trace[(step - 1) * n + tid] = dst[tid]
+        src, dst = dst, src
         distance *= 2
-        step += 1
-    out[tid] = bufs[(step - 1) % 2][tid]
+    out[tid] = src[tid]
 
 
 def inclusive_scan_hillis_steele(
@@ -75,7 +67,9 @@ def inclusive_scan_hillis_steele(
     """Running sum including each position; returns (output, StepTrace).
 
     Arbitrary lengths are padded with the additive identity to the next power
-    of two and the output (and trace columns) truncated back.
+    of two and the output (and trace columns) truncated back. A single-block
+    input's step rows come from a ``Recorder`` on its launch; wider inputs run
+    one launch per step and the host reads each step's row from its output.
     """
     values = list(values)
     n0 = len(values)
@@ -85,50 +79,37 @@ def inclusive_scan_hillis_steele(
     n = next_pow2(n0)
     dtype = value_dtype(values)
     padded = values + [0] * (n - n0)
-    steps = n.bit_length() - 1
+    rows = [list(values)]
 
     mem = DeviceMemory()
     if n <= MAX_BLOCK_THREADS:
         inp = mem.alloc("input", padded, dtype=dtype)
         out = mem.alloc("output", n, dtype=dtype)
-        trace_buf = mem.alloc("trace", max(1, steps * n), dtype=dtype)
+        recorder = Recorder()
         config = LaunchConfig(1, n, shared_mem_bytes=2 * n * 4)
         sim.launch(
             hillis_steele_block_kernel,
             config,
             mem,
-            (inp, out, trace_buf, n),
+            (inp, out, n),
             name="inclusive_scan",
             metrics=metrics,
+            recorder=recorder,
         )
-        result = out.tolist()
-        flat = trace_buf.tolist()
-        rows = [list(values)] + [flat[s * n : s * n + n0] for s in range(steps)]
-        return result[:n0], StepTrace(rows)
+        rows += [row[:n0] for row in barrier_rows(recorder, n)]
+        return out.tolist()[:n0], StepTrace(rows)
 
     # Wide inputs: one launch per distance, grid-wide sync between passes.
-    ping = mem.alloc("ping", padded, dtype=dtype)
-    pong = mem.alloc("pong", n, dtype=dtype)
-    trace_buf = mem.alloc("trace", steps * n, dtype=dtype)
+    src = mem.alloc("ping", padded, dtype=dtype)
+    dst = mem.alloc("pong", n, dtype=dtype)
     config = LaunchConfig(ceil_div(n, THREADS_PER_BLOCK), THREADS_PER_BLOCK)
-    bufs = (ping, pong)
-    distance, step = 1, 1
+    distance = 1
     while distance < n:
-        src, dst = bufs[(step - 1) % 2], bufs[step % 2]
-        sim.launch(
-            scan_step_kernel,
-            config,
-            mem,
-            (src, dst, trace_buf, distance, step - 1, n),
-            name="inclusive_scan",
-            metrics=metrics,
-        )
+        sim.launch(scan_step_kernel, config, mem, (src, dst, distance), name="inclusive_scan", metrics=metrics)
+        rows.append(dst.tolist()[:n0])
+        src, dst = dst, src
         distance *= 2
-        step += 1
-    result = bufs[(step - 1) % 2].tolist()
-    flat = trace_buf.tolist()
-    rows = [list(values)] + [flat[s * n : s * n + n0] for s in range(steps)]
-    return result[:n0], StepTrace(rows)
+    return src.tolist()[:n0], StepTrace(rows)
 
 
 def blelloch_block_kernel(ctx, inp, out, n):

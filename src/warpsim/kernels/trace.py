@@ -2,8 +2,11 @@
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from dataclasses import dataclass, field
 from typing import Any, Optional
+
+from ..core import Recorder
 
 Cell = Optional[Any]
 
@@ -47,6 +50,23 @@ class StepTrace:
         for b in body:
             lines.append("  ".join(s.rjust(w) for s, w in zip(b, widths)))
         return "\n".join(lines)
+
+
+def barrier_rows(recorder: Recorder, width: int) -> list[list[Cell]]:
+    """One row per span between two consecutive barriers of a one-block launch.
+
+    A cell holds what that thread stored to shared memory in the span (its
+    last store there); ``None`` means it stored nothing.
+    """
+    bounds = [step for _, _, step in recorder.barriers]
+    rows: list[list[Cell]] = [[None] * width for _ in bounds[1:]]
+    for rec in recorder.accesses:
+        span = bisect_left(bounds, rec.step)
+        if rec.space == "shared" and rec.values is not None and 0 < span < len(bounds):
+            row = rows[span - 1]
+            for lane, value in zip(rec.lanes.tolist(), rec.values.tolist()):
+                row[lane] = value
+    return rows
 
 
 def _fmt(value: Any) -> str:

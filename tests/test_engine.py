@@ -13,6 +13,7 @@ from warpsim import (
     LaunchConfigInvalid,
     NestingLimit,
     OutOfBounds,
+    Recorder,
     SimError,
     Simulator,
     bank_conflict_degree,
@@ -20,6 +21,22 @@ from warpsim import (
     launch_kernel,
 )
 from warpsim.core import ceil_div
+
+
+def lanes_touching_memory(recorder):
+    """Global thread ids that performed at least one access (any space)."""
+    touched: set[int] = set()
+    for rec in recorder.accesses:
+        touched.update(rec.lanes.tolist())
+    return touched
+
+
+def by_warp(rec):
+    """Per-warp (address, width, kind) lists of one recorded access."""
+    out: dict[int, list[tuple[int, int, str]]] = {}
+    for w, a in zip(rec.warp_ids.tolist(), rec.addresses.tolist()):
+        out.setdefault(w, []).append((a, rec.width, rec.kind))
+    return out
 
 
 # ----------------------------------------------------------------------
@@ -137,10 +154,11 @@ class TestLaunchBasics:
         mem = DeviceMemory()
         data = mem.alloc("data", list(range(64)))
         before = data.data.copy()
-        report = launch_kernel(read_only_kernel, LaunchConfig(2, 32), mem, (data,))
+        recorder = Recorder()
+        report = launch_kernel(read_only_kernel, LaunchConfig(2, 32), mem, (data,), recorder=recorder)
         assert data.data.tobytes() == before.tobytes()
         assert report.global_transactions > 0
-        assert all(rec.kind == "read" for rec in mem.access_log)
+        assert all(rec.kind == "read" for rec in recorder.accesses)
 
     def test_doubling_with_boundary_guard(self):
         n = 1000
@@ -149,9 +167,10 @@ class TestLaunchBasics:
         data = mem.alloc("data", values)
         config = LaunchConfig(ceil_div(n, 256), 256)
         assert config.total_threads == 1024
-        launch_kernel(double_kernel, config, mem, (data, n))
+        recorder = Recorder()
+        launch_kernel(double_kernel, config, mem, (data, n), recorder=recorder)
         assert data.tolist() == [v * 2 for v in values]
-        touched = mem.lanes_touching_memory()
+        touched = lanes_touching_memory(recorder)
         assert max(touched) == n - 1  # lanes 1000..1023 stayed inert
 
     def test_determinism_bit_identical(self):
@@ -215,9 +234,9 @@ class TestDivergence:
         mem = DeviceMemory()
         inp = mem.alloc("inp", values)
         out = mem.alloc("out", len(values))
-        sim = Simulator()
-        report = sim.launch(kernel, LaunchConfig(grid, block), mem, (inp, out))
-        return out.tolist(), report, sim
+        recorder = Recorder()
+        report = Simulator().launch(kernel, LaunchConfig(grid, block), mem, (inp, out), recorder=recorder)
+        return out.tolist(), report, recorder
 
     def test_uniform_predicates_no_event(self):
         out, report, _ = self._run_flags(flags_branchy_kernel, [5] * 32)
@@ -246,10 +265,10 @@ class TestDivergence:
     def test_recount_from_predicate_log(self):
         rng = np.random.default_rng(9)
         values = rng.integers(-10, 10, 128).tolist()
-        _, report, sim = self._run_flags(flags_branchy_kernel, values, block=64, grid=2)
+        _, report, recorder = self._run_flags(flags_branchy_kernel, values, block=64, grid=2)
         recount = sum(
             int(np.sum((np.asarray(e.true_lane_counts) > 0) & (np.asarray(e.false_lane_counts) > 0)))
-            for e in sim.predicate_log
+            for e in recorder.branches
         )
         assert recount == report.divergence_events
 
@@ -289,8 +308,9 @@ class TestDivergence:
 
         mem = DeviceMemory()
         out = mem.alloc("out", 64)
-        launch_kernel(masked_store, LaunchConfig(2, 32), mem, (out,))
-        assert mem.lanes_touching_memory() == set(range(10))
+        recorder = Recorder()
+        launch_kernel(masked_store, LaunchConfig(2, 32), mem, (out,), recorder=recorder)
+        assert lanes_touching_memory(recorder) == set(range(10))
 
 
 # ----------------------------------------------------------------------
@@ -457,22 +477,22 @@ class TestBarriersAndRaces:
 # ----------------------------------------------------------------------
 # metrics cross-checks against the pure per-warp functions
 
-def recount_transactions(mem):
+def recount_transactions(recorder):
     total = 0
-    for rec in mem.access_log:
+    for rec in recorder.accesses:
         if rec.space != "global":
             continue
-        for _, accesses in rec.by_warp().items():
+        for _, accesses in by_warp(rec).items():
             total += coalesce_count([(a, w) for a, w, _ in accesses])
     return total
 
 
-def recount_bank_cycles(mem):
+def recount_bank_cycles(recorder):
     total = 0
-    for rec in mem.access_log:
+    for rec in recorder.accesses:
         if rec.space != "shared":
             continue
-        for _, accesses in rec.by_warp().items():
+        for _, accesses in by_warp(rec).items():
             degree = bank_conflict_degree([a for a, _, _ in accesses])
             total += max(0, degree - 1)
     return total
@@ -485,8 +505,9 @@ class TestMetricsAdditivity:
         mem = DeviceMemory()
         inp = mem.alloc("inp", values)
         out = mem.alloc("out", 96)
-        report = launch_kernel(flags_branchy_kernel, LaunchConfig(3, 32), mem, (inp, out))
-        assert report.global_transactions == recount_transactions(mem)
+        recorder = Recorder()
+        report = launch_kernel(flags_branchy_kernel, LaunchConfig(3, 32), mem, (inp, out), recorder=recorder)
+        assert report.global_transactions == recount_transactions(recorder)
 
     def test_shared_conflicts_match_recount(self):
         def strided_shared(ctx, out):
@@ -498,10 +519,11 @@ class TestMetricsAdditivity:
 
         mem = DeviceMemory()
         out = mem.alloc("out", 32)
+        recorder = Recorder()
         report = launch_kernel(
-            strided_shared, LaunchConfig(1, 32, shared_mem_bytes=256), mem, (out,)
+            strided_shared, LaunchConfig(1, 32, shared_mem_bytes=256), mem, (out,), recorder=recorder
         )
-        assert report.bank_conflict_extra_cycles == recount_bank_cycles(mem) == 2
+        assert report.bank_conflict_extra_cycles == recount_bank_cycles(recorder) == 2
 
     def test_per_kernel_breakdown_sums_to_totals(self):
         def parent(ctx, data):

@@ -1,9 +1,9 @@
 """Memory instructions of both spaces leave exactly the recorded bytes.
 
 Each file under ``tests/golden/`` named ``engine_*.json`` is the JSON of one
-case below: every ``AccessRecord`` field, the ``MetricsReport`` JSON and the
-results of a small kernel that loads and stores global and shared memory
-under full and partial masks, the ``SimError.to_json()`` of out-of-bounds
+case below: every ``AccessRecord`` field but the stored values, the
+``MetricsReport`` JSON and the results of a small kernel that loads and
+stores global and shared memory under full and partial masks, the ``SimError.to_json()`` of out-of-bounds
 accesses and strict races in both spaces, and the permissive race warnings.
 Race addresses are element indices for global buffers and byte offsets for
 shared memory; these files pin that, and the error wording, byte for byte.
@@ -16,7 +16,7 @@ from pathlib import Path
 
 import pytest
 
-from warpsim import DeviceMemory, LaunchConfig, SimError, Simulator
+from warpsim import DeviceMemory, LaunchConfig, Recorder, SimError, Simulator
 
 GOLDEN = Path(__file__).resolve().parent / "golden"
 
@@ -94,9 +94,10 @@ def launch(kernel, mode):
     mem = DeviceMemory()
     src = mem.alloc("src", [3 * i + 1 for i in range(80)], element_width=8)
     dst = mem.alloc("dst", 80)
+    recorder = Recorder()
     out = {}
     try:
-        out["metrics"] = Simulator().launch(kernel, CONFIG, mem, (src, dst), mode=mode).to_json()
+        out["metrics"] = Simulator().launch(kernel, CONFIG, mem, (src, dst), mode=mode, recorder=recorder).to_json()
     except SimError as e:
         out["error"] = e.to_json()
     out["dst"] = array_json(dst.data)
@@ -114,7 +115,7 @@ def launch(kernel, mode):
             "lanes": array_json(rec.lanes),
             "addresses": array_json(rec.addresses),
         }
-        for rec in mem.access_log
+        for rec in recorder.accesses
     ]
     return out
 

@@ -1,5 +1,7 @@
 """Reduction golden traces and oracle checks."""
 
+import math
+
 import numpy as np
 import pytest
 
@@ -16,6 +18,16 @@ PAPER_ROWS = [
     [41, None, None, None, None, None, None, None, 95, None, None, None, None, None, None, None],
     [136] + [None] * 15,
 ]
+
+NAN = float("nan")
+
+
+def same_cells(rows, expected):
+    """Row equality that takes a NaN cell to equal a NaN cell."""
+    def key(cell):
+        return "nan" if isinstance(cell, float) and math.isnan(cell) else cell
+
+    return [[key(c) for c in row] for row in rows] == [[key(c) for c in row] for row in expected]
 
 
 class TestGoldenReduction:
@@ -39,6 +51,15 @@ class TestGoldenReduction:
         assert total == 42
         assert trace.n_steps == 0
         assert trace.rows == [[42]]
+
+    def test_nan_cells_are_stored_values(self):
+        _, trace = reduce_sum([float("nan"), 1.0, 2.0, 3.0])
+        assert same_cells(trace.rows[1:], [[NAN, None, 5.0, None], [NAN, None, None, None]])
+
+    def test_most_negative_int64_is_a_stored_value(self):
+        low = -(2**63)
+        _, trace = reduce_sum([low, 0, 5, 6])
+        assert trace.rows[1:] == [[low, None, 11, None], [low + 11, None, None, None]]
 
     def test_non_power_of_two_rejected(self):
         with pytest.raises(NotPowerOfTwo):
