@@ -120,14 +120,11 @@ class CacheModel:
     """LRU cache over line addresses; state is the recency-ordered resident set."""
 
     capacity_lines: int
-    line_bytes: int = 64
     state: "OrderedDict[int, None]" = field(default_factory=OrderedDict)
 
     def __post_init__(self):
         if self.capacity_lines < 0:
             raise SpecInvalid("capacity_lines must be non-negative")
-        if self.line_bytes <= 0:
-            raise SpecInvalid("line_bytes must be positive")
 
     def access(self, line: int) -> bool:
         """Touch one line; returns True on hit. Evicts least-recently used."""

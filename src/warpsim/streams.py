@@ -2,15 +2,18 @@
 
 Operations issue in order within a stream; different streams overlap whenever
 engines are free and event dependencies allow. Scheduling is list scheduling:
-at each instant, ready ops dispatch to free engines of their kind in
-ascending (stream id, issue index) order, which makes the result
-deterministic.
+at each instant, completions are retired, then rounds dispatch ready ops to
+the lowest idle engine of their kind in ascending (stream id, issue index)
+order until a round dispatches nothing, which makes the result deterministic.
+An op that ends where it starts never holds its engine.
 """
 
 from __future__ import annotations
 
+import bisect
 import heapq
 import json
+import math
 from dataclasses import dataclass
 from enum import Enum
 from pathlib import Path
@@ -42,6 +45,8 @@ class StreamOp:
     def __post_init__(self):
         if self.duration < 0:
             raise ValueError(f"op {self.id!r} has negative duration {self.duration}")
+        if not math.isfinite(self.duration):
+            raise ValueError(f"op {self.id!r} has non-finite duration {self.duration}")
         object.__setattr__(self, "kind", OpKind(self.kind))
         object.__setattr__(self, "waits_on", frozenset(self.waits_on))
 
@@ -117,14 +122,20 @@ def duration_from_metrics(
     )
 
 
-def _index_events(
-    ops: Sequence[StreamOp], events: Sequence[EventRecord]
-) -> dict[str, str]:
-    """Map event id -> anchor op id; validates anchors and wait edges."""
-    by_stream: dict[int, list[StreamOp]] = {}
-    for op in ops:
-        by_stream.setdefault(op.stream_id, []).append(op)
-    anchor: dict[str, str] = {}
+def _program(ops: Sequence[StreamOp], events: Sequence[EventRecord]) -> tuple[list[int], dict[str, int]]:
+    """Validate a program; return each op's stream predecessor (-1 for a
+    stream's first op) and each event's anchor, both as indices into ``ops``."""
+    index: dict[str, int] = {}
+    by_stream: dict[int, list[int]] = {}
+    for i, op in enumerate(ops):
+        if index.setdefault(op.id, i) != i:
+            raise ValueError(f"duplicate op id {op.id!r}")
+        by_stream.setdefault(op.stream_id, []).append(i)
+    pred = [-1] * len(ops)
+    for stream in by_stream.values():
+        for p, i in zip(stream, stream[1:]):
+            pred[i] = p
+    anchor: dict[str, int] = {}
     for ev in events:
         if ev.event_id in anchor:
             raise ValueError(f"duplicate event id {ev.event_id!r}")
@@ -134,17 +145,16 @@ def _index_events(
                 f"event {ev.event_id!r} anchored after position {ev.position} "
                 f"of stream {ev.stream_id}, which has {len(stream)} ops"
             )
-        anchor[ev.event_id] = stream[ev.position].id
-    program_index = {op.id: i for i, op in enumerate(ops)}
+        anchor[ev.event_id] = stream[ev.position]
     for i, op in enumerate(ops):
         for ev_id in sorted(op.waits_on):
             if ev_id not in anchor:
                 raise UnknownEvent(f"op {op.id!r} waits on unknown event {ev_id!r}")
-            if program_index[anchor[ev_id]] >= i:
+            if anchor[ev_id] >= i:
                 raise CyclicDependency(
                     f"op {op.id!r} waits on event {ev_id!r} recorded later in program order"
                 )
-    return anchor
+    return pred, anchor
 
 
 def simulate_timeline(
@@ -154,84 +164,60 @@ def simulate_timeline(
 ) -> Schedule:
     """Deterministic list schedule of the program; makespan = last end time."""
     ops = list(ops)
-    seen: set[str] = set()
-    for op in ops:
-        if op.id in seen:
-            raise ValueError(f"duplicate op id {op.id!r}")
-        seen.add(op.id)
-    anchor = _index_events(ops, events)
-    events_by_anchor: dict[str, list[str]] = {}
-    for ev_id, op_id in anchor.items():
-        events_by_anchor.setdefault(op_id, []).append(ev_id)
-
-    pools: dict[OpKind, list[float]] = {
-        kind: [0.0] * max(0, count) for kind, count in engines.pool_sizes().items()
-    }
-    for kind, pool in pools.items():
-        if not pool and any(op.kind == kind for op in ops):
+    pred, anchor = _program(ops, events)
+    sizes = engines.pool_sizes()
+    for kind, size in sizes.items():
+        if size <= 0 and any(op.kind == kind for op in ops):
             raise ValueError(f"no engine available for kind {kind.value!r}")
 
-    queues: dict[int, list[StreamOp]] = {}
-    for op in ops:
-        queues.setdefault(op.stream_id, []).append(op)
-    heads = {sid: 0 for sid in queues}
-    stream_free = {sid: 0.0 for sid in queues}  # end of the stream's last dispatched op
+    # An op waits for its stream predecessor, the anchors of the events it
+    # awaits and the program's start. Only awaited anchors get a list of
+    # waiters: a list per op would be one more object for the collector.
+    succ = [-1] * len(ops)
+    waiters: dict[int, list[int]] = {}
+    blocked = [1 + len(op.waits_on) + (p >= 0) for op, p in zip(ops, pred)]
+    for i, op in enumerate(ops):
+        if pred[i] >= 0:
+            succ[pred[i]] = i
+        for ev_id in op.waits_on:
+            waiters.setdefault(anchor[ev_id], []).append(i)
+    ready: dict[OpKind, list[tuple[int, int]]] = {kind: [] for kind in sizes}
 
-    fired: dict[str, float] = {}
-    entries: dict[str, ScheduledOp] = {}
-    running: list[tuple[float, int, str]] = []  # (end, seq, op_id)
-    seq = 0
-    remaining = len(ops)
+    def unblock(i: int) -> None:
+        blocked[i] -= 1
+        if not blocked[i]:
+            heapq.heappush(ready[ops[i].kind], (ops[i].stream_id, i))
+
+    for i in range(len(ops)):
+        unblock(i)
+    idle = {kind: list(range(size)) for kind, size in sizes.items()}
+    running: list[tuple[float, int, int]] = []  # (end, op index, engine held or -1)
+    entries: dict[int, ScheduledOp] = {}
     t = 0.0
-
-    def fire_completions(now: float) -> None:
-        while running and running[0][0] <= now:
-            end, _, op_id = heapq.heappop(running)
-            for ev_id in events_by_anchor.get(op_id, ()):
-                fired[ev_id] = end
-
-    while remaining:
-        fire_completions(t)
-        while True:
-            dispatched = False
-            for sid in sorted(queues):
-                i = heads[sid]
-                if i >= len(queues[sid]):
-                    continue
-                op = queues[sid][i]
-                if stream_free[sid] > t:
-                    continue
-                if any(ev not in fired or fired[ev] > t for ev in op.waits_on):
-                    continue
-                pool = pools[op.kind]
-                engine_idx = min(range(len(pool)), key=lambda k: (pool[k] > t, k))
-                if pool[engine_idx] > t:
-                    continue
-                start, end = t, t + op.duration
-                pool[engine_idx] = end
-                heads[sid] = i + 1
-                stream_free[sid] = end
-                remaining -= 1
-                entries[op.id] = ScheduledOp(
-                    op, f"{_POOL_NAMES[op.kind]}#{engine_idx}", start, end
-                )
-                heapq.heappush(running, (end, seq, op.id))
-                seq += 1
-                dispatched = True
-            if not dispatched:
-                break
-            fire_completions(t)
-        if remaining:
-            if not running:
-                raise CyclicDependency("schedule stalled with pending operations")
+    while len(entries) < len(ops):
+        while running and running[0][0] <= t:
+            _, i, k = heapq.heappop(running)
+            if k >= 0:
+                heapq.heappush(idle[ops[i].kind], k)
+            if succ[i] >= 0:
+                unblock(succ[i])
+            for j in waiters.get(i, ()):
+                unblock(j)
+        scheduled = len(entries)
+        for kind, queue in ready.items():
+            free = idle[kind]
+            while queue and free:
+                i = heapq.heappop(queue)[1]
+                end = t + ops[i].duration
+                k = heapq.heappop(free) if end > t else free[0]
+                entries[i] = ScheduledOp(ops[i], f"{_POOL_NAMES[kind]}#{k}", t, end)
+                heapq.heappush(running, (end, i, k if end > t else -1))
+        if len(entries) == scheduled:
             t = running[0][0]
 
     makespan = max((s.end for s in entries.values()), default=0.0)
-    engine_names = [
-        f"{_POOL_NAMES[kind]}#{i}" for kind, pool in pools.items() for i in range(len(pool))
-    ]
-    ordered = {op.id: entries[op.id] for op in ops}
-    return Schedule(ordered, makespan, engine_names)
+    engine_names = [f"{_POOL_NAMES[kind]}#{k}" for kind, size in sizes.items() for k in range(size)]
+    return Schedule({op.id: entries[i] for i, op in enumerate(ops)}, makespan, engine_names)
 
 
 def validate_schedule(
@@ -239,31 +225,29 @@ def validate_schedule(
     ops: Sequence[StreamOp],
     events: Sequence[EventRecord] = (),
 ) -> None:
-    """Check the three schedule invariant families; raises ValueError."""
-    anchor = _index_events(list(ops), events)
-    by_stream: dict[int, list[ScheduledOp]] = {}
+    """Check streams (in order of first appearance), engines, then event waits; raises ValueError."""
+    pred, anchor = _program(ops, events)
+    entries = [schedule.entries[op.id] for op in ops]
+    first = {op.stream_id: i for i, op in reversed(list(enumerate(ops)))}  # each stream's first op
+    for i in sorted(range(len(ops)), key=lambda i: first[ops[i].stream_id]):
+        p = pred[i]
+        if p >= 0 and entries[i].start < entries[p].end:
+            raise ValueError(
+                f"stream {ops[i].stream_id}: {entries[i].op.id!r} starts before {entries[p].op.id!r} ends"
+            )
     by_engine: dict[str, list[ScheduledOp]] = {}
-    for op in ops:
-        s = schedule.entries[op.id]
-        by_stream.setdefault(op.stream_id, []).append(s)
+    for s in entries:
         by_engine.setdefault(s.engine, []).append(s)
-    for sid, entries in by_stream.items():
-        for prev, cur in zip(entries, entries[1:]):
-            if cur.start < prev.end:
-                raise ValueError(
-                    f"stream {sid}: {cur.op.id!r} starts before {prev.op.id!r} ends"
-                )
-    for engine, entries in by_engine.items():
-        entries = sorted(entries, key=lambda s: (s.start, s.end, s.op.id))
-        for prev, cur in zip(entries, entries[1:]):
+    for engine, on_engine in by_engine.items():
+        on_engine.sort(key=lambda s: (s.start, s.end, s.op.id))
+        for prev, cur in zip(on_engine, on_engine[1:]):
             # Conflict only when the intersection has positive length; a
             # zero-duration op occupies no engine time.
             if min(prev.end, cur.end) > max(prev.start, cur.start):
                 raise ValueError(f"engine {engine}: {cur.op.id!r} overlaps {prev.op.id!r}")
-    for op in ops:
+    for i, op in enumerate(ops):
         for ev_id in op.waits_on:
-            fire = schedule.entries[anchor[ev_id]].end
-            if schedule.entries[op.id].start < fire:
+            if entries[i].start < entries[anchor[ev_id]].end:
                 raise ValueError(
                     f"op {op.id!r} starts before awaited event {ev_id!r} fires"
                 )
@@ -316,42 +300,38 @@ def _critical_path(
 ) -> list[str]:
     if not schedule.entries:
         return []
-    anchor = _index_events(ops, events) if ops else {}
-    stream_pred: dict[str, str] = {}
-    last_in_stream: dict[int, str] = {}
-    for op in ops:
-        if op.stream_id in last_in_stream:
-            stream_pred[op.id] = last_in_stream[op.stream_id]
-        last_in_stream[op.stream_id] = op.id
-    by_engine: dict[str, list[ScheduledOp]] = {}
-    for s in schedule.entries.values():
-        by_engine.setdefault(s.engine, []).append(s)
+    pred, anchor = _program(ops, events) if ops else ([], {})
+    stream_pred = {ops[i].id: ops[p].id for i, p in enumerate(pred) if p >= 0}
+    # The ops ending on one engine at one time sit together in this order.
+    ends = sorted(schedule.entries.values(), key=lambda s: (s.engine, s.end, s.op.id))
+    skip: dict[int, int] = {}  # run start -> where to resume: ops before it are on the path
+
+    # Ops that may end where ``cur`` starts, in tie-break order: the stream
+    # predecessor, awaited anchors by event id, then same-engine ops by op id.
+    def touching(cur: ScheduledOp):
+        if cur.op.id in stream_pred:
+            yield stream_pred[cur.op.id]
+        for ev_id in sorted(cur.op.waits_on):
+            if ev_id in anchor:
+                yield ops[anchor[ev_id]].id
+        run = bisect.bisect_left(ends, (cur.engine, cur.start), key=lambda s: (s.engine, s.end))
+        pos = skip.get(run, run)
+        while pos < len(ends) and (ends[pos].engine, ends[pos].end) == (cur.engine, cur.start):
+            skip[run] = pos
+            yield ends[pos].op.id
+            pos += 1
 
     cur = max(schedule.entries.values(), key=lambda s: (s.end, s.op.id))
-    path = [cur.op.id]
     # A zero-duration op ends where it starts, so it can touch itself or an
     # op already on the path; skipping those bounds the walk by the op count.
-    on_path = {cur.op.id}
+    on_path = {cur.op.id: None}  # in walk order, latest first
     while cur.start > 0:
-        candidates: list[str] = []
-        pred = stream_pred.get(cur.op.id)
-        if pred and schedule.entries[pred].end == cur.start:
-            candidates.append(pred)
-        for ev_id in sorted(cur.op.waits_on):
-            anchor_id = anchor.get(ev_id)
-            if anchor_id and schedule.entries[anchor_id].end == cur.start:
-                candidates.append(anchor_id)
-        for s in sorted(by_engine.get(cur.engine, []), key=lambda s: s.op.id):
-            if s.end == cur.start:
-                candidates.append(s.op.id)
-        candidates = [c for c in candidates if c not in on_path]
-        if not candidates:
+        op_id = next((c for c in touching(cur) if c not in on_path and schedule.entries[c].end == cur.start), None)
+        if op_id is None:
             break
-        cur = schedule.entries[candidates[0]]
-        path.append(cur.op.id)
-        on_path.add(cur.op.id)
-    path.reverse()
-    return path
+        cur = schedule.entries[op_id]
+        on_path[op_id] = None
+    return list(on_path)[::-1]
 
 
 # ----------------------------------------------------------------------

@@ -216,6 +216,20 @@ class TestPipeline:
         code = main(["pipeline", path])
         assert code == 3
 
+    @pytest.mark.parametrize("fmt", ["text", "json"])
+    @pytest.mark.parametrize("duration", [float("nan"), float("inf")])
+    def test_non_finite_duration_is_usage_error(self, tmp_path, capsys, duration, fmt):
+        ops = [
+            {"id": "a", "stream": 1, "kind": "kernel", "duration": duration},
+            {"id": "c", "stream": 2, "kind": "kernel", "duration": 4},
+        ]
+        path = write_json(tmp_path, "non_finite.json", {"ops": ops})
+        code = main(["pipeline", path, "--format", fmt])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.out == ""
+        assert f"op 'a' has non-finite duration {duration}" in captured.err
+
 
 class TestMemflow:
     def test_shipped_fits_in_vram_spec(self, capsys):

@@ -67,6 +67,11 @@ class TestGoldenScenarios:
         schedule = simulate_timeline(ops, events)
         assert schedule.entries["kernel"].start == schedule.entries["copy"].end == 10
 
+    def test_critical_path_through_an_op_with_an_empty_id(self):
+        ops = [StreamOp("", 1, OpKind.COPY_H2D, 10), StreamOp("k", 1, OpKind.KERNEL, 5)]
+        schedule = simulate_timeline(ops)
+        assert makespan_report(schedule, ops).critical_path == ["", "k"]
+
     def test_single_op_full_utilization(self):
         ops = [StreamOp("k", 1, OpKind.KERNEL, 7)]
         schedule = simulate_timeline(ops)
@@ -121,6 +126,17 @@ class TestValidationErrors:
     def test_negative_duration(self):
         with pytest.raises(ValueError):
             StreamOp("x", 1, OpKind.KERNEL, -1)
+
+    @pytest.mark.parametrize("duration", [float("nan"), float("inf")])
+    def test_non_finite_duration(self, duration):
+        with pytest.raises(ValueError, match=f"op 'x' has non-finite duration {duration}"):
+            StreamOp("x", 1, OpKind.KERNEL, duration)
+
+    def test_duplicate_op_ids_in_a_schedule_check(self):
+        ops = [StreamOp("x", 1, OpKind.KERNEL, 1)]
+        schedule = simulate_timeline(ops)
+        with pytest.raises(ValueError, match="duplicate op id 'x'"):
+            validate_schedule(schedule, ops + ops)
 
 
 def random_program(rng, max_ops=8):

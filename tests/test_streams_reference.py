@@ -1,0 +1,183 @@
+"""Differential test of the stream scheduler against its earlier design.
+
+``streams_reference`` is a frozen copy of the scheduler, the validator and
+the critical path from before they shared one dependency model. Seeded
+random programs, invalid programs and perturbed schedules go through both;
+schedules, reports, Gantt text, exception types and messages must match.
+
+Two differences are by design. ``validate_schedule`` and
+``makespan_report`` now reject duplicate op ids, as ``simulate_timeline``
+always did, so those programs are compared through ``simulate_timeline``
+only. And the critical path now looks up a touching op only when the walk
+gets to it, so for a schedule that lacks some of the program's ops it may
+return a path where the reference raised ``KeyError``; such schedules are
+not compared through ``makespan_report``.
+"""
+
+import json
+import random
+from unittest import mock
+
+import pytest
+import streams_reference as ref
+
+from warpsim import streams
+from warpsim.streams import EngineModel, EventRecord, OpKind, Schedule, ScheduledOp, StreamOp
+
+KINDS = list(OpKind)
+
+
+def random_duration(rng):
+    r = rng.random()
+    if r < 0.2:
+        return rng.choice([0, 0.0])
+    if r < 0.25:
+        return 1e-18  # ends where it starts once the clock is past zero
+    if r < 0.6:
+        return rng.randint(1, 12)
+    return round(rng.uniform(0, 10), rng.choice([1, 3]))
+
+
+def random_program(rng, max_ops):
+    streams_used = rng.sample(range(-2, 12), rng.randint(1, 8))
+    ops, events, length = [], [], {}
+    for i in range(rng.randint(1, max_ops)):
+        sid = rng.choice(streams_used)
+        n_waits = min(len(events), rng.choice([0, 0, 0, 1, 1, 2, 3]))
+        waits = {e.event_id for e in rng.sample(events, n_waits)}
+        ops.append(StreamOp(f"op{i}", sid, rng.choice(KINDS), random_duration(rng), waits))
+        length[sid] = length.get(sid, 0) + 1
+        if rng.random() < 0.35:
+            events.append(EventRecord(f"ev{len(events)}", sid, rng.randrange(length[sid])))
+    engines = EngineModel(rng.randint(1, 3), rng.randint(1, 3), rng.randint(1, 3))
+    return ops, events, engines
+
+
+def outcome(fn, *args):
+    """What a call returns, or the type and message of what it raises."""
+    try:
+        return fn(*args)
+    except Exception as e:
+        return type(e).__name__, str(e)
+
+
+def report_json(critical_path, schedule, ops, events):
+    with mock.patch.object(streams, "_critical_path", critical_path):
+        return outcome(lambda: json.dumps(streams.makespan_report(schedule, ops, events).to_json()))
+
+
+def observe_schedule(simulate, critical_path, ops, events, engines):
+    schedule = simulate(ops, events, engines)
+    return (
+        json.dumps(schedule.to_json()),
+        schedule.engine_names,
+        streams.render_gantt(schedule),
+        report_json(critical_path, schedule, ops, events),
+        report_json(critical_path, schedule, (), ()),
+    )
+
+
+def both(ops, events, engines):
+    return (
+        outcome(observe_schedule, ref.simulate_timeline, ref._critical_path, ops, events, engines),
+        outcome(observe_schedule, streams.simulate_timeline, streams._critical_path, ops, events, engines),
+    )
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_random_programs_match_the_reference(seed):
+    rng = random.Random(900 + seed)
+    for _ in range(300):
+        ops, events, engines = random_program(rng, rng.choice([6, 12, 30, 30, 200]))
+        want, got = both(ops, events, engines)
+        assert got == want, (ops, events, engines)
+        schedule = streams.simulate_timeline(ops, events, engines)
+        assert streams.validate_schedule(schedule, ops, events) is None
+
+
+def corrupt(rng, ops, events, engines):
+    """Break the program in one to three ways; returns the broken program."""
+    ops, events = list(ops), list(events)
+    for _ in range(rng.randint(1, 3)):
+        how = rng.randrange(7)
+        j = rng.randrange(len(ops))
+        op = ops[j]
+        if how == 0 and len(ops) > 1:
+            k = rng.choice([k for k in range(len(ops)) if k != j])
+            ops[j] = StreamOp(ops[k].id, op.stream_id, op.kind, op.duration, op.waits_on)
+        elif how == 1 and events:
+            ev = rng.choice(events)
+            events.insert(rng.randrange(len(events) + 1), EventRecord(ev.event_id, op.stream_id, 0))
+        elif how == 2:
+            length = sum(o.stream_id == op.stream_id for o in ops)
+            bad = rng.choice([(op.stream_id, length), (op.stream_id, -1), (99, 0)])
+            events.insert(rng.randrange(len(events) + 1), EventRecord(f"bad{how}{j}", *bad))
+        elif how == 3:
+            ops[j] = StreamOp(op.id, op.stream_id, op.kind, op.duration, op.waits_on | {"ghost"})
+        elif how == 4 and j + 1 < len(ops):
+            later = rng.randrange(j, len(ops))
+            position = sum(o.stream_id == ops[later].stream_id for o in ops[:later])
+            events.append(EventRecord(f"later{j}", ops[later].stream_id, position))
+            ops[j] = StreamOp(op.id, op.stream_id, op.kind, op.duration, op.waits_on | {f"later{j}"})
+        elif how == 5:
+            counts = [rng.randint(1, 2) for _ in range(3)]
+            counts[KINDS.index(op.kind)] = rng.choice([0, -1])
+            engines = EngineModel(*counts)
+        elif how == 6:
+            ops.insert(rng.randrange(len(ops) + 1), StreamOp(f"late{j}", op.stream_id, op.kind, 1, {"ev0"}))
+    return ops, events, engines
+
+
+def test_invalid_programs_raise_like_the_reference():
+    rng = random.Random(77)
+    for _ in range(1500):
+        ops, events, engines = random_program(rng, rng.choice([4, 10, 30]))
+        schedule = streams.simulate_timeline(ops, events, engines)
+        bad_ops, bad_events, bad_engines = corrupt(rng, ops, events, engines)
+        want, got = both(bad_ops, bad_events, bad_engines)
+        assert got == want, (bad_ops, bad_events, bad_engines)
+        if len({op.id for op in bad_ops}) < len(bad_ops):
+            assert got[0] == "ValueError" and got[1].startswith("duplicate op id")
+            continue
+        assert outcome(streams.validate_schedule, schedule, bad_ops, bad_events) == outcome(
+            ref.validate_schedule, schedule, bad_ops, bad_events
+        )
+        if all(op.id in schedule.entries for op in bad_ops):
+            assert report_json(streams._critical_path, schedule, bad_ops, bad_events) == report_json(
+                ref._critical_path, schedule, bad_ops, bad_events
+            )
+
+
+def perturb(rng, schedule, ops, events):
+    """Move one to three ops so that a stream, engine or event invariant may break."""
+    entries = dict(schedule.entries)
+    anchor = {ev.event_id: [o for o in ops if o.stream_id == ev.stream_id][ev.position].id for ev in events}
+    for _ in range(rng.randint(1, 3)):
+        s = entries[rng.choice(ops).id]
+        how = rng.randrange(4)
+        if how == 0:  # start where some op starts
+            start = rng.choice(list(entries.values())).start
+        elif how == 1:  # run on another op's engine at its time
+            other = rng.choice(list(entries.values()))
+            entries[s.op.id] = s = ScheduledOp(s.op, other.engine, s.start, s.end)
+            start = other.start + rng.choice([0, 0.5])
+        elif how == 2 and s.op.waits_on:  # start before an awaited event fires
+            start = entries[anchor[rng.choice(sorted(s.op.waits_on))]].end - rng.choice([0.5, 1])
+        else:
+            start = s.start + rng.choice([-2, -1, -0.5, 0.5, 1])
+        entries[s.op.id] = ScheduledOp(s.op, s.engine, start, start + s.op.duration)
+    makespan = max((s.end for s in entries.values()), default=0.0)
+    return Schedule(entries, makespan, schedule.engine_names)
+
+
+def test_perturbed_schedules_are_judged_like_the_reference():
+    rng = random.Random(51)
+    for _ in range(1500):
+        ops, events, engines = random_program(rng, rng.choice([4, 10, 30]))
+        schedule = perturb(rng, streams.simulate_timeline(ops, events, engines), ops, events)
+        assert outcome(streams.validate_schedule, schedule, ops, events) == outcome(
+            ref.validate_schedule, schedule, ops, events
+        )
+        assert report_json(streams._critical_path, schedule, ops, events) == report_json(
+            ref._critical_path, schedule, ops, events
+        )
