@@ -1,8 +1,12 @@
 """Warp memory-access analysis: coalescing and shared-memory bank conflicts.
 
-Both entry points are pure functions over one warp's simultaneous accesses.
-The engine uses the vectorized ``_warp_*`` variants to process every warp of
-a block in a single pass.
+Both entry points are pure functions over one warp's simultaneous accesses;
+the tests keep them as the scalar oracles. The engine uses the vectorized
+``_warp_*`` variants to process every warp of a block in a single pass, and
+only for a pattern its per-launch cost memo has not seen: the segment total
+is unchanged by a shift of all addresses by a multiple of ``segment_bytes``,
+and the bank-conflict cycles by a shift of a multiple of
+``bank_width_bytes``, so the memo keys patterns with the shift removed.
 """
 
 from __future__ import annotations

@@ -41,12 +41,13 @@ from .errors import (
     ThreadCoord,
 )
 from .memory import AccessRecord, Buffer, DeviceMemory
-from .metrics import MetricsReport
+from .metrics import KernelCounters, MetricsReport
 
 LaneValue = Union[int, float, np.ndarray]
 
 _NO_TID = np.int64(-1)
 _NO_BLOCK = np.iinfo(np.int64).max  # above every block: "no block yet"
+_COST_MEMO_KEY_BYTES = 4 << 20  # a cost memo whose keys would pass this starts over
 
 
 class _Idx3(NamedTuple):
@@ -199,17 +200,36 @@ class Recorder:
     barriers: list[tuple[str, int, int]] = field(default_factory=list)  # (kernel, block, step)
 
 
+class _CostMemo(dict):
+    """Cost by access pattern for one launch tree; why the key is exact is in README.
+
+    A key is the space, on a partial mask the warp ids, and the lane byte
+    addresses less the first active lane's rounded down to the space's period,
+    the arrays as bytes. ``key_bytes`` counts the array bytes of all keys.
+    """
+
+    key_bytes = 0
+
+    def add(self, key: tuple, cost: int, nbytes: int) -> None:
+        if self.key_bytes + nbytes > _COST_MEMO_KEY_BYTES:
+            self.clear()
+            self.key_bytes = 0
+        self[key] = cost
+        self.key_bytes += nbytes
+
+
 class _LaunchState:
     """Mutable state shared by every block of one grid at one nesting depth."""
 
     def __init__(self, sim: "Simulator", mem: DeviceMemory, metrics: MetricsReport, mode: str, depth: int,
-                 recorder: Optional[Recorder] = None):
+                 recorder: Optional[Recorder] = None, cost_memo: Optional[_CostMemo] = None):
         self.sim = sim
         self.mem = mem
         self.metrics = metrics
         self.mode = mode
         self.depth = depth
         self.recorder = recorder
+        self.cost_memo = _CostMemo() if cost_memo is None else cost_memo  # one per launch tree
         self.multi_block = True  # refined per grid before blocks run
         self.tracks: dict[str, _RaceTrack] = {}
         self.shared_track: Optional[_RaceTrack] = None
@@ -245,13 +265,16 @@ class _LaunchState:
         child completes before the parent's next step).
         """
         if self._child is None:
-            self._child = _LaunchState(self.sim, self.mem, self.metrics, self.mode, self.depth + 1, self.recorder)
+            self._child = _LaunchState(
+                self.sim, self.mem, self.metrics, self.mode, self.depth + 1, self.recorder, self.cost_memo
+            )
         return self._child
 
     def release(self) -> None:
-        """Drop the race state of this depth and every deeper one."""
+        """Drop the race state and cost memo of this depth and every deeper one."""
         self.tracks.clear()
         self.shared_track = None
+        self.cost_memo = None
         if self._child is not None:
             self._child.release()
             self._child = None
@@ -311,6 +334,7 @@ class KernelContext:
     ):
         self._state = state
         self._sim = state.sim
+        self._kernel_counters: Optional[KernelCounters] = None  # resolved on the first count
         self.config = config
         self.kernel_name = kernel_name
         self.block_linear = block_linear
@@ -370,6 +394,12 @@ class KernelContext:
             lane=thread_linear % self.config.warp_size,
         )
 
+    def _counters(self) -> KernelCounters:
+        """This kernel's entry in the launch's per-kernel counters."""
+        if self._kernel_counters is None:
+            self._kernel_counters = self._state.metrics.counters(self.kernel_name)
+        return self._kernel_counters
+
     def _err_kw(self, gids: Sequence[int], buffer: Optional[str] = None) -> dict:
         return {
             "threads": [self.coord_of(g) for g in gids],
@@ -426,7 +456,7 @@ class KernelContext:
             tids, warp_ids = self.global_id, self.warp
         else:
             ei, tids, warp_ids = ei[act], self.global_id[act], self.warp[act]
-        if ei.min() < 0 or ei.max() >= data.size:
+        if ei.view(np.uint64).max() >= data.size:  # a negative index views as 2**63 or more
             first = int(np.argmax((ei < 0) | (ei >= data.size)))
             noun = "buffer" if view.space == "global" else "shared array"
             raise OutOfBounds(
@@ -438,16 +468,27 @@ class KernelContext:
             byte_addrs += view.byte_offset
 
         sim, state = self._sim, self._state
-        if view.space == "global":
-            counter = "global_transactions"
-            cost = _warp_segment_total(warp_ids, byte_addrs, sim.segment_bytes)
+        is_global = view.space == "global"
+        period = sim.segment_bytes if is_global else sim.bank_width_bytes
+        norm = byte_addrs - int(byte_addrs[0]) // period * period
+        key = (view.space, norm.tobytes()) if full else (view.space, warp_ids.tobytes(), norm.tobytes())
+        cost = state.cost_memo.get(key)
+        if cost is None:
+            if is_global:
+                cost = _warp_segment_total(warp_ids, byte_addrs, sim.segment_bytes)
+            else:
+                cost = _warp_bank_extra_cycles(warp_ids, byte_addrs, sim.bank_count, sim.bank_width_bytes)
+            state.cost_memo.add(key, cost, norm.nbytes if full else 2 * norm.nbytes)
+        counters = self._counters()
+        if is_global:
+            state.metrics.global_transactions += cost
+            counters.global_transactions += cost
             track = state.track_for(view.buffer)
             addrs = ei.copy() if ei is idx else ei  # the race tracker keeps it; the kernel may change its own
         else:
-            counter = "bank_conflict_extra_cycles"
-            cost = _warp_bank_extra_cycles(warp_ids, byte_addrs, sim.bank_count, sim.bank_width_bytes)
+            state.metrics.bank_conflict_extra_cycles += cost
+            counters.bank_conflict_extra_cycles += cost
             track, addrs = state.shared_track, byte_addrs
-        state.metrics.bump(self.kernel_name, counter, cost)
 
         result: Optional[np.ndarray] = None
         if value is None:
@@ -584,7 +625,8 @@ class KernelContext:
         f_cnt = np.bincount(self.warp[f_mask], minlength=W)
         diverged = int(((t_cnt > 0) & (f_cnt > 0)).sum())
         if diverged:
-            self._state.metrics.bump(self.kernel_name, "divergence_events", diverged)
+            self._state.metrics.divergence_events += diverged
+            self._counters().divergence_events += diverged
         true_counts, false_counts = t_cnt.tolist(), f_cnt.tolist()
         if self._state.recorder is not None:
             self._state.recorder.branches.append(
@@ -626,7 +668,8 @@ class KernelContext:
                 "barrier under a partial mask: some threads of the block cannot reach it",
                 **self._err_kw([gid]),
             )
-        self._state.metrics.bump(self.kernel_name, "barriers_executed", 1)
+        self._state.metrics.barriers_executed += 1
+        self._counters().barriers_executed += 1
         self._state.reset_intervals()
         if self._state.recorder is not None:
             self._state.recorder.barriers.append((self.kernel_name, self.block_linear, self.step))
@@ -640,7 +683,8 @@ class KernelContext:
         act, n_active = self._mask_stack[-1]
         av = self._lanes(a)
         bv = self._lanes(b)
-        self._state.metrics.bump(self.kernel_name, "thread_steps", n_active)
+        self._state.metrics.thread_steps += n_active
+        self._counters().thread_steps += n_active
         if n_active == self.nthreads:
             return op(av, bv)
         out = np.zeros(self.nthreads, dtype=np.result_type(av, bv))
@@ -693,7 +737,8 @@ class KernelContext:
                 raise LaunchConfigInvalid(
                     f"invalid child launch config: {e.args[0]}", **self._err_kw([gid])
                 ) from e
-            self._state.metrics.bump(self.kernel_name, "child_launches", 1)
+            self._state.metrics.child_launches += 1
+            self._counters().child_launches += 1
             self._sim._run_grid(kernel, cfg, child_args, self._state.child(), name or kernel.__name__)
         self.step += 1
 

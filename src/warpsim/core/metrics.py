@@ -32,12 +32,16 @@ class MetricsReport(KernelCounters):
 
     per_kernel: dict[str, KernelCounters] = field(default_factory=dict)
 
-    def bump(self, kernel: str, field_name: str, amount: int) -> None:
-        setattr(self, field_name, getattr(self, field_name) + amount)
+    def counters(self, kernel: str) -> KernelCounters:
+        """The per-kernel entry of ``kernel``; the first call creates it.
+
+        A count goes to the totals and to this entry, so call it only when
+        there is something to count: a kernel that counts nothing gets no entry.
+        """
         entry = self.per_kernel.get(kernel)
         if entry is None:
             entry = self.per_kernel[kernel] = KernelCounters()
-        setattr(entry, field_name, getattr(entry, field_name) + amount)
+        return entry
 
     def to_json(self) -> dict[str, Any]:
         return {**super().to_json(), "per_kernel": {k: v.to_json() for k, v in sorted(self.per_kernel.items())}}

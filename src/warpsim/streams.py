@@ -47,7 +47,10 @@ class StreamOp:
             raise ValueError(f"op {self.id!r} has negative duration {self.duration}")
         if not math.isfinite(self.duration):
             raise ValueError(f"op {self.id!r} has non-finite duration {self.duration}")
-        object.__setattr__(self, "kind", OpKind(self.kind))
+        if isinstance(self.waits_on, str):  # frozenset("ev") would wait on "e" and "v"
+            raise ValueError(f"op {self.id!r} waits_on {self.waits_on!r} is a string, not a collection of event ids")
+        if not isinstance(self.kind, OpKind):  # converting a member again costs more than the checks above
+            object.__setattr__(self, "kind", OpKind(self.kind))
         object.__setattr__(self, "waits_on", frozenset(self.waits_on))
 
 
@@ -298,9 +301,13 @@ def makespan_report(
 def _critical_path(
     schedule: Schedule, ops: list[StreamOp], events: list[EventRecord]
 ) -> list[str]:
+    pred, anchor = _program(ops, events) if ops else ([], {})
+    entries = schedule.entries
+    missing = next((op.id for op in ops if op.id not in entries), None)
+    if missing is not None:
+        raise ValueError(f"schedule has no entry for op {missing!r}")
     if not schedule.entries:
         return []
-    pred, anchor = _program(ops, events) if ops else ([], {})
     stream_pred = {ops[i].id: ops[p].id for i, p in enumerate(pred) if p >= 0}
     # The ops ending on one engine at one time sit together in this order.
     ends = sorted(schedule.entries.values(), key=lambda s: (s.engine, s.end, s.op.id))
@@ -366,13 +373,16 @@ def load_scenario(source: Union[str, Path, dict]) -> tuple[list[StreamOp], list[
             kind = OpKind(raw["kind"])
         except ValueError:
             fail(f"{where}.kind", f"unknown kind {raw['kind']!r}")
+        waits_on = raw.get("waits_on", [])
+        if not isinstance(waits_on, list):
+            fail(f"{where}.waits_on", f"op {raw['id']!r} must wait on a list of event ids, got {waits_on!r}")
         ops.append(
             StreamOp(
                 id=str(raw["id"]),
                 stream_id=int(raw["stream"]),
                 kind=kind,
                 duration=float(raw["duration"]),
-                waits_on=frozenset(raw.get("waits_on", ())),
+                waits_on=waits_on,
             )
         )
     events: list[EventRecord] = []

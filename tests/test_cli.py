@@ -230,6 +230,19 @@ class TestPipeline:
         assert captured.out == ""
         assert f"op 'a' has non-finite duration {duration}" in captured.err
 
+    def test_string_waits_on_is_usage_error(self, tmp_path, capsys):
+        ops = [
+            {"id": "c", "stream": 1, "kind": "kernel", "duration": 1},
+            {"id": "k", "stream": 2, "kind": "kernel", "duration": 1, "waits_on": "ev"},
+        ]
+        events = [{"id": "e", "stream": 1, "after_index": 0}, {"id": "v", "stream": 1, "after_index": 0}]
+        path = write_json(tmp_path, "string_wait.json", {"ops": ops, "events": events})
+        code = main(["pipeline", path])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.out == ""
+        assert "op 'k' must wait on a list of event ids, got 'ev'" in captured.err
+
 
 class TestMemflow:
     def test_shipped_fits_in_vram_spec(self, capsys):

@@ -1,0 +1,324 @@
+"""The engine's cost memo changes no result, counter, warning or error.
+
+A launch looks up each memory instruction's cost (coalesced segments or
+bank-conflict cycles) under a key normalized by a shift of the space's
+period. These tests run random programs with the memo on and with a memo
+that never keeps anything, and require identical memory, ``MetricsReport``
+JSON, race warnings and ``SimError`` JSON. A recount of every recorded
+instruction with the scalar oracles of ``core/access.py`` must give the
+reported totals. The patterns include partial masks, broadcasts, child grids
+of another block size and shifts that are not a multiple of the period.
+"""
+
+import itertools
+from collections import defaultdict
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from warpsim import DeviceMemory, LaunchConfig, Recorder, SimError, Simulator
+from warpsim.core import engine
+from warpsim.core.access import bank_conflict_degree, coalesce_count
+
+GLOBAL_LEN = 4096
+SHARED_LEN = 512
+
+
+class NoMemo(engine._CostMemo):
+    """A memo that never keeps a cost: every instruction computes its own."""
+
+    def add(self, key, cost, nbytes):
+        pass
+
+
+def lane_indices(pattern, active: np.ndarray, shift: int) -> np.ndarray:
+    """Indices by rank among the active lanes, so that two masks with as many
+    lanes give the same addresses from different warps."""
+    rank = np.cumsum(active, dtype=np.int64) - 1
+    kind, arg = pattern
+    if kind == "stride":  # stride 0 is a broadcast
+        idx = rank * arg
+    elif kind == "groups":  # runs of ``arg`` lanes share an index
+        idx = rank // arg
+    else:  # "random": a fixed draw, repeats allowed
+        idx = np.random.default_rng(arg).integers(0, 64, active.size)[rank]
+    return idx + shift
+
+
+def lane_mask(placement: str, count: int, seed: int, nthreads: int) -> np.ndarray:
+    """``count`` active lanes (fewer in a smaller block) placed as named."""
+    tid = np.arange(nthreads)
+    k = min(count, nthreads)
+    if placement == "full":
+        return np.ones(nthreads, dtype=bool)
+    if placement == "first":
+        return tid < k
+    if placement == "spread":
+        return np.isin(tid, np.arange(k) * nthreads // k)
+    if placement == "mod":  # about nthreads / (k + 1) lanes
+        return tid % (k + 1) == seed % (k + 1)
+    mask = np.zeros(nthreads, dtype=bool)  # "random"
+    mask[np.random.default_rng(seed).choice(nthreads, k, replace=False)] = True
+    return mask
+
+
+def program_kernel(program):
+    """Each instruction runs its pattern under each of its mask placements,
+    at shift 0 and at each of its shifts."""
+
+    def run(ctx, buf, with_child):
+        n = ctx.nthreads
+        ctx.shared_array(program["pad"])
+        sh = ctx.shared_array(SHARED_LEN, element_width=program["shared_width"])
+        for space, kind, pattern, (count, placements, seed), shifts in program["instructions"]:
+            view, size = (buf, GLOBAL_LEN) if space == "global" else (sh, SHARED_LEN)
+            for placement, shift in itertools.product(placements, (0, *shifts)):
+                m = lane_mask(placement, count, seed, n)
+                idx = lane_indices(pattern, m, shift)
+                if not program["out_of_bounds"]:
+                    idx = idx % size
+
+                def body(view=view, idx=idx, kind=kind):
+                    if kind == "load":
+                        view[idx]
+                    else:
+                        view[idx] = ctx.add(ctx.thread_idx.x, 1)
+
+                if m.all():
+                    body()
+                else:
+                    ctx.if_(m, body)
+        if with_child:
+            ctx.if_(
+                ctx.thread_idx.x == 0,
+                lambda: ctx.launch(run, 1 + program["child_blocks"], program["child_threads"], (buf, False),
+                                   shared_mem_bytes=shared_bytes(program)),
+            )
+
+    return run
+
+
+def shared_bytes(program) -> int:
+    return program["pad"] * 4 + SHARED_LEN * program["shared_width"]
+
+
+def launch(program, memo_cls):
+    sim = Simulator(**program["geometry"])
+    mem = DeviceMemory()
+    buf = mem.alloc("buf", GLOBAL_LEN, element_width=program["global_width"])
+    config = LaunchConfig(program["blocks"], program["threads"], shared_bytes(program), program["warp_size"])
+    kernel = program_kernel(program)
+    recorder = Recorder()
+    out = {}
+    original = engine._CostMemo
+    engine._CostMemo = memo_cls
+    try:
+        out["metrics"] = sim.launch(
+            kernel, config, mem, (buf, program["child"]), mode=program["mode"], recorder=recorder
+        ).to_json()
+    except SimError as e:
+        out["error"] = e.to_json()
+    finally:
+        engine._CostMemo = original
+    out["buf"] = buf.data.tolist()
+    out["race_warnings"] = list(mem.race_warnings)
+    return out, recorder
+
+
+def recount(recorder: Recorder, geometry: dict) -> tuple[int, int]:
+    """Global transactions and bank-conflict cycles by the scalar oracles."""
+    segments = bank_cycles = 0
+    for rec in recorder.accesses:
+        by_warp = defaultdict(list)
+        for w, a in zip(rec.warp_ids.tolist(), rec.addresses.tolist()):
+            by_warp[w].append(a)
+        for addrs in by_warp.values():
+            if rec.space == "global":
+                segments += coalesce_count([(a, rec.width) for a in addrs], geometry["segment_bytes"])
+            else:
+                bank_cycles += bank_conflict_degree(addrs, geometry["bank_count"], geometry["bank_width_bytes"]) - 1
+    return segments, bank_cycles
+
+
+PATTERNS = st.one_of(
+    st.tuples(st.just("stride"), st.sampled_from([0, 1, 2, 3, 4, 8, 32, 33])),
+    st.tuples(st.just("groups"), st.sampled_from([2, 3, 4, 32])),
+    st.tuples(st.just("random"), st.integers(0, 3)),
+)
+# One lane count per instruction, placed in up to three ways: equal counts
+# give equal addresses from different warps.
+MASK_SETS = st.tuples(
+    st.integers(1, 48),
+    st.lists(st.sampled_from(["full", "first", "spread", "mod", "random"]), min_size=1, max_size=3),
+    st.integers(0, 1000),
+)
+# Element shifts: multiples of the period and shifts of a word or two off it.
+SHIFTS = st.lists(st.sampled_from([0, 1, 2, 3, 5, 8, 16, 31, 32, 33, 64, 97]), max_size=3)
+INSTRUCTIONS = st.lists(
+    st.tuples(st.sampled_from(["global", "shared"]), st.sampled_from(["load", "load", "store"]), PATTERNS, MASK_SETS, SHIFTS),
+    min_size=1,
+    max_size=8,
+)
+THREADS = st.one_of(st.integers(1, 80), st.sampled_from([96, 128, 256, 500, 1024]))
+PROGRAMS = st.fixed_dictionaries(
+    {
+        "geometry": st.fixed_dictionaries(
+            {
+                "segment_bytes": st.sampled_from([20, 32, 128]),
+                "bank_count": st.sampled_from([4, 32]),
+                "bank_width_bytes": st.sampled_from([4, 8]),
+            }
+        ),
+        "warp_size": st.sampled_from([8, 32]),
+        "blocks": st.integers(1, 2),
+        "threads": THREADS,
+        "child": st.booleans(),
+        "child_threads": THREADS,
+        "child_blocks": st.integers(0, 1),
+        "global_width": st.sampled_from([4, 8]),
+        "shared_width": st.sampled_from([4, 8]),
+        "pad": st.integers(0, 5),
+        "instructions": INSTRUCTIONS,
+        "mode": st.sampled_from(["strict", "permissive"]),
+        "out_of_bounds": st.booleans(),
+    }
+)
+
+
+@settings(max_examples=150, deadline=None)
+@given(PROGRAMS)
+def test_memo_on_and_off_agree_and_match_the_oracles(program):
+    on, recorder = launch(program, engine._CostMemo)
+    off, _ = launch(program, NoMemo)
+    assert on == off
+    if "metrics" in on:
+        segments, bank_cycles = recount(recorder, program["geometry"])
+        assert on["metrics"]["global_transactions"] == segments
+        assert on["metrics"]["bank_conflict_extra_cycles"] == bank_cycles
+
+
+# Pinned cases: each breaks one property the memo key relies on.
+BASE = {
+    "geometry": {"segment_bytes": 128, "bank_count": 32, "bank_width_bytes": 4},
+    "warp_size": 32,
+    "blocks": 1,
+    "child": False,
+    "child_threads": 1,
+    "child_blocks": 0,
+    "global_width": 4,
+    "shared_width": 4,
+    "pad": 0,
+    "mode": "strict",
+    "out_of_bounds": False,
+}
+PINNED = {
+    # 32 words from address 0 are one segment; shifted by a word, two.
+    "shift_off_segment": dict(BASE, threads=32, instructions=[("global", "load", ("stride", 1), (32, ["full"], 0), [1])]),
+    # Words 0 and 4 share an 8-byte bank, so one extra cycle; 20 bytes on,
+    # they fall in two banks. The shift is a multiple of the segment but not
+    # of the bank width.
+    "shift_off_bank": dict(
+        BASE,
+        geometry={"segment_bytes": 20, "bank_count": 4, "bank_width_bytes": 8},
+        threads=2,
+        instructions=[("shared", "load", ("stride", 1), (32, ["full"], 0), [5])],
+    ),
+    # Two broadcasts from 16 active lanes each: over two warps of 8 lanes,
+    # then spread over all eight warps. Only the warp ids tell them apart.
+    "partial_mask_warps": dict(
+        BASE,
+        threads=64,
+        warp_size=8,
+        instructions=[("global", "load", ("stride", 0), (16, ["first", "spread"], 0), [])],
+    ),
+    # The same 32 words from global and from shared memory: one segment,
+    # no bank conflict.
+    "space_tag": dict(
+        BASE,
+        threads=32,
+        instructions=[
+            ("global", "load", ("stride", 1), (32, ["full"], 0), []),
+            ("shared", "load", ("stride", 1), (32, ["full"], 0), []),
+        ],
+    ),
+}
+
+
+@pytest.mark.parametrize("name", sorted(PINNED))
+def test_pinned_patterns_match_the_oracles(name):
+    program = PINNED[name]
+    on, recorder = launch(program, engine._CostMemo)
+    assert on == launch(program, NoMemo)[0]
+    assert (on["metrics"]["global_transactions"], on["metrics"]["bank_conflict_extra_cycles"]) == recount(
+        recorder, program["geometry"]
+    )
+
+
+def gather_kernel(ctx, buf, seeds, probe):
+    """Loads of all-distinct random addresses; ``probe`` sees the memo after each."""
+    rng = np.random.default_rng(ctx.block_linear)
+    for step in range(seeds):
+        idx = rng.permutation(len(buf.buffer))[: ctx.nthreads]
+        if step % 2:
+            ctx.if_(ctx.thread_idx.x % 3 != 0, lambda idx=idx: buf[idx])
+        else:
+            buf[idx]
+        probe(ctx._state)
+
+
+def test_memo_keys_stay_under_the_cap_and_leave_with_the_launch():
+    seen = []
+
+    def probe(state):
+        seen.append((state, len(state.cost_memo), state.cost_memo.key_bytes))
+
+    mem = DeviceMemory()
+    buf = mem.alloc("buf", 1 << 16)
+    # 8 blocks x 64 instructions of 1024 lanes make about 6 MiB of keys.
+    Simulator().launch(gather_kernel, LaunchConfig(8, 1024), mem, (buf, 64, probe))
+    sizes = [b for _, _, b in seen]
+    assert max(sizes) <= engine._COST_MEMO_KEY_BYTES
+    assert sum(b2 < b1 for b1, b2 in zip(sizes, sizes[1:])) >= 1  # the memo started over
+    assert seen[0][0].cost_memo is None
+
+
+def test_memo_leaves_a_launch_that_raises_and_is_shared_with_children():
+    states = []
+
+    def child(ctx, buf):
+        states.append(ctx._state)
+        buf[ctx.thread_idx.x]
+        buf[ctx.thread_idx.x + len(buf.buffer)]  # out of bounds
+
+    def parent(ctx, buf):
+        states.append(ctx._state)
+        buf[ctx.thread_idx.x]
+        ctx.if_(ctx.thread_idx.x == 0, lambda: ctx.launch(child, 1, 8, (buf,)))
+
+    mem = DeviceMemory()
+    buf = mem.alloc("buf", 64)
+    with pytest.raises(SimError):
+        Simulator().launch(parent, LaunchConfig(1, 32), mem, (buf,))
+    root, kid = states
+    assert kid is not root and kid.depth == 1
+    assert root.cost_memo is None and kid.cost_memo is None
+
+
+def test_children_share_the_root_memo():
+    memos = []
+
+    def child(ctx, buf):
+        memos.append(ctx._state.cost_memo)
+        buf[ctx.thread_idx.x]
+
+    def parent(ctx, buf):
+        memos.append(ctx._state.cost_memo)
+        buf[ctx.thread_idx.x]
+        ctx.if_(ctx.thread_idx.x == 0, lambda: ctx.launch(child, 2, 32, (buf,)))
+
+    mem = DeviceMemory()
+    Simulator().launch(parent, LaunchConfig(2, 32), mem, (mem.alloc("buf", 64),))
+    assert len(memos) == 6 and all(m is memos[0] for m in memos)
+    assert len(memos[0]) == 1  # parent and child blocks read the same pattern

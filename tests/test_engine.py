@@ -11,6 +11,7 @@ from warpsim import (
     DeviceMemory,
     LaunchConfig,
     LaunchConfigInvalid,
+    MetricsReport,
     NestingLimit,
     OutOfBounds,
     Recorder,
@@ -50,6 +51,20 @@ def add_kernel(ctx, a, b, c, n):
 
     ctx.if_(i < n, body)
 
+
+# ``MetricsReport.to_json()`` of the shared-report test below, in key order.
+SHARED_REPORT = {
+    "global_transactions": 61, "divergence_events": 5, "bank_conflict_extra_cycles": 2,
+    "barriers_executed": 2, "thread_steps": 228, "child_launches": 28,
+    "per_kernel": {
+        "busy": {"global_transactions": 4, "divergence_events": 4, "bank_conflict_extra_cycles": 2,
+                 "barriers_executed": 2, "thread_steps": 80, "child_launches": 28},
+        "double_kernel": {"global_transactions": 56, "divergence_events": 0, "bank_conflict_extra_cycles": 0,
+                          "barriers_executed": 0, "thread_steps": 140, "child_launches": 0},
+        "failing": {"global_transactions": 1, "divergence_events": 1, "bank_conflict_extra_cycles": 0,
+                    "barriers_executed": 0, "thread_steps": 8, "child_launches": 0},
+    },
+}
 
 def double_kernel(ctx, data, n):
     i = ctx.gx
@@ -541,6 +556,33 @@ class TestMetricsAdditivity:
                 totals[key] += getattr(counters, key)
         for key, value in totals.items():
             assert getattr(report, key) == value
+
+    def test_one_report_over_several_launches_and_a_failed_one(self):
+        """Counts of every kind land in the totals and in each kernel's entry,
+        across launches sharing one report and up to the instruction that
+        fails; a kernel that counts nothing gets no entry."""
+
+        def idle(ctx, data):
+            pass
+
+        def busy(ctx, data):
+            words = ctx.shared_array(80)
+            words[ctx.thread_idx.x * 2] = ctx.add(data[ctx.global_id % 5], 1)  # two-way bank conflicts
+            ctx.barrier()
+            ctx.if_(ctx.thread_idx.x % 3 == 0, lambda: ctx.launch(double_kernel, 1, 5, (data, 5)))
+
+        def failing(ctx, data):
+            ctx.mul(data[ctx.thread_idx.x % 5], 2)
+            ctx.if_(ctx.thread_idx.x < 4, lambda: data[ctx.thread_idx.x + 2])  # lanes 3 read past the end
+
+        mem = DeviceMemory()
+        data = mem.alloc("data", [1, 2, 3, 4, 5])
+        report = MetricsReport()
+        launch_kernel(idle, LaunchConfig(2, 8), mem, (data,), metrics=report)
+        launch_kernel(busy, LaunchConfig(2, 40, shared_mem_bytes=320), mem, (data,), metrics=report)
+        with pytest.raises(OutOfBounds):
+            launch_kernel(failing, LaunchConfig(1, 8), mem, (data,), metrics=report)
+        assert json.dumps(report.to_json()) == json.dumps(SHARED_REPORT)
 
 
 # ----------------------------------------------------------------------

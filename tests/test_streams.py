@@ -138,6 +138,34 @@ class TestValidationErrors:
         with pytest.raises(ValueError, match="duplicate op id 'x'"):
             validate_schedule(schedule, ops + ops)
 
+    def test_string_waits_on_is_rejected(self):
+        with pytest.raises(ValueError, match="op 'k' waits_on 'ev' is a string"):
+            StreamOp("k", 1, OpKind.KERNEL, 1, waits_on="ev")
+
+    @pytest.mark.parametrize("waits_on", ["ev", {"ev": 1}, "e"])
+    def test_scenario_waits_on_must_be_a_list_of_event_ids(self, waits_on):
+        raw_ops = [
+            {"id": "c", "stream": 1, "kind": "kernel", "duration": 1},
+            {"id": "k", "stream": 2, "kind": "kernel", "duration": 1, "waits_on": waits_on},
+        ]
+        events = [{"id": ev, "stream": 1, "after_index": 0} for ev in ("e", "v", "ev")]
+        with pytest.raises(ValueError, match=r"ops\[1\]\.waits_on: op 'k' must wait on a list of event ids"):
+            load_scenario({"ops": raw_ops, "events": events})
+
+    @pytest.mark.parametrize("where", [0, 2, 5])
+    def test_report_on_a_schedule_without_some_ops(self, where):
+        ops = [StreamOp(f"k{i}", 1 + i % 2, OpKind.KERNEL, 3) for i in range(5)]
+        schedule = simulate_timeline(ops)
+        program = ops[:where] + [StreamOp("late", 1, OpKind.KERNEL, 1), StreamOp("later", 2, OpKind.KERNEL, 1)]
+        program += ops[where:]
+        with pytest.raises(ValueError, match="schedule has no entry for op 'late'"):
+            makespan_report(schedule, program)
+
+    def test_report_on_an_empty_schedule_of_a_program(self):
+        ops = [StreamOp("k", 1, OpKind.KERNEL, 3)]
+        with pytest.raises(ValueError, match="schedule has no entry for op 'k'"):
+            makespan_report(simulate_timeline([]), ops)
+
 
 def random_program(rng, max_ops=8):
     n_streams = int(rng.integers(1, 4))
