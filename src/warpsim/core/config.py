@@ -3,9 +3,12 @@
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Union
 
-from .errors import LaunchConfigInvalid
+import numpy as np
+
+from .errors import LaunchConfigInvalid, ThreadCoord
 
 Dim3 = tuple[int, int, int]
 DimLike = Union[int, tuple]
@@ -23,6 +26,12 @@ def as_dim3(dim: DimLike) -> Dim3:
     return t + (1,) * (3 - len(t))
 
 
+def _delinearize(linear: int, dims: Dim3) -> Dim3:
+    """(x, y, z) of index ``linear`` in a box of ``dims``, x fastest; also lane-wise on an array."""
+    dx, dy, _ = dims
+    return (linear % dx, (linear // dx) % dy, linear // (dx * dy))
+
+
 @dataclass(frozen=True)
 class LaunchConfig:
     """Execution geometry of one kernel launch.
@@ -37,17 +46,11 @@ class LaunchConfig:
     shared_mem_bytes: int = 0
     warp_size: int = 32
 
-    def __init__(
-        self,
-        grid_dim: DimLike = (1, 1, 1),
-        block_dim: DimLike = (1, 1, 1),
-        shared_mem_bytes: int = 0,
-        warp_size: int = 32,
-    ):
-        object.__setattr__(self, "grid_dim", as_dim3(grid_dim))
-        object.__setattr__(self, "block_dim", as_dim3(block_dim))
-        object.__setattr__(self, "shared_mem_bytes", int(shared_mem_bytes))
-        object.__setattr__(self, "warp_size", int(warp_size))
+    def __post_init__(self):
+        object.__setattr__(self, "grid_dim", as_dim3(self.grid_dim))
+        object.__setattr__(self, "block_dim", as_dim3(self.block_dim))
+        object.__setattr__(self, "shared_mem_bytes", int(self.shared_mem_bytes))
+        object.__setattr__(self, "warp_size", int(self.warp_size))
 
     @property
     def threads_per_block(self) -> int:
@@ -77,18 +80,27 @@ class LaunchConfig:
             raise LaunchConfigInvalid(f"warp_size={self.warp_size} must be positive")
 
     def block_coords(self, block_linear: int) -> Dim3:
-        gx, gy, _ = self.grid_dim
-        bx = block_linear % gx
-        by = (block_linear // gx) % gy
-        bz = block_linear // (gx * gy)
-        return (bx, by, bz)
+        return _delinearize(block_linear, self.grid_dim)
 
     def thread_coords(self, thread_linear: int) -> Dim3:
-        bx, by, _ = self.block_dim
-        tx = thread_linear % bx
-        ty = (thread_linear // bx) % by
-        tz = thread_linear // (bx * by)
-        return (tx, ty, tz)
+        return _delinearize(thread_linear, self.block_dim)
+
+    def thread_coord(self, global_linear_id: int) -> ThreadCoord:
+        """Block, thread, warp and lane of a thread of the grid, as errors name it."""
+        gid = int(global_linear_id)
+        block_linear, thread_linear = divmod(gid, self.threads_per_block)
+        warp_id, lane = divmod(thread_linear, self.warp_size)
+        return ThreadCoord(self.block_coords(block_linear), self.thread_coords(thread_linear), gid, warp_id, lane)
+
+    @cached_property
+    def lanes(self) -> tuple[np.ndarray, ...]:
+        """(linear, tx, ty, tz, warp, lane, all-true mask) of a block, shared read-only by every block."""
+        linear = np.arange(self.threads_per_block, dtype=np.int64)
+        warp, lane = divmod(linear, self.warp_size)
+        lanes = (linear, *self.thread_coords(linear), warp, lane, np.ones(linear.size, dtype=bool))
+        for a in lanes:
+            a.flags.writeable = False
+        return lanes
 
 
 def ceil_div(a: int, b: int) -> int:

@@ -30,7 +30,7 @@ from .access import (
     _warp_bank_extra_cycles,
     _warp_segment_total,
 )
-from .config import DEFAULT_MAX_THREADS_PER_BLOCK, LaunchConfig
+from .config import DEFAULT_MAX_THREADS_PER_BLOCK, LaunchConfig, ceil_div
 from .errors import (
     BarrierDivergence,
     DataRace,
@@ -38,7 +38,6 @@ from .errors import (
     NestingLimit,
     OutOfBounds,
     SimError,
-    ThreadCoord,
 )
 from .memory import AccessRecord, Buffer, DeviceMemory
 from .metrics import KernelCounters, MetricsReport
@@ -339,30 +338,24 @@ class KernelContext:
         self.kernel_name = kernel_name
         self.block_linear = block_linear
 
+        linear, tx, ty, tz, self.warp, self.lane, all_active = config.lanes
         T = config.threads_per_block
-        ws = config.warp_size
         self.nthreads = T
-        self.warp_count = -(-T // ws)
+        self.warp_count = ceil_div(T, config.warp_size)
 
-        linear = np.arange(T, dtype=np.int64)
-        bdx, bdy, _ = config.block_dim
-        self._tx = linear % bdx
-        self._ty = (linear // bdx) % bdy
-        self._tz = linear // (bdx * bdy)
-        bx, by, bz = config.block_coords(block_linear)
-        self.block_idx = _Idx3(bx, by, bz)
+        self.block_idx = _Idx3(*config.block_coords(block_linear))
         self.block_dim = _Idx3(*config.block_dim)
         self.grid_dim = _Idx3(*config.grid_dim)
-        self.thread_idx = _Idx3(self._tx, self._ty, self._tz)
-        self.lane = linear % ws
-        self.warp = linear // ws
+        self.thread_idx = _Idx3(tx, ty, tz)
         self.global_id = block_linear * T + linear
-        self.gx = bx * bdx + self._tx
-        self.gy = by * bdy + self._ty
-        self.gz = bz * config.block_dim[2] + self._tz
+        self.gx = self.block_idx.x * self.block_dim.x + tx
+        self.gy = self.block_idx.y * self.block_dim.y + ty
+        self.gz = self.block_idx.z * self.block_dim.z + tz
+        for a in (self.global_id, self.gx, self.gy, self.gz):
+            a.flags.writeable = False  # the engine's thread ids, which a kernel must not edit in place
 
         # (mask, active lane count) per open branch; the block is all active at first.
-        self._mask_stack: list[tuple[np.ndarray, int]] = [(np.ones(T, dtype=bool), T)]
+        self._mask_stack: list[tuple[np.ndarray, int]] = [(all_active, T)]
         self._shared_offset = 0
         self.step = 0
 
@@ -383,17 +376,6 @@ class KernelContext:
             raise ValueError(f"lane value has shape {arr.shape}, expected ({self.nthreads},)")
         return arr
 
-    def coord_of(self, global_linear_id: int) -> ThreadCoord:
-        T = self.config.threads_per_block
-        block_linear, thread_linear = divmod(int(global_linear_id), T)
-        return ThreadCoord(
-            block_idx=self.config.block_coords(block_linear),
-            thread_idx=self.config.thread_coords(thread_linear),
-            global_linear_id=int(global_linear_id),
-            warp_id=thread_linear // self.config.warp_size,
-            lane=thread_linear % self.config.warp_size,
-        )
-
     def _counters(self) -> KernelCounters:
         """This kernel's entry in the launch's per-kernel counters."""
         if self._kernel_counters is None:
@@ -402,7 +384,7 @@ class KernelContext:
 
     def _err_kw(self, gids: Sequence[int], buffer: Optional[str] = None) -> dict:
         return {
-            "threads": [self.coord_of(g) for g in gids],
+            "threads": [self.config.thread_coord(g) for g in gids],
             "buffer": buffer,
             "step": self.step,
             "kernel": self.kernel_name,
@@ -720,27 +702,33 @@ class KernelContext:
         Each child grid runs to completion before the launching thread's next
         step; its metrics fold into the current report.
         """
-        act = self.active
-        launchers = self.global_id[act]
+        launchers = self.global_id[self.active].tolist()
+        first = launchers[:1]  # the checks below hold for every launcher or none: name the first
         cfg = LaunchConfig(grid_dim, block_dim, shared_mem_bytes, self.config.warp_size)
+        if self._state.depth + 1 >= self._sim.max_nesting_depth:
+            raise NestingLimit(
+                f"child launch at depth {self._state.depth + 1} reaches the nesting limit "
+                f"of {self._sim.max_nesting_depth}",
+                **self._err_kw(first),
+            )
+        try:
+            cfg.validate(self._sim.max_threads_per_block)
+        except LaunchConfigInvalid as e:
+            raise LaunchConfigInvalid(f"invalid child launch config: {e.args[0]}", **self._err_kw(first)) from e
         child_args = tuple(a.buffer if isinstance(a, GlobalView) else a for a in args)
-        for gid in launchers.tolist():
-            if self._state.depth + 1 >= self._sim.max_nesting_depth:
-                raise NestingLimit(
-                    f"child launch at depth {self._state.depth + 1} reaches the nesting limit "
-                    f"of {self._sim.max_nesting_depth}",
-                    **self._err_kw([gid]),
-                )
-            try:
-                cfg.validate(self._sim.max_threads_per_block)
-            except LaunchConfigInvalid as e:
-                raise LaunchConfigInvalid(
-                    f"invalid child launch config: {e.args[0]}", **self._err_kw([gid])
-                ) from e
+        _check_owned(self._state.mem, child_args, lambda: self._err_kw(first))
+        for _ in launchers:
             self._state.metrics.child_launches += 1
             self._counters().child_launches += 1
             self._sim._run_grid(kernel, cfg, child_args, self._state.child(), name or kernel.__name__)
         self.step += 1
+
+
+def _check_owned(mem: DeviceMemory, args: Sequence, err_kw: Callable[[], dict] = dict) -> None:
+    """Reject a ``Buffer`` that ``mem`` did not allocate: it would share a same-named buffer's race track."""
+    for a in args:
+        if isinstance(a, Buffer) and mem.buffers.get(a.name) is not a:
+            raise SimError(f"buffer {a.name!r} does not belong to this DeviceMemory", **err_kw())
 
 
 class Simulator:
@@ -791,9 +779,7 @@ class Simulator:
         if mode not in ("strict", "permissive"):
             raise ValueError(f"unknown race mode {mode!r}")
         config.validate(self.max_threads_per_block)
-        for a in args:
-            if isinstance(a, Buffer) and mem.buffers.get(a.name) is not a:
-                raise SimError(f"buffer {a.name!r} does not belong to this DeviceMemory")
+        _check_owned(mem, args)
         mem.race_warnings.clear()
         report = metrics if metrics is not None else MetricsReport()
         state = _LaunchState(self, mem, report, mode, 0, recorder)

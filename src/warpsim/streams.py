@@ -382,7 +382,7 @@ def load_scenario(source: Union[str, Path, dict]) -> tuple[list[StreamOp], list[
                 stream_id=int(raw["stream"]),
                 kind=kind,
                 duration=float(raw["duration"]),
-                waits_on=waits_on,
+                waits_on=map(str, waits_on),  # ids are strings, as for ops and events
             )
         )
     events: list[EventRecord] = []

@@ -1,12 +1,14 @@
 """Command-line behavior: outputs, exit codes, determinism."""
 
 import json
+import os
 import subprocess
 import sys
 from pathlib import Path
 
 import pytest
 
+import warpsim
 from warpsim.cli import main
 
 SCENARIOS = Path(__file__).resolve().parent.parent / "scenarios"
@@ -61,8 +63,10 @@ class TestRun:
             "--format",
             "json",
         ]
-        first = subprocess.run(cmd, capture_output=True, check=True)
-        second = subprocess.run(cmd, capture_output=True, check=True)
+        # The child imports the package this process imported, installed or not.
+        env = {**os.environ, "PYTHONPATH": str(Path(warpsim.__file__).resolve().parents[1])}
+        first = subprocess.run(cmd, capture_output=True, check=True, env=env)
+        second = subprocess.run(cmd, capture_output=True, check=True, env=env)
         assert first.stdout == second.stdout
         payload = json.loads(first.stdout)
         assert payload["kernel"] == "matmul"
@@ -242,6 +246,28 @@ class TestPipeline:
         assert code == 2
         assert captured.out == ""
         assert "op 'k' must wait on a list of event ids, got 'ev'" in captured.err
+
+    def test_integer_ids_match_string_ids(self, tmp_path, capsys):
+        # Ids are read as strings; an integer waits_on entry used to name an unknown event.
+        def scenario(ident):
+            return {
+                "engines": {"compute": 2},
+                "ops": [
+                    {"id": ident(0), "stream": 1, "kind": "kernel", "duration": 2},
+                    {"id": ident(2), "stream": 2, "kind": "kernel", "duration": 1, "waits_on": [ident(1)]},
+                ],
+                "events": [{"id": ident(1), "stream": 1, "after_index": 0}],
+            }
+
+        outputs = []
+        for ident in (int, str):
+            path = write_json(tmp_path, f"{ident.__name__}_ids.json", scenario(ident))
+            code = main(["pipeline", path, "--format", "json"])
+            captured = capsys.readouterr()
+            assert (code, captured.err) == (0, "")
+            outputs.append(captured.out)
+        assert outputs[0] == outputs[1]
+        assert json.loads(outputs[0])["schedule"]["ops"][1]["start"] == 2.0  # after the event, on a free engine
 
 
 class TestMemflow:

@@ -1,9 +1,12 @@
 """SIMT machine semantics: lockstep, divergence, barriers, races, child grids."""
 
 import json
+import operator
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from warpsim import (
     BarrierDivergence,
@@ -674,6 +677,53 @@ class TestDeviceLaunch:
         assert counter.tolist() == [3]
         assert report.child_launches == 3
 
+    @pytest.mark.parametrize(
+        "sim, grid, kind, message",
+        [
+            (Simulator(max_nesting_depth=1), 1, "NestingLimit", "child launch at depth 1 reaches the nesting limit of 1"),
+            (Simulator(), 0, "LaunchConfigInvalid", "invalid child launch config: grid_dim=(0, 1, 1) has a component < 1"),
+        ],
+    )
+    def test_child_launch_check_names_the_first_launcher(self, sim, grid, kind, message):
+        def parent(ctx, data):
+            ctx.if_(ctx.global_id >= 2, lambda: ctx.launch(double_kernel, grid, 5, (data, 5)))
+
+        mem = DeviceMemory()
+        data = mem.alloc("data", 5)
+        with pytest.raises(SimError) as exc:
+            sim.launch(parent, LaunchConfig(1, 4), mem, (data,))
+        assert exc.value.to_json() == {
+            "kind": kind,
+            "message": f"{message}; kernel=parent; step=1; at block(0, 0, 0) thread(2, 0, 0) (gid=2, warp=0, lane=2)",
+            "threads": [{"block_idx": [0, 0, 0], "thread_idx": [2, 0, 0], "global_linear_id": 2, "warp_id": 0, "lane": 2}],
+            "buffer": None,
+            "step": 1,
+            "kernel": "parent",
+        }
+
+    def test_foreign_buffer_in_child_launch_rejected(self):
+        # A foreign buffer named like a local one shared its race track: the
+        # child below used to fail with a false DataRace on 'x' address 0.
+        def child(ctx, local, foreign):
+            def write():
+                local[0] = 1
+
+            ctx.if_(ctx.global_id == 0, write)
+            ctx.if_(ctx.global_id == 1, lambda: foreign[0])
+
+        def parent(ctx, local):
+            ctx.if_(ctx.global_id == 0, lambda: ctx.launch(child, 1, 2, (local, foreign)))
+
+        mem = DeviceMemory()
+        local = mem.alloc("x", 4)
+        foreign = DeviceMemory().alloc("x", 4)
+        with pytest.raises(SimError) as exc:
+            launch_kernel(parent, LaunchConfig(1, 2), mem, (local,))
+        assert type(exc.value) is SimError
+        assert exc.value.args[0].startswith("buffer 'x' does not belong to this DeviceMemory")
+        assert exc.value.kernel == "parent"
+        assert [t.global_linear_id for t in exc.value.threads] == [0]
+
 
 class TestMachineGeometry:
     def test_segment_size_is_configurable(self):
@@ -743,15 +793,24 @@ class TestCoordsAndAliases:
         assert warp.tolist() == [0] * total  # 6 threads per block: one warp
 
         # Coordinates recover block/thread triples x-fastest.
-        from warpsim.core.engine import KernelContext, _LaunchState
-        from warpsim import MetricsReport, Simulator
-
-        state = _LaunchState(Simulator(), mem, MetricsReport(), "strict", 0)
-        ctx = KernelContext(state, config, 0, "probe")
-        coord = ctx.coord_of(config.threads_per_block * 3 + 4)
+        coord = config.thread_coord(config.threads_per_block * 3 + 4)
         assert coord.block_idx == (1, 1, 0)
         assert coord.thread_idx == (1, 1, 0)
         assert coord.lane == 4 and coord.warp_id == 0
+
+    @pytest.mark.parametrize("lane_array", ["global_id", "warp", "thread_idx.x"])
+    def test_lane_arrays_are_read_only(self, lane_array):
+        # Doubling ctx.global_id in place used to change the engine's own
+        # thread ids: the store below then named gid 8 in block (0, 0, 1).
+        def kernel(ctx, buf):
+            idx = operator.attrgetter(lane_array)(ctx)
+            idx *= 2
+            buf[idx] = 1
+
+        mem = DeviceMemory()
+        buf = mem.alloc("buf", 8)
+        with pytest.raises(ValueError, match="read-only"):
+            launch_kernel(kernel, LaunchConfig(1, 8), mem, (buf,))
 
     def test_free_function_op_forms(self):
         from warpsim import barrier_sync, structured_if, device_launch
@@ -771,6 +830,42 @@ class TestCoordsAndAliases:
         assert data.tolist() == [2, 4, 6, 8, 10]
         assert report.child_launches == 1
         assert report.barriers_executed == 1
+
+
+dims = st.lists(st.integers(1, 4), min_size=1, max_size=3).map(tuple)
+
+
+@settings(max_examples=60, deadline=None)
+@given(grid=dims, block=dims, warp_size=st.sampled_from([1, 8, 32]))
+def test_lane_geometry_matches_the_config(grid, block, warp_size):
+    """Every block's lane arrays agree with ``thread_coord`` and ``block_coords``."""
+    config = LaunchConfig(grid, block, warp_size=warp_size)
+    seen = []
+
+    def probe(ctx):
+        seen.append(ctx)
+
+    launch_kernel(probe, config, DeviceMemory())
+    assert len(seen) == config.blocks_per_grid
+    T = config.threads_per_block
+    bdx, bdy, bdz = config.block_dim
+    gdx, gdy, _ = config.grid_dim
+    for b, ctx in enumerate(seen):
+        bx, by, bz = config.block_coords(b)
+        assert tuple(ctx.block_idx) == (bx, by, bz)
+        assert bx + gdx * (by + gdy * bz) == b  # x fastest
+        assert ctx.thread_idx.x is seen[0].thread_idx.x  # built once per grid
+        for k in range(T):
+            gid = int(ctx.global_id[k])
+            coord = config.thread_coord(gid)
+            tx, ty, tz = (int(ctx.thread_idx.x[k]), int(ctx.thread_idx.y[k]), int(ctx.thread_idx.z[k]))
+            assert gid == b * T + k
+            assert coord.block_idx == (bx, by, bz)
+            assert coord.thread_idx == (tx, ty, tz)
+            assert tx < bdx and ty < bdy and tz < bdz and tx + bdx * (ty + bdy * tz) == k
+            assert (int(ctx.warp[k]), int(ctx.lane[k])) == (coord.warp_id, coord.lane)
+            assert coord.warp_id * warp_size + coord.lane == k and coord.lane < warp_size
+            assert (int(ctx.gx[k]), int(ctx.gy[k]), int(ctx.gz[k])) == (bx * bdx + tx, by * bdy + ty, bz * bdz + tz)
 
 
 # ----------------------------------------------------------------------
