@@ -44,8 +44,8 @@ from .metrics import KernelCounters, MetricsReport
 
 LaneValue = Union[int, float, np.ndarray]
 
-_NO_TID = np.int64(-1)
-_NO_BLOCK = np.iinfo(np.int64).max  # above every block: "no block yet"
+_STALE = np.int64(-1)  # below every interval stamp: "no thread"
+_STAMP_MAX = int(np.iinfo(np.int64).max)
 _COST_MEMO_KEY_BYTES = 4 << 20  # a cost memo whose keys would pass this starts over
 
 
@@ -58,125 +58,105 @@ class _Idx3(NamedTuple):
 class _RaceTrack:
     """Conflict bookkeeping for one address space, reused for a whole launch.
 
-    Interval state (reset at barriers and block starts) answers "did another
-    thread of this block touch this address since the last barrier"; the
-    cross-block state persists for the whole grid because barriers never
-    synchronize distinct blocks. Blocks run in ascending order, so another
-    block touched an address before block b exactly when the first block to
-    touch it is below b: the cross-block state is that first block per
-    address, one array for reads and one for writes.
+    Per address, interval state keeps the first writer, the first writer
+    distinct from it, the same pair for readers and the highest writer, each
+    as a word ``stamp + block-local thread id``. Each block start and barrier
+    raises ``_LaunchState.stamp`` past every earlier word, so a word below it
+    means "no thread". Cross-block state keeps the grid's first reading and
+    first writing block as block stamps: blocks run in ascending order, so
+    another block accessed an address before block b exactly when its first
+    block is below b. A grid's block stamps lie below every earlier grid's,
+    so ``np.minimum`` takes a stale one for "no block yet". Nothing is reset.
 
-    Reads are buffered and only materialized into per-address state when a
-    write to the same space arrives, which keeps read-only traffic (the
-    common case) cheap. Interval reads wait for a store in the interval;
-    cross-block reads wait for the grid's first store, then fold as they
-    come. Cross-block reads that pile up past the buffer length fold early,
-    so the list never holds more addresses than the buffer has elements. The
-    arrays are allocated on the first fold or store, so a buffer that is
-    only read never has the writer-side ones.
-
-    A reset costs what was touched, not the buffer length. Every address an
-    interval wrote into the interval arrays is kept on an undo list, and
-    ``reset_interval`` restores only those entries. A track that sibling
-    child grids reuse (``undo_cross``) likewise lists the addresses its
-    cross-block arrays took, and ``start_grid`` restores them before the
-    next grid; a top-level track sees only one grid and lists none.
+    Reads wait until a store to the space needs them: interval reads for a
+    store in the interval, cross-block reads for the grid's first store or
+    until they outnumber the buffer's elements. Arrays are allocated on first
+    use, so a buffer that is only read never has the writer-side ones.
     """
 
-    def __init__(self, length: int, cross_block: bool, undo_cross: bool):
+    def __init__(self, length: int):
         self.length = length
-        self.undo_cross = undo_cross
-        self.pending_reads: list[tuple[np.ndarray, np.ndarray]] = []
-        self.interval_writes = 0
-        self.touched: list[np.ndarray] = []  # undo list of the interval arrays
-        self.cross_reads: list[tuple[np.ndarray, int]] = []  # (addresses, block) not yet folded
+        self.pending_reads: list[tuple[np.ndarray, np.ndarray]] = []  # (addresses, global thread ids)
+        self.pending_stamp = self.store_stamp = 0  # the intervals of the pending reads and of the last store
+        self.cross_reads: list[tuple[np.ndarray, int]] = []  # (addresses, block stamp) not yet folded
         self.cross_read_count = 0  # addresses on cross_reads
-        self.cross_touched: list[np.ndarray] = []  # undo list of the cross-block arrays
-        self.writer1: Optional[np.ndarray] = None  # interval arrays, from the first store
-        self.rb_block1: Optional[np.ndarray] = None  # first block to read, from the first fold
-        self.w_block1: Optional[np.ndarray] = None  # first block to write, from the first store
-        self.start_grid(cross_block)
+        self.first_store = 0  # block stamp of the grid's first store; 0 is stale
+        self.writer1 = self.rb_block1 = self.w_block1 = None  # arrays, from the first store or fold
 
-    def start_grid(self, cross_block: bool) -> None:
-        """Forget what the previous grid recorded and track a new one."""
-        self.reset_interval()
-        self.cross_reads.clear()
-        self.cross_read_count = 0
-        if self.cross_touched:
-            idx = np.concatenate(self.cross_touched)
-            self.rb_block1[idx] = _NO_BLOCK
-            if self.w_block1 is not None:
-                self.w_block1[idx] = _NO_BLOCK
-            self.cross_touched.clear()
-        self.first_store_block = _NO_BLOCK
-        self.cross_block = cross_block
-
-    def reset_interval(self) -> None:
-        self.pending_reads.clear()
-        self.interval_writes = 0
-        if self.touched:
-            idx = np.concatenate(self.touched)
-            self.reader1[idx] = _NO_TID
-            self.reader_multi[idx] = False
-            self.writer1[idx] = _NO_TID
-            self.writer_multi[idx] = False
-            self.writer_max[idx] = _NO_TID
-            self.touched.clear()
-
-    def read_cross(self, addrs: np.ndarray, block: int) -> None:
-        """Record that ``block`` read ``addrs``; folds once the grid has stored."""
-        self.cross_reads.append((addrs, block))
-        self.cross_read_count += addrs.size
-        if self.first_store_block != _NO_BLOCK or self.cross_read_count > self.length:
-            self.fold_cross_reads()
+    def defer_read(self, addrs: np.ndarray, tids: np.ndarray, stamp: int, block: Optional[int]) -> None:
+        """Buffer a read of this interval and, given a ``block`` stamp, of the grid."""
+        if self.pending_stamp != stamp:
+            self.pending_reads, self.pending_stamp = [], stamp
+        self.pending_reads.append((addrs, tids))
+        if block is not None:
+            self.cross_reads.append((addrs, block))
+            self.cross_read_count += addrs.size
+            if self.first_store <= block or self.cross_read_count > self.length:
+                self.fold_cross_reads()
 
     def fold_cross_reads(self) -> None:
-        """Fold the deferred cross-block reads into the first-reader array."""
+        """Fold the deferred cross-block reads into the first-reader array, one block's run at a time."""
         if self.rb_block1 is None:
-            self.rb_block1 = np.full(self.length, _NO_BLOCK)
-        # Each block's reads are one run of the list, and a later block
-        # never lowers the first reader.
+            self.rb_block1 = np.zeros(self.length, dtype=np.int64)
         for b, run in groupby(self.cross_reads, key=itemgetter(1)):
             addrs = np.concatenate([a for a, _ in run])
             self.rb_block1[addrs] = np.minimum(self.rb_block1[addrs], b)
-            if self.undo_cross:
-                self.cross_touched.append(addrs)
         self.cross_reads.clear()
         self.cross_read_count = 0
 
-    def begin_store(self) -> None:
-        """Allocate the writer-side arrays if needed, then fold in pending reads."""
+    def begin_store(self, stamp: int, shift: int, cross_block: bool) -> None:
+        """Allocate the writer-side arrays if needed, then fold in pending reads (``shift`` stamps their ids)."""
         if self.writer1 is None:
-            self.reader1 = np.full(self.length, _NO_TID)
-            self.reader_multi = np.zeros(self.length, dtype=bool)
-            self.writer1 = np.full(self.length, _NO_TID)
-            self.writer_multi = np.zeros(self.length, dtype=bool)
-            self.writer_max = np.full(self.length, _NO_TID)
-        if self.cross_block:
+            self.reader1, self.reader2, self.writer1, self.writer2, self.writer_max = (
+                np.zeros(self.length, dtype=np.int64) for _ in range(5)
+            )
+        if cross_block:
             if self.w_block1 is None:
-                self.w_block1 = np.full(self.length, _NO_BLOCK)
+                self.w_block1 = np.zeros(self.length, dtype=np.int64)
             self.fold_cross_reads()
-        for addrs, tids in self.pending_reads:
-            u_addr, rep, dup = _distinct(addrs, tids)
-            cur = self.reader1[u_addr]
-            self.reader_multi[u_addr] |= dup | ((cur != _NO_TID) & (cur != rep))
-            self.reader1[u_addr] = np.where(cur == _NO_TID, rep, cur)
-            self.touched.append(u_addr)
+        if self.pending_stamp == stamp:
+            for addrs, tids in self.pending_reads:
+                _note(self.reader1, self.reader2, *_distinct(addrs, tids + shift), stamp)
         self.pending_reads.clear()
 
 
-def _distinct(addrs: np.ndarray, tids: np.ndarray) -> tuple[np.ndarray, np.ndarray, Any]:
-    """Distinct addresses, the thread of each one's first lane, and which repeat.
+def _distinct(addrs: np.ndarray, st: np.ndarray) -> tuple[np.ndarray, np.ndarray, Any]:
+    """Distinct addresses with the stamps of their first and second lanes (stale for a single lane).
 
-    Lane addresses usually ascend strictly; then ``np.unique`` would be the
-    identity, so the sort is skipped and the repeat mask is a scalar False.
+    Lane addresses are usually distinct, and often ascend; then the second
+    stamps are one stale scalar, and ascending addresses skip the sort.
     ``addrs`` is the engine's own array, never one the kernel holds, so the
     ascending case may return it as is.
     """
     if bool((addrs[1:] > addrs[:-1]).all()):
-        return addrs, tids, np.False_
-    u_addr, first_idx, counts = np.unique(addrs, return_index=True, return_counts=True)
-    return u_addr, tids[first_idx], counts > 1
+        return addrs, st, _STALE
+    order = np.argsort(addrs, kind="stable")
+    a = addrs[order]
+    new = a[1:] != a[:-1]
+    if new.all():
+        return a, st[order], _STALE
+    head = np.flatnonzero(np.concatenate(([True], new)))
+    repeats = np.diff(head, append=a.size) > 1
+    second = np.where(repeats, st[order[np.minimum(head + 1, a.size - 1)]], _STALE)
+    return a[head], st[order[head]], second
+
+
+def _note(first: np.ndarray, second: np.ndarray, addrs, rep, nxt, stamp: int) -> None:
+    """Record distinct ``addrs`` accessed by lanes stamped ``rep`` (and ``nxt``) in a pair of interval arrays."""
+    f = first[addrs]
+    fresh = f >= stamp
+    if not fresh.any():  # the interval's first accesses to all of them
+        first[addrs], second[addrs] = rep, nxt
+        return
+    first[addrs] = np.where(fresh, f, rep)
+    s = second[addrs]
+    second[addrs] = np.where(s >= stamp, s, np.where(fresh & (f != rep), rep, nxt))
+
+
+def _other(first: np.ndarray, second: np.ndarray, addrs: np.ndarray, st: np.ndarray) -> np.ndarray:
+    """Per lane, the stamp of the earliest other thread in a pair of interval arrays, or a stale word."""
+    f = first[addrs]
+    return np.where(f == st, second[addrs], f)
 
 
 @dataclass
@@ -230,35 +210,41 @@ class _LaunchState:
         self.recorder = recorder
         self.cost_memo = _CostMemo() if cost_memo is None else cost_memo  # one per launch tree
         self.multi_block = True  # refined per grid before blocks run
+        # A word of the current interval is stamp + a block-local thread id,
+        # below stamp + stride; a word of the current grid is grid_stamp + a
+        # block id, below every earlier grid's.
+        self.stamp = self.stride = self.grid_stamp = 0
         self.tracks: dict[str, _RaceTrack] = {}
         self.shared_track: Optional[_RaceTrack] = None
+        self.configs: dict[LaunchConfig, LaunchConfig] = {}  # one per child geometry, with its lane arrays
         self._child: Optional[_LaunchState] = None
 
     def begin_grid(self, config: LaunchConfig) -> None:
-        """Reset the tracks an earlier grid at this depth left, for ``config``."""
+        """Take new block stamps for ``config``; the tracks of earlier grids at this depth stay."""
         self.multi_block = config.blocks_per_grid > 1
-        for t in self.tracks.values():
-            t.start_grid(self.multi_block)
+        self.stride = max(self.stride, config.threads_per_block)
+        self.grid_stamp -= config.blocks_per_grid
         if self.shared_track is None or self.shared_track.length != config.shared_mem_bytes:
-            self.shared_track = _RaceTrack(config.shared_mem_bytes, cross_block=False, undo_cross=False)
+            self.shared_track = _RaceTrack(config.shared_mem_bytes)
+
+    def new_interval(self) -> None:
+        """Start a barrier interval: every word stamped before is stale from here on."""
+        self.stamp += self.stride
+        if self.stamp + self.stride > _STAMP_MAX or self.grid_stamp < -_STAMP_MAX:
+            raise SimError("launch has more blocks or barrier intervals than 64-bit race stamps can number")
 
     def track_for(self, buf: Buffer) -> _RaceTrack:
         t = self.tracks.get(buf.name)
         if t is None or t.length != len(buf):
-            t = _RaceTrack(len(buf), cross_block=self.multi_block, undo_cross=self.depth > 0)
+            t = _RaceTrack(len(buf))
             self.tracks[buf.name] = t
         return t
-
-    def reset_intervals(self) -> None:
-        self.shared_track.reset_interval()
-        for t in self.tracks.values():
-            t.reset_interval()
 
     def child(self) -> "_LaunchState":
         """The state of every child grid launched from this grid's blocks.
 
         Sibling child grids run one after another, so they share one state
-        and its race tracks, which ``begin_grid`` resets for each. A child
+        and its race tracks, which new stamps make fresh for each. A child
         grid's accesses are checked against each other only: conflicts
         between a parent and its child are outside the checked model (the
         child completes before the parent's next step).
@@ -273,6 +259,7 @@ class _LaunchState:
         """Drop the race state and cost memo of this depth and every deeper one."""
         self.tracks.clear()
         self.shared_track = None
+        self.configs.clear()
         self.cost_memo = None
         if self._child is not None:
             self._child.release()
@@ -347,7 +334,10 @@ class KernelContext:
         self.block_dim = _Idx3(*config.block_dim)
         self.grid_dim = _Idx3(*config.grid_dim)
         self.thread_idx = _Idx3(tx, ty, tz)
-        self.global_id = block_linear * T + linear
+        self._gid0 = block_linear * T
+        # Global buffers of a multi-block grid also check conflicts between blocks.
+        self._block_stamp = state.grid_stamp + block_linear if state.multi_block else None
+        self.global_id = self._gid0 + linear
         self.gx = self.block_idx.x * self.block_dim.x + tx
         self.gy = self.block_idx.y * self.block_dim.y + ty
         self.gz = self.block_idx.z * self.block_dim.z + tz
@@ -430,8 +420,6 @@ class KernelContext:
         """
         data = view.data
         act, n_active = self._mask_stack[-1]
-        if not n_active:
-            return None if value is not None else np.zeros(self.nthreads, dtype=data.dtype)
         full = n_active == self.nthreads
         ei = self._lanes(idx, np.int64)
         if full:
@@ -465,16 +453,16 @@ class KernelContext:
         if is_global:
             state.metrics.global_transactions += cost
             counters.global_transactions += cost
-            track = state.track_for(view.buffer)
+            track, block = state.track_for(view.buffer), self._block_stamp
             addrs = ei.copy() if ei is idx else ei  # the race tracker keeps it; the kernel may change its own
         else:
             state.metrics.bank_conflict_extra_cycles += cost
             counters.bank_conflict_extra_cycles += cost
-            track, addrs = state.shared_track, byte_addrs
+            track, addrs, block = state.shared_track, byte_addrs, None
 
         result: Optional[np.ndarray] = None
         if value is None:
-            self._race_read(track, addrs, tids, view.name)
+            self._race_read(track, addrs, tids, block, view.name)
             if full:
                 result = data[ei]
             else:
@@ -485,7 +473,7 @@ class KernelContext:
             if not full:
                 vals = vals[act]
             vals = vals.astype(data.dtype, copy=False)
-            eff = self._race_write(track, addrs, tids, view.name)
+            eff = self._race_write(track, addrs, tids, block, view.name)
             data[ei[eff]] = vals[eff]
         if state.recorder is not None:
             state.recorder.accesses.append(
@@ -510,76 +498,68 @@ class KernelContext:
     # race bookkeeping (addresses are element indices for global buffers,
     # byte offsets for shared memory; both are per-launch address spaces)
 
-    def _race_fail(self, name: str, addr: int, tid_a: int, tid_b: int) -> None:
-        msg = f"conflicting accesses to {name!r} address {addr} without an intervening barrier"
+    def _race_fail(self, name: str, conflict: Any, addrs: np.ndarray, a: np.ndarray, b: Any) -> None:
+        """Report the first lane of ``conflict``: thread ``a`` against thread ``b``, or another block.
+
+        ``a`` and ``b`` hold stamped words per lane; a stale word in ``b``, or
+        a stale scalar ``b``, stands for another block and reads as -1.
+        """
+        if not conflict.any():
+            return
+        i = int(np.argmax(conflict))
+        stamp, shift = self._state.stamp, self._state.stamp - self._gid0
+        other = int(b if np.ndim(b) == 0 else b[i])
+        tid_a, tid_b = int(a[i]) - shift, other - shift if other >= stamp else -1
+        msg = f"conflicting accesses to {name!r} address {int(addrs[i])} without an intervening barrier"
         if self._state.mode == "strict":
-            offenders = [tid_a] if tid_b < 0 or tid_b == tid_a else [tid_a, tid_b]
-            raise DataRace(msg, **self._err_kw(offenders, name))
+            raise DataRace(msg, **self._err_kw([tid_a] if tid_b < 0 else [tid_a, tid_b], name))
         self._state.mem.race_warnings.append(
             f"{msg} (threads {tid_a} and {tid_b}, kernel {self.kernel_name}, block {self.block_linear}, step {self.step})"
         )
 
-    def _race_read(self, track: _RaceTrack, addrs: np.ndarray, tids: np.ndarray, name: str) -> None:
-        b = self.block_linear
-        if track.interval_writes:
-            w1 = track.writer1[addrs]
-            conflict = (w1 != _NO_TID) & ((w1 != tids) | track.writer_multi[addrs])
-            if conflict.any():
-                i = int(np.argmax(conflict))
-                self._race_fail(name, int(addrs[i]), int(tids[i]), int(w1[i]))
-        if track.first_store_block < b:  # another block of this grid stored here
-            conflict = track.w_block1[addrs] < b
-            if conflict.any():
-                i = int(np.argmax(conflict))
-                self._race_fail(name, int(addrs[i]), int(tids[i]), -1)
+    def _race_read(
+        self, track: _RaceTrack, addrs: np.ndarray, tids: np.ndarray, block: Optional[int], name: str
+    ) -> None:
+        """Check a load; ``block`` is the block's stamp, or None where blocks cannot conflict."""
+        stamp = self._state.stamp
+        if track.store_stamp == stamp:
+            st = tids + (stamp - self._gid0)  # global thread ids to stamped words
+            other = _other(track.writer1, track.writer2, addrs, st)
+            self._race_fail(name, other >= stamp, addrs, st, other)
+        if block is not None and track.first_store < block:  # another block of this grid stored here
+            self._race_fail(name, track.w_block1[addrs] < block, addrs, tids + (stamp - self._gid0), _STALE)
+        track.defer_read(addrs, tids, stamp, block)
 
-        track.pending_reads.append((addrs, tids))
-        if track.cross_block:
-            track.read_cross(addrs, b)
+    def _race_write(
+        self, track: _RaceTrack, addrs: np.ndarray, tids: np.ndarray, block: Optional[int], name: str
+    ) -> np.ndarray:
+        """Check a store; returns the per-lane apply mask.
 
-    def _race_write(self, track: _RaceTrack, addrs: np.ndarray, tids: np.ndarray, name: str) -> np.ndarray:
-        """Check a store instruction; returns the per-lane apply mask.
-
-        In permissive mode conflicting writes resolve in ascending global id
-        order: a lane's write lands only if no higher-id thread already wrote
-        this address in the current interval.
+        A conflict names the earliest other writer in the interval, else the
+        earliest other reader. In permissive mode a lane's write lands only if
+        no higher-id thread wrote the address in the interval, so conflicting
+        writes resolve in ascending global id order.
         """
-        track.begin_store()
-        b = self.block_linear
-        u_addr, rep, dup = _distinct(addrs, tids)
+        stamp = self._state.stamp
+        shift = stamp - self._gid0
+        st = tids + shift
+        track.begin_store(stamp, shift, block is not None)
+        u_addr, rep, nxt = _distinct(addrs, st)
+        other = _other(track.writer1, track.writer2, addrs, st)
+        other = np.where(other >= stamp, other, _other(track.reader1, track.reader2, addrs, st))
+        conflict = other >= stamp
+        if block is not None:
+            conflict |= (track.rb_block1[addrs] < block) | (track.w_block1[addrs] < block)
+        self._race_fail(name, conflict, addrs, st, other)
+        self._race_fail(name, nxt >= stamp, u_addr, rep, nxt)  # two lanes of this store to one address
 
-        r1 = track.reader1[addrs]
-        w1 = track.writer1[addrs]
-        conflict = (r1 != _NO_TID) & ((r1 != tids) | track.reader_multi[addrs])
-        conflict |= (w1 != _NO_TID) & ((w1 != tids) | track.writer_multi[addrs])
-        if track.cross_block:
-            conflict |= track.rb_block1[addrs] < b
-            conflict |= track.w_block1[addrs] < b
-        if conflict.any():
-            i = int(np.argmax(conflict))
-            other = int(w1[i]) if w1[i] != _NO_TID else int(r1[i])
-            self._race_fail(name, int(addrs[i]), int(tids[i]), other)
-        if dup.any():
-            dup_addr = u_addr[np.argmax(dup)]
-            peers = np.flatnonzero(addrs == dup_addr)
-            self._race_fail(name, int(dup_addr), int(tids[peers[0]]), int(tids[peers[1]]))
-
-        eff = track.writer_max[addrs] <= tids
-
-        cur = track.writer1[u_addr]
-        track.writer_multi[u_addr] |= dup | ((cur != _NO_TID) & (cur != rep))
-        track.writer1[u_addr] = np.where(cur == _NO_TID, rep, cur)
-        if dup.any():
-            np.maximum.at(track.writer_max, addrs, tids)
-        else:
-            track.writer_max[addrs] = np.maximum(track.writer_max[addrs], tids)
-        track.touched.append(u_addr)
-        track.interval_writes += 1
-        if track.cross_block:
-            track.w_block1[u_addr] = np.minimum(track.w_block1[u_addr], b)
-            track.first_store_block = min(track.first_store_block, b)
-            if track.undo_cross:
-                track.cross_touched.append(u_addr)
+        eff = track.writer_max[addrs] <= st
+        np.maximum.at(track.writer_max, addrs, st)
+        _note(track.writer1, track.writer2, u_addr, rep, nxt, stamp)
+        track.store_stamp = stamp
+        if block is not None:
+            track.w_block1[u_addr] = np.minimum(track.w_block1[u_addr], block)
+            track.first_store = min(track.first_store, block)
         return eff
 
     # ------------------------------------------------------------------
@@ -652,7 +632,7 @@ class KernelContext:
             )
         self._state.metrics.barriers_executed += 1
         self._counters().barriers_executed += 1
-        self._state.reset_intervals()
+        self._state.new_interval()
         if self._state.recorder is not None:
             self._state.recorder.barriers.append((self.kernel_name, self.block_linear, self.step))
         self.step += 1
@@ -717,10 +697,12 @@ class KernelContext:
             raise LaunchConfigInvalid(f"invalid child launch config: {e.args[0]}", **self._err_kw(first)) from e
         child_args = tuple(a.buffer if isinstance(a, GlobalView) else a for a in args)
         _check_owned(self._state.mem, child_args, lambda: self._err_kw(first))
+        child = self._state.child()
+        cfg = child.configs.setdefault(cfg, cfg)  # an equal config already built its lane arrays
         for _ in launchers:
             self._state.metrics.child_launches += 1
             self._counters().child_launches += 1
-            self._sim._run_grid(kernel, cfg, child_args, self._state.child(), name or kernel.__name__)
+            self._sim._run_grid(kernel, cfg, child_args, child, name or kernel.__name__)
         self.step += 1
 
 
@@ -802,7 +784,7 @@ class Simulator:
     ) -> None:
         state.begin_grid(config)
         for block_linear in range(config.blocks_per_grid):
-            state.reset_intervals()
+            state.new_interval()
             ctx = KernelContext(state, config, block_linear, kernel_name)
             bound = tuple(GlobalView(ctx, a) if isinstance(a, Buffer) else a for a in args)
             kernel(ctx, *bound)

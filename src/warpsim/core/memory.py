@@ -10,13 +10,17 @@ import numpy as np
 DEFAULT_ELEMENT_WIDTH = 4
 
 
-def value_dtype(*seqs: Sequence) -> np.dtype:
-    """int64 when every element is integral, float64 otherwise."""
-    for seq in seqs:
-        arr = np.asarray(seq)
-        if arr.size and not (np.issubdtype(arr.dtype, np.integer) or arr.dtype == np.bool_):
-            return np.dtype(np.float64)
-    return np.dtype(np.int64)
+def host_arrays(*seqs: Sequence) -> list[np.ndarray]:
+    """Each sequence as an array of one dtype: int64 when every element is integral, float64 otherwise.
+
+    A sequence is converted once, and again from the sequence only when numpy
+    infers another dtype for it.
+    """
+    arrs = [np.asarray(seq) for seq in seqs]
+    dtype = np.dtype(np.int64)
+    if any(a.size and not (np.issubdtype(a.dtype, np.integer) or a.dtype == np.bool_) for a in arrs):
+        dtype = np.dtype(np.float64)
+    return [a if a.dtype == dtype else np.asarray(seq, dtype=dtype) for a, seq in zip(arrs, seqs)]
 
 
 class Buffer:
@@ -88,23 +92,14 @@ class DeviceMemory:
         if name in self.buffers:
             raise ValueError(f"buffer {name!r} already allocated")
         if isinstance(size_or_data, (int, np.integer)):
-            dt = np.dtype(dtype) if dtype is not None else np.dtype(np.int64)
-            data = np.zeros(int(size_or_data), dtype=dt)
+            data = np.zeros(int(size_or_data), dtype=np.int64 if dtype is None else dtype)
+        elif dtype is None:
+            data = host_arrays(size_or_data)[0].copy()
         else:
-            dt = np.dtype(dtype) if dtype is not None else value_dtype(size_or_data)
-            data = np.asarray(size_or_data, dtype=dt).copy()
+            data = np.array(size_or_data, dtype=dtype)
         buf = Buffer(name, data, element_width)
         self.buffers[name] = buf
         return buf
-
-    def free(self, name: str) -> None:
-        del self.buffers[name]
-
-    def __getitem__(self, name: str) -> Buffer:
-        return self.buffers[name]
-
-    def __contains__(self, name: str) -> bool:
-        return name in self.buffers
 
     def __iter__(self) -> Iterator[Buffer]:
         return iter(self.buffers.values())

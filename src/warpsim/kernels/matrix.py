@@ -14,7 +14,7 @@ from typing import Optional, Sequence
 import numpy as np
 
 from ..core import DeviceMemory, LaunchConfig, MetricsReport, Simulator, ceil_div
-from ..core.memory import value_dtype
+from ..core.memory import host_arrays
 from ._common import ShapeMismatch
 
 TILE = 16
@@ -79,11 +79,9 @@ def matrix_add(
         raise ShapeMismatch(f"shapes differ: {a.shape} vs {b.shape}")
     sim = simulator or Simulator()
     rows, cols = a.shape
-    dtype = value_dtype(a.data, b.data)
     mem = DeviceMemory()
-    buf_a = mem.alloc("a", a.data, dtype=dtype)
-    buf_b = mem.alloc("b", b.data, dtype=dtype)
-    buf_c = mem.alloc("c", rows * cols, dtype=dtype)
+    buf_a, buf_b = (mem.alloc(name, arr) for name, arr in zip(("a", "b"), host_arrays(a.data, b.data)))
+    buf_c = mem.alloc("c", rows * cols, dtype=buf_a.dtype)
     config = LaunchConfig(
         grid_dim=(ceil_div(rows, TILE), ceil_div(cols, TILE)),
         block_dim=(TILE, TILE),
@@ -160,11 +158,9 @@ def matmul(
         raise ShapeMismatch(f"inner dimensions differ: {a.shape} x {b.shape}")
     sim = simulator or Simulator()
     m, n, p = a.rows, a.cols, b.cols
-    dtype = value_dtype(a.data, b.data)
     mem = DeviceMemory()
-    buf_a = mem.alloc("a", a.data, dtype=dtype)
-    buf_b = mem.alloc("b", b.data, dtype=dtype)
-    buf_c = mem.alloc("c", m * p, dtype=dtype)
+    buf_a, buf_b = (mem.alloc(name, arr) for name, arr in zip(("a", "b"), host_arrays(a.data, b.data)))
+    buf_c = mem.alloc("c", m * p, dtype=buf_a.dtype)
     config = LaunchConfig(
         grid_dim=(ceil_div(m, TILE), ceil_div(p, TILE)),
         block_dim=(TILE, TILE),

@@ -13,7 +13,6 @@ from __future__ import annotations
 from typing import Optional, Sequence
 
 from ..core import DeviceMemory, LaunchConfig, MetricsReport, Recorder, Simulator
-from ..core.memory import value_dtype
 from ._common import MAX_BLOCK_THREADS, NotPowerOfTwo, is_pow2
 from .trace import StepTrace, barrier_rows
 
@@ -76,13 +75,12 @@ def reduce_sum(
         return values[0], StepTrace([list(values)])
 
     sim = simulator or Simulator()
-    dtype = value_dtype(values)
     block = min(n, MAX_BLOCK_THREADS)
     blocks = n // block
 
     mem = DeviceMemory()
-    inp = mem.alloc("input", values, dtype=dtype)
-    partials = mem.alloc("partials", blocks, dtype=dtype)
+    inp = mem.alloc("input", values)
+    partials = mem.alloc("partials", blocks, dtype=inp.dtype)
     recorder = Recorder() if blocks == 1 else None
     kernel = reduce_interleaved_kernel if variant == "interleaved" else reduce_sequential_kernel
     config = LaunchConfig(blocks, block, shared_mem_bytes=block * 4)

@@ -12,8 +12,10 @@ from __future__ import annotations
 
 from typing import Optional, Sequence
 
+import numpy as np
+
 from ..core import DeviceMemory, LaunchConfig, MetricsReport, Recorder, Simulator, ceil_div
-from ..core.memory import value_dtype
+from ..core.memory import host_arrays
 from ._common import (
     MAX_BLOCK_THREADS,
     THREADS_PER_BLOCK,
@@ -77,8 +79,8 @@ def inclusive_scan_hillis_steele(
         return [], StepTrace([[]])
     sim = simulator or Simulator()
     n = next_pow2(n0)
-    dtype = value_dtype(values)
-    padded = values + [0] * (n - n0)
+    padded = np.pad(host_arrays(values)[0], (0, n - n0))
+    dtype = padded.dtype
     rows = [list(values)]
 
     mem = DeviceMemory()
@@ -172,10 +174,9 @@ def exclusive_scan_blelloch(
     if n > BLELLOCH_MAX:
         raise ValueError(f"single-block scan capacity is {BLELLOCH_MAX} elements, got {n}")
     sim = simulator or Simulator()
-    dtype = value_dtype(values)
     mem = DeviceMemory()
-    inp = mem.alloc("input", values, dtype=dtype)
-    out = mem.alloc("output", n, dtype=dtype)
+    inp = mem.alloc("input", values)
+    out = mem.alloc("output", n, dtype=inp.dtype)
     config = LaunchConfig(1, n // 2, shared_mem_bytes=n * 4)
     sim.launch(
         blelloch_block_kernel,

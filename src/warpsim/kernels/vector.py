@@ -5,7 +5,7 @@ from __future__ import annotations
 from typing import Optional, Sequence
 
 from ..core import DeviceMemory, LaunchConfig, MetricsReport, Simulator, ceil_div
-from ..core.memory import value_dtype
+from ..core.memory import host_arrays
 from ._common import THREADS_PER_BLOCK, LengthMismatch
 
 
@@ -35,11 +35,9 @@ def vector_add(
     if n == 0:
         return []
     sim = simulator or Simulator()
-    dtype = value_dtype(a, b)
     mem = DeviceMemory()
-    buf_a = mem.alloc("a", a, dtype=dtype)
-    buf_b = mem.alloc("b", b, dtype=dtype)
-    buf_c = mem.alloc("c", n, dtype=dtype)
+    buf_a, buf_b = (mem.alloc(name, arr) for name, arr in zip(("a", "b"), host_arrays(a, b)))
+    buf_c = mem.alloc("c", n, dtype=buf_a.dtype)
     config = LaunchConfig(grid_dim=ceil_div(n, threads_per_block), block_dim=threads_per_block)
     sim.launch(vector_add_kernel, config, mem, (buf_a, buf_b, buf_c, n), metrics=metrics)
     return buf_c.tolist()

@@ -82,6 +82,33 @@ def read_only_kernel(ctx, data):
     data[ctx.global_id]
 
 
+def noop_kernel(ctx):
+    pass
+
+
+def all_read_then_one_writes(writer):
+    def kernel(ctx, buf):
+        def store():
+            buf[0] = 9
+
+        buf[ctx.global_id * 0]  # every thread reads address 0
+        ctx.if_(ctx.global_id == writer, store)
+
+    return kernel
+
+
+def writer_reads_back(ctx, buf):
+    def store(value):
+        def body():
+            buf[0] = value
+
+        return body
+
+    ctx.if_(ctx.global_id == 0, store(1))
+    ctx.if_(ctx.global_id == 3, store(2))
+    ctx.if_(ctx.global_id == 0, lambda: buf[0])
+
+
 def flags_branchy_kernel(ctx, inp, out):
     i = ctx.global_id
     v = inp[i]
@@ -215,6 +242,43 @@ class TestLaunchBasics:
             launch_kernel(read_only_kernel, LaunchConfig(1, (2, 3, 200)), mem, ())
         with pytest.raises(LaunchConfigInvalid):
             LaunchConfig(1, 32, shared_mem_bytes=-1).validate()
+
+    def test_shared_array_past_shared_mem_bytes_names_the_kernel(self):
+        def kernel(ctx):
+            ctx.shared_array(4)
+            ctx.shared_array(8, element_width=8)
+
+        with pytest.raises(LaunchConfigInvalid) as exc:
+            launch_kernel(kernel, LaunchConfig(1, 4, shared_mem_bytes=64), DeviceMemory())
+        message = "shared allocation of 64 bytes exceeds shared_mem_bytes=64 (offset 16)"
+        assert exc.value.to_json() == {
+            "kind": "LaunchConfigInvalid",
+            "message": f"{message}; kernel=kernel",
+            "threads": [],
+            "buffer": None,
+            "step": None,
+            "kernel": "kernel",
+        }
+
+    def test_lane_value_of_the_wrong_shape_rejected(self):
+        def kernel(ctx, data):
+            data[ctx.global_id] = np.zeros(3)
+
+        mem = DeviceMemory()
+        data = mem.alloc("data", 4)
+        with pytest.raises(ValueError, match=r"^lane value has shape \(3,\), expected \(4,\)$"):
+            launch_kernel(kernel, LaunchConfig(1, 4), mem, (data,))
+
+    def test_unknown_race_mode_rejected(self):
+        with pytest.raises(ValueError, match="^unknown race mode 'bogus'$"):
+            launch_kernel(noop_kernel, LaunchConfig(1, 4), DeviceMemory(), (), mode="bogus")
+
+    def test_alloc_of_a_taken_name_rejected(self):
+        mem = DeviceMemory()
+        first = mem.alloc("data", [1, 2])
+        with pytest.raises(ValueError, match="^buffer 'data' already allocated$"):
+            mem.alloc("data", 3)
+        assert mem.buffers["data"] is first and first.tolist() == [1, 2]
 
     def test_foreign_buffer_rejected(self):
         mem = DeviceMemory()
@@ -476,6 +540,46 @@ class TestBarriersAndRaces:
         assert [t.global_linear_id for t in exc.value.threads] == [8]
         assert "address 0 " in str(exc.value)
 
+    @pytest.mark.parametrize(
+        "kernel, threads, strict_payload, warnings",
+        [
+            # The earliest other reader of address 0 is thread 1.
+            (all_read_then_one_writes(0), 8, [0, 1], ["threads 0 and 1, kernel k, block 0, step 2"]),
+            (all_read_then_one_writes(5), 8, [5, 0], ["threads 5 and 0, kernel k, block 0, step 2"]),
+            # Thread 0 reads back its own store, which thread 3 overwrote:
+            # the earliest other writer is thread 3.
+            (
+                writer_reads_back,
+                4,
+                [3, 0],
+                ["threads 3 and 0, kernel k, block 0, step 3", "threads 0 and 3, kernel k, block 0, step 5"],
+            ),
+        ],
+        ids=["first_reader_writes", "middle_reader_writes", "writer_reads_back"],
+    )
+    def test_race_names_the_earliest_other_thread(self, kernel, threads, strict_payload, warnings):
+        mem = DeviceMemory()
+        buf = mem.alloc("buf", 1)
+        with pytest.raises(DataRace) as exc:
+            launch_kernel(kernel, LaunchConfig(1, threads), mem, (buf,), name="k")
+        assert [t.global_linear_id for t in exc.value.threads] == strict_payload
+
+        mem = DeviceMemory()
+        buf = mem.alloc("buf", 1)
+        launch_kernel(kernel, LaunchConfig(1, threads), mem, (buf,), name="k", mode="permissive")
+        prefix = "conflicting accesses to 'buf' address 0 without an intervening barrier"
+        assert mem.race_warnings == [f"{prefix} ({w})" for w in warnings]
+
+    def test_launch_rejects_more_than_stamps_can_number(self):
+        # Neither grid runs a block: a block of 2**62 threads or a grid of
+        # 2**64 blocks would overflow the 64-bit words of the race state.
+        for sim, config in (
+            (Simulator(max_threads_per_block=1 << 62), LaunchConfig(1, 1 << 62)),
+            (Simulator(), LaunchConfig((1 << 31, 1 << 31, 4), 1)),
+        ):
+            with pytest.raises(SimError, match="than 64-bit race stamps can number"):
+                sim.launch(noop_kernel, config, DeviceMemory(), ())
+
     def test_shared_memory_fresh_per_block(self):
         mem = DeviceMemory()
         out = mem.alloc("out", 3)
@@ -700,6 +804,32 @@ class TestDeviceLaunch:
             "step": 1,
             "kernel": "parent",
         }
+
+    @pytest.mark.parametrize(
+        "depth, grid, kind", [(1, 0, "NestingLimit"), (2, 0, "LaunchConfigInvalid"), (2, 1, "SimError")]
+    )
+    def test_child_launch_checks_run_in_order(self, depth, grid, kind):
+        # Each case fails every check from its kind on: nesting, config, then the foreign buffer.
+        foreign = DeviceMemory().alloc("x", 4)
+
+        def parent(ctx):
+            ctx.launch(double_kernel, grid, 4, (foreign, 4))
+
+        with pytest.raises(SimError) as exc:
+            Simulator(max_nesting_depth=depth).launch(parent, LaunchConfig(1, 1), DeviceMemory())
+        assert exc.value.kind == kind
+
+    def test_child_grids_of_one_geometry_share_one_config(self):
+        configs = []
+
+        def child(ctx):
+            configs.append(ctx.config)
+
+        def parent(ctx):
+            ctx.launch(child, 2, 4)
+
+        launch_kernel(parent, LaunchConfig(2, 3), DeviceMemory())
+        assert len(configs) == 12 and all(c is configs[0] for c in configs)
 
     def test_foreign_buffer_in_child_launch_rejected(self):
         # A foreign buffer named like a local one shared its race track: the

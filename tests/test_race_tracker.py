@@ -1,159 +1,22 @@
-"""Differential test of the race tracker against its earlier whole-buffer design.
+"""Differential test of the race tracker against a brute-force reference machine.
 
-``WholeBufferTrack`` and the two ``whole_buffer_race_*`` functions are a copy
-of the tracker as it stood before resets went by touched address: fresh
-arrays for every grid and every block's shared memory, a reset that refills
-every array of the buffer, and cross-block reads folded into per-address
-state (first reading block plus a several-blocks flag) as they happen.
-Random small kernels run once on the engine and once with that copy patched
-in; every observable must match.
+Random small kernels run once on the engine and once on
+``reference_machine``, which interprets the same program one lane at a time
+from full access histories; memory, the strict ``SimError`` JSON and the
+permissive race warnings must match in both modes.
 """
 
-import contextlib
 from unittest import mock
 
 import numpy as np
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+import reference_machine
+from reference_machine import SHARED_LEN, lane_address
 from warpsim import DeviceMemory, LaunchConfig, MetricsReport, SimError, Simulator
 from warpsim.core import engine
 from warpsim.kernels.matrix import TILE, matmul_naive_kernel, matrix_add_kernel
-
-_NO_TID = np.int64(-1)
-
-
-class WholeBufferTrack:
-    def __init__(self, length: int, cross_block: bool):
-        self.length = length
-        self.reader1 = np.full(length, _NO_TID)
-        self.reader_multi = np.zeros(length, dtype=bool)
-        self.writer1 = np.full(length, _NO_TID)
-        self.writer_multi = np.zeros(length, dtype=bool)
-        self.writer_max = np.full(length, _NO_TID)
-        self.pending_reads = []
-        self.interval_writes = 0
-        self.dirty = False
-        self.cross_block = cross_block
-        if cross_block:
-            self.rb_block1 = np.full(length, _NO_TID)
-            self.rb_block_multi = np.zeros(length, dtype=bool)
-            self.w_block1 = np.full(length, _NO_TID)
-            self.w_block_multi = np.zeros(length, dtype=bool)
-            self.writer_blocks = set()
-
-    def reset_interval(self):
-        self.pending_reads.clear()
-        self.interval_writes = 0
-        if self.dirty:
-            self.reader1.fill(_NO_TID)
-            self.reader_multi.fill(False)
-            self.writer1.fill(_NO_TID)
-            self.writer_multi.fill(False)
-            self.writer_max.fill(_NO_TID)
-            self.dirty = False
-
-    def materialize_reads(self):
-        for addrs, tids in self.pending_reads:
-            u_addr, first_idx, counts = np.unique(addrs, return_index=True, return_counts=True)
-            rep = tids[first_idx]
-            cur = self.reader1[u_addr]
-            self.reader_multi[u_addr] |= (counts > 1) | ((cur != _NO_TID) & (cur != rep))
-            self.reader1[u_addr] = np.where(cur == _NO_TID, rep, cur)
-            self.dirty = True
-        self.pending_reads.clear()
-
-
-def whole_buffer_race_read(self, track, addrs, tids, name):
-    b = self.block_linear
-    if track.interval_writes:
-        w1 = track.writer1[addrs]
-        conflict = (w1 != _NO_TID) & ((w1 != tids) | track.writer_multi[addrs])
-        if conflict.any():
-            i = int(np.argmax(conflict))
-            self._race_fail(name, int(addrs[i]), int(tids[i]), int(w1[i]))
-    if track.cross_block and (track.writer_blocks - {b}):
-        wb = track.w_block1[addrs]
-        conflict = (wb != _NO_TID) & ((wb != b) | track.w_block_multi[addrs])
-        if conflict.any():
-            i = int(np.argmax(conflict))
-            self._race_fail(name, int(addrs[i]), int(tids[i]), -1)
-
-    track.pending_reads.append((addrs, tids))
-    if track.cross_block:
-        cur = track.rb_block1[addrs]
-        track.rb_block_multi[addrs] |= (cur != _NO_TID) & (cur != b)
-        track.rb_block1[addrs] = np.where(cur == _NO_TID, b, cur)
-
-
-def whole_buffer_race_write(self, track, addrs, tids, name):
-    track.materialize_reads()
-    b = self.block_linear
-    u_addr, first_idx, counts = np.unique(addrs, return_index=True, return_counts=True)
-    dup = counts > 1
-
-    r1 = track.reader1[addrs]
-    w1 = track.writer1[addrs]
-    conflict = (r1 != _NO_TID) & ((r1 != tids) | track.reader_multi[addrs])
-    conflict |= (w1 != _NO_TID) & ((w1 != tids) | track.writer_multi[addrs])
-    if track.cross_block:
-        rb = track.rb_block1[addrs]
-        conflict |= (rb != _NO_TID) & ((rb != b) | track.rb_block_multi[addrs])
-        wb = track.w_block1[addrs]
-        conflict |= (wb != _NO_TID) & ((wb != b) | track.w_block_multi[addrs])
-    if conflict.any():
-        i = int(np.argmax(conflict))
-        other = int(w1[i]) if w1[i] != _NO_TID else int(r1[i])
-        self._race_fail(name, int(addrs[i]), int(tids[i]), other)
-    if dup.any():
-        i = int(first_idx[np.argmax(dup)])
-        dup_addr = addrs[i]
-        peers = np.flatnonzero(addrs == dup_addr)
-        self._race_fail(name, int(dup_addr), int(tids[peers[0]]), int(tids[peers[1]]))
-
-    eff = track.writer_max[addrs] <= tids
-
-    rep = tids[first_idx]
-    cur = track.writer1[u_addr]
-    track.writer_multi[u_addr] |= dup | ((cur != _NO_TID) & (cur != rep))
-    track.writer1[u_addr] = np.where(cur == _NO_TID, rep, cur)
-    if dup.any():
-        np.maximum.at(track.writer_max, addrs, tids)
-    else:
-        track.writer_max[addrs] = np.maximum(track.writer_max[addrs], tids)
-    track.interval_writes += 1
-    track.dirty = True
-    if track.cross_block:
-        wb = track.w_block1[u_addr]
-        track.w_block_multi[u_addr] |= (wb != _NO_TID) & (wb != b)
-        track.w_block1[u_addr] = np.where(wb == _NO_TID, b, wb)
-        track.writer_blocks.add(b)
-    return eff
-
-
-class WholeBufferState(engine._LaunchState):
-    """Fresh tracks for every grid, as the earlier design allocated them."""
-
-    def begin_grid(self, config):
-        self.multi_block = config.blocks_per_grid > 1
-        self.tracks = {}
-        self.shared_track = WholeBufferTrack(config.shared_mem_bytes, cross_block=False)
-
-    def track_for(self, buf):
-        t = self.tracks.get(buf.name)
-        if t is None:
-            t = WholeBufferTrack(len(buf), cross_block=self.multi_block)
-            self.tracks[buf.name] = t
-        return t
-
-    def child(self):
-        return WholeBufferState(self.sim, self.mem, self.metrics, self.mode, self.depth + 1)
-
-
-class WholeBufferContext(engine.KernelContext):
-    _race_read = whole_buffer_race_read
-    _race_write = whole_buffer_race_write
-
 
 # ----------------------------------------------------------------------
 # random kernels
@@ -162,24 +25,12 @@ class WholeBufferContext(engine.KernelContext):
 # They cover ascending, descending, strided (colliding), broadcast and
 # arbitrary per-thread addresses.
 
-SHARED_LEN = 48
 MAX_THREADS = 64
 
 
 def addresses(pattern, ctx, length):
-    kind, k, table = pattern
-    gid, tid = ctx.global_id, ctx.thread_idx.x
-    if kind == "shift":
-        return (gid + k) % length
-    if kind == "stride":
-        return (gid * k) % length
-    if kind == "reverse":
-        return (length - 1 - gid) % length
-    if kind == "broadcast":
-        return np.full(ctx.nthreads, k % length)
-    if kind == "table":
-        return (np.asarray(table)[tid % len(table)] + k * ctx.block_linear) % length
-    return (tid + k) % length  # "local": the same addresses in every block
+    gids, tids = ctx.global_id.tolist(), ctx.thread_idx.x.tolist()
+    return np.array([lane_address(pattern, g, t, ctx.block_linear, ctx.nthreads, length) for g, t in zip(gids, tids)])
 
 
 patterns = st.tuples(
@@ -257,23 +108,18 @@ def run_program(ctx, x, y, program):
     execute(program)
 
 
-def observe(case, mode, whole_buffer):
+def observe(case, mode):
     blocks, threads, x_init, y_init, program = case
     mem = DeviceMemory()
     x = mem.alloc("x", x_init)
     y = mem.alloc("y", y_init)
     config = LaunchConfig(blocks, threads, shared_mem_bytes=SHARED_LEN * 8)
     error = None
-    with contextlib.ExitStack() as stack:
-        if whole_buffer:
-            stack.enter_context(mock.patch.object(engine, "_LaunchState", WholeBufferState))
-            stack.enter_context(mock.patch.object(engine, "KernelContext", WholeBufferContext))
-        try:
-            report = Simulator().launch(run_program, config, mem, (x, y, program), mode=mode).to_json()
-        except SimError as e:
-            report = None
-            error = (type(e).__name__, e.to_json())
-    return x.tolist(), y.tolist(), report, error, list(mem.race_warnings)
+    try:
+        Simulator().launch(run_program, config, mem, (x, y, program), mode=mode)
+    except SimError as e:
+        error = e.to_json()
+    return x.tolist(), y.tolist(), error, list(mem.race_warnings)
 
 
 def cases(programs, min_blocks=1):
@@ -288,12 +134,12 @@ def cases(programs, min_blocks=1):
 
 def assert_same_observables(case):
     for mode in ("strict", "permissive"):
-        assert observe(case, mode, whole_buffer=False) == observe(case, mode, whole_buffer=True)
+        assert observe(case, mode) == reference_machine.run(case, mode)
 
 
 @settings(max_examples=120, deadline=None)
 @given(cases(st.lists(instructions(2, True), min_size=1, max_size=10)))
-def test_tracker_matches_whole_buffer_design(case):
+def test_tracker_matches_reference_machine(case):
     assert_same_observables(case)
 
 
@@ -309,7 +155,7 @@ SHIFT0 = ("shift", 0, [0])
     ("launch", 1, 2, 8, [("gload", "x", LOCAL0)]),
     ("launch", 1, 2, 8, [("from_block", 1, [("gstore", "x", LOCAL0, 1)])]),
 ]))
-def test_sibling_child_grids_match_whole_buffer_design(case):
+def test_sibling_child_grids_match_reference_machine(case):
     assert_same_observables(case)
 
 
@@ -339,7 +185,7 @@ def reads_before_the_first_store():
 # No early fold: 8 of 96 addresses a block, and block 1 stores where block 0 read.
 @example((2, 8, [1] * 96, [2] * 96, [("gload", "x", SHIFT0),
                                      ("from_block", 1, [("gstore", "x", ("local", 0, [0]), 4)])]))
-def test_reads_before_the_first_store_match_whole_buffer_design(case):
+def test_reads_before_the_first_store_match_reference_machine(case):
     assert_same_observables(case)
 
 
