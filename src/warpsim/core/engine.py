@@ -684,7 +684,6 @@ class KernelContext:
         """
         launchers = self.global_id[self.active].tolist()
         first = launchers[:1]  # the checks below hold for every launcher or none: name the first
-        cfg = LaunchConfig(grid_dim, block_dim, shared_mem_bytes, self.config.warp_size)
         if self._state.depth + 1 >= self._sim.max_nesting_depth:
             raise NestingLimit(
                 f"child launch at depth {self._state.depth + 1} reaches the nesting limit "
@@ -692,6 +691,7 @@ class KernelContext:
                 **self._err_kw(first),
             )
         try:
+            cfg = LaunchConfig(grid_dim, block_dim, shared_mem_bytes, self.config.warp_size)
             cfg.validate(self._sim.max_threads_per_block)
         except LaunchConfigInvalid as e:
             raise LaunchConfigInvalid(f"invalid child launch config: {e.args[0]}", **self._err_kw(first)) from e

@@ -14,9 +14,19 @@ def host_arrays(*seqs: Sequence) -> list[np.ndarray]:
     """Each sequence as an array of one dtype: int64 when every element is integral, float64 otherwise.
 
     A sequence is converted once, and again from the sequence only when numpy
-    infers another dtype for it.
+    infers another dtype for it. All-integer input that int64 cannot hold
+    raises ``ValueError``.
     """
     arrs = [np.asarray(seq) for seq in seqs]
+    for a, seq in zip(arrs, seqs):
+        # numpy gives integers past int64 an unsigned, an object or (next to negatives) a float64
+        # array, the last holding a magnitude of at least 2**63; an int64 array is never walked.
+        if a.dtype.kind in "uO" or (a.dtype.kind == "f" and a.size and max(a.max(), -a.min()) >= 2.0**63):
+            values = np.asarray(seq, dtype=object).ravel()
+            if all(isinstance(v, (int, np.integer)) for v in values):
+                for v in values:
+                    if not -(2**63) <= v < 2**63:
+                        raise ValueError(f"input integer {v} does not fit int64")
     dtype = np.dtype(np.int64)
     if any(a.size and not (np.issubdtype(a.dtype, np.integer) or a.dtype == np.bool_) for a in arrs):
         dtype = np.dtype(np.float64)

@@ -12,6 +12,7 @@ from __future__ import annotations
 import json
 from collections import OrderedDict
 from dataclasses import dataclass, field
+from itertools import zip_longest
 from pathlib import Path
 from typing import Any, Iterable, Optional, Sequence, Union
 
@@ -117,24 +118,28 @@ def default_hierarchy() -> HierarchySpec:
 
 @dataclass
 class CacheModel:
-    """LRU cache over line addresses; state is the recency-ordered resident set."""
+    """LRU cache; ``state`` maps each resident key to its size, least recently used first."""
 
     capacity_lines: int
-    state: "OrderedDict[int, None]" = field(default_factory=OrderedDict)
+    state: "OrderedDict[int, int]" = field(default_factory=OrderedDict)
+    used: int = field(default=0, init=False)
 
     def __post_init__(self):
-        if self.capacity_lines < 0:
-            raise SpecInvalid("capacity_lines must be non-negative")
+        if not self.capacity_lines >= 0:  # NaN too
+            raise SpecInvalid(f"capacity must be non-negative, got {self.capacity_lines}")
+        self.used = sum(self.state.values())
 
-    def access(self, line: int) -> bool:
-        """Touch one line; returns True on hit. Evicts least-recently used."""
+    def access(self, line: int, size: int = 1) -> bool:
+        """True on a hit. A miss evicts from the LRU end until ``size`` fits, unless it exceeds the capacity."""
         if line in self.state:
             self.state.move_to_end(line)
             return True
-        if self.capacity_lines > 0:
-            if len(self.state) >= self.capacity_lines:
-                self.state.popitem(last=False)
-            self.state[line] = None
+        if size <= self.capacity_lines:
+            used = self.used + size
+            while used > self.capacity_lines:
+                used -= self.state.popitem(last=False)[1]
+            self.state[line] = size
+            self.used = used
         return False
 
 
@@ -177,22 +182,23 @@ def simulate_l3(traces: Sequence[Sequence[int]], cfg: L3Config) -> list[tuple[in
     """
     if len(traces) != cfg.cores:
         raise SpecInvalid(f"expected {cfg.cores} traces, got {len(traces)}")
-    results = [[0, 0] for _ in range(cfg.cores)]
     if cfg.policy == "static":
-        quota = cfg.total_lines // cfg.cores
-        caches = [CacheModel(quota) for _ in range(cfg.cores)]
+        access = [CacheModel(cfg.total_lines // cfg.cores).access for _ in range(cfg.cores)]
     else:
-        shared = CacheModel(cfg.total_lines)
-        caches = [shared] * cfg.cores
-    longest = max((len(t) for t in traces), default=0)
-    for step in range(longest):
-        for core, trace in enumerate(traces):
-            if step < len(trace):
-                if caches[core].access(trace[step]):
-                    results[core][0] += 1
-                else:
-                    results[core][1] += 1
-    return [(h, m) for h, m in results]
+        access = [CacheModel(cfg.total_lines).access] * cfg.cores
+    hits = [0] * cfg.cores
+    ended = object()  # fills a shorter trace's steps
+    cores = range(cfg.cores)
+    for step in zip_longest(*traces, fillvalue=ended):
+        for core in cores:
+            line = step[core]
+            if line is ended:
+                continue
+            if line < 0:
+                raise SpecInvalid(f"negative line address {line}")
+            if access[core](line):
+                hits[core] += 1
+    return [(h, len(trace) - h) for h, trace in zip(hits, traces)]
 
 
 # ----------------------------------------------------------------------
@@ -249,30 +255,6 @@ class TrainingFlowSpec:
         )
 
 
-class _ByteLru:
-    """LRU over batch ids with a byte-capacity budget."""
-
-    def __init__(self, capacity: float):
-        self.capacity = capacity
-        self.used = 0.0
-        self.entries: "OrderedDict[int, int]" = OrderedDict()
-
-    def __contains__(self, key: int) -> bool:
-        return key in self.entries
-
-    def touch(self, key: int) -> None:
-        self.entries.move_to_end(key)
-
-    def insert(self, key: int, size: int) -> None:
-        if size > self.capacity:
-            return
-        while self.used + size > self.capacity and self.entries:
-            _, evicted = self.entries.popitem(last=False)
-            self.used -= evicted
-        self.entries[key] = size
-        self.used += size
-
-
 @dataclass
 class StageCost:
     stage: str
@@ -321,8 +303,8 @@ def estimate_training_flow(spec: TrainingFlowSpec) -> FlowReport:
     """Per-epoch staging cost of streaming batches disk -> RAM -> VRAM.
 
     A batch transfer is skipped when the batch is still resident at the
-    destination (LRU residency at each capacity); the stage cost is
-    latency + bytes / bandwidth of the source level.
+    destination (an LRU of each capacity, charging a batch its bytes); the
+    stage cost is latency + bytes / bandwidth of the source level.
     """
     disk = _disk_level(spec.hierarchy)
     ram = spec.hierarchy.level("RAM")
@@ -330,29 +312,24 @@ def estimate_training_flow(spec: TrainingFlowSpec) -> FlowReport:
     sizes = [spec.batch_bytes] * n_batches
     sizes[-1] = spec.dataset_bytes - spec.batch_bytes * (n_batches - 1)
 
-    ram_set = _ByteLru(spec.ram_capacity)
-    vram_set = _ByteLru(spec.vram_capacity)
+    ram_set = CacheModel(spec.ram_capacity)
+    vram_set = CacheModel(spec.vram_capacity)
     epochs: list[EpochCost] = []
     total = 0.0
     for epoch in range(1, spec.epochs + 1):
         cost = EpochCost(epoch, 0, 0, 0.0)
         for batch, size in enumerate(sizes):
-            if batch in vram_set:
-                vram_set.touch(batch)
+            if vram_set.access(batch, size):
                 continue
-            if batch not in ram_set:
+            if not ram_set.access(batch, size):
                 t = disk.latency + size / disk.bandwidth
                 cost.stages.append(StageCost("disk_to_ram", size, t))
                 cost.disk_to_ram_bytes += size
                 cost.time += t
-                ram_set.insert(batch, size)
-            else:
-                ram_set.touch(batch)
             t = ram.latency + size / ram.bandwidth
             cost.stages.append(StageCost("ram_to_vram", size, t))
             cost.ram_to_vram_bytes += size
             cost.time += t
-            vram_set.insert(batch, size)
         total += cost.time
         epochs.append(cost)
     return FlowReport(epochs, total)

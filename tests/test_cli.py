@@ -109,6 +109,15 @@ class TestRun:
         code = main(["run", "--kernel", "reduce_sum", "--size", "16", "--block-dim", "64"])
         assert code == 2
 
+    def test_integer_past_int64_is_usage_error(self, tmp_path, capsys):
+        a = write_json(tmp_path, "a.json", [2**63, -1])
+        b = write_json(tmp_path, "b.json", [0, 0])
+        code = main(["run", "--kernel", "vector_add", "--input", f"{a},{b}"])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.out == ""
+        assert captured.err == f"error: input integer {2**63} does not fit int64\n"
+
     def test_bad_json_input_diagnoses_location(self, tmp_path, capsys):
         bad = tmp_path / "bad.json"
         bad.write_text("[1, 2,")

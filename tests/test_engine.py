@@ -786,6 +786,13 @@ class TestDeviceLaunch:
         [
             (Simulator(max_nesting_depth=1), 1, "NestingLimit", "child launch at depth 1 reaches the nesting limit of 1"),
             (Simulator(), 0, "LaunchConfigInvalid", "invalid child launch config: grid_dim=(0, 1, 1) has a component < 1"),
+            (
+                Simulator(),
+                (1, 1, 1, 1),
+                "LaunchConfigInvalid",
+                "invalid child launch config: dimension has 4 components, expected at most 3",
+            ),
+            (Simulator(max_nesting_depth=1), (1, 1, 1, 1), "NestingLimit", "child launch at depth 1 reaches the nesting limit of 1"),
         ],
     )
     def test_child_launch_check_names_the_first_launcher(self, sim, grid, kind, message):

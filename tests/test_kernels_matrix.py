@@ -147,3 +147,15 @@ class TestVectorAdd:
         a = [0.5, 1.25, -2.75]
         b = [1.5, 2.0, 0.25]
         assert vector_add(a, b) == [2.0, 3.25, -2.5]
+
+    @pytest.mark.parametrize("a", [[2**63], [2**63, -1], [-(2**63) - 1, 0], [2**70, True]])
+    def test_integers_past_int64_rejected(self, a):
+        # numpy reads these as uint64, float64 (rounded) and object arrays.
+        big = next(v for v in a if not -(2**63) <= v < 2**63)
+        with pytest.raises(ValueError, match=f"^input integer {big} does not fit int64$"):
+            vector_add(a, [0] * len(a))
+
+    def test_int64_extremes_and_huge_floats_keep_their_rules(self):
+        assert vector_add([2**63 - 1, -(2**63)], [0, 0]) == [2**63 - 1, -(2**63)]
+        assert vector_add([2**63, 0.5], [0, 0]) == [2.0**63, 0.5]
+        assert vector_add([2**70, 0.5], [0, 0]) == [2.0**70, 0.5]

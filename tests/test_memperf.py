@@ -34,6 +34,27 @@ def lru_oracle(trace, capacity):
     return hits, misses
 
 
+def shared_lru_oracle(traces, capacity):
+    """One plain-list LRU fed the traces round-robin, one step of each live trace at a time."""
+    resident, hits, misses = [], [0] * len(traces), [0] * len(traces)
+    for step in range(max(len(t) for t in traces)):
+        for core, trace in enumerate(traces):
+            if step >= len(trace):
+                continue
+            line = trace[step]
+            if line in resident:
+                hits[core] += 1
+                resident.remove(line)
+            else:
+                misses[core] += 1
+                if capacity == 0:
+                    continue
+                if len(resident) >= capacity:
+                    resident.pop(0)
+            resident.append(line)
+    return list(zip(hits, misses))
+
+
 class TestLruCache:
     def test_working_set_fits_only_cold_misses(self):
         trace = list(range(8)) * 10
@@ -124,6 +145,22 @@ class TestL3Policies:
         assert dy[0] == (9, 1)
         assert dy[1] == (10, 0)
 
+    def test_unequal_traces_match_list_oracles(self):
+        rng = np.random.default_rng(56)
+        for _ in range(150):
+            cores = int(rng.integers(1, 5))
+            total = int(rng.integers(0, 20))
+            traces = [rng.integers(0, 24, size=int(rng.integers(0, 60))).tolist() for _ in range(cores)]
+            dynamic = simulate_l3(traces, L3Config(total_lines=total, cores=cores, policy="dynamic"))
+            assert dynamic == shared_lru_oracle(traces, total)
+            static = simulate_l3(traces, L3Config(total_lines=total, cores=cores, policy="static"))
+            assert static == [lru_oracle(trace, total // cores) for trace in traces]
+
+    @pytest.mark.parametrize("policy", ["static", "dynamic"])
+    def test_negative_address_rejected(self, policy):
+        with pytest.raises(SpecInvalid, match="^negative line address -1$"):
+            simulate_l3([[3, -1]], L3Config(total_lines=4, cores=1, policy=policy))
+
     def test_config_validation(self):
         with pytest.raises(SpecInvalid):
             L3Config(total_lines=8, cores=0, policy="static")
@@ -151,7 +188,78 @@ def flow_spec(dataset, batch, epochs, vram, ram):
     )
 
 
+def flow_oracle(spec):
+    """The stager as two plain lists of (batch, size), least recent first, in FlowReport JSON."""
+    disk, ram = spec.hierarchy.level("SSD"), spec.hierarchy.level("RAM")
+    sizes, left = [], spec.dataset_bytes
+    while left > 0:
+        sizes.append(min(spec.batch_bytes, left))
+        left -= sizes[-1]
+    vram_list, ram_list = [], []
+
+    def hit(resident, batch):
+        for entry in resident:
+            if entry[0] == batch:
+                resident.remove(entry)
+                resident.append(entry)
+                return True
+        return False
+
+    def stage(resident, capacity, batch, size):
+        if size > capacity:
+            return
+        while sum(s for _, s in resident) + size > capacity:
+            resident.pop(0)
+        resident.append((batch, size))
+
+    epochs, total = [], 0.0
+    for epoch in range(1, spec.epochs + 1):
+        stages = []
+        for batch, size in enumerate(sizes):
+            if hit(vram_list, batch):
+                continue
+            if not hit(ram_list, batch):
+                stages.append({"stage": "disk_to_ram", "bytes": size, "time": disk.latency + size / disk.bandwidth})
+                stage(ram_list, spec.ram_capacity, batch, size)
+            stages.append({"stage": "ram_to_vram", "bytes": size, "time": ram.latency + size / ram.bandwidth})
+            stage(vram_list, spec.vram_capacity, batch, size)
+        time = 0.0
+        for s in stages:
+            time += s["time"]
+        total += time
+        epochs.append(
+            {
+                "epoch": epoch,
+                "disk_to_ram_bytes": sum(s["bytes"] for s in stages if s["stage"] == "disk_to_ram"),
+                "ram_to_vram_bytes": sum(s["bytes"] for s in stages if s["stage"] == "ram_to_vram"),
+                "time": time,
+                "stages": stages,
+            }
+        )
+    return {"epochs": epochs, "total_time": total}
+
+
 class TestTrainingFlow:
+    def test_random_specs_match_list_oracle(self):
+        rng = np.random.default_rng(57)
+        seen = set()
+        for _ in range(300):
+            batch = int(rng.integers(1, 40))
+            dataset = int(rng.integers(1, 12 * batch))
+            vram = int(rng.integers(batch, 6 * batch))
+            ram = int(rng.integers(0, batch)) if rng.random() < 0.25 else int(rng.integers(batch, 10 * batch))
+            epochs = int(rng.integers(1, 5))
+            seen |= {
+                ("partial last batch", dataset % batch != 0),
+                ("RAM below one batch", ram < batch),
+                ("RAM below VRAM", ram < vram),
+                ("epochs", epochs),
+            }
+            spec = flow_spec(dataset, batch, epochs, vram, ram)
+            assert estimate_training_flow(spec).to_json() == flow_oracle(spec)
+        assert {("partial last batch", True), ("RAM below one batch", True), ("RAM below VRAM", True)} <= seen
+        assert {("epochs", n) for n in (1, 2, 3, 4)} <= seen
+
     def test_fits_in_vram_epoch2_free(self):
         report = estimate_training_flow(flow_spec(400, 100, 3, vram=500, ram=500))
         first, second = report.epochs[0], report.epochs[1]
@@ -208,6 +316,11 @@ class TestTrainingFlow:
     def test_batch_must_fit_vram(self):
         with pytest.raises(SpecInvalid):
             flow_spec(1000, 600, 1, vram=500, ram=800)
+
+    @pytest.mark.parametrize("vram, ram", [(50, -1), (50, float("nan")), (float("nan"), 50)])
+    def test_negative_or_nan_capacity_rejected(self, vram, ram):
+        with pytest.raises(SpecInvalid, match="^capacity must be non-negative, got"):
+            estimate_training_flow(flow_spec(100, 10, 1, vram=vram, ram=ram))
 
     def test_last_partial_batch_counted_once(self):
         report = estimate_training_flow(flow_spec(250, 100, 1, vram=1000, ram=1000))
