@@ -10,6 +10,7 @@ from .engine import (
     SharedView,
     Simulator,
     barrier_sync,
+    block_batchable,
     device_launch,
     launch_kernel,
     structured_if,
@@ -48,6 +49,7 @@ __all__ = [
     "ThreadCoord",
     "bank_conflict_degree",
     "barrier_sync",
+    "block_batchable",
     "ceil_div",
     "coalesce_count",
     "device_launch",

@@ -93,13 +93,30 @@ class LaunchConfig:
         return ThreadCoord(self.block_coords(block_linear), self.thread_coords(thread_linear), gid, warp_id, lane)
 
     @cached_property
-    def lanes(self) -> tuple[np.ndarray, ...]:
-        """(linear, tx, ty, tz, warp, lane, all-true mask) of a block, shared read-only by every block."""
-        linear = np.arange(self.threads_per_block, dtype=np.int64)
-        warp, lane = divmod(linear, self.warp_size)
-        lanes = (linear, *self.thread_coords(linear), warp, lane, np.ones(linear.size, dtype=bool))
-        for a in lanes:
-            a.flags.writeable = False
+    def _lanes_by_count(self) -> dict:
+        return {}
+
+    def lanes(self, blocks: int = 1) -> tuple:
+        """Lane arrays of ``blocks`` consecutive blocks run as one group, read-only and cached per count.
+
+        (linear, tx, ty, tz, warp, lane, group warp id, all-true mask, block
+        offset): ``linear`` numbers the group's lanes, the thread coordinates,
+        warp and lane repeat per block, a group warp id is ``block offset *
+        warps per block + warp``, and the block offset is 0 for a single block.
+        """
+        lanes = self._lanes_by_count.get(blocks)
+        if lanes is None:
+            T = self.threads_per_block
+            linear = np.arange(T * blocks, dtype=np.int64)
+            offset, tid = divmod(linear, T)
+            warp, lane = divmod(tid, self.warp_size)
+            warp_ids = offset * ceil_div(T, self.warp_size) + warp
+            lanes = (linear, *self.thread_coords(tid), warp, lane, warp_ids, np.ones(linear.size, dtype=bool), offset)
+            for a in lanes:
+                a.flags.writeable = False
+            if blocks == 1:  # block coordinates stay plain ints, as a kernel may branch on them
+                lanes = (*lanes[:-1], 0)
+            self._lanes_by_count[blocks] = lanes
         return lanes
 
 

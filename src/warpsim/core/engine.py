@@ -8,6 +8,11 @@ by all currently active lanes at once. Warps of a block therefore advance
 round-robin one structured step at a time, in ascending warp order, which is
 the fixed reference schedule; blocks run in ascending linear block id.
 
+A kernel marked ``@block_batchable`` runs consecutive blocks as one group:
+one context whose lanes are the blocks' threads side by side. Its results,
+counters and errors equal a run block by block, which is how a group that
+raises anything is replayed (README, "Batched blocks").
+
 Control flow that should be visible to the machine must go through
 ``ctx.if_``: it masks lanes, serializes both paths, and records divergence.
 Plain Python branches on uniform values are allowed; per-lane data-dependent
@@ -17,8 +22,6 @@ branching has no direct expression, which is what keeps execution lockstep.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from itertools import groupby
-from operator import itemgetter
 from typing import Any, Callable, NamedTuple, Optional, Sequence, Union
 
 import numpy as np
@@ -47,6 +50,20 @@ LaneValue = Union[int, float, np.ndarray]
 _STALE = np.int64(-1)  # below every interval stamp: "no thread"
 _STAMP_MAX = int(np.iinfo(np.int64).max)
 _COST_MEMO_KEY_BYTES = 4 << 20  # a cost memo whose keys would pass this starts over
+_GROUP_LANES = 4096  # lanes of one group of a batchable kernel's blocks
+
+
+def block_batchable(kernel: Callable) -> Callable:
+    """Mark ``kernel`` as safe to run many blocks per call; see README, "Batched blocks"."""
+    kernel.block_batchable = True
+    return kernel
+
+
+class _RunAlone(BaseException):
+    """Raised in a group by a primitive that needs its block alone; the engine replays the group.
+
+    Not an ``Exception``, so that a kernel's own handler does not swallow it.
+    """
 
 
 class _Idx3(NamedTuple):
@@ -60,7 +77,7 @@ class _RaceTrack:
 
     Per address, interval state keeps the first writer, the first writer
     distinct from it, the same pair for readers and the highest writer, each
-    as a word ``stamp + block-local thread id``. Each block start and barrier
+    as a word ``stamp + group-local thread id``. Each group start and barrier
     raises ``_LaunchState.stamp`` past every earlier word, so a word below it
     means "no thread". Cross-block state keeps the grid's first reading and
     first writing block as block stamps: blocks run in ascending order, so
@@ -69,55 +86,86 @@ class _RaceTrack:
     so ``np.minimum`` takes a stale one for "no block yet". Nothing is reset.
 
     Reads wait until a store to the space needs them: interval reads for a
-    store in the interval, cross-block reads for the grid's first store or
-    until they outnumber the buffer's elements. Arrays are allocated on first
-    use, so a buffer that is only read never has the writer-side ones.
+    store in the interval, cross-block reads for the grid's first store. In a
+    multi-block grid they also stop waiting before they would outnumber the
+    buffer's elements. A waiting cross-block read keeps its group's first
+    block stamp and its lane mask, from which each lane's block follows.
+    Arrays are allocated on first use, so a buffer that is only read never
+    has the writer-side ones.
     """
 
     def __init__(self, length: int):
         self.length = length
         self.pending_reads: list[tuple[np.ndarray, np.ndarray]] = []  # (addresses, global thread ids)
+        self.pending_count = 0  # addresses on pending_reads
         self.pending_stamp = self.store_stamp = 0  # the intervals of the pending reads and of the last store
-        self.cross_reads: list[tuple[np.ndarray, int]] = []  # (addresses, block stamp) not yet folded
+        self.cross_reads: list[tuple] = []  # (addresses, first block stamp, lane mask, block size) not yet folded
         self.cross_read_count = 0  # addresses on cross_reads
-        self.first_store = 0  # block stamp of the grid's first store; 0 is stale
-        self.writer1 = self.rb_block1 = self.w_block1 = None  # arrays, from the first store or fold
+        self.first_store = 0  # at most the block stamp of the grid's first store; 0 is stale
+        self.reader1 = self.writer1 = self.rb_block1 = self.w_block1 = None  # arrays, from the first fold or store
 
-    def defer_read(self, addrs: np.ndarray, tids: np.ndarray, stamp: int, block: Optional[int]) -> None:
-        """Buffer a read of this interval and, given a ``block`` stamp, of the grid."""
+    def defer_read(self, addrs: np.ndarray, tids: np.ndarray, stamp: int, shift: int,
+                   block: Optional[int], mask: np.ndarray, width: int) -> None:
+        """Buffer a read of this interval and, given a ``block`` stamp, of the grid (see ``_lane_blocks``).
+
+        In a multi-block grid, where a group's interval spans its blocks, the
+        waiting reads are folded before they would outnumber the elements.
+        """
         if self.pending_stamp != stamp:
-            self.pending_reads, self.pending_stamp = [], stamp
-        self.pending_reads.append((addrs, tids))
+            self.pending_reads, self.pending_count, self.pending_stamp = [], 0, stamp
         if block is not None:
-            self.cross_reads.append((addrs, block))
+            if self.pending_count + addrs.size > self.length:
+                self.note_reads(stamp, shift)
+            if self.cross_read_count + addrs.size > self.length:
+                self.fold_cross_reads()
+            self.cross_reads.append((addrs, block, mask, width))
             self.cross_read_count += addrs.size
             if self.first_store <= block or self.cross_read_count > self.length:
                 self.fold_cross_reads()
+        self.pending_reads.append((addrs, tids))
+        self.pending_count += addrs.size
 
     def fold_cross_reads(self) -> None:
-        """Fold the deferred cross-block reads into the first-reader array, one block's run at a time."""
+        """Fold the deferred cross-block reads into the first-reader array."""
         if self.rb_block1 is None:
             self.rb_block1 = np.zeros(self.length, dtype=np.int64)
-        for b, run in groupby(self.cross_reads, key=itemgetter(1)):
-            addrs = np.concatenate([a for a, _ in run])
-            self.rb_block1[addrs] = np.minimum(self.rb_block1[addrs], b)
+        for addrs, block, mask, width in self.cross_reads:
+            np.minimum.at(self.rb_block1, addrs, _lane_blocks(block, mask, width))
         self.cross_reads.clear()
         self.cross_read_count = 0
 
-    def begin_store(self, stamp: int, shift: int, cross_block: bool) -> None:
-        """Allocate the writer-side arrays if needed, then fold in pending reads (``shift`` stamps their ids)."""
-        if self.writer1 is None:
-            self.reader1, self.reader2, self.writer1, self.writer2, self.writer_max = (
-                np.zeros(self.length, dtype=np.int64) for _ in range(5)
-            )
-        if cross_block:
-            if self.w_block1 is None:
-                self.w_block1 = np.zeros(self.length, dtype=np.int64)
-            self.fold_cross_reads()
+    def note_reads(self, stamp: int, shift: int) -> None:
+        """Note the pending reads of interval ``stamp`` in the reader arrays (``shift`` stamps their ids)."""
+        if self.reader1 is None:
+            self.reader1, self.reader2 = np.zeros(self.length, dtype=np.int64), np.zeros(self.length, dtype=np.int64)
         if self.pending_stamp == stamp:
             for addrs, tids in self.pending_reads:
                 _note(self.reader1, self.reader2, *_distinct(addrs, tids + shift), stamp)
         self.pending_reads.clear()
+        self.pending_count = 0
+
+    def begin_store(self, stamp: int, shift: int, cross_block: bool) -> None:
+        """Allocate the writer-side arrays if needed, then fold in pending reads."""
+        if self.writer1 is None:
+            self.writer1, self.writer2, self.writer_max = (np.zeros(self.length, dtype=np.int64) for _ in range(3))
+        if cross_block:
+            if self.w_block1 is None:
+                self.w_block1 = np.zeros(self.length, dtype=np.int64)
+            self.fold_cross_reads()
+        self.note_reads(stamp, shift)
+
+
+def _lane_blocks(block: int, mask: np.ndarray, width: int) -> Any:
+    """Block stamps of the active lanes of a group of ``width``-thread blocks whose first is stamped ``block``.
+
+    A single block's lanes all share its stamp, returned as one scalar.
+    """
+    return block if mask.size == width else block + np.flatnonzero(mask) // width
+
+
+def _key_type(bound: int) -> type:
+    """The narrowest signed integer type holding every integer of magnitude below ``bound``."""
+    return np.int16 if bound <= 1 << 15 else np.int32 if bound <= 1 << 31 else np.int64
 
 
 def _distinct(addrs: np.ndarray, st: np.ndarray) -> tuple[np.ndarray, np.ndarray, Any]:
@@ -182,9 +230,13 @@ class Recorder:
 class _CostMemo(dict):
     """Cost by access pattern for one launch tree; why the key is exact is in README.
 
-    A key is the space, on a partial mask the warp ids, and the lane byte
-    addresses less the first active lane's rounded down to the space's period,
-    the arrays as bytes. ``key_bytes`` counts the array bytes of all keys.
+    A key is the space, the integer type of its arrays, the block size, on a
+    partial mask the warp ids, and the lane byte addresses less the first
+    active lane's rounded down to the space's period, the arrays as bytes.
+    The block size fixes where a group's warps restart. The type is the
+    narrowest that holds the buffer's byte length and the warp count, which
+    bound both arrays. ``key_bytes`` counts 8 bytes per array element of all
+    keys, whatever their type.
     """
 
     key_bytes = 0
@@ -210,22 +262,59 @@ class _LaunchState:
         self.recorder = recorder
         self.cost_memo = _CostMemo() if cost_memo is None else cost_memo  # one per launch tree
         self.multi_block = True  # refined per grid before blocks run
-        # A word of the current interval is stamp + a block-local thread id,
+        # A word of the current interval is stamp + a group-local thread id,
         # below stamp + stride; a word of the current grid is grid_stamp + a
         # block id, below every earlier grid's.
         self.stamp = self.stride = self.grid_stamp = 0
         self.tracks: dict[str, _RaceTrack] = {}
         self.shared_track: Optional[_RaceTrack] = None
         self.configs: dict[LaunchConfig, LaunchConfig] = {}  # one per child geometry, with its lane arrays
+        self.undo: Optional[list] = None  # (array, indices, old values) per store of a running group
         self._child: Optional[_LaunchState] = None
 
-    def begin_grid(self, config: LaunchConfig) -> None:
+    def group_blocks(self, kernel: Callable, config: LaunchConfig) -> int:
+        """How many consecutive blocks of ``config`` one call of ``kernel`` runs.
+
+        Only a marked kernel batches, and only in strict mode without a
+        recorder: a permissive warning and a recorded access name one block.
+        """
+        if self.mode != "strict" or self.recorder is not None or not getattr(kernel, "block_batchable", False):
+            return 1
+        return max(1, min(_GROUP_LANES // config.threads_per_block, config.blocks_per_grid))
+
+    def begin_grid(self, config: LaunchConfig, group_blocks: int) -> None:
         """Take new block stamps for ``config``; the tracks of earlier grids at this depth stay."""
         self.multi_block = config.blocks_per_grid > 1
-        self.stride = max(self.stride, config.threads_per_block)
+        self.stride = max(self.stride, group_blocks * config.threads_per_block)
         self.grid_stamp -= config.blocks_per_grid
         if self.shared_track is None or self.shared_track.length != config.shared_mem_bytes:
             self.shared_track = _RaceTrack(config.shared_mem_bytes)
+
+    def run_group(self, kernel: Callable, config: LaunchConfig, args: tuple, kernel_name: str,
+                  first: int, blocks: int) -> None:
+        """One call of ``kernel`` over ``blocks`` consecutive blocks from ``first`` on, in one interval."""
+        self.new_interval()
+        ctx = KernelContext(self, config, first, kernel_name, blocks)
+        kernel(ctx, *(GlobalView(ctx, a) if isinstance(a, Buffer) else a for a in args))
+
+    def speculate(self, *group) -> bool:
+        """``run_group(*group)``, undoing its stores and counts if it raises anything; True if it ran through.
+
+        Its race words need no undoing: interval words go stale with the next
+        interval, and a block's cross-block words are ones its replay writes
+        too, up to a load at which the replay stops the launch (README).
+        """
+        saved, self.undo = self.metrics.to_json(), []
+        try:
+            self.run_group(*group)
+            return True
+        except (Exception, _RunAlone):
+            for data, idx, old in reversed(self.undo):
+                data[idx] = old
+            self.metrics.restore(saved)
+            return False
+        finally:
+            self.undo = None
 
     def new_interval(self) -> None:
         """Start a barrier interval: every word stamped before is stale from here on."""
@@ -309,7 +398,15 @@ class SharedView:
 
 
 class KernelContext:
-    """Per-block execution context handed to kernel functions."""
+    """Execution context handed to kernel functions: one block, or a group of consecutive blocks.
+
+    In a group the lanes of ``blocks`` blocks sit side by side, block by
+    block: ``nthreads`` and ``warp_count`` count the group's lanes and warps,
+    ``thread_idx``, ``warp`` and ``lane`` repeat per block, and
+    ``block_linear``, ``block_idx``, ``global_id`` and ``gx``/``gy``/``gz``
+    hold each lane's own value. A single block keeps plain ints for its
+    block coordinates.
+    """
 
     def __init__(
         self,
@@ -317,25 +414,28 @@ class KernelContext:
         config: LaunchConfig,
         block_linear: int,
         kernel_name: str,
+        blocks: int = 1,
     ):
         self._state = state
         self._sim = state.sim
         self._kernel_counters: Optional[KernelCounters] = None  # resolved on the first count
         self.config = config
         self.kernel_name = kernel_name
-        self.block_linear = block_linear
 
-        linear, tx, ty, tz, self.warp, self.lane, all_active = config.lanes
-        T = config.threads_per_block
-        self.nthreads = T
-        self.warp_count = ceil_div(T, config.warp_size)
+        linear, tx, ty, tz, self.warp, self.lane, self._warp_ids, all_active, offset = config.lanes(blocks)
+        self._block_size = T = config.threads_per_block
+        self.nthreads = linear.size
+        self.warp_count = ceil_div(T, config.warp_size) * blocks
+        self._blocks = blocks
 
-        self.block_idx = _Idx3(*config.block_coords(block_linear))
+        self.block_linear = block_linear + offset
+        self.block_idx = _Idx3(*config.block_coords(self.block_linear))
         self.block_dim = _Idx3(*config.block_dim)
         self.grid_dim = _Idx3(*config.grid_dim)
         self.thread_idx = _Idx3(tx, ty, tz)
         self._gid0 = block_linear * T
-        # Global buffers of a multi-block grid also check conflicts between blocks.
+        # Global buffers of a multi-block grid also check conflicts between
+        # blocks; this is the stamp of the first block (see _lane_blocks).
         self._block_stamp = state.grid_stamp + block_linear if state.multi_block else None
         self.global_id = self._gid0 + linear
         self.gx = self.block_idx.x * self.block_dim.x + tx
@@ -344,8 +444,8 @@ class KernelContext:
         for a in (self.global_id, self.gx, self.gy, self.gz):
             a.flags.writeable = False  # the engine's thread ids, which a kernel must not edit in place
 
-        # (mask, active lane count) per open branch; the block is all active at first.
-        self._mask_stack: list[tuple[np.ndarray, int]] = [(all_active, T)]
+        # (mask, active lane count) per open branch; the group is all active at first.
+        self._mask_stack: list[tuple[np.ndarray, int]] = [(all_active, self.nthreads)]
         self._shared_offset = 0
         self.step = 0
 
@@ -365,6 +465,11 @@ class KernelContext:
         if arr.shape != (self.nthreads,):
             raise ValueError(f"lane value has shape {arr.shape}, expected ({self.nthreads},)")
         return arr
+
+    def _alone(self) -> None:
+        """A primitive that needs its block alone: in a group, stop it so that its blocks run one by one."""
+        if self._blocks > 1:
+            raise _RunAlone
 
     def _counters(self) -> KernelCounters:
         """This kernel's entry in the launch's per-kernel counters."""
@@ -388,6 +493,7 @@ class KernelContext:
 
         Contents are zero at block start and never visible to other blocks.
         """
+        self._alone()
         nbytes = int(length) * element_width
         if self._shared_offset + nbytes > self.config.shared_mem_bytes:
             raise LaunchConfigInvalid(
@@ -423,9 +529,9 @@ class KernelContext:
         full = n_active == self.nthreads
         ei = self._lanes(idx, np.int64)
         if full:
-            tids, warp_ids = self.global_id, self.warp
+            tids, warp_ids = self.global_id, self._warp_ids
         else:
-            ei, tids, warp_ids = ei[act], self.global_id[act], self.warp[act]
+            ei, tids, warp_ids = ei[act], self.global_id[act], self._warp_ids[act]
         if ei.view(np.uint64).max() >= data.size:  # a negative index views as 2**63 or more
             first = int(np.argmax((ei < 0) | (ei >= data.size)))
             noun = "buffer" if view.space == "global" else "shared array"
@@ -440,15 +546,17 @@ class KernelContext:
         sim, state = self._sim, self._state
         is_global = view.space == "global"
         period = sim.segment_bytes if is_global else sim.bank_width_bytes
-        norm = byte_addrs - int(byte_addrs[0]) // period * period
-        key = (view.space, norm.tobytes()) if full else (view.space, warp_ids.tobytes(), norm.tobytes())
+        dt = _key_type(max(data.size * view.element_width + view.byte_offset, self.warp_count))
+        norm = (byte_addrs - int(byte_addrs[0]) // period * period).astype(dt)
+        warps = b"" if full else warp_ids.astype(dt).tobytes()
+        key = (view.space, dt, self._block_size, warps, norm.tobytes())
         cost = state.cost_memo.get(key)
         if cost is None:
             if is_global:
                 cost = _warp_segment_total(warp_ids, byte_addrs, sim.segment_bytes)
             else:
                 cost = _warp_bank_extra_cycles(warp_ids, byte_addrs, sim.bank_count, sim.bank_width_bytes)
-            state.cost_memo.add(key, cost, norm.nbytes if full else 2 * norm.nbytes)
+            state.cost_memo.add(key, cost, 8 * norm.size if full else 16 * norm.size)
         counters = self._counters()
         if is_global:
             state.metrics.global_transactions += cost
@@ -462,7 +570,7 @@ class KernelContext:
 
         result: Optional[np.ndarray] = None
         if value is None:
-            self._race_read(track, addrs, tids, block, view.name)
+            self._race_read(track, addrs, tids, act, block, view.name)
             if full:
                 result = data[ei]
             else:
@@ -473,8 +581,11 @@ class KernelContext:
             if not full:
                 vals = vals[act]
             vals = vals.astype(data.dtype, copy=False)
-            eff = self._race_write(track, addrs, tids, block, view.name)
-            data[ei[eff]] = vals[eff]
+            eff = self._race_write(track, addrs, tids, act, block, view.name)
+            dst = ei[eff]
+            if state.undo is not None:
+                state.undo.append((data, dst, data[dst]))
+            data[dst] = vals[eff]
         if state.recorder is not None:
             state.recorder.accesses.append(
                 AccessRecord(
@@ -518,20 +629,22 @@ class KernelContext:
         )
 
     def _race_read(
-        self, track: _RaceTrack, addrs: np.ndarray, tids: np.ndarray, block: Optional[int], name: str
+        self, track: _RaceTrack, addrs: np.ndarray, tids: np.ndarray, act: np.ndarray, block: Optional[int], name: str
     ) -> None:
-        """Check a load; ``block`` is the block's stamp, or None where blocks cannot conflict."""
+        """Check a load; ``block`` is the first block's stamp, or None where blocks cannot conflict."""
         stamp = self._state.stamp
+        shift = stamp - self._gid0  # global thread ids to stamped words
         if track.store_stamp == stamp:
-            st = tids + (stamp - self._gid0)  # global thread ids to stamped words
+            st = tids + shift
             other = _other(track.writer1, track.writer2, addrs, st)
             self._race_fail(name, other >= stamp, addrs, st, other)
-        if block is not None and track.first_store < block:  # another block of this grid stored here
-            self._race_fail(name, track.w_block1[addrs] < block, addrs, tids + (stamp - self._gid0), _STALE)
-        track.defer_read(addrs, tids, stamp, block)
+        if block is not None and track.first_store < block + self._blocks - 1:  # another block may have stored here
+            blocks = _lane_blocks(block, act, self._block_size)
+            self._race_fail(name, track.w_block1[addrs] < blocks, addrs, tids + shift, _STALE)
+        track.defer_read(addrs, tids, stamp, shift, block, act, self._block_size)
 
     def _race_write(
-        self, track: _RaceTrack, addrs: np.ndarray, tids: np.ndarray, block: Optional[int], name: str
+        self, track: _RaceTrack, addrs: np.ndarray, tids: np.ndarray, act: np.ndarray, block: Optional[int], name: str
     ) -> np.ndarray:
         """Check a store; returns the per-lane apply mask.
 
@@ -549,7 +662,8 @@ class KernelContext:
         other = np.where(other >= stamp, other, _other(track.reader1, track.reader2, addrs, st))
         conflict = other >= stamp
         if block is not None:
-            conflict |= (track.rb_block1[addrs] < block) | (track.w_block1[addrs] < block)
+            blocks = _lane_blocks(block, act, self._block_size)
+            conflict |= (track.rb_block1[addrs] < blocks) | (track.w_block1[addrs] < blocks)
         self._race_fail(name, conflict, addrs, st, other)
         self._race_fail(name, nxt >= stamp, u_addr, rep, nxt)  # two lanes of this store to one address
 
@@ -558,7 +672,7 @@ class KernelContext:
         _note(track.writer1, track.writer2, u_addr, rep, nxt, stamp)
         track.store_stamp = stamp
         if block is not None:
-            track.w_block1[u_addr] = np.minimum(track.w_block1[u_addr], block)
+            np.minimum.at(track.w_block1, addrs, blocks)
             track.first_store = min(track.first_store, block)
         return eff
 
@@ -583,8 +697,8 @@ class KernelContext:
         f_mask = act & ~pred
 
         W = self.warp_count
-        t_cnt = np.bincount(self.warp[t_mask], minlength=W)
-        f_cnt = np.bincount(self.warp[f_mask], minlength=W)
+        t_cnt = np.bincount(self._warp_ids[t_mask], minlength=W)
+        f_cnt = np.bincount(self._warp_ids[f_mask], minlength=W)
         diverged = int(((t_cnt > 0) & (f_cnt > 0)).sum())
         if diverged:
             self._state.metrics.divergence_events += diverged
@@ -622,6 +736,7 @@ class KernelContext:
         by a divergent branch can never arrive, which is the deadlock this
         error models.
         """
+        self._alone()
         act, n_active = self._mask_stack[-1]
         if n_active != self.nthreads:
             missing = int(np.argmin(act))
@@ -682,6 +797,7 @@ class KernelContext:
         Each child grid runs to completion before the launching thread's next
         step; its metrics fold into the current report.
         """
+        self._alone()
         launchers = self.global_id[self.active].tolist()
         first = launchers[:1]  # the checks below hold for every launcher or none: name the first
         if self._state.depth + 1 >= self._sim.max_nesting_depth:
@@ -756,7 +872,9 @@ class Simulator:
         launch) or "permissive" (they are logged on ``mem.race_warnings`` and
         writes resolve in ascending global thread id order). A ``recorder``
         collects the accesses, branches and barriers of the grid and its
-        child grids; attaching one changes no result, counter or error.
+        child grids; attaching one changes no result, counter or error. A
+        kernel marked ``block_batchable`` may run several blocks per call,
+        with the same results, counters and errors (README).
         """
         if mode not in ("strict", "permissive"):
             raise ValueError(f"unknown race mode {mode!r}")
@@ -782,12 +900,14 @@ class Simulator:
         state: _LaunchState,
         kernel_name: str,
     ) -> None:
-        state.begin_grid(config)
-        for block_linear in range(config.blocks_per_grid):
-            state.new_interval()
-            ctx = KernelContext(state, config, block_linear, kernel_name)
-            bound = tuple(GlobalView(ctx, a) if isinstance(a, Buffer) else a for a in args)
-            kernel(ctx, *bound)
+        blocks = config.blocks_per_grid
+        width = state.group_blocks(kernel, config)
+        state.begin_grid(config, width)
+        for first in range(0, blocks, width):
+            n = min(width, blocks - first)
+            if n == 1 or not state.speculate(kernel, config, args, kernel_name, first, n):
+                for block_linear in range(first, first + n):
+                    state.run_group(kernel, config, args, kernel_name, block_linear, 1)
 
 
 def launch_kernel(

@@ -20,6 +20,10 @@ class KernelCounters:
     def to_json(self) -> dict[str, Any]:
         return {f.name: getattr(self, f.name) for f in fields(KernelCounters)}
 
+    def _assign(self, counts: dict[str, Any]) -> None:
+        for f in fields(KernelCounters):
+            setattr(self, f.name, counts[f.name])
+
 
 @dataclass
 class MetricsReport(KernelCounters):
@@ -45,3 +49,13 @@ class MetricsReport(KernelCounters):
 
     def to_json(self) -> dict[str, Any]:
         return {**super().to_json(), "per_kernel": {k: v.to_json() for k, v in sorted(self.per_kernel.items())}}
+
+    def restore(self, saved: dict[str, Any]) -> None:
+        """Put back the counts of an earlier ``to_json()`` in place; entries created since are dropped."""
+        self._assign(saved)
+        kept = saved["per_kernel"]
+        for kernel in list(self.per_kernel):
+            if kernel in kept:
+                self.per_kernel[kernel]._assign(kept[kernel])
+            else:
+                del self.per_kernel[kernel]

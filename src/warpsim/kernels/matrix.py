@@ -13,7 +13,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from ..core import DeviceMemory, LaunchConfig, MetricsReport, Simulator, ceil_div
+from ..core import DeviceMemory, LaunchConfig, MetricsReport, Simulator, block_batchable, ceil_div
 from ..core.memory import host_arrays
 from ._common import ShapeMismatch
 
@@ -56,6 +56,7 @@ class Matrix:
         return (self.rows, self.cols)
 
 
+@block_batchable
 def matrix_add_kernel(ctx, a, b, c, rows, cols):
     i = ctx.gx
     j = ctx.gy
@@ -90,6 +91,7 @@ def matrix_add(
     return Matrix(rows, cols, buf_c.tolist())
 
 
+@block_batchable
 def matmul_naive_kernel(ctx, a, b, c, m, n, p):
     i = ctx.gx
     j = ctx.gy

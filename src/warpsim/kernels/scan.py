@@ -14,7 +14,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from ..core import DeviceMemory, LaunchConfig, MetricsReport, Recorder, Simulator, ceil_div
+from ..core import DeviceMemory, LaunchConfig, MetricsReport, Recorder, Simulator, block_batchable, ceil_div
 from ..core.memory import host_arrays
 from ._common import (
     MAX_BLOCK_THREADS,
@@ -39,6 +39,7 @@ def _distance_step(ctx, i, src, dst, distance):
     ctx.if_(i >= distance, shifted, passthrough)
 
 
+@block_batchable
 def scan_step_kernel(ctx, src, dst, distance):
     """One distance-d pass over the full array with ping-pong buffers."""
     _distance_step(ctx, ctx.gx, src, dst, distance)

@@ -4,11 +4,12 @@ from __future__ import annotations
 
 from typing import Optional, Sequence
 
-from ..core import DeviceMemory, LaunchConfig, MetricsReport, Simulator, ceil_div
+from ..core import DeviceMemory, LaunchConfig, MetricsReport, Simulator, block_batchable, ceil_div
 from ..core.memory import host_arrays
 from ._common import THREADS_PER_BLOCK, LengthMismatch
 
 
+@block_batchable
 def vector_add_kernel(ctx, a, b, c, n):
     i = ctx.gx
 

@@ -10,6 +10,8 @@ fastest-to-slowest ordering.
 from __future__ import annotations
 
 import json
+import math
+import numbers
 from collections import OrderedDict
 from dataclasses import dataclass, field
 from itertools import zip_longest
@@ -214,6 +216,9 @@ class TrainingFlowSpec:
     ram_capacity: Optional[float] = None
 
     def __post_init__(self):
+        self.dataset_bytes, self.batch_bytes, self.epochs = (
+            _whole(name, getattr(self, name)) for name in ("dataset_bytes", "batch_bytes", "epochs")
+        )
         if self.dataset_bytes <= 0 or self.batch_bytes <= 0:
             raise SpecInvalid("dataset_bytes and batch_bytes must be positive")
         if self.epochs < 1:
@@ -222,6 +227,8 @@ class TrainingFlowSpec:
             self.vram_capacity = self.hierarchy.level("VRAM").capacity
         if self.ram_capacity is None:
             self.ram_capacity = self.hierarchy.level("RAM").capacity
+        for name in ("vram_capacity", "ram_capacity"):
+            _capacity(name, getattr(self, name))
         if self.batch_bytes > self.vram_capacity:
             raise SpecInvalid(
                 f"batch_bytes={self.batch_bytes} exceeds vram_capacity={self.vram_capacity}; "
@@ -246,13 +253,32 @@ class TrainingFlowSpec:
             else default_hierarchy()
         )
         return cls(
-            dataset_bytes=int(data["dataset_bytes"]),
-            batch_bytes=int(data["batch_bytes"]),
-            epochs=int(data["epochs"]),
+            dataset_bytes=data["dataset_bytes"],
+            batch_bytes=data["batch_bytes"],
+            epochs=data["epochs"],
             hierarchy=hierarchy,
             vram_capacity=data.get("vram_capacity"),
             ram_capacity=data.get("ram_capacity"),
         )
+
+
+def _is_number(value: Any) -> bool:
+    return isinstance(value, numbers.Real) and not isinstance(value, bool)
+
+
+def _whole(name: str, value: Any) -> int:
+    """``value`` as an int, if it is a number without a fractional part."""
+    if not _is_number(value) or not (isinstance(value, numbers.Integral) or float(value).is_integer()):
+        raise SpecInvalid(f"{name} must be a whole number, got {value!r}")
+    return int(value)
+
+
+def _capacity(name: str, value: Any) -> None:
+    """A capacity is a finite number of bytes, at least 0 (a RAM may hold no batch)."""
+    if not _is_number(value) or math.isinf(value):
+        raise SpecInvalid(f"{name} must be a finite number of bytes, got {value!r}")
+    if not value >= 0:  # NaN too
+        raise SpecInvalid(f"capacity must be non-negative, got {value} for {name}")
 
 
 @dataclass

@@ -1,9 +1,9 @@
-"""A brute-force reference machine for memory contents and race verdicts.
+"""A brute-force reference machine for memory contents, race verdicts and counters.
 
 It runs the random programs of ``test_race_tracker.py`` one lane at a time
 in plain Python, with no numpy and no engine code, and gives what the engine
-must give: the two global buffers, the strict ``SimError`` JSON and the
-permissive race warnings. Counters are not modelled.
+must give: the two global buffers, the strict ``SimError`` JSON, the
+permissive race warnings and the ``MetricsReport`` JSON.
 
 A program is a list of instructions, each a tuple:
 
@@ -16,10 +16,21 @@ A program is a list of instructions, each a tuple:
   blocks ``b`` and up) and ``("if", m, c, then, else)`` (lanes whose global id
   modulo ``m`` is below ``c`` run ``then``, the others ``else``).
 - ``("launch", n, grid, block, program)`` launches one child grid per active
-  thread whose global id is below ``n``.
+  thread whose global id is below ``n``, under a branch on that condition.
 
 The register starts as the thread's global id. Every memory instruction, branch,
-barrier and launch is one step of the block.
+barrier and launch is one step of the block; a store's "register plus k" is
+one thread step per active lane, counted before the store.
+
+Counters are counted warp by warp over the active lanes, as the engine
+counts them before it checks races: a global access costs the distinct
+128-byte segments each warp touches (4-byte elements), a shared access the
+largest number of distinct addresses a warp maps to one of 32 4-byte banks,
+less one (lanes on one address are a broadcast), and an ``if`` one divergence
+event per warp whose active lanes disagree. Each barrier and each child grid
+counts one. Every count also goes to the kernel's entry, which exists from
+its first memory instruction, thread step, barrier, child launch or
+diverging branch on.
 
 Races come from full histories. Within a block, each address keeps every
 (thread, kind) access since the last barrier; across blocks, each global
@@ -40,6 +51,18 @@ SHARED_WIDTH = 4  # bytes per shared element; shared race addresses are byte off
 SHARED_NAME = "shared@0"
 KERNEL = "run_program"
 WARP_SIZE = 32
+GLOBAL_WIDTH = 4  # bytes per global element
+SEGMENT_BYTES = 128
+BANKS = 32
+BANK_WIDTH = 4  # bytes
+COUNTERS = (
+    "global_transactions",
+    "divergence_events",
+    "bank_conflict_extra_cycles",
+    "barriers_executed",
+    "thread_steps",
+    "child_launches",
+)
 
 
 def lane_address(pattern, gid, tid, block, nthreads, length):
@@ -67,7 +90,7 @@ class Abort(Exception):
 
 
 def run(case, mode):
-    """(x, y, error JSON or None, race warnings) of one case in ``mode``."""
+    """(x, y, error JSON or None, race warnings, metrics JSON) of one case in ``mode``."""
     blocks, threads, x, y, program = case
     machine = Machine({"x": list(x), "y": list(y)}, mode)
     error = None
@@ -75,7 +98,7 @@ def run(case, mode):
         machine.grid(blocks, threads, program)
     except Abort as e:
         error = e.json
-    return machine.memory["x"], machine.memory["y"], error, machine.warnings
+    return machine.memory["x"], machine.memory["y"], error, machine.warnings, machine.metrics()
 
 
 class Machine:
@@ -83,6 +106,15 @@ class Machine:
         self.memory = memory
         self.mode = mode
         self.warnings = []
+        self.counts = dict.fromkeys(COUNTERS, 0)
+        self.counted = False  # whether the kernel has its per-kernel entry yet
+
+    def count(self, counter, n):
+        self.counts[counter] += n
+        self.counted = True
+
+    def metrics(self):
+        return {**self.counts, "per_kernel": {KERNEL: dict(self.counts)} if self.counted else {}}
 
     def grid(self, blocks, threads, program):
         cross = {}  # (buffer, address) -> {(block, kind)} for the whole grid
@@ -163,6 +195,7 @@ class Block:
                         [self.gid(missing)],
                         None,
                     )
+                self.machine.count("barriers_executed", 1)
                 self.history = {}
                 self.step += 1
             elif op == "from_block":
@@ -172,19 +205,28 @@ class Block:
                 _, modulus, cut, then_body, else_body = ins
                 self.step += 1
                 taken = [t for t in active if self.gid(t) % modulus < cut]
+                rest = [t for t in active if self.gid(t) % modulus >= cut]
+                self.diverge(taken, rest)
                 if taken:
                     self.execute(then_body, taken)
-                rest = [t for t in active if self.gid(t) % modulus >= cut]
                 if rest:
                     self.execute(else_body, rest)
             else:
                 _, launchers, grid, block, program = ins
                 self.step += 1
                 taken = [t for t in active if self.gid(t) < launchers]
+                self.diverge(taken, [t for t in active if self.gid(t) >= launchers])
                 if taken:
                     for _ in taken:
+                        self.machine.count("child_launches", 1)
                         self.machine.grid(grid, block, program)
                     self.step += 1
+
+    def diverge(self, taken, rest):
+        """Count the warps split by a branch (the interpreter puts each launch under one too)."""
+        diverged = len({t // WARP_SIZE for t in taken} & {t // WARP_SIZE for t in rest})
+        if diverged:
+            self.machine.count("divergence_events", diverged)
 
     def access(self, name, data, unit, pattern, active, k):
         """One load (``k is None``) or store of the active lanes.
@@ -194,11 +236,18 @@ class Block:
         buffers keep a history across blocks; each block has its own shared
         memory.
         """
+        if k is not None:
+            self.machine.count("thread_steps", len(active))
         lanes = [
             (t, self.gid(t), i, i * unit)
             for t in active
             for i in [lane_address(pattern, self.gid(t), t, self.b, self.threads, len(data))]
         ]
+        if unit == 1:
+            self.machine.count("global_transactions", len({(t // WARP_SIZE, i * GLOBAL_WIDTH // SEGMENT_BYTES)
+                                                           for t, _, i, _ in lanes}))
+        else:
+            self.machine.count("bank_conflict_extra_cycles", self.bank_extra_cycles(lanes))
         kind = "r" if k is None else "w"
         self.check(name, lanes, kind)
         if k is None:
@@ -213,6 +262,21 @@ class Block:
             if unit == 1:
                 self.cross.setdefault((name, addr), set()).add((self.b, kind))
         self.step += 1
+
+    @staticmethod
+    def bank_extra_cycles(lanes):
+        """Sum over warps of the most distinct byte addresses on one bank, less one."""
+        addresses = {}  # warp -> distinct byte addresses
+        for t, _, _, addr in lanes:
+            addresses.setdefault(t // WARP_SIZE, set()).add(addr)
+        extra = 0
+        for distinct in addresses.values():
+            per_bank = {}
+            for addr in distinct:
+                bank = addr // BANK_WIDTH % BANKS
+                per_bank[bank] = per_bank.get(bank, 0) + 1
+            extra += max(per_bank.values()) - 1
+        return extra
 
     def earliest_other(self, name, addr, g, kind):
         """The first other thread to access ``addr`` as ``kind`` in the interval, or None."""

@@ -1,0 +1,261 @@
+"""Batched blocks: a marked kernel runs consecutive blocks as one group and
+must give exactly what the same kernel gives block by block.
+
+Random global-only programs of the reference-machine IR run through the
+marked interpreter kernel, the same kernel unmarked and the reference
+machine; memory, ``MetricsReport`` JSON, ``SimError`` JSON and race warnings
+must be equal. Hand cases pin a race inside one group, primitives that need
+their block alone, cost-memo keys that a group shares with a single block,
+and that batching is on at all.
+"""
+
+import functools
+
+import numpy as np
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
+
+import reference_machine
+from test_race_tracker import observe, patterns, run_program
+from warpsim import DeviceMemory, LaunchConfig, MetricsReport, Recorder, SimError, Simulator
+from warpsim.core import block_batchable
+from warpsim.kernels.vector import vector_add_kernel
+
+
+@block_batchable
+@functools.wraps(run_program)
+def batched_program(ctx, x, y, program):
+    run_program(ctx, x, y, program)
+
+
+def global_instructions(max_depth):
+    leaf = st.one_of(
+        st.tuples(st.just("gload"), st.sampled_from(["x", "y"]), patterns),
+        st.tuples(st.just("gstore"), st.sampled_from(["x", "y"]), patterns, st.integers(0, 9)),
+    )
+    if max_depth == 0:
+        return leaf
+    body = st.lists(global_instructions(max_depth - 1), max_size=4)
+    return st.one_of(leaf, st.tuples(st.just("if"), st.integers(1, 8), st.integers(0, 7), body, body))
+
+
+def buffer(length):
+    return [(7 * i) % 101 - 50 for i in range(length)]
+
+
+# Up to 8 blocks of up to 256 threads: one group. Buffers from 1 element to
+# more than the grid's threads, so that blocks of a group sometimes share
+# addresses and sometimes do not.
+global_cases = st.tuples(
+    st.integers(1, 8),
+    st.integers(32, 256),
+    st.integers(1, 2100).map(buffer),
+    st.integers(1, 2100).map(buffer),
+    st.lists(global_instructions(2), min_size=1, max_size=8),
+)
+
+SHIFT = ("shift", 0, [0])
+
+
+@settings(max_examples=80, deadline=None)
+@given(global_cases)
+# Conflict-free: the group runs through.
+@example((8, 256, buffer(2048), buffer(2048), [("gload", "x", SHIFT), ("gstore", "y", SHIFT, 1)]))
+# Blocks 0 and 1 of the group store one address: replayed.
+@example((4, 32, buffer(40), buffer(40), [("gstore", "x", ("table", 1, [3]), 0)]))
+# A partial mask across blocks, then a cross-block read of stored values.
+@example((3, 64, buffer(200), buffer(200), [("if", 7, 3, [("gstore", "x", SHIFT, 2)], []), ("gload", "x", ("shift", 64, [0]))]))
+# Two groups of four 1024-thread blocks; block b reads block b + 4's cells.
+# The first group runs through; block 4's store meets block 0's read.
+@example((8, 1024, buffer(8192), buffer(8192), [("gstore", "x", SHIFT, 1), ("gload", "x", ("shift", 4096, [0]))]))
+@example((8, 1024, buffer(8192), buffer(8192), [("gload", "x", ("shift", 4096, [0])), ("gstore", "x", SHIFT, 1)]))
+@example((8, 1024, buffer(8192), buffer(8192), [("gload", "x", ("shift", 4096, [0])), ("gstore", "y", SHIFT, 1)]))
+def test_batched_matches_sequential_and_reference_machine(case):
+    for mode in ("strict", "permissive"):
+        want = observe(case, mode)
+        assert observe(case, mode, batched_program) == want
+        assert reference_machine.run(case, mode) == want
+
+
+# ----------------------------------------------------------------------
+# hand cases
+
+
+def run(kernel, blocks, threads, buffers, mode="strict", recorder=None):
+    """(buffers after the launch, MetricsReport JSON, SimError JSON or None, warnings)."""
+    mem = DeviceMemory()
+    bufs = [mem.alloc(name, list(values)) for name, values in buffers.items()]
+    metrics, error = MetricsReport(), None
+    try:
+        config = LaunchConfig(blocks, threads, shared_mem_bytes=4 * threads)
+        Simulator().launch(kernel, config, mem, bufs, mode=mode, metrics=metrics, recorder=recorder)
+    except SimError as e:
+        error = e.to_json()
+    return [b.tolist() for b in bufs], metrics.to_json(), error, list(mem.race_warnings)
+
+
+def assert_same_as_unmarked(kernel, *args, **kwargs):
+    got = run(kernel, *args, **kwargs)
+    assert got == run(spy(kernel, marked=False)[0], *args, **kwargs)
+    return got
+
+
+@block_batchable
+def clash_kernel(ctx, x, y):
+    """Every block marks its cells of y; blocks 0 and 3 then store x[thread], then mark again."""
+    y[ctx.global_id] = ctx.add(ctx.global_id, 1)
+    ctx.if_((ctx.block_idx.x == 0) | (ctx.block_idx.x == 3), lambda: x.__setitem__(ctx.thread_idx.x, 7))
+    y[ctx.global_id] = ctx.add(ctx.global_id, 100)
+
+
+def test_race_between_blocks_of_one_group_gives_the_sequential_payload():
+    threads, blocks = 32, 6
+    (x, y), metrics, error, _ = assert_same_as_unmarked(
+        clash_kernel, blocks, threads, {"x": [0] * threads, "y": [-1] * (threads * blocks)}
+    )
+    assert error["kind"] == "DataRace"
+    assert [t["block_idx"] for t in error["threads"]] == [[3, 0, 0]]  # another block: no second thread
+    assert error["threads"][0]["thread_idx"] == [0, 0, 0]
+    assert x == [7] * threads  # block 0's store
+    gid = list(range(threads * blocks))
+    assert y[: 3 * threads] == [g + 100 for g in gid[: 3 * threads]]  # blocks 0-2 ran through
+    assert y[3 * threads : 4 * threads] == [g + 1 for g in gid[3 * threads : 4 * threads]]  # block 3 stopped
+    assert y[4 * threads :] == [-1] * (2 * threads)  # blocks 4 and 5 never ran
+    assert metrics["global_transactions"] == 3 * 2 + 1 + 1 + 1  # the race counts before it is checked
+
+
+@block_batchable
+def barrier_kernel(ctx, x, y):
+    y[ctx.global_id] = ctx.add(x[ctx.global_id], 1)
+    ctx.barrier()
+    x[ctx.global_id] = y[ctx.global_id ^ 1]  # a neighbour in the same block
+
+
+@block_batchable
+def shared_kernel(ctx, x, y):
+    s = ctx.shared_array(ctx.block_dim.x)
+    s[ctx.thread_idx.x] = x[ctx.global_id]
+    y[ctx.global_id] = s[ctx.thread_idx.x]
+
+
+@block_batchable
+def launch_kernel(ctx, x, y):
+    ctx.if_(ctx.thread_idx.x == 0, lambda: ctx.launch(child_kernel, 1, 4, (x, y)))
+
+
+def child_kernel(ctx, x, y):
+    y[ctx.global_id] = ctx.add(x[ctx.global_id], 5)
+
+
+@block_batchable
+def python_branch_kernel(ctx, x, y):
+    if ctx.block_idx.x >= 2:  # breaks the mark's promise
+        y[ctx.global_id] = ctx.add(x[ctx.global_id], 1)
+    else:
+        y[ctx.global_id] = x[ctx.global_id]
+
+
+def test_marked_kernels_that_need_their_block_alone_match_the_unmarked_run():
+    threads, blocks = 64, 4
+    bufs = {"x": list(range(threads * blocks)), "y": [0] * (threads * blocks)}
+    x = bufs["x"]
+    want_y = {
+        barrier_kernel: [v + 1 for v in x],
+        shared_kernel: x,
+        launch_kernel: [v + 5 for v in x[:4]] + [0] * (threads * blocks - 4),
+        python_branch_kernel: [v + (g >= 2 * threads) for g, v in enumerate(x)],
+    }
+    for kernel, want in want_y.items():
+        (_, y), _, error, _ = assert_same_as_unmarked(kernel, blocks, threads, bufs)
+        assert error is None and y == want
+
+
+@block_batchable
+def load_kernel(ctx, buf):
+    buf[ctx.global_id]
+
+
+def padded_parent_kernel(ctx, buf):
+    """One 80-thread block loads what a group of two 40-thread child blocks loads: the same addresses, other warps."""
+    buf[ctx.global_id]
+    ctx.if_(ctx.thread_idx.x == 0, lambda: ctx.launch(load_kernel, 2, 40, (buf,)))
+
+
+def test_a_group_of_padded_blocks_does_not_share_cost_with_a_block_of_as_many_lanes():
+    per_kernel = run(padded_parent_kernel, 1, 80, {"buf": [0] * 80})[1]["per_kernel"]
+    assert per_kernel["padded_parent_kernel"]["global_transactions"] == 3  # warps of 32, 32 and 16 lanes
+    assert per_kernel["load_kernel"]["global_transactions"] == 2 + 3  # per block, warps of 32 and 8 lanes
+
+
+@block_batchable
+def pair_kernel(ctx, buf):
+    buf[ctx.global_id // 2]  # lanes 2i and 2i + 1 load element i
+
+
+def wide_parent_kernel(ctx, small, large):
+    """8 loads whose 4-byte key (4i + 65536 * 4i) equals, byte for byte, the 2-byte key of 16 child loads."""
+    large[ctx.global_id * 65537]
+    ctx.if_(ctx.global_id == 0, lambda: ctx.launch(pair_kernel, 2, 8, (small,)))
+
+
+def test_memo_keys_of_one_pattern_in_two_integer_types_stay_apart():
+    mem = DeviceMemory()
+    small, large = mem.alloc("small", 8), mem.alloc("large", 1 << 19)
+    report = Simulator().launch(wide_parent_kernel, LaunchConfig(1, 8), mem, (small, large))
+    assert report.per_kernel["wide_parent_kernel"].global_transactions == 8  # a segment per lane
+    assert report.per_kernel["pair_kernel"].global_transactions == 2  # a segment per block
+
+
+# ----------------------------------------------------------------------
+# batching is on: kernel calls, not wall time
+
+
+def spy(kernel, marked=True):
+    """``kernel`` wrapped to record the lane count of each call, keeping or dropping its mark."""
+    calls = []
+
+    def counted(ctx, *args):
+        calls.append(ctx.nthreads)
+        kernel(ctx, *args)
+
+    counted.__name__ = kernel.__name__
+    return (block_batchable(counted) if marked else counted), calls
+
+
+def vector_add_calls(marked=True, mode="strict", recorder=None):
+    n, threads = 64 * 256, 256
+    kernel, calls = spy(vector_add_kernel, marked)
+    mem = DeviceMemory()
+    a, b, c = mem.alloc("a", list(range(n))), mem.alloc("b", [1] * n), mem.alloc("c", n)
+    Simulator().launch(kernel, LaunchConfig(n // threads, threads), mem, (a, b, c, n), mode=mode, recorder=recorder)
+    assert c.tolist() == list(range(1, n + 1))
+    return calls
+
+
+def test_vector_add_runs_four_groups_of_sixteen_blocks():
+    assert vector_add_calls() == [4096] * 4
+
+
+def test_permissive_recorded_and_unmarked_launches_run_block_by_block():
+    assert vector_add_calls(mode="permissive") == [256] * 64
+    assert vector_add_calls(recorder=Recorder()) == [256] * 64
+    assert vector_add_calls(marked=False) == [256] * 64
+
+
+def test_a_group_that_raises_is_replayed_block_by_block():
+    kernel, calls = spy(barrier_kernel)
+    run(kernel, 4, 64, {"x": list(range(256)), "y": [0] * 256})
+    assert calls == [256, 64, 64, 64, 64]
+
+
+def test_group_lanes_repeat_per_block_and_number_warps_across_the_group():
+    lanes = LaunchConfig(3, (8, 2)).lanes(3)
+    linear, tx, ty, _, warp, lane, warp_ids, active, offset = lanes
+    assert linear.tolist() == list(range(48))
+    assert tx.tolist() == [i % 8 for i in range(16)] * 3 and ty.tolist() == [i // 8 for i in range(16)] * 3
+    assert offset.tolist() == [i // 16 for i in range(48)]
+    cfg = LaunchConfig(3, 40)
+    *_, warp, lane, warp_ids, active, offset = cfg.lanes(3)
+    assert warp_ids.tolist() == [2 * (i // 40) + (i % 40) // 32 for i in range(120)]
+    assert cfg.lanes(3) is cfg.lanes(3) and cfg.lanes(1)[-1] == 0
+    assert not np.asarray(warp_ids).flags.writeable

@@ -72,6 +72,14 @@ class TestRun:
         assert payload["kernel"] == "matmul"
         assert payload["metrics"]["global_transactions"] > 0
 
+    @pytest.mark.parametrize("argv", [["run", "--kernel", "vector_add"], ["run", "--kernel", "vector_add", "--size", "8"]])
+    def test_python_dash_m_warpsim_is_the_cli(self, argv, capsys):
+        code = main(argv)
+        captured = capsys.readouterr()
+        env = {**os.environ, "PYTHONPATH": str(Path(warpsim.__file__).resolve().parents[1])}
+        child = subprocess.run([sys.executable, "-m", "warpsim", *argv], capture_output=True, text=True, env=env)
+        assert (child.returncode, child.stdout, child.stderr) == (code, captured.out, captured.err)
+
     def test_matrix_inputs_from_files(self, tmp_path, capsys):
         a = write_json(tmp_path, "a.json", [[1, 2], [3, 4]])
         b = write_json(tmp_path, "b.json", [[5, 6], [7, 8]])
@@ -315,6 +323,17 @@ class TestMemflow:
         code = main(["memflow", path])
         assert code == 2
         assert capsys.readouterr().err.startswith("error: ")
+
+    @pytest.mark.parametrize("field, value, message", [
+        ("ram_capacity", "big", "ram_capacity must be a finite number of bytes, got 'big'"),
+        ("vram_capacity", "big", "vram_capacity must be a finite number of bytes, got 'big'"),
+        ("epochs", 2.9, "epochs must be a whole number, got 2.9"),
+    ])
+    def test_bad_spec_field_is_usage_error(self, tmp_path, capsys, field, value, message):
+        path = write_json(tmp_path, "spec.json", {"dataset_bytes": 4096, "batch_bytes": 1024, "epochs": 2, field: value})
+        code = main(["memflow", path])
+        captured = capsys.readouterr()
+        assert (code, captured.out, captured.err) == (2, "", f"error: {message}\n")
 
     def test_hierarchy_level_names_the_missing_keys(self, tmp_path, capsys):
         path = write_json(

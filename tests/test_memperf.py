@@ -322,6 +322,29 @@ class TestTrainingFlow:
         with pytest.raises(SpecInvalid, match="^capacity must be non-negative, got"):
             estimate_training_flow(flow_spec(100, 10, 1, vram=vram, ram=ram))
 
+    @pytest.mark.parametrize("field, value, message", [
+        ("ram_capacity", "big", "ram_capacity must be a finite number of bytes, got 'big'"),
+        ("vram_capacity", "big", "vram_capacity must be a finite number of bytes, got 'big'"),
+        ("ram_capacity", True, "ram_capacity must be a finite number of bytes, got True"),
+        ("vram_capacity", float("inf"), "vram_capacity must be a finite number of bytes, got inf"),
+        ("ram_capacity", -1, "capacity must be non-negative, got -1 for ram_capacity"),
+        ("epochs", 2.9, "epochs must be a whole number, got 2.9"),
+        ("epochs", True, "epochs must be a whole number, got True"),
+        ("dataset_bytes", "4096", "dataset_bytes must be a whole number, got '4096'"),
+        ("batch_bytes", None, "batch_bytes must be a whole number, got None"),
+    ])
+    def test_spec_fields_must_be_numbers(self, field, value, message):
+        spec = {"dataset_bytes": 4096, "batch_bytes": 1024, "epochs": 2, field: value}
+        with pytest.raises(SpecInvalid) as caught:
+            TrainingFlowSpec.from_json(spec)
+        assert str(caught.value) == message
+
+    def test_whole_float_sizes_run_as_ints(self):
+        spec = TrainingFlowSpec.from_json({"dataset_bytes": 4096.0, "batch_bytes": 1024, "epochs": 2.0})
+        assert (spec.dataset_bytes, spec.epochs) == (4096, 2) and type(spec.epochs) is int
+        want = TrainingFlowSpec.from_json({"dataset_bytes": 4096, "batch_bytes": 1024, "epochs": 2})
+        assert estimate_training_flow(spec).to_json() == estimate_training_flow(want).to_json()
+
     def test_last_partial_batch_counted_once(self):
         report = estimate_training_flow(flow_spec(250, 100, 1, vram=1000, ram=1000))
         assert report.epochs[0].disk_to_ram_bytes == 250

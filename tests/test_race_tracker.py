@@ -2,8 +2,9 @@
 
 Random small kernels run once on the engine and once on
 ``reference_machine``, which interprets the same program one lane at a time
-from full access histories; memory, the strict ``SimError`` JSON and the
-permissive race warnings must match in both modes.
+from full access histories; memory, the strict ``SimError`` JSON, the
+permissive race warnings and the ``MetricsReport`` JSON must match in both
+modes.
 """
 
 from unittest import mock
@@ -29,8 +30,10 @@ MAX_THREADS = 64
 
 
 def addresses(pattern, ctx, length):
+    """Each lane's index; ``ctx.block_linear`` holds one block or, for a group of blocks, one per lane."""
     gids, tids = ctx.global_id.tolist(), ctx.thread_idx.x.tolist()
-    return np.array([lane_address(pattern, g, t, ctx.block_linear, ctx.nthreads, length) for g, t in zip(gids, tids)])
+    blocks = np.broadcast_to(ctx.block_linear, ctx.global_id.shape).tolist()
+    return np.array([lane_address(pattern, g, t, b, ctx.block_dim.x, length) for g, t, b in zip(gids, tids, blocks)])
 
 
 patterns = st.tuples(
@@ -70,8 +73,13 @@ def launches(min_launchers):
 
 def run_program(ctx, x, y, program):
     bufs = {"x": x, "y": y}
-    sh = ctx.shared_array(SHARED_LEN)
+    shared = []  # allocated on first use, so that a program without shared accesses allocates none
     reg = [ctx.global_id]
+
+    def sh():
+        if not shared:
+            shared.append(ctx.shared_array(SHARED_LEN))
+        return shared[0]
 
     def execute(instrs):
         for ins in instrs:
@@ -81,9 +89,9 @@ def run_program(ctx, x, y, program):
             elif op == "gstore":
                 bufs[ins[1]][addresses(ins[2], ctx, len(bufs[ins[1]].buffer))] = ctx.add(reg[0], ins[3])
             elif op == "sload":
-                reg[0] = sh[addresses(ins[1], ctx, SHARED_LEN)]
+                reg[0] = sh()[addresses(ins[1], ctx, SHARED_LEN)]
             elif op == "sstore":
-                sh[addresses(ins[1], ctx, SHARED_LEN)] = ctx.add(reg[0], ins[2])
+                sh()[addresses(ins[1], ctx, SHARED_LEN)] = ctx.add(reg[0], ins[2])
             elif op == "barrier":
                 ctx.barrier()
             elif op == "from_block":  # a uniform branch: only blocks from ins[1] on
@@ -108,18 +116,19 @@ def run_program(ctx, x, y, program):
     execute(program)
 
 
-def observe(case, mode):
+def observe(case, mode, kernel=run_program):
+    """What ``reference_machine.run`` gives, from the engine running ``kernel``."""
     blocks, threads, x_init, y_init, program = case
     mem = DeviceMemory()
     x = mem.alloc("x", x_init)
     y = mem.alloc("y", y_init)
     config = LaunchConfig(blocks, threads, shared_mem_bytes=SHARED_LEN * 8)
-    error = None
+    metrics, error = MetricsReport(), None
     try:
-        Simulator().launch(run_program, config, mem, (x, y, program), mode=mode)
+        Simulator().launch(kernel, config, mem, (x, y, program), mode=mode, metrics=metrics)
     except SimError as e:
         error = e.to_json()
-    return x.tolist(), y.tolist(), error, list(mem.race_warnings)
+    return x.tolist(), y.tolist(), error, list(mem.race_warnings), metrics.to_json()
 
 
 def cases(programs, min_blocks=1):
