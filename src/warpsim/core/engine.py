@@ -60,7 +60,7 @@ def block_batchable(kernel: Callable) -> Callable:
 
 
 class _RunAlone(BaseException):
-    """Raised in a group by a primitive that needs its block alone; the engine replays the group.
+    """Raised by ``ctx.launch`` in a group; the engine replays the group block by block.
 
     Not an ``Exception``, so that a kernel's own handler does not swallow it.
     """
@@ -77,9 +77,11 @@ class _RaceTrack:
 
     Per address, interval state keeps the first writer, the first writer
     distinct from it, the same pair for readers and the highest writer, each
-    as a word ``stamp + group-local thread id``. Each group start and barrier
-    raises ``_LaunchState.stamp`` past every earlier word, so a word below it
-    means "no thread". Cross-block state keeps the grid's first reading and
+    as a word ``stamp + group-local thread id``. The stamp of a global
+    buffer is ``_LaunchState.stamp``, raised at each group start; that of
+    shared memory is ``_LaunchState.shared_stamp``, raised at each group start
+    and barrier. A raised stamp lies past every earlier word, so a word below
+    it means "no thread". Cross-block state keeps the grid's first reading and
     first writing block as block stamps: blocks run in ascending order, so
     another block accessed an address before block b exactly when its first
     block is below b. A grid's block stamps lie below every earlier grid's,
@@ -262,10 +264,10 @@ class _LaunchState:
         self.recorder = recorder
         self.cost_memo = _CostMemo() if cost_memo is None else cost_memo  # one per launch tree
         self.multi_block = True  # refined per grid before blocks run
-        # A word of the current interval is stamp + a group-local thread id,
-        # below stamp + stride; a word of the current grid is grid_stamp + a
-        # block id, below every earlier grid's.
-        self.stamp = self.stride = self.grid_stamp = 0
+        # A word of the current interval is stamp (shared_stamp in shared
+        # memory) + a group-local thread id, below it + stride; a word of the
+        # current grid is grid_stamp + a block id, below every earlier grid's.
+        self.stamp = self.shared_stamp = self.stride = self.grid_stamp = 0
         self.tracks: dict[str, _RaceTrack] = {}
         self.shared_track: Optional[_RaceTrack] = None
         self.configs: dict[LaunchConfig, LaunchConfig] = {}  # one per child geometry, with its lane arrays
@@ -287,8 +289,9 @@ class _LaunchState:
         self.multi_block = config.blocks_per_grid > 1
         self.stride = max(self.stride, group_blocks * config.threads_per_block)
         self.grid_stamp -= config.blocks_per_grid
-        if self.shared_track is None or self.shared_track.length != config.shared_mem_bytes:
-            self.shared_track = _RaceTrack(config.shared_mem_bytes)
+        length = group_blocks * config.shared_mem_bytes
+        if self.shared_track is None or self.shared_track.length != length:
+            self.shared_track = _RaceTrack(length)
 
     def run_group(self, kernel: Callable, config: LaunchConfig, args: tuple, kernel_name: str,
                   first: int, blocks: int) -> None:
@@ -301,7 +304,7 @@ class _LaunchState:
         """``run_group(*group)``, undoing its stores and counts if it raises anything; True if it ran through.
 
         Its race words need no undoing: interval words go stale with the next
-        interval, and a block's cross-block words are ones its replay writes
+        group start, and a block's cross-block words are ones its replay writes
         too, up to a load at which the replay stops the launch (README).
         """
         saved, self.undo = self.metrics.to_json(), []
@@ -316,10 +319,16 @@ class _LaunchState:
         finally:
             self.undo = None
 
-    def new_interval(self) -> None:
-        """Start a barrier interval: every word stamped before is stale from here on."""
-        self.stamp += self.stride
-        if self.stamp + self.stride > _STAMP_MAX or self.grid_stamp < -_STAMP_MAX:
+    def new_interval(self, shared_only: bool = False) -> None:
+        """Start a barrier interval: every word stamped before is stale from here on.
+
+        A barrier in a group starts one for shared memory only: global memory
+        keeps one interval per group (README, "Batched blocks").
+        """
+        self.shared_stamp += self.stride
+        if not shared_only:
+            self.stamp = self.shared_stamp
+        if self.shared_stamp + self.stride > _STAMP_MAX or self.grid_stamp < -_STAMP_MAX:
             raise SimError("launch has more blocks or barrier intervals than 64-bit race stamps can number")
 
     def track_for(self, buf: Buffer) -> _RaceTrack:
@@ -366,6 +375,7 @@ class GlobalView:
         self.buffer = buffer
         self.name = buffer.name
         self.data = buffer.data
+        self.length = buffer.data.size
         self.element_width = buffer.element_width
 
     def __getitem__(self, idx: LaneValue) -> np.ndarray:
@@ -376,19 +386,24 @@ class GlobalView:
 
 
 class SharedView:
-    """One typed allocation inside the block's shared memory region."""
+    """One typed allocation inside the block's shared memory region.
+
+    In a group each block has its own ``length`` cells: block offset b holds
+    its element i at ``data[b * length + i]``.
+    """
 
     space = "shared"
 
     def __init__(self, ctx: "KernelContext", name: str, length: int, dtype, byte_offset: int, element_width: int):
         self._ctx = ctx
         self.name = name
-        self.data = np.zeros(length, dtype=dtype)
+        self.length = length
+        self.data = np.zeros(length * ctx._blocks, dtype=dtype)
         self.byte_offset = byte_offset
         self.element_width = element_width
 
     def __len__(self) -> int:
-        return int(self.data.size)
+        return self.length
 
     def __getitem__(self, idx: LaneValue) -> np.ndarray:
         return self._ctx._access(self, idx, None)
@@ -422,13 +437,13 @@ class KernelContext:
         self.config = config
         self.kernel_name = kernel_name
 
-        linear, tx, ty, tz, self.warp, self.lane, self._warp_ids, all_active, offset = config.lanes(blocks)
+        linear, tx, ty, tz, self.warp, self.lane, self._warp_ids, all_active, self._offset = config.lanes(blocks)
         self._block_size = T = config.threads_per_block
         self.nthreads = linear.size
         self.warp_count = ceil_div(T, config.warp_size) * blocks
         self._blocks = blocks
 
-        self.block_linear = block_linear + offset
+        self.block_linear = block_linear + self._offset
         self.block_idx = _Idx3(*config.block_coords(self.block_linear))
         self.block_dim = _Idx3(*config.block_dim)
         self.grid_dim = _Idx3(*config.grid_dim)
@@ -466,11 +481,6 @@ class KernelContext:
             raise ValueError(f"lane value has shape {arr.shape}, expected ({self.nthreads},)")
         return arr
 
-    def _alone(self) -> None:
-        """A primitive that needs its block alone: in a group, stop it so that its blocks run one by one."""
-        if self._blocks > 1:
-            raise _RunAlone
-
     def _counters(self) -> KernelCounters:
         """This kernel's entry in the launch's per-kernel counters."""
         if self._kernel_counters is None:
@@ -493,7 +503,6 @@ class KernelContext:
 
         Contents are zero at block start and never visible to other blocks.
         """
-        self._alone()
         nbytes = int(length) * element_width
         if self._shared_offset + nbytes > self.config.shared_mem_bytes:
             raise LaunchConfigInvalid(
@@ -532,11 +541,12 @@ class KernelContext:
             tids, warp_ids = self.global_id, self._warp_ids
         else:
             ei, tids, warp_ids = ei[act], self.global_id[act], self._warp_ids[act]
-        if ei.view(np.uint64).max() >= data.size:  # a negative index views as 2**63 or more
-            first = int(np.argmax((ei < 0) | (ei >= data.size)))
+        length = view.length
+        if ei.view(np.uint64).max() >= length:  # a negative index views as 2**63 or more
+            first = int(np.argmax((ei < 0) | (ei >= length)))
             noun = "buffer" if view.space == "global" else "shared array"
             raise OutOfBounds(
-                f"index {int(ei[first])} outside {noun} {view.name!r} of length {data.size}",
+                f"index {int(ei[first])} outside {noun} {view.name!r} of length {length}",
                 **self._err_kw([int(tids[first])], view.name),
             )
         byte_addrs = ei * view.element_width
@@ -546,7 +556,7 @@ class KernelContext:
         sim, state = self._sim, self._state
         is_global = view.space == "global"
         period = sim.segment_bytes if is_global else sim.bank_width_bytes
-        dt = _key_type(max(data.size * view.element_width + view.byte_offset, self.warp_count))
+        dt = _key_type(max(length * view.element_width + view.byte_offset, self.warp_count))
         norm = (byte_addrs - int(byte_addrs[0]) // period * period).astype(dt)
         warps = b"" if full else warp_ids.astype(dt).tobytes()
         key = (view.space, dt, self._block_size, warps, norm.tobytes())
@@ -561,16 +571,20 @@ class KernelContext:
         if is_global:
             state.metrics.global_transactions += cost
             counters.global_transactions += cost
-            track, block = state.track_for(view.buffer), self._block_stamp
+            track, block, stamp = state.track_for(view.buffer), self._block_stamp, state.stamp
             addrs = ei.copy() if ei is idx else ei  # the race tracker keeps it; the kernel may change its own
         else:
             state.metrics.bank_conflict_extra_cycles += cost
             counters.bank_conflict_extra_cycles += cost
-            track, addrs, block = state.shared_track, byte_addrs, None
+            track, addrs, block, stamp = state.shared_track, byte_addrs, None, state.shared_stamp
+            if self._blocks > 1:  # each block's cells and race addresses in its own region
+                offset = self._offset if full else self._offset[act]
+                ei = ei + offset * length
+                addrs = byte_addrs + offset * self.config.shared_mem_bytes
 
         result: Optional[np.ndarray] = None
         if value is None:
-            self._race_read(track, addrs, tids, act, block, view.name)
+            self._race_read(track, addrs, tids, act, block, stamp, view.name)
             if full:
                 result = data[ei]
             else:
@@ -581,7 +595,7 @@ class KernelContext:
             if not full:
                 vals = vals[act]
             vals = vals.astype(data.dtype, copy=False)
-            eff = self._race_write(track, addrs, tids, act, block, view.name)
+            eff = self._race_write(track, addrs, tids, act, block, stamp, view.name)
             dst = ei[eff]
             if state.undo is not None:
                 state.undo.append((data, dst, data[dst]))
@@ -607,9 +621,10 @@ class KernelContext:
 
     # ------------------------------------------------------------------
     # race bookkeeping (addresses are element indices for global buffers,
-    # byte offsets for shared memory; both are per-launch address spaces)
+    # byte offsets for shared memory, plus block offset * shared_mem_bytes in
+    # a group; both are per-launch address spaces, each with its own stamp)
 
-    def _race_fail(self, name: str, conflict: Any, addrs: np.ndarray, a: np.ndarray, b: Any) -> None:
+    def _race_fail(self, name: str, conflict: Any, addrs: np.ndarray, a: np.ndarray, b: Any, stamp: int) -> None:
         """Report the first lane of ``conflict``: thread ``a`` against thread ``b``, or another block.
 
         ``a`` and ``b`` hold stamped words per lane; a stale word in ``b``, or
@@ -618,7 +633,7 @@ class KernelContext:
         if not conflict.any():
             return
         i = int(np.argmax(conflict))
-        stamp, shift = self._state.stamp, self._state.stamp - self._gid0
+        shift = stamp - self._gid0
         other = int(b if np.ndim(b) == 0 else b[i])
         tid_a, tid_b = int(a[i]) - shift, other - shift if other >= stamp else -1
         msg = f"conflicting accesses to {name!r} address {int(addrs[i])} without an intervening barrier"
@@ -628,24 +643,21 @@ class KernelContext:
             f"{msg} (threads {tid_a} and {tid_b}, kernel {self.kernel_name}, block {self.block_linear}, step {self.step})"
         )
 
-    def _race_read(
-        self, track: _RaceTrack, addrs: np.ndarray, tids: np.ndarray, act: np.ndarray, block: Optional[int], name: str
-    ) -> None:
+    def _race_read(self, track: _RaceTrack, addrs: np.ndarray, tids: np.ndarray, act: np.ndarray,
+                   block: Optional[int], stamp: int, name: str) -> None:
         """Check a load; ``block`` is the first block's stamp, or None where blocks cannot conflict."""
-        stamp = self._state.stamp
         shift = stamp - self._gid0  # global thread ids to stamped words
         if track.store_stamp == stamp:
             st = tids + shift
             other = _other(track.writer1, track.writer2, addrs, st)
-            self._race_fail(name, other >= stamp, addrs, st, other)
+            self._race_fail(name, other >= stamp, addrs, st, other, stamp)
         if block is not None and track.first_store < block + self._blocks - 1:  # another block may have stored here
             blocks = _lane_blocks(block, act, self._block_size)
-            self._race_fail(name, track.w_block1[addrs] < blocks, addrs, tids + shift, _STALE)
+            self._race_fail(name, track.w_block1[addrs] < blocks, addrs, tids + shift, _STALE, stamp)
         track.defer_read(addrs, tids, stamp, shift, block, act, self._block_size)
 
-    def _race_write(
-        self, track: _RaceTrack, addrs: np.ndarray, tids: np.ndarray, act: np.ndarray, block: Optional[int], name: str
-    ) -> np.ndarray:
+    def _race_write(self, track: _RaceTrack, addrs: np.ndarray, tids: np.ndarray, act: np.ndarray,
+                    block: Optional[int], stamp: int, name: str) -> np.ndarray:
         """Check a store; returns the per-lane apply mask.
 
         A conflict names the earliest other writer in the interval, else the
@@ -653,7 +665,6 @@ class KernelContext:
         no higher-id thread wrote the address in the interval, so conflicting
         writes resolve in ascending global id order.
         """
-        stamp = self._state.stamp
         shift = stamp - self._gid0
         st = tids + shift
         track.begin_store(stamp, shift, block is not None)
@@ -664,8 +675,8 @@ class KernelContext:
         if block is not None:
             blocks = _lane_blocks(block, act, self._block_size)
             conflict |= (track.rb_block1[addrs] < blocks) | (track.w_block1[addrs] < blocks)
-        self._race_fail(name, conflict, addrs, st, other)
-        self._race_fail(name, nxt >= stamp, u_addr, rep, nxt)  # two lanes of this store to one address
+        self._race_fail(name, conflict, addrs, st, other, stamp)
+        self._race_fail(name, nxt >= stamp, u_addr, rep, nxt, stamp)  # two lanes of this store to one address
 
         eff = track.writer_max[addrs] <= st
         np.maximum.at(track.writer_max, addrs, st)
@@ -734,9 +745,9 @@ class KernelContext:
 
         Legal only when every thread of the block is active; lanes masked off
         by a divergent branch can never arrive, which is the deadlock this
-        error models.
+        error models. In a group it counts one barrier per block and starts
+        a new interval for shared memory only (README, "Batched blocks").
         """
-        self._alone()
         act, n_active = self._mask_stack[-1]
         if n_active != self.nthreads:
             missing = int(np.argmin(act))
@@ -745,9 +756,9 @@ class KernelContext:
                 "barrier under a partial mask: some threads of the block cannot reach it",
                 **self._err_kw([gid]),
             )
-        self._state.metrics.barriers_executed += 1
-        self._counters().barriers_executed += 1
-        self._state.new_interval()
+        self._state.metrics.barriers_executed += self._blocks
+        self._counters().barriers_executed += self._blocks
+        self._state.new_interval(shared_only=self._blocks > 1)
         if self._state.recorder is not None:
             self._state.recorder.barriers.append((self.kernel_name, self.block_linear, self.step))
         self.step += 1
@@ -795,9 +806,11 @@ class KernelContext:
         """Launch a child grid from every active lane, in ascending id order.
 
         Each child grid runs to completion before the launching thread's next
-        step; its metrics fold into the current report.
+        step; its metrics fold into the current report. In a group it stops
+        the group, whose blocks the engine then runs one by one.
         """
-        self._alone()
+        if self._blocks > 1:
+            raise _RunAlone
         launchers = self.global_id[self.active].tolist()
         first = launchers[:1]  # the checks below hold for every launcher or none: name the first
         if self._state.depth + 1 >= self._sim.max_nesting_depth:

@@ -106,6 +106,7 @@ def matmul_naive_kernel(ctx, a, b, c, m, n, p):
     ctx.if_((i < m) & (j < p), body)
 
 
+@block_batchable
 def matmul_tiled_kernel(ctx, a, b, c, m, n, p):
     tx = ctx.thread_idx.x
     ty = ctx.thread_idx.y

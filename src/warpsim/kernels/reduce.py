@@ -12,7 +12,7 @@ from __future__ import annotations
 
 from typing import Optional, Sequence
 
-from ..core import DeviceMemory, LaunchConfig, MetricsReport, Recorder, Simulator
+from ..core import DeviceMemory, LaunchConfig, MetricsReport, Recorder, Simulator, block_batchable
 from ._common import MAX_BLOCK_THREADS, NotPowerOfTwo, is_pow2
 from .trace import StepTrace, barrier_rows
 
@@ -38,6 +38,7 @@ def _reduce_block(ctx, inp, out, strides, adds):
     ctx.if_(tid == 0, write_partial)
 
 
+@block_batchable
 def reduce_interleaved_kernel(ctx, inp, out):
     """Adjacent pairs: s = 1, 2, 4, ... and the threads at multiples of 2s add."""
     bdim = ctx.block_dim.x
@@ -45,6 +46,7 @@ def reduce_interleaved_kernel(ctx, inp, out):
     _reduce_block(ctx, inp, out, strides, lambda tid, s: tid % (2 * s) == 0)
 
 
+@block_batchable
 def reduce_sequential_kernel(ctx, inp, out):
     """Sequential halving: s = n/2, n/4, ..., 1 and the first s threads add."""
     bdim = ctx.block_dim.x

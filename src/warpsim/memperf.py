@@ -37,7 +37,7 @@ class MemoryLevelSpec:
     def __post_init__(self):
         if self.name not in LEVEL_NAMES:
             raise SpecInvalid(f"unknown level name {self.name!r}, expected one of {LEVEL_NAMES}")
-        if self.latency < 0 or self.bandwidth <= 0 or self.capacity <= 0:
+        if not (self.latency >= 0 and self.bandwidth > 0 and self.capacity > 0):  # NaN too
             raise SpecInvalid(f"level {self.name}: parameters must be positive")
 
 
@@ -78,16 +78,9 @@ class HierarchySpec:
             missing = [key for key in ("name", "latency", "bandwidth", "capacity") if key not in d]
             if missing:
                 raise SpecInvalid(f"hierarchy[{i}] is missing {', '.join(missing)}")
+        params = ("latency", "bandwidth", "capacity")
         return cls(
-            [
-                MemoryLevelSpec(
-                    name=str(d["name"]),
-                    latency=float(d["latency"]),
-                    bandwidth=float(d["bandwidth"]),
-                    capacity=float(d["capacity"]),
-                )
-                for d in data
-            ]
+            [MemoryLevelSpec(str(d["name"]), *(_level_number(i, k, d[k]) for k in params)) for i, d in enumerate(data)]
         )
 
     def to_json(self) -> list[dict]:
@@ -271,6 +264,13 @@ def _whole(name: str, value: Any) -> int:
     if not _is_number(value) or not (isinstance(value, numbers.Integral) or float(value).is_integer()):
         raise SpecInvalid(f"{name} must be a whole number, got {value!r}")
     return int(value)
+
+
+def _level_number(i: int, key: str, value: Any) -> float:
+    """A hierarchy level's ``key`` as a float, if it is a number."""
+    if not _is_number(value):
+        raise SpecInvalid(f"hierarchy[{i}] {key} must be a number, got {value!r}")
+    return float(value)
 
 
 def _capacity(name: str, value: Any) -> None:

@@ -1,9 +1,10 @@
 """A brute-force reference machine for memory contents, race verdicts and counters.
 
-It runs the random programs of ``test_race_tracker.py`` one lane at a time
-in plain Python, with no numpy and no engine code, and gives what the engine
-must give: the two global buffers, the strict ``SimError`` JSON, the
-permissive race warnings and the ``MetricsReport`` JSON.
+It runs the random programs of ``test_race_tracker.py`` and
+``test_batched_blocks.py`` one lane at a time in plain Python, with no numpy
+and no engine code, and gives what the engine must give: the two global
+buffers, the strict ``SimError`` JSON, the permissive race warnings and the
+``MetricsReport`` JSON.
 
 A program is a list of instructions, each a tuple:
 
@@ -21,6 +22,12 @@ A program is a list of instructions, each a tuple:
 The register starts as the thread's global id. Every memory instruction, branch,
 barrier and launch is one step of the block; a store's "register plus k" is
 one thread step per active lane, counted before the store.
+
+An address pattern names an index per lane (``lane_address``); every
+pattern but ``raw`` wraps it into the array. A memory instruction first
+checks its active lanes' indices in lane order and stops the launch with
+``OutOfBounds`` at the first one outside the array, before it counts
+anything but a store's thread steps.
 
 Counters are counted warp by warp over the active lanes, as the engine
 counts them before it checks races: a global access costs the distinct
@@ -78,6 +85,8 @@ def lane_address(pattern, gid, tid, block, nthreads, length):
         return k % length
     if kind == "table":
         return (table[tid % len(table)] + k * block) % length
+    if kind == "raw":  # "table" unwrapped: may fall outside the array
+        return table[tid % len(table)] + k * block
     return (tid + k) % length  # "local": the same addresses in every block
 
 
@@ -243,6 +252,10 @@ class Block:
             for t in active
             for i in [lane_address(pattern, self.gid(t), t, self.b, self.threads, len(data))]
         ]
+        for _, g, i, _ in lanes:
+            if not 0 <= i < len(data):
+                noun = "buffer" if unit == 1 else "shared array"
+                self.abort("OutOfBounds", f"index {i} outside {noun} {name!r} of length {len(data)}", [g], name)
         if unit == 1:
             self.machine.count("global_transactions", len({(t // WARP_SIZE, i * GLOBAL_WIDTH // SEGMENT_BYTES)
                                                            for t, _, i, _ in lanes}))

@@ -1,17 +1,20 @@
 """Batched blocks: a marked kernel runs consecutive blocks as one group and
 must give exactly what the same kernel gives block by block.
 
-Random global-only programs of the reference-machine IR run through the
-marked interpreter kernel, the same kernel unmarked and the reference
-machine; memory, ``MetricsReport`` JSON, ``SimError`` JSON and race warnings
-must be equal. Hand cases pin a race inside one group, primitives that need
-their block alone, cost-memo keys that a group shares with a single block,
-and that batching is on at all.
+Random programs of the reference-machine IR, global-only and with shared
+memory and barriers, run through the marked interpreter kernel, the same
+kernel unmarked and the reference machine; memory, ``MetricsReport`` JSON,
+``SimError`` JSON and race warnings must be equal. Hand cases pin a race
+inside one group, errors in one block of a group, primitives that stop a
+group, cost-memo keys that a group shares with a single block, bank costs
+on block-local addresses, and that batching is on at all.
 """
 
 import functools
+from unittest import mock
 
 import numpy as np
+import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
@@ -19,6 +22,7 @@ import reference_machine
 from test_race_tracker import observe, patterns, run_program
 from warpsim import DeviceMemory, LaunchConfig, MetricsReport, Recorder, SimError, Simulator
 from warpsim.core import block_batchable
+from warpsim.kernels import matrix, reduce
 from warpsim.kernels.vector import vector_add_kernel
 
 
@@ -71,10 +75,88 @@ SHIFT = ("shift", 0, [0])
 @example((8, 1024, buffer(8192), buffer(8192), [("gload", "x", ("shift", 4096, [0])), ("gstore", "x", SHIFT, 1)]))
 @example((8, 1024, buffer(8192), buffer(8192), [("gload", "x", ("shift", 4096, [0])), ("gstore", "y", SHIFT, 1)]))
 def test_batched_matches_sequential_and_reference_machine(case):
+    assert_batched_matches(case)
+
+
+def assert_batched_matches(case):
     for mode in ("strict", "permissive"):
         want = observe(case, mode)
         assert observe(case, mode, batched_program) == want
         assert reference_machine.run(case, mode) == want
+
+
+# "table" unwrapped: its indices may fall outside the array. Drawn for about
+# one access in ten, so that most programs run past their first instruction.
+raw_patterns = st.tuples(st.just("raw"), st.integers(0, 12), st.lists(st.integers(0, 60), min_size=1, max_size=64))
+any_patterns = st.integers(0, 9).flatmap(lambda r: raw_patterns if r == 0 else patterns)
+
+
+def block_instructions(max_depth):
+    """The IR without child launches or Python branches on the block: what a marked kernel may run."""
+    leaf = st.one_of(
+        st.tuples(st.just("gload"), st.sampled_from(["x", "y"]), any_patterns),
+        st.tuples(st.just("gstore"), st.sampled_from(["x", "y"]), any_patterns, st.integers(0, 9)),
+        st.tuples(st.just("sload"), any_patterns),
+        st.tuples(st.just("sstore"), any_patterns, st.integers(0, 9)),
+        st.just(("barrier",)),
+    )
+    if max_depth == 0:
+        return leaf
+    body = st.lists(block_instructions(max_depth - 1), max_size=4)
+    return st.one_of(leaf, st.tuples(st.just("if"), st.integers(1, 8), st.integers(0, 7), body, body))
+
+
+block_cases = st.tuples(
+    st.integers(1, 8),
+    st.integers(32, 256),
+    st.integers(1, 2100).map(buffer),
+    st.integers(1, 2100).map(buffer),
+    st.lists(block_instructions(2), min_size=1, max_size=8),
+)
+
+LOCAL = ("local", 0, [0])
+BARRIER = ("barrier",)
+# Block 1 loads x[0] before a barrier and thread 0 of block 0 stores x[0]
+# after it: block by block a race between blocks, at block 1.
+CROSS_BARRIER_RACE = (4, 32, buffer(128), buffer(128), [("gload", "x", ("broadcast", 0, [0])), BARRIER,
+                                                        ("gstore", "x", SHIFT, 1)])
+# Blocks 0, 1 and 3 take the branch with every lane; block 2 without lanes 6-15.
+PARTIAL_BARRIER_IN_BLOCK_2 = (4, 32, buffer(128), buffer(128), [("gstore", "y", SHIFT, 1),
+                                                                ("if", 80, 70, [BARRIER], [])])
+# Block b loads shared element 16 b of 48: block 3 is the first outside.
+SHARED_OUT_OF_BOUNDS_IN_BLOCK_3 = (6, 32, buffer(192), buffer(192), [("gstore", "y", SHIFT, 1),
+                                                                     ("sload", ("raw", 16, [0])),
+                                                                     ("gstore", "x", SHIFT, 2)])
+# Every thread stores its shared cell; block b then loads cell (40 + 4 b) % 48,
+# which in block 2 is cell 0, stored by its thread 0 in the same interval.
+SHARED_RACE_IN_BLOCK_2 = (4, 32, buffer(128), buffer(128), [("sstore", LOCAL, 1), ("sload", ("table", 4, [40])),
+                                                            ("gstore", "y", SHIFT, 0)])
+
+
+@settings(max_examples=80, deadline=None)
+@given(block_cases)
+# A reduction-like program that runs through: per-block cells, three barriers.
+@example((4, 32, buffer(128), buffer(128), [("gload", "x", SHIFT), ("sstore", LOCAL, 1), BARRIER,
+                                            ("sload", ("local", 1, [0])), BARRIER, ("sstore", LOCAL, 2), BARRIER,
+                                            ("sload", ("reverse", 0, [0])), ("gstore", "y", SHIFT, 3)]))
+@example(CROSS_BARRIER_RACE)
+@example(PARTIAL_BARRIER_IN_BLOCK_2)
+@example(SHARED_OUT_OF_BOUNDS_IN_BLOCK_3)
+@example(SHARED_RACE_IN_BLOCK_2)
+def test_batched_with_shared_memory_and_barriers_matches_sequential_and_reference_machine(case):
+    assert_batched_matches(case)
+
+
+@pytest.mark.parametrize("case, kind, block, thread", [
+    (CROSS_BARRIER_RACE, "DataRace", 1, 0),
+    (PARTIAL_BARRIER_IN_BLOCK_2, "BarrierDivergence", 2, 6),
+    (SHARED_OUT_OF_BOUNDS_IN_BLOCK_3, "OutOfBounds", 3, 0),
+    (SHARED_RACE_IN_BLOCK_2, "DataRace", 2, 1),
+])
+def test_an_error_in_one_block_of_a_group_names_that_block(case, kind, block, thread):
+    error = observe(case, "strict", batched_program)[2]
+    first = error["threads"][0]
+    assert (error["kind"], first["block_idx"], first["thread_idx"]) == (kind, [block, 0, 0], [thread, 0, 0])
 
 
 # ----------------------------------------------------------------------
@@ -243,9 +325,72 @@ def test_permissive_recorded_and_unmarked_launches_run_block_by_block():
 
 
 def test_a_group_that_raises_is_replayed_block_by_block():
+    """``barrier_kernel`` passes data through global memory across a barrier.
+
+    Global memory keeps one interval per group, so the group sees a store
+    and another thread's load of one address in it, and replays.
+    """
     kernel, calls = spy(barrier_kernel)
     run(kernel, 4, 64, {"x": list(range(256)), "y": [0] * 256})
     assert calls == [256, 64, 64, 64, 64]
+
+
+def reduce_calls(variant, mode="strict", recorder=None):
+    """Calls of the reduce kernel of ``variant`` over 2^16 values in 64 blocks of 1024 threads."""
+    n = 1 << 16
+    kernel, calls = spy(getattr(reduce, f"reduce_{variant}_kernel"))
+    mem = DeviceMemory()
+    inp, partials = mem.alloc("input", list(range(n))), mem.alloc("partials", 64)
+    config = LaunchConfig(64, 1024, shared_mem_bytes=4096)
+    Simulator().launch(kernel, config, mem, (inp, partials), mode=mode, recorder=recorder)
+    assert sum(partials.tolist()) == n * (n - 1) // 2
+    return calls
+
+
+@pytest.mark.parametrize("variant", reduce.VARIANTS)
+def test_reduce_sum_runs_sixteen_groups_of_four_blocks(variant):
+    name = f"reduce_{variant}_kernel"
+    kernel, calls = spy(getattr(reduce, name))
+    with mock.patch.object(reduce, name, kernel):
+        total, _ = reduce.reduce_sum(list(range(1 << 16)), variant)
+    assert total == (1 << 16) * ((1 << 16) - 1) // 2
+    assert calls == [4096] * 16
+
+
+@pytest.mark.parametrize("variant", reduce.VARIANTS)
+def test_permissive_and_recorded_reduce_launches_run_block_by_block(variant):
+    assert reduce_calls(variant) == [4096] * 16
+    assert reduce_calls(variant, mode="permissive") == [1024] * 64
+    assert reduce_calls(variant, recorder=Recorder()) == [1024] * 64
+
+
+def test_tiled_matmul_runs_its_nine_blocks_as_one_group():
+    kernel, calls = spy(matrix.matmul_tiled_kernel)
+    a = matrix.Matrix(48, 48, [(3 * i) % 17 - 8 for i in range(48 * 48)])
+    with mock.patch.object(matrix, "matmul_tiled_kernel", kernel):
+        c = matrix.matmul(a, a, "tiled")
+    assert c == matrix.matmul(a, a, "naive")
+    assert calls == [2304]
+
+
+@block_batchable
+def half_word_kernel(ctx, buf):
+    s = ctx.shared_array(33, dtype=np.int16, element_width=2)
+    buf[ctx.global_id] = s[ctx.thread_idx.x % 2]
+
+
+def test_a_group_counts_bank_conflicts_on_block_local_addresses():
+    """Half-words 0 and 1 share a 4-byte bank: one extra cycle per warp.
+
+    Block 1's 66-byte region starts half a bank in, so on group-wide
+    addresses its two half-words would sit on two banks.
+    """
+    for marked in (True, False):
+        kernel, calls = spy(half_word_kernel, marked)
+        mem = DeviceMemory()
+        report = Simulator().launch(kernel, LaunchConfig(2, 64, shared_mem_bytes=66), mem, (mem.alloc("buf", 128),))
+        assert calls == ([128] if marked else [64, 64])
+        assert report.bank_conflict_extra_cycles == 4
 
 
 def test_group_lanes_repeat_per_block_and_number_warps_across_the_group():

@@ -343,3 +343,14 @@ class TestMemflow:
         code = main(["memflow", path])
         assert code == 2
         assert capsys.readouterr().err == "error: hierarchy[0] is missing latency, bandwidth, capacity\n"
+
+    @pytest.mark.parametrize("latency, message", [
+        (None, "hierarchy[0] latency must be a number, got None"),
+        (float("nan"), "level RAM: parameters must be positive"),
+    ])
+    def test_null_or_nan_level_parameter_is_usage_error(self, tmp_path, capsys, latency, message):
+        spec = json.loads((SCENARIOS / "fits_in_vram.json").read_text())
+        spec["hierarchy"][0]["latency"] = latency  # json.dumps writes NaN, which json.load reads back
+        code = main(["memflow", write_json(tmp_path, "spec.json", spec)])
+        captured = capsys.readouterr()
+        assert (code, captured.out, captured.err) == (2, "", f"error: {message}\n")

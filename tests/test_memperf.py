@@ -393,3 +393,21 @@ class TestHierarchyValidation:
         h = default_hierarchy()
         again = HierarchySpec.from_json(h.to_json())
         assert again.to_json() == h.to_json()
+
+    @pytest.mark.parametrize("key, value, message", [
+        ("latency", None, "hierarchy[1] latency must be a number, got None"),
+        ("bandwidth", "fast", "hierarchy[1] bandwidth must be a number, got 'fast'"),
+        ("capacity", True, "hierarchy[1] capacity must be a number, got True"),
+        ("latency", float("nan"), "level VRAM: parameters must be positive"),
+        ("bandwidth", float("nan"), "level VRAM: parameters must be positive"),
+        ("capacity", float("nan"), "level VRAM: parameters must be positive"),
+    ])
+    def test_level_parameters_must_be_numbers(self, key, value, message):
+        levels = [
+            {"name": "RAM", "latency": 100, "bandwidth": 1 << 32, "capacity": 1 << 33},
+            {"name": "VRAM", "latency": 120, "bandwidth": 1 << 32, "capacity": 1 << 34},
+        ]
+        levels[1][key] = value
+        with pytest.raises(SpecInvalid) as caught:
+            HierarchySpec.from_json(levels)
+        assert str(caught.value) == message
