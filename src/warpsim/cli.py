@@ -105,7 +105,7 @@ def _run_primitive(args) -> tuple[Any, Optional[StepTrace], MetricsReport]:
                 raise UsageError(f"--size must be >= 1 to generate inputs for {name}")
             arrays = [_random_array(rng, args.size) for _ in range(n_inputs)]
         if name == "vector_add":
-            block = args.block_dim or 256
+            block = 256 if args.block_dim is None else args.block_dim
             result = vector_add(arrays[0], arrays[1], threads_per_block=block, metrics=metrics)
             return result, None, metrics
         if name == "reduce_sum":

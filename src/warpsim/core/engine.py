@@ -268,8 +268,7 @@ class _LaunchState:
         # memory) + a group-local thread id, below it + stride; a word of the
         # current grid is grid_stamp + a block id, below every earlier grid's.
         self.stamp = self.shared_stamp = self.stride = self.grid_stamp = 0
-        self.tracks: dict[str, _RaceTrack] = {}
-        self.shared_track: Optional[_RaceTrack] = None
+        self.tracks: dict[Union[str, int], _RaceTrack] = {}  # global buffer name or shared byte offset
         self.configs: dict[LaunchConfig, LaunchConfig] = {}  # one per child geometry, with its lane arrays
         self.undo: Optional[list] = None  # (array, indices, old values) per store of a running group
         self._child: Optional[_LaunchState] = None
@@ -289,9 +288,6 @@ class _LaunchState:
         self.multi_block = config.blocks_per_grid > 1
         self.stride = max(self.stride, group_blocks * config.threads_per_block)
         self.grid_stamp -= config.blocks_per_grid
-        length = group_blocks * config.shared_mem_bytes
-        if self.shared_track is None or self.shared_track.length != length:
-            self.shared_track = _RaceTrack(length)
 
     def run_group(self, kernel: Callable, config: LaunchConfig, args: tuple, kernel_name: str,
                   first: int, blocks: int) -> None:
@@ -331,11 +327,12 @@ class _LaunchState:
         if self.shared_stamp + self.stride > _STAMP_MAX or self.grid_stamp < -_STAMP_MAX:
             raise SimError("launch has more blocks or barrier intervals than 64-bit race stamps can number")
 
-    def track_for(self, buf: Buffer) -> _RaceTrack:
-        t = self.tracks.get(buf.name)
-        if t is None or t.length != len(buf):
-            t = _RaceTrack(len(buf))
-            self.tracks[buf.name] = t
+    def track_for(self, view: Union["GlobalView", "SharedView"]) -> _RaceTrack:
+        """The track of a global buffer, keyed by name, or of a shared array, keyed by byte offset."""
+        key = view.name if view.space == "global" else view.byte_offset
+        t = self.tracks.get(key)
+        if t is None or t.length != view.data.size:
+            t = self.tracks[key] = _RaceTrack(view.data.size)
         return t
 
     def child(self) -> "_LaunchState":
@@ -356,7 +353,6 @@ class _LaunchState:
     def release(self) -> None:
         """Drop the race state and cost memo of this depth and every deeper one."""
         self.tracks.clear()
-        self.shared_track = None
         self.configs.clear()
         self.cost_memo = None
         if self._child is not None:
@@ -503,7 +499,14 @@ class KernelContext:
 
         Contents are zero at block start and never visible to other blocks.
         """
-        nbytes = int(length) * element_width
+        length = int(length)
+        if length < 0 or element_width < 1:
+            raise LaunchConfigInvalid(
+                f"shared array of length={length}, element_width={element_width}: "
+                "the length must be >= 0 and the element width >= 1",
+                kernel=self.kernel_name,
+            )
+        nbytes = length * element_width
         if self._shared_offset + nbytes > self.config.shared_mem_bytes:
             raise LaunchConfigInvalid(
                 f"shared allocation of {nbytes} bytes exceeds shared_mem_bytes="
@@ -513,7 +516,7 @@ class KernelContext:
         view = SharedView(
             self,
             f"shared@{self._shared_offset}",
-            int(length),
+            length,
             dtype,
             self._shared_offset,
             element_width,
@@ -529,9 +532,9 @@ class KernelContext:
     ) -> Optional[np.ndarray]:
         """One memory instruction of the active lanes; ``value is None`` is a load.
 
-        Only the cost and the race bookkeeping depend on the address space:
-        global memory counts coalesced segments and tracks element indices,
-        shared memory counts bank conflicts and tracks byte offsets.
+        Only the cost and the race stamps depend on the address space: global
+        memory counts coalesced segments, shared memory counts bank conflicts.
+        Both track the element indices into ``view.data``.
         """
         data = view.data
         act, n_active = self._mask_stack[-1]
@@ -571,20 +574,19 @@ class KernelContext:
         if is_global:
             state.metrics.global_transactions += cost
             counters.global_transactions += cost
-            track, block, stamp = state.track_for(view.buffer), self._block_stamp, state.stamp
-            addrs = ei.copy() if ei is idx else ei  # the race tracker keeps it; the kernel may change its own
+            block, stamp = self._block_stamp, state.stamp
         else:
             state.metrics.bank_conflict_extra_cycles += cost
             counters.bank_conflict_extra_cycles += cost
-            track, addrs, block, stamp = state.shared_track, byte_addrs, None, state.shared_stamp
-            if self._blocks > 1:  # each block's cells and race addresses in its own region
-                offset = self._offset if full else self._offset[act]
-                ei = ei + offset * length
-                addrs = byte_addrs + offset * self.config.shared_mem_bytes
+            block, stamp = None, state.shared_stamp
+            if self._blocks > 1:  # each block's cells in its own region
+                ei = ei + (self._offset if full else self._offset[act]) * length
+        addrs = ei.copy() if ei is idx else ei  # the race tracker keeps it; the kernel may change its own
+        track = state.track_for(view)
 
         result: Optional[np.ndarray] = None
         if value is None:
-            self._race_read(track, addrs, tids, act, block, stamp, view.name)
+            self._race_read(track, addrs, tids, act, block, stamp, view)
             if full:
                 result = data[ei]
             else:
@@ -595,7 +597,7 @@ class KernelContext:
             if not full:
                 vals = vals[act]
             vals = vals.astype(data.dtype, copy=False)
-            eff = self._race_write(track, addrs, tids, act, block, stamp, view.name)
+            eff = self._race_write(track, addrs, tids, act, block, stamp, view)
             dst = ei[eff]
             if state.undo is not None:
                 state.undo.append((data, dst, data[dst]))
@@ -620,11 +622,12 @@ class KernelContext:
         return result
 
     # ------------------------------------------------------------------
-    # race bookkeeping (addresses are element indices for global buffers,
-    # byte offsets for shared memory, plus block offset * shared_mem_bytes in
-    # a group; both are per-launch address spaces, each with its own stamp)
+    # race bookkeeping (addresses are indices into ``view.data``, one track
+    # per global buffer or shared array, each space with its own stamp; errors
+    # and warnings name a shared element by its byte offset)
 
-    def _race_fail(self, name: str, conflict: Any, addrs: np.ndarray, a: np.ndarray, b: Any, stamp: int) -> None:
+    def _race_fail(self, view: Union[GlobalView, SharedView], conflict: Any, addrs: np.ndarray, a: np.ndarray,
+                   b: Any, stamp: int) -> None:
         """Report the first lane of ``conflict``: thread ``a`` against thread ``b``, or another block.
 
         ``a`` and ``b`` hold stamped words per lane; a stale word in ``b``, or
@@ -636,28 +639,29 @@ class KernelContext:
         shift = stamp - self._gid0
         other = int(b if np.ndim(b) == 0 else b[i])
         tid_a, tid_b = int(a[i]) - shift, other - shift if other >= stamp else -1
-        msg = f"conflicting accesses to {name!r} address {int(addrs[i])} without an intervening barrier"
+        address = int(addrs[i]) if view.space == "global" else view.byte_offset + int(addrs[i]) * view.element_width
+        msg = f"conflicting accesses to {view.name!r} address {address} without an intervening barrier"
         if self._state.mode == "strict":
-            raise DataRace(msg, **self._err_kw([tid_a] if tid_b < 0 else [tid_a, tid_b], name))
+            raise DataRace(msg, **self._err_kw([tid_a] if tid_b < 0 else [tid_a, tid_b], view.name))
         self._state.mem.race_warnings.append(
             f"{msg} (threads {tid_a} and {tid_b}, kernel {self.kernel_name}, block {self.block_linear}, step {self.step})"
         )
 
     def _race_read(self, track: _RaceTrack, addrs: np.ndarray, tids: np.ndarray, act: np.ndarray,
-                   block: Optional[int], stamp: int, name: str) -> None:
+                   block: Optional[int], stamp: int, view: Union[GlobalView, SharedView]) -> None:
         """Check a load; ``block`` is the first block's stamp, or None where blocks cannot conflict."""
         shift = stamp - self._gid0  # global thread ids to stamped words
         if track.store_stamp == stamp:
             st = tids + shift
             other = _other(track.writer1, track.writer2, addrs, st)
-            self._race_fail(name, other >= stamp, addrs, st, other, stamp)
+            self._race_fail(view, other >= stamp, addrs, st, other, stamp)
         if block is not None and track.first_store < block + self._blocks - 1:  # another block may have stored here
             blocks = _lane_blocks(block, act, self._block_size)
-            self._race_fail(name, track.w_block1[addrs] < blocks, addrs, tids + shift, _STALE, stamp)
+            self._race_fail(view, track.w_block1[addrs] < blocks, addrs, tids + shift, _STALE, stamp)
         track.defer_read(addrs, tids, stamp, shift, block, act, self._block_size)
 
     def _race_write(self, track: _RaceTrack, addrs: np.ndarray, tids: np.ndarray, act: np.ndarray,
-                    block: Optional[int], stamp: int, name: str) -> np.ndarray:
+                    block: Optional[int], stamp: int, view: Union[GlobalView, SharedView]) -> np.ndarray:
         """Check a store; returns the per-lane apply mask.
 
         A conflict names the earliest other writer in the interval, else the
@@ -675,8 +679,8 @@ class KernelContext:
         if block is not None:
             blocks = _lane_blocks(block, act, self._block_size)
             conflict |= (track.rb_block1[addrs] < blocks) | (track.w_block1[addrs] < blocks)
-        self._race_fail(name, conflict, addrs, st, other, stamp)
-        self._race_fail(name, nxt >= stamp, u_addr, rep, nxt, stamp)  # two lanes of this store to one address
+        self._race_fail(view, conflict, addrs, st, other, stamp)
+        self._race_fail(view, nxt >= stamp, u_addr, rep, nxt, stamp)  # two lanes of this store to one address
 
         eff = track.writer_max[addrs] <= st
         np.maximum.at(track.writer_max, addrs, st)

@@ -101,6 +101,8 @@ class DeviceMemory:
     ) -> Buffer:
         if name in self.buffers:
             raise ValueError(f"buffer {name!r} already allocated")
+        if element_width < 1:
+            raise ValueError(f"buffer {name!r}: element_width={element_width} must be positive")
         if isinstance(size_or_data, (int, np.integer)):
             data = np.zeros(int(size_or_data), dtype=np.int64 if dtype is None else dtype)
         elif dtype is None:

@@ -28,6 +28,8 @@ def vector_add(
     metrics: Optional[MetricsReport] = None,
 ) -> list:
     """Elementwise a + b via a boundary-guarded launch of 256-thread blocks."""
+    if threads_per_block < 1:
+        raise ValueError(f"threads_per_block={threads_per_block} must be at least 1")
     a = list(a)
     b = list(b)
     if len(a) != len(b):

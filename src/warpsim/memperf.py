@@ -39,6 +39,8 @@ class MemoryLevelSpec:
             raise SpecInvalid(f"unknown level name {self.name!r}, expected one of {LEVEL_NAMES}")
         if not (self.latency >= 0 and self.bandwidth > 0 and self.capacity > 0):  # NaN too
             raise SpecInvalid(f"level {self.name}: parameters must be positive")
+        if math.isinf(self.latency):
+            raise SpecInvalid(f"level {self.name}: latency must be finite")
 
 
 @dataclass

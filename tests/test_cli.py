@@ -113,6 +113,13 @@ class TestRun:
         assert code == 0
         assert capsys.readouterr().out.splitlines()[0] == "11 22 33 44 55"
 
+    @pytest.mark.parametrize("block_dim", ["0", "-32"])
+    def test_block_dim_below_one_is_usage_error(self, capsys, block_dim):
+        code = main(["run", "--kernel", "vector_add", "--size", "8", f"--block-dim={block_dim}"])
+        captured = capsys.readouterr()
+        assert (code, captured.out) == (2, "")
+        assert captured.err == f"error: threads_per_block={block_dim} must be at least 1\n"
+
     def test_block_dim_rejected_for_algorithmic_kernels(self, capsys):
         code = main(["run", "--kernel", "reduce_sum", "--size", "16", "--block-dim", "64"])
         assert code == 2
@@ -347,6 +354,7 @@ class TestMemflow:
     @pytest.mark.parametrize("latency, message", [
         (None, "hierarchy[0] latency must be a number, got None"),
         (float("nan"), "level RAM: parameters must be positive"),
+        (float("inf"), "level RAM: latency must be finite"),
     ])
     def test_null_or_nan_level_parameter_is_usage_error(self, tmp_path, capsys, latency, message):
         spec = json.loads((SCENARIOS / "fits_in_vram.json").read_text())

@@ -260,6 +260,29 @@ class TestLaunchBasics:
             "kernel": "kernel",
         }
 
+    @pytest.mark.parametrize("length, width", [(8, 0), (8, -4), (-2, 4)])
+    def test_shared_array_of_negative_length_or_width_names_the_kernel(self, length, width):
+        # A zero width would give 8 distinct cells one race address and a
+        # negative one negative addresses; a negative length would reach numpy.
+        def kernel(ctx):
+            s = ctx.shared_array(length, element_width=width)
+            s[ctx.thread_idx.x] = 1
+
+        with pytest.raises(LaunchConfigInvalid) as exc:
+            launch_kernel(kernel, LaunchConfig(1, 8, shared_mem_bytes=64), DeviceMemory())
+        message = (
+            f"shared array of length={length}, element_width={width}: "
+            "the length must be >= 0 and the element width >= 1"
+        )
+        assert exc.value.to_json() == {
+            "kind": "LaunchConfigInvalid",
+            "message": f"{message}; kernel=kernel",
+            "threads": [],
+            "buffer": None,
+            "step": None,
+            "kernel": "kernel",
+        }
+
     def test_lane_value_of_the_wrong_shape_rejected(self):
         def kernel(ctx, data):
             data[ctx.global_id] = np.zeros(3)
@@ -279,6 +302,13 @@ class TestLaunchBasics:
         with pytest.raises(ValueError, match="^buffer 'data' already allocated$"):
             mem.alloc("data", 3)
         assert mem.buffers["data"] is first and first.tolist() == [1, 2]
+
+    @pytest.mark.parametrize("width", [0, -4])
+    def test_alloc_of_a_width_below_one_rejected(self, width):
+        mem = DeviceMemory()
+        with pytest.raises(ValueError, match=f"^buffer 'data': element_width={width} must be positive$"):
+            mem.alloc("data", 4, element_width=width)
+        assert mem.buffers == {}
 
     def test_foreign_buffer_rejected(self):
         mem = DeviceMemory()

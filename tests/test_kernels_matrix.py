@@ -137,6 +137,11 @@ class TestVectorAdd:
         with pytest.raises(LengthMismatch):
             vector_add([1], [1, 2])
 
+    @pytest.mark.parametrize("threads", [0, -32])
+    def test_threads_per_block_below_one_rejected(self, threads):
+        with pytest.raises(ValueError, match=f"^threads_per_block={threads} must be at least 1$"):
+            vector_add([1, 2], [3, 4], threads_per_block=threads)
+
     def test_random_1000(self):
         rng = np.random.default_rng(49)
         a = rng.integers(-10**9, 10**9, 1000).tolist()

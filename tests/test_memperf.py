@@ -401,6 +401,7 @@ class TestHierarchyValidation:
         ("latency", float("nan"), "level VRAM: parameters must be positive"),
         ("bandwidth", float("nan"), "level VRAM: parameters must be positive"),
         ("capacity", float("nan"), "level VRAM: parameters must be positive"),
+        ("latency", float("inf"), "level VRAM: latency must be finite"),  # else times print as Infinity, not JSON
     ])
     def test_level_parameters_must_be_numbers(self, key, value, message):
         levels = [

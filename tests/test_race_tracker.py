@@ -10,6 +10,7 @@ modes.
 from unittest import mock
 
 import numpy as np
+import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
@@ -17,7 +18,7 @@ import reference_machine
 from reference_machine import SHARED_LEN, lane_address
 from warpsim import DeviceMemory, LaunchConfig, MetricsReport, SimError, Simulator
 from warpsim.core import engine
-from warpsim.kernels.matrix import TILE, matmul_naive_kernel, matrix_add_kernel
+from warpsim.kernels.matrix import TILE, matmul_naive_kernel, matmul_tiled_kernel, matrix_add_kernel
 
 # ----------------------------------------------------------------------
 # random kernels
@@ -202,12 +203,17 @@ def test_reads_before_the_first_store_match_reference_machine(case):
 # what the tracks of one grid allocate
 
 
-def run_grid(kernel, config, mem, args):
+def run_grid(kernel, config, mem, args, mode="strict"):
     """One grid on a launch state the test keeps, to look at its tracks."""
     sim = Simulator()
-    state = engine._LaunchState(sim, mem, MetricsReport(), "strict", depth=0)
+    state = engine._LaunchState(sim, mem, MetricsReport(), mode, depth=0)
     sim._run_grid(kernel, config, tuple(args), state, kernel.__name__)
     return state
+
+
+def shared_track_lengths(state, mem):
+    """The entries of each shared array's track: every track not of a global buffer."""
+    return sorted(t.length for key, t in state.tracks.items() if key not in mem.buffers)
 
 
 def matrix_buffers(n):
@@ -250,3 +256,42 @@ def test_naive_product_inputs_hold_at_most_one_buffer_of_reads():
         assert track.rb_block1 is not None
         assert track.cross_read_count <= track.length
     assert folds and max(folds) <= n * n + TILE * TILE
+
+
+def test_a_shared_track_has_one_entry_per_array_element():
+    # Not one per byte of shared_mem_bytes, allocated or not.
+    def kernel(ctx):
+        ctx.shared_array(8)[ctx.thread_idx.x] = ctx.thread_idx.x
+
+    mem = DeviceMemory()
+    state = run_grid(kernel, LaunchConfig(1, 8, shared_mem_bytes=49152), mem, ())
+    assert shared_track_lengths(state, mem) == [8]
+
+
+def test_tiled_product_keeps_one_track_per_tile_of_its_group():
+    # Nine blocks run as one group, so each tile array holds nine blocks' cells.
+    n = 48
+    mem, (a, b, c) = matrix_buffers(n)
+    state = run_grid(matmul_tiled_kernel, LaunchConfig((3, 3), (TILE, TILE), shared_mem_bytes=2 * TILE * TILE * 4),
+                     mem, (a, b, c, n, n, n))
+    assert c.tolist() == (np.arange(n * n).reshape(n, n) @ np.arange(n * n).reshape(n, n)).ravel().tolist()
+    assert shared_track_lengths(state, mem) == [9 * TILE * TILE] * 2
+
+
+@pytest.mark.parametrize("mode", ["strict", "permissive"])
+def test_global_buffer_named_like_a_shared_array_keeps_its_own_track(mode):
+    # Each thread reads g[gid] and stores s[tid + 1]; then it reads back its
+    # own s[tid + 1] and stores g[gid]. One track for both would see thread
+    # tid + 1 read where thread tid stores, and the other way round.
+    def kernel(ctx, g):
+        tid, nxt = ctx.thread_idx.x, (ctx.thread_idx.x + 1) % 8
+        s = ctx.shared_array(8)  # at byte offset 0, so named "shared@0"
+        s[nxt] = g[ctx.global_id]
+        g[ctx.global_id] = ctx.add(s[nxt], tid)
+
+    mem = DeviceMemory()
+    g = mem.alloc("shared@0", list(range(8)))  # as long as s, so that one shared track would keep both
+    state = run_grid(kernel, LaunchConfig(1, 8, shared_mem_bytes=32), mem, (g,), mode)
+    assert g.tolist() == [2 * i for i in range(8)]
+    assert mem.race_warnings == []
+    assert state.tracks["shared@0"].length == 8 and shared_track_lengths(state, mem) == [8]
