@@ -36,6 +36,7 @@ ARRAY_KERNELS = ("vector_add", "reduce_sum", "inclusive_scan", "exclusive_scan")
 MATRIX_KERNELS = ("matrix_add", "matmul")
 ALL_KERNELS = ARRAY_KERNELS + MATRIX_KERNELS
 TRACE_KERNELS = ("reduce_sum", "inclusive_scan")
+MAX_GENERATED = 1 << 22  # elements of one generated input: --size for an array, --size squared for a matrix
 
 
 class UsageError(Exception):
@@ -82,6 +83,16 @@ def _inputs(arg: Optional[str], expected: int, loader) -> Optional[list]:
     return [loader(p) for p in paths]
 
 
+def _check_size(args, name: str, square: bool = False) -> None:
+    """Reject a missing ``--size``, one below 1, or one that generates more than ``MAX_GENERATED`` elements."""
+    if args.size is None or args.size < 1:
+        raise UsageError(f"--size must be >= 1 to generate inputs for {name}")
+    elements = args.size**2 if square else args.size
+    if elements > MAX_GENERATED:
+        raise UsageError(f"--size {args.size} generates {elements} elements per input for {name}, "
+                         f"more than the cap of {MAX_GENERATED}")
+
+
 def _random_array(rng: np.random.Generator, size: int) -> list:
     return rng.integers(0, 100, size=size).tolist()
 
@@ -101,8 +112,7 @@ def _run_primitive(args) -> tuple[Any, Optional[StepTrace], MetricsReport]:
         n_inputs = 2 if name == "vector_add" else 1
         arrays = _inputs(args.input, n_inputs, _load_array)
         if arrays is None:
-            if args.size is None or args.size < 1:
-                raise UsageError(f"--size must be >= 1 to generate inputs for {name}")
+            _check_size(args, name)
             arrays = [_random_array(rng, args.size) for _ in range(n_inputs)]
         if name == "vector_add":
             block = 256 if args.block_dim is None else args.block_dim
@@ -118,8 +128,7 @@ def _run_primitive(args) -> tuple[Any, Optional[StepTrace], MetricsReport]:
 
     matrices = _inputs(args.input, 2, _load_matrix)
     if matrices is None:
-        if args.size is None or args.size < 1:
-            raise UsageError(f"--size must be >= 1 to generate inputs for {name}")
+        _check_size(args, name, square=True)
         matrices = [_random_matrix(rng, args.size) for _ in range(2)]
     if name == "matrix_add":
         return matrix_add(matrices[0], matrices[1], metrics=metrics), None, metrics
@@ -222,7 +231,10 @@ def cmd_memflow(args) -> int:
 
 def _add_kernel_options(p: argparse.ArgumentParser, kernels: Sequence[str]) -> None:
     p.add_argument("--kernel", required=True, choices=kernels)
-    p.add_argument("--size", type=int, default=None, help="generated input size")
+    p.add_argument(
+        "--size", type=int, default=None,
+        help="generated input size: elements of an array, rows of a square matrix; at most 4194304 (2^22) elements",
+    )
     p.add_argument("--block-dim", type=int, default=None, help="threads per block (vector_add only)")
     p.add_argument("--seed", type=int, default=0, help="64-bit seed for generated inputs")
     p.add_argument("--variant", default=None, help="kernel variant (e.g. interleaved, tiled)")

@@ -1,12 +1,10 @@
-"""Virtual GPU machine: launch geometry, memory, metrics, and the engine."""
+"""Virtual GPU machine: launch geometry, memory, the engine, access analysis, race tracking, metrics and recording."""
 
 from .access import bank_conflict_degree, coalesce_count
 from .config import LaunchConfig, ceil_div
 from .engine import (
-    BranchRecord,
     GlobalView,
     KernelContext,
-    Recorder,
     SharedView,
     Simulator,
     barrier_sync,
@@ -24,8 +22,9 @@ from .errors import (
     SimError,
     ThreadCoord,
 )
-from .memory import AccessRecord, Buffer, DeviceMemory
+from .memory import Buffer, DeviceMemory
 from .metrics import KernelCounters, MetricsReport
+from .observe import AccessRecord, BranchRecord, Recorder
 
 __all__ = [
     "AccessRecord",

@@ -1,9 +1,9 @@
 """Warp memory-access analysis: coalescing and shared-memory bank conflicts.
 
 Both entry points are pure functions over one warp's simultaneous accesses;
-the tests keep them as the scalar oracles. The engine uses the vectorized
-``_warp_*`` variants to process every warp of a block in a single pass, and
-only for a pattern its per-launch cost memo has not seen: the segment total
+the tests keep them as the scalar oracles. A launch's ``_CostMemo`` runs
+the vectorized ``_warp_*`` variants over every warp of a group in one pass,
+and only for a pattern the memo has not seen before: the segment total
 is unchanged by a shift of all addresses by a multiple of ``segment_bytes``,
 and the bank-conflict cycles by a shift of a multiple of
 ``bank_width_bytes``, so the memo keys patterns with the shift removed.
@@ -11,7 +11,7 @@ and the bank-conflict cycles by a shift of a multiple of
 
 from __future__ import annotations
 
-from typing import Iterable
+from typing import Any, Iterable
 
 import numpy as np
 
@@ -117,3 +117,51 @@ def _warp_bank_extra_cycles(
     warp_starts = np.flatnonzero(np.concatenate(([True], run_warps[1:] != run_warps[:-1])))
     degree_per_warp = np.maximum.reduceat(runs, warp_starts)
     return int(degree_per_warp.sum()) - degree_per_warp.size
+
+
+_COST_MEMO_KEY_BYTES = 4 << 20  # a cost memo whose keys would pass this starts over
+
+
+def _key_type(bound: int) -> type:
+    """The narrowest signed integer type holding every integer of magnitude below ``bound``."""
+    return np.int16 if bound <= 1 << 15 else np.int32 if bound <= 1 << 31 else np.int64
+
+
+class _CostMemo(dict):
+    """Cost by access pattern for one launch tree; why the key is exact is in README.
+
+    A key is the space, the integer type of its arrays, the block size, on a
+    partial mask the warp ids, and the lane byte addresses less the first
+    active lane's rounded down to the space's period, the arrays as bytes.
+    The block size fixes where a group's warps restart. The type is the
+    narrowest that holds the buffer's byte length and the warp count, which
+    bound both arrays. ``key_bytes`` counts 8 bytes per array element of all
+    keys, whatever their type.
+    """
+
+    key_bytes = 0
+
+    def add(self, key: tuple, cost: int, nbytes: int) -> None:
+        if self.key_bytes + nbytes > _COST_MEMO_KEY_BYTES:
+            self.clear()
+            self.key_bytes = 0
+        self[key] = cost
+        self.key_bytes += nbytes
+
+    def cost(self, sim: Any, space: str, warp_ids: np.ndarray, byte_addrs: np.ndarray, full: bool,
+             extent: int, warp_count: int, block_size: int) -> int:
+        """Segments or bank cycles of an instruction; ``extent`` and ``warp_count`` bound its arrays."""
+        is_global = space == "global"
+        period = sim.segment_bytes if is_global else sim.bank_width_bytes
+        dt = _key_type(max(extent, warp_count))
+        norm = (byte_addrs - int(byte_addrs[0]) // period * period).astype(dt)
+        warps = b"" if full else warp_ids.astype(dt).tobytes()
+        key = (space, dt, block_size, warps, norm.tobytes())
+        cost = self.get(key)
+        if cost is None:
+            if is_global:
+                cost = _warp_segment_total(warp_ids, byte_addrs, sim.segment_bytes)
+            else:
+                cost = _warp_bank_extra_cycles(warp_ids, byte_addrs, sim.bank_count, sim.bank_width_bytes)
+            self.add(key, cost, 8 * norm.size if full else 16 * norm.size)
+        return cost

@@ -21,18 +21,13 @@ branching has no direct expression, which is what keeps execution lockstep.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from functools import partial
 from typing import Any, Callable, NamedTuple, Optional, Sequence, Union
 
 import numpy as np
 
-from .access import (
-    DEFAULT_BANK_COUNT,
-    DEFAULT_BANK_WIDTH_BYTES,
-    DEFAULT_SEGMENT_BYTES,
-    _warp_bank_extra_cycles,
-    _warp_segment_total,
-)
+from . import access
+from .access import DEFAULT_BANK_COUNT, DEFAULT_BANK_WIDTH_BYTES, DEFAULT_SEGMENT_BYTES
 from .config import DEFAULT_MAX_THREADS_PER_BLOCK, LaunchConfig, ceil_div
 from .errors import (
     BarrierDivergence,
@@ -42,14 +37,14 @@ from .errors import (
     OutOfBounds,
     SimError,
 )
-from .memory import AccessRecord, Buffer, DeviceMemory
+from .memory import Buffer, DeviceMemory
 from .metrics import KernelCounters, MetricsReport
+from .observe import AccessRecord, BranchRecord, Recorder
+from .race import _RaceTrack
 
 LaneValue = Union[int, float, np.ndarray]
 
-_STALE = np.int64(-1)  # below every interval stamp: "no thread"
 _STAMP_MAX = int(np.iinfo(np.int64).max)
-_COST_MEMO_KEY_BYTES = 4 << 20  # a cost memo whose keys would pass this starts over
 _GROUP_LANES = 4096  # lanes of one group of a batchable kernel's blocks
 
 
@@ -72,197 +67,18 @@ class _Idx3(NamedTuple):
     z: Any
 
 
-class _RaceTrack:
-    """Conflict bookkeeping for one address space, reused for a whole launch.
-
-    Per address, interval state keeps the first writer, the first writer
-    distinct from it, the same pair for readers and the highest writer, each
-    as a word ``stamp + group-local thread id``. The stamp of a global
-    buffer is ``_LaunchState.stamp``, raised at each group start; that of
-    shared memory is ``_LaunchState.shared_stamp``, raised at each group start
-    and barrier. A raised stamp lies past every earlier word, so a word below
-    it means "no thread". Cross-block state keeps the grid's first reading and
-    first writing block as block stamps: blocks run in ascending order, so
-    another block accessed an address before block b exactly when its first
-    block is below b. A grid's block stamps lie below every earlier grid's,
-    so ``np.minimum`` takes a stale one for "no block yet". Nothing is reset.
-
-    Reads wait until a store to the space needs them: interval reads for a
-    store in the interval, cross-block reads for the grid's first store. In a
-    multi-block grid they also stop waiting before they would outnumber the
-    buffer's elements. A waiting cross-block read keeps its group's first
-    block stamp and its lane mask, from which each lane's block follows.
-    Arrays are allocated on first use, so a buffer that is only read never
-    has the writer-side ones.
-    """
-
-    def __init__(self, length: int):
-        self.length = length
-        self.pending_reads: list[tuple[np.ndarray, np.ndarray]] = []  # (addresses, global thread ids)
-        self.pending_count = 0  # addresses on pending_reads
-        self.pending_stamp = self.store_stamp = 0  # the intervals of the pending reads and of the last store
-        self.cross_reads: list[tuple] = []  # (addresses, first block stamp, lane mask, block size) not yet folded
-        self.cross_read_count = 0  # addresses on cross_reads
-        self.first_store = 0  # at most the block stamp of the grid's first store; 0 is stale
-        self.reader1 = self.writer1 = self.rb_block1 = self.w_block1 = None  # arrays, from the first fold or store
-
-    def defer_read(self, addrs: np.ndarray, tids: np.ndarray, stamp: int, shift: int,
-                   block: Optional[int], mask: np.ndarray, width: int) -> None:
-        """Buffer a read of this interval and, given a ``block`` stamp, of the grid (see ``_lane_blocks``).
-
-        In a multi-block grid, where a group's interval spans its blocks, the
-        waiting reads are folded before they would outnumber the elements.
-        """
-        if self.pending_stamp != stamp:
-            self.pending_reads, self.pending_count, self.pending_stamp = [], 0, stamp
-        if block is not None:
-            if self.pending_count + addrs.size > self.length:
-                self.note_reads(stamp, shift)
-            if self.cross_read_count + addrs.size > self.length:
-                self.fold_cross_reads()
-            self.cross_reads.append((addrs, block, mask, width))
-            self.cross_read_count += addrs.size
-            if self.first_store <= block or self.cross_read_count > self.length:
-                self.fold_cross_reads()
-        self.pending_reads.append((addrs, tids))
-        self.pending_count += addrs.size
-
-    def fold_cross_reads(self) -> None:
-        """Fold the deferred cross-block reads into the first-reader array."""
-        if self.rb_block1 is None:
-            self.rb_block1 = np.zeros(self.length, dtype=np.int64)
-        for addrs, block, mask, width in self.cross_reads:
-            np.minimum.at(self.rb_block1, addrs, _lane_blocks(block, mask, width))
-        self.cross_reads.clear()
-        self.cross_read_count = 0
-
-    def note_reads(self, stamp: int, shift: int) -> None:
-        """Note the pending reads of interval ``stamp`` in the reader arrays (``shift`` stamps their ids)."""
-        if self.reader1 is None:
-            self.reader1, self.reader2 = np.zeros(self.length, dtype=np.int64), np.zeros(self.length, dtype=np.int64)
-        if self.pending_stamp == stamp:
-            for addrs, tids in self.pending_reads:
-                _note(self.reader1, self.reader2, *_distinct(addrs, tids + shift), stamp)
-        self.pending_reads.clear()
-        self.pending_count = 0
-
-    def begin_store(self, stamp: int, shift: int, cross_block: bool) -> None:
-        """Allocate the writer-side arrays if needed, then fold in pending reads."""
-        if self.writer1 is None:
-            self.writer1, self.writer2, self.writer_max = (np.zeros(self.length, dtype=np.int64) for _ in range(3))
-        if cross_block:
-            if self.w_block1 is None:
-                self.w_block1 = np.zeros(self.length, dtype=np.int64)
-            self.fold_cross_reads()
-        self.note_reads(stamp, shift)
-
-
-def _lane_blocks(block: int, mask: np.ndarray, width: int) -> Any:
-    """Block stamps of the active lanes of a group of ``width``-thread blocks whose first is stamped ``block``.
-
-    A single block's lanes all share its stamp, returned as one scalar.
-    """
-    return block if mask.size == width else block + np.flatnonzero(mask) // width
-
-
-def _key_type(bound: int) -> type:
-    """The narrowest signed integer type holding every integer of magnitude below ``bound``."""
-    return np.int16 if bound <= 1 << 15 else np.int32 if bound <= 1 << 31 else np.int64
-
-
-def _distinct(addrs: np.ndarray, st: np.ndarray) -> tuple[np.ndarray, np.ndarray, Any]:
-    """Distinct addresses with the stamps of their first and second lanes (stale for a single lane).
-
-    Lane addresses are usually distinct, and often ascend; then the second
-    stamps are one stale scalar, and ascending addresses skip the sort.
-    ``addrs`` is the engine's own array, never one the kernel holds, so the
-    ascending case may return it as is.
-    """
-    if bool((addrs[1:] > addrs[:-1]).all()):
-        return addrs, st, _STALE
-    order = np.argsort(addrs, kind="stable")
-    a = addrs[order]
-    new = a[1:] != a[:-1]
-    if new.all():
-        return a, st[order], _STALE
-    head = np.flatnonzero(np.concatenate(([True], new)))
-    repeats = np.diff(head, append=a.size) > 1
-    second = np.where(repeats, st[order[np.minimum(head + 1, a.size - 1)]], _STALE)
-    return a[head], st[order[head]], second
-
-
-def _note(first: np.ndarray, second: np.ndarray, addrs, rep, nxt, stamp: int) -> None:
-    """Record distinct ``addrs`` accessed by lanes stamped ``rep`` (and ``nxt``) in a pair of interval arrays."""
-    f = first[addrs]
-    fresh = f >= stamp
-    if not fresh.any():  # the interval's first accesses to all of them
-        first[addrs], second[addrs] = rep, nxt
-        return
-    first[addrs] = np.where(fresh, f, rep)
-    s = second[addrs]
-    second[addrs] = np.where(s >= stamp, s, np.where(fresh & (f != rep), rep, nxt))
-
-
-def _other(first: np.ndarray, second: np.ndarray, addrs: np.ndarray, st: np.ndarray) -> np.ndarray:
-    """Per lane, the stamp of the earliest other thread in a pair of interval arrays, or a stale word."""
-    f = first[addrs]
-    return np.where(f == st, second[addrs], f)
-
-
-@dataclass
-class BranchRecord:
-    """One structured branch: per-warp active-lane predicate tallies."""
-
-    kernel: str
-    block: int
-    step: int
-    true_lane_counts: tuple[int, ...]
-    false_lane_counts: tuple[int, ...]
-
-
-@dataclass
-class Recorder:
-    """A launch's memory instructions, branches and barriers in order; see ``Simulator.launch``."""
-
-    accesses: list[AccessRecord] = field(default_factory=list)
-    branches: list[BranchRecord] = field(default_factory=list)
-    barriers: list[tuple[str, int, int]] = field(default_factory=list)  # (kernel, block, step)
-
-
-class _CostMemo(dict):
-    """Cost by access pattern for one launch tree; why the key is exact is in README.
-
-    A key is the space, the integer type of its arrays, the block size, on a
-    partial mask the warp ids, and the lane byte addresses less the first
-    active lane's rounded down to the space's period, the arrays as bytes.
-    The block size fixes where a group's warps restart. The type is the
-    narrowest that holds the buffer's byte length and the warp count, which
-    bound both arrays. ``key_bytes`` counts 8 bytes per array element of all
-    keys, whatever their type.
-    """
-
-    key_bytes = 0
-
-    def add(self, key: tuple, cost: int, nbytes: int) -> None:
-        if self.key_bytes + nbytes > _COST_MEMO_KEY_BYTES:
-            self.clear()
-            self.key_bytes = 0
-        self[key] = cost
-        self.key_bytes += nbytes
-
-
 class _LaunchState:
     """Mutable state shared by every block of one grid at one nesting depth."""
 
     def __init__(self, sim: "Simulator", mem: DeviceMemory, metrics: MetricsReport, mode: str, depth: int,
-                 recorder: Optional[Recorder] = None, cost_memo: Optional[_CostMemo] = None):
+                 recorder: Optional[Recorder] = None, cost_memo: Optional[access._CostMemo] = None):
         self.sim = sim
         self.mem = mem
         self.metrics = metrics
         self.mode = mode
         self.depth = depth
         self.recorder = recorder
-        self.cost_memo = _CostMemo() if cost_memo is None else cost_memo  # one per launch tree
+        self.cost_memo = access._CostMemo() if cost_memo is None else cost_memo  # one per launch tree
         self.multi_block = True  # refined per grid before blocks run
         # A word of the current interval is stamp (shared_stamp in shared
         # memory) + a group-local thread id, below it + stride; a word of the
@@ -327,7 +143,7 @@ class _LaunchState:
         if self.shared_stamp + self.stride > _STAMP_MAX or self.grid_stamp < -_STAMP_MAX:
             raise SimError("launch has more blocks or barrier intervals than 64-bit race stamps can number")
 
-    def track_for(self, view: Union["GlobalView", "SharedView"]) -> _RaceTrack:
+    def track_for(self, view: "_View") -> _RaceTrack:
         """The track of a global buffer, keyed by name, or of a shared array, keyed by byte offset."""
         key = view.name if view.space == "global" else view.byte_offset
         t = self.tracks.get(key)
@@ -360,7 +176,17 @@ class _LaunchState:
             self._child = None
 
 
-class GlobalView:
+class _View:
+    """A kernel-side array: indexing it with lane arrays is one memory instruction."""
+
+    def __getitem__(self, idx: LaneValue) -> np.ndarray:
+        return self._ctx._access(self, idx, None)
+
+    def __setitem__(self, idx: LaneValue, value: LaneValue) -> None:
+        self._ctx._access(self, idx, value)
+
+
+class GlobalView(_View):
     """Kernel-side handle to a global buffer, indexable by lane arrays."""
 
     space = "global"
@@ -374,14 +200,8 @@ class GlobalView:
         self.length = buffer.data.size
         self.element_width = buffer.element_width
 
-    def __getitem__(self, idx: LaneValue) -> np.ndarray:
-        return self._ctx._access(self, idx, None)
 
-    def __setitem__(self, idx: LaneValue, value: LaneValue) -> None:
-        self._ctx._access(self, idx, value)
-
-
-class SharedView:
+class SharedView(_View):
     """One typed allocation inside the block's shared memory region.
 
     In a group each block has its own ``length`` cells: block offset b holds
@@ -400,12 +220,6 @@ class SharedView:
 
     def __len__(self) -> int:
         return self.length
-
-    def __getitem__(self, idx: LaneValue) -> np.ndarray:
-        return self._ctx._access(self, idx, None)
-
-    def __setitem__(self, idx: LaneValue, value: LaneValue) -> None:
-        self._ctx._access(self, idx, value)
 
 
 class KernelContext:
@@ -499,6 +313,11 @@ class KernelContext:
 
         Contents are zero at block start and never visible to other blocks.
         """
+        if not all(isinstance(v, (int, np.integer)) for v in (length, element_width)):
+            raise LaunchConfigInvalid(
+                f"shared array of length={length}, element_width={element_width}: both must be integers",
+                kernel=self.kernel_name,
+            )
         length = int(length)
         if length < 0 or element_width < 1:
             raise LaunchConfigInvalid(
@@ -527,9 +346,7 @@ class KernelContext:
     # ------------------------------------------------------------------
     # memory instructions
 
-    def _access(
-        self, view: Union[GlobalView, SharedView], idx: LaneValue, value: Optional[LaneValue]
-    ) -> Optional[np.ndarray]:
+    def _access(self, view: _View, idx: LaneValue, value: Optional[LaneValue]) -> Optional[np.ndarray]:
         """One memory instruction of the active lanes; ``value is None`` is a load.
 
         Only the cost and the race stamps depend on the address space: global
@@ -556,22 +373,11 @@ class KernelContext:
         if view.byte_offset:
             byte_addrs += view.byte_offset
 
-        sim, state = self._sim, self._state
-        is_global = view.space == "global"
-        period = sim.segment_bytes if is_global else sim.bank_width_bytes
-        dt = _key_type(max(length * view.element_width + view.byte_offset, self.warp_count))
-        norm = (byte_addrs - int(byte_addrs[0]) // period * period).astype(dt)
-        warps = b"" if full else warp_ids.astype(dt).tobytes()
-        key = (view.space, dt, self._block_size, warps, norm.tobytes())
-        cost = state.cost_memo.get(key)
-        if cost is None:
-            if is_global:
-                cost = _warp_segment_total(warp_ids, byte_addrs, sim.segment_bytes)
-            else:
-                cost = _warp_bank_extra_cycles(warp_ids, byte_addrs, sim.bank_count, sim.bank_width_bytes)
-            state.cost_memo.add(key, cost, 8 * norm.size if full else 16 * norm.size)
+        state = self._state
+        cost = state.cost_memo.cost(self._sim, view.space, warp_ids, byte_addrs, full,
+                                    length * view.element_width + view.byte_offset, self.warp_count, self._block_size)
         counters = self._counters()
-        if is_global:
+        if view.space == "global":
             state.metrics.global_transactions += cost
             counters.global_transactions += cost
             block, stamp = self._block_stamp, state.stamp
@@ -582,11 +388,12 @@ class KernelContext:
             if self._blocks > 1:  # each block's cells in its own region
                 ei = ei + (self._offset if full else self._offset[act]) * length
         addrs = ei.copy() if ei is idx else ei  # the race tracker keeps it; the kernel may change its own
-        track = state.track_for(view)
+        track, shift = state.track_for(view), stamp - self._gid0  # global thread ids to stamped words
+        fail = partial(self._race_fail, view, stamp)
 
         result: Optional[np.ndarray] = None
         if value is None:
-            self._race_read(track, addrs, tids, act, block, stamp, view)
+            track.check_read(addrs, tids, stamp, shift, block, act, self._block_size, fail)
             if full:
                 result = data[ei]
             else:
@@ -597,7 +404,7 @@ class KernelContext:
             if not full:
                 vals = vals[act]
             vals = vals.astype(data.dtype, copy=False)
-            eff = self._race_write(track, addrs, tids, act, block, stamp, view)
+            eff = track.check_write(addrs, tids, stamp, shift, block, act, self._block_size, fail)
             dst = ei[eff]
             if state.undo is not None:
                 state.undo.append((data, dst, data[dst]))
@@ -622,12 +429,10 @@ class KernelContext:
         return result
 
     # ------------------------------------------------------------------
-    # race bookkeeping (addresses are indices into ``view.data``, one track
-    # per global buffer or shared array, each space with its own stamp; errors
-    # and warnings name a shared element by its byte offset)
+    # race reports (a track of ``race.py`` finds the conflicts, by index into
+    # ``view.data``; errors and warnings name a shared element by byte offset)
 
-    def _race_fail(self, view: Union[GlobalView, SharedView], conflict: Any, addrs: np.ndarray, a: np.ndarray,
-                   b: Any, stamp: int) -> None:
+    def _race_fail(self, view: _View, stamp: int, conflict: Any, addrs: np.ndarray, a: np.ndarray, b: Any) -> None:
         """Report the first lane of ``conflict``: thread ``a`` against thread ``b``, or another block.
 
         ``a`` and ``b`` hold stamped words per lane; a stale word in ``b``, or
@@ -646,50 +451,6 @@ class KernelContext:
         self._state.mem.race_warnings.append(
             f"{msg} (threads {tid_a} and {tid_b}, kernel {self.kernel_name}, block {self.block_linear}, step {self.step})"
         )
-
-    def _race_read(self, track: _RaceTrack, addrs: np.ndarray, tids: np.ndarray, act: np.ndarray,
-                   block: Optional[int], stamp: int, view: Union[GlobalView, SharedView]) -> None:
-        """Check a load; ``block`` is the first block's stamp, or None where blocks cannot conflict."""
-        shift = stamp - self._gid0  # global thread ids to stamped words
-        if track.store_stamp == stamp:
-            st = tids + shift
-            other = _other(track.writer1, track.writer2, addrs, st)
-            self._race_fail(view, other >= stamp, addrs, st, other, stamp)
-        if block is not None and track.first_store < block + self._blocks - 1:  # another block may have stored here
-            blocks = _lane_blocks(block, act, self._block_size)
-            self._race_fail(view, track.w_block1[addrs] < blocks, addrs, tids + shift, _STALE, stamp)
-        track.defer_read(addrs, tids, stamp, shift, block, act, self._block_size)
-
-    def _race_write(self, track: _RaceTrack, addrs: np.ndarray, tids: np.ndarray, act: np.ndarray,
-                    block: Optional[int], stamp: int, view: Union[GlobalView, SharedView]) -> np.ndarray:
-        """Check a store; returns the per-lane apply mask.
-
-        A conflict names the earliest other writer in the interval, else the
-        earliest other reader. In permissive mode a lane's write lands only if
-        no higher-id thread wrote the address in the interval, so conflicting
-        writes resolve in ascending global id order.
-        """
-        shift = stamp - self._gid0
-        st = tids + shift
-        track.begin_store(stamp, shift, block is not None)
-        u_addr, rep, nxt = _distinct(addrs, st)
-        other = _other(track.writer1, track.writer2, addrs, st)
-        other = np.where(other >= stamp, other, _other(track.reader1, track.reader2, addrs, st))
-        conflict = other >= stamp
-        if block is not None:
-            blocks = _lane_blocks(block, act, self._block_size)
-            conflict |= (track.rb_block1[addrs] < blocks) | (track.w_block1[addrs] < blocks)
-        self._race_fail(view, conflict, addrs, st, other, stamp)
-        self._race_fail(view, nxt >= stamp, u_addr, rep, nxt, stamp)  # two lanes of this store to one address
-
-        eff = track.writer_max[addrs] <= st
-        np.maximum.at(track.writer_max, addrs, st)
-        _note(track.writer1, track.writer2, u_addr, rep, nxt, stamp)
-        track.store_stamp = stamp
-        if block is not None:
-            np.minimum.at(track.w_block1, addrs, blocks)
-            track.first_store = min(track.first_store, block)
-        return eff
 
     # ------------------------------------------------------------------
     # control flow

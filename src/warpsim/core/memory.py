@@ -1,8 +1,7 @@
-"""Device-global buffers and the record of one memory instruction."""
+"""Device-global buffers."""
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Any, Iterator, Optional, Sequence, Union
 
 import numpy as np
@@ -48,7 +47,7 @@ class Buffer:
     ):
         self.name = name
         self.data = data
-        self.element_width = int(element_width)
+        self.element_width = element_width
 
     def __len__(self) -> int:
         return int(self.data.size)
@@ -64,23 +63,6 @@ class Buffer:
         return f"Buffer({self.name!r}, len={len(self)}, dtype={self.data.dtype})"
 
 
-@dataclass
-class AccessRecord:
-    """One executed memory instruction: which lanes touched which addresses."""
-
-    kernel: str
-    block: int
-    step: int
-    space: str  # "global" | "shared"
-    kind: str  # "read" | "write"
-    buffer: str
-    width: int
-    warp_ids: np.ndarray  # block-local warp of each active lane
-    lanes: np.ndarray  # global linear thread ids of active lanes
-    addresses: np.ndarray  # byte addresses, parallel to lanes
-    values: Optional[np.ndarray]  # stored values, parallel to lanes; None for a load
-
-
 class DeviceMemory:
     """Global memory: named buffers plus the last launch's race warnings."""
 
@@ -89,7 +71,7 @@ class DeviceMemory:
         # Never filled: a launch records accesses only on an attached
         # ``Recorder``. Kept because bench/tracer.py reads it after every
         # traced launch.
-        self.access_log: list[AccessRecord] = []
+        self.access_log: list = []  # of ``AccessRecord``
         self.race_warnings: list[str] = []
 
     def alloc(
@@ -101,6 +83,8 @@ class DeviceMemory:
     ) -> Buffer:
         if name in self.buffers:
             raise ValueError(f"buffer {name!r} already allocated")
+        if not isinstance(element_width, (int, np.integer)):
+            raise ValueError(f"buffer {name!r}: element_width={element_width} must be an integer")
         if element_width < 1:
             raise ValueError(f"buffer {name!r}: element_width={element_width} must be positive")
         if isinstance(size_or_data, (int, np.integer)):
@@ -109,7 +93,9 @@ class DeviceMemory:
             data = host_arrays(size_or_data)[0].copy()
         else:
             data = np.array(size_or_data, dtype=dtype)
-        buf = Buffer(name, data, element_width)
+        if data.ndim == 0:
+            raise ValueError(f"buffer {name!r}: size_or_data={size_or_data} must be an integer size or a sequence")
+        buf = Buffer(name, data, int(element_width))
         self.buffers[name] = buf
         return buf
 

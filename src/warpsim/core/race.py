@@ -1,0 +1,192 @@
+"""Race tracking: the conflict state of one global buffer or shared array, as stamped words.
+
+The engine owns the stamps and turns each conflict a track reports into a
+``DataRace`` or a permissive warning.
+"""
+
+from __future__ import annotations
+
+from typing import Any, Callable, Optional
+
+import numpy as np
+
+_STALE = np.int64(-1)  # below every interval stamp: "no thread"
+
+
+class _RaceTrack:
+    """Conflict bookkeeping for one address space, reused for a whole launch.
+
+    Per address, interval state keeps the first writer, the first writer
+    distinct from it, the same pair for readers and the highest writer, each
+    as a word ``stamp + group-local thread id``. The stamp of a global
+    buffer is ``_LaunchState.stamp``, raised at each group start; that of
+    shared memory is ``_LaunchState.shared_stamp``, raised at each group start
+    and barrier. A raised stamp lies past every earlier word, so a word below
+    it means "no thread". Cross-block state keeps the grid's first reading and
+    first writing block as block stamps: blocks run in ascending order, so
+    another block accessed an address before block b exactly when its first
+    block is below b. A grid's block stamps lie below every earlier grid's,
+    so ``np.minimum`` takes a stale one for "no block yet". Nothing is reset.
+
+    Reads wait until a store to the space needs them: interval reads for a
+    store in the interval, cross-block reads for the grid's first store. In a
+    multi-block grid they also stop waiting before they would outnumber the
+    buffer's elements. A waiting cross-block read keeps its group's first
+    block stamp and its lane mask, from which each lane's block follows.
+    Arrays are allocated on first use, so a buffer that is only read never
+    has the writer-side ones.
+
+    A check takes lane indices into the array, global thread ids, the
+    interval ``stamp``, the ``shift`` from ids to words, the first ``block``
+    stamp (None where blocks cannot conflict), the lane ``mask`` and the block
+    ``width``. Before it changes a word it calls ``fail(conflict, addrs, a,
+    b)``: per lane of ``conflict``, word ``a`` against ``b`` (stale: a block).
+    """
+
+    def __init__(self, length: int):
+        self.length = length
+        self.pending_reads: list[tuple[np.ndarray, np.ndarray]] = []  # (addresses, global thread ids)
+        self.pending_count = 0  # addresses on pending_reads
+        self.pending_stamp = self.store_stamp = 0  # the intervals of the pending reads and of the last store
+        self.cross_reads: list[tuple] = []  # (addresses, first block stamp, lane mask, block size) not yet folded
+        self.cross_read_count = 0  # addresses on cross_reads
+        self.first_store = 0  # at most the block stamp of the grid's first store; 0 is stale
+        self.reader1 = self.writer1 = self.rb_block1 = self.w_block1 = None  # arrays, from the first fold or store
+
+    def check_read(self, addrs: np.ndarray, tids: np.ndarray, stamp: int, shift: int, block: Optional[int],
+                   mask: np.ndarray, width: int, fail: Callable) -> None:
+        """Check a load: conflicts with this interval's writers, then with other blocks' stores."""
+        if self.store_stamp == stamp:
+            st = tids + shift
+            other = _other(self.writer1, self.writer2, addrs, st)
+            fail(other >= stamp, addrs, st, other)
+        if block is not None and self.first_store < block + mask.size // width - 1:  # another block may have stored
+            fail(self.w_block1[addrs] < _lane_blocks(block, mask, width), addrs, tids + shift, _STALE)
+        self.defer_read(addrs, tids, stamp, shift, block, mask, width)
+
+    def check_write(self, addrs: np.ndarray, tids: np.ndarray, stamp: int, shift: int, block: Optional[int],
+                    mask: np.ndarray, width: int, fail: Callable) -> np.ndarray:
+        """Check a store, then note it; returns the per-lane apply mask.
+
+        A conflict names the earliest other writer in the interval, else the
+        earliest other reader. In permissive mode a lane's write lands only if
+        no higher-id thread wrote the address in the interval, so conflicting
+        writes resolve in ascending global id order.
+        """
+        st = tids + shift
+        self.begin_store(stamp, shift, block is not None)
+        u_addr, rep, nxt = _distinct(addrs, st)
+        other = _other(self.writer1, self.writer2, addrs, st)
+        other = np.where(other >= stamp, other, _other(self.reader1, self.reader2, addrs, st))
+        conflict = other >= stamp
+        if block is not None:
+            blocks = _lane_blocks(block, mask, width)
+            conflict |= (self.rb_block1[addrs] < blocks) | (self.w_block1[addrs] < blocks)
+        fail(conflict, addrs, st, other)
+        fail(nxt >= stamp, u_addr, rep, nxt)  # two lanes of this store to one address
+
+        eff = self.writer_max[addrs] <= st
+        np.maximum.at(self.writer_max, addrs, st)
+        _note(self.writer1, self.writer2, u_addr, rep, nxt, stamp)
+        self.store_stamp = stamp
+        if block is not None:
+            np.minimum.at(self.w_block1, addrs, blocks)
+            self.first_store = min(self.first_store, block)
+        return eff
+
+    def defer_read(self, addrs: np.ndarray, tids: np.ndarray, stamp: int, shift: int,
+                   block: Optional[int], mask: np.ndarray, width: int) -> None:
+        """Buffer a read of this interval and, given a ``block`` stamp, of the grid (see ``_lane_blocks``).
+
+        In a multi-block grid, where a group's interval spans its blocks, the
+        waiting reads are folded before they would outnumber the elements.
+        """
+        if self.pending_stamp != stamp:
+            self.pending_reads, self.pending_count, self.pending_stamp = [], 0, stamp
+        if block is not None:
+            if self.pending_count + addrs.size > self.length:
+                self.note_reads(stamp, shift)
+            if self.cross_read_count + addrs.size > self.length:
+                self.fold_cross_reads()
+            self.cross_reads.append((addrs, block, mask, width))
+            self.cross_read_count += addrs.size
+            if self.first_store <= block or self.cross_read_count > self.length:
+                self.fold_cross_reads()
+        self.pending_reads.append((addrs, tids))
+        self.pending_count += addrs.size
+
+    def fold_cross_reads(self) -> None:
+        """Fold the deferred cross-block reads into the first-reader array."""
+        if self.rb_block1 is None:
+            self.rb_block1 = np.zeros(self.length, dtype=np.int64)
+        for addrs, block, mask, width in self.cross_reads:
+            np.minimum.at(self.rb_block1, addrs, _lane_blocks(block, mask, width))
+        self.cross_reads.clear()
+        self.cross_read_count = 0
+
+    def note_reads(self, stamp: int, shift: int) -> None:
+        """Note the pending reads of interval ``stamp`` in the reader arrays (``shift`` stamps their ids)."""
+        if self.reader1 is None:
+            self.reader1, self.reader2 = np.zeros(self.length, dtype=np.int64), np.zeros(self.length, dtype=np.int64)
+        if self.pending_stamp == stamp:
+            for addrs, tids in self.pending_reads:
+                _note(self.reader1, self.reader2, *_distinct(addrs, tids + shift), stamp)
+        self.pending_reads.clear()
+        self.pending_count = 0
+
+    def begin_store(self, stamp: int, shift: int, cross_block: bool) -> None:
+        """Allocate the writer-side arrays if needed, then fold in pending reads."""
+        if self.writer1 is None:
+            self.writer1, self.writer2, self.writer_max = (np.zeros(self.length, dtype=np.int64) for _ in range(3))
+        if cross_block:
+            if self.w_block1 is None:
+                self.w_block1 = np.zeros(self.length, dtype=np.int64)
+            self.fold_cross_reads()
+        self.note_reads(stamp, shift)
+
+
+def _lane_blocks(block: int, mask: np.ndarray, width: int) -> Any:
+    """Block stamps of the active lanes of a group of ``width``-thread blocks whose first is stamped ``block``.
+
+    A single block's lanes all share its stamp, returned as one scalar.
+    """
+    return block if mask.size == width else block + np.flatnonzero(mask) // width
+
+
+def _distinct(addrs: np.ndarray, st: np.ndarray) -> tuple[np.ndarray, np.ndarray, Any]:
+    """Distinct addresses with the stamps of their first and second lanes (stale for a single lane).
+
+    Lane addresses are usually distinct, and often ascend; then the second
+    stamps are one stale scalar, and ascending addresses skip the sort.
+    ``addrs`` is the engine's own array, never one the kernel holds, so the
+    ascending case may return it as is.
+    """
+    if bool((addrs[1:] > addrs[:-1]).all()):
+        return addrs, st, _STALE
+    order = np.argsort(addrs, kind="stable")
+    a = addrs[order]
+    new = a[1:] != a[:-1]
+    if new.all():
+        return a, st[order], _STALE
+    head = np.flatnonzero(np.concatenate(([True], new)))
+    repeats = np.diff(head, append=a.size) > 1
+    second = np.where(repeats, st[order[np.minimum(head + 1, a.size - 1)]], _STALE)
+    return a[head], st[order[head]], second
+
+
+def _note(first: np.ndarray, second: np.ndarray, addrs, rep, nxt, stamp: int) -> None:
+    """Record distinct ``addrs`` accessed by lanes stamped ``rep`` (and ``nxt``) in a pair of interval arrays."""
+    f = first[addrs]
+    fresh = f >= stamp
+    if not fresh.any():  # the interval's first accesses to all of them
+        first[addrs], second[addrs] = rep, nxt
+        return
+    first[addrs] = np.where(fresh, f, rep)
+    s = second[addrs]
+    second[addrs] = np.where(s >= stamp, s, np.where(fresh & (f != rep), rep, nxt))
+
+
+def _other(first: np.ndarray, second: np.ndarray, addrs: np.ndarray, st: np.ndarray) -> np.ndarray:
+    """Per lane, the stamp of the earliest other thread in a pair of interval arrays, or a stale word."""
+    f = first[addrs]
+    return np.where(f == st, second[addrs], f)

@@ -36,6 +36,20 @@ class TestRun:
         code = main(["run", "--kernel", "reduce_sum", "--size", "0"])
         assert code == 2
 
+    @pytest.mark.parametrize(
+        "kernel, size, elements",
+        [("vector_add", 2**22 + 1, 2**22 + 1), ("vector_add", 10**11, 10**11), ("matmul", 2049, 2049**2)],
+    )
+    def test_size_past_the_cap_is_usage_error(self, capsys, kernel, size, elements):
+        # Rejected before numpy is asked for the array, which at 10**11
+        # elements raised a MemoryError traceback.
+        code = main(["run", "--kernel", kernel, "--size", str(size)])
+        err = capsys.readouterr().err
+        assert code == 2
+        assert err == (
+            f"error: --size {size} generates {elements} elements per input for {kernel}, more than the cap of 4194304\n"
+        )
+
     def test_unknown_kernel_is_usage_error(self, capsys):
         with pytest.raises(SystemExit) as exc:
             main(["run", "--kernel", "fft"])

@@ -19,18 +19,20 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from warpsim import DeviceMemory, LaunchConfig, Recorder, SimError, Simulator
-from warpsim.core import engine
-from warpsim.core.access import bank_conflict_degree, coalesce_count
+from warpsim.core import access
+from warpsim.core.access import _COST_MEMO_KEY_BYTES, _CostMemo, bank_conflict_degree, coalesce_count
 
 GLOBAL_LEN = 4096
 SHARED_LEN = 512
 
 
-class NoMemo(engine._CostMemo):
+class NoMemo(_CostMemo):
     """A memo that never keeps a cost: every instruction computes its own."""
 
+    adds = 0  # calls over all instances, which show that a launch built its memo from this class
+
     def add(self, key, cost, nbytes):
-        pass
+        NoMemo.adds += 1
 
 
 def lane_indices(pattern, active: np.ndarray, shift: int) -> np.ndarray:
@@ -112,8 +114,8 @@ def launch(program, memo_cls):
     kernel = program_kernel(program)
     recorder = Recorder()
     out = {}
-    original = engine._CostMemo
-    engine._CostMemo = memo_cls
+    original, adds = access._CostMemo, NoMemo.adds
+    access._CostMemo = memo_cls
     try:
         out["metrics"] = sim.launch(
             kernel, config, mem, (buf, program["child"]), mode=program["mode"], recorder=recorder
@@ -121,7 +123,9 @@ def launch(program, memo_cls):
     except SimError as e:
         out["error"] = e.to_json()
     finally:
-        engine._CostMemo = original
+        access._CostMemo = original
+    # Each recorded instruction had its cost computed, by a NoMemo if the swap took effect.
+    assert memo_cls is not NoMemo or NoMemo.adds > adds or not recorder.accesses
     out["buf"] = buf.data.tolist()
     out["race_warnings"] = list(mem.race_warnings)
     return out, recorder
@@ -190,7 +194,7 @@ PROGRAMS = st.fixed_dictionaries(
 @settings(max_examples=150, deadline=None)
 @given(PROGRAMS)
 def test_memo_on_and_off_agree_and_match_the_oracles(program):
-    on, recorder = launch(program, engine._CostMemo)
+    on, recorder = launch(program, _CostMemo)
     off, _ = launch(program, NoMemo)
     assert on == off
     if "metrics" in on:
@@ -249,7 +253,7 @@ PINNED = {
 @pytest.mark.parametrize("name", sorted(PINNED))
 def test_pinned_patterns_match_the_oracles(name):
     program = PINNED[name]
-    on, recorder = launch(program, engine._CostMemo)
+    on, recorder = launch(program, _CostMemo)
     assert on == launch(program, NoMemo)[0]
     assert (on["metrics"]["global_transactions"], on["metrics"]["bank_conflict_extra_cycles"]) == recount(
         recorder, program["geometry"]
@@ -279,7 +283,7 @@ def test_memo_keys_stay_under_the_cap_and_leave_with_the_launch():
     # 8 blocks x 64 instructions of 1024 lanes make about 6 MiB of keys.
     Simulator().launch(gather_kernel, LaunchConfig(8, 1024), mem, (buf, 64, probe))
     sizes = [b for _, _, b in seen]
-    assert max(sizes) <= engine._COST_MEMO_KEY_BYTES
+    assert max(sizes) <= _COST_MEMO_KEY_BYTES
     assert sum(b2 < b1 for b1, b2 in zip(sizes, sizes[1:])) >= 1  # the memo started over
     assert seen[0][0].cost_memo is None
 

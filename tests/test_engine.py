@@ -260,20 +260,23 @@ class TestLaunchBasics:
             "kernel": "kernel",
         }
 
-    @pytest.mark.parametrize("length, width", [(8, 0), (8, -4), (-2, 4)])
+    @pytest.mark.parametrize("length, width", [(8, 0), (8, -4), (-2, 4), (8.7, 4), (8, 2.5)])
     def test_shared_array_of_negative_length_or_width_names_the_kernel(self, length, width):
         # A zero width would give 8 distinct cells one race address and a
         # negative one negative addresses; a negative length would reach numpy.
+        # A fractional length would be truncated, and a fractional width
+        # would fail the first store inside numpy.
         def kernel(ctx):
             s = ctx.shared_array(length, element_width=width)
             s[ctx.thread_idx.x] = 1
 
         with pytest.raises(LaunchConfigInvalid) as exc:
             launch_kernel(kernel, LaunchConfig(1, 8, shared_mem_bytes=64), DeviceMemory())
-        message = (
-            f"shared array of length={length}, element_width={width}: "
-            "the length must be >= 0 and the element width >= 1"
-        )
+        if isinstance(length, float) or isinstance(width, float):
+            rule = "both must be integers"
+        else:
+            rule = "the length must be >= 0 and the element width >= 1"
+        message = f"shared array of length={length}, element_width={width}: {rule}"
         assert exc.value.to_json() == {
             "kind": "LaunchConfigInvalid",
             "message": f"{message}; kernel=kernel",
@@ -303,11 +306,22 @@ class TestLaunchBasics:
             mem.alloc("data", 3)
         assert mem.buffers["data"] is first and first.tolist() == [1, 2]
 
-    @pytest.mark.parametrize("width", [0, -4])
+    @pytest.mark.parametrize("width", [0, -4, 2.5])
     def test_alloc_of_a_width_below_one_rejected(self, width):
+        # A fractional width would be truncated to model narrower elements.
+        rule = "must be an integer" if isinstance(width, float) else "must be positive"
         mem = DeviceMemory()
-        with pytest.raises(ValueError, match=f"^buffer 'data': element_width={width} must be positive$"):
+        with pytest.raises(ValueError, match=f"^buffer 'data': element_width={width} {rule}$"):
             mem.alloc("data", 4, element_width=width)
+        assert mem.buffers == {}
+
+    @pytest.mark.parametrize("size", [8.5, 8.0, np.float64(3.0), "8"])
+    def test_alloc_of_a_non_integer_size_rejected(self, size):
+        # It would build a 0-d buffer of one element.
+        mem = DeviceMemory()
+        message = f"^buffer 'data': size_or_data={size} must be an integer size or a sequence$"
+        with pytest.raises(ValueError, match=message):
+            mem.alloc("data", size)
         assert mem.buffers == {}
 
     def test_foreign_buffer_rejected(self):

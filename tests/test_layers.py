@@ -1,0 +1,57 @@
+"""The machine's layers stay in their own modules (README, "Layout").
+
+Race tracking, access analysis and recording never import the engine, and
+the engine reads no field of a race track: it hands a track addresses and
+stamps and gets conflicts back.
+"""
+
+import ast
+from pathlib import Path
+
+import pytest
+
+CORE = Path(__file__).resolve().parent.parent / "src" / "warpsim" / "core"
+BELOW_ENGINE = ("race.py", "access.py", "observe.py", "metrics.py")
+TRACK_FIELDS = {
+    "writer1", "writer2", "writer_max", "reader1", "reader2", "rb_block1", "w_block1", "first_store", "store_stamp",
+}
+TRACK_PREFIXES = ("pending_", "cross_read")
+
+
+def tree(name: str) -> ast.Module:
+    return ast.parse((CORE / name).read_text(), filename=name)
+
+
+def imported_modules(module: ast.Module) -> set[str]:
+    """Every module an import statement names, with each ``from`` import's names as submodules too."""
+    names = set()
+    for node in ast.walk(module):
+        if isinstance(node, ast.Import):
+            names.update(alias.name for alias in node.names)
+        elif isinstance(node, ast.ImportFrom):
+            base = node.module or ""
+            names.add(base)
+            names.update(f"{base}.{alias.name}".lstrip(".") for alias in node.names)
+    return names
+
+
+def test_the_layer_modules_exist():
+    assert {p.name for p in CORE.glob("*.py")} >= {"engine.py", *BELOW_ENGINE}
+
+
+@pytest.mark.parametrize("name", BELOW_ENGINE)
+def test_lower_layers_do_not_import_the_engine(name):
+    hits = sorted(m for m in imported_modules(tree(name)) if m.split(".")[-1] == "engine")
+    assert hits == [], f"{name} imports {hits}"
+
+
+def test_engine_reads_no_race_track_field():
+    hits = sorted(
+        {
+            node.attr
+            for node in ast.walk(tree("engine.py"))
+            if isinstance(node, ast.Attribute)
+            and (node.attr in TRACK_FIELDS or node.attr.startswith(TRACK_PREFIXES))
+        }
+    )
+    assert hits == [], f"engine.py reads race-track fields {hits}"

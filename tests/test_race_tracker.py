@@ -18,6 +18,7 @@ import reference_machine
 from reference_machine import SHARED_LEN, lane_address
 from warpsim import DeviceMemory, LaunchConfig, MetricsReport, SimError, Simulator
 from warpsim.core import engine
+from warpsim.core.race import _RaceTrack
 from warpsim.kernels.matrix import TILE, matmul_naive_kernel, matmul_tiled_kernel, matrix_add_kernel
 
 # ----------------------------------------------------------------------
@@ -241,13 +242,13 @@ def test_naive_product_inputs_hold_at_most_one_buffer_of_reads():
     n = 48
     mem, (a, b, c) = matrix_buffers(n)
     folds = []
-    fold = engine._RaceTrack.fold_cross_reads
+    fold = _RaceTrack.fold_cross_reads
 
     def counting_fold(track):
         folds.append(track.cross_read_count)
         fold(track)
 
-    with mock.patch.object(engine._RaceTrack, "fold_cross_reads", counting_fold):
+    with mock.patch.object(_RaceTrack, "fold_cross_reads", counting_fold):
         state = run_grid(matmul_naive_kernel, LaunchConfig((3, 3), (TILE, TILE)), mem, (a, b, c, n, n, n))
     assert c.tolist() == (np.arange(n * n).reshape(n, n) @ np.arange(n * n).reshape(n, n)).ravel().tolist()
     for name in ("a", "b"):
