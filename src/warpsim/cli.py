@@ -37,6 +37,7 @@ MATRIX_KERNELS = ("matrix_add", "matmul")
 ALL_KERNELS = ARRAY_KERNELS + MATRIX_KERNELS
 TRACE_KERNELS = ("reduce_sum", "inclusive_scan")
 MAX_GENERATED = 1 << 22  # elements of one generated input: --size for an array, --size squared for a matrix
+MAX_MATMUL_WORK = 1 << 24  # multiply-adds m * n * p of one matmul, generated or --input: --size 256
 
 
 class UsageError(Exception):
@@ -132,11 +133,12 @@ def _run_primitive(args) -> tuple[Any, Optional[StepTrace], MetricsReport]:
         matrices = [_random_matrix(rng, args.size) for _ in range(2)]
     if name == "matrix_add":
         return matrix_add(matrices[0], matrices[1], metrics=metrics), None, metrics
-    return (
-        matmul(matrices[0], matrices[1], args.variant or "naive", metrics=metrics),
-        None,
-        metrics,
-    )
+    a, b = matrices
+    work = a.rows * a.cols * b.cols
+    if a.cols == b.rows and work > MAX_MATMUL_WORK:  # the product's time grows with m * n * p, not with its inputs
+        raise UsageError(f"matmul of {a.rows}x{a.cols} by {b.rows}x{b.cols} takes {work} multiply-adds, "
+                         f"more than the cap of {MAX_MATMUL_WORK}")
+    return matmul(a, b, args.variant or "naive", metrics=metrics), None, metrics
 
 
 def _result_json(result: Any) -> Any:
@@ -233,7 +235,8 @@ def _add_kernel_options(p: argparse.ArgumentParser, kernels: Sequence[str]) -> N
     p.add_argument("--kernel", required=True, choices=kernels)
     p.add_argument(
         "--size", type=int, default=None,
-        help="generated input size: elements of an array, rows of a square matrix; at most 4194304 (2^22) elements",
+        help="generated input size: elements of an array, rows of a square matrix; at most 4194304 (2^22) "
+        "elements, and for matmul at most 16777216 (2^24) multiply-adds (--size 256)",
     )
     p.add_argument("--block-dim", type=int, default=None, help="threads per block (vector_add only)")
     p.add_argument("--seed", type=int, default=0, help="64-bit seed for generated inputs")

@@ -11,7 +11,7 @@ and the bank-conflict cycles by a shift of a multiple of
 
 from __future__ import annotations
 
-from typing import Any, Iterable
+from typing import Any, Iterable, Optional
 
 import numpy as np
 
@@ -130,13 +130,13 @@ def _key_type(bound: int) -> type:
 class _CostMemo(dict):
     """Cost by access pattern for one launch tree; why the key is exact is in README.
 
-    A key is the space, the integer type of its arrays, the block size, on a
+    A key is the space, the block size (where a group's warps restart), on a
     partial mask the warp ids, and the lane byte addresses less the first
-    active lane's rounded down to the space's period, the arrays as bytes.
-    The block size fixes where a group's warps restart. The type is the
-    narrowest that holds the buffer's byte length and the warp count, which
-    bound both arrays. ``key_bytes`` counts 8 bytes per array element of all
-    keys, whatever their type.
+    active lane's rounded down to the space's period, as bytes of the
+    narrowest integer type that holds the buffer's byte length and the warp
+    count, which the key names. A run of ``n`` lanes on consecutive elements
+    keeps only its first address's offset into the period, the element width
+    and ``n``. ``key_bytes`` counts 8 bytes per array element, one for a run.
     """
 
     key_bytes = 0
@@ -148,20 +148,28 @@ class _CostMemo(dict):
         self[key] = cost
         self.key_bytes += nbytes
 
-    def cost(self, sim: Any, space: str, warp_ids: np.ndarray, byte_addrs: np.ndarray, full: bool,
-             extent: int, warp_count: int, block_size: int) -> int:
-        """Segments or bank cycles of an instruction; ``extent`` and ``warp_count`` bound its arrays."""
+    def cost(self, sim: Any, space: str, warp_ids: np.ndarray, warp_key: bytes, byte_addrs: Optional[np.ndarray],
+             first: int, width: int, extent: int, warp_count: int, block_size: int) -> int:
+        """Segments or bank cycles of an instruction; ``extent`` and ``warp_count`` bound its arrays.
+
+        ``warp_key`` holds the warp ids as bytes, none on a full mask; ``byte_addrs`` None stands for a
+        run of ``warp_ids.size`` lanes of ``width`` bytes from byte ``first``."""
         is_global = space == "global"
         period = sim.segment_bytes if is_global else sim.bank_width_bytes
         dt = _key_type(max(extent, warp_count))
-        norm = (byte_addrs - int(byte_addrs[0]) // period * period).astype(dt)
-        warps = b"" if full else warp_ids.astype(dt).tobytes()
-        key = (space, dt, block_size, warps, norm.tobytes())
+        base = first // period * period
+        if byte_addrs is None:
+            key, n = (space, dt, block_size, warp_key, first - base, width, warp_ids.size), 1
+        else:
+            norm = (byte_addrs - base).astype(dt)
+            key, n = (space, dt, block_size, warp_key, norm.tobytes()), norm.size
         cost = self.get(key)
         if cost is None:
+            if byte_addrs is None:
+                byte_addrs = first + width * np.arange(warp_ids.size)
             if is_global:
                 cost = _warp_segment_total(warp_ids, byte_addrs, sim.segment_bytes)
             else:
                 cost = _warp_bank_extra_cycles(warp_ids, byte_addrs, sim.bank_count, sim.bank_width_bytes)
-            self.add(key, cost, 8 * norm.size if full else 16 * norm.size)
+            self.add(key, cost, 8 * n + len(warp_key))
         return cost

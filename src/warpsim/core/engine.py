@@ -148,7 +148,7 @@ class _LaunchState:
         key = view.name if view.space == "global" else view.byte_offset
         t = self.tracks.get(key)
         if t is None or t.length != view.data.size:
-            t = self.tracks[key] = _RaceTrack(view.data.size)
+            t = self.tracks[key] = _RaceTrack(view.data.size, self.mode == "permissive")
         return t
 
     def child(self) -> "_LaunchState":
@@ -222,6 +222,32 @@ class SharedView(_View):
         return self.length
 
 
+class _Mask:
+    """One branch's lane mask and active count; ``select`` gathers its active lanes once for all its instructions.
+
+    That is their indices ``sel`` (None for the full mask: the context's own arrays), thread and warp ids, group
+    block offsets, block stamps, the memo key of the warp ids and, from ``if_``, the lanes per warp.
+    """
+
+    __slots__ = ("mask", "count", "sel", "tids", "warp_ids", "offset", "blocks", "warp_key", "warp_counts")
+
+    def __init__(self, mask: np.ndarray, count: int):
+        self.mask, self.count, self.tids, self.warp_counts = mask, count, None, None
+
+    def select(self, ctx: "KernelContext") -> "_Mask":
+        if self.tids is None:
+            if self.count == ctx.nthreads:  # a full mask's key leaves out the warp ids (README)
+                self.sel, self.tids, self.warp_ids, self.offset, self.warp_key = (
+                    None, ctx.global_id, ctx._warp_ids, ctx._offset, b"")
+            else:
+                sel = self.sel = np.flatnonzero(self.mask)
+                self.tids, self.warp_ids = ctx.global_id[sel], ctx._warp_ids[sel]
+                self.offset = ctx._offset[sel] if ctx._blocks > 1 else 0
+                self.warp_key = self.warp_ids.tobytes()
+            self.blocks = None if ctx._block_stamp is None else ctx._block_stamp + np.atleast_1d(self.offset)
+        return self
+
+
 class KernelContext:
     """Execution context handed to kernel functions: one block, or a group of consecutive blocks.
 
@@ -254,23 +280,25 @@ class KernelContext:
         self._blocks = blocks
 
         self.block_linear = block_linear + self._offset
-        self.block_idx = _Idx3(*config.block_coords(self.block_linear))
+        coords = config.block_coords(block_linear if blocks == 1 else np.arange(block_linear, block_linear + blocks))
+        self.block_idx = _Idx3(*(c if blocks == 1 else np.repeat(c, T) for c in coords))
         self.block_dim = _Idx3(*config.block_dim)
         self.grid_dim = _Idx3(*config.grid_dim)
         self.thread_idx = _Idx3(tx, ty, tz)
         self._gid0 = block_linear * T
         # Global buffers of a multi-block grid also check conflicts between
-        # blocks; this is the stamp of the first block (see _lane_blocks).
+        # blocks; this is the stamp of the first block (see _Mask.select).
         self._block_stamp = state.grid_stamp + block_linear if state.multi_block else None
         self.global_id = self._gid0 + linear
-        self.gx = self.block_idx.x * self.block_dim.x + tx
+        one_d = config.grid_dim[1:] == config.block_dim[1:] == (1, 1)  # then x is the linear id
+        self.gx = self.global_id if one_d else self.block_idx.x * self.block_dim.x + tx
         self.gy = self.block_idx.y * self.block_dim.y + ty
         self.gz = self.block_idx.z * self.block_dim.z + tz
         for a in (self.global_id, self.gx, self.gy, self.gz):
             a.flags.writeable = False  # the engine's thread ids, which a kernel must not edit in place
 
-        # (mask, active lane count) per open branch; the group is all active at first.
-        self._mask_stack: list[tuple[np.ndarray, int]] = [(all_active, self.nthreads)]
+        # One entry per open branch; the group is all active at first.
+        self._mask_stack = [_Mask(all_active, self.nthreads)]
         self._shared_offset = 0
         self.step = 0
 
@@ -279,7 +307,7 @@ class KernelContext:
 
     @property
     def active(self) -> np.ndarray:
-        return self._mask_stack[-1][0]
+        return self._mask_stack[-1].mask
 
     def _lanes(self, value: LaneValue, dtype=None) -> np.ndarray:
         arr = np.asarray(value)
@@ -351,80 +379,74 @@ class KernelContext:
 
         Only the cost and the race stamps depend on the address space: global
         memory counts coalesced segments, shared memory counts bank conflicts.
-        Both track the element indices into ``view.data``.
+        Both track the element indices into ``view.data``, as a slice where
+        they are a run ``lo, lo + 1, ...``.
         """
         data = view.data
-        act, n_active = self._mask_stack[-1]
-        full = n_active == self.nthreads
+        m = self._mask_stack[-1].select(self)
+        full, tids = m.sel is None, m.tids
         ei = self._lanes(idx, np.int64)
-        if full:
-            tids, warp_ids = self.global_id, self._warp_ids
-        else:
-            ei, tids, warp_ids = ei[act], self.global_id[act], self._warp_ids[act]
+        if not full:
+            ei = ei[m.sel]
         length = view.length
-        if ei.view(np.uint64).max() >= length:  # a negative index views as 2**63 or more
+        run = _run(ei, full and idx is self.global_id)
+        # out of bounds; a negative index views as 2**63 or more
+        if (run.start < 0 or run.stop > length) if run else ei.view(np.uint64).max() >= length:
             first = int(np.argmax((ei < 0) | (ei >= length)))
             noun = "buffer" if view.space == "global" else "shared array"
-            raise OutOfBounds(
-                f"index {int(ei[first])} outside {noun} {view.name!r} of length {length}",
-                **self._err_kw([int(tids[first])], view.name),
-            )
-        byte_addrs = ei * view.element_width
-        if view.byte_offset:
-            byte_addrs += view.byte_offset
+            raise OutOfBounds(f"index {int(ei[first])} outside {noun} {view.name!r} of length {length}",
+                              **self._err_kw([int(tids[first])], view.name))
+        width = view.element_width
+        byte_addrs = None if run else ei * width + view.byte_offset
+        first_byte = run.start * width + view.byte_offset if run else int(byte_addrs[0])
 
         state = self._state
-        cost = state.cost_memo.cost(self._sim, view.space, warp_ids, byte_addrs, full,
-                                    length * view.element_width + view.byte_offset, self.warp_count, self._block_size)
+        cost = state.cost_memo.cost(self._sim, view.space, m.warp_ids, m.warp_key, byte_addrs, first_byte, width,
+                                    length * width + view.byte_offset, self.warp_count, self._block_size)
         counters = self._counters()
         if view.space == "global":
             state.metrics.global_transactions += cost
             counters.global_transactions += cost
-            block, stamp = self._block_stamp, state.stamp
+            blocks, stamp = m.blocks, state.stamp
         else:
             state.metrics.bank_conflict_extra_cycles += cost
             counters.bank_conflict_extra_cycles += cost
-            block, stamp = None, state.shared_stamp
+            blocks, stamp = None, state.shared_stamp
             if self._blocks > 1:  # each block's cells in its own region
-                ei = ei + (self._offset if full else self._offset[act]) * length
-        addrs = ei.copy() if ei is idx else ei  # the race tracker keeps it; the kernel may change its own
+                ei = ei + m.offset * length
+                run = _run(ei)
+        # the race tracker keeps the indices; the kernel may change its own array
+        addrs = run or (ei.copy() if ei is idx else ei)
         track, shift = state.track_for(view), stamp - self._gid0  # global thread ids to stamped words
         fail = partial(self._race_fail, view, stamp)
 
         result: Optional[np.ndarray] = None
         if value is None:
-            track.check_read(addrs, tids, stamp, shift, block, act, self._block_size, fail)
+            track.check_read(addrs, tids, stamp, shift, blocks, fail)
+            got = data[addrs]
             if full:
-                result = data[ei]
+                result = got.copy() if run else got
             else:
                 result = np.zeros(self.nthreads, dtype=data.dtype)
-                result[act] = data[ei]
+                result[m.sel] = got
         else:
             vals = self._lanes(value)
             if not full:
-                vals = vals[act]
+                vals = vals[m.sel]
             vals = vals.astype(data.dtype, copy=False)
-            eff = track.check_write(addrs, tids, stamp, shift, block, act, self._block_size, fail)
-            dst = ei[eff]
+            eff = track.check_write(addrs, tids, stamp, shift, blocks, fail)
+            # a lane applies unless a higher thread stored its address in the interval: in strict mode all do
+            dst, src = (addrs, vals) if eff is None or eff.all() else (ei[eff], vals[eff])
             if state.undo is not None:
-                state.undo.append((data, dst, data[dst]))
-            data[dst] = vals[eff]
+                state.undo.append((data, dst, data[dst].copy()))  # a run's old values are a view
+            data[dst] = src
         if state.recorder is not None:
-            state.recorder.accesses.append(
-                AccessRecord(
-                    kernel=self.kernel_name,
-                    block=self.block_linear,
-                    step=self.step,
-                    space=view.space,
-                    kind="read" if value is None else "write",
-                    buffer=view.name,
-                    width=view.element_width,
-                    warp_ids=warp_ids,
-                    lanes=tids,
-                    addresses=byte_addrs,
-                    values=None if value is None else vals.copy(),  # the kernel may change its own array
-                )
-            )
+            state.recorder.accesses.append(AccessRecord(
+                kernel=self.kernel_name, block=self.block_linear, step=self.step, space=view.space,
+                kind="read" if value is None else "write", buffer=view.name, width=width, warp_ids=m.warp_ids,
+                lanes=tids, addresses=first_byte + width * np.arange(ei.size) if byte_addrs is None else byte_addrs,
+                values=None if value is None else vals.copy(),  # the kernel may change its own array
+            ))
         self.step += 1
         return result
 
@@ -432,7 +454,7 @@ class KernelContext:
     # race reports (a track of ``race.py`` finds the conflicts, by index into
     # ``view.data``; errors and warnings name a shared element by byte offset)
 
-    def _race_fail(self, view: _View, stamp: int, conflict: Any, addrs: np.ndarray, a: np.ndarray, b: Any) -> None:
+    def _race_fail(self, view: _View, stamp: int, conflict: Any, addrs: Any, a: np.ndarray, b: Any) -> None:
         """Report the first lane of ``conflict``: thread ``a`` against thread ``b``, or another block.
 
         ``a`` and ``b`` hold stamped words per lane; a stale word in ``b``, or
@@ -444,7 +466,8 @@ class KernelContext:
         shift = stamp - self._gid0
         other = int(b if np.ndim(b) == 0 else b[i])
         tid_a, tid_b = int(a[i]) - shift, other - shift if other >= stamp else -1
-        address = int(addrs[i]) if view.space == "global" else view.byte_offset + int(addrs[i]) * view.element_width
+        index = addrs.start + i if isinstance(addrs, slice) else int(addrs[i])
+        address = index if view.space == "global" else view.byte_offset + index * view.element_width
         msg = f"conflicting accesses to {view.name!r} address {address} without an intervening barrier"
         if self._state.mode == "strict":
             raise DataRace(msg, **self._err_kw([tid_a] if tid_b < 0 else [tid_a, tid_b], view.name))
@@ -468,13 +491,12 @@ class KernelContext:
         partial raises BarrierDivergence.
         """
         pred = self._lanes(predicate).astype(bool)
-        act = self.active
-        t_mask = act & pred
-        f_mask = act & ~pred
-
+        m = self._mask_stack[-1].select(self)
         W = self.warp_count
-        t_cnt = np.bincount(self._warp_ids[t_mask], minlength=W)
-        f_cnt = np.bincount(self._warp_ids[f_mask], minlength=W)
+        if m.warp_counts is None:
+            m.warp_counts = np.bincount(m.warp_ids, minlength=W)
+        t_cnt = np.bincount(m.warp_ids[pred if m.sel is None else pred[m.sel]], minlength=W)
+        f_cnt = m.warp_counts - t_cnt
         diverged = int(((t_cnt > 0) & (f_cnt > 0)).sum())
         if diverged:
             self._state.metrics.divergence_events += diverged
@@ -488,14 +510,14 @@ class KernelContext:
 
         n_true = sum(true_counts)
         if n_true:
-            self._mask_stack.append((t_mask, n_true))
+            self._mask_stack.append(_Mask(m.mask & pred, n_true))
             try:
                 then_branch()
             finally:
                 self._mask_stack.pop()
-        n_false = sum(false_counts)
+        n_false = m.count - n_true
         if else_branch is not None and n_false:
-            self._mask_stack.append((f_mask, n_false))
+            self._mask_stack.append(_Mask(m.mask & ~pred, n_false))
             try:
                 else_branch()
             finally:
@@ -513,9 +535,9 @@ class KernelContext:
         error models. In a group it counts one barrier per block and starts
         a new interval for shared memory only (README, "Batched blocks").
         """
-        act, n_active = self._mask_stack[-1]
-        if n_active != self.nthreads:
-            missing = int(np.argmin(act))
+        m = self._mask_stack[-1]
+        if m.count != self.nthreads:
+            missing = int(np.argmin(m.mask))
             gid = int(self.global_id[missing])
             raise BarrierDivergence(
                 "barrier under a partial mask: some threads of the block cannot reach it",
@@ -533,15 +555,16 @@ class KernelContext:
     # active lane; masked lanes compute nothing and yield 0)
 
     def _arith(self, a: LaneValue, b: LaneValue, op: Callable) -> np.ndarray:
-        act, n_active = self._mask_stack[-1]
+        m = self._mask_stack[-1]
         av = self._lanes(a)
         bv = self._lanes(b)
-        self._state.metrics.thread_steps += n_active
-        self._counters().thread_steps += n_active
-        if n_active == self.nthreads:
+        self._state.metrics.thread_steps += m.count
+        self._counters().thread_steps += m.count
+        if m.count == self.nthreads:
             return op(av, bv)
+        sel = m.select(self).sel
         out = np.zeros(self.nthreads, dtype=np.result_type(av, bv))
-        out[act] = op(av[act], bv[act])
+        out[sel] = op(av[sel], bv[sel])
         return out
 
     def add(self, a: LaneValue, b: LaneValue) -> np.ndarray:
@@ -598,6 +621,12 @@ class KernelContext:
             self._counters().child_launches += 1
             self._sim._run_grid(kernel, cfg, child_args, child, name or kernel.__name__)
         self.step += 1
+
+
+def _run(ei: np.ndarray, known: bool = False) -> Optional[slice]:
+    """``slice(lo, lo + n)`` if the ``n`` indices ``ei`` are ``lo, lo + 1, ...`` (``known`` says so), else None."""
+    lo, n = int(ei[0]), ei.size
+    return slice(lo, lo + n) if known or (int(ei[-1]) - lo == n - 1 and bool((ei[1:] > ei[:-1]).all())) else None
 
 
 def _check_owned(mem: DeviceMemory, args: Sequence, err_kw: Callable[[], dict] = dict) -> None:

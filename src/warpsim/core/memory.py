@@ -88,6 +88,8 @@ class DeviceMemory:
         if element_width < 1:
             raise ValueError(f"buffer {name!r}: element_width={element_width} must be positive")
         if isinstance(size_or_data, (int, np.integer)):
+            if size_or_data < 0:
+                raise ValueError(f"buffer {name!r}: size_or_data={size_or_data} must not be negative")
             data = np.zeros(int(size_or_data), dtype=np.int64 if dtype is None else dtype)
         elif dtype is None:
             data = host_arrays(size_or_data)[0].copy()

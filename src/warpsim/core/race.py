@@ -31,96 +31,104 @@ class _RaceTrack:
     Reads wait until a store to the space needs them: interval reads for a
     store in the interval, cross-block reads for the grid's first store. In a
     multi-block grid they also stop waiting before they would outnumber the
-    buffer's elements. A waiting cross-block read keeps its group's first
-    block stamp and its lane mask, from which each lane's block follows.
-    Arrays are allocated on first use, so a buffer that is only read never
-    has the writer-side ones.
+    buffer's elements. Arrays are allocated on first use, so a buffer that is
+    only read never has the writer-side ones, and only a track whose
+    conflicting stores land (``resolve``, in permissive mode) uses the
+    highest writer.
 
-    A check takes lane indices into the array, global thread ids, the
-    interval ``stamp``, the ``shift`` from ids to words, the first ``block``
-    stamp (None where blocks cannot conflict), the lane ``mask`` and the block
-    ``width``. Before it changes a word it calls ``fail(conflict, addrs, a,
-    b)``: per lane of ``conflict``, word ``a`` against ``b`` (stale: a block).
+    A check takes the active lanes' indices into the array (an index array,
+    or a slice for a run ``lo, lo + 1, ...``), their global thread ids, the
+    interval ``stamp``, the ``shift`` from ids to words and their ascending
+    block stamps (None where blocks cannot conflict; one for a single block).
+    Before it changes a word it calls ``fail(conflict, addrs, a, b)``: per
+    lane of ``conflict``, word ``a`` against ``b`` (stale: a block).
     """
 
-    def __init__(self, length: int):
+    def __init__(self, length: int, resolve: bool):
         self.length = length
-        self.pending_reads: list[tuple[np.ndarray, np.ndarray]] = []  # (addresses, global thread ids)
+        self.resolve = resolve
+        self.pending_reads: list[tuple] = []  # (addresses, global thread ids)
         self.pending_count = 0  # addresses on pending_reads
         self.pending_stamp = self.store_stamp = 0  # the intervals of the pending reads and of the last store
-        self.cross_reads: list[tuple] = []  # (addresses, first block stamp, lane mask, block size) not yet folded
+        self.cross_reads: list[tuple] = []  # (addresses, block stamps) not yet folded
         self.cross_read_count = 0  # addresses on cross_reads
         self.first_store = 0  # at most the block stamp of the grid's first store; 0 is stale
         self.reader1 = self.writer1 = self.rb_block1 = self.w_block1 = None  # arrays, from the first fold or store
 
-    def check_read(self, addrs: np.ndarray, tids: np.ndarray, stamp: int, shift: int, block: Optional[int],
-                   mask: np.ndarray, width: int, fail: Callable) -> None:
+    def check_read(self, addrs: Any, tids: np.ndarray, stamp: int, shift: int, blocks: Any, fail: Callable) -> None:
         """Check a load: conflicts with this interval's writers, then with other blocks' stores."""
         if self.store_stamp == stamp:
             st = tids + shift
             other = _other(self.writer1, self.writer2, addrs, st)
             fail(other >= stamp, addrs, st, other)
-        if block is not None and self.first_store < block + mask.size // width - 1:  # another block may have stored
-            fail(self.w_block1[addrs] < _lane_blocks(block, mask, width), addrs, tids + shift, _STALE)
-        self.defer_read(addrs, tids, stamp, shift, block, mask, width)
+        if blocks is not None and self.first_store < blocks[-1]:  # another block may have stored
+            fail(self.w_block1[addrs] < blocks, addrs, tids + shift, _STALE)
+        self.defer_read(addrs, tids, stamp, shift, blocks)
 
-    def check_write(self, addrs: np.ndarray, tids: np.ndarray, stamp: int, shift: int, block: Optional[int],
-                    mask: np.ndarray, width: int, fail: Callable) -> np.ndarray:
-        """Check a store, then note it; returns the per-lane apply mask.
+    def check_write(self, addrs: Any, tids: np.ndarray, stamp: int, shift: int, blocks: Any,
+                    fail: Callable) -> Optional[np.ndarray]:
+        """Check a store, then note it; returns the per-lane apply mask, or None if every lane applies.
 
         A conflict names the earliest other writer in the interval, else the
-        earliest other reader. In permissive mode a lane's write lands only if
-        no higher-id thread wrote the address in the interval, so conflicting
-        writes resolve in ascending global id order.
+        earliest other reader. In a resolving track a lane's write lands only
+        if no higher-id thread wrote the address in the interval, so
+        conflicting writes resolve in ascending global id order.
         """
         st = tids + shift
-        self.begin_store(stamp, shift, block is not None)
-        u_addr, rep, nxt = _distinct(addrs, st)
-        other = _other(self.writer1, self.writer2, addrs, st)
-        other = np.where(other >= stamp, other, _other(self.reader1, self.reader2, addrs, st))
+        self.begin_store(stamp, shift, blocks is not None)
+        u_addr, rep, nxt = (addrs, st, _STALE) if isinstance(addrs, slice) else _distinct(addrs, st)
+        seen = self.store_stamp == stamp  # only then can a writer word be of this interval
+        other = _other(self.writer1, self.writer2, addrs, st) if seen else _STALE
+        if self.pending_stamp == stamp:  # and only then a reader word
+            other = np.where(other >= stamp, other, _other(self.reader1, self.reader2, addrs, st))
         conflict = other >= stamp
-        if block is not None:
-            blocks = _lane_blocks(block, mask, width)
-            conflict |= (self.rb_block1[addrs] < blocks) | (self.w_block1[addrs] < blocks)
+        if blocks is not None:
+            conflict = conflict | (self.w_block1[addrs] < blocks)
+            if self.rb_block1 is not None:  # some other block's reads are folded
+                conflict |= self.rb_block1[addrs] < blocks
         fail(conflict, addrs, st, other)
-        fail(nxt >= stamp, u_addr, rep, nxt)  # two lanes of this store to one address
+        if isinstance(nxt, np.ndarray):  # two lanes of this store to one address
+            fail(nxt >= stamp, u_addr, rep, nxt)
 
-        eff = self.writer_max[addrs] <= st
-        np.maximum.at(self.writer_max, addrs, st)
-        _note(self.writer1, self.writer2, u_addr, rep, nxt, stamp)
+        eff = None
+        if self.resolve:
+            eff = self.writer_max[addrs] <= st
+            _fold(np.maximum, self.writer_max, addrs, st)
+        _note(self.writer1, self.writer2, u_addr, rep, nxt, stamp, seen)
         self.store_stamp = stamp
-        if block is not None:
-            np.minimum.at(self.w_block1, addrs, blocks)
-            self.first_store = min(self.first_store, block)
+        if blocks is not None:
+            _fold(np.minimum, self.w_block1, addrs, blocks)
+            self.first_store = min(self.first_store, blocks[0])
         return eff
 
-    def defer_read(self, addrs: np.ndarray, tids: np.ndarray, stamp: int, shift: int,
-                   block: Optional[int], mask: np.ndarray, width: int) -> None:
-        """Buffer a read of this interval and, given a ``block`` stamp, of the grid (see ``_lane_blocks``).
+    def defer_read(self, addrs: Any, tids: np.ndarray, stamp: int, shift: int, blocks: Any) -> None:
+        """Buffer a read of this interval and, given block stamps, of the grid.
 
         In a multi-block grid, where a group's interval spans its blocks, the
         waiting reads are folded before they would outnumber the elements.
         """
         if self.pending_stamp != stamp:
             self.pending_reads, self.pending_count, self.pending_stamp = [], 0, stamp
-        if block is not None:
-            if self.pending_count + addrs.size > self.length:
+        if blocks is not None:
+            if self.pending_count + tids.size > self.length:
                 self.note_reads(stamp, shift)
-            if self.cross_read_count + addrs.size > self.length:
+            if self.cross_read_count + tids.size > self.length:
                 self.fold_cross_reads()
-            self.cross_reads.append((addrs, block, mask, width))
-            self.cross_read_count += addrs.size
-            if self.first_store <= block or self.cross_read_count > self.length:
+            self.cross_reads.append((addrs, blocks))
+            self.cross_read_count += tids.size
+            if self.first_store <= blocks[0] or self.cross_read_count > self.length:
                 self.fold_cross_reads()
         self.pending_reads.append((addrs, tids))
-        self.pending_count += addrs.size
+        self.pending_count += tids.size
 
     def fold_cross_reads(self) -> None:
-        """Fold the deferred cross-block reads into the first-reader array."""
+        """Fold the deferred cross-block reads into the first-reader array, allocated by the first fold."""
+        if not self.cross_reads:
+            return
         if self.rb_block1 is None:
             self.rb_block1 = np.zeros(self.length, dtype=np.int64)
-        for addrs, block, mask, width in self.cross_reads:
-            np.minimum.at(self.rb_block1, addrs, _lane_blocks(block, mask, width))
+        for addrs, blocks in self.cross_reads:
+            _fold(np.minimum, self.rb_block1, addrs, blocks)
         self.cross_reads.clear()
         self.cross_read_count = 0
 
@@ -130,7 +138,9 @@ class _RaceTrack:
             self.reader1, self.reader2 = np.zeros(self.length, dtype=np.int64), np.zeros(self.length, dtype=np.int64)
         if self.pending_stamp == stamp:
             for addrs, tids in self.pending_reads:
-                _note(self.reader1, self.reader2, *_distinct(addrs, tids + shift), stamp)
+                st = tids + shift
+                _note(self.reader1, self.reader2,
+                      *((addrs, st, _STALE) if isinstance(addrs, slice) else _distinct(addrs, st)), stamp)
         self.pending_reads.clear()
         self.pending_count = 0
 
@@ -145,12 +155,13 @@ class _RaceTrack:
         self.note_reads(stamp, shift)
 
 
-def _lane_blocks(block: int, mask: np.ndarray, width: int) -> Any:
-    """Block stamps of the active lanes of a group of ``width``-thread blocks whose first is stamped ``block``.
-
-    A single block's lanes all share its stamp, returned as one scalar.
-    """
-    return block if mask.size == width else block + np.flatnonzero(mask) // width
+def _fold(ufunc: np.ufunc, words: np.ndarray, addrs: Any, values: Any) -> None:
+    """``ufunc.at(words, addrs, values)``; in place on the view of a run, whose addresses are distinct."""
+    if isinstance(addrs, slice):
+        view = words[addrs]
+        ufunc(view, values, out=view)
+    else:
+        ufunc.at(words, addrs, values)
 
 
 def _distinct(addrs: np.ndarray, st: np.ndarray) -> tuple[np.ndarray, np.ndarray, Any]:
@@ -174,16 +185,22 @@ def _distinct(addrs: np.ndarray, st: np.ndarray) -> tuple[np.ndarray, np.ndarray
     return a[head], st[order[head]], second
 
 
-def _note(first: np.ndarray, second: np.ndarray, addrs, rep, nxt, stamp: int) -> None:
-    """Record distinct ``addrs`` accessed by lanes stamped ``rep`` (and ``nxt``) in a pair of interval arrays."""
-    f = first[addrs]
-    fresh = f >= stamp
-    if not fresh.any():  # the interval's first accesses to all of them
-        first[addrs], second[addrs] = rep, nxt
-        return
-    first[addrs] = np.where(fresh, f, rep)
-    s = second[addrs]
-    second[addrs] = np.where(s >= stamp, s, np.where(fresh & (f != rep), rep, nxt))
+def _note(first: np.ndarray, second: np.ndarray, addrs, rep, nxt, stamp: int, seen: bool = True) -> None:
+    """Record distinct ``addrs`` accessed by lanes stamped ``rep`` (and ``nxt``) in a pair of interval arrays.
+
+    ``seen`` False says that the pair holds no word of the interval yet."""
+    if seen:
+        f = first[addrs]
+        fresh = f >= stamp
+        if fresh.any():
+            first[addrs] = np.where(fresh, f, rep)
+            s = second[addrs]
+            second[addrs] = np.where(s >= stamp, s, np.where(fresh & (f != rep), rep, nxt))
+            return
+    # the interval's first accesses to all of them: a second word is stale where the first one is
+    first[addrs] = rep
+    if isinstance(nxt, np.ndarray):
+        second[addrs] = nxt
 
 
 def _other(first: np.ndarray, second: np.ndarray, addrs: np.ndarray, st: np.ndarray) -> np.ndarray:

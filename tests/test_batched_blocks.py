@@ -21,7 +21,7 @@ from hypothesis import strategies as st
 import reference_machine
 from test_race_tracker import observe, patterns, run_program
 from warpsim import DeviceMemory, LaunchConfig, MetricsReport, Recorder, SimError, Simulator
-from warpsim.core import block_batchable
+from warpsim.core import block_batchable, race
 from warpsim.kernels import matrix, reduce
 from warpsim.kernels.vector import vector_add_kernel
 
@@ -157,6 +157,69 @@ def test_an_error_in_one_block_of_a_group_names_that_block(case, kind, block, th
     error = observe(case, "strict", batched_program)[2]
     first = error["threads"][0]
     assert (error["kind"], first["block_idx"], first["thread_idx"]) == (kind, [block, 0, 0], [thread, 0, 0])
+
+
+# ----------------------------------------------------------------------
+# runs and lane selections: an instruction whose active indices are
+# lo, lo + 1, ... loads, stores and tracks races as a slice; one under a
+# partial mask gathers its lanes once per mask. Pinned, in both modes.
+
+PERMUTED = [0, *range(30, 0, -1), 31]  # ends like the run 0..31, but descends in between
+EQUAL_COUNT_BRANCHES = [
+    # Then-lanes gid % 4 < 2 and else-lanes: 16 of 32 each, as are the 8 and 8 of the inner branch.
+    ("if", 4, 2, [("gload", "x", SHIFT), ("if", 2, 1, [("gstore", "y", SHIFT, 1)], [("gstore", "y", SHIFT, 2)]),
+                  ("sstore", LOCAL, 1)],
+     [("gload", "x", ("reverse", 0, [0])), ("gstore", "y", SHIFT, 3), ("sstore", LOCAL, 4)]),
+    ("sload", LOCAL), ("gstore", "x", SHIFT, 5),
+]
+RUN_CASES = {
+    "run to the last element": (1, 32, buffer(40), buffer(40), [("gload", "x", ("shift", 8, [0])),
+                                                                ("gstore", "y", ("shift", 8, [0]), 1)]),
+    "group run to the last element": (4, 32, buffer(128), buffer(128), [("gload", "x", SHIFT),
+                                                                        ("gstore", "y", SHIFT, 1)]),
+    "run of one lane": (1, 1, buffer(5), buffer(5), [("gload", "x", ("shift", 4, [0])),
+                                                     ("gstore", "y", ("shift", 4, [0]), 1),
+                                                     ("sstore", LOCAL, 1), ("sload", LOCAL)]),
+    "run of one lane under a partial mask": (2, 32, buffer(64), buffer(64), [
+        ("if", 64, 1, [("gstore", "x", SHIFT, 3), ("gload", "y", SHIFT), ("sstore", LOCAL, 1)], []),
+    ]),
+    # A run block by block; in a group the two blocks' lanes 0-39 leave a gap.
+    "partial mask, contiguous lanes": (2, 64, buffer(128), buffer(128), [
+        ("if", 64, 40, [("gload", "x", SHIFT), ("gstore", "y", SHIFT, 1), ("sstore", LOCAL, 2), ("sload", LOCAL)], []),
+    ]),
+    "partial mask, gapped lanes": (2, 32, buffer(64), buffer(64), [
+        ("if", 4, 2, [("gload", "x", SHIFT), ("gstore", "y", SHIFT, 1), ("sstore", LOCAL, 2), ("sload", LOCAL)], []),
+    ]),
+    "permuted window": (2, 32, buffer(64), buffer(64), [("gload", "x", ("table", 32, PERMUTED)),
+                                                        ("gstore", "y", ("table", 32, PERMUTED), 1),
+                                                        ("sstore", ("table", 0, PERMUTED), 2),
+                                                        ("sload", ("table", 0, PERMUTED)),
+                                                        ("gstore", "x", SHIFT, 3)]),
+    "wrapped shift": (1, 32, buffer(40), buffer(40), [("gload", "x", ("shift", 20, [0])),
+                                                      ("gstore", "y", ("shift", 20, [0]), 1)]),
+    # Thread 5 stores x[4] first; then threads 0-7 store the run x[0:8], where thread 4's store loses.
+    "run store after a higher thread's store": (1, 8, buffer(16), buffer(16), [
+        ("if", 8, 5, [], [("gstore", "x", ("table", 0, [0, 0, 0, 0, 0, 4, 14, 15]), 7)]),
+        ("gstore", "x", SHIFT, 1),
+    ]),
+    # The group stores the run y[0:192], then block 3 loads outside the shared array: the replay
+    # stops there, so blocks 4 and 5 of y get back what the slice's undo entry kept.
+    "group replayed after a run store": (6, 32, buffer(192), buffer(192), [("gstore", "y", SHIFT, 1),
+                                                                           ("sload", ("raw", 16, [0]))]),
+    "nested branches of equal lane counts": (1, 32, buffer(32), buffer(32), EQUAL_COUNT_BRANCHES),
+    "nested branches of equal lane counts in a group": (2, 32, buffer(64), buffer(64), EQUAL_COUNT_BRANCHES),
+}
+
+
+@pytest.mark.parametrize("case", RUN_CASES.values(), ids=RUN_CASES.keys())
+def test_runs_and_lane_selections_match_sequential_and_reference_machine(case):
+    assert_batched_matches(case)
+
+
+def test_vector_add_stores_runs_without_sorting_addresses():
+    with mock.patch.object(race, "_distinct", wraps=race._distinct) as distinct:
+        assert vector_add_calls() == [4096] * 4
+    assert distinct.call_count == 0
 
 
 # ----------------------------------------------------------------------

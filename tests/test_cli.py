@@ -50,6 +50,20 @@ class TestRun:
             f"error: --size {size} generates {elements} elements per input for {kernel}, more than the cap of 4194304\n"
         )
 
+    @pytest.mark.parametrize("variant", ["naive", "tiled"])
+    def test_matmul_past_the_work_cap_is_usage_error(self, tmp_path, capsys, variant):
+        # Its time grows with m * n * p: size 256 took about a second, 2048 would take minutes.
+        cap = "more than the cap of 16777216\n"
+        code = main(["run", "--kernel", "matmul", "--variant", variant, "--size", "257"])
+        assert code == 2
+        assert capsys.readouterr().err == f"error: matmul of 257x257 by 257x257 takes {257**3} multiply-adds, {cap}"
+        # The same for input files, however few their elements: a column of 4096 times a row of 4097.
+        a = write_json(tmp_path, "a.json", [[1]] * 4096)
+        b = write_json(tmp_path, "b.json", [[0] * 4097])
+        code = main(["run", "--kernel", "matmul", "--variant", variant, "--input", f"{a},{b}"])
+        assert code == 2
+        assert capsys.readouterr().err == f"error: matmul of 4096x1 by 1x4097 takes {4096 * 4097} multiply-adds, {cap}"
+
     def test_unknown_kernel_is_usage_error(self, capsys):
         with pytest.raises(SystemExit) as exc:
             main(["run", "--kernel", "fft"])

@@ -324,6 +324,14 @@ class TestLaunchBasics:
             mem.alloc("data", size)
         assert mem.buffers == {}
 
+    @pytest.mark.parametrize("size", [-1, np.int64(-8)])
+    def test_alloc_of_a_negative_size_rejected(self, size):
+        # numpy's own error would name neither the buffer nor the parameter.
+        mem = DeviceMemory()
+        with pytest.raises(ValueError, match=f"^buffer 'data': size_or_data={size} must not be negative$"):
+            mem.alloc("data", size)
+        assert mem.buffers == {}
+
     def test_foreign_buffer_rejected(self):
         mem = DeviceMemory()
         other = DeviceMemory()
