@@ -36,6 +36,7 @@ from .errors import (
     NestingLimit,
     OutOfBounds,
     SimError,
+    _RunAlone,
 )
 from .memory import Buffer, DeviceMemory
 from .metrics import KernelCounters, MetricsReport
@@ -52,13 +53,6 @@ def block_batchable(kernel: Callable) -> Callable:
     """Mark ``kernel`` as safe to run many blocks per call; see README, "Batched blocks"."""
     kernel.block_batchable = True
     return kernel
-
-
-class _RunAlone(BaseException):
-    """Raised by ``ctx.launch`` in a group; the engine replays the group block by block.
-
-    Not an ``Exception``, so that a kernel's own handler does not swallow it.
-    """
 
 
 class _Idx3(NamedTuple):
@@ -422,7 +416,7 @@ class KernelContext:
 
         result: Optional[np.ndarray] = None
         if value is None:
-            track.check_read(addrs, tids, stamp, shift, blocks, fail)
+            track.check_read(addrs, tids, stamp, shift, blocks, fail, state.undo is not None)
             got = data[addrs]
             if full:
                 result = got.copy() if run else got

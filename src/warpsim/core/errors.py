@@ -76,6 +76,15 @@ class SimError(Exception):
         }
 
 
+class _RunAlone(BaseException):
+    """Stops a group of blocks, which the engine then undoes and replays block by block.
+
+    Raised by ``ctx.launch`` in a group and by a race track whose reads of
+    the interval were forgotten. Not an ``Exception``, so that a kernel's own
+    handler does not swallow it, and not a ``SimError``: no launch fails.
+    """
+
+
 class LaunchConfigInvalid(SimError):
     kind = "LaunchConfigInvalid"
 

@@ -10,6 +10,8 @@ from typing import Any, Callable, Optional
 
 import numpy as np
 
+from .errors import _RunAlone
+
 _STALE = np.int64(-1)  # below every interval stamp: "no thread"
 
 
@@ -29,17 +31,20 @@ class _RaceTrack:
     so ``np.minimum`` takes a stale one for "no block yet". Nothing is reset.
 
     Reads wait until a store to the space needs them: interval reads for a
-    store in the interval, cross-block reads for the grid's first store. In a
-    multi-block grid they also stop waiting before they would outnumber the
-    buffer's elements. Arrays are allocated on first use, so a buffer that is
-    only read never has the writer-side ones, and only a track whose
-    conflicting stores land (``resolve``, in permissive mode) uses the
-    highest writer.
+    store in the interval, cross-block reads for the grid's first store. They
+    also stop waiting before they would outnumber the array's elements: they
+    are folded, except interval reads of a group that can replay, which are
+    forgotten; a store in a forgotten interval raises ``_RunAlone`` before it
+    changes a word, and the group's blocks run again one by one. Arrays are
+    allocated on first use, so a buffer that is only read never has the
+    writer-side ones, and only a track whose conflicting stores land
+    (``resolve``, in permissive mode) uses the highest writer.
 
     A check takes the active lanes' indices into the array (an index array,
     or a slice for a run ``lo, lo + 1, ...``), their global thread ids, the
     interval ``stamp``, the ``shift`` from ids to words and their ascending
-    block stamps (None where blocks cannot conflict; one for a single block).
+    block stamps (None where blocks cannot conflict; one for a single block);
+    a load also takes whether its group can replay.
     Before it changes a word it calls ``fail(conflict, addrs, a, b)``: per
     lane of ``conflict``, word ``a`` against ``b`` (stale: a block).
     """
@@ -50,12 +55,14 @@ class _RaceTrack:
         self.pending_reads: list[tuple] = []  # (addresses, global thread ids)
         self.pending_count = 0  # addresses on pending_reads
         self.pending_stamp = self.store_stamp = 0  # the intervals of the pending reads and of the last store
+        self.forgot_stamp = 0  # the last interval whose reads were forgotten
         self.cross_reads: list[tuple] = []  # (addresses, block stamps) not yet folded
         self.cross_read_count = 0  # addresses on cross_reads
         self.first_store = 0  # at most the block stamp of the grid's first store; 0 is stale
         self.reader1 = self.writer1 = self.rb_block1 = self.w_block1 = None  # arrays, from the first fold or store
 
-    def check_read(self, addrs: Any, tids: np.ndarray, stamp: int, shift: int, blocks: Any, fail: Callable) -> None:
+    def check_read(self, addrs: Any, tids: np.ndarray, stamp: int, shift: int, blocks: Any, fail: Callable,
+                   replay: bool) -> None:
         """Check a load: conflicts with this interval's writers, then with other blocks' stores."""
         if self.store_stamp == stamp:
             st = tids + shift
@@ -63,7 +70,7 @@ class _RaceTrack:
             fail(other >= stamp, addrs, st, other)
         if blocks is not None and self.first_store < blocks[-1]:  # another block may have stored
             fail(self.w_block1[addrs] < blocks, addrs, tids + shift, _STALE)
-        self.defer_read(addrs, tids, stamp, shift, blocks)
+        self.defer_read(addrs, tids, stamp, shift, blocks, replay)
 
     def check_write(self, addrs: Any, tids: np.ndarray, stamp: int, shift: int, blocks: Any,
                     fail: Callable) -> Optional[np.ndarray]:
@@ -74,6 +81,8 @@ class _RaceTrack:
         if no higher-id thread wrote the address in the interval, so
         conflicting writes resolve in ascending global id order.
         """
+        if self.forgot_stamp == stamp:
+            raise _RunAlone
         st = tids + shift
         self.begin_store(stamp, shift, blocks is not None)
         u_addr, rep, nxt = (addrs, st, _STALE) if isinstance(addrs, slice) else _distinct(addrs, st)
@@ -101,25 +110,30 @@ class _RaceTrack:
             self.first_store = min(self.first_store, blocks[0])
         return eff
 
-    def defer_read(self, addrs: Any, tids: np.ndarray, stamp: int, shift: int, blocks: Any) -> None:
+    def defer_read(self, addrs: Any, tids: np.ndarray, stamp: int, shift: int, blocks: Any, replay: bool) -> None:
         """Buffer a read of this interval and, given block stamps, of the grid.
 
-        In a multi-block grid, where a group's interval spans its blocks, the
-        waiting reads are folded before they would outnumber the elements.
+        Before the waiting reads of the interval would outnumber the elements,
+        they are folded, or forgotten with the interval's later reads if the
+        group can ``replay``. Cross-block reads outlive a group: always folded.
         """
         if self.pending_stamp != stamp:
             self.pending_reads, self.pending_count, self.pending_stamp = [], 0, stamp
-        if blocks is not None:
-            if self.pending_count + tids.size > self.length:
+        if self.pending_count + tids.size > self.length:
+            if replay:
+                self.pending_reads, self.pending_count, self.forgot_stamp = [], 0, stamp
+            else:
                 self.note_reads(stamp, shift)
+        if self.forgot_stamp != stamp:
+            self.pending_reads.append((addrs, tids))
+            self.pending_count += tids.size
+        if blocks is not None:
             if self.cross_read_count + tids.size > self.length:
                 self.fold_cross_reads()
             self.cross_reads.append((addrs, blocks))
             self.cross_read_count += tids.size
             if self.first_store <= blocks[0] or self.cross_read_count > self.length:
                 self.fold_cross_reads()
-        self.pending_reads.append((addrs, tids))
-        self.pending_count += tids.size
 
     def fold_cross_reads(self) -> None:
         """Fold the deferred cross-block reads into the first-reader array, allocated by the first fold."""

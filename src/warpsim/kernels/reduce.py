@@ -43,7 +43,7 @@ def reduce_interleaved_kernel(ctx, inp, out):
     """Adjacent pairs: s = 1, 2, 4, ... and the threads at multiples of 2s add."""
     bdim = ctx.block_dim.x
     strides = [1 << k for k in range(bdim.bit_length()) if 1 << k < bdim]
-    _reduce_block(ctx, inp, out, strides, lambda tid, s: tid % (2 * s) == 0)
+    _reduce_block(ctx, inp, out, strides, lambda tid, s: tid & (2 * s - 1) == 0)
 
 
 @block_batchable

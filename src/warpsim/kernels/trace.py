@@ -37,19 +37,10 @@ class StepTrace:
         if not self.rows:
             return "(empty trace)"
         base = 1 if one_based else 0
-        headers = ["step"] + [f"T_{i + base}" for i in range(self.width)]
-        body: list[list[str]] = []
-        for r, row in enumerate(self.rows):
-            label = "initial" if r == 0 else str(r)
-            body.append([label] + ["" if c is None else _fmt(c) for c in row])
-        widths = [
-            max(len(headers[c]), max((len(b[c]) for b in body), default=0))
-            for c in range(len(headers))
-        ]
-        lines = ["  ".join(h.rjust(w) for h, w in zip(headers, widths))]
-        for b in body:
-            lines.append("  ".join(s.rjust(w) for s, w in zip(b, widths)))
-        return "\n".join(lines)
+        table = [["step", *(f"T_{i + base}" for i in range(self.width))]]
+        table += ([str(r) if r else "initial", *map(_fmt, row)] for r, row in enumerate(self.rows))
+        widths = [max(map(len, column)) for column in zip(*table)]
+        return "\n".join("  ".join(map(str.rjust, line, widths)) for line in table)
 
 
 def barrier_rows(recorder: Recorder, width: int) -> list[list[Cell]]:
@@ -69,7 +60,12 @@ def barrier_rows(recorder: Recorder, width: int) -> list[list[Cell]]:
     return rows
 
 
-def _fmt(value: Any) -> str:
+def _fmt(value: Cell) -> str:
+    """A cell's text: blank for an idle thread, an integral float without its ".0"."""
+    if type(value) is int:
+        return str(value)
+    if value is None:
+        return ""
     if isinstance(value, float) and value.is_integer():
         return str(int(value))
     return str(value)

@@ -352,6 +352,70 @@ def test_memo_keys_of_one_pattern_in_two_integer_types_stay_apart():
 
 
 # ----------------------------------------------------------------------
+# reads a group forgets: once a group's loads of an array in one interval
+# would outnumber its elements, the group drops them, and a store to the
+# array in that interval replays the group block by block. In each case a
+# group's first load of x already outnumbers x's elements.
+
+STORE_IF_GX_BELOW_256 = ("if", 1024, 256)
+# One group of four blocks of 256. Thread 0 stores x[1], which thread 1
+# loaded: block by block, a race in block 0.
+FORGOTTEN_READ_RACE = (4, 256, buffer(512), buffer(1), [
+    ("gload", "x", SHIFT), ("gload", "x", ("stride", 3, [0])),
+    (*STORE_IF_GX_BELOW_256, [("gstore", "x", ("shift", 1, [0]), 1)], []),
+])
+# Blocks load x[0:256]; block 0 stores x[300:556], which no thread loads.
+FORGOTTEN_READS_WITHOUT_RACE = (4, 256, buffer(600), buffer(1), [
+    ("gload", "x", LOCAL), (*STORE_IF_GX_BELOW_256, [("gstore", "x", ("shift", 300, [0]), 1)], []),
+])
+# Two groups of four blocks of 1024. The first loads x[gx % 2048] and forgets
+# it for its interval, but not for the grid: block 4 of the second group
+# stores what block 0 loaded.
+LATER_GROUP_STORES_WHAT_A_GROUP_FORGOT = (8, 1024, buffer(2048), buffer(1), [
+    ("if", 8192, 4096, [("gload", "x", SHIFT)], [("gstore", "x", SHIFT, 1)]),
+])
+
+
+def forgetting_calls(case):
+    kernel, calls = spy(run_program)
+    return observe(case, "strict", kernel), calls
+
+
+def test_a_store_after_forgotten_reads_replays_the_group_and_finds_its_race():
+    assert_batched_matches(FORGOTTEN_READ_RACE)
+    (_, _, error, _, _), calls = forgetting_calls(FORGOTTEN_READ_RACE)
+    assert calls == [1024, 256]
+    assert error["kind"] == "DataRace" and error["step"] == 3
+    assert [t["global_linear_id"] for t in error["threads"]] == [0, 1]
+    assert "address 1 " in error["message"]
+
+
+def test_a_race_free_store_after_forgotten_reads_replays_to_the_same_result():
+    assert_batched_matches(FORGOTTEN_READS_WITHOUT_RACE)
+    (x, _, error, _, _), calls = forgetting_calls(FORGOTTEN_READS_WITHOUT_RACE)
+    assert calls == [1024] + [256] * 4
+    assert error is None and x[300:556] == [v + 1 for v in buffer(256)]
+
+
+def test_a_group_keeps_the_reads_it_forgets_for_later_groups():
+    assert_batched_matches(LATER_GROUP_STORES_WHAT_A_GROUP_FORGOT)
+    (_, _, error, _, _), calls = forgetting_calls(LATER_GROUP_STORES_WHAT_A_GROUP_FORGOT)
+    assert calls == [4096, 4096, 1024]
+    assert error["kind"] == "DataRace" and error["threads"][0]["block_idx"] == [4, 0, 0]
+
+
+def test_naive_matmul_sorts_addresses_once():
+    """Its one 4096-lane group loads a and b, 4096 elements each, 64 times;
+    it never stores them, so those loads are forgotten, not folded."""
+    a = matrix.Matrix(64, 64, [(5 * i) % 23 - 11 for i in range(64 * 64)])
+    with mock.patch.object(race, "_distinct", wraps=race._distinct) as distinct:
+        c = matrix.matmul(a, a, "naive")
+    want = np.array(a.data).reshape(64, 64)
+    assert c.data == (want @ want).ravel().tolist()
+    assert distinct.call_count <= 1
+
+
+# ----------------------------------------------------------------------
 # batching is on: kernel calls, not wall time
 
 

@@ -14,6 +14,7 @@ CORE = Path(__file__).resolve().parent.parent / "src" / "warpsim" / "core"
 BELOW_ENGINE = ("race.py", "access.py", "observe.py", "metrics.py")
 TRACK_FIELDS = {
     "writer1", "writer2", "writer_max", "reader1", "reader2", "rb_block1", "w_block1", "first_store", "store_stamp",
+    "forgot_stamp",
 }
 TRACK_PREFIXES = ("pending_", "cross_read")
 

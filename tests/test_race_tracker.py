@@ -7,6 +7,7 @@ permissive race warnings and the ``MetricsReport`` JSON must match in both
 modes.
 """
 
+import tracemalloc
 from unittest import mock
 
 import numpy as np
@@ -257,6 +258,28 @@ def test_naive_product_inputs_hold_at_most_one_buffer_of_reads():
         assert track.rb_block1 is not None
         assert track.cross_read_count <= track.length
     assert folds and max(folds) <= n * n + TILE * TILE
+
+
+def test_a_block_folds_the_reads_that_would_outnumber_its_buffer():
+    # One block loads a permutation of a 1024-element buffer 4000 times, then
+    # stores where each thread loaded. Waiting until the store, the reads held
+    # 4000 copies of the lanes' indices: 32 MB.
+    def kernel(ctx, a):
+        idx = (ctx.thread_idx.x * 7) % 1024
+        for _ in range(4000):
+            a[idx]
+        a[idx] = ctx.thread_idx.x
+
+    mem = DeviceMemory()
+    a = mem.alloc("a", 1024)
+    tracemalloc.start()
+    try:
+        Simulator().launch(kernel, LaunchConfig(1, 1024), mem, (a,))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert a.tolist() == sorted(range(1024), key=lambda t: (t * 7) % 1024)
+    assert peak < 1 << 20
 
 
 def test_a_shared_track_has_one_entry_per_array_element():
