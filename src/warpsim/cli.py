@@ -109,6 +109,8 @@ def _run_primitive(args) -> tuple[Any, Optional[StepTrace], MetricsReport]:
     rng = np.random.default_rng(args.seed)
     if args.block_dim is not None and name != "vector_add":
         raise UsageError(f"--block-dim does not apply to {name}: its block shape is algorithmic")
+    if args.variant is not None and name not in ("reduce_sum", "matmul"):
+        raise UsageError(f"--variant does not apply to {name}: it has one variant")
     if name in ARRAY_KERNELS:
         n_inputs = 2 if name == "vector_add" else 1
         arrays = _inputs(args.input, n_inputs, _load_array)

@@ -16,14 +16,18 @@ DimLike = Union[int, tuple]
 DEFAULT_MAX_THREADS_PER_BLOCK = 1024
 
 
-def as_dim3(dim: DimLike) -> Dim3:
-    """Normalize an int or partial tuple to a full (x, y, z) triple."""
-    if isinstance(dim, int):
-        return (dim, 1, 1)
-    t = tuple(int(v) for v in dim)
+def _is_int(v) -> bool:
+    return isinstance(v, (int, np.integer))
+
+
+def as_dim3(dim: DimLike, field: str) -> Dim3:
+    """Normalize an int or a tuple or list of at most 3 ints to a full (x, y, z) triple."""
+    t = tuple(dim) if isinstance(dim, (tuple, list)) else (dim,)
     if len(t) > 3:
         raise LaunchConfigInvalid(f"dimension has {len(t)} components, expected at most 3")
-    return t + (1,) * (3 - len(t))
+    if not all(map(_is_int, t)):
+        raise LaunchConfigInvalid(f"{field}={dim!r} must be an int or a tuple of ints")
+    return tuple(int(v) for v in t) + (1,) * (3 - len(t))
 
 
 def _delinearize(linear: int, dims: Dim3) -> Dim3:
@@ -47,10 +51,13 @@ class LaunchConfig:
     warp_size: int = 32
 
     def __post_init__(self):
-        object.__setattr__(self, "grid_dim", as_dim3(self.grid_dim))
-        object.__setattr__(self, "block_dim", as_dim3(self.block_dim))
-        object.__setattr__(self, "shared_mem_bytes", int(self.shared_mem_bytes))
-        object.__setattr__(self, "warp_size", int(self.warp_size))
+        object.__setattr__(self, "grid_dim", as_dim3(self.grid_dim, "grid_dim"))
+        object.__setattr__(self, "block_dim", as_dim3(self.block_dim, "block_dim"))
+        for field in ("shared_mem_bytes", "warp_size"):
+            value = getattr(self, field)
+            if not _is_int(value):
+                raise LaunchConfigInvalid(f"{field}={value!r} must be an integer")
+            object.__setattr__(self, field, int(value))
 
     @property
     def threads_per_block(self) -> int:

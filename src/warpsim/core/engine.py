@@ -11,7 +11,9 @@ the fixed reference schedule; blocks run in ascending linear block id.
 A kernel marked ``@block_batchable`` runs consecutive blocks as one group:
 one context whose lanes are the blocks' threads side by side. Its results,
 counters and errors equal a run block by block, which is how a group that
-raises anything is replayed (README, "Batched blocks").
+raises anything is replayed (README, "Batched blocks"). A block or group
+counts into its own context and adds the counts to the report when it ends:
+a block always, a group only if it runs through.
 
 Control flow that should be visible to the machine must go through
 ``ctx.if_``: it masks lanes, serializes both paths, and records divergence.
@@ -93,37 +95,49 @@ class _LaunchState:
             return 1
         return max(1, min(_GROUP_LANES // config.threads_per_block, config.blocks_per_grid))
 
-    def begin_grid(self, config: LaunchConfig, group_blocks: int) -> None:
-        """Take new block stamps for ``config``; the tracks of earlier grids at this depth stay."""
-        self.multi_block = config.blocks_per_grid > 1
-        self.stride = max(self.stride, group_blocks * config.threads_per_block)
-        self.grid_stamp -= config.blocks_per_grid
+    def run_grid(self, kernel: Callable, config: LaunchConfig, args: tuple, kernel_name: str) -> None:
+        """Run the blocks of ``config`` with new block stamps, replaying a failed group block by block.
+
+        The tracks of earlier grids at this depth stay.
+        """
+        blocks = config.blocks_per_grid
+        width = self.group_blocks(kernel, config)
+        self.multi_block = blocks > 1
+        self.stride = max(self.stride, width * config.threads_per_block)
+        self.grid_stamp -= blocks
+        for first in range(0, blocks, width):
+            n = min(width, blocks - first)
+            if not self.run_group(kernel, config, args, kernel_name, first, n):
+                for block_linear in range(first, first + n):
+                    self.run_group(kernel, config, args, kernel_name, block_linear, 1)
 
     def run_group(self, kernel: Callable, config: LaunchConfig, args: tuple, kernel_name: str,
-                  first: int, blocks: int) -> None:
-        """One call of ``kernel`` over ``blocks`` consecutive blocks from ``first`` on, in one interval."""
+                  first: int, blocks: int) -> bool:
+        """One call of ``kernel`` over ``blocks`` consecutive blocks from ``first`` on, in one interval.
+
+        A block alone adds its counts to the report even if it raises. A group
+        adds them only if it runs through; else it undoes its stores and
+        returns False. Its race words need no undoing: interval words go stale
+        with the next group start, and a block's cross-block words are ones
+        its replay writes too, up to a load at which the replay stops the
+        launch (README).
+        """
         self.new_interval()
         ctx = KernelContext(self, config, first, kernel_name, blocks)
-        kernel(ctx, *(GlobalView(ctx, a) if isinstance(a, Buffer) else a for a in args))
-
-    def speculate(self, *group) -> bool:
-        """``run_group(*group)``, undoing its stores and counts if it raises anything; True if it ran through.
-
-        Its race words need no undoing: interval words go stale with the next
-        group start, and a block's cross-block words are ones its replay writes
-        too, up to a load at which the replay stops the launch (README).
-        """
-        saved, self.undo = self.metrics.to_json(), []
+        self.undo = [] if blocks > 1 else None
         try:
-            self.run_group(*group)
-            return True
+            kernel(ctx, *(GlobalView(ctx, a) if isinstance(a, Buffer) else a for a in args))
         except (Exception, _RunAlone):
+            if blocks == 1:
+                self.metrics.add(kernel_name, ctx._kernel_counters)
+                raise
             for data, idx, old in reversed(self.undo):
                 data[idx] = old
-            self.metrics.restore(saved)
             return False
         finally:
             self.undo = None
+        self.metrics.add(kernel_name, ctx._kernel_counters)
+        return True
 
     def new_interval(self, shared_only: bool = False) -> None:
         """Start a barrier interval: every word stamped before is stale from here on.
@@ -263,7 +277,7 @@ class KernelContext:
     ):
         self._state = state
         self._sim = state.sim
-        self._kernel_counters: Optional[KernelCounters] = None  # resolved on the first count
+        self._kernel_counters: Optional[KernelCounters] = None  # created on the first count
         self.config = config
         self.kernel_name = kernel_name
 
@@ -314,9 +328,13 @@ class KernelContext:
         return arr
 
     def _counters(self) -> KernelCounters:
-        """This kernel's entry in the launch's per-kernel counters."""
+        """The counts of this block or group, created on the first count.
+
+        ``_LaunchState.run_group`` adds them to the report when the block or
+        group ends; a context that counted nothing adds no per-kernel entry.
+        """
         if self._kernel_counters is None:
-            self._kernel_counters = self._state.metrics.counters(self.kernel_name)
+            self._kernel_counters = KernelCounters()
         return self._kernel_counters
 
     def _err_kw(self, gids: Sequence[int], buffer: Optional[str] = None) -> dict:
@@ -397,14 +415,11 @@ class KernelContext:
         state = self._state
         cost = state.cost_memo.cost(self._sim, view.space, m.warp_ids, m.warp_key, byte_addrs, first_byte, width,
                                     length * width + view.byte_offset, self.warp_count, self._block_size)
-        counters = self._counters()
         if view.space == "global":
-            state.metrics.global_transactions += cost
-            counters.global_transactions += cost
+            self._counters().global_transactions += cost
             blocks, stamp = m.blocks, state.stamp
         else:
-            state.metrics.bank_conflict_extra_cycles += cost
-            counters.bank_conflict_extra_cycles += cost
+            self._counters().bank_conflict_extra_cycles += cost
             blocks, stamp = None, state.shared_stamp
             if self._blocks > 1:  # each block's cells in its own region
                 ei = ei + m.offset * length
@@ -493,7 +508,6 @@ class KernelContext:
         f_cnt = m.warp_counts - t_cnt
         diverged = int(((t_cnt > 0) & (f_cnt > 0)).sum())
         if diverged:
-            self._state.metrics.divergence_events += diverged
             self._counters().divergence_events += diverged
         true_counts, false_counts = t_cnt.tolist(), f_cnt.tolist()
         if self._state.recorder is not None:
@@ -537,7 +551,6 @@ class KernelContext:
                 "barrier under a partial mask: some threads of the block cannot reach it",
                 **self._err_kw([gid]),
             )
-        self._state.metrics.barriers_executed += self._blocks
         self._counters().barriers_executed += self._blocks
         self._state.new_interval(shared_only=self._blocks > 1)
         if self._state.recorder is not None:
@@ -552,7 +565,6 @@ class KernelContext:
         m = self._mask_stack[-1]
         av = self._lanes(a)
         bv = self._lanes(b)
-        self._state.metrics.thread_steps += m.count
         self._counters().thread_steps += m.count
         if m.count == self.nthreads:
             return op(av, bv)
@@ -611,9 +623,8 @@ class KernelContext:
         child = self._state.child()
         cfg = child.configs.setdefault(cfg, cfg)  # an equal config already built its lane arrays
         for _ in launchers:
-            self._state.metrics.child_launches += 1
             self._counters().child_launches += 1
-            self._sim._run_grid(kernel, cfg, child_args, child, name or kernel.__name__)
+            child.run_grid(kernel, cfg, child_args, name or kernel.__name__)
         self.step += 1
 
 
@@ -646,13 +657,13 @@ class Simulator:
             ("segment_bytes", segment_bytes),
             ("bank_count", bank_count),
             ("bank_width_bytes", bank_width_bytes),
+            ("max_threads_per_block", max_threads_per_block),
         ):
+            if not isinstance(value, (int, np.integer)):
+                raise ValueError(f"{name}={value!r} must be an integer")
             if value < 1:
                 raise ValueError(f"{name}={value} must be positive")
-        self.segment_bytes = segment_bytes
-        self.bank_count = bank_count
-        self.bank_width_bytes = bank_width_bytes
-        self.max_threads_per_block = max_threads_per_block
+            setattr(self, name, int(value))
         self.max_nesting_depth = max_nesting_depth
 
     def launch(
@@ -685,30 +696,13 @@ class Simulator:
         report = metrics if metrics is not None else MetricsReport()
         state = _LaunchState(self, mem, report, mode, 0, recorder)
         try:
-            self._run_grid(kernel, config, tuple(args), state, name or kernel.__name__)
+            state.run_grid(kernel, config, tuple(args), name or kernel.__name__)
         finally:
             # A kernel's closures can hold its context in a reference cycle
             # that would keep the race arrays alive until the cyclic
             # collector runs.
             state.release()
         return report
-
-    def _run_grid(
-        self,
-        kernel: Callable,
-        config: LaunchConfig,
-        args: tuple,
-        state: _LaunchState,
-        kernel_name: str,
-    ) -> None:
-        blocks = config.blocks_per_grid
-        width = state.group_blocks(kernel, config)
-        state.begin_grid(config, width)
-        for first in range(0, blocks, width):
-            n = min(width, blocks - first)
-            if n == 1 or not state.speculate(kernel, config, args, kernel_name, first, n):
-                for block_linear in range(first, first + n):
-                    state.run_group(kernel, config, args, kernel_name, block_linear, 1)
 
 
 def launch_kernel(

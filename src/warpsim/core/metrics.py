@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 from dataclasses import dataclass, field, fields
-from typing import Any
+from typing import Any, Optional
 
 
 @dataclass
@@ -20,10 +20,6 @@ class KernelCounters:
     def to_json(self) -> dict[str, Any]:
         return {f.name: getattr(self, f.name) for f in fields(KernelCounters)}
 
-    def _assign(self, counts: dict[str, Any]) -> None:
-        for f in fields(KernelCounters):
-            setattr(self, f.name, counts[f.name])
-
 
 @dataclass
 class MetricsReport(KernelCounters):
@@ -36,26 +32,14 @@ class MetricsReport(KernelCounters):
 
     per_kernel: dict[str, KernelCounters] = field(default_factory=dict)
 
-    def counters(self, kernel: str) -> KernelCounters:
-        """The per-kernel entry of ``kernel``; the first call creates it.
-
-        A count goes to the totals and to this entry, so call it only when
-        there is something to count: a kernel that counts nothing gets no entry.
-        """
-        entry = self.per_kernel.get(kernel)
-        if entry is None:
-            entry = self.per_kernel[kernel] = KernelCounters()
-        return entry
+    def add(self, kernel: str, counts: Optional[KernelCounters]) -> None:
+        """Add one block's or group's ``counts`` to the totals and to the entry of ``kernel``; None adds no entry."""
+        if counts is None:
+            return
+        entry = self.per_kernel.setdefault(kernel, KernelCounters())
+        for name, n in counts.to_json().items():
+            setattr(self, name, getattr(self, name) + n)
+            setattr(entry, name, getattr(entry, name) + n)
 
     def to_json(self) -> dict[str, Any]:
         return {**super().to_json(), "per_kernel": {k: v.to_json() for k, v in sorted(self.per_kernel.items())}}
-
-    def restore(self, saved: dict[str, Any]) -> None:
-        """Put back the counts of an earlier ``to_json()`` in place; entries created since are dropped."""
-        self._assign(saved)
-        kept = saved["per_kernel"]
-        for kernel in list(self.per_kernel):
-            if kernel in kept:
-                self.per_kernel[kernel]._assign(kept[kernel])
-            else:
-                del self.per_kernel[kernel]

@@ -11,6 +11,7 @@ on block-local addresses, and that batching is on at all.
 """
 
 import functools
+import json
 from unittest import mock
 
 import numpy as np
@@ -22,6 +23,7 @@ import reference_machine
 from test_race_tracker import observe, patterns, run_program
 from warpsim import DeviceMemory, LaunchConfig, MetricsReport, Recorder, SimError, Simulator
 from warpsim.core import block_batchable, race
+from warpsim.core.metrics import KernelCounters
 from warpsim.kernels import matrix, reduce
 from warpsim.kernels.vector import vector_add_kernel
 
@@ -313,6 +315,45 @@ def test_marked_kernels_that_need_their_block_alone_match_the_unmarked_run():
     for kernel, want in want_y.items():
         (_, y), _, error, _ = assert_same_as_unmarked(kernel, blocks, threads, bufs)
         assert error is None and y == want
+
+
+def run_twice(kernel, first_blocks, blocks, threads=32):
+    """Memory, one report's JSON and the SimError JSON or None after launches of ``first_blocks`` then ``blocks``."""
+    mem = DeviceMemory()
+    x, y = mem.alloc("x", list(range(threads))), mem.alloc("y", [0] * (threads * blocks))
+    metrics, error = MetricsReport(), None
+    Simulator().launch(kernel, LaunchConfig(first_blocks, threads), mem, (x, y), metrics=metrics)
+    try:
+        Simulator().launch(kernel, LaunchConfig(blocks, threads), mem, (x, y), metrics=metrics)
+    except SimError as e:
+        error = e.to_json()
+    return x.tolist(), y.tolist(), json.dumps(metrics.to_json()), error
+
+
+@pytest.mark.parametrize("kernel", [clash_kernel, launch_kernel], ids=["race", "launch"])
+def test_a_replayed_group_counts_once_into_a_report_an_earlier_launch_filled(kernel):
+    """A group that raises adds no counts, and its replay adds each block's once, after the earlier launch's."""
+    marked, calls = spy(kernel)
+    got = run_twice(marked, 3, 6)
+    assert got == run_twice(spy(kernel, marked=False)[0], 3, 6)
+    assert calls[calls.index(6 * 32) + 1] == 32  # the second launch's group replayed
+    assert got[3] is None or got[3]["kind"] == "DataRace"
+
+
+@block_batchable
+def shared_only_kernel(ctx):
+    words = ctx.shared_array(ctx.block_dim.x)
+    words[ctx.thread_idx.x] = 1
+    words[ctx.thread_idx.x]
+
+
+@pytest.mark.parametrize("marked", [True, False], ids=["batched", "alone"])
+def test_conflict_free_shared_accesses_give_an_all_zero_entry(marked):
+    kernel, calls = spy(shared_only_kernel, marked)
+    report = Simulator().launch(kernel, LaunchConfig(4, 32, shared_mem_bytes=4 * 32), DeviceMemory())
+    zeros = KernelCounters().to_json()
+    assert report.to_json() == {**zeros, "per_kernel": {"shared_only_kernel": zeros}}
+    assert calls == ([4 * 32] if marked else [32] * 4)
 
 
 @block_batchable

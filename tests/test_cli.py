@@ -152,6 +152,13 @@ class TestRun:
         code = main(["run", "--kernel", "reduce_sum", "--size", "16", "--block-dim", "64"])
         assert code == 2
 
+    @pytest.mark.parametrize("kernel", ["vector_add", "inclusive_scan", "exclusive_scan", "matrix_add"])
+    def test_variant_rejected_for_kernels_of_one_variant(self, capsys, kernel):
+        code = main(["report", "--kernel", kernel, "--size", "8", "--variant", "bogus"])
+        captured = capsys.readouterr()
+        assert (code, captured.out) == (2, "")
+        assert captured.err == f"error: --variant does not apply to {kernel}: it has one variant\n"
+
     def test_integer_past_int64_is_usage_error(self, tmp_path, capsys):
         a = write_json(tmp_path, "a.json", [2**63, -1])
         b = write_json(tmp_path, "b.json", [0, 0])

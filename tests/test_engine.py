@@ -243,6 +243,31 @@ class TestLaunchBasics:
         with pytest.raises(LaunchConfigInvalid):
             LaunchConfig(1, 32, shared_mem_bytes=-1).validate()
 
+    @pytest.mark.parametrize(
+        "args, message",
+        [
+            (((2.7, 1), 32), "grid_dim=(2.7, 1) must be an int or a tuple of ints"),
+            ((2, (32, 1.5)), "block_dim=(32, 1.5) must be an int or a tuple of ints"),
+            (("2", 32), "grid_dim='2' must be an int or a tuple of ints"),
+            ((2, None), "block_dim=None must be an int or a tuple of ints"),
+            ((2, 32, 8.5), "shared_mem_bytes=8.5 must be an integer"),
+            ((2, 32, 0, 32.0), "warp_size=32.0 must be an integer"),
+        ],
+    )
+    def test_non_integer_config_fields_rejected(self, args, message):
+        # Truncated, these ran 2 blocks of 32 threads with 8 shared bytes.
+        with pytest.raises(LaunchConfigInvalid) as exc:
+            LaunchConfig(*args)
+        assert exc.value.to_json() == {
+            "kind": "LaunchConfigInvalid", "message": message, "threads": [], "buffer": None, "step": None,
+            "kernel": None,
+        }
+
+    def test_numpy_integer_config_fields_accepted(self):
+        config = LaunchConfig(np.int64(2), [np.int32(32), 1], np.int64(8), np.uint8(32))
+        assert config == LaunchConfig(2, 32, 8)
+        assert {type(v) for v in (*config.grid_dim, *config.block_dim, config.shared_mem_bytes, config.warp_size)} == {int}
+
     def test_shared_array_past_shared_mem_bytes_names_the_kernel(self):
         def kernel(ctx):
             ctx.shared_array(4)
@@ -845,6 +870,12 @@ class TestDeviceLaunch:
                 "invalid child launch config: dimension has 4 components, expected at most 3",
             ),
             (Simulator(max_nesting_depth=1), (1, 1, 1, 1), "NestingLimit", "child launch at depth 1 reaches the nesting limit of 1"),
+            (
+                Simulator(),
+                (2.7, 1),
+                "LaunchConfigInvalid",
+                "invalid child launch config: grid_dim=(2.7, 1) must be an int or a tuple of ints",
+            ),
         ],
     )
     def test_child_launch_check_names_the_first_launcher(self, sim, grid, kind, message):
@@ -944,7 +975,8 @@ class TestMachineGeometry:
         assert sixteen.bank_conflict_extra_cycles == 2 * 7
 
     @pytest.mark.parametrize(
-        "param, value", [("segment_bytes", 0), ("bank_count", 0), ("bank_width_bytes", -4)]
+        "param, value",
+        [("segment_bytes", 0), ("bank_count", 0), ("bank_width_bytes", -4), ("max_threads_per_block", 0)],
     )
     def test_non_positive_geometry_rejected(self, param, value):
         # Accepted, these gave wrong transaction or bank counts, or a bare
@@ -952,6 +984,24 @@ class TestMachineGeometry:
         with pytest.raises(ValueError, match=f"^{param}={value} must be positive$"):
             Simulator(**{param: value})
         Simulator(**{param: 1})
+
+    @pytest.mark.parametrize("param", ["segment_bytes", "bank_count", "bank_width_bytes", "max_threads_per_block"])
+    @pytest.mark.parametrize("value", [2.5, 0.5, float("nan"), 64.0, "64", None])
+    def test_non_integer_geometry_rejected(self, param, value):
+        # Accepted, a fractional or nan segment size counted float transactions.
+        with pytest.raises(ValueError) as exc:
+            Simulator(**{param: value})
+        assert exc.value.args == (f"{param}={value!r} must be an integer",)
+
+    def test_numpy_integer_geometry_counts_in_ints(self):
+        sim = Simulator(segment_bytes=np.int64(32), bank_count=np.int32(32), bank_width_bytes=np.int64(4),
+                        max_threads_per_block=np.int64(64))
+        mem = DeviceMemory()
+        data = mem.alloc("data", list(range(64)))
+        report = sim.launch(read_only_kernel, LaunchConfig(2, 32), mem, (data,))
+        assert type(report.global_transactions) is int and report.global_transactions == 8
+        with pytest.raises(LaunchConfigInvalid, match="exceeds 64 threads per block"):
+            sim.launch(read_only_kernel, LaunchConfig(1, 65), mem, (data,))
 
     def test_warp_size_changes_divergence_granularity(self):
         values = [1 if i % 2 == 0 else -1 for i in range(32)]

@@ -2,13 +2,18 @@
 
 Race tracking, access analysis and recording never import the engine, and
 the engine reads no field of a race track: it hands a track addresses and
-stamps and gets conflicts back.
+stamps and gets conflicts back. The engine counts each event once, into a
+context's own counters, and only ``MetricsReport.add`` writes a report.
 """
 
 import ast
+from collections import Counter
+from dataclasses import fields
 from pathlib import Path
 
 import pytest
+
+from warpsim.core.metrics import KernelCounters
 
 CORE = Path(__file__).resolve().parent.parent / "src" / "warpsim" / "core"
 BELOW_ENGINE = ("race.py", "access.py", "observe.py", "metrics.py")
@@ -56,3 +61,23 @@ def test_engine_reads_no_race_track_field():
         }
     )
     assert hits == [], f"engine.py reads race-track fields {hits}"
+
+
+def augmented_attributes(module: ast.Module) -> list[ast.Attribute]:
+    """The attribute targets of every ``x.attr += ...`` (or other augmented assignment)."""
+    return [n.target for n in ast.walk(module) if isinstance(n, ast.AugAssign) and isinstance(n.target, ast.Attribute)]
+
+
+def test_engine_writes_no_report_total():
+    hits = sorted(
+        t.lineno
+        for t in augmented_attributes(tree("engine.py"))
+        if isinstance(t.value, ast.Attribute) and t.value.attr == "metrics"
+    )
+    assert hits == [], f"engine.py adds to a .metrics total at lines {hits}; MetricsReport.add writes them"
+
+
+def test_engine_increments_each_counter_at_one_site():
+    names = [f.name for f in fields(KernelCounters)]
+    sites = Counter(t.attr for t in augmented_attributes(tree("engine.py")) if t.attr in names)
+    assert sites == Counter(names)

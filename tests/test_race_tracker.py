@@ -209,7 +209,7 @@ def run_grid(kernel, config, mem, args, mode="strict"):
     """One grid on a launch state the test keeps, to look at its tracks."""
     sim = Simulator()
     state = engine._LaunchState(sim, mem, MetricsReport(), mode, depth=0)
-    sim._run_grid(kernel, config, tuple(args), state, kernel.__name__)
+    state.run_grid(kernel, config, tuple(args), kernel.__name__)
     return state
 
 
