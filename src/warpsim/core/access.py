@@ -63,8 +63,9 @@ def bank_conflict_degree(
     return max(counts.values())
 
 
-_PAIR_BITS = 40  # warp/key packing headroom; addresses stay far below 2**40
+_PAIR_BITS = 40  # warp/key packing headroom for a byte address or segment index
 _PAIR_SHIFT = np.int64(1) << _PAIR_BITS
+BYTE_EXTENT_LIMIT = 1 << _PAIR_BITS  # a buffer or shared region spans fewer bytes, so its addresses fit the packing
 _BANK_HIST_MAX = 1 << 16  # largest (warp, bank) histogram built; larger ones sort
 
 

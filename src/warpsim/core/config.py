@@ -8,6 +8,7 @@ from typing import Union
 
 import numpy as np
 
+from .access import BYTE_EXTENT_LIMIT
 from .errors import LaunchConfigInvalid, ThreadCoord
 
 Dim3 = tuple[int, int, int]
@@ -83,6 +84,8 @@ class LaunchConfig:
             )
         if self.shared_mem_bytes < 0:
             raise LaunchConfigInvalid(f"shared_mem_bytes={self.shared_mem_bytes} is negative")
+        if self.shared_mem_bytes >= BYTE_EXTENT_LIMIT:
+            raise LaunchConfigInvalid(f"shared_mem_bytes={self.shared_mem_bytes} must be below {BYTE_EXTENT_LIMIT}")
         if self.warp_size < 1:
             raise LaunchConfigInvalid(f"warp_size={self.warp_size} must be positive")
 

@@ -75,10 +75,9 @@ class _LaunchState:
         self.depth = depth
         self.recorder = recorder
         self.cost_memo = access._CostMemo() if cost_memo is None else cost_memo  # one per launch tree
-        self.multi_block = True  # refined per grid before blocks run
-        # A word of the current interval is stamp (shared_stamp in shared
-        # memory) + a group-local thread id, below it + stride; a word of the
-        # current grid is grid_stamp + a block id, below every earlier grid's.
+        # A word of the current interval is stamp (shared_stamp in shared memory) + a group-local
+        # thread id, below it + stride; the block stamp of a block or group is grid_stamp + its
+        # last block id, below every earlier grid's.
         self.stamp = self.shared_stamp = self.stride = self.grid_stamp = 0
         self.tracks: dict[Union[str, int], _RaceTrack] = {}  # global buffer name or shared byte offset
         self.configs: dict[LaunchConfig, LaunchConfig] = {}  # one per child geometry, with its lane arrays
@@ -102,7 +101,6 @@ class _LaunchState:
         """
         blocks = config.blocks_per_grid
         width = self.group_blocks(kernel, config)
-        self.multi_block = blocks > 1
         self.stride = max(self.stride, width * config.threads_per_block)
         self.grid_stamp -= blocks
         for first in range(0, blocks, width):
@@ -118,9 +116,8 @@ class _LaunchState:
         A block alone adds its counts to the report even if it raises. A group
         adds them only if it runs through; else it undoes its stores and
         returns False. Its race words need no undoing: interval words go stale
-        with the next group start, and a block's cross-block words are ones
-        its replay writes too, up to a load at which the replay stops the
-        launch (README).
+        with the next group start, and its block stamp is that of its last
+        block, never below the stamp of a block its replay runs (README).
         """
         self.new_interval()
         ctx = KernelContext(self, config, first, kernel_name, blocks)
@@ -234,10 +231,10 @@ class _Mask:
     """One branch's lane mask and active count; ``select`` gathers its active lanes once for all its instructions.
 
     That is their indices ``sel`` (None for the full mask: the context's own arrays), thread and warp ids, group
-    block offsets, block stamps, the memo key of the warp ids and, from ``if_``, the lanes per warp.
+    block offsets, the memo key of the warp ids and, from ``if_``, the lanes per warp.
     """
 
-    __slots__ = ("mask", "count", "sel", "tids", "warp_ids", "offset", "blocks", "warp_key", "warp_counts")
+    __slots__ = ("mask", "count", "sel", "tids", "warp_ids", "offset", "warp_key", "warp_counts")
 
     def __init__(self, mask: np.ndarray, count: int):
         self.mask, self.count, self.tids, self.warp_counts = mask, count, None, None
@@ -252,7 +249,6 @@ class _Mask:
                 self.tids, self.warp_ids = ctx.global_id[sel], ctx._warp_ids[sel]
                 self.offset = ctx._offset[sel] if ctx._blocks > 1 else 0
                 self.warp_key = self.warp_ids.tobytes()
-            self.blocks = None if ctx._block_stamp is None else ctx._block_stamp + np.atleast_1d(self.offset)
         return self
 
 
@@ -294,9 +290,9 @@ class KernelContext:
         self.grid_dim = _Idx3(*config.grid_dim)
         self.thread_idx = _Idx3(tx, ty, tz)
         self._gid0 = block_linear * T
-        # Global buffers of a multi-block grid also check conflicts between
-        # blocks; this is the stamp of the first block (see _Mask.select).
-        self._block_stamp = state.grid_stamp + block_linear if state.multi_block else None
+        # Global buffers also check conflicts between blocks, by the block
+        # stamp of the last block (README, "Batched blocks").
+        self._block_stamp = state.grid_stamp + block_linear + blocks - 1
         self.global_id = self._gid0 + linear
         one_d = config.grid_dim[1:] == config.block_dim[1:] == (1, 1)  # then x is the linear id
         self.gx = self.global_id if one_d else self.block_idx.x * self.block_dim.x + tx
@@ -358,7 +354,7 @@ class KernelContext:
                 f"shared array of length={length}, element_width={element_width}: both must be integers",
                 kernel=self.kernel_name,
             )
-        length = int(length)
+        length, element_width = int(length), int(element_width)  # no int64 wrap-around in nbytes
         if length < 0 or element_width < 1:
             raise LaunchConfigInvalid(
                 f"shared array of length={length}, element_width={element_width}: "
@@ -417,10 +413,10 @@ class KernelContext:
                                     length * width + view.byte_offset, self.warp_count, self._block_size)
         if view.space == "global":
             self._counters().global_transactions += cost
-            blocks, stamp = m.blocks, state.stamp
+            block, stamp = self._block_stamp, state.stamp
         else:
             self._counters().bank_conflict_extra_cycles += cost
-            blocks, stamp = None, state.shared_stamp
+            block, stamp = None, state.shared_stamp
             if self._blocks > 1:  # each block's cells in its own region
                 ei = ei + m.offset * length
                 run = _run(ei)
@@ -431,7 +427,7 @@ class KernelContext:
 
         result: Optional[np.ndarray] = None
         if value is None:
-            track.check_read(addrs, tids, stamp, shift, blocks, fail, state.undo is not None)
+            track.check_read(addrs, tids, stamp, shift, block, fail, state.undo is not None)
             got = data[addrs]
             if full:
                 result = got.copy() if run else got
@@ -443,7 +439,7 @@ class KernelContext:
             if not full:
                 vals = vals[m.sel]
             vals = vals.astype(data.dtype, copy=False)
-            eff = track.check_write(addrs, tids, stamp, shift, blocks, fail)
+            eff = track.check_write(addrs, tids, stamp, shift, block, fail)
             # a lane applies unless a higher thread stored its address in the interval: in strict mode all do
             dst, src = (addrs, vals) if eff is None or eff.all() else (ei[eff], vals[eff])
             if state.undo is not None:
@@ -658,13 +654,13 @@ class Simulator:
             ("bank_count", bank_count),
             ("bank_width_bytes", bank_width_bytes),
             ("max_threads_per_block", max_threads_per_block),
+            ("max_nesting_depth", max_nesting_depth),
         ):
             if not isinstance(value, (int, np.integer)):
                 raise ValueError(f"{name}={value!r} must be an integer")
             if value < 1:
                 raise ValueError(f"{name}={value} must be positive")
             setattr(self, name, int(value))
-        self.max_nesting_depth = max_nesting_depth
 
     def launch(
         self,

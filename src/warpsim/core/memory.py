@@ -6,6 +6,8 @@ from typing import Any, Iterator, Optional, Sequence, Union
 
 import numpy as np
 
+from .access import BYTE_EXTENT_LIMIT
+
 DEFAULT_ELEMENT_WIDTH = 4
 
 
@@ -97,6 +99,11 @@ class DeviceMemory:
             data = np.array(size_or_data, dtype=dtype)
         if data.ndim == 0:
             raise ValueError(f"buffer {name!r}: size_or_data={size_or_data} must be an integer size or a sequence")
+        if data.ndim > 1:
+            raise ValueError(f"buffer {name!r}: size_or_data of shape {data.shape} must be one-dimensional")
+        if data.size * int(element_width) >= BYTE_EXTENT_LIMIT:  # no int64 wrap-around
+            raise ValueError(f"buffer {name!r}: {data.size} elements of element_width={element_width} "
+                             f"span {BYTE_EXTENT_LIMIT} bytes or more")
         buf = Buffer(name, data, int(element_width))
         self.buffers[name] = buf
         return buf

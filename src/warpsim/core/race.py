@@ -24,14 +24,14 @@ class _RaceTrack:
     buffer is ``_LaunchState.stamp``, raised at each group start; that of
     shared memory is ``_LaunchState.shared_stamp``, raised at each group start
     and barrier. A raised stamp lies past every earlier word, so a word below
-    it means "no thread". Cross-block state keeps the grid's first reading and
-    first writing block as block stamps: blocks run in ascending order, so
-    another block accessed an address before block b exactly when its first
-    block is below b. A grid's block stamps lie below every earlier grid's,
-    so ``np.minimum`` takes a stale one for "no block yet". Nothing is reset.
+    it means "no thread". Cross-block state keeps the lowest block stamp to
+    read and to write each address. A block or group's is its last block's,
+    and blocks run in ascending order, so a word below it is an earlier
+    block's; a grid's block stamps lie below every earlier grid's, so
+    ``np.minimum`` takes a stale one for "no block yet". Nothing is reset.
 
     Reads wait until a store to the space needs them: interval reads for a
-    store in the interval, cross-block reads for the grid's first store. They
+    store in the interval, cross-block reads for the next store. They
     also stop waiting before they would outnumber the array's elements: they
     are folded, except interval reads of a group that can replay, which are
     forgotten; a store in a forgotten interval raises ``_RunAlone`` before it
@@ -42,9 +42,9 @@ class _RaceTrack:
 
     A check takes the active lanes' indices into the array (an index array,
     or a slice for a run ``lo, lo + 1, ...``), their global thread ids, the
-    interval ``stamp``, the ``shift`` from ids to words and their ascending
-    block stamps (None where blocks cannot conflict; one for a single block);
-    a load also takes whether its group can replay.
+    interval ``stamp``, the ``shift`` from ids to words and the ``block``
+    stamp (None where blocks cannot conflict); a load also takes whether its
+    group can replay.
     Before it changes a word it calls ``fail(conflict, addrs, a, b)``: per
     lane of ``conflict``, word ``a`` against ``b`` (stale: a block).
     """
@@ -56,23 +56,22 @@ class _RaceTrack:
         self.pending_count = 0  # addresses on pending_reads
         self.pending_stamp = self.store_stamp = 0  # the intervals of the pending reads and of the last store
         self.forgot_stamp = 0  # the last interval whose reads were forgotten
-        self.cross_reads: list[tuple] = []  # (addresses, block stamps) not yet folded
+        self.cross_reads: list[tuple] = []  # (addresses, block stamp) not yet folded
         self.cross_read_count = 0  # addresses on cross_reads
-        self.first_store = 0  # at most the block stamp of the grid's first store; 0 is stale
         self.reader1 = self.writer1 = self.rb_block1 = self.w_block1 = None  # arrays, from the first fold or store
 
-    def check_read(self, addrs: Any, tids: np.ndarray, stamp: int, shift: int, blocks: Any, fail: Callable,
-                   replay: bool) -> None:
+    def check_read(self, addrs: Any, tids: np.ndarray, stamp: int, shift: int, block: Optional[int],
+                   fail: Callable, replay: bool) -> None:
         """Check a load: conflicts with this interval's writers, then with other blocks' stores."""
         if self.store_stamp == stamp:
             st = tids + shift
             other = _other(self.writer1, self.writer2, addrs, st)
             fail(other >= stamp, addrs, st, other)
-        if blocks is not None and self.first_store < blocks[-1]:  # another block may have stored
-            fail(self.w_block1[addrs] < blocks, addrs, tids + shift, _STALE)
-        self.defer_read(addrs, tids, stamp, shift, blocks, replay)
+        if block is not None and self.w_block1 is not None:
+            fail(self.w_block1[addrs] < block, addrs, tids + shift, _STALE)
+        self.defer_read(addrs, tids, stamp, shift, block, replay)
 
-    def check_write(self, addrs: Any, tids: np.ndarray, stamp: int, shift: int, blocks: Any,
+    def check_write(self, addrs: Any, tids: np.ndarray, stamp: int, shift: int, block: Optional[int],
                     fail: Callable) -> Optional[np.ndarray]:
         """Check a store, then note it; returns the per-lane apply mask, or None if every lane applies.
 
@@ -84,17 +83,17 @@ class _RaceTrack:
         if self.forgot_stamp == stamp:
             raise _RunAlone
         st = tids + shift
-        self.begin_store(stamp, shift, blocks is not None)
+        self.begin_store(stamp, shift, block is not None)
         u_addr, rep, nxt = (addrs, st, _STALE) if isinstance(addrs, slice) else _distinct(addrs, st)
         seen = self.store_stamp == stamp  # only then can a writer word be of this interval
         other = _other(self.writer1, self.writer2, addrs, st) if seen else _STALE
         if self.pending_stamp == stamp:  # and only then a reader word
             other = np.where(other >= stamp, other, _other(self.reader1, self.reader2, addrs, st))
         conflict = other >= stamp
-        if blocks is not None:
-            conflict = conflict | (self.w_block1[addrs] < blocks)
-            if self.rb_block1 is not None:  # some other block's reads are folded
-                conflict |= self.rb_block1[addrs] < blocks
+        if block is not None:
+            conflict = conflict | (self.w_block1[addrs] < block)
+            if self.rb_block1 is not None:  # some block's reads are folded
+                conflict |= self.rb_block1[addrs] < block
         fail(conflict, addrs, st, other)
         if isinstance(nxt, np.ndarray):  # two lanes of this store to one address
             fail(nxt >= stamp, u_addr, rep, nxt)
@@ -105,13 +104,13 @@ class _RaceTrack:
             _fold(np.maximum, self.writer_max, addrs, st)
         _note(self.writer1, self.writer2, u_addr, rep, nxt, stamp, seen)
         self.store_stamp = stamp
-        if blocks is not None:
-            _fold(np.minimum, self.w_block1, addrs, blocks)
-            self.first_store = min(self.first_store, blocks[0])
+        if block is not None:
+            _fold(np.minimum, self.w_block1, addrs, block)
         return eff
 
-    def defer_read(self, addrs: Any, tids: np.ndarray, stamp: int, shift: int, blocks: Any, replay: bool) -> None:
-        """Buffer a read of this interval and, given block stamps, of the grid.
+    def defer_read(self, addrs: Any, tids: np.ndarray, stamp: int, shift: int, block: Optional[int],
+                   replay: bool) -> None:
+        """Buffer a read of this interval and, given a block stamp, of the grid.
 
         Before the waiting reads of the interval would outnumber the elements,
         they are folded, or forgotten with the interval's later reads if the
@@ -127,12 +126,12 @@ class _RaceTrack:
         if self.forgot_stamp != stamp:
             self.pending_reads.append((addrs, tids))
             self.pending_count += tids.size
-        if blocks is not None:
+        if block is not None:
             if self.cross_read_count + tids.size > self.length:
                 self.fold_cross_reads()
-            self.cross_reads.append((addrs, blocks))
+            self.cross_reads.append((addrs, block))
             self.cross_read_count += tids.size
-            if self.first_store <= blocks[0] or self.cross_read_count > self.length:
+            if self.cross_read_count > self.length:
                 self.fold_cross_reads()
 
     def fold_cross_reads(self) -> None:
@@ -141,8 +140,8 @@ class _RaceTrack:
             return
         if self.rb_block1 is None:
             self.rb_block1 = np.zeros(self.length, dtype=np.int64)
-        for addrs, blocks in self.cross_reads:
-            _fold(np.minimum, self.rb_block1, addrs, blocks)
+        for addrs, block in self.cross_reads:
+            _fold(np.minimum, self.rb_block1, addrs, block)
         self.cross_reads.clear()
         self.cross_read_count = 0
 

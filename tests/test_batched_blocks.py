@@ -141,6 +141,10 @@ SHARED_RACE_IN_BLOCK_2 = (4, 32, buffer(128), buffer(128), [("sstore", LOCAL, 1)
 @example((4, 32, buffer(128), buffer(128), [("gload", "x", SHIFT), ("sstore", LOCAL, 1), BARRIER,
                                             ("sload", ("local", 1, [0])), BARRIER, ("sstore", LOCAL, 2), BARRIER,
                                             ("sload", ("reverse", 0, [0])), ("gstore", "y", SHIFT, 3)]))
+# One block: thread t stores x[t], then after a barrier loads x[31 - t],
+# another thread's store, and stores y[t].
+@example((1, 32, buffer(32), buffer(32), [("gstore", "x", SHIFT, 1), BARRIER, ("gload", "x", ("reverse", 0, [0])),
+                                          ("gstore", "y", SHIFT, 2)]))
 @example(CROSS_BARRIER_RACE)
 @example(PARTIAL_BARRIER_IN_BLOCK_2)
 @example(SHARED_OUT_OF_BOUNDS_IN_BLOCK_3)

@@ -285,6 +285,23 @@ class TestLaunchBasics:
             "kernel": "kernel",
         }
 
+    def test_shared_mem_bytes_past_the_byte_extent_limit_rejected(self):
+        # Accepted, s[1] at byte 2**40 packed into the key of warp 1's s[0]:
+        # warp 0's two-way bank conflict counted 0 extra cycles, not 1.
+        def kernel(ctx, width):
+            s = ctx.shared_array(2, element_width=width)
+            s[ctx.where(ctx.global_id == 0, 1, 0)]
+
+        with pytest.raises(LaunchConfigInvalid) as exc:
+            launch_kernel(kernel, LaunchConfig(1, 64, 2**41), DeviceMemory(), (2**40,))
+        assert exc.value.args == (f"shared_mem_bytes={2**41} must be below {2**40}",)
+        width = 2**39 - 128  # s[1] in bank 0, as at 2**40
+        report = launch_kernel(kernel, LaunchConfig(1, 64, 2 * width), DeviceMemory(), (width,))
+        assert report.bank_conflict_extra_cycles == 1
+        # In int64, 2 cells of 2**62 bytes wrapped to -2**63 bytes and fit in 64.
+        with pytest.raises(LaunchConfigInvalid, match=f"^shared allocation of {2**63} bytes exceeds"):
+            launch_kernel(kernel, LaunchConfig(1, 64, 64), DeviceMemory(), (np.int64(2**62),))
+
     @pytest.mark.parametrize("length, width", [(8, 0), (8, -4), (-2, 4), (8.7, 4), (8, 2.5)])
     def test_shared_array_of_negative_length_or_width_names_the_kernel(self, length, width):
         # A zero width would give 8 distinct cells one race address and a
@@ -340,14 +357,33 @@ class TestLaunchBasics:
             mem.alloc("data", 4, element_width=width)
         assert mem.buffers == {}
 
-    @pytest.mark.parametrize("size", [8.5, 8.0, np.float64(3.0), "8"])
+    @pytest.mark.parametrize("size", [8.5, 8.0, np.float64(3.0), "8", [[1, 2], [3, 4]]])
     def test_alloc_of_a_non_integer_size_rejected(self, size):
-        # It would build a 0-d buffer of one element.
+        # A scalar would build a 0-d buffer of one element; nested data, a
+        # buffer whose loads fail mid-launch on the shape of their lane values.
         mem = DeviceMemory()
-        message = f"^buffer 'data': size_or_data={size} must be an integer size or a sequence$"
-        with pytest.raises(ValueError, match=message):
+        with pytest.raises(ValueError) as exc:
             mem.alloc("data", size)
+        rule = (f"size_or_data={size} must be an integer size or a sequence" if np.ndim(size) == 0
+                else "size_or_data of shape (2, 2) must be one-dimensional")
+        assert exc.value.args == (f"buffer 'data': {rule}",)
         assert mem.buffers == {}
+
+    @pytest.mark.parametrize("width", [2**47, np.int64(2**62)])
+    def test_alloc_past_the_byte_extent_limit_rejected(self, width):
+        # Accepted, a[1] at byte 2**47 packed into the key of warp 1's first
+        # segment and counted 4 transactions, not 5. In int64, 2 * 2**62 wraps.
+        def kernel(ctx, a, out):
+            out[ctx.global_id] = a[ctx.where(ctx.global_id == 0, 1, 0)]
+
+        mem = DeviceMemory()
+        with pytest.raises(ValueError) as exc:
+            mem.alloc("a", [5, 6], element_width=width)
+        assert exc.value.args == (f"buffer 'a': 2 elements of element_width={width} span {2**40} bytes or more",)
+        a = mem.alloc("a", [5, 6], element_width=2**39 - 128)  # the widest segment-aligned one below the limit
+        out = mem.alloc("out", 64)
+        assert launch_kernel(kernel, LaunchConfig(1, 64), mem, (a, out)).global_transactions == 5
+        assert out.tolist() == [6] + [5] * 63
 
     @pytest.mark.parametrize("size", [-1, np.int64(-8)])
     def test_alloc_of_a_negative_size_rejected(self, size):
@@ -976,7 +1012,8 @@ class TestMachineGeometry:
 
     @pytest.mark.parametrize(
         "param, value",
-        [("segment_bytes", 0), ("bank_count", 0), ("bank_width_bytes", -4), ("max_threads_per_block", 0)],
+        [("segment_bytes", 0), ("bank_count", 0), ("bank_width_bytes", -4), ("max_threads_per_block", 0),
+         ("max_nesting_depth", 0)],
     )
     def test_non_positive_geometry_rejected(self, param, value):
         # Accepted, these gave wrong transaction or bank counts, or a bare
@@ -985,10 +1022,13 @@ class TestMachineGeometry:
             Simulator(**{param: value})
         Simulator(**{param: 1})
 
-    @pytest.mark.parametrize("param", ["segment_bytes", "bank_count", "bank_width_bytes", "max_threads_per_block"])
+    @pytest.mark.parametrize(
+        "param", ["segment_bytes", "bank_count", "bank_width_bytes", "max_threads_per_block", "max_nesting_depth"]
+    )
     @pytest.mark.parametrize("value", [2.5, 0.5, float("nan"), 64.0, "64", None])
     def test_non_integer_geometry_rejected(self, param, value):
-        # Accepted, a fractional or nan segment size counted float transactions.
+        # Accepted, a fractional or nan segment size counted float transactions,
+        # and a nan nesting depth never stopped nesting.
         with pytest.raises(ValueError) as exc:
             Simulator(**{param: value})
         assert exc.value.args == (f"{param}={value!r} must be an integer",)

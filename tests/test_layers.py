@@ -18,8 +18,7 @@ from warpsim.core.metrics import KernelCounters
 CORE = Path(__file__).resolve().parent.parent / "src" / "warpsim" / "core"
 BELOW_ENGINE = ("race.py", "access.py", "observe.py", "metrics.py")
 TRACK_FIELDS = {
-    "writer1", "writer2", "writer_max", "reader1", "reader2", "rb_block1", "w_block1", "first_store", "store_stamp",
-    "forgot_stamp",
+    "writer1", "writer2", "writer_max", "reader1", "reader2", "rb_block1", "w_block1", "store_stamp", "forgot_stamp",
 }
 TRACK_PREFIXES = ("pending_", "cross_read")
 
