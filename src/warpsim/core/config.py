@@ -25,7 +25,7 @@ def as_dim3(dim: DimLike, field: str) -> Dim3:
     """Normalize an int or a tuple or list of at most 3 ints to a full (x, y, z) triple."""
     t = tuple(dim) if isinstance(dim, (tuple, list)) else (dim,)
     if len(t) > 3:
-        raise LaunchConfigInvalid(f"dimension has {len(t)} components, expected at most 3")
+        raise LaunchConfigInvalid(f"{field}={dim!r} has {len(t)} components, expected at most 3")
     if not all(map(_is_int, t)):
         raise LaunchConfigInvalid(f"{field}={dim!r} must be an int or a tuple of ints")
     return tuple(int(v) for v in t) + (1,) * (3 - len(t))

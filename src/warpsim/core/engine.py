@@ -48,7 +48,7 @@ from .race import _RaceTrack
 LaneValue = Union[int, float, np.ndarray]
 
 _STAMP_MAX = int(np.iinfo(np.int64).max)
-_GROUP_LANES = 4096  # lanes of one group of a batchable kernel's blocks
+_GROUP_LANES = 16384  # lanes of one group of a batchable kernel's blocks (README, "Batched blocks")
 
 
 def block_batchable(kernel: Callable) -> Callable:
@@ -284,8 +284,6 @@ class KernelContext:
         self._blocks = blocks
 
         self.block_linear = block_linear + self._offset
-        coords = config.block_coords(block_linear if blocks == 1 else np.arange(block_linear, block_linear + blocks))
-        self.block_idx = _Idx3(*(c if blocks == 1 else np.repeat(c, T) for c in coords))
         self.block_dim = _Idx3(*config.block_dim)
         self.grid_dim = _Idx3(*config.grid_dim)
         self.thread_idx = _Idx3(tx, ty, tz)
@@ -294,12 +292,16 @@ class KernelContext:
         # stamp of the last block (README, "Batched blocks").
         self._block_stamp = state.grid_stamp + block_linear + blocks - 1
         self.global_id = self._gid0 + linear
-        one_d = config.grid_dim[1:] == config.block_dim[1:] == (1, 1)  # then x is the linear id
-        self.gx = self.global_id if one_d else self.block_idx.x * self.block_dim.x + tx
-        self.gy = self.block_idx.y * self.block_dim.y + ty
-        self.gz = self.block_idx.z * self.block_dim.z + tz
-        for a in (self.global_id, self.gx, self.gy, self.gz):
-            a.flags.writeable = False  # the engine's thread ids, which a kernel must not edit in place
+        if config.grid_dim[1:] == config.block_dim[1:] == (1, 1):  # x is the linear id, y and z are ty's and tz's 0s
+            self.block_idx = _Idx3(self.block_linear, *((0, 0) if blocks == 1 else (ty, tz)))
+            self.gx, self.gy, self.gz = self.global_id, ty, tz
+        else:
+            coords = config.block_coords(block_linear if blocks == 1 else np.arange(block_linear, block_linear + blocks))
+            self.block_idx = _Idx3(*(c if blocks == 1 else np.repeat(c, T) for c in coords))
+            self.gx, self.gy, self.gz = (b * d + t for b, d, t in zip(self.block_idx, config.block_dim, (tx, ty, tz)))
+        for a in (self.block_linear, *self.block_idx, self.global_id, self.gx, self.gy, self.gz):
+            if isinstance(a, np.ndarray):
+                a.flags.writeable = False  # the engine's ids, which a kernel must not edit in place
 
         # One entry per open branch; the group is all active at first.
         self._mask_stack = [_Mask(all_active, self.nthreads)]

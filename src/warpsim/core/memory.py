@@ -34,6 +34,12 @@ def host_arrays(*seqs: Sequence) -> list[np.ndarray]:
     return [a if a.dtype == dtype else np.asarray(seq, dtype=dtype) for a, seq in zip(arrs, seqs)]
 
 
+def _check_extent(name: str, size: int, element_width: int) -> None:
+    if size * int(element_width) >= BYTE_EXTENT_LIMIT:  # no int64 wrap-around
+        raise ValueError(f"buffer {name!r}: {size} elements of element_width={element_width} "
+                         f"span {BYTE_EXTENT_LIMIT} bytes or more")
+
+
 class Buffer:
     """One addressable global buffer.
 
@@ -92,6 +98,7 @@ class DeviceMemory:
         if isinstance(size_or_data, (int, np.integer)):
             if size_or_data < 0:
                 raise ValueError(f"buffer {name!r}: size_or_data={size_or_data} must not be negative")
+            _check_extent(name, int(size_or_data), element_width)  # before allocating
             data = np.zeros(int(size_or_data), dtype=np.int64 if dtype is None else dtype)
         elif dtype is None:
             data = host_arrays(size_or_data)[0].copy()
@@ -101,9 +108,7 @@ class DeviceMemory:
             raise ValueError(f"buffer {name!r}: size_or_data={size_or_data} must be an integer size or a sequence")
         if data.ndim > 1:
             raise ValueError(f"buffer {name!r}: size_or_data of shape {data.shape} must be one-dimensional")
-        if data.size * int(element_width) >= BYTE_EXTENT_LIMIT:  # no int64 wrap-around
-            raise ValueError(f"buffer {name!r}: {data.size} elements of element_width={element_width} "
-                             f"span {BYTE_EXTENT_LIMIT} bytes or more")
+        _check_extent(name, data.size, element_width)
         buf = Buffer(name, data, int(element_width))
         self.buffers[name] = buf
         return buf

@@ -2,8 +2,9 @@
 must give exactly what the same kernel gives block by block.
 
 Random programs of the reference-machine IR, global-only and with shared
-memory and barriers, run through the marked interpreter kernel, the same
-kernel unmarked and the reference machine; memory, ``MetricsReport`` JSON,
+memory and barriers, run through the marked interpreter kernel (at the
+engine's group width or at 2 to 4 blocks per group), the same kernel
+unmarked and the reference machine; memory, ``MetricsReport`` JSON,
 ``SimError`` JSON and race warnings must be equal. Hand cases pin a race
 inside one group, errors in one block of a group, primitives that stop a
 group, cost-memo keys that a group shares with a single block, bank costs
@@ -22,7 +23,7 @@ from hypothesis import strategies as st
 import reference_machine
 from test_race_tracker import observe, patterns, run_program
 from warpsim import DeviceMemory, LaunchConfig, MetricsReport, Recorder, SimError, Simulator
-from warpsim.core import block_batchable, race
+from warpsim.core import block_batchable, engine, race
 from warpsim.core.metrics import KernelCounters
 from warpsim.kernels import matrix, reduce
 from warpsim.kernels.vector import vector_add_kernel
@@ -49,9 +50,9 @@ def buffer(length):
     return [(7 * i) % 101 - 50 for i in range(length)]
 
 
-# Up to 8 blocks of up to 256 threads: one group. Buffers from 1 element to
-# more than the grid's threads, so that blocks of a group sometimes share
-# addresses and sometimes do not.
+# Up to 8 blocks of up to 256 threads. Buffers from 1 element to more than
+# the grid's threads, so that blocks of a group sometimes share addresses and
+# sometimes do not.
 global_cases = st.tuples(
     st.integers(1, 8),
     st.integers(32, 256),
@@ -61,29 +62,43 @@ global_cases = st.tuples(
 )
 
 SHIFT = ("shift", 0, [0])
+# Blocks per group, drawn per example. At the engine's width (None) a grid of
+# up to 8 blocks of up to 256 threads is one group; at 2, 3 or 4 blocks,
+# random programs cross group boundaries.
+blocks_per_group = st.sampled_from([None, 2, 3, 4])
+
+
+def group_width(lanes):
+    """The engine's group width patched to ``lanes`` lanes."""
+    return mock.patch.object(engine, "_GROUP_LANES", lanes)
 
 
 @settings(max_examples=80, deadline=None)
-@given(global_cases)
+@given(global_cases, blocks_per_group)
 # Conflict-free: the group runs through.
-@example((8, 256, buffer(2048), buffer(2048), [("gload", "x", SHIFT), ("gstore", "y", SHIFT, 1)]))
+@example((8, 256, buffer(2048), buffer(2048), [("gload", "x", SHIFT), ("gstore", "y", SHIFT, 1)]), None)
 # Blocks 0 and 1 of the group store one address: replayed.
-@example((4, 32, buffer(40), buffer(40), [("gstore", "x", ("table", 1, [3]), 0)]))
+@example((4, 32, buffer(40), buffer(40), [("gstore", "x", ("table", 1, [3]), 0)]), None)
 # A partial mask across blocks, then a cross-block read of stored values.
-@example((3, 64, buffer(200), buffer(200), [("if", 7, 3, [("gstore", "x", SHIFT, 2)], []), ("gload", "x", ("shift", 64, [0]))]))
+@example((3, 64, buffer(200), buffer(200), [("if", 7, 3, [("gstore", "x", SHIFT, 2)], []), ("gload", "x", ("shift", 64, [0]))]),
+         None)
 # Two groups of four 1024-thread blocks; block b reads block b + 4's cells.
 # The first group runs through; block 4's store meets block 0's read.
-@example((8, 1024, buffer(8192), buffer(8192), [("gstore", "x", SHIFT, 1), ("gload", "x", ("shift", 4096, [0]))]))
-@example((8, 1024, buffer(8192), buffer(8192), [("gload", "x", ("shift", 4096, [0])), ("gstore", "x", SHIFT, 1)]))
-@example((8, 1024, buffer(8192), buffer(8192), [("gload", "x", ("shift", 4096, [0])), ("gstore", "y", SHIFT, 1)]))
-def test_batched_matches_sequential_and_reference_machine(case):
-    assert_batched_matches(case)
+@example((8, 1024, buffer(8192), buffer(8192), [("gstore", "x", SHIFT, 1), ("gload", "x", ("shift", 4096, [0]))]), 4)
+@example((8, 1024, buffer(8192), buffer(8192), [("gload", "x", ("shift", 4096, [0])), ("gstore", "x", SHIFT, 1)]), 4)
+@example((8, 1024, buffer(8192), buffer(8192), [("gload", "x", ("shift", 4096, [0])), ("gstore", "y", SHIFT, 1)]), 4)
+def test_batched_matches_sequential_and_reference_machine(case, per_group):
+    assert_batched_matches(case, per_group)
 
 
-def assert_batched_matches(case):
+def assert_batched_matches(case, per_group=None):
+    """The marked kernel in groups of ``per_group`` blocks or of the engine's width, the unmarked one and the
+    reference machine agree."""
+    lanes = engine._GROUP_LANES if per_group is None else per_group * case[1]
     for mode in ("strict", "permissive"):
         want = observe(case, mode)
-        assert observe(case, mode, batched_program) == want
+        with group_width(lanes):
+            assert observe(case, mode, batched_program) == want
         assert reference_machine.run(case, mode) == want
 
 
@@ -136,21 +151,21 @@ SHARED_RACE_IN_BLOCK_2 = (4, 32, buffer(128), buffer(128), [("sstore", LOCAL, 1)
 
 
 @settings(max_examples=80, deadline=None)
-@given(block_cases)
+@given(block_cases, blocks_per_group)
 # A reduction-like program that runs through: per-block cells, three barriers.
 @example((4, 32, buffer(128), buffer(128), [("gload", "x", SHIFT), ("sstore", LOCAL, 1), BARRIER,
                                             ("sload", ("local", 1, [0])), BARRIER, ("sstore", LOCAL, 2), BARRIER,
-                                            ("sload", ("reverse", 0, [0])), ("gstore", "y", SHIFT, 3)]))
+                                            ("sload", ("reverse", 0, [0])), ("gstore", "y", SHIFT, 3)]), None)
 # One block: thread t stores x[t], then after a barrier loads x[31 - t],
 # another thread's store, and stores y[t].
 @example((1, 32, buffer(32), buffer(32), [("gstore", "x", SHIFT, 1), BARRIER, ("gload", "x", ("reverse", 0, [0])),
-                                          ("gstore", "y", SHIFT, 2)]))
-@example(CROSS_BARRIER_RACE)
-@example(PARTIAL_BARRIER_IN_BLOCK_2)
-@example(SHARED_OUT_OF_BOUNDS_IN_BLOCK_3)
-@example(SHARED_RACE_IN_BLOCK_2)
-def test_batched_with_shared_memory_and_barriers_matches_sequential_and_reference_machine(case):
-    assert_batched_matches(case)
+                                          ("gstore", "y", SHIFT, 2)]), None)
+@example(CROSS_BARRIER_RACE, None)
+@example(PARTIAL_BARRIER_IN_BLOCK_2, None)
+@example(SHARED_OUT_OF_BOUNDS_IN_BLOCK_3, None)
+@example(SHARED_RACE_IN_BLOCK_2, None)
+def test_batched_with_shared_memory_and_barriers_matches_sequential_and_reference_machine(case, per_group):
+    assert_batched_matches(case, per_group)
 
 
 @pytest.mark.parametrize("case, kind, block, thread", [
@@ -224,7 +239,7 @@ def test_runs_and_lane_selections_match_sequential_and_reference_machine(case):
 
 def test_vector_add_stores_runs_without_sorting_addresses():
     with mock.patch.object(race, "_distinct", wraps=race._distinct) as distinct:
-        assert vector_add_calls() == [4096] * 4
+        assert vector_add_calls() == group_calls(64, 256)
     assert distinct.call_count == 0
 
 
@@ -413,9 +428,9 @@ FORGOTTEN_READ_RACE = (4, 256, buffer(512), buffer(1), [
 FORGOTTEN_READS_WITHOUT_RACE = (4, 256, buffer(600), buffer(1), [
     ("gload", "x", LOCAL), (*STORE_IF_GX_BELOW_256, [("gstore", "x", ("shift", 300, [0]), 1)], []),
 ])
-# Two groups of four blocks of 1024. The first loads x[gx % 2048] and forgets
-# it for its interval, but not for the grid: block 4 of the second group
-# stores what block 0 loaded.
+# Two groups of four blocks of 1024 at a group width of 4096 lanes. The first
+# loads x[gx % 2048] and forgets it for its interval, but not for the grid:
+# block 4 of the second group stores what block 0 loaded.
 LATER_GROUP_STORES_WHAT_A_GROUP_FORGOT = (8, 1024, buffer(2048), buffer(1), [
     ("if", 8192, 4096, [("gload", "x", SHIFT)], [("gstore", "x", SHIFT, 1)]),
 ])
@@ -443,8 +458,9 @@ def test_a_race_free_store_after_forgotten_reads_replays_to_the_same_result():
 
 
 def test_a_group_keeps_the_reads_it_forgets_for_later_groups():
-    assert_batched_matches(LATER_GROUP_STORES_WHAT_A_GROUP_FORGOT)
-    (_, _, error, _, _), calls = forgetting_calls(LATER_GROUP_STORES_WHAT_A_GROUP_FORGOT)
+    assert_batched_matches(LATER_GROUP_STORES_WHAT_A_GROUP_FORGOT, 4)
+    with group_width(4096):
+        (_, _, error, _, _), calls = forgetting_calls(LATER_GROUP_STORES_WHAT_A_GROUP_FORGOT)
     assert calls == [4096, 4096, 1024]
     assert error["kind"] == "DataRace" and error["threads"][0]["block_idx"] == [4, 0, 0]
 
@@ -476,6 +492,13 @@ def spy(kernel, marked=True):
     return (block_batchable(counted) if marked else counted), calls
 
 
+def group_calls(blocks, threads):
+    """The lane count of each call when ``blocks`` blocks of ``threads`` run in groups of the engine's width."""
+    per = max(1, min(engine._GROUP_LANES // threads, blocks))
+    assert per > 1  # batching is on
+    return [min(per, blocks - first) * threads for first in range(0, blocks, per)]
+
+
 def vector_add_calls(marked=True, mode="strict", recorder=None):
     n, threads = 64 * 256, 256
     kernel, calls = spy(vector_add_kernel, marked)
@@ -486,8 +509,8 @@ def vector_add_calls(marked=True, mode="strict", recorder=None):
     return calls
 
 
-def test_vector_add_runs_four_groups_of_sixteen_blocks():
-    assert vector_add_calls() == [4096] * 4
+def test_vector_add_runs_in_groups_of_the_group_width():
+    assert vector_add_calls() == group_calls(64, 256)
 
 
 def test_permissive_recorded_and_unmarked_launches_run_block_by_block():
@@ -520,18 +543,18 @@ def reduce_calls(variant, mode="strict", recorder=None):
 
 
 @pytest.mark.parametrize("variant", reduce.VARIANTS)
-def test_reduce_sum_runs_sixteen_groups_of_four_blocks(variant):
+def test_reduce_sum_runs_in_groups_of_the_group_width(variant):
     name = f"reduce_{variant}_kernel"
     kernel, calls = spy(getattr(reduce, name))
     with mock.patch.object(reduce, name, kernel):
         total, _ = reduce.reduce_sum(list(range(1 << 16)), variant)
     assert total == (1 << 16) * ((1 << 16) - 1) // 2
-    assert calls == [4096] * 16
+    assert calls == group_calls(64, 1024)
 
 
 @pytest.mark.parametrize("variant", reduce.VARIANTS)
 def test_permissive_and_recorded_reduce_launches_run_block_by_block(variant):
-    assert reduce_calls(variant) == [4096] * 16
+    assert reduce_calls(variant) == group_calls(64, 1024)
     assert reduce_calls(variant, mode="permissive") == [1024] * 64
     assert reduce_calls(variant, recorder=Recorder()) == [1024] * 64
 
@@ -576,3 +599,32 @@ def test_group_lanes_repeat_per_block_and_number_warps_across_the_group():
     assert warp_ids.tolist() == [2 * (i // 40) + (i % 40) // 32 for i in range(120)]
     assert cfg.lanes(3) is cfg.lanes(3) and cfg.lanes(1)[-1] == 0
     assert not np.asarray(warp_ids).flags.writeable
+
+
+def lane_ids(ctx):
+    """Each id field of ``ctx`` as one list per coordinate, a value per lane; every id array must be read-only."""
+    ids = {}
+    for name in ("block_linear", "block_idx", "global_id", "gx", "gy", "gz", "thread_idx"):
+        value = getattr(ctx, name)
+        for axis, v in zip("xyz", value) if isinstance(value, tuple) else [("", value)]:
+            assert not isinstance(v, np.ndarray) or not v.flags.writeable, name + axis
+            ids[name + axis] = np.broadcast_to(v, (ctx.nthreads,)).tolist()
+    return ids
+
+
+def launch_ids(grid, block, marked):
+    """Each id field of every lane of one launch, in lane order, and the number of kernel calls."""
+    per_call = []
+    kernel, _ = spy(lambda ctx: per_call.append(lane_ids(ctx)), marked)
+    Simulator().launch(kernel, LaunchConfig(grid, block), DeviceMemory())
+    return {k: sum((ids[k] for ids in per_call), []) for k in per_call[0]}, len(per_call)
+
+
+@pytest.mark.parametrize("grid, block", [(40, 64), ((5, 3), (8, 2)), ((2, 2, 2), 32)], ids=["1-D", "2-D", "3-D grid"])
+@pytest.mark.parametrize("lanes", [engine._GROUP_LANES, 128])
+def test_group_id_arrays_equal_each_blocks_own_and_are_read_only(grid, block, lanes):
+    with group_width(lanes):
+        grouped, calls = launch_ids(grid, block, marked=True)
+    alone, block_calls = launch_ids(grid, block, marked=False)
+    assert calls < block_calls == LaunchConfig(grid, block).blocks_per_grid  # batching is on
+    assert grouped == alone

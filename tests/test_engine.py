@@ -2,6 +2,7 @@
 
 import json
 import operator
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -369,17 +370,23 @@ class TestLaunchBasics:
         assert exc.value.args == (f"buffer 'data': {rule}",)
         assert mem.buffers == {}
 
-    @pytest.mark.parametrize("width", [2**47, np.int64(2**62)])
-    def test_alloc_past_the_byte_extent_limit_rejected(self, width):
+    @pytest.mark.parametrize("size_or_data, width", [
+        pytest.param([5, 6], 2**47, id="140737488355328"),
+        pytest.param([5, 6], np.int64(2**62), id="width1"),
+        pytest.param(2**38, 4, id="size_2**38"),
+    ])
+    def test_alloc_past_the_byte_extent_limit_rejected(self, size_or_data, width):
         # Accepted, a[1] at byte 2**47 packed into the key of warp 1's first
         # segment and counted 4 transactions, not 5. In int64, 2 * 2**62 wraps.
+        # A size past the limit is rejected before anything is allocated.
         def kernel(ctx, a, out):
             out[ctx.global_id] = a[ctx.where(ctx.global_id == 0, 1, 0)]
 
         mem = DeviceMemory()
-        with pytest.raises(ValueError) as exc:
-            mem.alloc("a", [5, 6], element_width=width)
-        assert exc.value.args == (f"buffer 'a': 2 elements of element_width={width} span {2**40} bytes or more",)
+        size = size_or_data if isinstance(size_or_data, int) else len(size_or_data)
+        with pytest.raises(ValueError) as exc, mock.patch.object(np, "zeros", side_effect=AssertionError("allocated")):
+            mem.alloc("a", size_or_data, element_width=width)
+        assert exc.value.args == (f"buffer 'a': {size} elements of element_width={width} span {2**40} bytes or more",)
         a = mem.alloc("a", [5, 6], element_width=2**39 - 128)  # the widest segment-aligned one below the limit
         out = mem.alloc("out", 64)
         assert launch_kernel(kernel, LaunchConfig(1, 64), mem, (a, out)).global_transactions == 5
@@ -903,7 +910,7 @@ class TestDeviceLaunch:
                 Simulator(),
                 (1, 1, 1, 1),
                 "LaunchConfigInvalid",
-                "invalid child launch config: dimension has 4 components, expected at most 3",
+                "invalid child launch config: grid_dim=(1, 1, 1, 1) has 4 components, expected at most 3",
             ),
             (Simulator(max_nesting_depth=1), (1, 1, 1, 1), "NestingLimit", "child launch at depth 1 reaches the nesting limit of 1"),
             (
