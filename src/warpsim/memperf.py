@@ -25,6 +25,7 @@ class SpecInvalid(ValueError):
 
 LEVEL_NAMES = ("Registers", "L1", "L2", "L3", "RAM", "VRAM", "SSD", "HDD", "External")
 DISK_LEVELS = ("SSD", "HDD", "External")
+MAX_BATCH_VISITS = 1 << 18  # epochs x batches of one training flow: about 1 s of estimate_training_flow
 
 
 @dataclass(frozen=True)
@@ -229,6 +230,23 @@ class TrainingFlowSpec:
                 f"batch_bytes={self.batch_bytes} exceeds vram_capacity={self.vram_capacity}; "
                 f"batches must fit device memory"
             )
+        visits = self.epochs * -(-self.dataset_bytes // self.batch_bytes)
+        if visits > MAX_BATCH_VISITS:
+            raise SpecInvalid(
+                f"epochs={self.epochs} over dataset_bytes={self.dataset_bytes} in batches of "
+                f"batch_bytes={self.batch_bytes} make {visits} batch visits, more than the cap of {MAX_BATCH_VISITS}"
+            )
+        # A visit stages at most one batch from disk and one from RAM; a missing level fails later.
+        worst = 0.0
+        for names in (DISK_LEVELS, ("RAM",)):
+            level = next((self.hierarchy.level(n) for n in names if self.hierarchy.has(n)), None)
+            if level is not None:
+                worst += level.latency + self.batch_bytes / level.bandwidth
+        if not math.isfinite(visits * worst):
+            raise SpecInvalid(
+                f"staging batch_bytes={self.batch_bytes} from disk and RAM in {visits} batch visits "
+                f"takes a time that is not finite"
+            )
 
     @classmethod
     def from_json(cls, source: Union[str, Path, dict]) -> "TrainingFlowSpec":
@@ -261,9 +279,15 @@ def _is_number(value: Any) -> bool:
     return isinstance(value, numbers.Real) and not isinstance(value, bool)
 
 
+def _is_whole(value: Any) -> bool:
+    """A number without a fractional part; a plain int, the common case, skips the costlier ABC checks."""
+    return type(value) is int or (
+        _is_number(value) and (isinstance(value, numbers.Integral) or float(value).is_integer()))
+
+
 def _whole(name: str, value: Any) -> int:
     """``value`` as an int, if it is a number without a fractional part."""
-    if not _is_number(value) or not (isinstance(value, numbers.Integral) or float(value).is_integer()):
+    if not _is_whole(value):
         raise SpecInvalid(f"{name} must be a whole number, got {value!r}")
     return int(value)
 

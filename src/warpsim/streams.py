@@ -19,6 +19,8 @@ from enum import Enum
 from pathlib import Path
 from typing import Any, Sequence, Union
 
+from .memperf import _is_whole
+
 
 class OpKind(str, Enum):
     COPY_H2D = "h2d"
@@ -78,6 +80,7 @@ class EngineModel:
 
 
 _POOL_NAMES = {OpKind.COPY_H2D: "h2d", OpKind.COPY_D2H: "d2h", OpKind.KERNEL: "compute"}
+MAX_ENGINES = 1 << 16  # engines of one kind in a scenario file: the scheduler lists every one
 
 
 @dataclass(frozen=True)
@@ -172,6 +175,9 @@ def simulate_timeline(
     for kind, size in sizes.items():
         if size <= 0 and any(op.kind == kind for op in ops):
             raise ValueError(f"no engine available for kind {kind.value!r}")
+    total = sum(op.duration for op in ops)  # the makespan never exceeds it
+    if not math.isfinite(total):
+        raise ValueError(f"the ops last {total} time units in all, which is not finite")
 
     # An op waits for its stream predecessor, the anchors of the events it
     # awaits and the program's start. Only awaited anchors get a list of
@@ -243,13 +249,16 @@ def validate_schedule(
         by_engine.setdefault(s.engine, []).append(s)
     for engine, on_engine in by_engine.items():
         on_engine.sort(key=lambda s: (s.start, s.end, s.op.id))
-        for prev, cur in zip(on_engine, on_engine[1:]):
-            # Conflict only when the intersection has positive length; a
-            # zero-duration op occupies no engine time.
-            if min(prev.end, cur.end) > max(prev.start, cur.start):
-                raise ValueError(f"engine {engine}: {cur.op.id!r} overlaps {prev.op.id!r}")
+        # A conflict needs an intersection of positive length, so an op that ends where it starts
+        # holds no engine time. Earlier ops of positive length are disjoint: only the last can reach ``cur``.
+        prev = None
+        for cur in on_engine:
+            if cur.end > cur.start:
+                if prev is not None and prev.end > cur.start:
+                    raise ValueError(f"engine {engine}: {cur.op.id!r} overlaps {prev.op.id!r}")
+                prev = cur
     for i, op in enumerate(ops):
-        for ev_id in op.waits_on:
+        for ev_id in sorted(op.waits_on):
             if entries[i].start < entries[anchor[ev_id]].end:
                 raise ValueError(
                     f"op {op.id!r} starts before awaited event {ev_id!r} fires"
@@ -357,12 +366,19 @@ def load_scenario(source: Union[str, Path, dict]) -> tuple[list[StreamOp], list[
     def fail(where: str, msg: str):
         raise ValueError(f"scenario field {where}: {msg}")
 
+    def whole(where: str, value: Any) -> int:
+        if not _is_whole(value):  # by the rule of memflow's sizes
+            fail(where, f"must be a whole number, got {value!r}")
+        return int(value)
+
     eng = data.get("engines", {})
-    engines = EngineModel(
-        copy_engines_h2d=int(eng.get("copy_h2d", 1)),
-        copy_engines_d2h=int(eng.get("copy_d2h", 1)),
-        compute_engines=int(eng.get("compute", 1)),
-    )
+    if not isinstance(eng, dict):
+        fail("engines", f"must be an object, got {eng!r}")
+    counts = {key: whole(f"engines.{key}", eng.get(key, 1)) for key in ("copy_h2d", "copy_d2h", "compute")}
+    for key, count in counts.items():
+        if count > MAX_ENGINES:
+            fail(f"engines.{key}", f"must be at most {MAX_ENGINES}, got {eng[key]!r}")
+    engines = EngineModel(*counts.values())
     ops: list[StreamOp] = []
     for i, raw in enumerate(data.get("ops", [])):
         where = f"ops[{i}]"
@@ -379,7 +395,7 @@ def load_scenario(source: Union[str, Path, dict]) -> tuple[list[StreamOp], list[
         ops.append(
             StreamOp(
                 id=str(raw["id"]),
-                stream_id=int(raw["stream"]),
+                stream_id=whole(f"{where}.stream", raw["stream"]),
                 kind=kind,
                 duration=float(raw["duration"]),
                 waits_on=map(str, waits_on),  # ids are strings, as for ops and events
@@ -394,8 +410,8 @@ def load_scenario(source: Union[str, Path, dict]) -> tuple[list[StreamOp], list[
         events.append(
             EventRecord(
                 event_id=str(raw["id"]),
-                stream_id=int(raw["stream"]),
-                position=int(raw["after_index"]),
+                stream_id=whole(f"{where}.stream", raw["stream"]),
+                position=whole(f"{where}.after_index", raw["after_index"]),
             )
         )
     return ops, events, engines

@@ -293,6 +293,48 @@ class TestPipeline:
         assert captured.out == ""
         assert f"op 'a' has non-finite duration {duration}" in captured.err
 
+    @pytest.mark.parametrize("fmt", ["text", "json"])
+    def test_non_finite_total_duration_is_usage_error(self, tmp_path, capsys, fmt):
+        ops = [{"id": name, "stream": 1, "kind": "kernel", "duration": 1e308} for name in ("a", "b")]
+        code = main(["pipeline", write_json(tmp_path, "huge.json", {"ops": ops}), "--format", fmt])
+        captured = capsys.readouterr()
+        assert (code, captured.out) == (2, "")
+        assert captured.err == "error: the ops last inf time units in all, which is not finite\n"
+
+    @pytest.mark.parametrize("change, message", [
+        ({"engines": 3}, "engines: must be an object, got 3"),
+        ({"engines": {"compute": 1e30}}, "engines.compute: must be at most 65536, got 1e+30"),
+        ({"engines": {"copy_h2d": 100000000}}, "engines.copy_h2d: must be at most 65536, got 100000000"),
+        ({"engines": {"compute": 1.5}}, "engines.compute: must be a whole number, got 1.5"),
+        ({"engines": {"copy_d2h": "2"}}, "engines.copy_d2h: must be a whole number, got '2'"),
+        ({"stream": 1.5}, "ops[0].stream: must be a whole number, got 1.5"),
+        ({"stream": True}, "ops[0].stream: must be a whole number, got True"),
+        ({"stream": "1"}, "ops[0].stream: must be a whole number, got '1'"),
+        ({"after_index": 0.7}, "events[0].after_index: must be a whole number, got 0.7"),
+        ({"event_stream": False}, "events[0].stream: must be a whole number, got False"),
+    ])
+    def test_bad_scenario_number_is_usage_error(self, tmp_path, capsys, change, message):
+        op = {"id": "k", "stream": change.get("stream", 1), "kind": "kernel", "duration": 1}
+        event = {"id": "e", "stream": change.get("event_stream", 1), "after_index": change.get("after_index", 0)}
+        scenario = {"engines": change.get("engines", {}), "ops": [op], "events": [event]}
+        code = main(["pipeline", write_json(tmp_path, "bad.json", scenario)])
+        captured = capsys.readouterr()
+        assert (code, captured.out, captured.err) == (2, "", f"error: scenario field {message}\n")
+
+    def test_whole_float_numbers_run_as_ints(self, tmp_path, capsys):
+        def scenario(number):
+            op = {"id": "k", "stream": number(1), "kind": "kernel", "duration": 1}
+            event = {"id": "e", "stream": number(1), "after_index": number(0)}
+            return {"engines": {"compute": number(2)}, "ops": [op], "events": [event]}
+
+        outputs = []
+        for number in (int, float):
+            code = main(["pipeline", write_json(tmp_path, "whole.json", scenario(number)), "--format", "json"])
+            captured = capsys.readouterr()
+            assert (code, captured.err) == (0, "")
+            outputs.append(captured.out)
+        assert outputs[0] == outputs[1]
+
     def test_string_waits_on_is_usage_error(self, tmp_path, capsys):
         ops = [
             {"id": "c", "stream": 1, "kind": "kernel", "duration": 1},
@@ -376,6 +418,21 @@ class TestMemflow:
         code = main(["memflow", path])
         captured = capsys.readouterr()
         assert (code, captured.out, captured.err) == (2, "", f"error: {message}\n")
+
+    @pytest.mark.parametrize("spec, message", [
+        ({"dataset_bytes": 1e300, "batch_bytes": 1, "epochs": 1}, "more than the cap of 262144"),
+        ({"dataset_bytes": 4096, "batch_bytes": 1024, "epochs": 1e9}, "make 4000000000 batch visits"),
+        ({"dataset_bytes": 4096, "batch_bytes": 1024, "epochs": 1, "hierarchy": [
+            {"name": "RAM", "latency": 1, "bandwidth": 1e-320, "capacity": 1 << 20},
+            {"name": "VRAM", "latency": 1, "bandwidth": 1, "capacity": 1 << 20},
+            {"name": "SSD", "latency": 1, "bandwidth": 1, "capacity": 1 << 30},
+        ]}, "takes a time that is not finite"),
+    ])
+    def test_unbounded_or_non_finite_flow_is_usage_error(self, tmp_path, capsys, spec, message):
+        code = main(["memflow", write_json(tmp_path, "spec.json", spec)])
+        captured = capsys.readouterr()
+        assert (code, captured.out) == (2, "")
+        assert captured.err.startswith("error: ") and message in captured.err
 
     def test_hierarchy_level_names_the_missing_keys(self, tmp_path, capsys):
         path = write_json(

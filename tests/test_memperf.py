@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from warpsim.memperf import (
+    MAX_BATCH_VISITS,
     CacheModel,
     HierarchySpec,
     L3Config,
@@ -338,6 +339,29 @@ class TestTrainingFlow:
         with pytest.raises(SpecInvalid) as caught:
             TrainingFlowSpec.from_json(spec)
         assert str(caught.value) == message
+
+    def test_batch_visits_are_capped(self):
+        flow_spec(MAX_BATCH_VISITS // 2, 1, 2, vram=1, ram=0)  # at the cap
+        message = (f"epochs=2 over dataset_bytes={MAX_BATCH_VISITS // 2 + 1} in batches of batch_bytes=1 "
+                   f"make {MAX_BATCH_VISITS + 2} batch visits, more than the cap of {MAX_BATCH_VISITS}")
+        with pytest.raises(SpecInvalid) as caught:
+            flow_spec(MAX_BATCH_VISITS // 2 + 1, 1, 2, vram=1, ram=0)
+        assert str(caught.value) == message
+
+    @pytest.mark.parametrize("ram_bandwidth, disk_latency", [(1e-320, 1000), (100, 1e306)])
+    def test_stage_times_must_stay_finite(self, ram_bandwidth, disk_latency):
+        hierarchy = HierarchySpec(
+            [
+                MemoryLevelSpec("RAM", 10, ram_bandwidth, 10**9),
+                MemoryLevelSpec("VRAM", 12, 100, 2 * 10**9),
+                MemoryLevelSpec("SSD", disk_latency, 10, 10**12),
+            ]
+        )
+        with pytest.raises(SpecInvalid) as caught:
+            TrainingFlowSpec(1000, 100, 200, hierarchy, vram_capacity=100, ram_capacity=0)
+        assert str(caught.value) == (
+            "staging batch_bytes=100 from disk and RAM in 2000 batch visits takes a time that is not finite"
+        )
 
     def test_whole_float_sizes_run_as_ints(self):
         spec = TrainingFlowSpec.from_json({"dataset_bytes": 4096.0, "batch_bytes": 1024, "epochs": 2.0})

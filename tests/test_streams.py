@@ -12,6 +12,8 @@ from warpsim.streams import (
     EngineModel,
     EventRecord,
     OpKind,
+    Schedule,
+    ScheduledOp,
     StreamOp,
     UnknownEvent,
     duration_from_metrics,
@@ -137,6 +139,23 @@ class TestValidationErrors:
         schedule = simulate_timeline(ops)
         with pytest.raises(ValueError, match="duplicate op id 'x'"):
             validate_schedule(schedule, ops + ops)
+
+    @pytest.mark.parametrize("ops", [["X", "Y", "Z"], ["X", "Z"]])
+    def test_an_overlap_hidden_by_a_zero_length_op(self, ops):
+        times = {"X": (0, 5), "Y": (1, 1), "Z": (2, 3)}
+        ops = [StreamOp(name, i, OpKind.KERNEL, times[name][1] - times[name][0]) for i, name in enumerate(ops)]
+        schedule = Schedule({op.id: ScheduledOp(op, "compute#0", *times[op.id]) for op in ops}, 5, ["compute#0"])
+        with pytest.raises(ValueError, match="^engine compute#0: 'Z' overlaps 'X'$"):
+            validate_schedule(schedule, ops)
+
+    def test_a_start_before_two_events_names_the_first_by_id(self):
+        ops = [StreamOp("a", 1, OpKind.KERNEL, 2), StreamOp("b", 2, OpKind.KERNEL, 2)]
+        ops.append(StreamOp("k", 3, OpKind.KERNEL, 1, waits_on={"eb", "ea"}))
+        events = [EventRecord("ea", 1, 0), EventRecord("eb", 2, 0)]
+        schedule = simulate_timeline(ops, events, EngineModel(compute_engines=3))
+        schedule.entries["k"] = ScheduledOp(ops[2], "compute#2", 0, 1)
+        with pytest.raises(ValueError, match="^op 'k' starts before awaited event 'ea' fires$"):
+            validate_schedule(schedule, ops, events)
 
     def test_string_waits_on_is_rejected(self):
         with pytest.raises(ValueError, match="op 'k' waits_on 'ev' is a string"):

@@ -1,25 +1,16 @@
-"""Differential test of the stream scheduler against its earlier design.
+"""Differential test of the stream scheduler against the brute-force oracle.
 
-``streams_reference`` is a frozen copy of the scheduler, the validator and
-the critical path from before they shared one dependency model. Seeded
-random programs, invalid programs and perturbed schedules go through both;
-schedules, reports, Gantt text, exception types and messages must match.
-
-Two differences are by design. ``validate_schedule`` and
-``makespan_report`` now reject duplicate op ids, as ``simulate_timeline``
-always did, so those programs are compared through ``simulate_timeline``
-only. And the critical path now looks up a touching op only when the walk
-gets to it, so for a schedule that lacks some of the program's ops it may
-return a path where the reference raised ``KeyError``; such schedules are
-not compared through ``makespan_report``.
+Seeded random programs, corrupted programs and perturbed schedules go
+through ``warpsim.streams`` and ``streams_oracle``; schedules, critical
+paths, verdicts, exception types and messages must match.
 """
 
 import json
 import random
-from unittest import mock
+from collections import Counter
 
 import pytest
-import streams_reference as ref
+import streams_oracle as oracle
 
 from warpsim import streams
 from warpsim.streams import EngineModel, EventRecord, OpKind, Schedule, ScheduledOp, StreamOp
@@ -54,45 +45,38 @@ def random_program(rng, max_ops):
 
 
 def outcome(fn, *args):
-    """What a call returns, or the type and message of what it raises."""
+    """What a call returns, a schedule as its JSON text, or the type and message of what it raises."""
     try:
-        return fn(*args)
+        result = fn(*args)
     except Exception as e:
         return type(e).__name__, str(e)
+    return json.dumps(result.to_json()) if isinstance(result, Schedule) else result
 
 
-def report_json(critical_path, schedule, ops, events):
-    with mock.patch.object(streams, "_critical_path", critical_path):
-        return outcome(lambda: json.dumps(streams.makespan_report(schedule, ops, events).to_json()))
+def report_path(schedule, ops=(), events=()):
+    return streams.makespan_report(schedule, ops, events).critical_path
 
 
-def observe_schedule(simulate, critical_path, ops, events, engines):
-    schedule = simulate(ops, events, engines)
-    return (
-        json.dumps(schedule.to_json()),
-        schedule.engine_names,
-        streams.render_gantt(schedule),
-        report_json(critical_path, schedule, ops, events),
-        report_json(critical_path, schedule, (), ()),
-    )
-
-
-def both(ops, events, engines):
-    return (
-        outcome(observe_schedule, ref.simulate_timeline, ref._critical_path, ops, events, engines),
-        outcome(observe_schedule, streams.simulate_timeline, streams._critical_path, ops, events, engines),
-    )
+def oracle_validate(schedule, ops, events):
+    """None, or the oracle's first violation raised as ``validate_schedule`` raises it."""
+    found = oracle.violations(schedule, ops, events)
+    if found:
+        raise ValueError(found[0])
 
 
 @pytest.mark.parametrize("seed", range(4))
-def test_random_programs_match_the_reference(seed):
+def test_random_programs_match_the_oracle(seed):
     rng = random.Random(900 + seed)
     for _ in range(300):
-        ops, events, engines = random_program(rng, rng.choice([6, 12, 30, 30, 200]))
-        want, got = both(ops, events, engines)
-        assert got == want, (ops, events, engines)
+        ops, events, engines = random_program(rng, rng.choice([6, 6, 6, 12, 30]))
         schedule = streams.simulate_timeline(ops, events, engines)
+        want = oracle.schedule(ops, events, engines)
+        assert outcome(lambda: schedule) == outcome(lambda: want), (ops, events, engines)
+        assert schedule.engine_names == want.engine_names
+        assert report_path(schedule, ops, events) == oracle.critical_path(schedule, ops, events)
+        assert report_path(schedule) == oracle.critical_path(schedule)
         assert streams.validate_schedule(schedule, ops, events) is None
+        assert oracle.violations(schedule, ops, events) == []
 
 
 def corrupt(rng, ops, events, engines):
@@ -128,24 +112,20 @@ def corrupt(rng, ops, events, engines):
     return ops, events, engines
 
 
-def test_invalid_programs_raise_like_the_reference():
+def test_corrupted_programs_raise_like_the_oracle():
     rng = random.Random(77)
     for _ in range(1500):
-        ops, events, engines = random_program(rng, rng.choice([4, 10, 30]))
+        ops, events, engines = random_program(rng, rng.choice([4, 6, 6, 10, 30]))
         schedule = streams.simulate_timeline(ops, events, engines)
-        bad_ops, bad_events, bad_engines = corrupt(rng, ops, events, engines)
-        want, got = both(bad_ops, bad_events, bad_engines)
-        assert got == want, (bad_ops, bad_events, bad_engines)
-        if len({op.id for op in bad_ops}) < len(bad_ops):
-            assert got[0] == "ValueError" and got[1].startswith("duplicate op id")
-            continue
+        bad = corrupt(rng, ops, events, engines)
+        assert outcome(streams.simulate_timeline, *bad) == outcome(oracle.schedule, *bad), bad
+        bad_ops, bad_events, _ = bad
         assert outcome(streams.validate_schedule, schedule, bad_ops, bad_events) == outcome(
-            ref.validate_schedule, schedule, bad_ops, bad_events
-        )
-        if all(op.id in schedule.entries for op in bad_ops):
-            assert report_json(streams._critical_path, schedule, bad_ops, bad_events) == report_json(
-                ref._critical_path, schedule, bad_ops, bad_events
-            )
+            oracle_validate, schedule, bad_ops, bad_events
+        ), bad
+        assert outcome(report_path, schedule, bad_ops, bad_events) == outcome(
+            oracle.critical_path, schedule, bad_ops, bad_events
+        ), bad
 
 
 def perturb(rng, schedule, ops, events):
@@ -170,14 +150,16 @@ def perturb(rng, schedule, ops, events):
     return Schedule(entries, makespan, schedule.engine_names)
 
 
-def test_perturbed_schedules_are_judged_like_the_reference():
+def test_perturbed_schedules_are_judged_like_the_oracle():
     rng = random.Random(51)
+    verdicts = Counter()
     for _ in range(1500):
-        ops, events, engines = random_program(rng, rng.choice([4, 10, 30]))
+        ops, events, engines = random_program(rng, rng.choice([4, 6, 6, 10, 30]))
         schedule = perturb(rng, streams.simulate_timeline(ops, events, engines), ops, events)
+        found = oracle.violations(schedule, ops, events)
+        verdicts[found[0].split()[0] if found else "valid"] += 1
         assert outcome(streams.validate_schedule, schedule, ops, events) == outcome(
-            ref.validate_schedule, schedule, ops, events
-        )
-        assert report_json(streams._critical_path, schedule, ops, events) == report_json(
-            ref._critical_path, schedule, ops, events
-        )
+            oracle_validate, schedule, ops, events
+        ), (schedule, ops, events)
+        assert report_path(schedule, ops, events) == oracle.critical_path(schedule, ops, events)
+    assert min(verdicts[k] for k in ("valid", "stream", "engine", "op")) >= 50, verdicts
