@@ -9,6 +9,7 @@ problem, 3 simulation error.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 from pathlib import Path
@@ -281,9 +282,13 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+# Building the parser costs about 20 parses; parse_args leaves it as it was and
+# help width is read when help is formatted, so one parser serves every call.
+_parser = functools.cache(build_parser)
+
+
 def main(argv: Optional[Sequence[str]] = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = _parser().parse_args(argv)
     try:
         return args.func(args)
     except (UsageError, ValueError, OSError) as e:

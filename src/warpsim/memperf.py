@@ -276,7 +276,8 @@ class TrainingFlowSpec:
 
 
 def _is_number(value: Any) -> bool:
-    return isinstance(value, numbers.Real) and not isinstance(value, bool)
+    """A real number, not a bool; a plain int or float, the common case, skips the costlier ABC check."""
+    return type(value) in (int, float) or (isinstance(value, numbers.Real) and not isinstance(value, bool))
 
 
 def _is_whole(value: Any) -> bool:

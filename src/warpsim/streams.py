@@ -19,7 +19,7 @@ from enum import Enum
 from pathlib import Path
 from typing import Any, Sequence, Union
 
-from .memperf import _is_whole
+from .memperf import _is_number, _is_whole
 
 
 class OpKind(str, Enum):
@@ -65,11 +65,21 @@ class EventRecord:
     position: int
 
 
+MAX_ENGINES = 1 << 16  # engines of one kind: the scheduler lists every one
+
+
 @dataclass(frozen=True)
 class EngineModel:
     copy_engines_h2d: int = 1
     copy_engines_d2h: int = 1
     compute_engines: int = 1
+
+    def __post_init__(self):
+        for name in ("copy_engines_h2d", "copy_engines_d2h", "compute_engines"):
+            count = getattr(self, name)
+            if not _is_whole(count) or not 0 <= count <= MAX_ENGINES:
+                raise ValueError(f"EngineModel.{name} must be a whole number from 0 to {MAX_ENGINES}, got {count!r}")
+            object.__setattr__(self, name, int(count))
 
     def pool_sizes(self) -> dict[OpKind, int]:
         return {
@@ -80,10 +90,9 @@ class EngineModel:
 
 
 _POOL_NAMES = {OpKind.COPY_H2D: "h2d", OpKind.COPY_D2H: "d2h", OpKind.KERNEL: "compute"}
-MAX_ENGINES = 1 << 16  # engines of one kind in a scenario file: the scheduler lists every one
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class ScheduledOp:
     op: StreamOp
     engine: str
@@ -153,7 +162,7 @@ def _program(ops: Sequence[StreamOp], events: Sequence[EventRecord]) -> tuple[li
             )
         anchor[ev.event_id] = stream[ev.position]
     for i, op in enumerate(ops):
-        for ev_id in sorted(op.waits_on):
+        for ev_id in sorted(op.waits_on) if op.waits_on else ():
             if ev_id not in anchor:
                 raise UnknownEvent(f"op {op.id!r} waits on unknown event {ev_id!r}")
             if anchor[ev_id] >= i:
@@ -200,6 +209,7 @@ def simulate_timeline(
     for i in range(len(ops)):
         unblock(i)
     idle = {kind: list(range(size)) for kind, size in sizes.items()}
+    names = {kind: [f"{_POOL_NAMES[kind]}#{k}" for k in range(size)] for kind, size in sizes.items()}
     running: list[tuple[float, int, int]] = []  # (end, op index, engine held or -1)
     entries: dict[int, ScheduledOp] = {}
     t = 0.0
@@ -212,21 +222,29 @@ def simulate_timeline(
                 unblock(succ[i])
             for j in waiters.get(i, ()):
                 unblock(j)
-        scheduled = len(entries)
         for kind, queue in ready.items():
             free = idle[kind]
             while queue and free:
                 i = heapq.heappop(queue)[1]
                 end = t + ops[i].duration
                 k = heapq.heappop(free) if end > t else free[0]
-                entries[i] = ScheduledOp(ops[i], f"{_POOL_NAMES[kind]}#{k}", t, end)
+                entries[i] = ScheduledOp(ops[i], names[kind][k], t, end)
                 heapq.heappush(running, (end, i, k if end > t else -1))
-        if len(entries) == scheduled:
-            t = running[0][0]
+        # Only an op started with ``end == t`` completes at ``t`` and can unblock
+        # another: then the next round runs at the same instant, else at the next end.
+        t = running[0][0]
 
     makespan = max((s.end for s in entries.values()), default=0.0)
-    engine_names = [f"{_POOL_NAMES[kind]}#{k}" for kind, size in sizes.items() for k in range(size)]
+    engine_names = [name for kind in sizes for name in names[kind]]
     return Schedule({op.id: entries[i] for i, op in enumerate(ops)}, makespan, engine_names)
+
+
+def _entries(schedule: Schedule, ops: Sequence[StreamOp]) -> list[ScheduledOp]:
+    """Each op's entry, in program order; raises ValueError naming the first op the schedule lacks."""
+    try:
+        return [schedule.entries[op.id] for op in ops]
+    except KeyError as e:
+        raise ValueError(f"schedule has no entry for op {e.args[0]!r}") from None
 
 
 def validate_schedule(
@@ -234,9 +252,10 @@ def validate_schedule(
     ops: Sequence[StreamOp],
     events: Sequence[EventRecord] = (),
 ) -> None:
-    """Check streams (in order of first appearance), engines, then event waits; raises ValueError."""
+    """Check the program, that every op has an entry, then streams (in order of
+    first appearance), engines and event waits; raises ValueError."""
     pred, anchor = _program(ops, events)
-    entries = [schedule.entries[op.id] for op in ops]
+    entries = _entries(schedule, ops)
     first = {op.stream_id: i for i, op in reversed(list(enumerate(ops)))}  # each stream's first op
     for i in sorted(range(len(ops)), key=lambda i: first[ops[i].stream_id]):
         p = pred[i]
@@ -258,7 +277,7 @@ def validate_schedule(
                     raise ValueError(f"engine {engine}: {cur.op.id!r} overlaps {prev.op.id!r}")
                 prev = cur
     for i, op in enumerate(ops):
-        for ev_id in sorted(op.waits_on):
+        for ev_id in sorted(op.waits_on) if op.waits_on else ():
             if entries[i].start < entries[anchor[ev_id]].end:
                 raise ValueError(
                     f"op {op.id!r} starts before awaited event {ev_id!r} fires"
@@ -311,10 +330,7 @@ def _critical_path(
     schedule: Schedule, ops: list[StreamOp], events: list[EventRecord]
 ) -> list[str]:
     pred, anchor = _program(ops, events) if ops else ([], {})
-    entries = schedule.entries
-    missing = next((op.id for op in ops if op.id not in entries), None)
-    if missing is not None:
-        raise ValueError(f"schedule has no entry for op {missing!r}")
+    _entries(schedule, ops)
     if not schedule.entries:
         return []
     stream_pred = {ops[i].id: ops[p].id for i, p in enumerate(pred) if p >= 0}
@@ -389,6 +405,8 @@ def load_scenario(source: Union[str, Path, dict]) -> tuple[list[StreamOp], list[
             kind = OpKind(raw["kind"])
         except ValueError:
             fail(f"{where}.kind", f"unknown kind {raw['kind']!r}")
+        if not _is_number(raw["duration"]):
+            fail(f"{where}.duration", f"must be a number, got {raw['duration']!r}")
         waits_on = raw.get("waits_on", [])
         if not isinstance(waits_on, list):
             fail(f"{where}.waits_on", f"op {raw['id']!r} must wait on a list of event ids, got {waits_on!r}")
@@ -426,14 +444,17 @@ def render_gantt(schedule: Schedule, width: int = 60) -> str:
     for s in schedule.entries.values():
         by_engine.setdefault(s.engine, []).append(s)
     label_w = max((len(n) for n in by_engine), default=0)
-    for name in by_engine:
+    for name, on_engine in by_engine.items():
         row = [" "] * (width + 1)
-        for s in sorted(by_engine[name], key=lambda s: s.start):
+        on_engine.sort(key=lambda s: s.start)
+        for s in on_engine:
             a = int(round(s.start * scale))
-            b = max(a + 1, int(round(s.end * scale)))
-            for c in range(a, min(b, width + 1)):
+            b = int(round(s.end * scale))
+            if b <= a:  # every op shows at least one cell
+                b = a + 1
+            for c in range(a, b if b <= width else width + 1):
                 row[c] = "="
-            tag = s.op.id[: max(0, b - a)]
+            tag = s.op.id[: b - a]
             row[a : a + len(tag)] = tag
         lines.append(f"{name.ljust(label_w)} |{''.join(row)}")
     lines.append(f"makespan: {schedule.makespan}")

@@ -86,9 +86,17 @@ def schedule(ops, events=(), engines=EngineModel()):
     return Schedule({op.id: entries[op.id] for op in ops}, makespan, names)
 
 
+def check_entries(schedule, ops):
+    """Raise what the module raises for the first op of the program that the schedule lacks."""
+    for op in ops:
+        if op.id not in schedule.entries:
+            raise ValueError(f"schedule has no entry for op {op.id!r}")
+
+
 def violations(schedule, ops, events=()):
     """Every broken rule of a schedule: streams in order of first appearance, engines, then awaited events."""
     anchor = check_program(ops, events)
+    check_entries(schedule, ops)
     at = {op.id: schedule.entries[op.id] for op in ops}
     found = []
     for stream_id in dict.fromkeys(op.stream_id for op in ops):
@@ -113,10 +121,8 @@ def critical_path(schedule, ops=(), events=()):
     """Walk back from the latest end through ops that end where the current op starts."""
     ops = list(ops)
     anchor = check_program(ops, events) if ops else {}
+    check_entries(schedule, ops)
     entries = schedule.entries
-    for op in ops:
-        if op.id not in entries:
-            raise ValueError(f"schedule has no entry for op {op.id!r}")
     if not entries:
         return []
     cur = max(entries.values(), key=lambda s: (s.end, s.op.id))

@@ -1,7 +1,10 @@
 """Command-line behavior: outputs, exit codes, determinism."""
 
+import contextlib
+import io
 import json
 import os
+import random
 import subprocess
 import sys
 from pathlib import Path
@@ -9,6 +12,7 @@ from pathlib import Path
 import pytest
 
 import warpsim
+from warpsim import cli
 from warpsim.cli import main
 
 SCENARIOS = Path(__file__).resolve().parent.parent / "scenarios"
@@ -312,9 +316,12 @@ class TestPipeline:
         ({"stream": "1"}, "ops[0].stream: must be a whole number, got '1'"),
         ({"after_index": 0.7}, "events[0].after_index: must be a whole number, got 0.7"),
         ({"event_stream": False}, "events[0].stream: must be a whole number, got False"),
+        ({"duration": "5"}, "ops[0].duration: must be a number, got '5'"),
+        ({"duration": True}, "ops[0].duration: must be a number, got True"),
+        ({"duration": None}, "ops[0].duration: must be a number, got None"),
     ])
     def test_bad_scenario_number_is_usage_error(self, tmp_path, capsys, change, message):
-        op = {"id": "k", "stream": change.get("stream", 1), "kind": "kernel", "duration": 1}
+        op = {"id": "k", "stream": change.get("stream", 1), "kind": "kernel", "duration": change.get("duration", 1)}
         event = {"id": "e", "stream": change.get("event_stream", 1), "after_index": change.get("after_index", 0)}
         scenario = {"engines": change.get("engines", {}), "ops": [op], "events": [event]}
         code = main(["pipeline", write_json(tmp_path, "bad.json", scenario)])
@@ -454,3 +461,51 @@ class TestMemflow:
         code = main(["memflow", write_json(tmp_path, "spec.json", spec)])
         captured = capsys.readouterr()
         assert (code, captured.out, captured.err) == (2, "", f"error: {message}\n")
+
+
+class TestParserReuse:
+    """``main`` builds its parser once per process; every call must behave as with a fresh parser."""
+
+    ARGVS = [
+        ["run", "--kernel", "vector_add", "--size", "8", "--seed", "3"],
+        ["run", "--kernel", "matrix_add", "--size", "3", "--format", "json"],
+        ["run", "--kernel", "vector_add", "--size", "0"],  # UsageError
+        ["run", "--kernel", "nope"],  # argparse: invalid choice
+        ["run", "--size", "8"],  # argparse: --kernel is required
+        ["report", "--kernel", "reduce_sum", "--size", "16", "--variant", "sequential"],
+        ["report", "--kernel", "matmul", "--size", "300"],  # UsageError: over the work cap
+        ["trace", "--kernel", "inclusive_scan", "--size", "8", "--one-based"],
+        ["trace", "--kernel", "reduce_sum", "--size", "8", "--format", "json"],
+        ["trace", "--kernel", "matmul", "--size", "2"],  # TraceUnsupported
+        ["trace", "--kernel", "reduce_sum", "--one-based", "extra"],  # argparse: unrecognized argument
+        ["pipeline", str(SCENARIOS / "overlap_two_stream.json")],
+        ["pipeline", str(SCENARIOS / "serial_one_stream.json"), "--format", "json"],
+        ["pipeline", str(SCENARIOS / "missing.json")],  # OSError
+        ["pipeline"],  # argparse: missing scenario
+        ["pipeline", "--help"],
+        ["memflow", str(SCENARIOS / "fits_in_vram.json"), "--format", "text"],
+        ["memflow", str(SCENARIOS / "three_stage_flow.json"), "--format", "yaml"],  # argparse: invalid choice
+        ["nope"],  # argparse: invalid command
+        [],  # argparse: a command is required
+    ]
+
+    @staticmethod
+    def call(argv):
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            try:
+                code = main(argv)
+            except SystemExit as e:
+                code = e.code
+        return code, out.getvalue(), err.getvalue()
+
+    def test_calls_match_a_fresh_parser(self, monkeypatch):
+        with monkeypatch.context() as m:
+            m.setattr(cli, "_parser", cli.build_parser)
+            want = {tuple(argv): self.call(argv) for argv in self.ARGVS}
+        assert {code for code, _, _ in want.values()} == {0, 2}
+        argvs = self.ARGVS * 2
+        random.Random(5).shuffle(argvs)
+        for argv in argvs:
+            assert self.call(argv) == want[tuple(argv)], argv
+        assert cli._parser() is cli._parser()

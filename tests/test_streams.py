@@ -1,6 +1,7 @@
 """Timeline scheduling: golden scenarios, invariants, brute-force comparison."""
 
 import json
+import re
 import signal
 from pathlib import Path
 
@@ -8,6 +9,7 @@ import numpy as np
 import pytest
 
 from warpsim.streams import (
+    MAX_ENGINES,
     CyclicDependency,
     EngineModel,
     EventRecord,
@@ -177,8 +179,24 @@ class TestValidationErrors:
         schedule = simulate_timeline(ops)
         program = ops[:where] + [StreamOp("late", 1, OpKind.KERNEL, 1), StreamOp("later", 2, OpKind.KERNEL, 1)]
         program += ops[where:]
-        with pytest.raises(ValueError, match="schedule has no entry for op 'late'"):
-            makespan_report(schedule, program)
+        for check in (makespan_report, validate_schedule):
+            with pytest.raises(ValueError, match="schedule has no entry for op 'late'"):
+                check(schedule, program)
+
+    @pytest.mark.parametrize("field", ["copy_engines_h2d", "copy_engines_d2h", "compute_engines"])
+    @pytest.mark.parametrize("count", [1.5, True, -1, MAX_ENGINES + 1, 10**6, "2", None])
+    def test_engine_counts_are_whole_and_bounded(self, field, count):
+        message = f"EngineModel.{field} must be a whole number from 0 to {MAX_ENGINES}, got {count!r}"
+        with pytest.raises(ValueError, match=re.escape(message)):
+            EngineModel(**{field: count})
+
+    def test_engine_counts_at_the_bounds(self):
+        engines = EngineModel(0, 2.0, MAX_ENGINES)
+        counts = (engines.copy_engines_h2d, engines.copy_engines_d2h, engines.compute_engines)
+        assert counts == (0, 2, MAX_ENGINES) and type(counts[1]) is int
+        # Zero engines serve a kind that no op uses.
+        schedule = simulate_timeline([StreamOp("k", 1, OpKind.KERNEL, 2)], engines=EngineModel(0, 0, 1))
+        assert schedule.makespan == 2 and schedule.engine_names == ["compute#0"]
 
     def test_report_on_an_empty_schedule_of_a_program(self):
         ops = [StreamOp("k", 1, OpKind.KERNEL, 3)]

@@ -79,6 +79,40 @@ def test_random_programs_match_the_oracle(seed):
         assert oracle.violations(schedule, ops, events) == []
 
 
+def zero_chain(rng, start):
+    """A lead op of length ``start``, then a chain of ops of length 0 or 1e-18, each on
+    another stream than the one before and awaiting the event recorded after it. At
+    ``start`` each op of the chain ends where it starts and unblocks the next, one round
+    after another; ops of positive length on the same streams compete for the engines."""
+    ops = [StreamOp("lead", 0, OpKind.KERNEL, start)]
+    events, length, sid = [EventRecord("ev0", 0, 0)], {0: 1}, 0
+    for k in range(rng.randint(2, 12)):
+        if rng.random() < 0.3:
+            busy = rng.randrange(-2, 6)
+            ops.append(StreamOp(f"busy{k}", busy, rng.choice(KINDS), rng.randint(1, 3)))
+            length[busy] = length.get(busy, 0) + 1
+        sid = rng.choice([s for s in range(-2, 6) if s != sid])
+        ops.append(StreamOp(f"z{k}", sid, rng.choice(KINDS), rng.choice([0, 1e-18]), {f"ev{k}"}))
+        events.append(EventRecord(f"ev{k + 1}", sid, length.get(sid, 0)))
+        length[sid] = length.get(sid, 0) + 1
+    return ops, events, EngineModel(rng.randint(1, 2), rng.randint(1, 2), rng.randint(1, 2))
+
+
+@pytest.mark.parametrize("start", [1e3, 7, 0])
+def test_zero_length_chains_within_one_instant_match_the_oracle(start):
+    rng = random.Random(31)
+    chained = 0
+    for _ in range(150):
+        ops, events, engines = zero_chain(rng, start)
+        schedule = streams.simulate_timeline(ops, events, engines)
+        assert outcome(lambda: schedule) == outcome(lambda: oracle.schedule(ops, events, engines)), (ops, events)
+        assert report_path(schedule, ops, events) == oracle.critical_path(schedule, ops, events)
+        assert streams.validate_schedule(schedule, ops, events) is None
+        starts = [schedule.entries[op.id].start for op in ops if op.id.startswith("z")]
+        chained += starts[:2] == [start, start]
+    assert chained >= 50  # most chains begin with two rounds at ``start``
+
+
 def corrupt(rng, ops, events, engines):
     """Break the program in one to three ways; returns the broken program."""
     ops, events = list(ops), list(events)
@@ -105,7 +139,7 @@ def corrupt(rng, ops, events, engines):
             ops[j] = StreamOp(op.id, op.stream_id, op.kind, op.duration, op.waits_on | {f"later{j}"})
         elif how == 5:
             counts = [rng.randint(1, 2) for _ in range(3)]
-            counts[KINDS.index(op.kind)] = rng.choice([0, -1])
+            counts[KINDS.index(op.kind)] = 0  # EngineModel itself rejects a negative count
             engines = EngineModel(*counts)
         elif how == 6:
             ops.insert(rng.randrange(len(ops) + 1), StreamOp(f"late{j}", op.stream_id, op.kind, 1, {"ev0"}))
