@@ -38,7 +38,7 @@ class StepTrace:
             return "(empty trace)"
         base = 1 if one_based else 0
         table = [["step", *(f"T_{i + base}" for i in range(self.width))]]
-        table += ([str(r) if r else "initial", *_cells(row)] for r, row in enumerate(self.rows))
+        table += ([str(r) if r else "initial", *map(_fmt, row)] for r, row in enumerate(self.rows))
         widths = [max(map(len, column)) for column in zip(*table)]
         return "\n".join("  ".join(map(str.rjust, line, widths)) for line in table)
 
@@ -58,11 +58,6 @@ def barrier_rows(recorder: Recorder, width: int) -> list[list[Cell]]:
             for lane, value in zip(rec.lanes.tolist(), rec.values.tolist()):
                 row[lane] = value
     return rows
-
-
-def _cells(row: list[Cell]):
-    """A row's cell texts; a row of plain ints, the common case, skips ``_fmt``'s per-cell call."""
-    return map(str, row) if set(map(type, row)) == {int} else map(_fmt, row)
 
 
 def _fmt(value: Cell) -> str:

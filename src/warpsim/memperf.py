@@ -276,8 +276,7 @@ class TrainingFlowSpec:
 
 
 def _is_number(value: Any) -> bool:
-    """A real number, not a bool; a plain int or float, the common case, skips the costlier ABC check."""
-    return type(value) in (int, float) or (isinstance(value, numbers.Real) and not isinstance(value, bool))
+    return isinstance(value, numbers.Real) and not isinstance(value, bool)
 
 
 def _is_whole(value: Any) -> bool:

@@ -239,12 +239,11 @@ def simulate_timeline(
     return Schedule({op.id: entries[i] for i, op in enumerate(ops)}, makespan, engine_names)
 
 
-def _entries(schedule: Schedule, ops: Sequence[StreamOp]) -> list[ScheduledOp]:
-    """Each op's entry, in program order; raises ValueError naming the first op the schedule lacks."""
-    try:
-        return [schedule.entries[op.id] for op in ops]
-    except KeyError as e:
-        raise ValueError(f"schedule has no entry for op {e.args[0]!r}") from None
+def _check_entries(schedule: Schedule, ops: Sequence[StreamOp]) -> None:
+    """Raises ValueError naming the first op of the program that the schedule lacks."""
+    missing = next((op.id for op in ops if op.id not in schedule.entries), None)
+    if missing is not None:
+        raise ValueError(f"schedule has no entry for op {missing!r}")
 
 
 def validate_schedule(
@@ -255,7 +254,8 @@ def validate_schedule(
     """Check the program, that every op has an entry, then streams (in order of
     first appearance), engines and event waits; raises ValueError."""
     pred, anchor = _program(ops, events)
-    entries = _entries(schedule, ops)
+    _check_entries(schedule, ops)
+    entries = [schedule.entries[op.id] for op in ops]
     first = {op.stream_id: i for i, op in reversed(list(enumerate(ops)))}  # each stream's first op
     for i in sorted(range(len(ops)), key=lambda i: first[ops[i].stream_id]):
         p = pred[i]
@@ -330,7 +330,7 @@ def _critical_path(
     schedule: Schedule, ops: list[StreamOp], events: list[EventRecord]
 ) -> list[str]:
     pred, anchor = _program(ops, events) if ops else ([], {})
-    _entries(schedule, ops)
+    _check_entries(schedule, ops)
     if not schedule.entries:
         return []
     stream_pred = {ops[i].id: ops[p].id for i, p in enumerate(pred) if p >= 0}
@@ -392,8 +392,9 @@ def load_scenario(source: Union[str, Path, dict]) -> tuple[list[StreamOp], list[
         fail("engines", f"must be an object, got {eng!r}")
     counts = {key: whole(f"engines.{key}", eng.get(key, 1)) for key in ("copy_h2d", "copy_d2h", "compute")}
     for key, count in counts.items():
-        if count > MAX_ENGINES:
-            fail(f"engines.{key}", f"must be at most {MAX_ENGINES}, got {eng[key]!r}")
+        if not 0 <= count <= MAX_ENGINES:
+            bound = "must not be negative" if count < 0 else f"must be at most {MAX_ENGINES}"
+            fail(f"engines.{key}", f"{bound}, got {eng[key]!r}")
     engines = EngineModel(*counts.values())
     ops: list[StreamOp] = []
     for i, raw in enumerate(data.get("ops", [])):
@@ -444,17 +445,14 @@ def render_gantt(schedule: Schedule, width: int = 60) -> str:
     for s in schedule.entries.values():
         by_engine.setdefault(s.engine, []).append(s)
     label_w = max((len(n) for n in by_engine), default=0)
-    for name, on_engine in by_engine.items():
+    for name in by_engine:
         row = [" "] * (width + 1)
-        on_engine.sort(key=lambda s: s.start)
-        for s in on_engine:
+        for s in sorted(by_engine[name], key=lambda s: s.start):
             a = int(round(s.start * scale))
-            b = int(round(s.end * scale))
-            if b <= a:  # every op shows at least one cell
-                b = a + 1
-            for c in range(a, b if b <= width else width + 1):
+            b = max(a + 1, int(round(s.end * scale)))
+            for c in range(a, min(b, width + 1)):
                 row[c] = "="
-            tag = s.op.id[: b - a]
+            tag = s.op.id[: max(0, b - a)]
             row[a : a + len(tag)] = tag
         lines.append(f"{name.ljust(label_w)} |{''.join(row)}")
     lines.append(f"makespan: {schedule.makespan}")

@@ -139,7 +139,7 @@ def corrupt(rng, ops, events, engines):
             ops[j] = StreamOp(op.id, op.stream_id, op.kind, op.duration, op.waits_on | {f"later{j}"})
         elif how == 5:
             counts = [rng.randint(1, 2) for _ in range(3)]
-            counts[KINDS.index(op.kind)] = 0  # EngineModel itself rejects a negative count
+            counts[KINDS.index(op.kind)] = max(0, rng.choice([0, -1]))  # EngineModel rejects -1
             engines = EngineModel(*counts)
         elif how == 6:
             ops.insert(rng.randrange(len(ops) + 1), StreamOp(f"late{j}", op.stream_id, op.kind, 1, {"ev0"}))
