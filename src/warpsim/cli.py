@@ -205,7 +205,7 @@ def cmd_trace(args) -> int:
 
 
 def cmd_pipeline(args) -> int:
-    ops, events, engines = streams.load_scenario(args.scenario)
+    ops, events, engines = streams.load_scenario(_load_json(args.scenario))
     schedule = streams.simulate_timeline(ops, events, engines)
     report = streams.makespan_report(schedule, ops, events)
     if args.format == "json":
@@ -218,7 +218,7 @@ def cmd_pipeline(args) -> int:
 
 
 def cmd_memflow(args) -> int:
-    spec = memperf.TrainingFlowSpec.from_json(args.spec)
+    spec = memperf.TrainingFlowSpec.from_json(_load_json(args.spec))
     report = memperf.estimate_training_flow(spec)
     if args.format == "json":
         _emit(_dump(report.to_json()), args.output)

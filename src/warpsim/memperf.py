@@ -9,14 +9,12 @@ fastest-to-slowest ordering.
 
 from __future__ import annotations
 
-import json
 import math
 import numbers
 from collections import OrderedDict
 from dataclasses import dataclass, field
 from itertools import zip_longest
-from pathlib import Path
-from typing import Any, Iterable, Optional, Sequence, Union
+from typing import Any, Iterable, Optional, Sequence
 
 
 class SpecInvalid(ValueError):
@@ -249,12 +247,8 @@ class TrainingFlowSpec:
             )
 
     @classmethod
-    def from_json(cls, source: Union[str, Path, dict]) -> "TrainingFlowSpec":
-        if isinstance(source, (str, Path)):
-            with open(source) as fh:
-                data = json.load(fh)
-        else:
-            data = source
+    def from_json(cls, data: Any) -> "TrainingFlowSpec":
+        """Build a spec from its parsed JSON: {"dataset_bytes": ..., "batch_bytes": ..., "epochs": ..., ...}."""
         if not isinstance(data, dict):
             raise SpecInvalid("a training-flow spec must be a JSON object")
         missing = [key for key in ("dataset_bytes", "batch_bytes", "epochs") if key not in data]

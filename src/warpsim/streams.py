@@ -12,12 +12,10 @@ from __future__ import annotations
 
 import bisect
 import heapq
-import json
 import math
 from dataclasses import dataclass
 from enum import Enum
-from pathlib import Path
-from typing import Any, Sequence, Union
+from typing import Any, Sequence
 
 from .memperf import _is_number, _is_whole
 
@@ -369,13 +367,8 @@ def _critical_path(
 # ----------------------------------------------------------------------
 # scenario files and rendering
 
-def load_scenario(source: Union[str, Path, dict]) -> tuple[list[StreamOp], list[EventRecord], EngineModel]:
-    """Parse a scenario: {"engines": {...}, "ops": [...], "events": [...]}."""
-    if isinstance(source, (str, Path)):
-        with open(source) as fh:
-            data = json.load(fh)
-    else:
-        data = source
+def load_scenario(data: Any) -> tuple[list[StreamOp], list[EventRecord], EngineModel]:
+    """Build a scenario from its parsed JSON: {"engines": {...}, "ops": [...], "events": [...]}."""
     if not isinstance(data, dict):
         raise ValueError("scenario must be a JSON object")
 
@@ -387,6 +380,15 @@ def load_scenario(source: Union[str, Path, dict]) -> tuple[list[StreamOp], list[
             fail(where, f"must be a whole number, got {value!r}")
         return int(value)
 
+    def entries(key: str) -> list[dict]:
+        items = data.get(key, [])
+        if not isinstance(items, list):
+            fail(key, f"must be a list, got {items!r}")
+        for i, raw in enumerate(items):
+            if not isinstance(raw, dict):
+                fail(f"{key}[{i}]", f"must be an object, got {raw!r}")
+        return items
+
     eng = data.get("engines", {})
     if not isinstance(eng, dict):
         fail("engines", f"must be an object, got {eng!r}")
@@ -397,7 +399,7 @@ def load_scenario(source: Union[str, Path, dict]) -> tuple[list[StreamOp], list[
             fail(f"engines.{key}", f"{bound}, got {eng[key]!r}")
     engines = EngineModel(*counts.values())
     ops: list[StreamOp] = []
-    for i, raw in enumerate(data.get("ops", [])):
+    for i, raw in enumerate(entries("ops")):
         where = f"ops[{i}]"
         for key in ("id", "stream", "kind", "duration"):
             if key not in raw:
@@ -421,7 +423,7 @@ def load_scenario(source: Union[str, Path, dict]) -> tuple[list[StreamOp], list[
             )
         )
     events: list[EventRecord] = []
-    for i, raw in enumerate(data.get("events", [])):
+    for i, raw in enumerate(entries("events")):
         where = f"events[{i}]"
         for key in ("id", "stream", "after_index"):
             if key not in raw:

@@ -180,6 +180,35 @@ class TestRun:
         assert code == 2
         assert "bad.json" in err and ":" in err
 
+    @pytest.mark.parametrize("kernel, inputs, message", [
+        ("reduce_sum", [[[1, 2], [3, 4]]], "{0}: expected a flat JSON array of numbers"),
+        ("matrix_add", [[1, 2], [[1]]], "{0}: expected a JSON array of rows"),
+        ("matrix_add", [[[1, 2], [3]], [[1]]], "{0}: ragged rows"),
+        ("vector_add", [[1, 2]], "--input expects 2 comma-separated path(s), got 1"),
+    ])
+    def test_bad_input_file_is_usage_error(self, tmp_path, capsys, kernel, inputs, message):
+        paths = [write_json(tmp_path, f"in{i}.json", payload) for i, payload in enumerate(inputs)]
+        code = main(["run", "--kernel", kernel, "--input", ",".join(paths)])
+        captured = capsys.readouterr()
+        assert (code, captured.out, captured.err) == (2, "", f"error: {message.format(*paths)}\n")
+
+
+@pytest.mark.parametrize("argv", [
+    ["run", "--kernel", "reduce_sum", "--input"],
+    ["pipeline"],
+    ["memflow"],
+])
+def test_every_command_names_the_file_it_cannot_read(tmp_path, capsys, argv):
+    truncated = tmp_path / "truncated.json"
+    truncated.write_text("[1, 2,")
+    missing = tmp_path / "missing.json"
+    for path, message in ((truncated, "1:7: invalid JSON: Expecting value"), (missing, "cannot read")):
+        code = main([*argv, str(path)])
+        captured = capsys.readouterr()
+        assert (code, captured.out) == (2, "")
+        assert captured.err.count("\n") == 1 and captured.err.startswith("error: ")
+        assert str(path) in captured.err and message in captured.err
+
 
 class TestReport:
     def test_metrics_only_payload(self, capsys):
@@ -327,6 +356,21 @@ class TestPipeline:
         event = {"id": "e", "stream": change.get("event_stream", 1), "after_index": change.get("after_index", 0)}
         scenario = {"engines": change.get("engines", {}), "ops": [op], "events": [event]}
         code = main(["pipeline", write_json(tmp_path, "bad.json", scenario)])
+        captured = capsys.readouterr()
+        assert (code, captured.out, captured.err) == (2, "", f"error: scenario field {message}\n")
+
+    @pytest.mark.parametrize("text, message", [
+        ('{"ops": [3]}', "ops[0]: must be an object, got 3"),
+        ('{"ops": 5}', "ops: must be a list, got 5"),
+        ('{"events": [7]}', "events[0]: must be an object, got 7"),
+        ('{"ops": null}', "ops: must be a list, got None"),
+        ('{"events": null}', "events: must be a list, got None"),
+        ('{"ops": "ab"}', "ops: must be a list, got 'ab'"),
+    ], ids=["op-number", "ops-number", "event-number", "ops-null", "events-null", "ops-string"])
+    def test_bad_scenario_shape_is_usage_error(self, tmp_path, capsys, text, message):
+        path = tmp_path / "shape.json"
+        path.write_text(text)
+        code = main(["pipeline", str(path)])
         captured = capsys.readouterr()
         assert (code, captured.out, captured.err) == (2, "", f"error: scenario field {message}\n")
 

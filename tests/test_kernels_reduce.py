@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from warpsim import MetricsReport, Simulator
-from warpsim.kernels import NotPowerOfTwo, reduce_sum
+from warpsim.kernels import NotPowerOfTwo, StepTrace, reduce_sum
 
 PAPER_ARRAY = [8, 3, 5, 7, 2, 9, 1, 6, 4, 10, 12, 15, 11, 14, 13, 16]
 
@@ -66,6 +66,19 @@ class TestGoldenReduction:
             reduce_sum([1, 2, 3])
         with pytest.raises(NotPowerOfTwo):
             reduce_sum([])
+
+
+class TestStepTraceText:
+    def test_integral_floats_lose_their_point_and_other_floats_print_as_str(self):
+        text = StepTrace([[2.0, 0.5, None], [-3.0, 1e-07, 7]]).to_text()
+        assert text.splitlines() == [
+            "   step  T_0    T_1  T_2",
+            "initial    2    0.5     ",
+            "      1   -3  1e-07    7",
+        ]
+
+    def test_empty_trace(self):
+        assert StepTrace().to_text() == "(empty trace)"
 
 
 class TestReductionOracles:

@@ -4,6 +4,7 @@ Race tracking, access analysis and recording never import the engine, and
 the engine reads no field of a race track: it hands a track addresses and
 stamps and gets conflicts back. The engine counts each event once, into a
 context's own counters, and only ``MetricsReport.add`` writes a report.
+Only the CLI reads files: the stream and memory models take parsed JSON.
 """
 
 import ast
@@ -15,7 +16,9 @@ import pytest
 
 from warpsim.core.metrics import KernelCounters
 
-CORE = Path(__file__).resolve().parent.parent / "src" / "warpsim" / "core"
+PACKAGE = Path(__file__).resolve().parent.parent / "src" / "warpsim"
+CORE = PACKAGE / "core"
+FILE_MODULES = {"json", "pathlib"}
 BELOW_ENGINE = ("race.py", "access.py", "observe.py", "metrics.py")
 TRACK_FIELDS = {
     "writer1", "writer2", "writer_max", "reader1", "reader2", "rb_block1", "w_block1", "store_stamp", "forgot_stamp",
@@ -80,3 +83,20 @@ def test_engine_increments_each_counter_at_one_site():
     names = [f.name for f in fields(KernelCounters)]
     sites = Counter(t.attr for t in augmented_attributes(tree("engine.py")) if t.attr in names)
     assert sites == Counter(names)
+
+
+def test_only_the_cli_reads_files():
+    hits = []
+    for path in sorted(PACKAGE.rglob("*.py")):
+        name = str(path.relative_to(PACKAGE))
+        if name == "cli.py":
+            continue
+        for node in ast.walk(ast.parse(path.read_text(), filename=name)):
+            if isinstance(node, ast.Import):
+                hits += [f"{name}:{node.lineno} imports {a.name}" for a in node.names
+                         if a.name.split(".")[0] in FILE_MODULES]
+            elif isinstance(node, ast.ImportFrom) and node.level == 0 and node.module.split(".")[0] in FILE_MODULES:
+                hits.append(f"{name}:{node.lineno} imports from {node.module}")
+            elif isinstance(node, ast.Call) and isinstance(node.func, ast.Name) and node.func.id == "open":
+                hits.append(f"{name}:{node.lineno} calls open")
+    assert hits == [], f"file reading outside cli.py: {hits}"

@@ -47,6 +47,11 @@ class TestGoldenScenarios:
         assert schedule.entries["copy2"].start == 10
         assert schedule.entries["kernel1"].start == 10
 
+    def test_string_kinds_schedule_like_op_kinds(self):
+        by_string = [StreamOp(op.id, op.stream_id, op.kind.value, op.duration) for op in two_batch_ops()]
+        assert all(type(op.kind) is OpKind for op in by_string)
+        assert simulate_timeline(by_string).to_json() == simulate_timeline(two_batch_ops()).to_json()
+
     def test_one_stream_serializes_to_40(self):
         schedule = simulate_timeline(two_batch_ops(streams=(1, 1)))
         assert schedule.makespan == 40
@@ -90,11 +95,11 @@ class TestGoldenScenarios:
         assert report.critical_path == [f"k{i}" for i in range(5)]
 
     def test_shipped_two_stream_scenario_file(self):
-        ops, events, engines = load_scenario(SCENARIOS / "overlap_two_stream.json")
+        ops, events, engines = load_scenario(json.loads((SCENARIOS / "overlap_two_stream.json").read_text()))
         assert simulate_timeline(ops, events, engines).makespan == 30
 
     def test_shipped_three_stage_flow_is_ordered(self):
-        ops, events, engines = load_scenario(SCENARIOS / "three_stage_flow.json")
+        ops, events, engines = load_scenario(json.loads((SCENARIOS / "three_stage_flow.json").read_text()))
         schedule = simulate_timeline(ops, events, engines)
         up, k, down = (schedule.entries[i] for i in ("upload", "kernel", "download"))
         assert up.end <= k.start and k.end <= down.start
