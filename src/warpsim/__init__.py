@@ -24,11 +24,8 @@ from .core import (
     Simulator,
     ThreadCoord,
     bank_conflict_degree,
-    barrier_sync,
     coalesce_count,
-    device_launch,
     launch_kernel,
-    structured_if,
 )
 
 __version__ = "0.1.0"
@@ -49,12 +46,9 @@ __all__ = [
     "Simulator",
     "ThreadCoord",
     "bank_conflict_degree",
-    "barrier_sync",
     "coalesce_count",
-    "device_launch",
     "kernels",
     "launch_kernel",
-    "structured_if",
     "memperf",
     "streams",
 ]

@@ -7,11 +7,8 @@ from .engine import (
     KernelContext,
     SharedView,
     Simulator,
-    barrier_sync,
     block_batchable,
-    device_launch,
     launch_kernel,
-    structured_if,
 )
 from .errors import (
     BarrierDivergence,
@@ -47,11 +44,8 @@ __all__ = [
     "Simulator",
     "ThreadCoord",
     "bank_conflict_degree",
-    "barrier_sync",
     "block_batchable",
     "ceil_div",
     "coalesce_count",
-    "device_launch",
     "launch_kernel",
-    "structured_if",
 ]

@@ -135,9 +135,10 @@ class _CostMemo(dict):
     partial mask the warp ids, and the lane byte addresses less the first
     active lane's rounded down to the space's period, as bytes of the
     narrowest integer type that holds the buffer's byte length and the warp
-    count, which the key names. A run of ``n`` lanes on consecutive elements
-    keeps only its first address's offset into the period, the element width
-    and ``n``. ``key_bytes`` counts 8 bytes per array element, one for a run.
+    count, which the key names. A run of ``n`` lanes on the elements ``lo,
+    lo + d, ...`` keeps only its first address's offset into the period, its
+    pitch ``d * width`` and ``n``. ``key_bytes`` counts 8 bytes per array
+    element, one for a run.
     """
 
     key_bytes = 0
@@ -150,24 +151,24 @@ class _CostMemo(dict):
         self.key_bytes += nbytes
 
     def cost(self, sim: Any, space: str, warp_ids: np.ndarray, warp_key: bytes, byte_addrs: Optional[np.ndarray],
-             first: int, width: int, extent: int, warp_count: int, block_size: int) -> int:
+             first: int, pitch: int, extent: int, warp_count: int, block_size: int) -> int:
         """Segments or bank cycles of an instruction; ``extent`` and ``warp_count`` bound its arrays.
 
         ``warp_key`` holds the warp ids as bytes, none on a full mask; ``byte_addrs`` None stands for a
-        run of ``warp_ids.size`` lanes of ``width`` bytes from byte ``first``."""
+        run of ``warp_ids.size`` lanes ``pitch`` bytes apart from byte ``first``."""
         is_global = space == "global"
         period = sim.segment_bytes if is_global else sim.bank_width_bytes
         dt = _key_type(max(extent, warp_count))
         base = first // period * period
         if byte_addrs is None:
-            key, n = (space, dt, block_size, warp_key, first - base, width, warp_ids.size), 1
+            key, n = (space, dt, block_size, warp_key, first - base, pitch, warp_ids.size), 1
         else:
             norm = (byte_addrs - base).astype(dt)
             key, n = (space, dt, block_size, warp_key, norm.tobytes()), norm.size
         cost = self.get(key)
         if cost is None:
             if byte_addrs is None:
-                byte_addrs = first + width * np.arange(warp_ids.size)
+                byte_addrs = first + pitch * np.arange(warp_ids.size)
             if is_global:
                 cost = _warp_segment_total(warp_ids, byte_addrs, sim.segment_bytes)
             else:

@@ -230,8 +230,9 @@ class SharedView(_View):
 class _Mask:
     """One branch's lane mask and active count; ``select`` gathers its active lanes once for all its instructions.
 
-    That is their indices ``sel`` (None for the full mask: the context's own arrays), thread and warp ids, group
-    block offsets, the memo key of the warp ids and, from ``if_``, the lanes per warp.
+    That is their indices ``sel`` (None for the full mask: the context's own arrays; a slice for one contiguous
+    range, whose gathers are views), thread and warp ids, group block offsets, the memo key of the warp ids and,
+    from ``if_``, the lanes per warp.
     """
 
     __slots__ = ("mask", "count", "sel", "tids", "warp_ids", "offset", "warp_key", "warp_counts")
@@ -245,7 +246,9 @@ class _Mask:
                 self.sel, self.tids, self.warp_ids, self.offset, self.warp_key = (
                     None, ctx.global_id, ctx._warp_ids, ctx._offset, b"")
             else:
-                sel = self.sel = np.flatnonzero(self.mask)
+                sel = np.flatnonzero(self.mask)
+                lo, hi = int(sel[0]), int(sel[-1]) + 1
+                sel = self.sel = slice(lo, hi) if hi - lo == self.count else sel  # ascending: the ends decide
                 self.tids, self.warp_ids = ctx.global_id[sel], ctx._warp_ids[sel]
                 self.offset = ctx._offset[sel] if ctx._blocks > 1 else 0
                 self.warp_key = self.warp_ids.tobytes()
@@ -390,7 +393,7 @@ class KernelContext:
         Only the cost and the race stamps depend on the address space: global
         memory counts coalesced segments, shared memory counts bank conflicts.
         Both track the element indices into ``view.data``, as a slice where
-        they are a run ``lo, lo + 1, ...``.
+        they are a run ``lo, lo + d, ...``.
         """
         data = view.data
         m = self._mask_stack[-1].select(self)
@@ -409,9 +412,10 @@ class KernelContext:
         width = view.element_width
         byte_addrs = None if run else ei * width + view.byte_offset
         first_byte = run.start * width + view.byte_offset if run else int(byte_addrs[0])
+        pitch = run.step * width if run else width
 
         state = self._state
-        cost = state.cost_memo.cost(self._sim, view.space, m.warp_ids, m.warp_key, byte_addrs, first_byte, width,
+        cost = state.cost_memo.cost(self._sim, view.space, m.warp_ids, m.warp_key, byte_addrs, first_byte, pitch,
                                     length * width + view.byte_offset, self.warp_count, self._block_size)
         if view.space == "global":
             self._counters().global_transactions += cost
@@ -422,8 +426,9 @@ class KernelContext:
             if self._blocks > 1:  # each block's cells in its own region
                 ei = ei + m.offset * length
                 run = _run(ei)
-        # the race tracker keeps the indices; the kernel may change its own array
-        addrs = run or (ei.copy() if ei is idx else ei)
+        # the race tracker keeps the indices, and the kernel may change its own array in place: copy any ``ei`` that
+        # may be that array or a view of it
+        addrs = run or (ei.copy() if ei is idx or ei.base is not None else ei)
         track, shift = state.track_for(view), stamp - self._gid0  # global thread ids to stamped words
         fail = partial(self._race_fail, view, stamp)
 
@@ -451,7 +456,7 @@ class KernelContext:
             state.recorder.accesses.append(AccessRecord(
                 kernel=self.kernel_name, block=self.block_linear, step=self.step, space=view.space,
                 kind="read" if value is None else "write", buffer=view.name, width=width, warp_ids=m.warp_ids,
-                lanes=tids, addresses=first_byte + width * np.arange(ei.size) if byte_addrs is None else byte_addrs,
+                lanes=tids, addresses=first_byte + pitch * np.arange(ei.size) if byte_addrs is None else byte_addrs,
                 values=None if value is None else vals.copy(),  # the kernel may change its own array
             ))
         self.step += 1
@@ -467,13 +472,13 @@ class KernelContext:
         ``a`` and ``b`` hold stamped words per lane; a stale word in ``b``, or
         a stale scalar ``b``, stands for another block and reads as -1.
         """
-        if not conflict.any():
+        if not np.count_nonzero(conflict):
             return
         i = int(np.argmax(conflict))
         shift = stamp - self._gid0
         other = int(b if np.ndim(b) == 0 else b[i])
         tid_a, tid_b = int(a[i]) - shift, other - shift if other >= stamp else -1
-        index = addrs.start + i if isinstance(addrs, slice) else int(addrs[i])
+        index = addrs.start + i * addrs.step if isinstance(addrs, slice) else int(addrs[i])
         address = index if view.space == "global" else view.byte_offset + index * view.element_width
         msg = f"conflicting accesses to {view.name!r} address {address} without an intervening barrier"
         if self._state.mode == "strict":
@@ -627,9 +632,18 @@ class KernelContext:
 
 
 def _run(ei: np.ndarray, known: bool = False) -> Optional[slice]:
-    """``slice(lo, lo + n)`` if the ``n`` indices ``ei`` are ``lo, lo + 1, ...`` (``known`` says so), else None."""
+    """``slice(lo, hi + 1, d)`` if the ``n`` indices ``ei`` are ``lo, lo + d, ..., hi`` with ``d >= 1``, else None.
+
+    ``known`` says they are ``lo, lo + 1, ...``. The ends fix ``d``; past two lanes one compare checks the rest.
+    """
     lo, n = int(ei[0]), ei.size
-    return slice(lo, lo + n) if known or (int(ei[-1]) - lo == n - 1 and bool((ei[1:] > ei[:-1]).all())) else None
+    if known or n == 1:
+        return slice(lo, lo + n, 1)
+    hi = int(ei[-1])
+    d, r = divmod(hi - lo, n - 1)
+    if d < 1 or r or n > 2 and np.count_nonzero(ei != np.arange(lo, hi + 1, d)):
+        return None
+    return slice(lo, hi + 1, d)
 
 
 def _check_owned(mem: DeviceMemory, args: Sequence, err_kw: Callable[[], dict] = dict) -> None:
@@ -712,30 +726,3 @@ def launch_kernel(
 ) -> MetricsReport:
     """Convenience wrapper: run one launch on a fresh default Simulator."""
     return Simulator().launch(kernel, config, mem, args, **kwargs)
-
-
-def structured_if(
-    ctx: KernelContext,
-    warp_predicates: LaneValue,
-    then_branch: Callable[[], None],
-    else_branch: Optional[Callable[[], None]] = None,
-) -> None:
-    """Free-function form of ``ctx.if_`` for kernels written in that style."""
-    ctx.if_(warp_predicates, then_branch, else_branch)
-
-
-def barrier_sync(ctx: KernelContext) -> None:
-    """Free-function form of ``ctx.barrier``."""
-    ctx.barrier()
-
-
-def device_launch(
-    ctx: KernelContext,
-    kernel: Callable,
-    grid_dim,
-    block_dim,
-    args: Sequence = (),
-    shared_mem_bytes: int = 0,
-) -> None:
-    """Free-function form of ``ctx.launch``."""
-    ctx.launch(kernel, grid_dim, block_dim, args, shared_mem_bytes)

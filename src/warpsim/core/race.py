@@ -41,10 +41,10 @@ class _RaceTrack:
     (``resolve``, in permissive mode) uses the highest writer.
 
     A check takes the active lanes' indices into the array (an index array,
-    or a slice for a run ``lo, lo + 1, ...``), their global thread ids, the
-    interval ``stamp``, the ``shift`` from ids to words and the ``block``
-    stamp (None where blocks cannot conflict); a load also takes whether its
-    group can replay.
+    or a slice for a run ``lo, lo + d, ...`` with ``d >= 1``), their global
+    thread ids, the interval ``stamp``, the ``shift`` from ids to words and
+    the ``block`` stamp (None where blocks cannot conflict); a load also
+    takes whether its group can replay.
     Before it changes a word it calls ``fail(conflict, addrs, a, b)``: per
     lane of ``conflict``, word ``a`` against ``b`` (stale: a block).
     """
@@ -56,6 +56,7 @@ class _RaceTrack:
         self.pending_count = 0  # addresses on pending_reads
         self.pending_stamp = self.store_stamp = 0  # the intervals of the pending reads and of the last store
         self.forgot_stamp = 0  # the last interval whose reads were forgotten
+        self.last_run, self.last_tids = None, None  # (interval, slice) and thread ids of the last run read noted
         self.cross_reads: list[tuple] = []  # (addresses, block stamp) not yet folded
         self.cross_read_count = 0  # addresses on cross_reads
         self.reader1 = self.writer1 = self.rb_block1 = self.w_block1 = None  # arrays, from the first fold or store
@@ -151,9 +152,13 @@ class _RaceTrack:
             self.reader1, self.reader2 = np.zeros(self.length, dtype=np.int64), np.zeros(self.length, dtype=np.int64)
         if self.pending_stamp == stamp:
             for addrs, tids in self.pending_reads:
+                run = isinstance(addrs, slice)
+                if run and self.last_run == (stamp, addrs) and self.last_tids is tids:
+                    continue  # the lanes of the last run noted read it again: it holds their words already
                 st = tids + shift
-                _note(self.reader1, self.reader2,
-                      *((addrs, st, _STALE) if isinstance(addrs, slice) else _distinct(addrs, st)), stamp)
+                _note(self.reader1, self.reader2, *((addrs, st, _STALE) if run else _distinct(addrs, st)), stamp)
+                if run:
+                    self.last_run, self.last_tids = (stamp, addrs), tids
         self.pending_reads.clear()
         self.pending_count = 0
 
@@ -205,7 +210,7 @@ def _note(first: np.ndarray, second: np.ndarray, addrs, rep, nxt, stamp: int, se
     if seen:
         f = first[addrs]
         fresh = f >= stamp
-        if fresh.any():
+        if np.count_nonzero(fresh):
             first[addrs] = np.where(fresh, f, rep)
             s = second[addrs]
             second[addrs] = np.where(s >= stamp, s, np.where(fresh & (f != rep), rep, nxt))

@@ -25,7 +25,7 @@ from test_race_tracker import observe, patterns, run_program
 from warpsim import DeviceMemory, LaunchConfig, MetricsReport, Recorder, SimError, Simulator
 from warpsim.core import block_batchable, engine, race
 from warpsim.core.metrics import KernelCounters
-from warpsim.kernels import matrix, reduce
+from warpsim.kernels import matrix, reduce, scan
 from warpsim.kernels.vector import vector_add_kernel
 
 
@@ -182,10 +182,12 @@ def test_an_error_in_one_block_of_a_group_names_that_block(case, kind, block, th
 
 # ----------------------------------------------------------------------
 # runs and lane selections: an instruction whose active indices are
-# lo, lo + 1, ... loads, stores and tracks races as a slice; one under a
-# partial mask gathers its lanes once per mask. Pinned, in both modes.
+# lo, lo + d, ... loads, stores and tracks races as a slice; one under a
+# partial mask gathers its lanes once per mask, as views where they are one
+# contiguous range. Pinned, in both modes.
 
 PERMUTED = [0, *range(30, 0, -1), 31]  # ends like the run 0..31, but descends in between
+STEP_2, STEP_3 = list(range(0, 32, 2)), list(range(0, 48, 3))  # 16 lanes each, inside the 48-cell shared array
 EQUAL_COUNT_BRANCHES = [
     # Then-lanes gid % 4 < 2 and else-lanes: 16 of 32 each, as are the 8 and 8 of the inner branch.
     ("if", 4, 2, [("gload", "x", SHIFT), ("if", 2, 1, [("gstore", "y", SHIFT, 1)], [("gstore", "y", SHIFT, 2)]),
@@ -229,6 +231,57 @@ RUN_CASES = {
                                                                            ("sload", ("raw", 16, [0]))]),
     "nested branches of equal lane counts": (1, 32, buffer(32), buffer(32), EQUAL_COUNT_BRANCHES),
     "nested branches of equal lane counts in a group": (2, 32, buffer(64), buffer(64), EQUAL_COUNT_BRANCHES),
+    # A unit run first: a run's memo key holds its pitch, so the runs that follow it from the same first
+    # address cost their own segments. Shared runs under a contiguous mask of lanes 0-15.
+    "step-2 runs": (1, 32, buffer(64), buffer(64), [
+        ("gload", "x", SHIFT), ("gload", "x", ("stride", 2, [0])), ("gstore", "y", ("stride", 2, [0]), 1),
+        ("if", 32, 16, [("sstore", ("table", 0, STEP_2), 2), ("sload", ("table", 0, STEP_2)),
+                        ("gstore", "y", ("table", 0, STEP_2), 3)], []),
+    ]),
+    "step-3 runs": (1, 16, buffer(48), buffer(48), [
+        ("gload", "x", SHIFT), ("gload", "x", ("stride", 3, [0])), ("gstore", "y", ("stride", 3, [0]), 1),
+        ("sstore", ("table", 0, STEP_3), 2), ("sload", ("table", 0, STEP_3)), ("gstore", "y", ("table", 0, STEP_3), 3),
+    ]),
+    # Both blocks' lanes together are the step-2 run 0..62 of x.
+    "group step-2 run": (2, 16, buffer(64), buffer(64), [("gload", "x", ("stride", 2, [0])),
+                                                         ("gstore", "y", ("stride", 2, [0]), 1)]),
+    # Each block's lanes step by 2 (by 3 under the branch); the group's do not: block 1 starts at 40 in x,
+    # at 48 in the group's shared cells. Global memory keeps one interval per group, so the group meets its
+    # own load of x[46] at the store after the barrier, and replays.
+    "blocks of runs, group not a run": (2, 16, buffer(80), buffer(80), [
+        ("gload", "x", ("table", 40, STEP_2)), ("gstore", "y", ("table", 40, STEP_2), 1),
+        ("sstore", ("table", 0, STEP_2), 2), ("sload", ("table", 0, STEP_2)), BARRIER,
+        ("if", 16, 8, [("sstore", ("table", 0, STEP_3), 3), ("gstore", "x", ("table", 40, STEP_3), 4)], []),
+    ]),
+    # The ends match the run 0, 2, 4, 6; the middle does not.
+    "near run": (2, 4, buffer(16), buffer(16), [("gload", "x", ("table", 8, [0, 2, 5, 6])),
+                                                ("gstore", "y", ("table", 8, [0, 2, 5, 6]), 1),
+                                                ("sstore", ("table", 0, [0, 2, 5, 6]), 2),
+                                                ("sload", ("table", 0, [0, 2, 5, 6])),
+                                                ("gstore", "x", SHIFT, 3)]),
+    # Lanes 0-6 step by 3 inside the array; lane 7 lands one past its end.
+    "step-3 run out of bounds at its last lane": (1, 8, buffer(21), buffer(21), [
+        ("gstore", "y", SHIFT, 1), ("gload", "x", ("raw", 0, list(range(0, 24, 3)))),
+    ]),
+    "shared step-7 run out of bounds at its last lane": (1, 8, buffer(8), buffer(8), [
+        ("sstore", LOCAL, 1), ("sload", ("raw", 0, list(range(0, 56, 7)))),
+    ]),
+    # Threads 0 and 8 store their own cells 0 and 8; then lane i stores cell 2 + 3 i, and lane 2 meets thread 8's
+    # cell: the race names cell 2 + 2 * 3 (shared: its byte offset), not lane 2's cell of a unit run.
+    "shared step-3 store race": (1, 16, buffer(16), buffer(16), [
+        ("if", 8, 1, [("sstore", LOCAL, 1)], []), ("sstore", ("table", 0, list(range(2, 50, 3))), 2),
+    ]),
+    "global step-3 store race": (1, 16, buffer(64), buffer(64), [
+        ("if", 8, 1, [("gstore", "x", SHIFT, 1)], []), ("gstore", "x", ("table", 0, list(range(2, 50, 3))), 2),
+    ]),
+    # Lanes 0-3 read cells 0-3 twice, a store between the reads, as the Blelloch down-sweep does; then lanes 4-7
+    # read the same run. Thread 0's store of cell 0 meets thread 4's read.
+    "a run read again, by its lanes and by others": (1, 8, buffer(8), buffer(8), [
+        ("if", 8, 4, [("sload", ("table", 0, [0, 1, 2, 3])), ("sstore", ("table", 0, [4, 5, 6, 7]), 1),
+                      ("sload", ("table", 0, [0, 1, 2, 3])), ("sstore", ("table", 0, [8, 9, 10, 11]), 2)],
+         [("sload", ("table", 0, [0, 1, 2, 3])), ("sstore", ("table", 0, [12, 13, 14, 15]), 3)]),
+        ("sstore", LOCAL, 4),
+    ]),
 }
 
 
@@ -241,6 +294,68 @@ def test_vector_add_stores_runs_without_sorting_addresses():
     with mock.patch.object(race, "_distinct", wraps=race._distinct) as distinct:
         assert vector_add_calls() == group_calls(64, 256)
     assert distinct.call_count == 0
+
+
+def tracked_slices(primitive):
+    """(memory instructions whose indices reach the race tracker as a slice, all of them) in a run of ``primitive``."""
+    kinds = []
+
+    def spied(check):
+        def counted(track, addrs, *args):
+            kinds.append(isinstance(addrs, slice))
+            return check(track, addrs, *args)
+        return counted
+
+    with mock.patch.object(race._RaceTrack, "check_read", spied(race._RaceTrack.check_read)), \
+            mock.patch.object(race._RaceTrack, "check_write", spied(race._RaceTrack.check_write)):
+        primitive()
+    return sum(kinds), len(kinds)
+
+
+def test_strided_tree_sweeps_track_every_memory_instruction_as_a_slice():
+    """The up- and down-sweep and the interleaved reduction step their indices evenly, often under a mask whose
+    lanes are one range: each instruction takes the slice path, with no address array to check or sort."""
+    values = list(range(2048))
+    assert tracked_slices(lambda: scan.exclusive_scan_blelloch(values)) == (97, 97)
+    assert tracked_slices(lambda: reduce.reduce_sum(values[:1024], "interleaved")) == (34, 34)
+
+
+def index_editing_kernel(ctx, x, edit):
+    """Lanes 0-3, one contiguous range, load x at 3, 1, 2, 0 and ``edit`` their index array in place; then thread 4
+    stores x[0], which thread 3 loaded in the same interval."""
+    tid = ctx.thread_idx.x
+
+    def load():
+        idx = np.array([3, 1, 2, 0, 0, 0, 0, 0], dtype=np.int64)
+        x[idx]
+        if edit:
+            idx[:] = 7
+
+    def store():
+        x[0] = 9
+
+    ctx.if_(tid < 4, load)
+    ctx.if_(tid == 4, store)
+
+
+@pytest.mark.parametrize("mode", ["strict", "permissive"])
+def test_a_kernel_that_edits_its_index_array_under_a_contiguous_mask_still_races(mode):
+    observed = []
+    for edit in (False, True):
+        mem = DeviceMemory()
+        x = mem.alloc("x", 8)
+        try:
+            Simulator().launch(index_editing_kernel, LaunchConfig(1, 8), mem, (x, edit), mode=mode)
+            observed.append((None, list(mem.race_warnings), x.tolist()))
+        except SimError as e:
+            observed.append((e.to_json(), [], x.tolist()))
+    assert observed[0] == observed[1]
+    error, warnings, _ = observed[0]
+    if mode == "strict":
+        assert error["kind"] == "DataRace" and error["message"].startswith("conflicting accesses to 'x' address 0")
+    else:
+        assert warnings == ["conflicting accesses to 'x' address 0 without an intervening barrier "
+                            "(threads 4 and 3, kernel index_editing_kernel, block 0, step 3)"]
 
 
 # ----------------------------------------------------------------------

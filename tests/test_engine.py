@@ -1098,25 +1098,6 @@ class TestCoordsAndAliases:
         with pytest.raises(ValueError, match="read-only"):
             launch_kernel(kernel, LaunchConfig(1, 8), mem, (buf,))
 
-    def test_free_function_op_forms(self):
-        from warpsim import barrier_sync, structured_if, device_launch
-
-        def kernel(ctx, data, out):
-            def body():
-                device_launch(ctx, double_kernel, 1, 5, (data, 5))
-
-            structured_if(ctx, ctx.global_id == 0, body)
-            barrier_sync(ctx)
-            out[ctx.global_id] = data[ctx.global_id % 5]
-
-        mem = DeviceMemory()
-        data = mem.alloc("data", [1, 2, 3, 4, 5])
-        out = mem.alloc("out", 8)
-        report = launch_kernel(kernel, LaunchConfig(1, 8), mem, (data, out))
-        assert data.tolist() == [2, 4, 6, 8, 10]
-        assert report.child_launches == 1
-        assert report.barriers_executed == 1
-
 
 dims = st.lists(st.integers(1, 4), min_size=1, max_size=3).map(tuple)
 
