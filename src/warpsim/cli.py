@@ -11,6 +11,7 @@ from __future__ import annotations
 import argparse
 import functools
 import json
+import math
 import sys
 from pathlib import Path
 from typing import Any, Optional, Sequence
@@ -59,10 +60,25 @@ def _load_json(path: str) -> Any:
         raise UsageError(f"{path}:{e.lineno}:{e.colno}: invalid JSON: {e.msg}") from e
 
 
+def _check_numbers(path: str, values: list, cols: int = 0) -> None:
+    """Reject a list, bool, null, string, NaN or infinity (1e400 reads as one) in ``values``.
+
+    The error names the file and the element's index, its row and column if ``cols``. All-int input takes one pass.
+    """
+    if not set(map(type, values)) <= {int}:
+        for i, v in enumerate(values):
+            if type(v) is list:
+                raise UsageError(f"{path}: expected a flat JSON array of numbers")
+            if type(v) is not int and not (type(v) is float and math.isfinite(v)):
+                at = f"[{i // cols}][{i % cols}]" if cols else f"[{i}]"
+                raise UsageError(f"{path}: element {at} must be a finite number, got {json.dumps(v)}")
+
+
 def _load_array(path: str) -> list:
     data = _load_json(path)
-    if not isinstance(data, list) or any(isinstance(v, list) for v in data):
+    if not isinstance(data, list):
         raise UsageError(f"{path}: expected a flat JSON array of numbers")
+    _check_numbers(path, data)
     return data
 
 
@@ -71,9 +87,11 @@ def _load_matrix(path: str) -> Matrix:
     if not isinstance(data, list) or not data or not all(isinstance(r, list) for r in data):
         raise UsageError(f"{path}: expected a JSON array of rows")
     try:
-        return Matrix.from_rows(data)
+        m = Matrix.from_rows(data)
     except ValueError as e:
         raise UsageError(f"{path}: {e}") from e
+    _check_numbers(path, m.data, m.cols)
+    return m
 
 
 def _inputs(arg: Optional[str], expected: int, loader) -> Optional[list]:
@@ -159,7 +177,10 @@ def _result_text(result: Any) -> str:
 
 
 def _dump(obj: Any) -> str:
-    return json.dumps(obj, sort_keys=True) + "\n"
+    try:
+        return json.dumps(obj, sort_keys=True, allow_nan=False) + "\n"
+    except ValueError as e:
+        raise UsageError("the result holds NaN or an infinity, which JSON cannot hold") from e
 
 
 def _emit(text: str, output: Optional[str]) -> None:

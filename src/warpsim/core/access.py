@@ -1,12 +1,11 @@
 """Warp memory-access analysis: coalescing and shared-memory bank conflicts.
 
 Both entry points are pure functions over one warp's simultaneous accesses;
-the tests keep them as the scalar oracles. A launch's ``_CostMemo`` runs
-the vectorized ``_warp_*`` variants over every warp of a group in one pass,
-and only for a pattern the memo has not seen before: the segment total
-is unchanged by a shift of all addresses by a multiple of ``segment_bytes``,
-and the bank-conflict cycles by a shift of a multiple of
-``bank_width_bytes``, so the memo keys patterns with the shift removed.
+the tests keep them as the scalar oracles. ``MEMO``, the process's one
+``_CostMemo``, runs the vectorized ``_warp_*`` variants over a group's warps
+in one pass, only for a pattern it has not seen: a shift of all addresses
+by a multiple of ``segment_bytes`` keeps the segment total, and one of
+``bank_width_bytes`` the bank cycles, so its keys drop that shift.
 """
 
 from __future__ import annotations
@@ -129,16 +128,16 @@ def _key_type(bound: int) -> type:
 
 
 class _CostMemo(dict):
-    """Cost by access pattern for one launch tree; why the key is exact is in README.
+    """Cost by access pattern for every launch of the process; why the key is exact is in README.
 
-    A key is the space, the block size (where a group's warps restart), on a
-    partial mask the warp ids, and the lane byte addresses less the first
-    active lane's rounded down to the space's period, as bytes of the
-    narrowest integer type that holds the buffer's byte length and the warp
-    count, which the key names. A run of ``n`` lanes on the elements ``lo,
-    lo + d, ...`` keeps only its first address's offset into the period, its
-    pitch ``d * width`` and ``n``. ``key_bytes`` counts 8 bytes per array
-    element, one for a run.
+    A key is the space, the segment and bank geometry, the warp size, the
+    block size (where a group's warps restart), on a partial mask the warp
+    ids, and the lane byte addresses less the first active lane's rounded
+    down to the space's period, as bytes of the narrowest integer type that
+    holds the buffer's byte length and the warp count, which the key names.
+    A run of ``n`` lanes on the elements ``lo, lo + d, ...`` keeps only its
+    first address's offset into the period, its pitch ``d * width`` and
+    ``n``. ``key_bytes`` counts 8 bytes per array element, one for a run.
     """
 
     key_bytes = 0
@@ -151,7 +150,7 @@ class _CostMemo(dict):
         self.key_bytes += nbytes
 
     def cost(self, sim: Any, space: str, warp_ids: np.ndarray, warp_key: bytes, byte_addrs: Optional[np.ndarray],
-             first: int, pitch: int, extent: int, warp_count: int, block_size: int) -> int:
+             first: int, pitch: int, extent: int, warp_count: int, warp_size: int, block_size: int) -> int:
         """Segments or bank cycles of an instruction; ``extent`` and ``warp_count`` bound its arrays.
 
         ``warp_key`` holds the warp ids as bytes, none on a full mask; ``byte_addrs`` None stands for a
@@ -160,11 +159,12 @@ class _CostMemo(dict):
         period = sim.segment_bytes if is_global else sim.bank_width_bytes
         dt = _key_type(max(extent, warp_count))
         base = first // period * period
+        head = (space, dt, sim.segment_bytes, sim.bank_count, sim.bank_width_bytes, warp_size, block_size, warp_key)
         if byte_addrs is None:
-            key, n = (space, dt, block_size, warp_key, first - base, pitch, warp_ids.size), 1
+            key, n = (*head, first - base, pitch, warp_ids.size), 1
         else:
             norm = (byte_addrs - base).astype(dt)
-            key, n = (space, dt, block_size, warp_key, norm.tobytes()), norm.size
+            key, n = (*head, norm.tobytes()), norm.size
         cost = self.get(key)
         if cost is None:
             if byte_addrs is None:
@@ -175,3 +175,6 @@ class _CostMemo(dict):
                 cost = _warp_bank_extra_cycles(warp_ids, byte_addrs, sim.bank_count, sim.bank_width_bytes)
             self.add(key, cost, 8 * n + len(warp_key))
         return cost
+
+
+MEMO = _CostMemo()  # the one cost memo of the process; its key holds every input of a cost

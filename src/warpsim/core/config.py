@@ -18,7 +18,7 @@ DEFAULT_MAX_THREADS_PER_BLOCK = 1024
 
 
 def _is_int(v) -> bool:
-    return isinstance(v, (int, np.integer))
+    return isinstance(v, (int, np.integer)) and not isinstance(v, bool)  # True is data, not a count
 
 
 def as_dim3(dim: DimLike, field: str) -> Dim3:

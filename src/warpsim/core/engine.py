@@ -30,7 +30,7 @@ import numpy as np
 
 from . import access
 from .access import DEFAULT_BANK_COUNT, DEFAULT_BANK_WIDTH_BYTES, DEFAULT_SEGMENT_BYTES
-from .config import DEFAULT_MAX_THREADS_PER_BLOCK, LaunchConfig, ceil_div
+from .config import DEFAULT_MAX_THREADS_PER_BLOCK, LaunchConfig, _is_int, ceil_div
 from .errors import (
     BarrierDivergence,
     DataRace,
@@ -67,14 +67,13 @@ class _LaunchState:
     """Mutable state shared by every block of one grid at one nesting depth."""
 
     def __init__(self, sim: "Simulator", mem: DeviceMemory, metrics: MetricsReport, mode: str, depth: int,
-                 recorder: Optional[Recorder] = None, cost_memo: Optional[access._CostMemo] = None):
+                 recorder: Optional[Recorder] = None):
         self.sim = sim
         self.mem = mem
         self.metrics = metrics
         self.mode = mode
         self.depth = depth
         self.recorder = recorder
-        self.cost_memo = access._CostMemo() if cost_memo is None else cost_memo  # one per launch tree
         # A word of the current interval is stamp (shared_stamp in shared memory) + a group-local
         # thread id, below it + stride; the block stamp of a block or group is grid_stamp + its
         # last block id, below every earlier grid's.
@@ -166,16 +165,13 @@ class _LaunchState:
         child completes before the parent's next step).
         """
         if self._child is None:
-            self._child = _LaunchState(
-                self.sim, self.mem, self.metrics, self.mode, self.depth + 1, self.recorder, self.cost_memo
-            )
+            self._child = _LaunchState(self.sim, self.mem, self.metrics, self.mode, self.depth + 1, self.recorder)
         return self._child
 
     def release(self) -> None:
-        """Drop the race state and cost memo of this depth and every deeper one."""
+        """Drop the race state and lane arrays of this depth and every deeper one."""
         self.tracks.clear()
         self.configs.clear()
-        self.cost_memo = None
         if self._child is not None:
             self._child.release()
             self._child = None
@@ -354,7 +350,7 @@ class KernelContext:
 
         Contents are zero at block start and never visible to other blocks.
         """
-        if not all(isinstance(v, (int, np.integer)) for v in (length, element_width)):
+        if not (_is_int(length) and _is_int(element_width)):
             raise LaunchConfigInvalid(
                 f"shared array of length={length}, element_width={element_width}: both must be integers",
                 kernel=self.kernel_name,
@@ -415,8 +411,9 @@ class KernelContext:
         pitch = run.step * width if run else width
 
         state = self._state
-        cost = state.cost_memo.cost(self._sim, view.space, m.warp_ids, m.warp_key, byte_addrs, first_byte, pitch,
-                                    length * width + view.byte_offset, self.warp_count, self._block_size)
+        cost = access.MEMO.cost(self._sim, view.space, m.warp_ids, m.warp_key, byte_addrs, first_byte, pitch,
+                                length * width + view.byte_offset, self.warp_count, self.config.warp_size,
+                                self._block_size)
         if view.space == "global":
             self._counters().global_transactions += cost
             block, stamp = self._block_stamp, state.stamp
@@ -672,7 +669,7 @@ class Simulator:
             ("max_threads_per_block", max_threads_per_block),
             ("max_nesting_depth", max_nesting_depth),
         ):
-            if not isinstance(value, (int, np.integer)):
+            if not _is_int(value):
                 raise ValueError(f"{name}={value!r} must be an integer")
             if value < 1:
                 raise ValueError(f"{name}={value} must be positive")

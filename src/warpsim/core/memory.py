@@ -7,6 +7,7 @@ from typing import Any, Iterator, Optional, Sequence, Union
 import numpy as np
 
 from .access import BYTE_EXTENT_LIMIT
+from .config import _is_int
 
 DEFAULT_ELEMENT_WIDTH = 4
 
@@ -91,11 +92,11 @@ class DeviceMemory:
     ) -> Buffer:
         if name in self.buffers:
             raise ValueError(f"buffer {name!r} already allocated")
-        if not isinstance(element_width, (int, np.integer)):
+        if not _is_int(element_width):
             raise ValueError(f"buffer {name!r}: element_width={element_width} must be an integer")
         if element_width < 1:
             raise ValueError(f"buffer {name!r}: element_width={element_width} must be positive")
-        if isinstance(size_or_data, (int, np.integer)):
+        if _is_int(size_or_data):
             if size_or_data < 0:
                 raise ValueError(f"buffer {name!r}: size_or_data={size_or_data} must not be negative")
             _check_extent(name, int(size_or_data), element_width)  # before allocating

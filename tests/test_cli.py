@@ -172,6 +172,37 @@ class TestRun:
         assert captured.out == ""
         assert captured.err == f"error: input integer {2**63} does not fit int64\n"
 
+    @pytest.mark.parametrize("kernel, text, message", [
+        ("reduce_sum", "[null, 2]", "element [0] must be a finite number, got null"),
+        ("reduce_sum", "[1, true]", "element [1] must be a finite number, got true"),
+        ("reduce_sum", "[NaN, 1]", "element [0] must be a finite number, got NaN"),
+        ("reduce_sum", "[1, -Infinity]", "element [1] must be a finite number, got -Infinity"),
+        ("reduce_sum", "[1e400, 1]", "element [0] must be a finite number, got Infinity"),
+        ("reduce_sum", '["a", 1]', 'element [0] must be a finite number, got "a"'),
+        ("matrix_add", "[[1, 2], [3, false]]", "element [1][1] must be a finite number, got false"),
+    ])
+    def test_input_element_that_is_not_a_finite_number_is_usage_error(self, tmp_path, capsys, kernel, text, message):
+        # Accepted, null and NaN summed to nan, true counted as 1 and 1e400 as inf.
+        path = tmp_path / "in.json"
+        path.write_text(text)
+        paths = ",".join([str(path)] * (2 if kernel == "matrix_add" else 1))
+        code = main(["run", "--kernel", kernel, "--input", paths])
+        captured = capsys.readouterr()
+        assert (code, captured.out, captured.err) == (2, "", f"error: {path}: {message}\n")
+
+    def test_floats_and_ints_mix_in_an_input(self, tmp_path, capsys):
+        code = main(["run", "--kernel", "reduce_sum", "--input", write_json(tmp_path, "a.json", [1, 2.5])])
+        assert (code, capsys.readouterr().out.splitlines()[0]) == (0, "3.5")
+
+    def test_non_finite_json_result_is_usage_error(self, tmp_path, capsys):
+        # 1e308 + 1e308 overflows; json.dumps used to print the non-JSON token Infinity.
+        a = write_json(tmp_path, "a.json", [1e308, 1])
+        with pytest.warns(RuntimeWarning, match="overflow"):
+            code = main(["run", "--kernel", "vector_add", "--input", f"{a},{a}", "--format", "json"])
+        captured = capsys.readouterr()
+        assert (code, captured.out) == (2, "")
+        assert captured.err == "error: the result holds NaN or an infinity, which JSON cannot hold\n"
+
     def test_bad_json_input_diagnoses_location(self, tmp_path, capsys):
         bad = tmp_path / "bad.json"
         bad.write_text("[1, 2,")

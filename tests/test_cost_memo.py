@@ -1,13 +1,16 @@
 """The engine's cost memo changes no result, counter, warning or error.
 
-A launch looks up each memory instruction's cost (coalesced segments or
-bank-conflict cycles) under a key normalized by a shift of the space's
-period. These tests run random programs with the memo on and with a memo
-that never keeps anything, and require identical memory, ``MetricsReport``
-JSON, race warnings and ``SimError`` JSON. A recount of every recorded
-instruction with the scalar oracles of ``core/access.py`` must give the
-reported totals. The patterns include partial masks, broadcasts, child grids
-of another block size and shifts that are not a multiple of the period.
+Every launch of the process looks up each memory instruction's cost
+(coalesced segments or bank-conflict cycles) in one memo, ``access.MEMO``,
+under a key normalized by a shift of the space's period. These tests run
+random programs with the shared memo, kept across examples of different
+geometry, and with a memo that never keeps anything, and require identical
+memory, ``MetricsReport`` JSON, race warnings and ``SimError`` JSON. A
+recount of every recorded instruction with the scalar oracles of
+``core/access.py`` must give the reported totals. The patterns include
+partial masks, broadcasts, child grids of another block size and shifts
+that are not a multiple of the period. Pinned cases run one pattern under
+two values of each geometry input of the key, in both orders.
 """
 
 import itertools
@@ -29,7 +32,7 @@ SHARED_LEN = 512
 class NoMemo(_CostMemo):
     """A memo that never keeps a cost: every instruction computes its own."""
 
-    adds = 0  # calls over all instances, which show that a launch built its memo from this class
+    adds = 0  # calls over all instances, which show that a launch looked its costs up in the swapped-in memo
 
     def add(self, key, cost, nbytes):
         NoMemo.adds += 1
@@ -106,7 +109,8 @@ def shared_bytes(program) -> int:
     return program["pad"] * 4 + SHARED_LEN * program["shared_width"]
 
 
-def launch(program, memo_cls):
+def launch(program, memo=None):
+    """Run ``program`` with ``memo`` in place of the process's memo, or with that memo if None."""
     sim = Simulator(**program["geometry"])
     mem = DeviceMemory()
     buf = mem.alloc("buf", GLOBAL_LEN, element_width=program["global_width"])
@@ -114,8 +118,8 @@ def launch(program, memo_cls):
     kernel = program_kernel(program)
     recorder = Recorder()
     out = {}
-    original, adds = access._CostMemo, NoMemo.adds
-    access._CostMemo = memo_cls
+    original, adds = access.MEMO, NoMemo.adds
+    access.MEMO = original if memo is None else memo
     try:
         out["metrics"] = sim.launch(
             kernel, config, mem, (buf, program["child"]), mode=program["mode"], recorder=recorder
@@ -123,9 +127,9 @@ def launch(program, memo_cls):
     except SimError as e:
         out["error"] = e.to_json()
     finally:
-        access._CostMemo = original
+        access.MEMO = original
     # Each recorded instruction had its cost computed, by a NoMemo if the swap took effect.
-    assert memo_cls is not NoMemo or NoMemo.adds > adds or not recorder.accesses
+    assert not isinstance(memo, NoMemo) or NoMemo.adds > adds or not recorder.accesses
     out["buf"] = buf.data.tolist()
     out["race_warnings"] = list(mem.race_warnings)
     return out, recorder
@@ -194,8 +198,8 @@ PROGRAMS = st.fixed_dictionaries(
 @settings(max_examples=150, deadline=None)
 @given(PROGRAMS)
 def test_memo_on_and_off_agree_and_match_the_oracles(program):
-    on, recorder = launch(program, _CostMemo)
-    off, _ = launch(program, NoMemo)
+    on, recorder = launch(program)
+    off, _ = launch(program, NoMemo())
     assert on == off
     if "metrics" in on:
         segments, bank_cycles = recount(recorder, program["geometry"])
@@ -253,15 +257,15 @@ PINNED = {
 @pytest.mark.parametrize("name", sorted(PINNED))
 def test_pinned_patterns_match_the_oracles(name):
     program = PINNED[name]
-    on, recorder = launch(program, _CostMemo)
-    assert on == launch(program, NoMemo)[0]
+    on, recorder = launch(program)
+    assert on == launch(program, NoMemo())[0]
     assert (on["metrics"]["global_transactions"], on["metrics"]["bank_conflict_extra_cycles"]) == recount(
         recorder, program["geometry"]
     )
 
 
 def gather_kernel(ctx, buf, seeds, probe):
-    """Loads of all-distinct random addresses; ``probe`` sees the memo after each."""
+    """Loads of all-distinct random addresses; ``probe`` runs after each."""
     rng = np.random.default_rng(ctx.block_linear)
     for step in range(seeds):
         idx = rng.permutation(len(buf.buffer))[: ctx.nthreads]
@@ -269,60 +273,74 @@ def gather_kernel(ctx, buf, seeds, probe):
             ctx.if_(ctx.thread_idx.x % 3 != 0, lambda idx=idx: buf[idx])
         else:
             buf[idx]
-        probe(ctx._state)
+        probe()
 
 
-def test_memo_keys_stay_under_the_cap_and_leave_with_the_launch():
-    seen = []
-
-    def probe(state):
-        seen.append((state, len(state.cost_memo), state.cost_memo.key_bytes))
-
-    mem = DeviceMemory()
-    buf = mem.alloc("buf", 1 << 16)
-    # 8 blocks x 64 instructions of 1024 lanes make about 6 MiB of keys.
-    Simulator().launch(gather_kernel, LaunchConfig(8, 1024), mem, (buf, 64, probe))
-    sizes = [b for _, _, b in seen]
-    assert max(sizes) <= _COST_MEMO_KEY_BYTES
-    assert sum(b2 < b1 for b1, b2 in zip(sizes, sizes[1:])) >= 1  # the memo started over
-    assert seen[0][0].cost_memo is None
-
-
-def test_memo_leaves_a_launch_that_raises_and_is_shared_with_children():
-    states = []
+def test_one_memo_serves_every_launch_and_stays_under_the_cap(monkeypatch):
+    memo = _CostMemo()
+    monkeypatch.setattr(access, "MEMO", memo)
 
     def child(ctx, buf):
-        states.append(ctx._state)
-        buf[ctx.thread_idx.x]
-        buf[ctx.thread_idx.x + len(buf.buffer)]  # out of bounds
-
-    def parent(ctx, buf):
-        states.append(ctx._state)
-        buf[ctx.thread_idx.x]
-        ctx.if_(ctx.thread_idx.x == 0, lambda: ctx.launch(child, 1, 8, (buf,)))
-
-    mem = DeviceMemory()
-    buf = mem.alloc("buf", 64)
-    with pytest.raises(SimError):
-        Simulator().launch(parent, LaunchConfig(1, 32), mem, (buf,))
-    root, kid = states
-    assert kid is not root and kid.depth == 1
-    assert root.cost_memo is None and kid.cost_memo is None
-
-
-def test_children_share_the_root_memo():
-    memos = []
-
-    def child(ctx, buf):
-        memos.append(ctx._state.cost_memo)
         buf[ctx.thread_idx.x]
 
     def parent(ctx, buf):
-        memos.append(ctx._state.cost_memo)
         buf[ctx.thread_idx.x]
         ctx.if_(ctx.thread_idx.x == 0, lambda: ctx.launch(child, 2, 32, (buf,)))
 
     mem = DeviceMemory()
-    Simulator().launch(parent, LaunchConfig(2, 32), mem, (mem.alloc("buf", 64),))
-    assert len(memos) == 6 and all(m is memos[0] for m in memos)
-    assert len(memos[0]) == 1  # parent and child blocks read the same pattern
+    buf = mem.alloc("buf", 64)
+    for sim in (Simulator(), Simulator()):
+        sim.launch(parent, LaunchConfig(2, 32), mem, (buf,))
+    # Parent and child blocks of both simulators read one pattern, a run whose key counts 8 bytes: one add.
+    assert (len(memo), memo.key_bytes) == (1, 8)
+    Simulator(segment_bytes=64).launch(parent, LaunchConfig(2, 32), mem, (buf,))
+    assert len(memo) == 2
+
+    sizes = []
+    big = mem.alloc("big", 1 << 16)
+    # 8 blocks x 64 instructions of 1024 lanes make about 6 MiB of keys.
+    Simulator().launch(gather_kernel, LaunchConfig(8, 1024), mem, (big, 64, lambda: sizes.append(memo.key_bytes)))
+    assert max(sizes) <= _COST_MEMO_KEY_BYTES
+    assert sum(b2 < b1 for b1, b2 in zip(sizes, sizes[1:])) >= 1  # the memo started over
+
+
+def geometry_cost(space: str, threads: int, geometry: dict, warp_size: int) -> tuple[int, int]:
+    """The reported cost of one block loading ``buf[tid]`` or ``shared[tid]`` of 4-byte words, and its oracle."""
+    sim = Simulator(**geometry)
+    mem = DeviceMemory()
+    buf = mem.alloc("buf", threads)
+
+    def kernel(ctx, buf):
+        view = buf if space == "global" else ctx.shared_array(threads)
+        view[ctx.thread_idx.x]
+
+    report = sim.launch(kernel, LaunchConfig(1, threads, 4 * threads, warp_size), mem, (buf,)).to_json()
+    warps = [range(w, min(w + warp_size, threads)) for w in range(0, threads, warp_size)]
+    if space == "global":
+        oracle = sum(coalesce_count([(4 * t, 4) for t in w], sim.segment_bytes) for w in warps)
+        return report["global_transactions"], oracle
+    oracle = sum(bank_conflict_degree([4 * t for t in w], sim.bank_count, sim.bank_width_bytes) - 1 for w in warps)
+    return report["bank_conflict_extra_cycles"], oracle
+
+
+# One pattern under two values of one geometry input of the memo key:
+# (space, threads, [(simulator geometry, warp size, cost)] * 2).
+GEOMETRY_CASES = {
+    # Two warps of 32 lanes read one segment each; four warps of 16 do.
+    "warp_size": ("global", 64, [({}, 32, 2), ({}, 16, 4)]),
+    # 32 words fill one 128-byte segment, or two of 64 bytes.
+    "segment_bytes": ("global", 32, [({"segment_bytes": 128}, 32, 1), ({"segment_bytes": 64}, 32, 2)]),
+    # 32 words over 32 banks are conflict-free; over 16 banks, two words share a bank.
+    "bank_count": ("shared", 32, [({"bank_count": 32}, 32, 0), ({"bank_count": 16}, 32, 1)]),
+    # 4-byte words in 4-byte banks are conflict-free; in 8-byte banks, two words share a bank.
+    "bank_width_bytes": ("shared", 32, [({"bank_width_bytes": 4}, 32, 0), ({"bank_width_bytes": 8}, 32, 1)]),
+}
+
+
+@pytest.mark.parametrize("order", ["forward", "reverse"])
+@pytest.mark.parametrize("name", sorted(GEOMETRY_CASES))
+def test_each_geometry_input_is_in_the_memo_key(name, order, monkeypatch):
+    monkeypatch.setattr(access, "MEMO", _CostMemo())  # one fresh memo for both launches
+    space, threads, runs = GEOMETRY_CASES[name]
+    for geometry, warp_size, cost in runs if order == "forward" else runs[::-1]:
+        assert geometry_cost(space, threads, geometry, warp_size) == (cost, cost)

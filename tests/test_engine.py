@@ -253,6 +253,9 @@ class TestLaunchBasics:
             ((2, None), "block_dim=None must be an int or a tuple of ints"),
             ((2, 32, 8.5), "shared_mem_bytes=8.5 must be an integer"),
             ((2, 32, 0, 32.0), "warp_size=32.0 must be an integer"),
+            ((True, (True, 2)), "grid_dim=True must be an int or a tuple of ints"),
+            ((2, (32, True)), "block_dim=(32, True) must be an int or a tuple of ints"),
+            ((2, 32, 0, True), "warp_size=True must be an integer"),
         ],
     )
     def test_non_integer_config_fields_rejected(self, args, message):
@@ -303,7 +306,7 @@ class TestLaunchBasics:
         with pytest.raises(LaunchConfigInvalid, match=f"^shared allocation of {2**63} bytes exceeds"):
             launch_kernel(kernel, LaunchConfig(1, 64, 64), DeviceMemory(), (np.int64(2**62),))
 
-    @pytest.mark.parametrize("length, width", [(8, 0), (8, -4), (-2, 4), (8.7, 4), (8, 2.5)])
+    @pytest.mark.parametrize("length, width", [(8, 0), (8, -4), (-2, 4), (8.7, 4), (8, 2.5), (True, 4), (8, True)])
     def test_shared_array_of_negative_length_or_width_names_the_kernel(self, length, width):
         # A zero width would give 8 distinct cells one race address and a
         # negative one negative addresses; a negative length would reach numpy.
@@ -315,7 +318,7 @@ class TestLaunchBasics:
 
         with pytest.raises(LaunchConfigInvalid) as exc:
             launch_kernel(kernel, LaunchConfig(1, 8, shared_mem_bytes=64), DeviceMemory())
-        if isinstance(length, float) or isinstance(width, float):
+        if type(length) is not int or type(width) is not int:
             rule = "both must be integers"
         else:
             rule = "the length must be >= 0 and the element width >= 1"
@@ -349,16 +352,16 @@ class TestLaunchBasics:
             mem.alloc("data", 3)
         assert mem.buffers["data"] is first and first.tolist() == [1, 2]
 
-    @pytest.mark.parametrize("width", [0, -4, 2.5])
+    @pytest.mark.parametrize("width", [0, -4, 2.5, True])
     def test_alloc_of_a_width_below_one_rejected(self, width):
         # A fractional width would be truncated to model narrower elements.
-        rule = "must be an integer" if isinstance(width, float) else "must be positive"
+        rule = "must be positive" if type(width) is int else "must be an integer"
         mem = DeviceMemory()
         with pytest.raises(ValueError, match=f"^buffer 'data': element_width={width} {rule}$"):
             mem.alloc("data", 4, element_width=width)
         assert mem.buffers == {}
 
-    @pytest.mark.parametrize("size", [8.5, 8.0, np.float64(3.0), "8", [[1, 2], [3, 4]]])
+    @pytest.mark.parametrize("size", [8.5, 8.0, np.float64(3.0), "8", True, [[1, 2], [3, 4]]])
     def test_alloc_of_a_non_integer_size_rejected(self, size):
         # A scalar would build a 0-d buffer of one element; nested data, a
         # buffer whose loads fail mid-launch on the shape of their lane values.
@@ -369,6 +372,10 @@ class TestLaunchBasics:
                 else "size_or_data of shape (2, 2) must be one-dimensional")
         assert exc.value.args == (f"buffer 'data': {rule}",)
         assert mem.buffers == {}
+
+    def test_a_sequence_of_bools_is_data(self):
+        # A bool is not a size or a width, but bools in a sequence read as 0 and 1.
+        assert DeviceMemory().alloc("flags", [True, False, True]).tolist() == [1, 0, 1]
 
     @pytest.mark.parametrize("size_or_data, width", [
         pytest.param([5, 6], 2**47, id="140737488355328"),
@@ -1032,7 +1039,7 @@ class TestMachineGeometry:
     @pytest.mark.parametrize(
         "param", ["segment_bytes", "bank_count", "bank_width_bytes", "max_threads_per_block", "max_nesting_depth"]
     )
-    @pytest.mark.parametrize("value", [2.5, 0.5, float("nan"), 64.0, "64", None])
+    @pytest.mark.parametrize("value", [2.5, 0.5, float("nan"), 64.0, "64", None, True])
     def test_non_integer_geometry_rejected(self, param, value):
         # Accepted, a fractional or nan segment size counted float transactions,
         # and a nan nesting depth never stopped nesting.

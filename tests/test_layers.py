@@ -2,7 +2,8 @@
 
 Race tracking, access analysis and recording never import the engine, and
 the engine reads no field of a race track: it hands a track addresses and
-stamps and gets conflicts back. The engine counts each event once, into a
+stamps and gets conflicts back. It names no cost memo: ``core/access.py``
+owns the process's one memo. The engine counts each event once, into a
 context's own counters, and only ``MetricsReport.add`` writes a report.
 Only the CLI reads files: the stream and memory models take parsed JSON.
 """
@@ -63,6 +64,19 @@ def test_engine_reads_no_race_track_field():
         }
     )
     assert hits == [], f"engine.py reads race-track fields {hits}"
+
+
+def test_engine_names_no_cost_memo():
+    """The memo's lifetime stays in ``core/access.py``: the engine only calls ``access.MEMO``."""
+    hits = sorted(
+        {
+            name
+            for node in ast.walk(tree("engine.py"))
+            for name in (getattr(node, "id", None), getattr(node, "attr", None), getattr(node, "arg", None))
+            if name in ("_CostMemo", "cost_memo")
+        }
+    )
+    assert hits == [], f"engine.py names {hits}"
 
 
 def augmented_attributes(module: ast.Module) -> list[ast.Attribute]:
