@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import numbers
+import operator
 from typing import Any, Iterator, Optional, Sequence, Union
 
 import numpy as np
@@ -15,24 +17,42 @@ DEFAULT_ELEMENT_WIDTH = 4
 def host_arrays(*seqs: Sequence) -> list[np.ndarray]:
     """Each sequence as an array of one dtype: int64 when every element is integral, float64 otherwise.
 
-    A sequence is converted once, and again from the sequence only when numpy
-    infers another dtype for it. All-integer input that int64 cannot hold
-    raises ``ValueError``.
+    An element is a real number, or an object whose ``__index__`` gives an integer; a bool reads as 0 or 1.
+    Anything else (``None``, a string, bytes, a nested sequence) raises ``ValueError`` naming the argument's
+    position and the element's index, and so does an all-integer argument past int64.
     """
-    arrs = [np.asarray(seq) for seq in seqs]
-    for a, seq in zip(arrs, seqs):
-        # numpy gives integers past int64 an unsigned, an object or (next to negatives) a float64
-        # array, the last holding a magnitude of at least 2**63; an int64 array is never walked.
-        if a.dtype.kind in "uO" or (a.dtype.kind == "f" and a.size and max(a.max(), -a.min()) >= 2.0**63):
-            values = np.asarray(seq, dtype=object).ravel()
-            if all(isinstance(v, (int, np.integer)) for v in values):
-                for v in values:
-                    if not -(2**63) <= v < 2**63:
-                        raise ValueError(f"input integer {v} does not fit int64")
-    dtype = np.dtype(np.int64)
-    if any(a.size and not (np.issubdtype(a.dtype, np.integer) or a.dtype == np.bool_) for a in arrs):
-        dtype = np.dtype(np.float64)
-    return [a if a.dtype == dtype else np.asarray(seq, dtype=dtype) for a, seq in zip(arrs, seqs)]
+    arrs = [_host_array(pos, seq) for pos, seq in enumerate(seqs)]
+    dtype = np.float64 if any(a.dtype.kind == "f" for a in arrs) else np.int64
+    return [a.astype(dtype, copy=False) for a in arrs]
+
+
+def _host_array(pos: int, seq: Sequence) -> np.ndarray:
+    try:
+        a = np.asarray(seq)
+    except ValueError:  # ragged nesting, named by the walk below
+        a = np.asarray(seq, dtype=object)
+    if a.ndim == 0:
+        raise ValueError(f"argument {pos} must be a sequence, got {seq!r}")
+    # numpy reads an int of uint64 next to a signed one as a float, so a float array holds a float element only
+    # if a value is fractional or an element is a float. No other mix of numbers reads as an int or float array.
+    if a.ndim == 1 and (a.dtype.kind in "bi" or a.dtype.kind == "f" and (
+            any(np.any(a[i:i + 65536] != np.trunc(a[i:i + 65536])) for i in range(0, a.size, 65536))
+            or any(isinstance(v, (float, np.floating)) for v in seq))):
+        return a
+    values = []
+    for i, v in enumerate(seq):
+        if isinstance(v, numbers.Integral) or not isinstance(v, numbers.Real):
+            try:
+                v = int(v) if isinstance(v, np.bool_) else operator.index(v)
+            except TypeError:
+                raise ValueError(f"argument {pos}: element [{i}] must be a real number, got {v!r}") from None
+        values.append(v)
+    if not all(isinstance(v, int) for v in values):
+        return np.array(values, dtype=np.float64)
+    for v in values:
+        if not -(2**63) <= v < 2**63:
+            raise ValueError(f"input integer {v} does not fit int64")
+    return np.array(values, dtype=np.int64)
 
 
 def _check_extent(name: str, size: int, element_width: int) -> None:
@@ -102,7 +122,12 @@ class DeviceMemory:
             _check_extent(name, int(size_or_data), element_width)  # before allocating
             data = np.zeros(int(size_or_data), dtype=np.int64 if dtype is None else dtype)
         elif dtype is None:
-            data = host_arrays(size_or_data)[0].copy()
+            try:
+                data = host_arrays(size_or_data)[0].copy()
+            except ValueError:  # data that is not one-dimensional is named for its shape below
+                data = np.asarray(size_or_data, dtype=object)
+                if data.ndim == 1:
+                    raise
         else:
             data = np.array(size_or_data, dtype=dtype)
         if data.ndim == 0:
