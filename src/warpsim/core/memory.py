@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import array
 import numbers
 import operator
 from typing import Any, Iterator, Optional, Sequence, Union
@@ -21,6 +22,11 @@ def host_arrays(*seqs: Sequence) -> list[np.ndarray]:
     Anything else (``None``, a string, bytes, a nested sequence) raises ``ValueError`` naming the argument's
     position and the element's index, and so does an all-integer argument past int64.
     """
+    if all(type(seq) is list for seq in seqs):
+        try:  # exact, unlike np.fromiter or np.array(seq, dtype=np.int64), which read 1.5 as 1 and '3' as 3
+            return [np.frombuffer(array.array("q", seq), np.int64) for seq in seqs]
+        except (TypeError, OverflowError):  # an element without __index__, or an integer past int64
+            pass
     arrs = [_host_array(pos, seq) for pos, seq in enumerate(seqs)]
     dtype = np.float64 if any(a.dtype.kind == "f" for a in arrs) else np.int64
     return [a.astype(dtype, copy=False) for a in arrs]
@@ -123,11 +129,13 @@ class DeviceMemory:
             data = np.zeros(int(size_or_data), dtype=np.int64 if dtype is None else dtype)
         elif dtype is None:
             try:
-                data = host_arrays(size_or_data)[0].copy()
+                data = host_arrays(size_or_data)[0]
             except ValueError:  # data that is not one-dimensional is named for its shape below
                 data = np.asarray(size_or_data, dtype=object)
                 if data.ndim == 1:
                     raise
+            if type(size_or_data) is not list:  # an array converted from a list aliases nothing
+                data = data.copy()
         else:
             data = np.array(size_or_data, dtype=dtype)
         if data.ndim == 0:

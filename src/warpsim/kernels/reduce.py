@@ -69,7 +69,7 @@ def reduce_sum(
     """
     if variant not in VARIANTS:
         raise ValueError(f"unknown variant {variant!r}, expected one of {VARIANTS}")
-    values = list(values)
+    values = values if type(values) is list else list(values)
     n = len(values)
     if not is_pow2(n):
         raise NotPowerOfTwo(f"reduction trace needs a power-of-two length, got {n}")

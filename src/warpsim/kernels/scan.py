@@ -12,10 +12,7 @@ from __future__ import annotations
 
 from typing import Optional, Sequence
 
-import numpy as np
-
 from ..core import DeviceMemory, LaunchConfig, MetricsReport, Recorder, Simulator, block_batchable, ceil_div
-from ..core.memory import host_arrays
 from ._common import (
     MAX_BLOCK_THREADS,
     THREADS_PER_BLOCK,
@@ -74,20 +71,19 @@ def inclusive_scan_hillis_steele(
     input's step rows come from a ``Recorder`` on its launch; wider inputs run
     one launch per step and the host reads each step's row from its output.
     """
-    values = list(values)
+    values = values if type(values) is list else list(values)
     n0 = len(values)
     if n0 == 0:
         return [], StepTrace([[]])
     sim = simulator or Simulator()
     n = next_pow2(n0)
-    padded = np.pad(host_arrays(values)[0], (0, n - n0))
-    dtype = padded.dtype
+    padded = values + [0] * (n - n0)  # a list, which alloc converts without a further copy
     rows = [list(values)]
 
     mem = DeviceMemory()
     if n <= MAX_BLOCK_THREADS:
-        inp = mem.alloc("input", padded, dtype=dtype)
-        out = mem.alloc("output", n, dtype=dtype)
+        inp = mem.alloc("input", padded)
+        out = mem.alloc("output", n, dtype=inp.dtype)
         recorder = Recorder()
         config = LaunchConfig(1, n, shared_mem_bytes=2 * n * 4)
         sim.launch(
@@ -103,8 +99,8 @@ def inclusive_scan_hillis_steele(
         return out.tolist()[:n0], StepTrace(rows)
 
     # Wide inputs: one launch per distance, grid-wide sync between passes.
-    src = mem.alloc("ping", padded, dtype=dtype)
-    dst = mem.alloc("pong", n, dtype=dtype)
+    src = mem.alloc("ping", padded)
+    dst = mem.alloc("pong", n, dtype=src.dtype)
     config = LaunchConfig(ceil_div(n, THREADS_PER_BLOCK), THREADS_PER_BLOCK)
     distance = 1
     while distance < n:
@@ -164,7 +160,7 @@ def exclusive_scan_blelloch(
     metrics: Optional[MetricsReport] = None,
 ) -> list:
     """Running sum excluding each position: output[0] = 0, output[i] = sum(x[:i])."""
-    values = list(values)
+    values = values if type(values) is list else list(values)
     n = len(values)
     if n == 0:
         return []
