@@ -63,15 +63,21 @@ def _load_json(path: str) -> Any:
 def _check_numbers(path: str, values: list, cols: int = 0) -> None:
     """Reject a list, bool, null, string, NaN or infinity (1e400 reads as one) in ``values``.
 
-    The error names the file and the element's index, its row and column if ``cols``. All-int input takes one pass.
+    All-int input must fit int64. The error names the file and the element's index, its row and column if
+    ``cols``. All-int input in range takes three passes, none of them in Python.
     """
+    def at(i: int) -> str:
+        return f"[{i // cols}][{i % cols}]" if cols else f"[{i}]"
+
     if not set(map(type, values)) <= {int}:
         for i, v in enumerate(values):
             if type(v) is list:
                 raise UsageError(f"{path}: expected a flat JSON array of numbers")
             if type(v) is not int and not (type(v) is float and math.isfinite(v)):
-                at = f"[{i // cols}][{i % cols}]" if cols else f"[{i}]"
-                raise UsageError(f"{path}: element {at} must be a finite number, got {json.dumps(v)}")
+                raise UsageError(f"{path}: element {at(i)} must be a finite number, got {json.dumps(v)}")
+    elif values and not -(2**63) <= min(values) <= max(values) < 2**63:
+        i = next(i for i, v in enumerate(values) if not -(2**63) <= v < 2**63)
+        raise UsageError(f"{path}: element {at(i)} does not fit int64, got {values[i]}")
 
 
 def _load_array(path: str) -> list:
@@ -311,7 +317,8 @@ _parser = functools.cache(build_parser)
 def main(argv: Optional[Sequence[str]] = None) -> int:
     args = _parser().parse_args(argv)
     try:
-        return args.func(args)
+        with np.errstate(over="ignore", invalid="ignore"):  # a non-finite result is reported as one error line
+            return args.func(args)
     except (UsageError, ValueError, OSError) as e:
         print(f"error: {e}", file=sys.stderr)
         return USAGE_EXIT

@@ -21,9 +21,13 @@ def host_arrays(*seqs: Sequence) -> list[np.ndarray]:
     An element is a real number, or an object whose ``__index__`` gives an integer; a bool reads as 0 or 1.
     Anything else (``None``, a string, bytes, a nested sequence) raises ``ValueError`` naming the argument's
     position and the element's index, and so does an all-integer argument past int64.
+
+    Lists of integers take one exact pass each through ``array.array``, which refuses the rest; ``np.fromiter``
+    and ``np.array(seq, dtype=np.int64)`` would read 1.5 as 1 and '3' as 3. An array made from a list aliases
+    nothing, so ``DeviceMemory.alloc`` keeps it; an ndarray argument may come back as itself.
     """
     if all(type(seq) is list for seq in seqs):
-        try:  # exact, unlike np.fromiter or np.array(seq, dtype=np.int64), which read 1.5 as 1 and '3' as 3
+        try:
             return [np.frombuffer(array.array("q", seq), np.int64) for seq in seqs]
         except (TypeError, OverflowError):  # an element without __index__, or an integer past int64
             pass

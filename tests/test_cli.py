@@ -7,6 +7,7 @@ import os
 import random
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import pytest
@@ -170,7 +171,25 @@ class TestRun:
         captured = capsys.readouterr()
         assert code == 2
         assert captured.out == ""
-        assert captured.err == f"error: input integer {2**63} does not fit int64\n"
+        assert captured.err == f"error: {a}: element [0] does not fit int64, got {2**63}\n"
+
+    @pytest.mark.parametrize("kernel, text, message", [
+        ("reduce_sum", f"[1, {-(2**63) - 1}]", f"element [1] does not fit int64, got {-(2**63) - 1}"),
+        ("matrix_add", f"[[1, 2], [3, {2**64}]]", f"element [1][1] does not fit int64, got {2**64}"),
+    ])
+    def test_input_integer_past_int64_names_its_element(self, tmp_path, capsys, kernel, text, message):
+        path = tmp_path / "in.json"
+        path.write_text(text)
+        paths = ",".join([str(path)] * (2 if kernel == "matrix_add" else 1))
+        code = main(["run", "--kernel", kernel, "--input", paths])
+        captured = capsys.readouterr()
+        assert (code, captured.out, captured.err) == (2, "", f"error: {path}: {message}\n")
+
+    def test_int64_extremes_in_an_input_are_accepted(self, tmp_path, capsys):
+        a = write_json(tmp_path, "a.json", [2**63 - 1, -(2**63)])
+        b = write_json(tmp_path, "b.json", [0, 0])
+        code = main(["run", "--kernel", "vector_add", "--input", f"{a},{b}", "--format", "json"])
+        assert (code, json.loads(capsys.readouterr().out)["result"]) == (0, [2**63 - 1, -(2**63)])
 
     @pytest.mark.parametrize("kernel, text, message", [
         ("reduce_sum", "[null, 2]", "element [0] must be a finite number, got null"),
@@ -197,11 +216,21 @@ class TestRun:
     def test_non_finite_json_result_is_usage_error(self, tmp_path, capsys):
         # 1e308 + 1e308 overflows; json.dumps used to print the non-JSON token Infinity.
         a = write_json(tmp_path, "a.json", [1e308, 1])
-        with pytest.warns(RuntimeWarning, match="overflow"):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # numpy's overflow warning would reach stderr ahead of the error line
             code = main(["run", "--kernel", "vector_add", "--input", f"{a},{a}", "--format", "json"])
         captured = capsys.readouterr()
         assert (code, captured.out) == (2, "")
         assert captured.err == "error: the result holds NaN or an infinity, which JSON cannot hold\n"
+
+    def test_overflowing_result_writes_one_stderr_line(self, tmp_path):
+        # A child process, so that nothing between numpy and stderr filters its warnings.
+        a = write_json(tmp_path, "a.json", [1e308, 1])
+        env = {**os.environ, "PYTHONPATH": str(Path(warpsim.__file__).resolve().parents[1])}
+        argv = ["run", "--kernel", "vector_add", "--input", f"{a},{a}", "--format", "json"]
+        child = subprocess.run([sys.executable, "-m", "warpsim", *argv], capture_output=True, text=True, env=env)
+        assert (child.returncode, child.stdout) == (2, "")
+        assert child.stderr == "error: the result holds NaN or an infinity, which JSON cannot hold\n"
 
     def test_bad_json_input_diagnoses_location(self, tmp_path, capsys):
         bad = tmp_path / "bad.json"

@@ -1,9 +1,11 @@
-"""The host boundary's input contract, held to a reference written here.
+"""The host boundary: its input contract, held to a reference written here, and its copy rule.
 
 ``host_arrays`` turns the primitives' input sequences into arrays of one
 dtype. The reference below states the contract element by element in plain
 Python: the property test requires the same dtype and bytes, or the same
-exception type and message, for every drawn input.
+exception type and message, for every drawn input. ``DeviceMemory.alloc``
+keeps an array it converted from a list and copies any array the caller
+could still hold.
 """
 
 import numpy as np
@@ -11,7 +13,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from warpsim import DeviceMemory, LaunchConfig, Simulator
 from warpsim.core.memory import host_arrays
+from warpsim.kernels import Matrix, matrix_add, vector_add
 
 
 class Index:
@@ -124,3 +128,48 @@ def test_bools_and_index_objects_read_as_integers():
     assert a.dtype == np.int64 and a.tolist() == [1, 0, -3, 5, -1]
     a, b = host_arrays([Index(2), True], [0.5])
     assert a.dtype == b.dtype == np.float64 and a.tolist() == [2.0, 1.0]
+
+
+def double_in_place(ctx, buf):
+    buf[ctx.global_id] = ctx.add(buf[ctx.global_id], buf[ctx.global_id])
+
+
+def run_double(mem, buf):
+    Simulator().launch(double_in_place, LaunchConfig(1, len(buf)), mem, (buf,))
+
+
+def test_alloc_of_a_list_keeps_no_tie_to_the_list_or_its_source():
+    source = np.arange(8)
+    values = source.tolist()
+    mem = DeviceMemory()
+    buf = mem.alloc("x", values)
+    run_double(mem, buf)
+    assert buf.tolist() == [2 * v for v in range(8)]
+    assert values == list(range(8)) and source.tolist() == values
+    assert not np.shares_memory(buf.data, source)
+
+
+@pytest.mark.parametrize("make", [
+    lambda: np.arange(8),
+    lambda: np.arange(16)[::2],  # a view
+    lambda: np.arange(8, dtype=np.int32),  # widened to int64 by the conversion, then still copied
+    lambda: np.linspace(0.5, 4.0, 8),
+])
+def test_alloc_of_an_array_copies_it(make):
+    caller = make()
+    before = caller.copy()
+    mem = DeviceMemory()
+    buf = mem.alloc("x", caller)
+    assert not np.shares_memory(buf.data, caller)
+    run_double(mem, buf)
+    assert np.array_equal(caller, before) and np.array_equal(buf.data, 2 * before)
+
+
+@pytest.mark.parametrize("dtype", [np.int64, np.float64])
+def test_primitives_leave_numpy_inputs_unchanged(dtype):
+    a, b = np.arange(300, dtype=dtype), np.arange(300, 0, -1).astype(dtype)
+    a0, b0 = a.copy(), b.copy()
+    assert vector_add(a, b) == (a0 + b0).tolist()
+    m = Matrix(10, 30, a)
+    assert matrix_add(m, Matrix(10, 30, b)).data == (a0 + b0).tolist()
+    assert np.array_equal(a, a0) and np.array_equal(b, b0)
