@@ -21,14 +21,15 @@ def host_arrays(*seqs: Sequence) -> list[np.ndarray]:
     An element is a real number, or an object whose ``__index__`` gives an integer; a bool reads as 0 or 1.
     Anything else (``None``, a string, bytes, a nested sequence) raises ``ValueError`` naming the argument's
     position and the element's index, and so does an all-integer argument past int64.
-
-    Lists of integers take one exact pass each through ``array.array``, which refuses the rest; ``np.fromiter``
-    and ``np.array(seq, dtype=np.int64)`` would read 1.5 as 1 and '3' as 3. An array made from a list aliases
-    nothing, so ``DeviceMemory.alloc`` keeps it; an ndarray argument may come back as itself.
+    Lists of ints take one exact pass each through ``array.array`` (``np.fromiter`` would read 1.5 as 1, '3' as 3).
+    An array made from a list aliases nothing, so ``DeviceMemory.alloc`` keeps it; an ndarray may come back as is.
     """
     if all(type(seq) is list for seq in seqs):
+        bufs = [array.array("q") for _ in seqs]
         try:
-            return [np.frombuffer(array.array("q", seq), np.int64) for seq in seqs]
+            for buf, seq in zip(bufs, seqs):
+                buf.fromlist(seq)  # array.array("q", seq)'s conversion, without its generic item protocol
+            return [np.frombuffer(buf, np.int64) for buf in bufs]
         except (TypeError, OverflowError):  # an element without __index__, or an integer past int64
             pass
     arrs = [_host_array(pos, seq) for pos, seq in enumerate(seqs)]
@@ -43,8 +44,8 @@ def _host_array(pos: int, seq: Sequence) -> np.ndarray:
         a = np.asarray(seq, dtype=object)
     if a.ndim == 0:
         raise ValueError(f"argument {pos} must be a sequence, got {seq!r}")
-    # numpy reads an int of uint64 next to a signed one as a float, so a float array holds a float element only
-    # if a value is fractional or an element is a float. No other mix of numbers reads as an int or float array.
+    # numpy reads integers as a float array only for a uint64 next to a signed int, so a float array holds a float
+    # only if a value is fractional (checked in chunks: no input-sized temporary) or an element is a float.
     if a.ndim == 1 and (a.dtype.kind in "bi" or a.dtype.kind == "f" and (
             any(np.any(a[i:i + 65536] != np.trunc(a[i:i + 65536])) for i in range(0, a.size, 65536))
             or any(isinstance(v, (float, np.floating)) for v in seq))):
