@@ -134,7 +134,7 @@ class _CostMemo(dict):
     block size (where a group's warps restart), on a partial mask the warp
     ids, and the lane byte addresses less the first active lane's rounded
     down to the space's period, as bytes of the narrowest integer type that
-    holds the buffer's byte length and the warp count, which the key names.
+    holds the buffer's byte length, which the key names.
     A run of ``n`` lanes on the elements ``lo, lo + d, ...`` keeps only its
     first address's offset into the period, its pitch ``d * width`` and
     ``n``. ``key_bytes`` counts 8 bytes per array element, one for a run.
@@ -150,14 +150,14 @@ class _CostMemo(dict):
         self.key_bytes += nbytes
 
     def cost(self, sim: Any, space: str, warp_ids: np.ndarray, warp_key: bytes, byte_addrs: Optional[np.ndarray],
-             first: int, pitch: int, extent: int, warp_count: int, warp_size: int, block_size: int) -> int:
-        """Segments or bank cycles of an instruction; ``extent`` and ``warp_count`` bound its arrays.
+             first: int, pitch: int, extent: int, warp_size: int, block_size: int) -> int:
+        """Segments or bank cycles of an instruction; ``extent`` bounds its byte addresses.
 
         ``warp_key`` holds the warp ids as bytes, none on a full mask; ``byte_addrs`` None stands for a
         run of ``warp_ids.size`` lanes ``pitch`` bytes apart from byte ``first``."""
         is_global = space == "global"
         period = sim.segment_bytes if is_global else sim.bank_width_bytes
-        dt = _key_type(max(extent, warp_count))
+        dt = _key_type(extent)
         base = first // period * period
         head = (space, dt, sim.segment_bytes, sim.bank_count, sim.bank_width_bytes, warp_size, block_size, warp_key)
         if byte_addrs is None:

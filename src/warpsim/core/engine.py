@@ -412,8 +412,7 @@ class KernelContext:
 
         state = self._state
         cost = access.MEMO.cost(self._sim, view.space, m.warp_ids, m.warp_key, byte_addrs, first_byte, pitch,
-                                length * width + view.byte_offset, self.warp_count, self.config.warp_size,
-                                self._block_size)
+                                length * width + view.byte_offset, self.config.warp_size, self._block_size)
         if view.space == "global":
             self._counters().global_transactions += cost
             block, stamp = self._block_stamp, state.stamp

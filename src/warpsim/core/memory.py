@@ -15,54 +15,49 @@ from .config import _is_int
 DEFAULT_ELEMENT_WIDTH = 4
 
 
-def host_arrays(*seqs: Sequence) -> list[np.ndarray]:
-    """Each sequence as an array of one dtype: int64 when every element is integral, float64 otherwise.
+def _host_array(name: str, seq: Sequence) -> np.ndarray:
+    """``seq`` as a one-dimensional array of its own: int64 when every element is integral, float64 otherwise.
 
     An element is a real number, or an object whose ``__index__`` gives an integer; a bool reads as 0 or 1.
-    Anything else (``None``, a string, bytes, a nested sequence) raises ``ValueError`` naming the argument's
-    position and the element's index, and so does an all-integer argument past int64.
-    Lists of ints take one exact pass each through ``array.array`` (``np.fromiter`` would read 1.5 as 1, '3' as 3).
-    An array made from a list aliases nothing, so ``DeviceMemory.alloc`` keeps it; an ndarray may come back as is.
+    Anything else (``None``, a string, bytes, a nested sequence) raises ``ValueError`` naming the buffer and the
+    element's index, and so do an all-integer sequence past int64 and data that is not one-dimensional.
+    A list of ints takes one exact pass through ``array.array`` (``np.fromiter`` would read 1.5 as 1, '3' as 3).
+    An array made from a list aliases nothing; an array made from anything else is copied once.
     """
-    if all(type(seq) is list for seq in seqs):
-        bufs = [array.array("q") for _ in seqs]
+    if type(seq) is list:
+        buf = array.array("q")
         try:
-            for buf, seq in zip(bufs, seqs):
-                buf.fromlist(seq)  # array.array("q", seq)'s conversion, without its generic item protocol
-            return [np.frombuffer(buf, np.int64) for buf in bufs]
+            buf.fromlist(seq)  # array.array("q", seq)'s conversion, without its generic item protocol
+            return np.frombuffer(buf, np.int64)
         except (TypeError, OverflowError):  # an element without __index__, or an integer past int64
             pass
-    arrs = [_host_array(pos, seq) for pos, seq in enumerate(seqs)]
-    dtype = np.float64 if any(a.dtype.kind == "f" for a in arrs) else np.int64
-    return [a.astype(dtype, copy=False) for a in arrs]
-
-
-def _host_array(pos: int, seq: Sequence) -> np.ndarray:
     try:
         a = np.asarray(seq)
     except ValueError:  # ragged nesting, named by the walk below
         a = np.asarray(seq, dtype=object)
     if a.ndim == 0:
-        raise ValueError(f"argument {pos} must be a sequence, got {seq!r}")
+        raise ValueError(f"buffer {name!r}: size_or_data={seq} must be an integer size or a sequence")
+    if a.ndim > 1:
+        raise ValueError(f"buffer {name!r}: size_or_data of shape {a.shape} must be one-dimensional")
     # numpy reads integers as a float array only for a uint64 next to a signed int, so a float array holds a float
     # only if a value is fractional (checked in chunks: no input-sized temporary) or an element is a float.
-    if a.ndim == 1 and (a.dtype.kind in "bi" or a.dtype.kind == "f" and (
+    if a.dtype.kind in "bi" or a.dtype.kind == "f" and (
             any(np.any(a[i:i + 65536] != np.trunc(a[i:i + 65536])) for i in range(0, a.size, 65536))
-            or any(isinstance(v, (float, np.floating)) for v in seq))):
-        return a
+            or any(isinstance(v, (float, np.floating)) for v in seq)):
+        return a.astype(np.float64 if a.dtype.kind == "f" else np.int64, copy=type(seq) is not list)
     values = []
     for i, v in enumerate(seq):
         if isinstance(v, numbers.Integral) or not isinstance(v, numbers.Real):
             try:
                 v = int(v) if isinstance(v, np.bool_) else operator.index(v)
             except TypeError:
-                raise ValueError(f"argument {pos}: element [{i}] must be a real number, got {v!r}") from None
+                raise ValueError(f"buffer {name!r}: element [{i}] must be a real number, got {v!r}") from None
         values.append(v)
     if not all(isinstance(v, int) for v in values):
         return np.array(values, dtype=np.float64)
     for v in values:
         if not -(2**63) <= v < 2**63:
-            raise ValueError(f"input integer {v} does not fit int64")
+            raise ValueError(f"buffer {name!r}: input integer {v} does not fit int64")
     return np.array(values, dtype=np.int64)
 
 
@@ -121,6 +116,7 @@ class DeviceMemory:
         dtype: Optional[Any] = None,
         element_width: int = DEFAULT_ELEMENT_WIDTH,
     ) -> Buffer:
+        """A buffer of ``size_or_data`` zeros of ``dtype`` (int64 by default), or of a sequence's elements."""
         if name in self.buffers:
             raise ValueError(f"buffer {name!r} already allocated")
         if not _is_int(element_width):
@@ -132,21 +128,10 @@ class DeviceMemory:
                 raise ValueError(f"buffer {name!r}: size_or_data={size_or_data} must not be negative")
             _check_extent(name, int(size_or_data), element_width)  # before allocating
             data = np.zeros(int(size_or_data), dtype=np.int64 if dtype is None else dtype)
-        elif dtype is None:
-            try:
-                data = host_arrays(size_or_data)[0]
-            except ValueError:  # data that is not one-dimensional is named for its shape below
-                data = np.asarray(size_or_data, dtype=object)
-                if data.ndim == 1:
-                    raise
-            if type(size_or_data) is not list:  # an array converted from a list aliases nothing
-                data = data.copy()
+        elif dtype is not None:
+            raise ValueError(f"buffer {name!r}: dtype goes with an integer size, not with data")
         else:
-            data = np.array(size_or_data, dtype=dtype)
-        if data.ndim == 0:
-            raise ValueError(f"buffer {name!r}: size_or_data={size_or_data} must be an integer size or a sequence")
-        if data.ndim > 1:
-            raise ValueError(f"buffer {name!r}: size_or_data of shape {data.shape} must be one-dimensional")
+            data = _host_array(name, size_or_data)
         _check_extent(name, data.size, element_width)
         buf = Buffer(name, data, int(element_width))
         self.buffers[name] = buf

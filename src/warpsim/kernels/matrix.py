@@ -14,7 +14,6 @@ from typing import Optional, Sequence
 import numpy as np
 
 from ..core import DeviceMemory, LaunchConfig, MetricsReport, Simulator, block_batchable, ceil_div
-from ..core.memory import host_arrays
 from ._common import ShapeMismatch
 
 TILE = 16
@@ -88,8 +87,8 @@ def matrix_add(
     sim = simulator or Simulator()
     rows, cols = a.shape
     mem = DeviceMemory()
-    buf_a, buf_b = (mem.alloc(name, arr) for name, arr in zip(("a", "b"), host_arrays(a.data, b.data)))
-    buf_c = mem.alloc("c", rows * cols, dtype=buf_a.dtype)
+    buf_a, buf_b = mem.alloc("a", a.data), mem.alloc("b", b.data)
+    buf_c = mem.alloc("c", rows * cols, dtype=np.result_type(buf_a.dtype, buf_b.dtype))
     config = LaunchConfig(
         grid_dim=(ceil_div(rows, TILE), ceil_div(cols, TILE)),
         block_dim=(TILE, TILE),
@@ -169,8 +168,8 @@ def matmul(
     sim = simulator or Simulator()
     m, n, p = a.rows, a.cols, b.cols
     mem = DeviceMemory()
-    buf_a, buf_b = (mem.alloc(name, arr) for name, arr in zip(("a", "b"), host_arrays(a.data, b.data)))
-    buf_c = mem.alloc("c", m * p, dtype=buf_a.dtype)
+    buf_a, buf_b = mem.alloc("a", a.data), mem.alloc("b", b.data)
+    buf_c = mem.alloc("c", m * p, dtype=np.result_type(buf_a.dtype, buf_b.dtype))
     config = LaunchConfig(
         grid_dim=(ceil_div(m, TILE), ceil_div(p, TILE)),
         block_dim=(TILE, TILE),

@@ -73,22 +73,20 @@ def reduce_sum(
     n = len(values)
     if not is_pow2(n):
         raise NotPowerOfTwo(f"reduction trace needs a power-of-two length, got {n}")
+    mem = DeviceMemory()
+    inp = mem.alloc("input", values)
     if n == 1:
-        return values[0], StepTrace([list(values)])
+        return inp.tolist()[0], StepTrace([list(values)])
 
     sim = simulator or Simulator()
     block = min(n, MAX_BLOCK_THREADS)
     blocks = n // block
-
-    mem = DeviceMemory()
-    inp = mem.alloc("input", values)
     partials = mem.alloc("partials", blocks, dtype=inp.dtype)
     recorder = Recorder() if blocks == 1 else None
     kernel = reduce_interleaved_kernel if variant == "interleaved" else reduce_sequential_kernel
     config = LaunchConfig(blocks, block, shared_mem_bytes=block * 4)
     sim.launch(kernel, config, mem, (inp, partials), name=f"reduce_{variant}", metrics=metrics, recorder=recorder)
 
-    parts = partials.tolist()
-    total = sum(parts[1:], start=parts[0])
+    total = partials.data.cumsum()[-1].item()  # left to right in the device's dtype, as a block adds
     rows = [list(values)] + (barrier_rows(recorder, n) if recorder is not None else [])
     return total, StepTrace(rows)

@@ -166,13 +166,13 @@ def exclusive_scan_blelloch(
         return []
     if not is_pow2(n):
         raise NotPowerOfTwo(f"work-efficient scan needs a power-of-two length, got {n}")
-    if n == 1:
-        return [0]
     if n > BLELLOCH_MAX:
         raise ValueError(f"single-block scan capacity is {BLELLOCH_MAX} elements, got {n}")
-    sim = simulator or Simulator()
     mem = DeviceMemory()
     inp = mem.alloc("input", values)
+    if n == 1:
+        return [0]
+    sim = simulator or Simulator()
     out = mem.alloc("output", n, dtype=inp.dtype)
     config = LaunchConfig(1, n // 2, shared_mem_bytes=n * 4)
     sim.launch(

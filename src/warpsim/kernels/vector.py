@@ -4,8 +4,9 @@ from __future__ import annotations
 
 from typing import Optional, Sequence
 
+import numpy as np
+
 from ..core import DeviceMemory, LaunchConfig, MetricsReport, Simulator, block_batchable, ceil_div
-from ..core.memory import host_arrays
 from ._common import THREADS_PER_BLOCK, LengthMismatch
 
 
@@ -38,8 +39,8 @@ def vector_add(
         return []
     sim = simulator or Simulator()
     mem = DeviceMemory()
-    buf_a, buf_b = (mem.alloc(name, arr) for name, arr in zip(("a", "b"), host_arrays(a, b)))
-    buf_c = mem.alloc("c", n, dtype=buf_a.dtype)
+    buf_a, buf_b = mem.alloc("a", a), mem.alloc("b", b)
+    buf_c = mem.alloc("c", n, dtype=np.result_type(buf_a.dtype, buf_b.dtype))
     config = LaunchConfig(grid_dim=ceil_div(n, threads_per_block), block_dim=threads_per_block)
     sim.launch(vector_add_kernel, config, mem, (buf_a, buf_b, buf_c, n), metrics=metrics)
     return buf_c.tolist()

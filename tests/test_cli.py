@@ -191,6 +191,13 @@ class TestRun:
         code = main(["run", "--kernel", "vector_add", "--input", f"{a},{b}", "--format", "json"])
         assert (code, json.loads(capsys.readouterr().out)["result"]) == (0, [2**63 - 1, -(2**63)])
 
+    def test_int64_sums_wrap_as_on_a_device(self, tmp_path, capsys):
+        a = write_json(tmp_path, "a.json", [2**63 - 1, -(2**63)])
+        b = write_json(tmp_path, "b.json", [1, -1])
+        code = main(["run", "--kernel", "vector_add", "--input", f"{a},{b}", "--format", "json"])
+        captured = capsys.readouterr()
+        assert (code, json.loads(captured.out)["result"], captured.err) == (0, [-(2**63), 2**63 - 1], "")
+
     @pytest.mark.parametrize("kernel, text, message", [
         ("reduce_sum", "[null, 2]", "element [0] must be a finite number, got null"),
         ("reduce_sum", "[1, true]", "element [1] must be a finite number, got true"),

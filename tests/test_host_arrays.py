@@ -1,11 +1,12 @@
 """The host boundary: its input contract, held to a reference written here, and its copy rule.
 
-``host_arrays`` turns the primitives' input sequences into arrays of one
-dtype. The reference below states the contract element by element in plain
-Python: the property test requires the same dtype and bytes, or the same
-exception type and message, for every drawn input. ``DeviceMemory.alloc``
-keeps an array it converted from a list and copies any array the caller
-could still hold.
+``DeviceMemory.alloc`` is the one door from host data to a device buffer:
+it turns one sequence into an array of one dtype. The reference below
+states the contract element by element in plain Python: the property test
+requires the same dtype and bytes, or the same exception type and message,
+for every drawn sequence. ``alloc`` keeps an array it converted from a list
+and copies any array the caller could still hold. The primitives type each
+output by ``np.result_type`` of their inputs.
 """
 
 import numpy as np
@@ -14,8 +15,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from warpsim import DeviceMemory, LaunchConfig, Simulator
-from warpsim.core.memory import host_arrays
-from warpsim.kernels import Matrix, matrix_add, vector_add
+from warpsim.kernels import Matrix, exclusive_scan_blelloch, matmul, matrix_add, reduce_sum, vector_add
 
 
 class Index:
@@ -31,32 +31,35 @@ class Index:
         return f"Index({self.value})"
 
 
-def reference(*seqs):
-    rows = []
-    for pos, seq in enumerate(seqs):
-        row = []
-        for i, v in enumerate(seq):
-            if isinstance(v, (bool, np.bool_, int, np.integer)):
-                row.append(int(v))
-            elif isinstance(v, (float, np.floating)):
-                row.append(float(v))
-            elif isinstance(v, Index):
-                row.append(v.value)
-            else:
-                raise ValueError(f"argument {pos}: element [{i}] must be a real number, got {v!r}")
-        if all(type(v) is int for v in row):
-            for v in row:
-                if not -(2**63) <= v < 2**63:
-                    raise ValueError(f"input integer {v} does not fit int64")
-        rows.append(row)
-    if any(type(v) is float for row in rows for v in row):
-        return [np.array([float(v) for v in row], dtype=np.float64) for row in rows]
-    return [np.array(row, dtype=np.int64) for row in rows]
+def reference(name, seq):
+    if seq and all(type(v) is list for v in seq) and len({len(v) for v in seq}) == 1:  # numpy sees a matrix
+        raise ValueError(f"buffer {name!r}: size_or_data of shape {(len(seq), len(seq[0]))} must be one-dimensional")
+    row = []
+    for i, v in enumerate(seq):
+        if isinstance(v, (bool, np.bool_, int, np.integer)):
+            row.append(int(v))
+        elif isinstance(v, (float, np.floating)):
+            row.append(float(v))
+        elif isinstance(v, Index):
+            row.append(v.value)
+        else:
+            raise ValueError(f"buffer {name!r}: element [{i}] must be a real number, got {v!r}")
+    if any(type(v) is float for v in row):
+        return np.array([float(v) for v in row], dtype=np.float64)
+    for v in row:
+        if not -(2**63) <= v < 2**63:
+            raise ValueError(f"buffer {name!r}: input integer {v} does not fit int64")
+    return np.array(row, dtype=np.int64)
 
 
-def outcome(f, seqs):
+def alloc(name, seq):
+    return DeviceMemory().alloc(name, seq).data
+
+
+def outcome(f, seq):
     try:
-        return [(a.dtype, a.shape, a.tobytes()) for a in f(*seqs)]
+        a = f("x", seq)
+        return (a.dtype, a.shape, a.tobytes())
     except Exception as e:  # the type and message are the contract
         return (type(e), str(e))
 
@@ -96,38 +99,83 @@ arguments = st.one_of(
     st.lists(st.one_of(scalars, scalars, scalars, elements), max_size=6),
     st.lists(st.sampled_from([EDGE - 1, -EDGE, 0, True, np.bool_(True), Index(7)]), max_size=6),
 )
-argument_lists = st.lists(
-    st.tuples(arguments, st.booleans()).map(lambda t: tuple(t[0]) if t[1] else t[0]),  # a tuple is never a list
-    min_size=1,
-    max_size=3,
-)
+sequences = st.tuples(arguments, st.booleans()).map(lambda t: tuple(t[0]) if t[1] else t[0])  # a tuple is never a list
 
 
 @settings(max_examples=600, deadline=None)
-@given(argument_lists)
-def test_host_arrays_matches_the_reference(seqs):
-    assert outcome(host_arrays, seqs) == outcome(reference, seqs)
+@given(sequences)
+def test_host_arrays_matches_the_reference(seq):
+    assert outcome(alloc, seq) == outcome(reference, seq)
 
 
-@pytest.mark.parametrize("seqs, message", [
-    (([None, 2],), "argument 0: element [0] must be a real number, got None"),
-    (([1], [1, "a"]), "argument 1: element [1] must be a real number, got 'a'"),
-    (([1, [2, 3]],), "argument 0: element [1] must be a real number, got [2, 3]"),
-    (([[1, 2], [3, 4]],), "argument 0: element [0] must be a real number, got [1, 2]"),
-    (([b"1"],), "argument 0: element [0] must be a real number, got b'1'"),
-    (([2**63], [None]), f"input integer {2**63} does not fit int64"),
+@pytest.mark.parametrize("name, seq, message", [
+    ("a", [None, 2], "buffer 'a': element [0] must be a real number, got None"),
+    ("b", [1, "a"], "buffer 'b': element [1] must be a real number, got 'a'"),
+    ("a", [1, [2, 3]], "buffer 'a': element [1] must be a real number, got [2, 3]"),
+    ("a", [[1, 2], [3]], "buffer 'a': element [0] must be a real number, got [1, 2]"),
+    ("a", [[1, 2], [3, 4]], "buffer 'a': size_or_data of shape (2, 2) must be one-dimensional"),
+    ("a", [b"1"], "buffer 'a': element [0] must be a real number, got b'1'"),
+    ("a", [2**63, None], "buffer 'a': element [1] must be a real number, got None"),
+    ("a", (2**63, 1), f"buffer 'a': input integer {2**63} does not fit int64"),
 ])
-def test_elements_that_are_not_numbers_rejected(seqs, message):
+def test_elements_that_are_not_numbers_rejected(name, seq, message):
     with pytest.raises(ValueError) as exc:
-        host_arrays(*seqs)
+        alloc(name, seq)
     assert str(exc.value) == message
 
 
 def test_bools_and_index_objects_read_as_integers():
-    (a,) = host_arrays([True, np.bool_(False), Index(-3), np.uint64(5), -1])
+    a = alloc("a", [True, np.bool_(False), Index(-3), np.uint64(5), -1])
     assert a.dtype == np.int64 and a.tolist() == [1, 0, -3, 5, -1]
-    a, b = host_arrays([Index(2), True], [0.5])
-    assert a.dtype == b.dtype == np.float64 and a.tolist() == [2.0, 1.0]
+    a = alloc("a", [Index(2), True, 0.5])
+    assert a.dtype == np.float64 and a.tolist() == [2.0, 1.0, 0.5]
+
+
+@pytest.mark.parametrize("data", [[1], np.arange(3)])
+def test_dtype_goes_with_a_size_only(data):
+    # With data, a dtype would convert it unchecked: ["3", 1.5, True] as int64 would be [3, 1, 1].
+    mem = DeviceMemory()
+    with pytest.raises(ValueError) as exc:
+        mem.alloc("x", data, dtype=np.int64)
+    assert exc.value.args == ("buffer 'x': dtype goes with an integer size, not with data",)
+    assert mem.buffers == {}
+    assert mem.alloc("y", 3, dtype=np.float64).data.tolist() == [0.0, 0.0, 0.0]
+
+
+@pytest.mark.parametrize("primitive, values, message", [
+    (reduce_sum, [None], "element [0] must be a real number, got None"),
+    (reduce_sum, [2**64], f"input integer {2**64} does not fit int64"),
+    (exclusive_scan_blelloch, ["a"], "element [0] must be a real number, got 'a'"),
+])
+def test_one_element_inputs_keep_the_contract(primitive, values, message):
+    with pytest.raises(ValueError) as exc:
+        primitive(values)
+    assert exc.value.args == (f"buffer 'input': {message}",)
+
+
+def test_one_element_inputs_return_numbers():
+    assert reduce_sum([True])[0] == 1 and type(reduce_sum([True])[0]) is int
+    assert reduce_sum([np.float64(2.5)])[0] == 2.5
+    assert exclusive_scan_blelloch([Index(4)]) == [0]
+
+
+def test_an_int_input_and_a_float_input_give_float_results():
+    # The output buffer takes np.result_type of the inputs; the int lanes round to float64 inside the add or
+    # multiply exactly as converting them first did.
+    rng = np.random.default_rng(7)
+    ints = rng.integers(-(2**62), 2**62, 48 * 48)
+    floats = rng.uniform(-1e3, 1e3, 48 * 48)
+    assert vector_add([2**53 + 1, 1], [0.5, 0.5]) == [9007199254740992.0, 1.5]
+    for a, b in ((ints, floats), (floats, ints)):
+        assert vector_add(a.tolist(), b.tolist()) == (a + b).tolist()
+        ma, mb = Matrix(48, 48, a.tolist()), Matrix(48, 48, b.tolist())
+        assert matrix_add(ma, mb).data == (a + b).tolist()
+        fa, fb = a.astype(np.float64).reshape(48, 48), b.astype(np.float64).reshape(48, 48)
+        want = fa[:, 0, None] * fb[0]
+        for k in range(1, 48):  # the kernels' order over k, which @ does not keep
+            want = want + fa[:, k, None] * fb[k]
+        for variant in ("naive", "tiled"):
+            assert matmul(ma, mb, variant).data == want.ravel().tolist()
 
 
 def double_in_place(ctx, buf):

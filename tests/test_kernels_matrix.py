@@ -157,8 +157,13 @@ class TestVectorAdd:
     def test_integers_past_int64_rejected(self, a):
         # numpy reads these as uint64, float64 (rounded) and object arrays.
         big = next(v for v in a if not -(2**63) <= v < 2**63)
-        with pytest.raises(ValueError, match=f"^input integer {big} does not fit int64$"):
+        with pytest.raises(ValueError, match=f"^buffer 'a': input integer {big} does not fit int64$"):
             vector_add(a, [0] * len(a))
+
+    def test_int64_lanes_wrap_as_on_a_device(self):
+        # A GPU's 64-bit integer add (PTX add.s64) wraps modulo 2**64; no check runs per instruction.
+        assert vector_add([2**63 - 1], [1]) == [-(2**63)]
+        assert vector_add([-(2**63)], [-1]) == [2**63 - 1]
 
     def test_int64_extremes_and_huge_floats_keep_their_rules(self):
         assert vector_add([2**63 - 1, -(2**63)], [0, 0]) == [2**63 - 1, -(2**63)]

@@ -98,6 +98,19 @@ class TestReductionOracles:
         assert total == sum(values)
         assert trace.rows[0] == values
 
+    @pytest.mark.parametrize("variant", ["interleaved", "sequential"])
+    def test_multi_block_partials_add_in_the_devices_dtype(self, variant):
+        # int64 partials wrap as the adds inside a block do; no int64 machine holds 2**64 - 2048.
+        assert reduce_sum([(2**63 - 1) // 1024] * 2048, variant)[0] == -2048
+
+    @pytest.mark.parametrize("variant", ["interleaved", "sequential"])
+    def test_multi_block_float_partials_add_left_to_right(self, variant):
+        # Each 1024-element chunk runs the same one-block tree as its partial; Python 3.12's sum() would
+        # compensate where the device does not.
+        values = np.random.default_rng(25).normal(scale=1e6, size=4096).tolist()
+        parts = [reduce_sum(values[i:i + 1024], variant)[0] for i in range(0, 4096, 1024)]
+        assert reduce_sum(values, variant)[0] == ((parts[0] + parts[1]) + parts[2]) + parts[3]
+
     def test_variants_agree_across_sizes(self):
         rng = np.random.default_rng(23)
         for exp in range(0, 12):

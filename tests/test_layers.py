@@ -6,6 +6,8 @@ stamps and gets conflicts back. It names no cost memo: ``core/access.py``
 owns the process's one memo. The engine counts each event once, into a
 context's own counters, and only ``MetricsReport.add`` writes a report.
 Only the CLI reads files: the stream and memory models take parsed JSON.
+Only ``DeviceMemory.alloc`` turns host data into device arrays: the
+converter lives in ``core/memory.py`` and the kernels call ``alloc``.
 """
 
 import ast
@@ -114,3 +116,18 @@ def test_only_the_cli_reads_files():
             elif isinstance(node, ast.Call) and isinstance(node.func, ast.Name) and node.func.id == "open":
                 hits.append(f"{name}:{node.lineno} calls open")
     assert hits == [], f"file reading outside cli.py: {hits}"
+
+
+def test_only_alloc_converts_host_data():
+    hits = []
+    for path in sorted(PACKAGE.rglob("*.py")):
+        name = str(path.relative_to(PACKAGE))
+        module = ast.parse(path.read_text(), filename=name)
+        imports = imported_modules(module)
+        if name != "core/memory.py":
+            hits += [f"{name}:{node.lineno} defines {node.name}" for node in ast.walk(module)
+                     if isinstance(node, (ast.FunctionDef, ast.ClassDef)) and "host_array" in node.name]
+            hits += [f"{name} imports {m}" for m in sorted(imports) if "host_array" in m]
+        if name.startswith("kernels/"):
+            hits += [f"{name} imports {m}" for m in sorted(imports) if "core.memory." in m + "."]
+    assert hits == [], f"host data converted outside DeviceMemory.alloc: {hits}"
