@@ -17,6 +17,7 @@ from ._common import (
     MAX_BLOCK_THREADS,
     THREADS_PER_BLOCK,
     NotPowerOfTwo,
+    alloc_input,
     is_pow2,
     next_pow2,
 )
@@ -160,7 +161,7 @@ def exclusive_scan_blelloch(
     metrics: Optional[MetricsReport] = None,
 ) -> list:
     """Running sum excluding each position: output[0] = 0, output[i] = sum(x[:i])."""
-    values = values if type(values) is list else list(values)
+    values = alloc_input(values)
     n = len(values)
     if n == 0:
         return []

@@ -287,15 +287,22 @@ def _whole(name: str, value: Any) -> int:
 
 
 def _level_number(i: int, key: str, value: Any) -> float:
-    """A hierarchy level's ``key`` as a float, if it is a number."""
+    """A hierarchy level's ``key`` as a float, if it is a number within float range."""
     if not _is_number(value):
         raise SpecInvalid(f"hierarchy[{i}] {key} must be a number, got {value!r}")
-    return float(value)
+    try:
+        return float(value)
+    except OverflowError:  # an integer past float range
+        raise SpecInvalid(f"hierarchy[{i}] {key} must be within float range, got {value!r}") from None
 
 
 def _capacity(name: str, value: Any) -> None:
-    """A capacity is a finite number of bytes, at least 0 (a RAM may hold no batch)."""
-    if not _is_number(value) or math.isinf(value):
+    """A capacity is a finite number of bytes (no integer past float range), at least 0 (a RAM may hold no batch)."""
+    try:
+        finite = _is_number(value) and not math.isinf(value)
+    except OverflowError:
+        finite = False
+    if not finite:
         raise SpecInvalid(f"{name} must be a finite number of bytes, got {value!r}")
     if not value >= 0:  # NaN too
         raise SpecInvalid(f"capacity must be non-negative, got {value} for {name}")

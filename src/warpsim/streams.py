@@ -13,6 +13,7 @@ from __future__ import annotations
 import bisect
 import heapq
 import math
+import operator
 from dataclasses import dataclass
 from enum import Enum
 from typing import Any, Sequence
@@ -34,27 +35,34 @@ class UnknownEvent(Exception):
     pass
 
 
-@dataclass(frozen=True)
+_NO_WAITS: frozenset[str] = frozenset()  # shared by every op that waits on nothing, most of them
+
+
+@dataclass(frozen=True, slots=True)
 class StreamOp:
     id: str
     stream_id: int
     kind: OpKind
     duration: float
-    waits_on: frozenset[str] = frozenset()
+    waits_on: frozenset[str] = _NO_WAITS
 
     def __post_init__(self):
         if self.duration < 0:
             raise ValueError(f"op {self.id!r} has negative duration {self.duration}")
-        if not math.isfinite(self.duration):
+        try:
+            finite = math.isfinite(self.duration)
+        except OverflowError:  # an integer past float range
+            raise ValueError(f"op {self.id!r} has duration {self.duration}, past float range") from None
+        if not finite:
             raise ValueError(f"op {self.id!r} has non-finite duration {self.duration}")
         if isinstance(self.waits_on, str):  # frozenset("ev") would wait on "e" and "v"
             raise ValueError(f"op {self.id!r} waits_on {self.waits_on!r} is a string, not a collection of event ids")
         if not isinstance(self.kind, OpKind):  # converting a member again costs more than the checks above
             object.__setattr__(self, "kind", OpKind(self.kind))
-        object.__setattr__(self, "waits_on", frozenset(self.waits_on))
+        object.__setattr__(self, "waits_on", frozenset(self.waits_on) or _NO_WAITS)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class EventRecord:
     """Fires exactly when the op at ``position`` of its stream completes."""
 
@@ -367,6 +375,11 @@ def _critical_path(
 # ----------------------------------------------------------------------
 # scenario files and rendering
 
+_KINDS = {kind.value: kind for kind in OpKind}
+_OP_FIELDS = operator.itemgetter("id", "stream", "kind", "duration")
+_EVENT_FIELDS = operator.itemgetter("id", "stream", "after_index")
+
+
 def load_scenario(data: Any) -> tuple[list[StreamOp], list[EventRecord], EngineModel]:
     """Build a scenario from its parsed JSON: {"engines": {...}, "ops": [...], "events": [...]}."""
     if not isinstance(data, dict):
@@ -398,43 +411,44 @@ def load_scenario(data: Any) -> tuple[list[StreamOp], list[EventRecord], EngineM
             bound = "must not be negative" if count < 0 else f"must be at most {MAX_ENGINES}"
             fail(f"engines.{key}", f"{bound}, got {eng[key]!r}")
     engines = EngineModel(*counts.values())
+    # Each field is checked once, exact types first; labels such as ops[i].kind are built only on a failure.
     ops: list[StreamOp] = []
     for i, raw in enumerate(entries("ops")):
-        where = f"ops[{i}]"
-        for key in ("id", "stream", "kind", "duration"):
-            if key not in raw:
-                fail(where, f"missing {key!r}")
         try:
-            kind = OpKind(raw["kind"])
-        except ValueError:
-            fail(f"{where}.kind", f"unknown kind {raw['kind']!r}")
-        if not _is_number(raw["duration"]):
-            fail(f"{where}.duration", f"must be a number, got {raw['duration']!r}")
+            op_id, stream, kind, duration = _OP_FIELDS(raw)
+        except KeyError as e:  # the first missing key, in the order of _OP_FIELDS
+            fail(f"ops[{i}]", f"missing {e.args[0]!r}")
+        try:
+            kind = _KINDS[kind]
+        except (KeyError, TypeError):  # OpKind decides on a miss, an unhashable kind included
+            try:
+                kind = OpKind(kind)
+            except ValueError:
+                fail(f"ops[{i}].kind", f"unknown kind {kind!r}")
+        if type(duration) is not float and type(duration) is not int and not _is_number(duration):
+            fail(f"ops[{i}].duration", f"must be a number, got {duration!r}")
         waits_on = raw.get("waits_on", [])
         if not isinstance(waits_on, list):
-            fail(f"{where}.waits_on", f"op {raw['id']!r} must wait on a list of event ids, got {waits_on!r}")
-        ops.append(
-            StreamOp(
-                id=str(raw["id"]),
-                stream_id=whole(f"{where}.stream", raw["stream"]),
-                kind=kind,
-                duration=float(raw["duration"]),
-                waits_on=map(str, waits_on),  # ids are strings, as for ops and events
-            )
-        )
+            fail(f"ops[{i}].waits_on", f"op {op_id!r} must wait on a list of event ids, got {waits_on!r}")
+        if type(stream) is not int:
+            stream = whole(f"ops[{i}].stream", stream)
+        try:
+            duration = float(duration)
+        except OverflowError:
+            fail(f"ops[{i}].duration", f"must be within float range, got {duration!r}")
+        # the event ids an op awaits are strings, as op and event ids are
+        ops.append(StreamOp(str(op_id), stream, kind, duration, map(str, waits_on) if waits_on else _NO_WAITS))
     events: list[EventRecord] = []
     for i, raw in enumerate(entries("events")):
-        where = f"events[{i}]"
-        for key in ("id", "stream", "after_index"):
-            if key not in raw:
-                fail(where, f"missing {key!r}")
-        events.append(
-            EventRecord(
-                event_id=str(raw["id"]),
-                stream_id=whole(f"{where}.stream", raw["stream"]),
-                position=whole(f"{where}.after_index", raw["after_index"]),
-            )
-        )
+        try:
+            ev_id, stream, position = _EVENT_FIELDS(raw)
+        except KeyError as e:
+            fail(f"events[{i}]", f"missing {e.args[0]!r}")
+        if type(stream) is not int:
+            stream = whole(f"events[{i}].stream", stream)
+        if type(position) is not int:
+            position = whole(f"events[{i}].after_index", position)
+        events.append(EventRecord(str(ev_id), stream, position))
     return ops, events, engines
 
 

@@ -415,6 +415,7 @@ class TestPipeline:
         ({"duration": "5"}, "ops[0].duration: must be a number, got '5'"),
         ({"duration": True}, "ops[0].duration: must be a number, got True"),
         ({"duration": None}, "ops[0].duration: must be a number, got None"),
+        ({"duration": 10**400}, f"ops[0].duration: must be within float range, got {10**400}"),
         ({"engines": {"compute": -1}}, "engines.compute: must not be negative, got -1"),
         ({"engines": {"copy_d2h": -1.0}}, "engines.copy_d2h: must not be negative, got -1.0"),
     ])
@@ -532,6 +533,8 @@ class TestMemflow:
         ("ram_capacity", "big", "ram_capacity must be a finite number of bytes, got 'big'"),
         ("vram_capacity", "big", "vram_capacity must be a finite number of bytes, got 'big'"),
         ("epochs", 2.9, "epochs must be a whole number, got 2.9"),
+        ("ram_capacity", 10**400, f"ram_capacity must be a finite number of bytes, got {10**400}"),
+        ("vram_capacity", 10**400, f"vram_capacity must be a finite number of bytes, got {10**400}"),
     ])
     def test_bad_spec_field_is_usage_error(self, tmp_path, capsys, field, value, message):
         path = write_json(tmp_path, "spec.json", {"dataset_bytes": 4096, "batch_bytes": 1024, "epochs": 2, field: value})
@@ -574,6 +577,16 @@ class TestMemflow:
         code = main(["memflow", write_json(tmp_path, "spec.json", spec)])
         captured = capsys.readouterr()
         assert (code, captured.out, captured.err) == (2, "", f"error: {message}\n")
+
+
+    @pytest.mark.parametrize("key", ["latency", "bandwidth", "capacity"])
+    def test_level_parameter_past_float_range_is_usage_error(self, tmp_path, capsys, key):
+        spec = json.loads((SCENARIOS / "fits_in_vram.json").read_text())
+        spec["hierarchy"][1][key] = 10**400
+        code = main(["memflow", write_json(tmp_path, "spec.json", spec)])
+        captured = capsys.readouterr()
+        message = f"error: hierarchy[1] {key} must be within float range, got {10**400}\n"
+        assert (code, captured.out, captured.err) == (2, "", message)
 
 
 class TestParserReuse:

@@ -221,3 +221,56 @@ def test_primitives_leave_numpy_inputs_unchanged(dtype):
     m = Matrix(10, 30, a)
     assert matrix_add(m, Matrix(10, 30, b)).data == (a0 + b0).tolist()
     assert np.array_equal(a, a0) and np.array_equal(b, b0)
+
+
+SAME_VALUES = {
+    "int64": list(range(-8, 8)),
+    "float64": [i / 4 for i in range(16)],
+    "bool": [i % 3 == 0 for i in range(16)],
+    "uint64": [2**64 - 1, *range(15)],  # past int64: rejected either way
+    "object": [1, None, *range(14)],  # rejected either way
+}
+
+
+def primitive_outcome(call):
+    """A primitive's result with the type of each value, its step rows if any, or its exception."""
+    try:
+        result = call()
+    except Exception as e:  # the same exception is expected of both input forms
+        return type(e), e.args
+    if isinstance(result, tuple):  # reduce_sum: (sum, StepTrace)
+        return result[0], type(result[0]), result[1].rows
+    return result, [type(v) for v in result]
+
+
+@pytest.mark.parametrize("form", ["ndarray", "tuple", "generator"])
+@pytest.mark.parametrize("name", SAME_VALUES)
+def test_primitives_read_arrays_tuples_and_generators_as_the_same_list(name, form):
+    # An input with a length reaches ``alloc`` as it is, without a list of numpy scalars on the way.
+    values = SAME_VALUES[name]
+    make = {
+        "ndarray": lambda: np.array(values, dtype=name),
+        "tuple": lambda: tuple(values),
+        "generator": lambda: (v for v in values),
+    }[form]
+    for call in (
+        lambda x: vector_add(x(), x()),
+        lambda x: reduce_sum(x()),
+        lambda x: exclusive_scan_blelloch(x()),
+    ):
+        assert primitive_outcome(lambda: call(make)) == primitive_outcome(lambda: call(lambda: list(values)))
+
+
+def test_primitives_hand_inputs_with_a_length_to_alloc_as_they_are(monkeypatch):
+    seen = []
+    alloc = DeviceMemory.alloc
+
+    def spy(self, name, size_or_data, *args, **kwargs):
+        seen.append(size_or_data)
+        return alloc(self, name, size_or_data, *args, **kwargs)
+
+    monkeypatch.setattr(DeviceMemory, "alloc", spy)
+    for x in (np.arange(16), tuple(range(16)), list(range(16))):
+        seen.clear()
+        vector_add(x, x), reduce_sum(x), exclusive_scan_blelloch(x)
+        assert [data is x for data in seen if not isinstance(data, int)] == [True] * 4

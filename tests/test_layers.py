@@ -8,6 +8,8 @@ context's own counters, and only ``MetricsReport.add`` writes a report.
 Only the CLI reads files: the stream and memory models take parsed JSON.
 Only ``DeviceMemory.alloc`` turns host data into device arrays: the
 converter lives in ``core/memory.py`` and the kernels call ``alloc``.
+The stream model's per-op and per-event records are slotted: a program
+holds one of each per op or event, and a ``__dict__`` would double its size.
 """
 
 import ast
@@ -18,6 +20,7 @@ from pathlib import Path
 import pytest
 
 from warpsim.core.metrics import KernelCounters
+from warpsim.streams import EventRecord, ScheduledOp, StreamOp
 
 PACKAGE = Path(__file__).resolve().parent.parent / "src" / "warpsim"
 CORE = PACKAGE / "core"
@@ -131,3 +134,8 @@ def test_only_alloc_converts_host_data():
         if name.startswith("kernels/"):
             hits += [f"{name} imports {m}" for m in sorted(imports) if "core.memory." in m + "."]
     assert hits == [], f"host data converted outside DeviceMemory.alloc: {hits}"
+
+
+@pytest.mark.parametrize("record", [StreamOp, EventRecord, ScheduledOp], ids=lambda c: c.__name__)
+def test_stream_records_define_slots(record):
+    assert "__slots__" in vars(record), f"{record.__name__} instances carry a __dict__: declare it with slots=True"

@@ -141,6 +141,10 @@ class TestValidationErrors:
         with pytest.raises(ValueError, match=f"op 'x' has non-finite duration {duration}"):
             StreamOp("x", 1, OpKind.KERNEL, duration)
 
+    def test_duration_past_float_range(self):
+        with pytest.raises(ValueError, match=f"^op 'x' has duration {10**400}, past float range$"):
+            StreamOp("x", 1, OpKind.KERNEL, 10**400)
+
     def test_duplicate_op_ids_in_a_schedule_check(self):
         ops = [StreamOp("x", 1, OpKind.KERNEL, 1)]
         schedule = simulate_timeline(ops)
