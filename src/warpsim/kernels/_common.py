@@ -1,7 +1,5 @@
 """Shared helpers for the primitive library."""
 
-import numpy as np
-
 
 class LengthMismatch(ValueError):
     pass
@@ -27,11 +25,3 @@ def next_pow2(n: int) -> int:
     if n <= 1:
         return 1
     return 1 << (n - 1).bit_length()
-
-
-def alloc_input(values):
-    """``values`` as ``DeviceMemory.alloc`` takes it: a list, tuple or ndarray as is, any other iterable as a list.
-
-    A str, bytes or dict has a length too, but ``alloc`` reads it as one value where ``list`` gives its elements.
-    """
-    return values if isinstance(values, (list, tuple, np.ndarray)) else list(values)

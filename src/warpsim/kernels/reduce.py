@@ -13,7 +13,7 @@ from __future__ import annotations
 from typing import Optional, Sequence
 
 from ..core import DeviceMemory, LaunchConfig, MetricsReport, Recorder, Simulator, block_batchable
-from ._common import MAX_BLOCK_THREADS, NotPowerOfTwo, alloc_input, is_pow2
+from ._common import MAX_BLOCK_THREADS, NotPowerOfTwo, is_pow2
 from .trace import StepTrace, barrier_rows
 
 VARIANTS = ("interleaved", "sequential")
@@ -69,7 +69,7 @@ def reduce_sum(
     """
     if variant not in VARIANTS:
         raise ValueError(f"unknown variant {variant!r}, expected one of {VARIANTS}")
-    values = alloc_input(values)
+    values = values if type(values) is list else list(values)
     n = len(values)
     if not is_pow2(n):
         raise NotPowerOfTwo(f"reduction trace needs a power-of-two length, got {n}")

@@ -17,7 +17,6 @@ from ._common import (
     MAX_BLOCK_THREADS,
     THREADS_PER_BLOCK,
     NotPowerOfTwo,
-    alloc_input,
     is_pow2,
     next_pow2,
 )
@@ -161,7 +160,7 @@ def exclusive_scan_blelloch(
     metrics: Optional[MetricsReport] = None,
 ) -> list:
     """Running sum excluding each position: output[0] = 0, output[i] = sum(x[:i])."""
-    values = alloc_input(values)
+    values = values if type(values) is list else list(values)
     n = len(values)
     if n == 0:
         return []

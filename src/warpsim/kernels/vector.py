@@ -7,7 +7,7 @@ from typing import Optional, Sequence
 import numpy as np
 
 from ..core import DeviceMemory, LaunchConfig, MetricsReport, Simulator, block_batchable, ceil_div
-from ._common import THREADS_PER_BLOCK, LengthMismatch, alloc_input
+from ._common import THREADS_PER_BLOCK, LengthMismatch
 
 
 @block_batchable
@@ -31,7 +31,7 @@ def vector_add(
     """Elementwise a + b via a boundary-guarded launch of 256-thread blocks."""
     if threads_per_block < 1:
         raise ValueError(f"threads_per_block={threads_per_block} must be at least 1")
-    a, b = alloc_input(a), alloc_input(b)
+    a, b = (x if type(x) is list else list(x) for x in (a, b))
     if len(a) != len(b):
         raise LengthMismatch(f"lengths differ: {len(a)} vs {len(b)}")
     n = len(a)

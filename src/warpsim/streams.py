@@ -420,11 +420,8 @@ def load_scenario(data: Any) -> tuple[list[StreamOp], list[EventRecord], EngineM
             fail(f"ops[{i}]", f"missing {e.args[0]!r}")
         try:
             kind = _KINDS[kind]
-        except (KeyError, TypeError):  # OpKind decides on a miss, an unhashable kind included
-            try:
-                kind = OpKind(kind)
-            except ValueError:
-                fail(f"ops[{i}].kind", f"unknown kind {kind!r}")
+        except (KeyError, TypeError):  # an unhashable kind (a list, a dict) is unknown too
+            fail(f"ops[{i}].kind", f"unknown kind {kind!r}")
         if type(duration) is not float and type(duration) is not int and not _is_number(duration):
             fail(f"ops[{i}].duration", f"must be a number, got {duration!r}")
         waits_on = raw.get("waits_on", [])
@@ -437,7 +434,7 @@ def load_scenario(data: Any) -> tuple[list[StreamOp], list[EventRecord], EngineM
         except OverflowError:
             fail(f"ops[{i}].duration", f"must be within float range, got {duration!r}")
         # the event ids an op awaits are strings, as op and event ids are
-        ops.append(StreamOp(str(op_id), stream, kind, duration, map(str, waits_on) if waits_on else _NO_WAITS))
+        ops.append(StreamOp(str(op_id), stream, kind, duration, map(str, waits_on)))
     events: list[EventRecord] = []
     for i, raw in enumerate(entries("events")):
         try:

@@ -415,9 +415,9 @@ class TestPipeline:
         ({"duration": "5"}, "ops[0].duration: must be a number, got '5'"),
         ({"duration": True}, "ops[0].duration: must be a number, got True"),
         ({"duration": None}, "ops[0].duration: must be a number, got None"),
-        ({"duration": 10**400}, f"ops[0].duration: must be within float range, got {10**400}"),
         ({"engines": {"compute": -1}}, "engines.compute: must not be negative, got -1"),
         ({"engines": {"copy_d2h": -1.0}}, "engines.copy_d2h: must not be negative, got -1.0"),
+        ({"duration": 10**400}, f"ops[0].duration: must be within float range, got {10**400}"),
     ])
     def test_bad_scenario_number_is_usage_error(self, tmp_path, capsys, change, message):
         op = {"id": "k", "stream": change.get("stream", 1), "kind": "kernel", "duration": change.get("duration", 1)}

@@ -16,7 +16,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from scenario_reference import load_scenario_reference
-from warpsim.streams import EventRecord, OpKind, ScheduledOp, StreamOp, load_scenario
+from warpsim.streams import OpKind, StreamOp, load_scenario
 
 MISSING = object()  # a key left out of its object
 KINDS = [kind.value for kind in OpKind]
@@ -99,12 +99,6 @@ def scenario(n_ops, n_streams=8):
         if i % 10 == 0:
             events.append({"id": f"ev{i}", "stream": i % n_streams, "after_index": i // n_streams})
     return {"ops": ops, "events": events}
-
-
-def test_ops_and_events_are_slotted_records():
-    op, event = StreamOp("k", 1, OpKind.KERNEL, 1.0), EventRecord("e", 1, 0)
-    for record in (op, event, ScheduledOp(op, "compute#0", 0.0, 1.0)):
-        assert not hasattr(record, "__dict__"), type(record).__name__
 
 
 def test_ops_that_wait_on_nothing_share_one_empty_set():
