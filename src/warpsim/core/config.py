@@ -4,7 +4,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Union
+from typing import Any, NamedTuple, Union
 
 import numpy as np
 
@@ -15,6 +15,12 @@ Dim3 = tuple[int, int, int]
 DimLike = Union[int, tuple]
 
 DEFAULT_MAX_THREADS_PER_BLOCK = 1024
+
+
+class _Idx3(NamedTuple):
+    x: Any
+    y: Any
+    z: Any
 
 
 def _is_int(v) -> bool:
@@ -107,26 +113,25 @@ class LaunchConfig:
         return {}
 
     def lanes(self, blocks: int = 1) -> tuple:
-        """Lane arrays of ``blocks`` consecutive blocks run as one group, read-only and cached per count.
+        """What a context of ``blocks`` consecutive blocks run as one group takes from the config, cached per count.
 
-        (linear, tx, ty, tz, warp, lane, group warp id, all-true mask, block
-        offset): ``linear`` numbers the group's lanes, the thread coordinates,
-        warp and lane repeat per block, a group warp id is ``block offset *
-        warps per block + warp``, and the block offset is 0 for a single block.
+        (linear, thread_idx, warp, lane, group warp id, all-true mask, block_dim, grid_dim, warp count, 1-D test,
+        block offset): the lane arrays are read-only, ``linear`` numbers the group's lanes, the thread coordinates,
+        warp and lane repeat per block, a group warp id is ``block offset * warps per block + warp``, the 1-D test
+        says that only x of grid and block exceeds 1, and the block offset is 0 for a single block.
         """
         lanes = self._lanes_by_count.get(blocks)
         if lanes is None:
-            T = self.threads_per_block
+            T, warps = self.threads_per_block, ceil_div(self.threads_per_block, self.warp_size)
             linear = np.arange(T * blocks, dtype=np.int64)
             offset, tid = divmod(linear, T)
             warp, lane = divmod(tid, self.warp_size)
-            warp_ids = offset * ceil_div(T, self.warp_size) + warp
-            lanes = (linear, *self.thread_coords(tid), warp, lane, warp_ids, np.ones(linear.size, dtype=bool), offset)
-            for a in lanes:
+            (tx, ty, tz), warp_ids, active = self.thread_coords(tid), offset * warps + warp, np.ones(T * blocks, bool)
+            for a in (linear, tx, ty, tz, warp, lane, warp_ids, active, offset):
                 a.flags.writeable = False
-            if blocks == 1:  # block coordinates stay plain ints, as a kernel may branch on them
-                lanes = (*lanes[:-1], 0)
-            self._lanes_by_count[blocks] = lanes
+            lanes = self._lanes_by_count[blocks] = (
+                linear, _Idx3(tx, ty, tz), warp, lane, warp_ids, active, _Idx3(*self.block_dim), _Idx3(*self.grid_dim),
+                warps * blocks, self.grid_dim[1:] == self.block_dim[1:] == (1, 1), offset if blocks > 1 else 0)
         return lanes
 
 

@@ -24,13 +24,13 @@ branching has no direct expression, which is what keeps execution lockstep.
 from __future__ import annotations
 
 from functools import partial
-from typing import Any, Callable, NamedTuple, Optional, Sequence, Union
+from typing import Any, Callable, Optional, Sequence, Union
 
 import numpy as np
 
 from . import access
 from .access import DEFAULT_BANK_COUNT, DEFAULT_BANK_WIDTH_BYTES, DEFAULT_SEGMENT_BYTES
-from .config import DEFAULT_MAX_THREADS_PER_BLOCK, LaunchConfig, _is_int, ceil_div
+from .config import DEFAULT_MAX_THREADS_PER_BLOCK, LaunchConfig, _Idx3, _is_int
 from .errors import (
     BarrierDivergence,
     DataRace,
@@ -55,12 +55,6 @@ def block_batchable(kernel: Callable) -> Callable:
     """Mark ``kernel`` as safe to run many blocks per call; see README, "Batched blocks"."""
     kernel.block_batchable = True
     return kernel
-
-
-class _Idx3(NamedTuple):
-    x: Any
-    y: Any
-    z: Any
 
 
 class _LaunchState:
@@ -262,45 +256,34 @@ class KernelContext:
     block coordinates.
     """
 
-    def __init__(
-        self,
-        state: _LaunchState,
-        config: LaunchConfig,
-        block_linear: int,
-        kernel_name: str,
-        blocks: int = 1,
-    ):
+    def __init__(self, state: _LaunchState, config: LaunchConfig, block_linear: int, kernel_name: str, blocks: int = 1):
         self._state = state
         self._sim = state.sim
         self._kernel_counters: Optional[KernelCounters] = None  # created on the first count
         self.config = config
         self.kernel_name = kernel_name
 
-        linear, tx, ty, tz, self.warp, self.lane, self._warp_ids, all_active, self._offset = config.lanes(blocks)
+        (linear, self.thread_idx, self.warp, self.lane, self._warp_ids, all_active, self.block_dim, self.grid_dim,
+         self.warp_count, one_d, self._offset) = config.lanes(blocks)
         self._block_size = T = config.threads_per_block
         self.nthreads = linear.size
-        self.warp_count = ceil_div(T, config.warp_size) * blocks
         self._blocks = blocks
 
-        self.block_linear = block_linear + self._offset
-        self.block_dim = _Idx3(*config.block_dim)
-        self.grid_dim = _Idx3(*config.grid_dim)
-        self.thread_idx = _Idx3(tx, ty, tz)
         self._gid0 = block_linear * T
         # Global buffers also check conflicts between blocks, by the block
         # stamp of the last block (README, "Batched blocks").
         self._block_stamp = state.grid_stamp + block_linear + blocks - 1
-        self.global_id = self._gid0 + linear
-        if config.grid_dim[1:] == config.block_dim[1:] == (1, 1):  # x is the linear id, y and z are ty's and tz's 0s
+        self.global_id = _read_only(self._gid0 + linear)
+        self.block_linear = block_linear if blocks == 1 else _read_only(block_linear + self._offset)
+        if one_d:  # x is the linear id, y and z are ty's and tz's 0s
+            _, ty, tz = self.thread_idx
             self.block_idx = _Idx3(self.block_linear, *((0, 0) if blocks == 1 else (ty, tz)))
             self.gx, self.gy, self.gz = self.global_id, ty, tz
         else:
             coords = config.block_coords(block_linear if blocks == 1 else np.arange(block_linear, block_linear + blocks))
-            self.block_idx = _Idx3(*(c if blocks == 1 else np.repeat(c, T) for c in coords))
-            self.gx, self.gy, self.gz = (b * d + t for b, d, t in zip(self.block_idx, config.block_dim, (tx, ty, tz)))
-        for a in (self.block_linear, *self.block_idx, self.global_id, self.gx, self.gy, self.gz):
-            if isinstance(a, np.ndarray):
-                a.flags.writeable = False  # the engine's ids, which a kernel must not edit in place
+            self.block_idx = _Idx3(*(c if blocks == 1 else _read_only(np.repeat(c, T)) for c in coords))
+            dims = zip(self.block_idx, config.block_dim, self.thread_idx)
+            self.gx, self.gy, self.gz = (_read_only(b * d + t) for b, d, t in dims)
 
         # One entry per open branch; the group is all active at first.
         self._mask_stack = [_Mask(all_active, self.nthreads)]
@@ -640,6 +623,12 @@ def _run(ei: np.ndarray, known: bool = False) -> Optional[slice]:
     if d < 1 or r or n > 2 and np.count_nonzero(ei != np.arange(lo, hi + 1, d)):
         return None
     return slice(lo, hi + 1, d)
+
+
+def _read_only(a: np.ndarray) -> np.ndarray:
+    """``a``, marked read-only: one of the engine's ids, which a kernel must not edit in place."""
+    a.flags.writeable = False
+    return a
 
 
 def _check_owned(mem: DeviceMemory, args: Sequence, err_kw: Callable[[], dict] = dict) -> None:

@@ -18,7 +18,10 @@ class KernelCounters:
     child_launches: int = 0
 
     def to_json(self) -> dict[str, Any]:
-        return {f.name: getattr(self, f.name) for f in fields(KernelCounters)}
+        return {name: getattr(self, name) for name in COUNTER_NAMES}
+
+
+COUNTER_NAMES = tuple(f.name for f in fields(KernelCounters))
 
 
 @dataclass
@@ -36,10 +39,12 @@ class MetricsReport(KernelCounters):
         """Add one block's or group's ``counts`` to the totals and to the entry of ``kernel``; None adds no entry."""
         if counts is None:
             return
-        entry = self.per_kernel.setdefault(kernel, KernelCounters())
-        for name, n in counts.to_json().items():
-            setattr(self, name, getattr(self, name) + n)
-            setattr(entry, name, getattr(entry, name) + n)
+        entry = self.per_kernel.get(kernel) or self.per_kernel.setdefault(kernel, KernelCounters())
+        for name in COUNTER_NAMES:
+            n = getattr(counts, name)
+            if n:
+                setattr(self, name, getattr(self, name) + n)
+                setattr(entry, name, getattr(entry, name) + n)
 
     def to_json(self) -> dict[str, Any]:
         return {**super().to_json(), "per_kernel": {k: v.to_json() for k, v in sorted(self.per_kernel.items())}}

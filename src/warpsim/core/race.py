@@ -186,21 +186,25 @@ def _distinct(addrs: np.ndarray, st: np.ndarray) -> tuple[np.ndarray, np.ndarray
     """Distinct addresses with the stamps of their first and second lanes (stale for a single lane).
 
     Lane addresses are usually distinct, and often ascend; then the second
-    stamps are one stale scalar, and ascending addresses skip the sort.
+    stamps are one stale scalar. Addresses that never descend skip the sort:
+    the lanes of each address already follow one another in lane order.
     ``addrs`` is the engine's own array, never one the kernel holds, so the
     ascending case may return it as is.
     """
     if bool((addrs[1:] > addrs[:-1]).all()):
         return addrs, st, _STALE
-    order = np.argsort(addrs, kind="stable")
-    a = addrs[order]
+    if bool((addrs[1:] >= addrs[:-1]).all()):
+        a, s = addrs, st
+    else:
+        order = np.argsort(addrs, kind="stable")
+        a, s = addrs[order], st[order]
     new = a[1:] != a[:-1]
     if new.all():
-        return a, st[order], _STALE
+        return a, s, _STALE
     head = np.flatnonzero(np.concatenate(([True], new)))
-    repeats = np.diff(head, append=a.size) > 1
-    second = np.where(repeats, st[order[np.minimum(head + 1, a.size - 1)]], _STALE)
-    return a[head], st[order[head]], second
+    # per lane, the stamp of the next lane if that lane has the same address
+    second = np.concatenate((np.where(new, _STALE, s[1:]), [_STALE]))
+    return a[head], s[head], second[head]
 
 
 def _note(first: np.ndarray, second: np.ndarray, addrs, rep, nxt, stamp: int, seen: bool = True) -> None:

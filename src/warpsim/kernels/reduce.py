@@ -69,14 +69,16 @@ def reduce_sum(
     """
     if variant not in VARIANTS:
         raise ValueError(f"unknown variant {variant!r}, expected one of {VARIANTS}")
-    values = values if type(values) is list else list(values)
+    listed = type(values) is list
+    values = values if listed else list(values)
     n = len(values)
     if not is_pow2(n):
         raise NotPowerOfTwo(f"reduction trace needs a power-of-two length, got {n}")
     mem = DeviceMemory()
     inp = mem.alloc("input", values)
+    row = list(values) if listed else inp.tolist()  # plain numbers, also from an array of numpy scalars
     if n == 1:
-        return inp.tolist()[0], StepTrace([list(values)])
+        return inp.tolist()[0], StepTrace([row])
 
     sim = simulator or Simulator()
     block = min(n, MAX_BLOCK_THREADS)
@@ -88,5 +90,5 @@ def reduce_sum(
     sim.launch(kernel, config, mem, (inp, partials), name=f"reduce_{variant}", metrics=metrics, recorder=recorder)
 
     total = partials.data.cumsum()[-1].item()  # left to right in the device's dtype, as a block adds
-    rows = [list(values)] + (barrier_rows(recorder, n) if recorder is not None else [])
+    rows = [row] + (barrier_rows(recorder, n) if recorder is not None else [])
     return total, StepTrace(rows)

@@ -38,6 +38,12 @@ class MemoryLevelSpec:
             raise SpecInvalid(f"unknown level name {self.name!r}, expected one of {LEVEL_NAMES}")
         if not (self.latency >= 0 and self.bandwidth > 0 and self.capacity > 0):  # NaN too
             raise SpecInvalid(f"level {self.name}: parameters must be positive")
+        for key in ("latency", "bandwidth", "capacity"):
+            value = getattr(self, key)
+            try:
+                float(value)
+            except OverflowError:  # an integer past float range
+                raise SpecInvalid(f"level {self.name}: {key} must be within float range, got {value!r}") from None
         if math.isinf(self.latency):
             raise SpecInvalid(f"level {self.name}: latency must be finite")
 

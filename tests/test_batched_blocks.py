@@ -705,12 +705,12 @@ def test_a_group_counts_bank_conflicts_on_block_local_addresses():
 
 def test_group_lanes_repeat_per_block_and_number_warps_across_the_group():
     lanes = LaunchConfig(3, (8, 2)).lanes(3)
-    linear, tx, ty, _, warp, lane, warp_ids, active, offset = lanes
+    linear, (tx, ty, _), warp, lane, warp_ids, active, *_, offset = lanes
     assert linear.tolist() == list(range(48))
     assert tx.tolist() == [i % 8 for i in range(16)] * 3 and ty.tolist() == [i // 8 for i in range(16)] * 3
     assert offset.tolist() == [i // 16 for i in range(48)]
     cfg = LaunchConfig(3, 40)
-    *_, warp, lane, warp_ids, active, offset = cfg.lanes(3)
+    _, _, warp, lane, warp_ids, active, *_, offset = cfg.lanes(3)
     assert warp_ids.tolist() == [2 * (i // 40) + (i % 40) // 32 for i in range(120)]
     assert cfg.lanes(3) is cfg.lanes(3) and cfg.lanes(1)[-1] == 0
     assert not np.asarray(warp_ids).flags.writeable

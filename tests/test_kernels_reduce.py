@@ -1,5 +1,6 @@
 """Reduction golden traces and oracle checks."""
 
+import json
 import math
 
 import numpy as np
@@ -147,3 +148,12 @@ class TestReductionOracles:
         a, _ = reduce_sum(PAPER_ARRAY, simulator=sim)
         b, _ = reduce_sum(PAPER_ARRAY, simulator=sim)
         assert a == b == 136
+
+    @pytest.mark.parametrize("n", [1, 16, 2048])
+    @pytest.mark.parametrize("dtype", [np.int64, np.float64])
+    def test_array_input_serializes_like_the_same_list(self, n, dtype):
+        values = np.arange(n, dtype=dtype)
+        got, want = reduce_sum(values), reduce_sum(values.tolist())
+        assert got == want
+        assert json.dumps(got[1].to_json()) == json.dumps(want[1].to_json())
+        assert all(type(v) is type(values.tolist()[0]) for v in got[1].rows[0])

@@ -400,6 +400,13 @@ class TestHierarchyValidation:
         with pytest.raises(SpecInvalid):
             MemoryLevelSpec("Floppy", 1, 1, 1)
 
+    @pytest.mark.parametrize("key", ["latency", "bandwidth", "capacity"])
+    def test_level_parameter_past_float_range_is_spec_invalid(self, key):
+        params = {"latency": 1, "bandwidth": 1, "capacity": 1, key: 10**400}
+        with pytest.raises(SpecInvalid) as caught:
+            MemoryLevelSpec("RAM", **params)
+        assert str(caught.value) == f"level RAM: {key} must be within float range, got {10**400}"
+
     def test_flow_requires_disk_level(self):
         hierarchy = HierarchySpec(
             [
