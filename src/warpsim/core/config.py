@@ -8,6 +8,7 @@ from typing import Any, NamedTuple, Union
 
 import numpy as np
 
+from ..rules import is_int
 from .access import BYTE_EXTENT_LIMIT
 from .errors import LaunchConfigInvalid, ThreadCoord
 
@@ -23,16 +24,12 @@ class _Idx3(NamedTuple):
     z: Any
 
 
-def _is_int(v) -> bool:
-    return isinstance(v, (int, np.integer)) and not isinstance(v, bool)  # True is data, not a count
-
-
 def as_dim3(dim: DimLike, field: str) -> Dim3:
     """Normalize an int or a tuple or list of at most 3 ints to a full (x, y, z) triple."""
     t = tuple(dim) if isinstance(dim, (tuple, list)) else (dim,)
     if len(t) > 3:
         raise LaunchConfigInvalid(f"{field}={dim!r} has {len(t)} components, expected at most 3")
-    if not all(map(_is_int, t)):
+    if not all(map(is_int, t)):
         raise LaunchConfigInvalid(f"{field}={dim!r} must be an int or a tuple of ints")
     return tuple(int(v) for v in t) + (1,) * (3 - len(t))
 
@@ -62,7 +59,7 @@ class LaunchConfig:
         object.__setattr__(self, "block_dim", as_dim3(self.block_dim, "block_dim"))
         for field in ("shared_mem_bytes", "warp_size"):
             value = getattr(self, field)
-            if not _is_int(value):
+            if not is_int(value):
                 raise LaunchConfigInvalid(f"{field}={value!r} must be an integer")
             object.__setattr__(self, field, int(value))
 

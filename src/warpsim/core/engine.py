@@ -28,9 +28,10 @@ from typing import Any, Callable, Optional, Sequence, Union
 
 import numpy as np
 
+from ..rules import is_int
 from . import access
 from .access import DEFAULT_BANK_COUNT, DEFAULT_BANK_WIDTH_BYTES, DEFAULT_SEGMENT_BYTES
-from .config import DEFAULT_MAX_THREADS_PER_BLOCK, LaunchConfig, _Idx3, _is_int
+from .config import DEFAULT_MAX_THREADS_PER_BLOCK, LaunchConfig, _Idx3
 from .errors import (
     BarrierDivergence,
     DataRace,
@@ -333,7 +334,7 @@ class KernelContext:
 
         Contents are zero at block start and never visible to other blocks.
         """
-        if not (_is_int(length) and _is_int(element_width)):
+        if not (is_int(length) and is_int(element_width)):
             raise LaunchConfigInvalid(
                 f"shared array of length={length}, element_width={element_width}: both must be integers",
                 kernel=self.kernel_name,
@@ -657,7 +658,7 @@ class Simulator:
             ("max_threads_per_block", max_threads_per_block),
             ("max_nesting_depth", max_nesting_depth),
         ):
-            if not _is_int(value):
+            if not is_int(value):
                 raise ValueError(f"{name}={value!r} must be an integer")
             if value < 1:
                 raise ValueError(f"{name}={value} must be positive")

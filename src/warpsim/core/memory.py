@@ -9,8 +9,8 @@ from typing import Any, Iterator, Optional, Sequence, Union
 
 import numpy as np
 
+from ..rules import is_int
 from .access import BYTE_EXTENT_LIMIT
-from .config import _is_int
 
 DEFAULT_ELEMENT_WIDTH = 4
 
@@ -119,11 +119,11 @@ class DeviceMemory:
         """A buffer of ``size_or_data`` zeros of ``dtype`` (int64 by default), or of a sequence's elements."""
         if name in self.buffers:
             raise ValueError(f"buffer {name!r} already allocated")
-        if not _is_int(element_width):
+        if not is_int(element_width):
             raise ValueError(f"buffer {name!r}: element_width={element_width} must be an integer")
         if element_width < 1:
             raise ValueError(f"buffer {name!r}: element_width={element_width} must be positive")
-        if _is_int(size_or_data):
+        if is_int(size_or_data):
             if size_or_data < 0:
                 raise ValueError(f"buffer {name!r}: size_or_data={size_or_data} must not be negative")
             _check_extent(name, int(size_or_data), element_width)  # before allocating

@@ -10,11 +10,12 @@ fastest-to-slowest ordering.
 from __future__ import annotations
 
 import math
-import numbers
 from collections import OrderedDict
 from dataclasses import dataclass, field
 from itertools import zip_longest
 from typing import Any, Iterable, Optional, Sequence
+
+from .rules import is_number, real, whole
 
 
 class SpecInvalid(ValueError):
@@ -36,14 +37,10 @@ class MemoryLevelSpec:
     def __post_init__(self):
         if self.name not in LEVEL_NAMES:
             raise SpecInvalid(f"unknown level name {self.name!r}, expected one of {LEVEL_NAMES}")
+        for key in ("latency", "bandwidth", "capacity"):
+            real(f"level {self.name}: {key}", getattr(self, key), SpecInvalid)
         if not (self.latency >= 0 and self.bandwidth > 0 and self.capacity > 0):  # NaN too
             raise SpecInvalid(f"level {self.name}: parameters must be positive")
-        for key in ("latency", "bandwidth", "capacity"):
-            value = getattr(self, key)
-            try:
-                float(value)
-            except OverflowError:  # an integer past float range
-                raise SpecInvalid(f"level {self.name}: {key} must be within float range, got {value!r}") from None
         if math.isinf(self.latency):
             raise SpecInvalid(f"level {self.name}: latency must be finite")
 
@@ -86,9 +83,8 @@ class HierarchySpec:
             if missing:
                 raise SpecInvalid(f"hierarchy[{i}] is missing {', '.join(missing)}")
         params = ("latency", "bandwidth", "capacity")
-        return cls(
-            [MemoryLevelSpec(str(d["name"]), *(_level_number(i, k, d[k]) for k in params)) for i, d in enumerate(data)]
-        )
+        return cls([MemoryLevelSpec(str(d["name"]), *(real(f"hierarchy[{i}] {k}", d[k], SpecInvalid) for k in params))
+                    for i, d in enumerate(data)])
 
     def to_json(self) -> list[dict]:
         return [
@@ -127,8 +123,10 @@ class CacheModel:
     used: int = field(default=0, init=False)
 
     def __post_init__(self):
+        if not is_number(self.capacity_lines):
+            raise SpecInvalid(f"capacity_lines must be a number, got {self.capacity_lines!r}")
         if not self.capacity_lines >= 0:  # NaN too
-            raise SpecInvalid(f"capacity must be non-negative, got {self.capacity_lines}")
+            raise SpecInvalid(f"capacity_lines must be non-negative, got {self.capacity_lines}")
         self.used = sum(self.state.values())
 
     def access(self, line: int, size: int = 1) -> bool:
@@ -168,6 +166,8 @@ class L3Config:
     policy: str  # "static" | "dynamic"
 
     def __post_init__(self):
+        for name in ("total_lines", "cores"):
+            object.__setattr__(self, name, whole(name, getattr(self, name), SpecInvalid))
         if self.cores < 1:
             raise SpecInvalid("cores must be >= 1")
         if self.total_lines < 0:
@@ -217,7 +217,7 @@ class TrainingFlowSpec:
 
     def __post_init__(self):
         self.dataset_bytes, self.batch_bytes, self.epochs = (
-            _whole(name, getattr(self, name)) for name in ("dataset_bytes", "batch_bytes", "epochs")
+            whole(name, getattr(self, name), SpecInvalid) for name in ("dataset_bytes", "batch_bytes", "epochs")
         )
         if self.dataset_bytes <= 0 or self.batch_bytes <= 0:
             raise SpecInvalid("dataset_bytes and batch_bytes must be positive")
@@ -275,38 +275,11 @@ class TrainingFlowSpec:
         )
 
 
-def _is_number(value: Any) -> bool:
-    return isinstance(value, numbers.Real) and not isinstance(value, bool)
-
-
-def _is_whole(value: Any) -> bool:
-    """A number without a fractional part; a plain int, the common case, skips the costlier ABC checks."""
-    return type(value) is int or (
-        _is_number(value) and (isinstance(value, numbers.Integral) or float(value).is_integer()))
-
-
-def _whole(name: str, value: Any) -> int:
-    """``value`` as an int, if it is a number without a fractional part."""
-    if not _is_whole(value):
-        raise SpecInvalid(f"{name} must be a whole number, got {value!r}")
-    return int(value)
-
-
-def _level_number(i: int, key: str, value: Any) -> float:
-    """A hierarchy level's ``key`` as a float, if it is a number within float range."""
-    if not _is_number(value):
-        raise SpecInvalid(f"hierarchy[{i}] {key} must be a number, got {value!r}")
-    try:
-        return float(value)
-    except OverflowError:  # an integer past float range
-        raise SpecInvalid(f"hierarchy[{i}] {key} must be within float range, got {value!r}") from None
-
-
 def _capacity(name: str, value: Any) -> None:
     """A capacity is a finite number of bytes (no integer past float range), at least 0 (a RAM may hold no batch)."""
     try:
-        finite = _is_number(value) and not math.isinf(value)
-    except OverflowError:
+        finite = not math.isinf(real(name, value))
+    except ValueError:  # not a number, or past float range
         finite = False
     if not finite:
         raise SpecInvalid(f"{name} must be a finite number of bytes, got {value!r}")

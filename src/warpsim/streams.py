@@ -18,7 +18,7 @@ from dataclasses import dataclass
 from enum import Enum
 from typing import Any, Sequence
 
-from .memperf import _is_number, _is_whole
+from .rules import is_number, real, whole
 
 
 class OpKind(str, Enum):
@@ -47,6 +47,12 @@ class StreamOp:
     waits_on: frozenset[str] = _NO_WAITS
 
     def __post_init__(self):
+        if not isinstance(self.id, str):
+            raise ValueError(f"op id must be a string, got {self.id!r}")
+        if type(self.stream_id) is not int:
+            object.__setattr__(self, "stream_id", whole(f"op {self.id!r} stream_id", self.stream_id))
+        if type(self.duration) is not float and type(self.duration) is not int and not is_number(self.duration):
+            raise ValueError(f"op {self.id!r} duration must be a number, got {self.duration!r}")
         if self.duration < 0:
             raise ValueError(f"op {self.id!r} has negative duration {self.duration}")
         try:
@@ -70,6 +76,13 @@ class EventRecord:
     stream_id: int
     position: int
 
+    def __post_init__(self):
+        if not isinstance(self.event_id, str):
+            raise ValueError(f"event id must be a string, got {self.event_id!r}")
+        for name in ("stream_id", "position"):
+            if type(getattr(self, name)) is not int:
+                object.__setattr__(self, name, whole(f"event {self.event_id!r} {name}", getattr(self, name)))
+
 
 MAX_ENGINES = 1 << 16  # engines of one kind: the scheduler lists every one
 
@@ -83,9 +96,13 @@ class EngineModel:
     def __post_init__(self):
         for name in ("copy_engines_h2d", "copy_engines_d2h", "compute_engines"):
             count = getattr(self, name)
-            if not _is_whole(count) or not 0 <= count <= MAX_ENGINES:
+            try:
+                whole_count = whole(name, count)
+            except ValueError:
+                whole_count = -1  # refused below, as a count out of range is
+            if not 0 <= whole_count <= MAX_ENGINES:
                 raise ValueError(f"EngineModel.{name} must be a whole number from 0 to {MAX_ENGINES}, got {count!r}")
-            object.__setattr__(self, name, int(count))
+            object.__setattr__(self, name, whole_count)
 
     def pool_sizes(self) -> dict[OpKind, int]:
         return {
@@ -388,11 +405,6 @@ def load_scenario(data: Any) -> tuple[list[StreamOp], list[EventRecord], EngineM
     def fail(where: str, msg: str):
         raise ValueError(f"scenario field {where}: {msg}")
 
-    def whole(where: str, value: Any) -> int:
-        if not _is_whole(value):  # by the rule of memflow's sizes
-            fail(where, f"must be a whole number, got {value!r}")
-        return int(value)
-
     def entries(key: str) -> list[dict]:
         items = data.get(key, [])
         if not isinstance(items, list):
@@ -405,7 +417,7 @@ def load_scenario(data: Any) -> tuple[list[StreamOp], list[EventRecord], EngineM
     eng = data.get("engines", {})
     if not isinstance(eng, dict):
         fail("engines", f"must be an object, got {eng!r}")
-    counts = {key: whole(f"engines.{key}", eng.get(key, 1)) for key in ("copy_h2d", "copy_d2h", "compute")}
+    counts = {k: whole(f"scenario field engines.{k}:", eng.get(k, 1)) for k in ("copy_h2d", "copy_d2h", "compute")}
     for key, count in counts.items():
         if not 0 <= count <= MAX_ENGINES:
             bound = "must not be negative" if count < 0 else f"must be at most {MAX_ENGINES}"
@@ -422,17 +434,15 @@ def load_scenario(data: Any) -> tuple[list[StreamOp], list[EventRecord], EngineM
             kind = _KINDS[kind]
         except (KeyError, TypeError):  # an unhashable kind (a list, a dict) is unknown too
             fail(f"ops[{i}].kind", f"unknown kind {kind!r}")
-        if type(duration) is not float and type(duration) is not int and not _is_number(duration):
+        if type(duration) is not float and type(duration) is not int and not is_number(duration):
             fail(f"ops[{i}].duration", f"must be a number, got {duration!r}")
         waits_on = raw.get("waits_on", [])
         if not isinstance(waits_on, list):
             fail(f"ops[{i}].waits_on", f"op {op_id!r} must wait on a list of event ids, got {waits_on!r}")
         if type(stream) is not int:
-            stream = whole(f"ops[{i}].stream", stream)
-        try:
-            duration = float(duration)
-        except OverflowError:
-            fail(f"ops[{i}].duration", f"must be within float range, got {duration!r}")
+            stream = whole(f"scenario field ops[{i}].stream:", stream)
+        if type(duration) is not float:
+            duration = real(f"scenario field ops[{i}].duration:", duration)
         # the event ids an op awaits are strings, as op and event ids are
         ops.append(StreamOp(str(op_id), stream, kind, duration, map(str, waits_on)))
     events: list[EventRecord] = []
@@ -442,9 +452,9 @@ def load_scenario(data: Any) -> tuple[list[StreamOp], list[EventRecord], EngineM
         except KeyError as e:
             fail(f"events[{i}]", f"missing {e.args[0]!r}")
         if type(stream) is not int:
-            stream = whole(f"events[{i}].stream", stream)
+            stream = whole(f"scenario field events[{i}].stream:", stream)
         if type(position) is not int:
-            position = whole(f"events[{i}].after_index", position)
+            position = whole(f"scenario field events[{i}].after_index:", position)
         events.append(EventRecord(str(ev_id), stream, position))
     return ops, events, engines
 

@@ -6,10 +6,22 @@ is allowed: an op duration that is an integer past float range makes this
 reference fail with ``OverflowError``, where the loader names the field.
 """
 
+import numbers
 from typing import Any
 
-from warpsim.memperf import _is_number, _is_whole
 from warpsim.streams import MAX_ENGINES, EngineModel, EventRecord, OpKind, StreamOp
+
+
+# The number predicates of ``warpsim.memperf`` that this loader called, copied so that a change to
+# ``warpsim.rules`` shows up as a disagreement with the reference instead of changing both sides.
+def _is_number(value: Any) -> bool:
+    return isinstance(value, numbers.Real) and not isinstance(value, bool)
+
+
+def _is_whole(value: Any) -> bool:
+    """A number without a fractional part; a plain int, the common case, skips the costlier ABC checks."""
+    return type(value) is int or (
+        _is_number(value) and (isinstance(value, numbers.Integral) or float(value).is_integer()))
 
 
 def load_scenario_reference(data: Any) -> tuple[list[StreamOp], list[EventRecord], EngineModel]:

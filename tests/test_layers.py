@@ -8,6 +8,8 @@ context's own counters, and only ``MetricsReport.add`` writes a report.
 Only the CLI reads files: the stream and memory models take parsed JSON.
 Only ``DeviceMemory.alloc`` turns host data into device arrays: the
 converter lives in ``core/memory.py`` and the kernels call ``alloc``.
+Only ``rules.py`` defines a number rule, and the stream model takes none
+of memperf's private helpers.
 The stream model's per-op and per-event records are slotted: a program
 holds one of each per op or event, and a ``__dict__`` would double its size.
 """
@@ -30,6 +32,7 @@ TRACK_FIELDS = {
     "writer1", "writer2", "writer_max", "reader1", "reader2", "rb_block1", "w_block1", "store_stamp", "forgot_stamp",
 }
 TRACK_PREFIXES = ("pending_", "cross_read")
+RULES = {"is_int", "is_number", "is_whole", "whole", "real"}
 
 
 def tree(name: str) -> ast.Module:
@@ -134,6 +137,21 @@ def test_only_alloc_converts_host_data():
         if name.startswith("kernels/"):
             hits += [f"{name} imports {m}" for m in sorted(imports) if "core.memory." in m + "."]
     assert hits == [], f"host data converted outside DeviceMemory.alloc: {hits}"
+
+
+def test_the_number_rules_have_one_home():
+    hits = []
+    for path in sorted(PACKAGE.rglob("*.py")):
+        name = str(path.relative_to(PACKAGE))
+        module = ast.parse(path.read_text(), filename=name)
+        if name != "rules.py":
+            hits += [f"{name}:{node.lineno} defines {node.name}" for node in ast.walk(module)
+                     if isinstance(node, ast.FunctionDef) and node.name.lstrip("_") in RULES]
+        if name == "streams.py":
+            hits += [f"{name}:{node.lineno} imports {a.name} from {node.module}" for node in ast.walk(module)
+                     if isinstance(node, ast.ImportFrom) and (node.module or "").endswith("memperf")
+                     for a in node.names if a.name.startswith("_")]
+    assert hits == [], f"number rules outside rules.py: {hits}"
 
 
 @pytest.mark.parametrize("record", [StreamOp, EventRecord, ScheduledOp], ids=lambda c: c.__name__)
