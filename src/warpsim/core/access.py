@@ -5,7 +5,9 @@ the tests keep them as the scalar oracles. ``MEMO``, the process's one
 ``_CostMemo``, runs the vectorized ``_warp_*`` variants over a group's warps
 in one pass, only for a pattern it has not seen: a shift of all addresses
 by a multiple of ``segment_bytes`` keeps the segment total, and one of
-``bank_width_bytes`` the bank cycles, so its keys drop that shift.
+``bank_width_bytes`` the bank cycles, so its keys drop that shift. Each
+variant is one sort-based pass with no fast path, because a pattern is
+costed on first sight only.
 """
 
 from __future__ import annotations
@@ -62,60 +64,43 @@ def bank_conflict_degree(
     return max(counts.values())
 
 
-_PAIR_BITS = 40  # warp/key packing headroom for a byte address or segment index
+_PAIR_BITS = 40  # warp/key packing headroom for a byte address, segment or bank index
 _PAIR_SHIFT = np.int64(1) << _PAIR_BITS
 BYTE_EXTENT_LIMIT = 1 << _PAIR_BITS  # a buffer or shared region spans fewer bytes, so its addresses fit the packing
-_BANK_HIST_MAX = 1 << 16  # largest (warp, bank) histogram built; larger ones sort
 
 
-def _warp_segment_total(
-    warp_ids: np.ndarray, byte_addrs: np.ndarray, segment_bytes: int
-) -> int:
+def _run_starts(keys: np.ndarray) -> np.ndarray:
+    """A mask of where each run of equal values of the sorted, nonempty ``keys`` starts."""
+    fresh = np.ones(keys.size, dtype=bool)
+    np.not_equal(keys[1:], keys[:-1], out=fresh[1:])
+    return fresh
+
+
+def _warp_segment_total(warp_ids: np.ndarray, byte_addrs: np.ndarray, segment_bytes: int) -> int:
     """Sum over warps of distinct segments touched, for one access instruction."""
     if byte_addrs.size == 0:
         return 0
-    keys = warp_ids * _PAIR_SHIFT + byte_addrs // segment_bytes
-    keys.sort()
-    # Sorted keys group each warp's segments: count the runs.
-    return int(np.count_nonzero(keys[1:] != keys[:-1])) + 1
+    keys = np.sort(warp_ids * _PAIR_SHIFT + byte_addrs // segment_bytes)
+    return int(np.count_nonzero(_run_starts(keys)))  # sorted keys group each warp's segments: count the runs
 
 
-def _warp_bank_extra_cycles(
-    warp_ids: np.ndarray,
-    byte_addrs: np.ndarray,
-    bank_count: int,
-    bank_width_bytes: int,
-) -> int:
+def _warp_bank_extra_cycles(warp_ids: np.ndarray, byte_addrs: np.ndarray, bank_count: int,
+                            bank_width_bytes: int) -> int:
     """Sum over warps of (degree - 1), for one shared access instruction."""
     if byte_addrs.size == 0:
         return 0
     # Distinct (warp, address) pairs first: identical addresses broadcast.
     keys = warp_ids * _PAIR_SHIFT + byte_addrs
-    if not (keys[1:] > keys[:-1]).all():
-        keys.sort()
-        fresh = np.empty(keys.size, dtype=bool)
-        fresh[0] = True
-        np.not_equal(keys[1:], keys[:-1], out=fresh[1:])
-        keys = keys[fresh]
-        warp_ids = keys >> _PAIR_BITS
-        byte_addrs = keys & (_PAIR_SHIFT - 1)
-    # Keys now ascend strictly, grouped by warp; each warp's degree is its
-    # largest bank population. Warps without active lanes add nothing.
-    first_warp = warp_ids[0]
-    span = int(warp_ids[-1] - first_warp) + 1
-    banks = (byte_addrs // bank_width_bytes) % bank_count
-    if span * bank_count <= _BANK_HIST_MAX:
-        hist = np.bincount((warp_ids - first_warp) * bank_count + banks, minlength=span * bank_count)
-        degree_per_warp = hist.reshape(span, bank_count).max(axis=1)
-        return int(degree_per_warp.sum()) - int(np.count_nonzero(degree_per_warp))
-    # A geometry too wide for the histogram: sort (warp, bank) keys and take
-    # the longest run of each warp.
-    bank_keys = np.sort(warp_ids * bank_count + banks)
-    starts = np.flatnonzero(np.concatenate(([True], bank_keys[1:] != bank_keys[:-1])))
-    runs = np.diff(np.append(starts, bank_keys.size))
-    run_warps = bank_keys[starts] // bank_count
-    warp_starts = np.flatnonzero(np.concatenate(([True], run_warps[1:] != run_warps[:-1])))
-    degree_per_warp = np.maximum.reduceat(runs, warp_starts)
+    keys.sort()
+    keys = keys[_run_starts(keys)]
+    # Then (warp, bank) pairs, packed alike as a bank is at most its address:
+    # each run is one bank of one warp, and a warp's degree its longest run.
+    addrs = keys & (_PAIR_SHIFT - 1)
+    keys += addrs // bank_width_bytes % bank_count - addrs  # each address becomes its bank
+    keys.sort()
+    starts = np.flatnonzero(_run_starts(keys))
+    runs = np.diff(starts, append=keys.size)
+    degree_per_warp = np.maximum.reduceat(runs, np.flatnonzero(_run_starts(keys[starts] >> _PAIR_BITS)))
     return int(degree_per_warp.sum()) - degree_per_warp.size
 
 

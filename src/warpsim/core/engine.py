@@ -50,6 +50,7 @@ LaneValue = Union[int, float, np.ndarray]
 
 _STAMP_MAX = int(np.iinfo(np.int64).max)
 _GROUP_LANES = 16384  # lanes of one group of a batchable kernel's blocks (README, "Batched blocks")
+_LOAD = object()  # the value of a load, which no store can pass
 
 
 def block_batchable(kernel: Callable) -> Callable:
@@ -176,7 +177,7 @@ class _View:
     """A kernel-side array: indexing it with lane arrays is one memory instruction."""
 
     def __getitem__(self, idx: LaneValue) -> np.ndarray:
-        return self._ctx._access(self, idx, None)
+        return self._ctx._access(self, idx, _LOAD)
 
     def __setitem__(self, idx: LaneValue, value: LaneValue) -> None:
         self._ctx._access(self, idx, value)
@@ -367,8 +368,8 @@ class KernelContext:
     # ------------------------------------------------------------------
     # memory instructions
 
-    def _access(self, view: _View, idx: LaneValue, value: Optional[LaneValue]) -> Optional[np.ndarray]:
-        """One memory instruction of the active lanes; ``value is None`` is a load.
+    def _access(self, view: _View, idx: LaneValue, value: Any) -> Optional[np.ndarray]:
+        """One memory instruction of the active lanes; ``value is _LOAD`` is a load, any other value a store.
 
         Only the cost and the race stamps depend on the address space: global
         memory counts coalesced segments, shared memory counts bank conflicts.
@@ -413,7 +414,7 @@ class KernelContext:
         fail = partial(self._race_fail, view, stamp)
 
         result: Optional[np.ndarray] = None
-        if value is None:
+        if value is _LOAD:
             track.check_read(addrs, tids, stamp, shift, block, fail, state.undo is not None)
             got = data[addrs]
             if full:
@@ -435,9 +436,9 @@ class KernelContext:
         if state.recorder is not None:
             state.recorder.accesses.append(AccessRecord(
                 kernel=self.kernel_name, block=self.block_linear, step=self.step, space=view.space,
-                kind="read" if value is None else "write", buffer=view.name, width=width, warp_ids=m.warp_ids,
+                kind="read" if value is _LOAD else "write", buffer=view.name, width=width, warp_ids=m.warp_ids,
                 lanes=tids, addresses=first_byte + pitch * np.arange(ei.size) if byte_addrs is None else byte_addrs,
-                values=None if value is None else vals.copy(),  # the kernel may change its own array
+                values=None if value is _LOAD else vals.copy(),  # the kernel may change its own array
             ))
         self.step += 1
         return result

@@ -442,7 +442,10 @@ def load_scenario(data: Any) -> tuple[list[StreamOp], list[EventRecord], EngineM
         if type(stream) is not int:
             stream = whole(f"scenario field ops[{i}].stream:", stream)
         if type(duration) is not float:
-            duration = real(f"scenario field ops[{i}].duration:", duration)
+            try:
+                duration = float(duration)
+            except OverflowError:  # past float range: the rule raises its message
+                real(f"scenario field ops[{i}].duration:", duration)
         # the event ids an op awaits are strings, as op and event ids are
         ops.append(StreamOp(str(op_id), stream, kind, duration, map(str, waits_on)))
     events: list[EventRecord] = []

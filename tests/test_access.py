@@ -3,8 +3,8 @@
 import numpy as np
 import pytest
 
-from warpsim import bank_conflict_degree, coalesce_count
-from warpsim.core.access import _BANK_HIST_MAX, _warp_bank_extra_cycles, _warp_segment_total
+from warpsim import DeviceMemory, LaunchConfig, Simulator, bank_conflict_degree, coalesce_count
+from warpsim.core.access import _warp_bank_extra_cycles, _warp_segment_total
 
 
 def segment_oracle(addresses, segment_bytes=128):
@@ -58,6 +58,10 @@ class TestCoalesceCount:
             got = coalesce_count([(int(a), 4) for a in addrs])
             assert got == segment_oracle(int(a) for a in addrs)
 
+    def test_segment_size_must_be_positive(self):
+        with pytest.raises(ValueError, match="^segment_bytes=0 must be positive$"):
+            coalesce_count([(0, 4)], 0)
+
     def test_configurable_segment_size(self):
         accesses = [(64 * lane, 4) for lane in range(4)]
         assert coalesce_count(accesses, segment_bytes=64) == 4
@@ -100,9 +104,8 @@ class TestBankConflictDegree:
 class TestWarpVectorizedForms:
     """The engine's whole-block forms equal per-warp sums of the scalar oracles.
 
-    Strictly ascending lane addresses skip the bank analysis's sort; the
-    other cases sort, so every input family below runs through both or
-    either.
+    The input families cover ascending, permuted, broadcast and scattered
+    lane addresses, with lanes and whole warps masked off.
     """
 
     @staticmethod
@@ -201,13 +204,40 @@ class TestWarpVectorizedForms:
 
     @pytest.mark.parametrize("family", FAMILIES)
     def test_geometry_past_the_histogram_bound(self, family):
-        # 4096 banks over 32 warps need a (warp, bank) histogram of 2**17
-        # entries; the analysis sorts instead and must agree.
+        # 4096 banks over 32 warps: a wide geometry must agree too.
         bank_count, bank_width = 4096, 4
         rng = np.random.default_rng(self.FAMILIES.index(family))
         for _ in range(10):
             warp_ids, addrs = self.block_access(rng, family, warps=32)
             addrs = addrs * 64  # spread over the many banks, with repeats kept
-            assert (int(warp_ids[-1]) - int(warp_ids[0]) + 1) * bank_count > _BANK_HIST_MAX
             want = self.per_warp_sums(warp_ids, addrs, 128, bank_count, bank_width)
             assert _warp_bank_extra_cycles(warp_ids, addrs, bank_count, bank_width) == want[1]
+
+    @pytest.mark.parametrize("bank_count", [2**49, 2**55, 2**62])
+    def test_bank_counts_past_the_int64_product(self, bank_count):
+        # Warps 2**64 / bank_count apart: a (warp, bank) key formed as
+        # warp * bank_count + bank wraps them onto one warp in int64.
+        far = 2**64 // bank_count
+        rng = np.random.default_rng(bank_count.bit_length())
+        lanes = np.arange(32)
+        for warps in ([0, far], [1, far + 1, 2 * far + 1], [far - 1, far, 2 * far, 3 * far]):
+            warp_ids = np.repeat(np.array(warps, dtype=np.int64), 32)
+            conflict_free = np.tile(lanes * 4, len(warps))
+            want = self.per_warp_sums(warp_ids, conflict_free, 128, bank_count, 4)
+            assert want[1] == 0
+            assert _warp_bank_extra_cycles(warp_ids, conflict_free, bank_count, 4) == want[1]
+            for _ in range(10):  # unaligned bytes share a bank word; repeats broadcast
+                addrs = rng.integers(0, 96, size=warp_ids.size)
+                want = self.per_warp_sums(warp_ids, addrs, 128, bank_count, 4)
+                assert _warp_bank_extra_cycles(warp_ids, addrs, bank_count, 4) == want[1]
+
+
+def test_a_huge_bank_count_leaves_a_conflict_free_load_free():
+    # Each warp loads 32 consecutive words: one per bank, whatever the count.
+    def kernel(ctx):
+        s = ctx.shared_array(256)
+        s[ctx.lane]
+
+    report = Simulator(bank_count=2**62).launch(kernel, LaunchConfig(1, 256, 1024), DeviceMemory())
+    want = 8 * (bank_conflict_degree([4 * lane for lane in range(32)], 2**62) - 1)
+    assert report.to_json()["bank_conflict_extra_cycles"] == want == 0

@@ -259,6 +259,28 @@ class TestRun:
         captured = capsys.readouterr()
         assert (code, captured.out, captured.err) == (2, "", f"error: {message.format(*paths)}\n")
 
+    def test_input_object_is_usage_error(self, tmp_path, capsys):
+        path = write_json(tmp_path, "object.json", {"a": 1})
+        code = main(["run", "--kernel", "reduce_sum", "--input", path])
+        captured = capsys.readouterr()
+        assert (code, captured.out, captured.err) == (2, "", f"error: {path}: expected a flat JSON array of numbers\n")
+
+    @pytest.mark.parametrize("kernel, message", [
+        ("reduce_sum", "unknown variant 'bogus', expected one of ('interleaved', 'sequential')"),
+        ("matmul", "unknown variant 'bogus'"),
+    ])
+    def test_unknown_variant_is_usage_error(self, capsys, kernel, message):
+        code = main(["run", "--kernel", kernel, "--size", "8", "--variant", "bogus"])
+        captured = capsys.readouterr()
+        assert (code, captured.out, captured.err) == (2, "", f"error: {message}\n")
+
+    def test_block_past_the_thread_limit_is_simulation_error(self, capsys):
+        code = main(["run", "--kernel", "vector_add", "--size", "8", "--block-dim", "2048"])
+        captured = capsys.readouterr()
+        payload = {"kind": "LaunchConfigInvalid", "message": "block_dim=(2048, 1, 1) exceeds 1024 threads per block",
+                   "threads": [], "buffer": None, "step": None, "kernel": None}
+        assert (code, captured.out, captured.err) == (3, "", f"simulation error: {json.dumps(payload)}\n")
+
 
 @pytest.mark.parametrize("argv", [
     ["run", "--kernel", "reduce_sum", "--input"],

@@ -24,6 +24,9 @@ from hypothesis import strategies as st
 from warpsim import DeviceMemory, LaunchConfig, Recorder, SimError, Simulator
 from warpsim.core import access
 from warpsim.core.access import _COST_MEMO_KEY_BYTES, _CostMemo, bank_conflict_degree, coalesce_count
+from warpsim.kernels import (
+    Matrix, exclusive_scan_blelloch, inclusive_scan_hillis_steele, matmul, matrix_add, reduce_sum, vector_add,
+)
 
 GLOBAL_LEN = 4096
 SHARED_LEN = 512
@@ -344,3 +347,31 @@ def test_each_geometry_input_is_in_the_memo_key(name, order, monkeypatch):
     space, threads, runs = GEOMETRY_CASES[name]
     for geometry, warp_size, cost in runs if order == "forward" else runs[::-1]:
         assert geometry_cost(space, threads, geometry, warp_size) == (cost, cost)
+
+
+def test_a_warm_memo_computes_no_cost(monkeypatch):
+    """Each shipped primitive costs its patterns on first sight only: a rerun computes nothing."""
+    monkeypatch.setattr(access, "MEMO", _CostMemo())  # empty, so the run stays far below the cap
+    calls = []
+    for name in ("_warp_segment_total", "_warp_bank_extra_cycles"):
+        def counted(*args, _name=name, _f=getattr(access, name)):
+            calls.append(_name)
+            return _f(*args)
+        monkeypatch.setattr(access, name, counted)
+
+    m = Matrix(20, 20, list(range(400)))
+    runs = [
+        lambda: vector_add(list(range(300)), list(range(300))),
+        *(lambda v=v, n=n: reduce_sum(list(range(n)), v) for v in ("interleaved", "sequential") for n in (256, 2048)),
+        *(lambda n=n: inclusive_scan_hillis_steele(list(range(n))) for n in (100, 2048)),
+        lambda: exclusive_scan_blelloch(list(range(64))),
+        lambda: matrix_add(m, m),
+        *(lambda v=v: matmul(m, m, v) for v in ("naive", "tiled")),
+    ]
+    for run in runs:
+        run()
+    assert set(calls) == {"_warp_segment_total", "_warp_bank_extra_cycles"}
+    first = len(calls)
+    for run in runs:
+        run()
+    assert len(calls) == first

@@ -206,6 +206,21 @@ class TestLaunchBasics:
         assert report.global_transactions > 0
         assert all(rec.kind == "read" for rec in recorder.accesses)
 
+    @pytest.mark.parametrize("value", [None, np.array([None] * 4)], ids=["none", "array_of_none"])
+    def test_a_store_of_none_stores_and_raises(self, value):
+        # An assignment is a store whatever its value: None fails to convert
+        # to the buffer's dtype as an array of None does, and loads nothing.
+        def kernel(ctx, out):
+            out[ctx.gx] = value
+
+        mem = DeviceMemory()
+        out = mem.alloc("out", [1, 2, 3, 4])
+        recorder = Recorder()
+        with pytest.raises(TypeError, match="not 'NoneType'"):
+            launch_kernel(kernel, LaunchConfig(1, 4), mem, (out,), recorder=recorder)
+        assert out.tolist() == [1, 2, 3, 4]
+        assert recorder.accesses == []
+
     def test_doubling_with_boundary_guard(self):
         n = 1000
         values = list(range(n))
@@ -266,6 +281,20 @@ class TestLaunchBasics:
             "kind": "LaunchConfigInvalid", "message": message, "threads": [], "buffer": None, "step": None,
             "kernel": None,
         }
+
+    def test_zero_warp_size_rejected_at_launch(self):
+        with pytest.raises(LaunchConfigInvalid) as exc:
+            launch_kernel(noop_kernel, LaunchConfig(1, 32, warp_size=0), DeviceMemory())
+        assert str(exc.value) == "warp_size=0 must be positive"
+
+    def test_shared_array_length(self):
+        lengths = []
+
+        def kernel(ctx):
+            lengths.append(len(ctx.shared_array(7)))
+
+        launch_kernel(kernel, LaunchConfig(1, 4, shared_mem_bytes=28), DeviceMemory())
+        assert lengths == [7]
 
     def test_numpy_integer_config_fields_accepted(self):
         config = LaunchConfig(np.int64(2), [np.int32(32), 1], np.int64(8), np.uint8(32))

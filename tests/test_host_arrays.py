@@ -197,6 +197,12 @@ def test_alloc_of_a_list_keeps_no_tie_to_the_list_or_its_source():
     assert not np.shares_memory(buf.data, source)
 
 
+def test_a_buffer_names_itself_its_length_and_dtype():
+    mem = DeviceMemory()
+    assert repr(mem.alloc("x", [1, 2, 3])) == "Buffer('x', len=3, dtype=int64)"
+    assert repr(mem.alloc("y", [0.5])) == "Buffer('y', len=1, dtype=float64)"
+
+
 @pytest.mark.parametrize("make", [
     lambda: np.arange(8),
     lambda: np.arange(16)[::2],  # a view

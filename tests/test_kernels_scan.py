@@ -66,6 +66,9 @@ class TestGoldenExclusiveScan:
         with pytest.raises(ValueError):
             exclusive_scan_blelloch(list(range(4096)))
 
+    def test_empty(self):
+        assert exclusive_scan_blelloch([]) == []
+
     def test_tiny_sizes(self):
         assert exclusive_scan_blelloch([5]) == [0]
         assert exclusive_scan_blelloch([5, 3]) == [0, 5]

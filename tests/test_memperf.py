@@ -400,6 +400,14 @@ class TestHierarchyValidation:
         with pytest.raises(SpecInvalid):
             MemoryLevelSpec("Floppy", 1, 1, 1)
 
+    def test_lookup_of_a_level_the_hierarchy_lacks(self):
+        with pytest.raises(SpecInvalid, match="^hierarchy has no level named 'Tape'$"):
+            default_hierarchy().level("Tape")
+
+    def test_hierarchy_json_that_is_not_an_array(self):
+        with pytest.raises(SpecInvalid, match="^hierarchy must be a JSON array of level objects$"):
+            HierarchySpec.from_json("x")
+
     @pytest.mark.parametrize("key", ["latency", "bandwidth", "capacity"])
     def test_level_parameter_past_float_range_is_spec_invalid(self, key):
         params = {"latency": 1, "bandwidth": 1, "capacity": 1, key: 10**400}
@@ -443,3 +451,18 @@ class TestHierarchyValidation:
         with pytest.raises(SpecInvalid) as caught:
             HierarchySpec.from_json(levels)
         assert str(caught.value) == message
+
+
+@pytest.mark.parametrize(
+    "build, message",
+    [
+        (lambda: L3Config(-1, 1, "static"), "total_lines must be non-negative"),
+        (lambda: TrainingFlowSpec(0, 1, 1), "dataset_bytes and batch_bytes must be positive"),
+        (lambda: TrainingFlowSpec(1, 1, 0), "epochs must be >= 1"),
+    ],
+    ids=["l3_negative_lines", "flow_empty_dataset", "flow_no_epochs"],
+)
+def test_constructor_range_checks(build, message):
+    with pytest.raises(SpecInvalid) as caught:
+        build()
+    assert str(caught.value) == message

@@ -80,6 +80,8 @@ def outcome(load, data):
 @example({"ops": [{"id": "a", "stream": 1, "kind": "h2d", "duration": 10**400}]})
 @example({"ops": [{"id": "a", "stream": 1.5, "kind": "h2d", "duration": -(10**400)}]})
 @example({"ops": [{"id": "a", "stream": 1, "kind": {"h2d": 1}, "duration": 1}]})
+@example({"ops": [{"id": "a", "stream": True, "kind": "h2d", "duration": 1}]})
+@example({"ops": [{"id": "a", "stream": 1, "kind": "h2d", "duration": True}]})
 def test_the_loader_agrees_with_its_reference(data):
     want, got = outcome(load_scenario_reference, data), outcome(load_scenario, data)
     if want[0] is OverflowError:  # float() of an integer duration past float range
