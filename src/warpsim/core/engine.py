@@ -652,17 +652,19 @@ class Simulator:
         max_threads_per_block: int = DEFAULT_MAX_THREADS_PER_BLOCK,
         max_nesting_depth: int = 2,
     ):
-        for name, value in (
-            ("segment_bytes", segment_bytes),
-            ("bank_count", bank_count),
-            ("bank_width_bytes", bank_width_bytes),
-            ("max_threads_per_block", max_threads_per_block),
-            ("max_nesting_depth", max_nesting_depth),
+        for name, value, int64 in (
+            ("segment_bytes", segment_bytes, True),  # the access analysis computes with these in int64
+            ("bank_count", bank_count, True),
+            ("bank_width_bytes", bank_width_bytes, True),
+            ("max_threads_per_block", max_threads_per_block, False),
+            ("max_nesting_depth", max_nesting_depth, False),
         ):
             if not is_int(value):
                 raise ValueError(f"{name}={value!r} must be an integer")
             if value < 1:
                 raise ValueError(f"{name}={value} must be positive")
+            if int64 and value >= 2**63:
+                raise ValueError(f"{name}={value} must be below 2**63")
             setattr(self, name, int(value))
 
     def launch(

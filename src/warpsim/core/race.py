@@ -189,10 +189,8 @@ def _distinct(addrs: np.ndarray, st: np.ndarray) -> tuple[np.ndarray, np.ndarray
     stamps are one stale scalar. Addresses that never descend skip the sort:
     the lanes of each address already follow one another in lane order.
     ``addrs`` is the engine's own array, never one the kernel holds, so the
-    ascending case may return it as is.
+    strictly ascending case may return it as is.
     """
-    if bool((addrs[1:] > addrs[:-1]).all()):
-        return addrs, st, _STALE
     if bool((addrs[1:] >= addrs[:-1]).all()):
         a, s = addrs, st
     else:

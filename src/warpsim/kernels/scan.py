@@ -71,26 +71,30 @@ def inclusive_scan_hillis_steele(
     input's step rows come from a ``Recorder`` on its launch; wider inputs run
     one launch per step and the host reads each step's row from its output.
     """
-    values = values if type(values) is list else list(values)
+    listed = type(values) is list
+    values = values if listed else list(values)
     n0 = len(values)
     if n0 == 0:
         return [], StepTrace([[]])
     sim = simulator or Simulator()
     n = next_pow2(n0)
     padded = values + [0] * (n - n0)  # a list, which alloc converts without a further copy
-    rows = [list(values)]
-
+    rows = [list(values) if listed else None]
+    one_block = n <= MAX_BLOCK_THREADS
     mem = DeviceMemory()
-    if n <= MAX_BLOCK_THREADS:
-        inp = mem.alloc("input", padded)
-        out = mem.alloc("output", n, dtype=inp.dtype)
+    src = mem.alloc("input" if one_block else "ping", padded)
+    if not listed:  # plain numbers, also from an array of numpy scalars
+        rows[0] = src.tolist()[:n0]
+
+    if one_block:
+        out = mem.alloc("output", n, dtype=src.dtype)
         recorder = Recorder()
         config = LaunchConfig(1, n, shared_mem_bytes=2 * n * 4)
         sim.launch(
             hillis_steele_block_kernel,
             config,
             mem,
-            (inp, out, n),
+            (src, out, n),
             name="inclusive_scan",
             metrics=metrics,
             recorder=recorder,
@@ -99,7 +103,6 @@ def inclusive_scan_hillis_steele(
         return out.tolist()[:n0], StepTrace(rows)
 
     # Wide inputs: one launch per distance, grid-wide sync between passes.
-    src = mem.alloc("ping", padded)
     dst = mem.alloc("pong", n, dtype=src.dtype)
     config = LaunchConfig(ceil_div(n, THREADS_PER_BLOCK), THREADS_PER_BLOCK)
     distance = 1

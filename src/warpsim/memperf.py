@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import math
 from collections import OrderedDict
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from itertools import zip_longest
 from typing import Any, Iterable, Optional, Sequence
 
@@ -54,25 +54,19 @@ class HierarchySpec:
     def __post_init__(self):
         self.levels = list(self.levels)
         for faster, slower in zip(self.levels, self.levels[1:]):
-            if slower.latency < faster.latency:
-                raise SpecInvalid(
-                    f"pyramid violation: {slower.name} is below {faster.name} "
-                    f"but has lower latency"
-                )
-            if slower.capacity < faster.capacity:
-                raise SpecInvalid(
-                    f"pyramid violation: {slower.name} is below {faster.name} "
-                    f"but has smaller capacity"
-                )
+            for axis, worse in (("latency", "lower latency"), ("capacity", "smaller capacity")):
+                if getattr(slower, axis) < getattr(faster, axis):
+                    raise SpecInvalid(f"pyramid violation: {slower.name} is below {faster.name} but has {worse}")
+
+    def first(self, names: Sequence[str]) -> Optional[MemoryLevelSpec]:
+        """The level of the first of ``names`` that the hierarchy holds (in the order of ``names``), or None."""
+        return next((lv for name in names for lv in self.levels if lv.name == name), None)
 
     def level(self, name: str) -> MemoryLevelSpec:
-        for lv in self.levels:
-            if lv.name == name:
-                return lv
-        raise SpecInvalid(f"hierarchy has no level named {name!r}")
-
-    def has(self, name: str) -> bool:
-        return any(lv.name == name for lv in self.levels)
+        lv = self.first((name,))
+        if lv is None:
+            raise SpecInvalid(f"hierarchy has no level named {name!r}")
+        return lv
 
     @classmethod
     def from_json(cls, data: Sequence[dict]) -> "HierarchySpec":
@@ -87,10 +81,7 @@ class HierarchySpec:
                     for i, d in enumerate(data)])
 
     def to_json(self) -> list[dict]:
-        return [
-            {"name": lv.name, "latency": lv.latency, "bandwidth": lv.bandwidth, "capacity": lv.capacity}
-            for lv in self.levels
-        ]
+        return [asdict(lv) for lv in self.levels]
 
 
 def default_hierarchy() -> HierarchySpec:
@@ -116,10 +107,10 @@ def default_hierarchy() -> HierarchySpec:
 
 @dataclass
 class CacheModel:
-    """LRU cache; ``state`` maps each resident key to its size, least recently used first."""
+    """LRU cache, empty at first; ``state`` maps each resident key to its size, least recently used first."""
 
     capacity_lines: int
-    state: "OrderedDict[int, int]" = field(default_factory=OrderedDict)
+    state: "OrderedDict[int, int]" = field(default_factory=OrderedDict, init=False)
     used: int = field(default=0, init=False)
 
     def __post_init__(self):
@@ -127,7 +118,6 @@ class CacheModel:
             raise SpecInvalid(f"capacity_lines must be a number, got {self.capacity_lines!r}")
         if not self.capacity_lines >= 0:  # NaN too
             raise SpecInvalid(f"capacity_lines must be non-negative, got {self.capacity_lines}")
-        self.used = sum(self.state.values())
 
     def access(self, line: int, size: int = 1) -> bool:
         """True on a hit. A miss evicts from the LRU end until ``size`` fits, unless it exceeds the capacity."""
@@ -240,10 +230,10 @@ class TrainingFlowSpec:
                 f"epochs={self.epochs} over dataset_bytes={self.dataset_bytes} in batches of "
                 f"batch_bytes={self.batch_bytes} make {visits} batch visits, more than the cap of {MAX_BATCH_VISITS}"
             )
-        # A visit stages at most one batch from disk and one from RAM; a missing level fails later.
+        # A visit stages at most one batch from disk and one from RAM, each the level the estimate reads;
+        # a missing level fails there.
         worst = 0.0
-        for names in (DISK_LEVELS, ("RAM",)):
-            level = next((self.hierarchy.level(n) for n in names if self.hierarchy.has(n)), None)
+        for level in (self.hierarchy.first(DISK_LEVELS), self.hierarchy.first(("RAM",))):
             if level is not None:
                 worst += level.latency + self.batch_bytes / level.bandwidth
         if not math.isfinite(visits * worst):
@@ -324,13 +314,6 @@ class FlowReport:
         return {"epochs": [e.to_json() for e in self.epochs], "total_time": self.total_time}
 
 
-def _disk_level(hierarchy: HierarchySpec) -> MemoryLevelSpec:
-    for name in DISK_LEVELS:
-        if hierarchy.has(name):
-            return hierarchy.level(name)
-    raise SpecInvalid(f"hierarchy needs a disk level ({', '.join(DISK_LEVELS)})")
-
-
 def estimate_training_flow(spec: TrainingFlowSpec) -> FlowReport:
     """Per-epoch staging cost of streaming batches disk -> RAM -> VRAM.
 
@@ -338,7 +321,9 @@ def estimate_training_flow(spec: TrainingFlowSpec) -> FlowReport:
     destination (an LRU of each capacity, charging a batch its bytes); the
     stage cost is latency + bytes / bandwidth of the source level.
     """
-    disk = _disk_level(spec.hierarchy)
+    disk = spec.hierarchy.first(DISK_LEVELS)
+    if disk is None:
+        raise SpecInvalid(f"hierarchy needs a disk level ({', '.join(DISK_LEVELS)})")
     ram = spec.hierarchy.level("RAM")
     n_batches = -(-spec.dataset_bytes // spec.batch_bytes)
     sizes = [spec.batch_bytes] * n_batches

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from warpsim import DeviceMemory, LaunchConfig, Simulator, bank_conflict_degree, coalesce_count
+from warpsim import DeviceMemory, LaunchConfig, Recorder, Simulator, bank_conflict_degree, coalesce_count
 from warpsim.core.access import _warp_bank_extra_cycles, _warp_segment_total
 
 
@@ -241,3 +241,36 @@ def test_a_huge_bank_count_leaves_a_conflict_free_load_free():
     report = Simulator(bank_count=2**62).launch(kernel, LaunchConfig(1, 256, 1024), DeviceMemory())
     want = 8 * (bank_conflict_degree([4 * lane for lane in range(32)], 2**62) - 1)
     assert report.to_json()["bank_conflict_extra_cycles"] == want == 0
+
+
+INT64_GEOMETRY = ["segment_bytes", "bank_count", "bank_width_bytes"]
+
+
+@pytest.mark.parametrize("name", INT64_GEOMETRY)
+def test_a_geometry_past_int64_is_refused_at_construction(name):
+    with pytest.raises(ValueError) as caught:
+        Simulator(**{name: 2**63})
+    assert caught.value.args == (f"{name}={2**63} must be below 2**63",)
+
+
+@pytest.mark.parametrize("name", INT64_GEOMETRY)
+def test_the_widest_int64_geometry_counts_like_the_scalar_functions(name):
+    geometry = {"segment_bytes": 128, "bank_count": 32, "bank_width_bytes": 4, name: 2**63 - 1}
+
+    def kernel(ctx, buf):
+        s = ctx.shared_array(128)
+        s[2 * ctx.thread_idx.x] = buf[3 * ctx.global_id]
+
+    mem, recorder = DeviceMemory(), Recorder()
+    buf = mem.alloc("x", 192)
+    report = Simulator(**geometry).launch(kernel, LaunchConfig(1, 64, 512), mem, (buf,), recorder=recorder)
+    want = {"global": 0, "shared": 0}
+    for rec in recorder.accesses:
+        for warp in np.unique(rec.warp_ids).tolist():
+            addrs = rec.addresses[rec.warp_ids == warp].tolist()
+            if rec.space == "global":
+                want["global"] += coalesce_count([(a, rec.width) for a in addrs], geometry["segment_bytes"])
+            else:
+                want["shared"] += bank_conflict_degree(addrs, geometry["bank_count"], geometry["bank_width_bytes"]) - 1
+    got = report.to_json()
+    assert (got["global_transactions"], got["bank_conflict_extra_cycles"]) == (want["global"], want["shared"])

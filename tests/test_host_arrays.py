@@ -9,13 +9,23 @@ and copies any array the caller could still hold. The primitives type each
 output by ``np.result_type`` of their inputs.
 """
 
+import json
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from warpsim import DeviceMemory, LaunchConfig, Simulator
-from warpsim.kernels import Matrix, exclusive_scan_blelloch, matmul, matrix_add, reduce_sum, vector_add
+from warpsim.kernels import (
+    Matrix,
+    exclusive_scan_blelloch,
+    inclusive_scan_hillis_steele,
+    matmul,
+    matrix_add,
+    reduce_sum,
+    vector_add,
+)
 
 
 class Index:
@@ -239,13 +249,17 @@ SAME_VALUES = {
 
 
 def primitive_outcome(call):
-    """A primitive's result with the type of each value, its step rows if any, or its exception."""
+    """A primitive's result with the type of each value, its step rows if any, or its exception.
+
+    Step rows must be JSON: plain numbers, never numpy scalars."""
     try:
         result = call()
     except Exception as e:  # the same exception is expected of both input forms
         return type(e), e.args
-    if isinstance(result, tuple):  # reduce_sum: (sum, StepTrace)
-        return result[0], type(result[0]), result[1].rows
+    if isinstance(result, tuple):  # reduce_sum and inclusive_scan_hillis_steele: (result, StepTrace)
+        json.dumps(result[1].to_json())
+        value = result[0]
+        return value, [type(v) for v in value] if isinstance(value, list) else type(value), result[1].rows
     return result, [type(v) for v in result]
 
 
@@ -253,16 +267,20 @@ def primitive_outcome(call):
 @pytest.mark.parametrize("name", SAME_VALUES)
 def test_primitives_read_arrays_tuples_and_generators_as_the_same_list(name, form):
     # Results, value types, step rows and error messages match those of the same values as a list.
-    values = SAME_VALUES[name]
     make = {
-        "ndarray": lambda: np.array(values, dtype=name),
-        "tuple": lambda: tuple(values),
-        "generator": lambda: (v for v in values),
+        "ndarray": lambda values: np.array(values, dtype=name),
+        "tuple": tuple,
+        "generator": lambda values: (v for v in values),
     }[form]
-    for call in (
-        lambda x: vector_add(x(), x()),
-        lambda x: reduce_sum(x()),
-        lambda x: exclusive_scan_blelloch(x()),
+    values = SAME_VALUES[name]
+    wide = values * 65  # 1040 elements: the scan's one launch per step
+    for call, given in (
+        (lambda x: vector_add(x(), x()), values),
+        (lambda x: reduce_sum(x()), values),
+        (lambda x: exclusive_scan_blelloch(x()), values),
+        (lambda x: inclusive_scan_hillis_steele(x()), values),
+        (lambda x: inclusive_scan_hillis_steele(x()), wide),
     ):
-        assert primitive_outcome(lambda: call(make)) == primitive_outcome(lambda: call(lambda: list(values)))
+        want = primitive_outcome(lambda: call(lambda: list(given)))
+        assert primitive_outcome(lambda: call(lambda: make(given))) == want
 

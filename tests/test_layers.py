@@ -9,7 +9,8 @@ Only the CLI reads files: the stream and memory models take parsed JSON.
 Only ``DeviceMemory.alloc`` turns host data into device arrays: the
 converter lives in ``core/memory.py`` and the kernels call ``alloc``.
 Only ``rules.py`` defines a number rule, and the stream model takes none
-of memperf's private helpers.
+of memperf's private helpers. Only ``HierarchySpec``'s methods walk its
+levels, so one lookup picks a level by name.
 The stream model's per-op and per-event records are slotted: a program
 holds one of each per op or event, and a ``__dict__`` would double its size.
 """
@@ -152,6 +153,19 @@ def test_the_number_rules_have_one_home():
                      if isinstance(node, ast.ImportFrom) and (node.module or "").endswith("memperf")
                      for a in node.names if a.name.startswith("_")]
     assert hits == [], f"number rules outside rules.py: {hits}"
+
+
+def test_only_the_hierarchy_reads_its_levels():
+    """``HierarchySpec.first`` is the one lookup of a level by name: no code outside the class walks ``.levels``."""
+    hits = []
+    for path in sorted(PACKAGE.rglob("*.py")):
+        name = str(path.relative_to(PACKAGE))
+        module = ast.parse(path.read_text(), filename=name)
+        inside = {id(node) for cls in ast.walk(module) if isinstance(cls, ast.ClassDef) and cls.name == "HierarchySpec"
+                  for method in cls.body if isinstance(method, ast.FunctionDef) for node in ast.walk(method)}
+        hits += [f"{name}:{node.lineno}" for node in ast.walk(module)
+                 if isinstance(node, ast.Attribute) and node.attr == "levels" and id(node) not in inside]
+    assert hits == [], f".levels read outside HierarchySpec's methods: {hits}"
 
 
 @pytest.mark.parametrize("record", [StreamOp, EventRecord, ScheduledOp], ids=lambda c: c.__name__)

@@ -428,6 +428,46 @@ class TestHierarchyValidation:
         with pytest.raises(SpecInvalid):
             estimate_training_flow(spec)
 
+    @pytest.mark.parametrize("latency, capacity, message", [
+        (2, 1000, "pyramid violation: RAM is below L1 but has lower latency"),
+        (9, 100, "pyramid violation: RAM is below L1 but has smaller capacity"),
+        (2, 100, "pyramid violation: RAM is below L1 but has lower latency"),  # both axes: latency is checked first
+    ])
+    def test_pyramid_violation_messages(self, latency, capacity, message):
+        with pytest.raises(SpecInvalid) as caught:
+            HierarchySpec([MemoryLevelSpec("Registers", 1, 100, 10), MemoryLevelSpec("L1", 5, 100, 500),
+                           MemoryLevelSpec("RAM", latency, 100, capacity)])
+        assert caught.value.args == (message,)
+
+    def test_disk_level_follows_disk_levels_not_the_level_order(self):
+        ram, vram = MemoryLevelSpec("RAM", 10, 100, 10**9), MemoryLevelSpec("VRAM", 12, 100, 2 * 10**9)
+        ssd = MemoryLevelSpec("SSD", 2000, 10, 10**13)
+        hdd_above_ssd = HierarchySpec([ram, vram, MemoryLevelSpec("HDD", 1000, 1, 10**12), ssd])
+        reports = [
+            estimate_training_flow(TrainingFlowSpec(1000, 100, 2, hierarchy=h, vram_capacity=250, ram_capacity=450))
+            for h in (hdd_above_ssd, HierarchySpec([ram, vram, ssd]))
+        ]
+        assert reports[0].to_json() == reports[1].to_json()
+        assert reports[0].epochs[0].stages[0].time == ssd.latency + 100 / ssd.bandwidth
+
+    def test_first_is_in_the_order_of_names(self):
+        h = default_hierarchy()
+        assert h.first(("External", "SSD")) is h.levels[-1]
+        assert h.first(("Tape", "L1", "Registers")) is h.levels[1]
+        assert h.first(("Tape",)) is None and h.first(()) is None
+
+    def test_finiteness_guard_reads_the_disk_level_of_the_estimate(self):
+        # 100 bytes at HDD's bandwidth of 5e-324 would take an infinite time, but SSD stages every batch.
+        hierarchy = HierarchySpec([
+            MemoryLevelSpec("RAM", 10, 100, 10**9),
+            MemoryLevelSpec("VRAM", 12, 100, 2 * 10**9),
+            MemoryLevelSpec("SSD", 1000, 10, 10**12),
+            MemoryLevelSpec("HDD", 10**4, 5e-324, 10**13),
+        ])
+        assert hierarchy.level("HDD").latency + 100 / hierarchy.level("HDD").bandwidth == float("inf")
+        report = estimate_training_flow(TrainingFlowSpec(1000, 100, 2, hierarchy=hierarchy))
+        assert 0 < report.total_time < float("inf")
+
     def test_json_round_trip(self):
         h = default_hierarchy()
         again = HierarchySpec.from_json(h.to_json())
