@@ -15,7 +15,9 @@ A program is a list of instructions, each a tuple:
   register plus ``k``.
 - ``("barrier",)``, ``("from_block", b, body)`` (a uniform branch taken by
   blocks ``b`` and up) and ``("if", m, c, then, else)`` (lanes whose global id
-  modulo ``m`` is below ``c`` run ``then``, the others ``else``).
+  modulo ``m`` is below ``c`` run ``then``, the others ``else``) and
+  ``("range", lo, hi, then, else)`` (lanes whose block-local thread id ``t``
+  has ``lo <= t < hi`` run ``then``, one contiguous lane range in a block).
 - ``("launch", n, grid, block, program)`` launches one child grid per active
   thread whose global id is below ``n``, under a branch on that condition.
 
@@ -85,6 +87,8 @@ def lane_address(pattern, gid, tid, block, nthreads, length):
         return k % length
     if kind == "table":
         return (table[tid % len(table)] + k * block) % length
+    if kind == "step":  # k + tid * d, a run of step d = table[0] >= 2
+        return (k + tid * table[0]) % length
     if kind == "raw":  # "table" unwrapped: may fall outside the array
         return table[tid % len(table)] + k * block
     return (tid + k) % length  # "local": the same addresses in every block
@@ -210,11 +214,14 @@ class Block:
             elif op == "from_block":
                 if self.b >= ins[1]:
                     self.execute(ins[2], active)
-            elif op == "if":
-                _, modulus, cut, then_body, else_body = ins
+            elif op in ("if", "range"):
+                _, a, b, then_body, else_body = ins
                 self.step += 1
-                taken = [t for t in active if self.gid(t) % modulus < cut]
-                rest = [t for t in active if self.gid(t) % modulus >= cut]
+                if op == "if":  # global id modulo a below b
+                    taken = [t for t in active if self.gid(t) % a < b]
+                else:  # block-local thread ids from a up to b
+                    taken = [t for t in active if a <= t < b]
+                rest = [t for t in active if t not in taken]
                 self.diverge(taken, rest)
                 if taken:
                     self.execute(then_body, taken)

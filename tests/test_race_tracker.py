@@ -27,7 +27,8 @@ from warpsim.kernels.matrix import TILE, matmul_naive_kernel, matmul_tiled_kerne
 #
 # An address pattern maps (global id, block-local thread id) to an index.
 # They cover ascending, descending, strided (colliding), broadcast and
-# arbitrary per-thread addresses.
+# arbitrary per-thread addresses, and block-local runs ``k + tid * d`` with a
+# step ``d >= 2``, such as a tree sweep's.
 
 MAX_THREADS = 64
 
@@ -39,10 +40,13 @@ def addresses(pattern, ctx, length):
     return np.array([lane_address(pattern, g, t, b, ctx.block_dim.x, length) for g, t, b in zip(gids, tids, blocks)])
 
 
-patterns = st.tuples(
-    st.sampled_from(["shift", "stride", "reverse", "broadcast", "table", "local"]),
-    st.integers(0, 5),
-    st.lists(st.integers(0, 200), min_size=1, max_size=MAX_THREADS),
+patterns = st.one_of(
+    st.tuples(
+        st.sampled_from(["shift", "stride", "reverse", "broadcast", "table", "local"]),
+        st.integers(0, 5),
+        st.lists(st.integers(0, 200), min_size=1, max_size=MAX_THREADS),
+    ),
+    st.tuples(st.just("step"), st.integers(0, 5), st.lists(st.integers(2, 4), min_size=1, max_size=1)),
 )
 
 
@@ -59,7 +63,10 @@ def instructions(max_depth, allow_launch):
     if max_depth == 0:
         return leaf
     body = st.lists(instructions(max_depth - 1, allow_launch), max_size=4)
-    branch = st.tuples(st.just("if"), st.integers(1, 8), st.integers(0, 7), body, body)
+    branch = st.one_of(
+        st.tuples(st.just("if"), st.integers(1, 8), st.integers(0, 7), body, body),
+        st.tuples(st.just("range"), st.integers(0, 32), st.integers(1, MAX_THREADS), body, body),
+    )
     return st.one_of(leaf, branch)
 
 
@@ -107,6 +114,10 @@ def run_program(ctx, x, y, program):
                     lambda: execute(then_body),
                     lambda: execute(else_body),
                 )
+            elif op == "range":  # one contiguous lane range of each block
+                _, lo, hi, then_body, else_body = ins
+                tid = ctx.thread_idx.x
+                ctx.if_((lo <= tid) & (tid < hi), lambda: execute(then_body), lambda: execute(else_body))
             else:
                 _, launchers, grid, block, child_program = ins
                 ctx.if_(
@@ -149,14 +160,58 @@ def assert_same_observables(case):
         assert observe(case, mode) == reference_machine.run(case, mode)
 
 
-@settings(max_examples=120, deadline=None)
-@given(cases(st.lists(instructions(2, True), min_size=1, max_size=10)))
-def test_tracker_matches_reference_machine(case):
-    assert_same_observables(case)
-
-
 LOCAL0 = ("local", 0, [0])
 SHIFT0 = ("shift", 0, [0])
+BARRIER = ("barrier",)
+
+
+def step(k, d):
+    """The run ``k + tid * d`` of each block."""
+    return ("step", k, [d])
+
+
+# Tree and distance-doubling sweeps, one interval each, after every lane of 16 has stored its own shared cell. A
+# Blelloch up-sweep at stride s, under lanes 0..n/2s - 1, loads idx = 2s(tid + 1) - 1 and idx - s and stores idx;
+# the conflicting variant stores idx + s, which lane tid + 1 loaded as its idx - s.
+def up_sweep(store):
+    return [("sstore", LOCAL0, 0), BARRIER,
+            ("range", 0, 8, [("sload", step(3, 4)), ("sload", step(1, 4)), ("sstore", store, 1)], []), BARRIER,
+            ("range", 0, 4, [("sload", step(7, 8)), ("sload", step(3, 8)), ("sstore", step(7, 8), 2)], [])]
+
+
+# A down-sweep stores idx - s, then idx; the conflicting variant's second store lands on idx + s.
+def down_sweep(second):
+    return [("sstore", LOCAL0, 0), BARRIER,
+            ("range", 0, 8, [("sload", step(1, 4)), ("sload", step(3, 4)), ("sstore", step(1, 4), 1),
+                             ("sload", step(3, 4)), ("sstore", second, 2)], [])]
+
+
+# A Hillis-Steele step at distance 2 from cells 0-15 to cells 16-31 of one shared array (of x to y in global
+# memory): lanes 2-15 add cell tid - 2, lanes 0-1 copy, both stores in one interval. The conflicting variant's
+# else-branch stores where lanes 2-3 store.
+def hillis_steele(else_store):
+    return [("sstore", LOCAL0, 0), BARRIER,
+            ("range", 2, 16, [("sload", LOCAL0), ("sload", ("local", -2, [0])), ("sstore", ("local", 16, [0]), 1)],
+             [("sload", LOCAL0), ("sstore", else_store, 2)])]
+
+
+def global_hillis_steele(else_store):
+    return [("range", 2, 16, [("gload", "x", SHIFT0), ("gload", "x", ("shift", -2, [0])), ("gstore", "y", SHIFT0, 1)],
+             [("gload", "x", SHIFT0), ("gstore", "y", else_store, 2)])]
+
+
+@settings(max_examples=120, deadline=None)
+@given(cases(st.lists(instructions(2, True), min_size=1, max_size=10)))
+@example((1, 16, [0] * 8, [0] * 8, up_sweep(step(3, 4))))
+@example((1, 16, [0] * 8, [0] * 8, up_sweep(step(5, 4))))
+@example((1, 16, [0] * 8, [0] * 8, down_sweep(step(3, 4))))
+@example((1, 16, [0] * 8, [0] * 8, down_sweep(step(5, 4))))
+@example((1, 16, [0] * 8, [0] * 8, hillis_steele(("local", 16, [0]))))
+@example((1, 16, [0] * 8, [0] * 8, hillis_steele(("local", 18, [0]))))
+@example((2, 16, list(range(32)), [0] * 32, global_hillis_steele(SHIFT0)))
+@example((2, 16, list(range(32)), [0] * 32, global_hillis_steele(("shift", 2, [0]))))
+def test_tracker_matches_reference_machine(case):
+    assert_same_observables(case)
 
 
 @settings(max_examples=120, deadline=None)
