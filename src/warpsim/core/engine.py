@@ -75,7 +75,7 @@ class _LaunchState:
         # last block id, below every earlier grid's.
         self.stamp = self.shared_stamp = self.stride = self.grid_stamp = 0
         self.tracks: dict[Union[str, int], _RaceTrack] = {}  # global buffer name or shared byte offset
-        self.configs: dict[LaunchConfig, LaunchConfig] = {}  # one per child geometry, with its lane arrays
+        self.configs: dict = {}  # per child geometry and per raw one of plain ints: a config with its lane arrays
         self.undo: Optional[list] = None  # (array, indices, old values) per store of a running group
         self._child: Optional[_LaunchState] = None
 
@@ -207,9 +207,9 @@ class SharedView(_View):
 
     space = "shared"
 
-    def __init__(self, ctx: "KernelContext", name: str, length: int, dtype, byte_offset: int, element_width: int):
+    def __init__(self, ctx: "KernelContext", length: int, dtype, byte_offset: int, element_width: int):
         self._ctx = ctx
-        self.name = name
+        self.name = f"shared@{byte_offset}"
         self.length = length
         self.data = np.zeros(length * ctx._blocks, dtype=dtype)
         self.byte_offset = byte_offset
@@ -320,12 +320,8 @@ class KernelContext:
         return self._kernel_counters
 
     def _err_kw(self, gids: Sequence[int], buffer: Optional[str] = None) -> dict:
-        return {
-            "threads": [self.config.thread_coord(g) for g in gids],
-            "buffer": buffer,
-            "step": self.step,
-            "kernel": self.kernel_name,
-        }
+        return {"threads": [self.config.thread_coord(g) for g in gids], "buffer": buffer, "step": self.step,
+                "kernel": self.kernel_name}
 
     # ------------------------------------------------------------------
     # shared memory allocation
@@ -354,14 +350,7 @@ class KernelContext:
                 f"{self.config.shared_mem_bytes} (offset {self._shared_offset})",
                 kernel=self.kernel_name,
             )
-        view = SharedView(
-            self,
-            f"shared@{self._shared_offset}",
-            length,
-            dtype,
-            self._shared_offset,
-            element_width,
-        )
+        view = SharedView(self, length, dtype, self._shared_offset, element_width)
         self._shared_offset += nbytes
         return view
 
@@ -471,12 +460,8 @@ class KernelContext:
     # ------------------------------------------------------------------
     # control flow
 
-    def if_(
-        self,
-        predicate: LaneValue,
-        then_branch: Callable[[], None],
-        else_branch: Optional[Callable[[], None]] = None,
-    ) -> None:
+    def if_(self, predicate: LaneValue, then_branch: Callable[[], None],
+            else_branch: Optional[Callable[[], None]] = None) -> None:
         """Structured branch: then-lanes run first, else-lanes second.
 
         Records one divergence event per warp whose active lanes disagree on
@@ -572,15 +557,8 @@ class KernelContext:
     # ------------------------------------------------------------------
     # dynamic parallelism
 
-    def launch(
-        self,
-        kernel: Callable,
-        grid_dim,
-        block_dim,
-        args: Sequence = (),
-        shared_mem_bytes: int = 0,
-        name: Optional[str] = None,
-    ) -> None:
+    def launch(self, kernel: Callable, grid_dim, block_dim, args: Sequence = (), shared_mem_bytes: int = 0,
+               name: Optional[str] = None) -> None:
         """Launch a child grid from every active lane, in ascending id order.
 
         Each child grid runs to completion before the launching thread's next
@@ -597,15 +575,22 @@ class KernelContext:
                 f"of {self._sim.max_nesting_depth}",
                 **self._err_kw(first),
             )
-        try:
-            cfg = LaunchConfig(grid_dim, block_dim, shared_mem_bytes, self.config.warp_size)
-            cfg.validate(self._sim.max_threads_per_block)
-        except LaunchConfigInvalid as e:
-            raise LaunchConfigInvalid(f"invalid child launch config: {e.args[0]}", **self._err_kw(first)) from e
+        child = self._state.child()
+        # a raw geometry of plain ints finds its config; True and 1.0 equal 1 but fail the check, so they build one
+        key = (grid_dim, block_dim, shared_mem_bytes, self.config.warp_size)
+        raw = all(type(v) is int or type(v) is tuple and all(type(w) is int for w in v) for v in key)
+        cfg = child.configs.get(key) if raw else None
+        if cfg is None:
+            try:
+                cfg = LaunchConfig(*key)
+                cfg.validate(self._sim.max_threads_per_block)
+            except LaunchConfigInvalid as e:
+                raise LaunchConfigInvalid(f"invalid child launch config: {e.args[0]}", **self._err_kw(first)) from e
+            cfg = child.configs.setdefault(cfg, cfg)  # an equal config already built its lane arrays
+            if raw:
+                child.configs[key] = cfg
         child_args = tuple(a.buffer if isinstance(a, GlobalView) else a for a in args)
         _check_owned(self._state.mem, child_args, lambda: self._err_kw(first))
-        child = self._state.child()
-        cfg = child.configs.setdefault(cfg, cfg)  # an equal config already built its lane arrays
         for _ in launchers:
             self._counters().child_launches += 1
             child.run_grid(kernel, cfg, child_args, name or kernel.__name__)
@@ -643,15 +628,9 @@ def _check_owned(mem: DeviceMemory, args: Sequence, err_kw: Callable[[], dict] =
 class Simulator:
     """A virtual GPU. Instances are independent and hold no launch state."""
 
-    def __init__(
-        self,
-        *,
-        segment_bytes: int = DEFAULT_SEGMENT_BYTES,
-        bank_count: int = DEFAULT_BANK_COUNT,
-        bank_width_bytes: int = DEFAULT_BANK_WIDTH_BYTES,
-        max_threads_per_block: int = DEFAULT_MAX_THREADS_PER_BLOCK,
-        max_nesting_depth: int = 2,
-    ):
+    def __init__(self, *, segment_bytes: int = DEFAULT_SEGMENT_BYTES, bank_count: int = DEFAULT_BANK_COUNT,
+                 bank_width_bytes: int = DEFAULT_BANK_WIDTH_BYTES,
+                 max_threads_per_block: int = DEFAULT_MAX_THREADS_PER_BLOCK, max_nesting_depth: int = 2):
         for name, value, int64 in (
             ("segment_bytes", segment_bytes, True),  # the access analysis computes with these in int64
             ("bank_count", bank_count, True),
@@ -667,18 +646,9 @@ class Simulator:
                 raise ValueError(f"{name}={value} must be below 2**63")
             setattr(self, name, int(value))
 
-    def launch(
-        self,
-        kernel: Callable,
-        config: LaunchConfig,
-        mem: DeviceMemory,
-        args: Sequence = (),
-        *,
-        name: Optional[str] = None,
-        mode: str = "strict",
-        metrics: Optional[MetricsReport] = None,
-        recorder: Optional[Recorder] = None,
-    ) -> MetricsReport:
+    def launch(self, kernel: Callable, config: LaunchConfig, mem: DeviceMemory, args: Sequence = (), *,
+               name: Optional[str] = None, mode: str = "strict", metrics: Optional[MetricsReport] = None,
+               recorder: Optional[Recorder] = None) -> MetricsReport:
         """Run one grid to completion; deterministic for identical inputs.
 
         ``mode`` is "strict" (conflicting unsynchronized accesses abort the
@@ -706,12 +676,7 @@ class Simulator:
         return report
 
 
-def launch_kernel(
-    kernel: Callable,
-    config: LaunchConfig,
-    mem: DeviceMemory,
-    args: Sequence = (),
-    **kwargs,
-) -> MetricsReport:
+def launch_kernel(kernel: Callable, config: LaunchConfig, mem: DeviceMemory, args: Sequence = (),
+                  **kwargs) -> MetricsReport:
     """Convenience wrapper: run one launch on a fresh default Simulator."""
     return Simulator().launch(kernel, config, mem, args, **kwargs)

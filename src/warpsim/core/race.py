@@ -6,6 +6,7 @@ The engine owns the stamps and turns each conflict a track reports into a
 
 from __future__ import annotations
 
+from math import gcd
 from typing import Any, Callable, Optional
 
 import numpy as np
@@ -13,6 +14,7 @@ import numpy as np
 from .errors import _RunAlone
 
 _STALE = np.int64(-1)  # below every interval stamp: "no thread"
+_MEETS = 8  # the most earlier accesses of an interval that a run is tested against
 
 
 class _RaceTrack:
@@ -31,46 +33,88 @@ class _RaceTrack:
     ``np.minimum`` takes a stale one for "no block yet". Nothing is reset.
 
     Reads wait until a store to the space needs them: interval reads for a
-    store in the interval, cross-block reads for the next store. They
-    also stop waiting before they would outnumber the array's elements: they
-    are folded, except interval reads of a group that can replay, which are
-    forgotten; a store in a forgotten interval raises ``_RunAlone`` before it
-    changes a word, and the group's blocks run again one by one. Arrays are
-    allocated on first use, so a buffer that is only read never has the
-    writer-side ones, and only a track whose conflicting stores land
+    store in the interval that may meet them, cross-block reads for the next
+    store. They also stop waiting before they would outnumber the array's
+    elements: they are folded, except interval reads of a group that can
+    replay, which are forgotten; a store in a forgotten interval raises
+    ``_RunAlone`` before it changes a word, and the group's blocks run again
+    one by one. A run read again by the lanes that last read one adds no word.
+    Arrays are allocated on first use, so a buffer that is only read never has
+    the writer-side ones, and only a track whose conflicting stores land
     (``resolve``, in permissive mode) uses the highest writer.
+
+    A store of a run leaves the interval's reads waiting and gathers no
+    interval word when none of the interval's accesses can meet it: no read
+    is folded yet, and each earlier store and waiting read is the same run
+    by the same lanes or a run with no common index (``_apart``); a load of a
+    run skips the writer words on the same test against the stores. Every
+    interval word at its addresses is then its own lane's, so the verdict and
+    the thread a conflict names are those of the full check, and waiting
+    reads fold, in order, at the first store that may meet them.
 
     A check takes the active lanes' indices into the array (an index array,
     or a slice for a run ``lo, lo + d, ...`` with ``d >= 1``), their global
     thread ids, the interval ``stamp``, the ``shift`` from ids to words and
     the ``block`` stamp (None where blocks cannot conflict); a load also
-    takes whether its group can replay.
-    Before it changes a word it calls ``fail(conflict, addrs, a, b)``: per
-    lane of ``conflict``, word ``a`` against ``b`` (stale: a block).
+    takes whether its group can replay. Before it changes a word it calls
+    ``fail(conflict, addrs, a, b)``: per lane of ``conflict``, word ``a``
+    against ``b`` (stale: a block).
     """
 
     def __init__(self, length: int, resolve: bool):
         self.length = length
         self.resolve = resolve
+        self.stamp = 0  # the interval of the state below
         self.pending_reads: list[tuple] = []  # (addresses, global thread ids)
         self.pending_count = 0  # addresses on pending_reads
-        self.pending_stamp = self.store_stamp = 0  # the intervals of the pending reads and of the last store
-        self.forgot_stamp = 0  # the last interval whose reads were forgotten
-        self.last_run, self.last_tids = None, None  # (interval, slice) and thread ids of the last run read noted
+        self.stores: list[tuple] = []  # (run or None, global thread ids), up to _MEETS + 1
+        self.folded = self.forgot = False  # whether reads were folded, or forgotten
+        self.last_run, self.last_tids = None, None  # the last run read and its lanes' global thread ids
         self.cross_reads: list[tuple] = []  # (addresses, block stamp) not yet folded
         self.cross_read_count = 0  # addresses on cross_reads
         self.reader1 = self.writer1 = self.rb_block1 = self.w_block1 = None  # arrays, from the first fold or store
 
+    def enter(self, stamp: int) -> None:
+        """Make ``stamp`` the interval of the track: the reads and stores of an earlier one are stale."""
+        if self.stamp != stamp:
+            self.stamp, self.pending_reads, self.pending_count, self.stores = stamp, [], 0, []
+            self.folded = self.forgot = False
+            self.last_run = self.last_tids = None
+
     def check_read(self, addrs: Any, tids: np.ndarray, stamp: int, shift: int, block: Optional[int],
                    fail: Callable, replay: bool) -> None:
-        """Check a load: conflicts with this interval's writers, then with other blocks' stores."""
-        if self.store_stamp == stamp:
+        """Check a load against this interval's writers, then other blocks' stores; then let it wait.
+
+        Before the waiting reads of the interval would outnumber the elements,
+        they are folded, or forgotten with the interval's later reads if the
+        group can ``replay``. Cross-block reads outlive a group: always folded.
+        """
+        self.enter(stamp)
+        if self.stores and not _apart(addrs, tids, self.stores):
             st = tids + shift
             other = _other(self.writer1, self.writer2, addrs, st)
             fail(other >= stamp, addrs, st, other)
         if block is not None and self.w_block1 is not None:
             fail(self.w_block1[addrs] < block, addrs, tids + shift, _STALE)
-        self.defer_read(addrs, tids, stamp, shift, block, replay)
+        run = isinstance(addrs, slice)
+        if not (run and self.last_run == addrs and self.last_tids is tids):  # else these lanes read it already
+            if self.pending_count + tids.size > self.length:
+                if replay:
+                    self.pending_reads, self.pending_count, self.forgot = [], 0, True
+                else:
+                    self.note_reads(shift)
+            if not self.forgot:
+                self.pending_reads.append((addrs, tids))
+                self.pending_count += tids.size
+            if run:
+                self.last_run, self.last_tids = addrs, tids
+        if block is not None:
+            if self.cross_read_count + tids.size > self.length:
+                self.fold_cross_reads()
+            self.cross_reads.append((addrs, block))
+            self.cross_read_count += tids.size
+            if self.cross_read_count > self.length:
+                self.fold_cross_reads()
 
     def check_write(self, addrs: Any, tids: np.ndarray, stamp: int, shift: int, block: Optional[int],
                     fail: Callable) -> Optional[np.ndarray]:
@@ -81,21 +125,33 @@ class _RaceTrack:
         if no higher-id thread wrote the address in the interval, so
         conflicting writes resolve in ascending global id order.
         """
-        if self.forgot_stamp == stamp:
+        self.enter(stamp)
+        if self.forgot:
             raise _RunAlone
-        st = tids + shift
-        self.begin_store(stamp, shift, block is not None)
-        u_addr, rep, nxt = (addrs, st, _STALE) if isinstance(addrs, slice) else _distinct(addrs, st)
-        seen = self.store_stamp == stamp  # only then can a writer word be of this interval
-        other = _other(self.writer1, self.writer2, addrs, st) if seen else _STALE
-        if self.pending_stamp == stamp:  # and only then a reader word
-            other = np.where(other >= stamp, other, _other(self.reader1, self.reader2, addrs, st))
-        conflict = other >= stamp
+        if self.writer1 is None:
+            self.writer1, self.writer2, self.writer_max = (np.zeros(self.length, dtype=np.int64) for _ in range(3))
         if block is not None:
-            conflict = conflict | (self.w_block1[addrs] < block)
-            if self.rb_block1 is not None:  # some block's reads are folded
-                conflict |= self.rb_block1[addrs] < block
-        fail(conflict, addrs, st, other)
+            if self.w_block1 is None:
+                self.w_block1 = np.zeros(self.length, dtype=np.int64)
+            self.fold_cross_reads()
+        st = tids + shift
+        clear = not self.folded and _apart(addrs, tids, self.stores + self.pending_reads)
+        if clear:  # no other thread's word of the interval at these addresses
+            u_addr, rep, nxt, other, seen = addrs, st, _STALE, _STALE, False
+        else:
+            self.note_reads(shift)
+            u_addr, rep, nxt = (addrs, st, _STALE) if isinstance(addrs, slice) else _distinct(addrs, st)
+            seen = bool(self.stores)  # only then can a writer word be of this interval
+            other = _other(self.writer1, self.writer2, addrs, st) if seen else _STALE
+            if self.folded:  # and only then a reader word
+                other = np.where(other >= stamp, other, _other(self.reader1, self.reader2, addrs, st))
+        if block is not None or not clear:
+            conflict = other >= stamp
+            if block is not None:
+                conflict = conflict | (self.w_block1[addrs] < block)
+                if self.rb_block1 is not None:  # some block's reads are folded
+                    conflict |= self.rb_block1[addrs] < block
+            fail(conflict, addrs, st, other)
         if isinstance(nxt, np.ndarray):  # two lanes of this store to one address
             fail(nxt >= stamp, u_addr, rep, nxt)
 
@@ -104,73 +160,51 @@ class _RaceTrack:
             eff = self.writer_max[addrs] <= st
             _fold(np.maximum, self.writer_max, addrs, st)
         _note(self.writer1, self.writer2, u_addr, rep, nxt, stamp, seen)
-        self.store_stamp = stamp
+        if len(self.stores) <= _MEETS:
+            self.stores.append((addrs if isinstance(addrs, slice) else None, tids))
         if block is not None:
             _fold(np.minimum, self.w_block1, addrs, block)
         return eff
 
-    def defer_read(self, addrs: Any, tids: np.ndarray, stamp: int, shift: int, block: Optional[int],
-                   replay: bool) -> None:
-        """Buffer a read of this interval and, given a block stamp, of the grid.
-
-        Before the waiting reads of the interval would outnumber the elements,
-        they are folded, or forgotten with the interval's later reads if the
-        group can ``replay``. Cross-block reads outlive a group: always folded.
-        """
-        if self.pending_stamp != stamp:
-            self.pending_reads, self.pending_count, self.pending_stamp = [], 0, stamp
-        if self.pending_count + tids.size > self.length:
-            if replay:
-                self.pending_reads, self.pending_count, self.forgot_stamp = [], 0, stamp
-            else:
-                self.note_reads(stamp, shift)
-        if self.forgot_stamp != stamp:
-            self.pending_reads.append((addrs, tids))
-            self.pending_count += tids.size
-        if block is not None:
-            if self.cross_read_count + tids.size > self.length:
-                self.fold_cross_reads()
-            self.cross_reads.append((addrs, block))
-            self.cross_read_count += tids.size
-            if self.cross_read_count > self.length:
-                self.fold_cross_reads()
-
     def fold_cross_reads(self) -> None:
         """Fold the deferred cross-block reads into the first-reader array, allocated by the first fold."""
-        if not self.cross_reads:
-            return
-        if self.rb_block1 is None:
-            self.rb_block1 = np.zeros(self.length, dtype=np.int64)
         for addrs, block in self.cross_reads:
+            if self.rb_block1 is None:
+                self.rb_block1 = np.zeros(self.length, dtype=np.int64)
             _fold(np.minimum, self.rb_block1, addrs, block)
         self.cross_reads.clear()
         self.cross_read_count = 0
 
-    def note_reads(self, stamp: int, shift: int) -> None:
-        """Note the pending reads of interval ``stamp`` in the reader arrays (``shift`` stamps their ids)."""
-        if self.reader1 is None:
-            self.reader1, self.reader2 = np.zeros(self.length, dtype=np.int64), np.zeros(self.length, dtype=np.int64)
-        if self.pending_stamp == stamp:
-            for addrs, tids in self.pending_reads:
-                run = isinstance(addrs, slice)
-                if run and self.last_run == (stamp, addrs) and self.last_tids is tids:
-                    continue  # the lanes of the last run noted read it again: it holds their words already
-                st = tids + shift
-                _note(self.reader1, self.reader2, *((addrs, st, _STALE) if run else _distinct(addrs, st)), stamp)
-                if run:
-                    self.last_run, self.last_tids = (stamp, addrs), tids
+    def note_reads(self, shift: int) -> None:
+        """Fold the pending reads into the reader arrays (``shift`` stamps their ids)."""
+        for addrs, tids in self.pending_reads:
+            if self.reader1 is None:
+                self.reader1, self.reader2 = (np.zeros(self.length, dtype=np.int64) for _ in range(2))
+            self.folded = True
+            st = tids + shift
+            run = isinstance(addrs, slice)
+            _note(self.reader1, self.reader2, *((addrs, st, _STALE) if run else _distinct(addrs, st)), self.stamp)
         self.pending_reads.clear()
         self.pending_count = 0
 
-    def begin_store(self, stamp: int, shift: int, cross_block: bool) -> None:
-        """Allocate the writer-side arrays if needed, then fold in pending reads."""
-        if self.writer1 is None:
-            self.writer1, self.writer2, self.writer_max = (np.zeros(self.length, dtype=np.int64) for _ in range(3))
-        if cross_block:
-            if self.w_block1 is None:
-                self.w_block1 = np.zeros(self.length, dtype=np.int64)
-            self.fold_cross_reads()
-        self.note_reads(stamp, shift)
+
+def _apart(addrs: Any, tids: np.ndarray, accesses: list) -> bool:
+    """Whether the run ``addrs`` of lanes ``tids`` meets no other thread's word of ``accesses``, (run, lanes) each.
+
+    Exact, in O(1) a pair: either the same run by the same lanes (each lane
+    meets its own word), or two runs with no common index, by range or by
+    residue (the GCD test). An index array, or more than ``_MEETS`` accesses,
+    is not tested: it may meet one.
+    """
+    if not isinstance(addrs, slice) or len(accesses) > _MEETS:
+        return False
+    for run, lanes in accesses:
+        if not isinstance(run, slice):
+            return False
+        if (run != addrs or lanes is not tids) and max(run.start, addrs.start) < min(run.stop, addrs.stop) \
+                and (run.start - addrs.start) % gcd(run.step, addrs.step) == 0:
+            return False
+    return True
 
 
 def _fold(ufunc: np.ufunc, words: np.ndarray, addrs: Any, values: Any) -> None:
@@ -208,7 +242,7 @@ def _distinct(addrs: np.ndarray, st: np.ndarray) -> tuple[np.ndarray, np.ndarray
 def _note(first: np.ndarray, second: np.ndarray, addrs, rep, nxt, stamp: int, seen: bool = True) -> None:
     """Record distinct ``addrs`` accessed by lanes stamped ``rep`` (and ``nxt``) in a pair of interval arrays.
 
-    ``seen`` False says that the pair holds no word of the interval yet."""
+    ``seen`` False says that the pair holds no other thread's word of the interval at ``addrs``."""
     if seen:
         f = first[addrs]
         fresh = f >= stamp

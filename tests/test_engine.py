@@ -26,6 +26,7 @@ from warpsim import (
     launch_kernel,
 )
 from warpsim.core import ceil_div
+from warpsim.core import config as config_module
 
 
 def lanes_touching_memory(recorder):
@@ -999,6 +1000,51 @@ class TestDeviceLaunch:
 
         launch_kernel(parent, LaunchConfig(2, 3), DeviceMemory())
         assert len(configs) == 12 and all(c is configs[0] for c in configs)
+
+    @pytest.mark.parametrize("grid, block, builds", [(2, (4,), 1), ([2], 4, 2), (np.int64(2), 4, 2)])
+    def test_a_child_launch_of_a_known_raw_geometry_builds_no_config(self, grid, block, builds):
+        # Each of the two blocks launches once. Plain ints and tuples of them find the config that the first launch
+        # built by the raw arguments; a list or a numpy int builds and checks a config on every launch, then shares
+        # the equal one already built.
+        configs = []
+
+        def parent(ctx):
+            ctx.launch(lambda child: configs.append(child.config), grid, block, shared_mem_bytes=8)
+
+        config = LaunchConfig(2, 3)
+        with mock.patch("warpsim.core.config.as_dim3", wraps=config_module.as_dim3) as as_dim3:
+            launch_kernel(parent, config, DeviceMemory())
+        assert as_dim3.call_count == 2 * builds
+        assert len(configs) == 12 and all(c is configs[0] for c in configs)
+
+    @pytest.mark.parametrize("grid, message", [
+        (True, "grid_dim=True must be an int or a tuple of ints"),
+        (1.0, "grid_dim=1.0 must be an int or a tuple of ints"),
+        ((True, 1), "grid_dim=(True, 1) must be an int or a tuple of ints"),
+        (0, "grid_dim=(0, 1, 1) has a component < 1"),
+    ])
+    def test_a_raw_geometry_equal_to_a_known_one_is_still_checked(self, grid, message):
+        # True == 1 and 1.0 == 1, so the second launch's raw arguments equal the first's; its own check rejects them.
+        def parent(ctx):
+            ctx.launch(double_kernel, 1, 4, (data, 4))
+            ctx.launch(double_kernel, grid, 4, (data, 4))
+
+        mem = DeviceMemory()
+        data = mem.alloc("data", [0, 1, 2, 3])
+        with pytest.raises(SimError) as exc:
+            launch_kernel(parent, LaunchConfig(1, 1), mem)
+        assert exc.value.to_json() == {
+            "kind": "LaunchConfigInvalid",
+            "message": f"invalid child launch config: {message}; kernel=parent; step=1; "
+                       "at block(0, 0, 0) thread(0, 0, 0) (gid=0, warp=0, lane=0)",
+            "threads": [
+                {"block_idx": [0, 0, 0], "thread_idx": [0, 0, 0], "global_linear_id": 0, "warp_id": 0, "lane": 0},
+            ],
+            "buffer": None,
+            "step": 1,
+            "kernel": "parent",
+        }
+        assert data.tolist() == [0, 2, 4, 6]
 
     def test_foreign_buffer_in_child_launch_rejected(self):
         # A foreign buffer named like a local one shared its race track: the

@@ -20,6 +20,7 @@ from reference_machine import SHARED_LEN, lane_address
 from warpsim import DeviceMemory, LaunchConfig, MetricsReport, SimError, Simulator
 from warpsim.core import engine
 from warpsim.core.race import _RaceTrack
+from warpsim.kernels import scan
 from warpsim.kernels.matrix import TILE, matmul_naive_kernel, matmul_tiled_kernel, matrix_add_kernel
 
 # ----------------------------------------------------------------------
@@ -212,6 +213,40 @@ def global_hillis_steele(else_store):
 @example((2, 16, list(range(32)), [0] * 32, global_hillis_steele(("shift", 2, [0]))))
 def test_tracker_matches_reference_machine(case):
     assert_same_observables(case)
+
+
+def folded_reads(run):
+    """Calls of the fold of pending reads, and what ``run()`` returns."""
+    with mock.patch.object(_RaceTrack, "note_reads", autospec=True, side_effect=_RaceTrack.note_reads) as note:
+        got = run()
+    return note.call_count, got
+
+
+def test_sweep_stores_that_meet_no_other_threads_word_fold_no_read():
+    # Each store of an up-sweep interval is the run its lanes loaded, apart by residue from the other run they
+    # loaded: the reads stay pending until the barrier drops them. So for the whole Blelloch scan of one block.
+    case = (1, 16, [0] * 8, [0] * 8, up_sweep(step(3, 4)))
+    assert folded_reads(lambda: observe(case, "strict")) == (0, observe(case, "strict"))
+    assert folded_reads(lambda: scan.exclusive_scan_blelloch(list(range(2048))))[0] == 0
+
+
+def test_a_store_that_meets_another_lanes_read_folds_it_and_races():
+    # Lane 0 stores cell 5, which lane 1 loaded as its idx - s: the reads are folded and the race names both.
+    case = (1, 16, [0] * 8, [0] * 8, up_sweep(step(5, 4)))
+    folds, (_, _, error, _, _) = folded_reads(lambda: observe(case, "strict"))
+    assert folds > 0
+    threads = [{"block_idx": [0, 0, 0], "thread_idx": [t, 0, 0], "global_linear_id": t, "warp_id": 0, "lane": t}
+               for t in (0, 1)]
+    assert error == {
+        "kind": "DataRace",
+        "message": "conflicting accesses to 'shared@0' address 20 without an intervening barrier; kernel=run_program; "
+                   "buffer=shared@0; step=5; at block(0, 0, 0) thread(0, 0, 0) (gid=0, warp=0, lane=0); "
+                   "at block(0, 0, 0) thread(1, 0, 0) (gid=1, warp=0, lane=1)",
+        "threads": threads,
+        "buffer": "shared@0",
+        "step": 5,
+        "kernel": "run_program",
+    }
 
 
 @settings(max_examples=120, deadline=None)
