@@ -42,9 +42,8 @@ class MetricsReport(KernelCounters):
         entry = self.per_kernel.get(kernel) or self.per_kernel.setdefault(kernel, KernelCounters())
         for name in COUNTER_NAMES:
             n = getattr(counts, name)
-            if n:
-                setattr(self, name, getattr(self, name) + n)
-                setattr(entry, name, getattr(entry, name) + n)
+            setattr(self, name, getattr(self, name) + n)
+            setattr(entry, name, getattr(entry, name) + n)
 
     def to_json(self) -> dict[str, Any]:
         return {**super().to_json(), "per_kernel": {k: v.to_json() for k, v in sorted(self.per_kernel.items())}}

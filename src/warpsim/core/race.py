@@ -34,11 +34,11 @@ class _RaceTrack:
 
     Reads wait until a store to the space needs them: interval reads for a
     store in the interval that may meet them, cross-block reads for the next
-    store. They also stop waiting before they would outnumber the array's
-    elements: they are folded, except interval reads of a group that can
+    store. Interval reads also stop waiting before they would outnumber the
+    array's elements: they are folded, except those of a group that can
     replay, which are forgotten; a store in a forgotten interval raises
     ``_RunAlone`` before it changes a word, and the group's blocks run again
-    one by one. A run read again by the lanes that last read one adds no word.
+    one by one. Cross-block reads are folded once they outnumber the elements.
     Arrays are allocated on first use, so a buffer that is only read never has
     the writer-side ones, and only a track whose conflicting stores land
     (``resolve``, in permissive mode) uses the highest writer.
@@ -69,7 +69,6 @@ class _RaceTrack:
         self.pending_count = 0  # addresses on pending_reads
         self.stores: list[tuple] = []  # (run or None, global thread ids), up to _MEETS + 1
         self.folded = self.forgot = False  # whether reads were folded, or forgotten
-        self.last_run, self.last_tids = None, None  # the last run read and its lanes' global thread ids
         self.cross_reads: list[tuple] = []  # (addresses, block stamp) not yet folded
         self.cross_read_count = 0  # addresses on cross_reads
         self.reader1 = self.writer1 = self.rb_block1 = self.w_block1 = None  # arrays, from the first fold or store
@@ -79,7 +78,6 @@ class _RaceTrack:
         if self.stamp != stamp:
             self.stamp, self.pending_reads, self.pending_count, self.stores = stamp, [], 0, []
             self.folded = self.forgot = False
-            self.last_run = self.last_tids = None
 
     def check_read(self, addrs: Any, tids: np.ndarray, stamp: int, shift: int, block: Optional[int],
                    fail: Callable, replay: bool) -> None:
@@ -87,7 +85,8 @@ class _RaceTrack:
 
         Before the waiting reads of the interval would outnumber the elements,
         they are folded, or forgotten with the interval's later reads if the
-        group can ``replay``. Cross-block reads outlive a group: always folded.
+        group can ``replay``. Cross-block reads outlive a group: they are
+        folded, never forgotten, as soon as they outnumber the elements.
         """
         self.enter(stamp)
         if self.stores and not _apart(addrs, tids, self.stores):
@@ -96,21 +95,15 @@ class _RaceTrack:
             fail(other >= stamp, addrs, st, other)
         if block is not None and self.w_block1 is not None:
             fail(self.w_block1[addrs] < block, addrs, tids + shift, _STALE)
-        run = isinstance(addrs, slice)
-        if not (run and self.last_run == addrs and self.last_tids is tids):  # else these lanes read it already
-            if self.pending_count + tids.size > self.length:
-                if replay:
-                    self.pending_reads, self.pending_count, self.forgot = [], 0, True
-                else:
-                    self.note_reads(shift)
-            if not self.forgot:
-                self.pending_reads.append((addrs, tids))
-                self.pending_count += tids.size
-            if run:
-                self.last_run, self.last_tids = addrs, tids
+        if self.pending_count + tids.size > self.length:
+            if replay:
+                self.pending_reads, self.pending_count, self.forgot = [], 0, True
+            else:
+                self.note_reads(shift)
+        if not self.forgot:
+            self.pending_reads.append((addrs, tids))
+            self.pending_count += tids.size
         if block is not None:
-            if self.cross_read_count + tids.size > self.length:
-                self.fold_cross_reads()
             self.cross_reads.append((addrs, block))
             self.cross_read_count += tids.size
             if self.cross_read_count > self.length:
@@ -219,17 +212,12 @@ def _fold(ufunc: np.ufunc, words: np.ndarray, addrs: Any, values: Any) -> None:
 def _distinct(addrs: np.ndarray, st: np.ndarray) -> tuple[np.ndarray, np.ndarray, Any]:
     """Distinct addresses with the stamps of their first and second lanes (stale for a single lane).
 
-    Lane addresses are usually distinct, and often ascend; then the second
-    stamps are one stale scalar. Addresses that never descend skip the sort:
-    the lanes of each address already follow one another in lane order.
-    ``addrs`` is the engine's own array, never one the kernel holds, so the
-    strictly ascending case may return it as is.
+    Lane addresses are usually distinct; then the second stamps are one
+    stale scalar. The stable sort keeps the lanes of each address in lane
+    order.
     """
-    if bool((addrs[1:] >= addrs[:-1]).all()):
-        a, s = addrs, st
-    else:
-        order = np.argsort(addrs, kind="stable")
-        a, s = addrs[order], st[order]
+    order = np.argsort(addrs, kind="stable")
+    a, s = addrs[order], st[order]
     new = a[1:] != a[:-1]
     if new.all():
         return a, s, _STALE

@@ -14,6 +14,7 @@ from typing import Optional, Sequence
 import numpy as np
 
 from ..core import DeviceMemory, LaunchConfig, MetricsReport, Simulator, block_batchable, ceil_div
+from ..rules import is_int
 from ._common import ShapeMismatch
 
 TILE = 16
@@ -28,6 +29,8 @@ class Matrix:
     data: list
 
     def __post_init__(self):
+        if not (is_int(self.rows) and is_int(self.cols)):
+            raise ValueError(f"matrix dimensions must be integers, got {self.rows!r}x{self.cols!r}")
         if self.rows < 1 or self.cols < 1:
             raise ValueError(f"matrix dimensions must be positive, got {self.rows}x{self.cols}")
         self.data = list(self.data)
@@ -39,7 +42,7 @@ class Matrix:
     @classmethod
     def from_rows(cls, rows: Sequence[Sequence]) -> "Matrix":
         r = len(rows)
-        c = len(rows[0])
+        c = len(rows[0]) if rows else 0  # no rows: refused as 0x0
         if any(len(row) != c for row in rows):
             raise ValueError("ragged rows")
         return cls(r, c, [v for row in rows for v in row])

@@ -69,16 +69,15 @@ def reduce_sum(
     """
     if variant not in VARIANTS:
         raise ValueError(f"unknown variant {variant!r}, expected one of {VARIANTS}")
-    listed = type(values) is list
-    values = values if listed else list(values)
+    values = values if type(values) is list else list(values)
     n = len(values)
     if not is_pow2(n):
         raise NotPowerOfTwo(f"reduction trace needs a power-of-two length, got {n}")
     mem = DeviceMemory()
     inp = mem.alloc("input", values)
-    row = list(values) if listed else inp.tolist()  # plain numbers, also from an array of numpy scalars
+    row = inp.tolist()  # the values as the device holds them, in the dtype of every later row
     if n == 1:
-        return inp.tolist()[0], StepTrace([row])
+        return row[0], StepTrace([row])
 
     sim = simulator or Simulator()
     block = min(n, MAX_BLOCK_THREADS)

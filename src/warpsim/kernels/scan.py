@@ -71,20 +71,17 @@ def inclusive_scan_hillis_steele(
     input's step rows come from a ``Recorder`` on its launch; wider inputs run
     one launch per step and the host reads each step's row from its output.
     """
-    listed = type(values) is list
-    values = values if listed else list(values)
+    values = values if type(values) is list else list(values)
     n0 = len(values)
     if n0 == 0:
         return [], StepTrace([[]])
     sim = simulator or Simulator()
     n = next_pow2(n0)
     padded = values + [0] * (n - n0)  # a list, which alloc converts without a further copy
-    rows = [list(values) if listed else None]
     one_block = n <= MAX_BLOCK_THREADS
     mem = DeviceMemory()
     src = mem.alloc("input" if one_block else "ping", padded)
-    if not listed:  # plain numbers, also from an array of numpy scalars
-        rows[0] = src.tolist()[:n0]
+    rows = [src.tolist()[:n0]]  # the values as the device holds them, in the dtype of every later row
 
     if one_block:
         out = mem.alloc("output", n, dtype=src.dtype)

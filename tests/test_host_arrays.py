@@ -284,3 +284,17 @@ def test_primitives_read_arrays_tuples_and_generators_as_the_same_list(name, for
         want = primitive_outcome(lambda: call(lambda: list(given)))
         assert primitive_outcome(lambda: call(lambda: make(given))) == want
 
+
+
+@pytest.mark.parametrize("n", [1, 16, 2048])
+@pytest.mark.parametrize("primitive", [reduce_sum, inclusive_scan_hillis_steele])
+def test_step_row_0_is_read_from_the_device_like_every_later_row(primitive, n):
+    # Rows are compared as JSON: True == 1, but json.dumps tells them apart.
+    for scalars in ([np.int64(i % 7) for i in range(n)], [np.float32(i % 5) / 2 for i in range(n)]):
+        json.dumps(primitive(scalars)[1].to_json())
+    bools = [i % 3 == 0 for i in range(n)]
+    rows = json.dumps(primitive(bools)[1].to_json())
+    assert json.dumps(primitive(tuple(bools))[1].to_json()) == rows
+    assert json.dumps(primitive(bools)[1].rows[0]) == json.dumps([int(b) for b in bools])
+    mixed = [1, 2.5] + [3] * (n - 2) if n > 1 else [1]
+    assert json.dumps(primitive(mixed)[1].rows[0]) == json.dumps([float(v) for v in mixed] if n > 1 else [1])

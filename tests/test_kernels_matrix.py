@@ -36,6 +36,23 @@ class TestMatrixType:
         with pytest.raises(ValueError):
             Matrix(0, 2, [])
 
+    @pytest.mark.parametrize("rows, cols, data", [
+        (2.0, 2, [1, 2, 3, 4]),  # equal to 2, but not a count
+        (True, 1, [5]),
+        ("2", 1, [1, 2]),
+        (2, None, [1, 2]),
+    ])
+    def test_dimensions_follow_the_count_rule(self, rows, cols, data):
+        with pytest.raises(ValueError, match=f"matrix dimensions must be integers, got {rows!r}x{cols!r}"):
+            Matrix(rows, cols, data)
+
+    def test_numpy_dimensions_are_counts(self):
+        assert Matrix(np.int64(2), np.int32(1), [1, 2]).to_rows() == [[1], [2]]
+
+    def test_no_rows_is_a_value_error(self):
+        with pytest.raises(ValueError, match="must be positive, got 0x0"):
+            Matrix.from_rows([])
+
 
 class TestMatrixAdd:
     def test_paper_inputs(self):

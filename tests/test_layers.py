@@ -31,7 +31,6 @@ FILE_MODULES = {"json", "pathlib"}
 BELOW_ENGINE = ("race.py", "access.py", "observe.py", "metrics.py")
 TRACK_FIELDS = {
     "writer1", "writer2", "writer_max", "reader1", "reader2", "rb_block1", "w_block1", "stores", "folded", "forgot",
-    "last_run", "last_tids",
 }
 TRACK_PREFIXES = ("pending_", "cross_read")
 RULES = {"is_int", "is_number", "is_whole", "whole", "real"}

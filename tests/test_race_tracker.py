@@ -20,7 +20,6 @@ from reference_machine import SHARED_LEN, lane_address
 from warpsim import DeviceMemory, LaunchConfig, MetricsReport, SimError, Simulator
 from warpsim.core import engine
 from warpsim.core.race import _RaceTrack
-from warpsim.kernels import scan
 from warpsim.kernels.matrix import TILE, matmul_naive_kernel, matmul_tiled_kernel, matrix_add_kernel
 
 # ----------------------------------------------------------------------
@@ -224,10 +223,9 @@ def folded_reads(run):
 
 def test_sweep_stores_that_meet_no_other_threads_word_fold_no_read():
     # Each store of an up-sweep interval is the run its lanes loaded, apart by residue from the other run they
-    # loaded: the reads stay pending until the barrier drops them. So for the whole Blelloch scan of one block.
+    # loaded: the reads stay pending until the barrier drops them.
     case = (1, 16, [0] * 8, [0] * 8, up_sweep(step(3, 4)))
     assert folded_reads(lambda: observe(case, "strict")) == (0, observe(case, "strict"))
-    assert folded_reads(lambda: scan.exclusive_scan_blelloch(list(range(2048))))[0] == 0
 
 
 def test_a_store_that_meets_another_lanes_read_folds_it_and_races():
@@ -328,8 +326,9 @@ def test_inputs_read_once_keep_no_cross_block_arrays():
 
 def test_naive_product_inputs_hold_at_most_one_buffer_of_reads():
     # Each element of a and b is read 16 * 3 times, so the deferred reads
-    # outgrow the buffer and fold early; a and b are never written, so they
-    # never get writer-side arrays.
+    # outgrow the buffer and fold early, at most one read of the nine-block
+    # group past it; a and b are never written, so they never get
+    # writer-side arrays.
     n = 48
     mem, (a, b, c) = matrix_buffers(n)
     folds = []
@@ -347,7 +346,31 @@ def test_naive_product_inputs_hold_at_most_one_buffer_of_reads():
         assert track.writer1 is None and track.w_block1 is None
         assert track.rb_block1 is not None
         assert track.cross_read_count <= track.length
-    assert folds and max(folds) <= n * n + TILE * TILE
+    assert folds and max(folds) <= n * n + 9 * TILE * TILE
+
+
+def broadcast_read_kernel(ctx, a, out):
+    out[ctx.gx] = a[ctx.gx % 16]  # 256 lanes of each block read a 16-element array
+
+
+@pytest.mark.parametrize("launch", ["naive_product", "lanes_outnumber_the_array"])
+def test_cross_block_reads_never_outnumber_the_array_after_a_load(launch):
+    if launch == "naive_product":
+        mem, args = matrix_buffers(48)
+        kernel, config, args = matmul_naive_kernel, LaunchConfig((3, 3), (TILE, TILE)), (*args, 48, 48, 48)
+    else:
+        mem = DeviceMemory()
+        kernel, config, args = broadcast_read_kernel, LaunchConfig(4, 256), (mem.alloc("a", 16), mem.alloc("out", 1024))
+    after = []
+    check_read = _RaceTrack.check_read
+
+    def checked_read(track, *a):
+        check_read(track, *a)
+        after.append(track.cross_read_count <= track.length)
+
+    with mock.patch.object(_RaceTrack, "check_read", checked_read):
+        run_grid(kernel, config, mem, args)
+    assert after and all(after)
 
 
 def test_a_block_folds_the_reads_that_would_outnumber_its_buffer():
