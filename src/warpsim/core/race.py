@@ -212,12 +212,17 @@ def _fold(ufunc: np.ufunc, words: np.ndarray, addrs: Any, values: Any) -> None:
 def _distinct(addrs: np.ndarray, st: np.ndarray) -> tuple[np.ndarray, np.ndarray, Any]:
     """Distinct addresses with the stamps of their first and second lanes (stale for a single lane).
 
-    Lane addresses are usually distinct; then the second stamps are one
-    stale scalar. The stable sort keeps the lanes of each address in lane
-    order.
+    Lane addresses are usually distinct, and often ascend; then the second
+    stamps are one stale scalar. Addresses that never descend skip the sort:
+    the lanes of each address already follow one another in lane order.
+    ``addrs`` is the engine's own array, never one the kernel holds, so the
+    strictly ascending case may return it as is.
     """
-    order = np.argsort(addrs, kind="stable")
-    a, s = addrs[order], st[order]
+    if bool((addrs[1:] >= addrs[:-1]).all()):
+        a, s = addrs, st
+    else:
+        order = np.argsort(addrs, kind="stable")
+        a, s = addrs[order], st[order]
     new = a[1:] != a[:-1]
     if new.all():
         return a, s, _STALE

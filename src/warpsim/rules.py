@@ -24,8 +24,8 @@ def whole(label: str, value: Any, error: type[ValueError] = ValueError) -> int:
 
 
 def real(label: str, value: Any, error: type[ValueError] = ValueError) -> float:
-    """``value`` as a float, if it is a number within float range."""
-    if not is_number(value):
+    """``value`` as a float, if it is a number within float range; a plain int or float skips the ABC checks."""
+    if type(value) is not int and type(value) is not float and not is_number(value):
         raise error(f"{label} must be a number, got {value!r}")
     try:
         return float(value)

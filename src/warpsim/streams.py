@@ -49,7 +49,8 @@ class StreamOp:
     def __post_init__(self):
         if not isinstance(self.id, str):
             raise ValueError(f"op id must be a string, got {self.id!r}")
-        object.__setattr__(self, "stream_id", whole(f"op {self.id!r} stream_id", self.stream_id))
+        if type(self.stream_id) is not int:
+            object.__setattr__(self, "stream_id", whole(f"op {self.id!r} stream_id", self.stream_id))
         if type(self.duration) is not float and type(self.duration) is not int and not is_number(self.duration):
             raise ValueError(f"op {self.id!r} duration must be a number, got {self.duration!r}")
         if self.duration < 0:

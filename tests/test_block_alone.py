@@ -3,11 +3,12 @@
 A block alone (a child grid's, a permissive launch's, an unmarked kernel's)
 folds its counts into the report by a walk over the counter names, takes its
 config-only context parts from ``LaunchConfig.lanes``, and stores through
-``race._distinct``, which keeps the first two lanes of each address.
+``race._distinct``, which skips the sort for indices that never decrease.
 Each is compared here with a brute-force statement of what it must give.
 """
 
 from dataclasses import fields
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -142,3 +143,11 @@ def test_distinct_keeps_the_first_two_lanes_of_each_address(addrs, rnd):
     a, first = np.asarray(a).tolist(), np.asarray(first).tolist()
     second = np.broadcast_to(second, (len(a),)).tolist()
     assert list(zip(a, first, second)) == brute_distinct(addrs, stamps)
+
+
+def test_in_order_repeats_take_no_sort():
+    with mock.patch.object(np, "argsort", wraps=np.argsort) as argsort:
+        u, first, second = race._distinct(np.arange(256, dtype=np.int64) // 4, np.arange(256, dtype=np.int64))
+    assert argsort.call_count == 0
+    assert u.tolist() == list(range(64)) and first.tolist() == list(range(0, 256, 4))
+    assert second.tolist() == list(range(1, 256, 4))

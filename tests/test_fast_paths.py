@@ -257,10 +257,18 @@ def tiny(monkeypatch):
 
 def test_the_ablation_prints_the_aa_row_first_then_one_json_row_per_switch(tiny):
     out = io.StringIO()
-    assert fast_paths.ablate("tiny", 1, 1, [("engine_block_groups",), ("rules_whole_int",)], out, True) == 0
+    assert fast_paths.ablate("tiny", 1, 1, [("engine_block_groups",), ("cli_parser_cache",)], out, True) == 0
     rows = [json.loads(line) for line in out.getvalue().splitlines()]
-    assert [r["switch"] for r in rows] == ["A/A", "engine_block_groups", "rules_whole_int"]
+    assert [r["switch"] for r in rows] == ["A/A", "engine_block_groups", "cli_parser_cache"]
     assert all(set(r["classes"]) == {"vector_add", "whole"} and r["passes"] == 1 for r in rows)
+    assert all(r["earns"] == [] for r in rows)  # one pass bounds no median
+    assert all(len(v) == 3 and v[1] > 0 for r in rows for v in r["classes"].values())  # [low, median, high]
+
+
+def test_a_class_earns_when_the_sign_test_interval_of_its_pass_ratios_lies_above_1():
+    assert fast_paths._median_interval([float(i) for i in range(40, 0, -1)]) == (14.0, 27.0)
+    assert fast_paths._median_interval([1.0] * 6) == (1.0, 1.0)
+    assert all(x != x for x in fast_paths._median_interval([2.0] * 5))  # NaN: too few passes to bound
 
 
 @pytest.mark.parametrize("old, new, error", [
