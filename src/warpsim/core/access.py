@@ -112,7 +112,24 @@ def _key_type(bound: int) -> type:
     return np.int16 if bound <= 1 << 15 else np.int32 if bound <= 1 << 31 else np.int64
 
 
-class _CostMemo(dict):
+class _Memo(dict):
+    """A memo that starts over before the bytes it counts, ``key_bytes``, would pass ``cap``."""
+
+    key_bytes = 0
+
+    def __init__(self, cap: int = _COST_MEMO_KEY_BYTES):
+        super().__init__()
+        self.cap = cap
+
+    def add(self, key: tuple, value: Any, nbytes: int) -> None:
+        if self.key_bytes + nbytes > self.cap:
+            self.clear()
+            self.key_bytes = 0
+        self[key] = value
+        self.key_bytes += nbytes
+
+
+class _CostMemo(_Memo):
     """Cost by access pattern for every launch of the process; why the key is exact is in README.
 
     A key is the space, the segment and bank geometry, the warp size, the
@@ -124,15 +141,6 @@ class _CostMemo(dict):
     first address's offset into the period, its pitch ``d * width`` and
     ``n``. ``key_bytes`` counts 8 bytes per array element, one for a run.
     """
-
-    key_bytes = 0
-
-    def add(self, key: tuple, cost: int, nbytes: int) -> None:
-        if self.key_bytes + nbytes > _COST_MEMO_KEY_BYTES:
-            self.clear()
-            self.key_bytes = 0
-        self[key] = cost
-        self.key_bytes += nbytes
 
     def cost(self, sim: Any, space: str, warp_ids: np.ndarray, warp_key: bytes, byte_addrs: Optional[np.ndarray],
              first: int, pitch: int, extent: int, warp_size: int, block_size: int) -> int:

@@ -43,7 +43,7 @@ from .errors import (
 )
 from .memory import Buffer, DeviceMemory
 from .metrics import KernelCounters, MetricsReport
-from .observe import AccessRecord, BranchRecord, Recorder
+from .observe import Recorder
 from .race import _RaceTrack
 
 LaneValue = Union[int, float, np.ndarray]
@@ -51,6 +51,7 @@ LaneValue = Union[int, float, np.ndarray]
 _STAMP_MAX = int(np.iinfo(np.int64).max)
 _GROUP_LANES = 16384  # lanes of one group of a batchable kernel's blocks (README, "Batched blocks")
 _LOAD = object()  # the value of a load, which no store can pass
+_RUNS = access._Memo(1 << 19)  # (lo, n, d) -> the int64 bytes of the run lo, lo + d, ...; see _run
 
 
 def block_batchable(kernel: Callable) -> Callable:
@@ -63,13 +64,13 @@ class _LaunchState:
     """Mutable state shared by every block of one grid at one nesting depth."""
 
     def __init__(self, sim: "Simulator", mem: DeviceMemory, metrics: MetricsReport, mode: str, depth: int,
-                 recorder: Optional[Recorder] = None):
+                 observer: Any = None):
         self.sim = sim
         self.mem = mem
         self.metrics = metrics
         self.mode = mode
         self.depth = depth
-        self.recorder = recorder
+        self.observer = observer  # what ``Simulator.launch`` got as ``recorder``: its hooks see every instruction
         # A word of the current interval is stamp (shared_stamp in shared memory) + a group-local
         # thread id, below it + stride; the block stamp of a block or group is grid_stamp + its
         # last block id, below every earlier grid's.
@@ -82,10 +83,10 @@ class _LaunchState:
     def group_blocks(self, kernel: Callable, config: LaunchConfig) -> int:
         """How many consecutive blocks of ``config`` one call of ``kernel`` runs.
 
-        Only a marked kernel batches, and only in strict mode without a
-        recorder: a permissive warning and a recorded access name one block.
+        Only a marked kernel batches, and only in strict mode without an
+        observer: a permissive warning and an observed access name one block.
         """
-        if self.mode != "strict" or self.recorder is not None or not getattr(kernel, "block_batchable", False):
+        if self.mode != "strict" or self.observer is not None or not getattr(kernel, "block_batchable", False):
             return 1
         return max(1, min(_GROUP_LANES // config.threads_per_block, config.blocks_per_grid))
 
@@ -161,7 +162,7 @@ class _LaunchState:
         child completes before the parent's next step).
         """
         if self._child is None:
-            self._child = _LaunchState(self.sim, self.mem, self.metrics, self.mode, self.depth + 1, self.recorder)
+            self._child = _LaunchState(self.sim, self.mem, self.metrics, self.mode, self.depth + 1, self.observer)
         return self._child
 
     def release(self) -> None:
@@ -372,7 +373,7 @@ class KernelContext:
         if not full:
             ei = ei[m.sel]
         length = view.length
-        run = _run(ei, full and idx is self.global_id)
+        run = _run(ei, idx is self.global_id and (full or type(m.sel) is slice))  # consecutive ids, selected by a slice
         # out of bounds; a negative index views as 2**63 or more
         if (run.start < 0 or run.stop > length) if run else ei.view(np.uint64).max() >= length:
             first = int(np.argmax((ei < 0) | (ei >= length)))
@@ -422,13 +423,9 @@ class KernelContext:
             if state.undo is not None:
                 state.undo.append((data, dst, data[dst].copy()))  # a run's old values are a view
             data[dst] = src
-        if state.recorder is not None:
-            state.recorder.accesses.append(AccessRecord(
-                kernel=self.kernel_name, block=self.block_linear, step=self.step, space=view.space,
-                kind="read" if value is _LOAD else "write", buffer=view.name, width=width, warp_ids=m.warp_ids,
-                lanes=tids, addresses=first_byte + pitch * np.arange(ei.size) if byte_addrs is None else byte_addrs,
-                values=None if value is _LOAD else vals.copy(),  # the kernel may change its own array
-            ))
+        if state.observer is not None:
+            addresses = range(first_byte, first_byte + pitch * ei.size, pitch) if byte_addrs is None else byte_addrs
+            state.observer.on_access(self, view, tids, m.warp_ids, addresses, None if value is _LOAD else vals)
         self.step += 1
         return result
 
@@ -465,40 +462,36 @@ class KernelContext:
         """Structured branch: then-lanes run first, else-lanes second.
 
         Records one divergence event per warp whose active lanes disagree on
-        the predicate. A barrier inside either branch while the mask is
-        partial raises BarrierDivergence.
+        the predicate. A predicate that holds on every active lane or on none
+        splits no warp: it is not tallied per warp unless an observer is
+        attached, and the path that runs keeps the parent's mask, with its
+        selection and lane counts. A barrier inside either branch while the
+        mask is partial raises BarrierDivergence.
         """
         pred = self._lanes(predicate).astype(bool)
         m = self._mask_stack[-1].select(self)
-        W = self.warp_count
-        if m.warp_counts is None:
-            m.warp_counts = np.bincount(m.warp_ids, minlength=W)
-        t_cnt = np.bincount(m.warp_ids[pred if m.sel is None else pred[m.sel]], minlength=W)
-        f_cnt = m.warp_counts - t_cnt
-        diverged = int(((t_cnt > 0) & (f_cnt > 0)).sum())
-        if diverged:
-            self._counters().divergence_events += diverged
-        true_counts, false_counts = t_cnt.tolist(), f_cnt.tolist()
-        if self._state.recorder is not None:
-            self._state.recorder.branches.append(
-                BranchRecord(self.kernel_name, self.block_linear, self.step, tuple(true_counts), tuple(false_counts))
-            )
+        taken = pred if m.sel is None else pred[m.sel]
+        n_true = int(np.count_nonzero(taken))
+        split = 0 < n_true < m.count
+        observer = self._state.observer
+        if split or observer is not None:
+            if m.warp_counts is None:
+                m.warp_counts = np.bincount(m.warp_ids, minlength=self.warp_count)
+            t_cnt = np.bincount(m.warp_ids[taken], minlength=self.warp_count)
+            f_cnt = m.warp_counts - t_cnt
+            diverged = int(((t_cnt > 0) & (f_cnt > 0)).sum())
+            if diverged:
+                self._counters().divergence_events += diverged
+            if observer is not None:
+                observer.on_branch(self, t_cnt, f_cnt)
         self.step += 1
-
-        n_true = sum(true_counts)
-        if n_true:
-            self._mask_stack.append(_Mask(m.mask & pred, n_true))
-            try:
-                then_branch()
-            finally:
-                self._mask_stack.pop()
-        n_false = m.count - n_true
-        if else_branch is not None and n_false:
-            self._mask_stack.append(_Mask(m.mask & ~pred, n_false))
-            try:
-                else_branch()
-            finally:
-                self._mask_stack.pop()
+        for count, branch, then in ((n_true, then_branch, True), (m.count - n_true, else_branch, False)):
+            if count and (then or branch is not None):
+                self._mask_stack.append(_Mask(m.mask & (pred if then else ~pred), count) if split else m)
+                try:
+                    branch()
+                finally:
+                    self._mask_stack.pop()
 
     def where(self, predicate: LaneValue, a: LaneValue, b: LaneValue) -> np.ndarray:
         """Predicated select: every lane follows one path, no divergence."""
@@ -522,8 +515,8 @@ class KernelContext:
             )
         self._counters().barriers_executed += self._blocks
         self._state.new_interval(shared_only=self._blocks > 1)
-        if self._state.recorder is not None:
-            self._state.recorder.barriers.append((self.kernel_name, self.block_linear, self.step))
+        if self._state.observer is not None:
+            self._state.observer.on_barrier(self)
         self.step += 1
 
     # ------------------------------------------------------------------
@@ -600,15 +593,21 @@ class KernelContext:
 def _run(ei: np.ndarray, known: bool = False) -> Optional[slice]:
     """``slice(lo, hi + 1, d)`` if the ``n`` indices ``ei`` are ``lo, lo + d, ..., hi`` with ``d >= 1``, else None.
 
-    ``known`` says they are ``lo, lo + 1, ...``. The ends fix ``d``; past two lanes one compare checks the rest.
+    ``known`` says they are ``lo, lo + 1, ...``. The ends fix ``d``; past two lanes the rest are checked once by a
+    compare with ``arange``. ``_RUNS`` keeps the bytes of each run that passed it, by ``(lo, n, d)``, which fix the
+    run: indices with the same bytes are that run. It starts over before its bytes pass 512 KiB (README).
     """
     lo, n = int(ei[0]), ei.size
     if known or n == 1:
         return slice(lo, lo + n, 1)
     hi = int(ei[-1])
     d, r = divmod(hi - lo, n - 1)
-    if d < 1 or r or n > 2 and np.count_nonzero(ei != np.arange(lo, hi + 1, d)):
+    if d < 1 or r:
         return None
+    if n > 2 and _RUNS.get((lo, n, d)) != (got := ei.tobytes()):
+        if np.count_nonzero(ei != np.arange(lo, hi + 1, d)):
+            return None
+        _RUNS.add((lo, n, d), got, len(got))
     return slice(lo, hi + 1, d)
 
 
@@ -654,8 +653,10 @@ class Simulator:
         ``mode`` is "strict" (conflicting unsynchronized accesses abort the
         launch) or "permissive" (they are logged on ``mem.race_warnings`` and
         writes resolve in ascending global thread id order). A ``recorder``
-        collects the accesses, branches and barriers of the grid and its
-        child grids; attaching one changes no result, counter or error. A
+        observes the grid and its child grids: a ``Recorder``, or any object
+        with its hooks ``on_access``, ``on_branch`` and ``on_barrier``, which
+        the engine calls at each memory instruction, structured branch and
+        barrier. Attaching one changes no result, counter or error. A
         kernel marked ``block_batchable`` may run several blocks per call,
         with the same results, counters and errors (README).
         """

@@ -2,19 +2,20 @@
 
 Both variants reduce each block in shared memory and, for inputs wider than
 one block, sum the per-block partials on the host. The kernels carry no
-instrumentation: for a single-block input the step table is read from a
-``Recorder`` attached to the launch, one row per span between barriers, each
-cell the value that thread stored to shared memory in the span. Threads that
-stored nothing render as blanks.
+instrumentation: for a single-block input the step table comes from a
+``StepRows`` observer attached to the launch, which keeps only its shared
+stores: one row per span between barriers, each cell the value that thread
+stored to shared memory in the span. Threads that stored nothing render as
+blanks.
 """
 
 from __future__ import annotations
 
 from typing import Optional, Sequence
 
-from ..core import DeviceMemory, LaunchConfig, MetricsReport, Recorder, Simulator, block_batchable
+from ..core import DeviceMemory, LaunchConfig, MetricsReport, Simulator, block_batchable
 from ._common import MAX_BLOCK_THREADS, NotPowerOfTwo, is_pow2
-from .trace import StepTrace, barrier_rows
+from .trace import StepRows, StepTrace
 
 VARIANTS = ("interleaved", "sequential")
 
@@ -63,9 +64,9 @@ def reduce_sum(
 ) -> tuple:
     """Sum a power-of-two array; returns (sum, StepTrace).
 
-    Single-block inputs (length <= 1024) produce the full per-step table;
-    longer inputs fall back to per-block partials plus host accumulation and
-    the trace keeps only the input row.
+    Single-block inputs (length <= 1024) produce the full per-step table,
+    from a ``StepRows`` on the launch; longer inputs fall back to per-block
+    partials plus host accumulation and the trace keeps only the input row.
     """
     if variant not in VARIANTS:
         raise ValueError(f"unknown variant {variant!r}, expected one of {VARIANTS}")
@@ -83,11 +84,11 @@ def reduce_sum(
     block = min(n, MAX_BLOCK_THREADS)
     blocks = n // block
     partials = mem.alloc("partials", blocks, dtype=inp.dtype)
-    recorder = Recorder() if blocks == 1 else None
+    steps = StepRows(n) if blocks == 1 else None
     kernel = reduce_interleaved_kernel if variant == "interleaved" else reduce_sequential_kernel
     config = LaunchConfig(blocks, block, shared_mem_bytes=block * 4)
-    sim.launch(kernel, config, mem, (inp, partials), name=f"reduce_{variant}", metrics=metrics, recorder=recorder)
+    sim.launch(kernel, config, mem, (inp, partials), name=f"reduce_{variant}", metrics=metrics, recorder=steps)
 
     total = partials.data.cumsum()[-1].item()  # left to right in the device's dtype, as a block adds
-    rows = [row] + (barrier_rows(recorder, n) if recorder is not None else [])
+    rows = [row] + (steps.rows() if steps is not None else [])
     return total, StepTrace(rows)

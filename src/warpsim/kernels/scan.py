@@ -12,7 +12,7 @@ from __future__ import annotations
 
 from typing import Optional, Sequence
 
-from ..core import DeviceMemory, LaunchConfig, MetricsReport, Recorder, Simulator, block_batchable, ceil_div
+from ..core import DeviceMemory, LaunchConfig, MetricsReport, Simulator, block_batchable, ceil_div
 from ._common import (
     MAX_BLOCK_THREADS,
     THREADS_PER_BLOCK,
@@ -20,7 +20,7 @@ from ._common import (
     is_pow2,
     next_pow2,
 )
-from .trace import StepTrace, barrier_rows
+from .trace import StepRows, StepTrace
 
 BLELLOCH_MAX = 2 * MAX_BLOCK_THREADS  # two elements per thread, one block
 
@@ -68,7 +68,8 @@ def inclusive_scan_hillis_steele(
 
     Arbitrary lengths are padded with the additive identity to the next power
     of two and the output (and trace columns) truncated back. A single-block
-    input's step rows come from a ``Recorder`` on its launch; wider inputs run
+    input's step rows come from a ``StepRows`` on its launch, which keeps
+    its shared stores between barriers; wider inputs run
     one launch per step and the host reads each step's row from its output.
     """
     values = values if type(values) is list else list(values)
@@ -85,7 +86,7 @@ def inclusive_scan_hillis_steele(
 
     if one_block:
         out = mem.alloc("output", n, dtype=src.dtype)
-        recorder = Recorder()
+        steps = StepRows(n)
         config = LaunchConfig(1, n, shared_mem_bytes=2 * n * 4)
         sim.launch(
             hillis_steele_block_kernel,
@@ -94,9 +95,9 @@ def inclusive_scan_hillis_steele(
             (src, out, n),
             name="inclusive_scan",
             metrics=metrics,
-            recorder=recorder,
+            recorder=steps,
         )
-        rows += [row[:n0] for row in barrier_rows(recorder, n)]
+        rows += [row[:n0] for row in steps.rows()]
         return out.tolist()[:n0], StepTrace(rows)
 
     # Wide inputs: one launch per distance, grid-wide sync between passes.

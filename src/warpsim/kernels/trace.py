@@ -1,12 +1,11 @@
-"""Step tables: per-thread values over the steps of a traced primitive."""
+"""Step tables: per-thread values over the steps of a traced primitive, and the observer that keeps them."""
 
 from __future__ import annotations
 
-from bisect import bisect_left
 from dataclasses import dataclass, field
 from typing import Any, Optional
 
-from ..core import Recorder
+import numpy as np
 
 Cell = Optional[Any]
 
@@ -43,21 +42,33 @@ class StepTrace:
         return "\n".join("  ".join(map(str.rjust, line, widths)) for line in table)
 
 
-def barrier_rows(recorder: Recorder, width: int) -> list[list[Cell]]:
-    """One row per span between two consecutive barriers of a one-block launch.
+class StepRows:
+    """The step rows of a one-block launch, kept from its shared stores as it runs: attach it as its ``recorder``.
 
-    A cell holds what that thread stored to shared memory in the span (its
-    last store there); ``None`` means it stored nothing.
+    One row per span between two consecutive barriers; a cell holds the last
+    value that thread stored to shared memory in the span, ``None`` if it
+    stored nothing. Stores before the first barrier or after the last one
+    make no row.
     """
-    bounds = [step for _, _, step in recorder.barriers]
-    rows: list[list[Cell]] = [[None] * width for _ in bounds[1:]]
-    for rec in recorder.accesses:
-        span = bisect_left(bounds, rec.step)
-        if rec.space == "shared" and rec.values is not None and 0 < span < len(bounds):
-            row = rows[span - 1]
-            for lane, value in zip(rec.lanes.tolist(), rec.values.tolist()):
-                row[lane] = value
-    return rows
+
+    def __init__(self, width: int):
+        self.width = width
+        self.spans: list[np.ndarray] = []  # one object row per barrier: the span it opens
+
+    def on_access(self, ctx: Any, view: Any, lanes: np.ndarray, warp_ids: np.ndarray, addresses: Any,
+                  values: Optional[np.ndarray]) -> None:
+        if values is not None and view.space == "shared" and self.spans:
+            self.spans[-1][lanes] = values  # as Python numbers, as ``tolist`` gives them
+
+    def on_branch(self, ctx: Any, true_counts: np.ndarray, false_counts: np.ndarray) -> None:
+        pass
+
+    def on_barrier(self, ctx: Any) -> None:
+        self.spans.append(np.full(self.width, None, dtype=object))
+
+    def rows(self) -> list[list[Cell]]:
+        """The rows of the spans that a barrier closed."""
+        return [span.tolist() for span in self.spans[:-1]]
 
 
 def _fmt(value: Cell) -> str:

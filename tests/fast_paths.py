@@ -23,6 +23,7 @@ list, which ``bench/workloads.py`` builds from one seed::
 
     python tests/fast_paths.py --ablate --workload block_compute --passes 40
     python tests/fast_paths.py --ablate --workload grid_stream race_apart race_fold_slice+race_distinct_all_new
+    python tests/fast_paths.py --ablate --workload host_models --build rules_whole_int
 
 Each pass runs the op list once with every path on (the reference), once
 more with every path on (the A/A control) and once per switch, in shuffled
@@ -40,10 +41,15 @@ deletion rule: a path stays when, on some workload that runs it, it earns on
 the same op class in each of three runs of at least 40 passes. Fewer
 switches per run make each pass shorter and the intervals narrower, so a
 path that earns nowhere in runs of every switch is timed again in three runs
-of only such paths; it is deleted when it earns nowhere there either. Only
-each op's call is timed, not the building of the op list, which is the
-bench's set-up; the host paths earn there (``load_scenario`` and
-``StreamOp`` run once per scenario as the ops are built).
+of only such paths; it is deleted when it earns nowhere there either.
+
+Without ``--build`` only each op's call is timed, not the building of the
+op list, which is the bench's set-up; the host paths earn there
+(``load_scenario`` and ``StreamOp`` run once per scenario as the ops are
+built). With ``--build`` every arm also builds the op list once a pass,
+under its switch, from the same seed into a directory of its own; that time
+is the class ``(op build)``, which the pass ratio leaves out, so a path that
+pays off at set-up is judged on its own.
 
 The ablation checks every switched op's digest (``Op.check``) against the
 all-on op's and exits 1 when one differs, an oracle fails, or an old string
@@ -110,8 +116,9 @@ PATHS = {p.name: p for p in [
     # engine
     FastPath("engine_run_slices", "a run of indices is tracked and costed as a slice (engine._run)", ENGINE,
              patches=((engine, "_run", lambda ei, known=False: None),)),
-    FastPath("engine_global_id_hint", "indices that are the global id need no compare to be a run", ENGINE,
-             rewrites=((_access, "_run(ei, full and idx is self.global_id)", "_run(ei)"),)),
+    FastPath("engine_global_id_hint", "the global id under a full or contiguous mask needs no compare to be a run",
+             ENGINE, rewrites=((_access, "_run(ei, idx is self.global_id and (full or type(m.sel) is slice))",
+                                "_run(ei)"),)),
     FastPath("engine_bounds_by_run_ends", "a run is in bounds when its ends are", ENGINE,
              rewrites=((_access, "(run.start < 0 or run.stop > length) if run else ei.view(np.uint64).max() >= length",
                         "ei.view(np.uint64).max() >= length"),)),
@@ -125,6 +132,15 @@ PATHS = {p.name: p for p in [
              rewrites=((engine.KernelContext.launch, "raw = all(", "raw = False and all("),)),
     FastPath("engine_cached_warp_counts", "a mask counts its lanes per warp once for all its branches", ENGINE,
              rewrites=((engine.KernelContext.if_, "if m.warp_counts is None:", "if True:"),)),
+    FastPath("engine_uniform_branch", "a branch that splits no warp tallies nothing and keeps its parent's mask (if_)",
+             ENGINE, rewrites=((engine.KernelContext.if_, "split = 0 < n_true < m.count", "split = True"),)),
+    FastPath("engine_run_memo", "a run is checked by its bytes against the memo of runs that passed (_run)", ENGINE,
+             rewrites=((engine._run, "if n > 2 and _RUNS.get((lo, n, d)) != (got := ei.tobytes()):\n"
+                                     "        if np.count_nonzero(ei != np.arange(lo, hi + 1, d)):\n"
+                                     "            return None\n"
+                                     "        _RUNS.add((lo, n, d), got, len(got))\n",
+                        "if n > 2 and np.count_nonzero(ei != np.arange(lo, hi + 1, d)):\n"
+                        "        return None\n"),)),
     FastPath("engine_full_mask_arith", "arithmetic under a full mask skips the scatter (_arith)", ENGINE,
              rewrites=((engine.KernelContext._arith, "if m.count == self.nthreads:", "if False:"),)),
     FastPath("engine_block_groups", "a batchable kernel runs consecutive blocks as one group", ENGINE,
@@ -269,9 +285,15 @@ def _median_interval(values: list[float]) -> tuple[float, float]:
     return (v[k - 1], v[n - k]) if k else (float("nan"), float("nan"))
 
 
+BUILD = "(op build)"  # the class of ``--build``: building the workload's op list
+
+
 def ablate(workload: str, passes: int, seed: int, switches: list[tuple[str, ...]], out: Optional[TextIO] = None,
-           as_json: bool = False) -> int:
-    """Time ``switches`` against all-on on ``workload``; 0, or 1 if a digest differs or an oracle fails."""
+           as_json: bool = False, build: bool = False) -> int:
+    """Time ``switches`` against all-on on ``workload``; 0, or 1 if a digest differs or an oracle fails.
+
+    ``build`` also times the building of the op list, as the class ``BUILD``.
+    """
     import workloads  # bench/workloads.py, read only
 
     out = out or sys.stdout
@@ -285,13 +307,16 @@ def ablate(workload: str, passes: int, seed: int, switches: list[tuple[str, ...]
     failed = False
     with tempfile.TemporaryDirectory(prefix="fast-paths-") as tmp:
         ops = workloads.WORKLOADS[workload](np.random.default_rng(seed), Path(tmp))
+        build_dir = Path(tmp, "build")  # the timed builds' files, apart from those the ops read
+        build_dir.mkdir()
         want: dict[str, str] = {}
         for op in ops:  # warm-up, and the digest of every op with all paths on
             problem, want[op.name] = op.check(op.call())
             if problem:
                 print(f"error: {op.name} with every path on: {problem}", file=sys.stderr)
                 return 1
-        classes = list(dict.fromkeys(op.cls for op in ops))
+        op_classes = list(dict.fromkeys(op.cls for op in ops))
+        classes = ([BUILD] if build else []) + op_classes
         # per arm, per timed pass: seconds per class; pass 0 warms every arm up and is not kept
         times: dict[str, list[dict[str, float]]] = {label: [] for label, _ in arms}
         rng = np.random.default_rng(seed)
@@ -301,6 +326,10 @@ def ablate(workload: str, passes: int, seed: int, switches: list[tuple[str, ...]
                 spent = dict.fromkeys(classes, 0.0)
                 gc.collect()
                 with switched_off(names):
+                    if build:
+                        t0 = time.perf_counter()
+                        workloads.WORKLOADS[workload](np.random.default_rng(seed), build_dir)
+                        spent[BUILD] += time.perf_counter() - t0
                     for op in ops:
                         t0 = time.perf_counter()
                         outcome = op.call()
@@ -315,7 +344,7 @@ def ablate(workload: str, passes: int, seed: int, switches: list[tuple[str, ...]
     base = times["all-on"]
     rows = []
     for label, _ in arms[1:]:
-        ratios = [sum(t.values()) / sum(b.values()) for t, b in zip(times[label], base)]
+        ratios = [sum(map(t.get, op_classes)) / sum(map(b.get, op_classes)) for t, b in zip(times[label], base)]
         by_class = {}
         for c in classes:
             per_pass = [t[c] / b[c] for t, b in zip(times[label], base)]
@@ -348,6 +377,7 @@ def main(argv: Optional[list[str]] = None) -> int:
     parser.add_argument("--passes", type=int, default=40)
     parser.add_argument("--seed", type=int, default=9001)
     parser.add_argument("--json", action="store_true", help="one JSON row per switch")
+    parser.add_argument("--build", action="store_true", help=f"also time building the op list, as {BUILD!r}")
     parser.add_argument("names", nargs="*", help="paths to switch, NAME or NAME+NAME; default: all that run")
     args = parser.parse_args(argv)
     names = args.names or [p.name for p in PATHS.values() if args.workload in p.workloads]
@@ -355,7 +385,7 @@ def main(argv: Optional[list[str]] = None) -> int:
     unknown = sorted({n for s in switches for n in s} - PATHS.keys())
     if unknown:
         parser.error(f"unknown paths {unknown}; choose from {sorted(PATHS)}")
-    return ablate(args.workload, args.passes, args.seed, switches, as_json=args.json)
+    return ablate(args.workload, args.passes, args.seed, switches, as_json=args.json, build=args.build)
 
 
 if __name__ == "__main__":

@@ -89,6 +89,8 @@ def lane_address(pattern, gid, tid, block, nthreads, length):
         return (table[tid % len(table)] + k * block) % length
     if kind == "step":  # k + tid * d, a run of step d = table[0] >= 2
         return (k + tid * table[0]) % length
+    if kind == "wrap":  # k + tid % h, h = table[0]: lanes 0..h-1 and h..2h-1 index one run
+        return (k + tid % table[0]) % length
     if kind == "raw":  # "table" unwrapped: may fall outside the array
         return table[tid % len(table)] + k * block
     return (tid + k) % length  # "local": the same addresses in every block

@@ -265,6 +265,19 @@ def test_the_ablation_prints_the_aa_row_first_then_one_json_row_per_switch(tiny)
     assert all(len(v) == 3 and v[1] > 0 for r in rows for v in r["classes"].values())  # [low, median, high]
 
 
+def test_the_ablation_times_the_op_build_under_each_switch_as_its_own_class(tiny, monkeypatch):
+    built = []
+    ops = sys.modules["workloads"].WORKLOADS["tiny"]
+    monkeypatch.setitem(sys.modules["workloads"].WORKLOADS, "tiny",
+                        lambda rng, workdir: built.append(engine._GROUP_LANES) or ops(rng, workdir))
+    out = io.StringIO()
+    assert fast_paths.ablate("tiny", 1, 1, [("engine_block_groups",)], out, True, build=True) == 0
+    rows = [json.loads(line) for line in out.getvalue().splitlines()]
+    assert all(list(r["classes"]) == [fast_paths.BUILD, "vector_add", "whole"] for r in rows)
+    # the ops once, then each of the three arms in each of two passes (one warms up), one under the switch
+    assert sorted(built) == [1] * 2 + [engine._GROUP_LANES] * 5
+
+
 def test_a_class_earns_when_the_sign_test_interval_of_its_pass_ratios_lies_above_1():
     assert fast_paths._median_interval([float(i) for i in range(40, 0, -1)]) == (14.0, 27.0)
     assert fast_paths._median_interval([1.0] * 6) == (1.0, 1.0)

@@ -200,6 +200,55 @@ def global_hillis_steele(else_store):
              [("gload", "x", SHIFT0), ("gstore", "y", else_store, 2)])]
 
 
+# One run indexed by the lanes of two masks. A branch whose predicate holds on every active lane, or on none,
+# runs under its parent's mask; a store there of the run that the parent's lanes loaded meets only each lane's
+# own word. Two complementary branches that store one run race, in shared and in global memory.
+def uniform(body):
+    return st.sampled_from([("if", 1, 1, body, []), ("if", 1, 0, [], body), ("range", 0, MAX_THREADS, body, [])])
+
+
+def access(space, pattern, store):
+    if space == "shared":
+        return ("sstore", pattern, store) if store is not None else ("sload", pattern)
+    return ("gstore", space, pattern, store) if store is not None else ("gload", space, pattern)
+
+
+run_patterns = st.one_of(
+    st.tuples(st.sampled_from(["local", "shift"]), st.integers(0, 5), st.just([0])),
+    st.tuples(st.just("step"), st.integers(0, 5), st.lists(st.integers(2, 4), min_size=1, max_size=1)),
+)
+
+
+@st.composite
+def one_run_two_masks(draw):
+    """A case whose program stores one run under two masks; ``instructions`` seldom draws two such accesses."""
+    space = draw(st.sampled_from(["shared", "x", "y"]))
+    k = draw(st.integers(0, 9))
+    if draw(st.booleans()):  # the parent's load, and a uniform branch's store
+        threads = draw(st.integers(1, MAX_THREADS))
+        pattern = draw(run_patterns)
+        body = [access(space, pattern, None), draw(uniform([access(space, pattern, k)]))]
+        lo, hi = draw(st.integers(0, 32)), draw(st.integers(1, MAX_THREADS))
+        program = body if draw(st.booleans()) else [("range", lo, hi, body, [])]
+    else:  # lanes 0..h-1 store the run k.., then lanes h..2h-1 store it
+        half = draw(st.integers(1, MAX_THREADS // 2))
+        threads, pattern = 2 * half, ("wrap", draw(st.integers(0, 5)), [half])
+        program = [("range", 0, half, [access(space, pattern, k)], [access(space, pattern, k + 1)])]
+    before = draw(st.lists(instructions(1, False), max_size=2))
+    after = draw(st.lists(instructions(1, False), max_size=2))
+    x, y = (draw(st.lists(st.integers(-50, 50), min_size=1, max_size=96)) for _ in range(2))
+    return draw(st.integers(1, 3)), threads, x, y, [*before, *program, *after]
+
+
+SAME_RUN_UNDER_UNIFORM_BRANCH = (1, 16, [0] * 8, [0] * 8, [
+    ("sstore", LOCAL0, 0), BARRIER,
+    ("range", 0, 8, [("sload", step(1, 2)), ("if", 1, 1, [("sstore", step(1, 2), 1)], [])], [])])
+SAME_RUN_BY_TWO_RANGES = (1, 16, [0] * 8, [0] * 8, [
+    ("range", 0, 8, [("sstore", ("wrap", 2, [8]), 1)], [("sstore", ("wrap", 2, [8]), 2)])])
+GLOBAL_RUN_BY_TWO_RANGES = (2, 8, list(range(16)), [0] * 16, [
+    ("range", 0, 4, [("gstore", "y", ("wrap", 0, [4]), 1)], [("gstore", "y", ("wrap", 0, [4]), 2)])])
+
+
 @settings(max_examples=120, deadline=None)
 @given(cases(st.lists(instructions(2, True), min_size=1, max_size=10)))
 @example((1, 16, [0] * 8, [0] * 8, up_sweep(step(3, 4))))
@@ -210,8 +259,24 @@ def global_hillis_steele(else_store):
 @example((1, 16, [0] * 8, [0] * 8, hillis_steele(("local", 18, [0]))))
 @example((2, 16, list(range(32)), [0] * 32, global_hillis_steele(SHIFT0)))
 @example((2, 16, list(range(32)), [0] * 32, global_hillis_steele(("shift", 2, [0]))))
+@example(SAME_RUN_UNDER_UNIFORM_BRANCH)
+@example(SAME_RUN_BY_TWO_RANGES)
+@example(GLOBAL_RUN_BY_TWO_RANGES)
 def test_tracker_matches_reference_machine(case):
     assert_same_observables(case)
+
+
+@settings(max_examples=60, deadline=None)
+@given(one_run_two_masks())
+def test_one_run_under_two_masks_matches_reference_machine(case):
+    assert_same_observables(case)
+
+
+def test_a_uniform_branch_runs_under_its_parents_mask():
+    # The store under the uniform branch names the lanes of the parent's load, so it takes the clear path.
+    case = SAME_RUN_UNDER_UNIFORM_BRANCH
+    folds, (_, _, error, warnings, _) = folded_reads(lambda: observe(case, "strict"))
+    assert (folds, error, warnings) == (0, None, [])
 
 
 def folded_reads(run):

@@ -5,16 +5,22 @@ two step-table primitives run once with a recorder and once without; memory,
 the ``MetricsReport`` JSON, race warnings and ``SimError`` JSON must match.
 The primitives' global transaction counts are pinned to those of their bare
 kernels, which carry no trace traffic.
+
+``barrier_rows`` reads step rows from a full ``Recorder``; it is the oracle
+for the ``StepRows`` observer that the step-table primitives attach.
 """
+
+import json
+from bisect import bisect_left
 
 import numpy as np
 import pytest
 
 from warpsim import DeviceMemory, LaunchConfig, MetricsReport, Recorder, SimError, Simulator
-from warpsim.kernels import inclusive_scan_hillis_steele, reduce_sum
+from warpsim.kernels import inclusive_scan_hillis_steele, reduce, reduce_sum, scan
 from warpsim.kernels.reduce import reduce_interleaved_kernel, reduce_sequential_kernel
 from warpsim.kernels.scan import hillis_steele_block_kernel, scan_step_kernel
-from warpsim.kernels.trace import barrier_rows
+from warpsim.kernels.trace import StepRows
 
 from test_engine_golden import CASES, CONFIG
 
@@ -152,6 +158,34 @@ def test_recorded_values_are_a_copy():
     assert recorder.accesses[0].values.tolist() == out.tolist() == [10, 11, 12, 13]
 
 
+def barrier_rows(recorder, width):
+    """One row per span between two consecutive barriers of a one-block launch.
+
+    A cell holds what that thread stored to shared memory in the span (its
+    last store there); ``None`` means it stored nothing.
+    """
+    bounds = [step for _, _, step in recorder.barriers]
+    rows = [[None] * width for _ in bounds[1:]]
+    for rec in recorder.accesses:
+        span = bisect_left(bounds, rec.step)
+        if rec.space == "shared" and rec.values is not None and 0 < span < len(bounds):
+            row = rows[span - 1]
+            for lane, value in zip(rec.lanes.tolist(), rec.values.tolist()):
+                row[lane] = value
+    return rows
+
+
+class RecordedRows(Recorder):
+    """``StepRows`` read from a full ``Recorder`` by ``barrier_rows``."""
+
+    def __init__(self, width):
+        super().__init__()
+        self.width = width
+
+    def rows(self):
+        return barrier_rows(self, self.width)
+
+
 def test_barrier_rows_hold_shared_stores_between_barriers():
     def kernel(ctx, out):
         tid = ctx.thread_idx.x
@@ -168,8 +202,44 @@ def test_barrier_rows_hold_shared_stores_between_barriers():
         ctx.barrier()  # an empty span is a row of idle cells
         sh[tid] = 7  # after the last barrier: no row
 
-    mem = DeviceMemory()
-    out = mem.alloc("out", 4)
-    recorder = Recorder()
-    Simulator().launch(kernel, LaunchConfig(1, 4, shared_mem_bytes=16), mem, (out,), recorder=recorder)
-    assert barrier_rows(recorder, 4) == [[None, 10, None, 30], [None] * 4]
+    for rows in (RecordedRows(4), StepRows(4)):
+        mem = DeviceMemory()
+        out = mem.alloc("out", 4)
+        Simulator().launch(kernel, LaunchConfig(1, 4, shared_mem_bytes=16), mem, (out,), recorder=rows)
+        assert rows.rows() == [[None, 10, None, 30], [None] * 4]
+
+
+def step_inputs(n):
+    """Ints, negative ints, floats, bools and a tuple of numpy scalars, ``n`` each."""
+    rng = np.random.default_rng(n)
+    return {
+        "ints": rng.integers(0, 100, n).tolist(),
+        "negative_ints": rng.integers(-1000, 0, n).tolist(),
+        "floats": (rng.standard_normal(n) * 10).round(3).tolist(),
+        "bools": (rng.integers(0, 2, n) == 1).tolist(),
+        "numpy_scalars": tuple(np.int16(v) if i % 2 else np.float32(v / 4) for i, v in enumerate(range(-n, n, 2))),
+    }
+
+
+def traced(monkeypatch, module, call):
+    """The trace JSON of ``call()`` with ``StepRows``, and with the oracle over a full ``Recorder`` in its place."""
+    _, trace = call()
+    with monkeypatch.context() as m:
+        m.setattr(module, "StepRows", RecordedRows)
+        _, oracle = call()
+    return json.dumps(trace.to_json()), json.dumps(oracle.to_json())
+
+
+@pytest.mark.parametrize("n", [1, 2, 16, 1024])
+@pytest.mark.parametrize("variant", sorted(REDUCE_KERNELS))
+def test_reduce_step_rows_are_those_a_full_recorder_gives(monkeypatch, variant, n):
+    for values in step_inputs(n).values():
+        got, want = traced(monkeypatch, reduce, lambda: reduce_sum(values, variant))
+        assert got == want
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 16, 1000, 1024])
+def test_scan_step_rows_are_those_a_full_recorder_gives(monkeypatch, n):
+    for values in step_inputs(n).values():
+        got, want = traced(monkeypatch, scan, lambda: inclusive_scan_hillis_steele(values))
+        assert got == want
