@@ -2,12 +2,13 @@
 
 Both entry points are pure functions over one warp's simultaneous accesses;
 the tests keep them as the scalar oracles. ``MEMO``, the process's one
-``_CostMemo``, runs the vectorized ``_warp_*`` variants over a group's warps
-in one pass, only for a pattern it has not seen: a shift of all addresses
-by a multiple of ``segment_bytes`` keeps the segment total, and one of
+memo, runs the vectorized ``_warp_*`` variants over a group's warps in one
+pass, only for a pattern it has not seen: a shift of all addresses by a
+multiple of ``segment_bytes`` keeps the segment total, and one of
 ``bank_width_bytes`` the bank cycles, so its keys drop that shift. Each
 variant is one sort-based pass with no fast path, because a pattern is
-costed on first sight only.
+costed on first sight only. The same memo keeps the engine's checked runs
+of indices (``engine._run``), under one byte budget.
 """
 
 from __future__ import annotations
@@ -104,7 +105,7 @@ def _warp_bank_extra_cycles(warp_ids: np.ndarray, byte_addrs: np.ndarray, bank_c
     return int(degree_per_warp.sum()) - degree_per_warp.size
 
 
-_COST_MEMO_KEY_BYTES = 4 << 20  # a cost memo whose keys would pass this starts over
+_MEMO_BYTES = 4 << 20  # a memo whose held bytes would pass this starts over
 
 
 def _key_type(bound: int) -> type:
@@ -113,34 +114,25 @@ def _key_type(bound: int) -> type:
 
 
 class _Memo(dict):
-    """A memo that starts over before the bytes it counts, ``key_bytes``, would pass ``cap``."""
+    """Access analysis by key for every launch of the process; why each key is exact is in README.
 
-    key_bytes = 0
+    ``cost`` keys a pattern's cost by the space, the segment and bank geometry, the warp size, the block size (where
+    a group's warps restart), on a partial mask the warp ids, and the lane byte addresses less the first active
+    lane's rounded down to the space's period, as bytes of the narrowest integer type that holds the buffer's byte
+    length, which the key names. A run of ``n`` lanes on the elements ``lo, lo + d, ...`` keeps only its first
+    address's offset into the period, its pitch ``d * width`` and ``n``. ``engine._run`` keys the int64 bytes of a
+    run that passed its check by ``(lo, n, d)``. ``nbytes`` counts the bytes the entries hold: a cost key's addresses
+    and warp ids (8 for a run's key) and a run's bytes. The memo starts over before they would pass ``_MEMO_BYTES``.
+    """
 
-    def __init__(self, cap: int = _COST_MEMO_KEY_BYTES):
-        super().__init__()
-        self.cap = cap
+    nbytes = 0
 
     def add(self, key: tuple, value: Any, nbytes: int) -> None:
-        if self.key_bytes + nbytes > self.cap:
+        if self.nbytes + nbytes > _MEMO_BYTES:
             self.clear()
-            self.key_bytes = 0
+            self.nbytes = 0
         self[key] = value
-        self.key_bytes += nbytes
-
-
-class _CostMemo(_Memo):
-    """Cost by access pattern for every launch of the process; why the key is exact is in README.
-
-    A key is the space, the segment and bank geometry, the warp size, the
-    block size (where a group's warps restart), on a partial mask the warp
-    ids, and the lane byte addresses less the first active lane's rounded
-    down to the space's period, as bytes of the narrowest integer type that
-    holds the buffer's byte length, which the key names.
-    A run of ``n`` lanes on the elements ``lo, lo + d, ...`` keeps only its
-    first address's offset into the period, its pitch ``d * width`` and
-    ``n``. ``key_bytes`` counts 8 bytes per array element, one for a run.
-    """
+        self.nbytes += nbytes
 
     def cost(self, sim: Any, space: str, warp_ids: np.ndarray, warp_key: bytes, byte_addrs: Optional[np.ndarray],
              first: int, pitch: int, extent: int, warp_size: int, block_size: int) -> int:
@@ -154,10 +146,10 @@ class _CostMemo(_Memo):
         base = first // period * period
         head = (space, dt, sim.segment_bytes, sim.bank_count, sim.bank_width_bytes, warp_size, block_size, warp_key)
         if byte_addrs is None:
-            key, n = (*head, first - base, pitch, warp_ids.size), 1
+            key, held = (*head, first - base, pitch, warp_ids.size), 8
         else:
             norm = (byte_addrs - base).astype(dt)
-            key, n = (*head, norm.tobytes()), norm.size
+            key, held = (*head, norm.tobytes()), norm.nbytes
         cost = self.get(key)
         if cost is None:
             if byte_addrs is None:
@@ -166,8 +158,8 @@ class _CostMemo(_Memo):
                 cost = _warp_segment_total(warp_ids, byte_addrs, sim.segment_bytes)
             else:
                 cost = _warp_bank_extra_cycles(warp_ids, byte_addrs, sim.bank_count, sim.bank_width_bytes)
-            self.add(key, cost, 8 * n + len(warp_key))
+            self.add(key, cost, held + len(warp_key))
         return cost
 
 
-MEMO = _CostMemo()  # the one cost memo of the process; its key holds every input of a cost
+MEMO = _Memo()  # the one memo of the process; each key holds every input of its value

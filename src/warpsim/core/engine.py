@@ -51,7 +51,6 @@ LaneValue = Union[int, float, np.ndarray]
 _STAMP_MAX = int(np.iinfo(np.int64).max)
 _GROUP_LANES = 16384  # lanes of one group of a batchable kernel's blocks (README, "Batched blocks")
 _LOAD = object()  # the value of a load, which no store can pass
-_RUNS = access._Memo(1 << 19)  # (lo, n, d) -> the int64 bytes of the run lo, lo + d, ...; see _run
 
 
 def block_batchable(kernel: Callable) -> Callable:
@@ -594,8 +593,8 @@ def _run(ei: np.ndarray, known: bool = False) -> Optional[slice]:
     """``slice(lo, hi + 1, d)`` if the ``n`` indices ``ei`` are ``lo, lo + d, ..., hi`` with ``d >= 1``, else None.
 
     ``known`` says they are ``lo, lo + 1, ...``. The ends fix ``d``; past two lanes the rest are checked once by a
-    compare with ``arange``. ``_RUNS`` keeps the bytes of each run that passed it, by ``(lo, n, d)``, which fix the
-    run: indices with the same bytes are that run. It starts over before its bytes pass 512 KiB (README).
+    compare with ``arange``. ``access.MEMO`` keeps the bytes of each run that passed it, by ``(lo, n, d)``, which
+    fix the run: indices with the same bytes are that run.
     """
     lo, n = int(ei[0]), ei.size
     if known or n == 1:
@@ -604,10 +603,10 @@ def _run(ei: np.ndarray, known: bool = False) -> Optional[slice]:
     d, r = divmod(hi - lo, n - 1)
     if d < 1 or r:
         return None
-    if n > 2 and _RUNS.get((lo, n, d)) != (got := ei.tobytes()):
+    if n > 2 and access.MEMO.get((lo, n, d)) != (got := ei.tobytes()):
         if np.count_nonzero(ei != np.arange(lo, hi + 1, d)):
             return None
-        _RUNS.add((lo, n, d), got, len(got))
+        access.MEMO.add((lo, n, d), got, len(got))
     return slice(lo, hi + 1, d)
 
 

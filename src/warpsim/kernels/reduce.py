@@ -70,7 +70,7 @@ def reduce_sum(
     """
     if variant not in VARIANTS:
         raise ValueError(f"unknown variant {variant!r}, expected one of {VARIANTS}")
-    values = values if type(values) is list else list(values)
+    values = values if hasattr(values, "__len__") else list(values)
     n = len(values)
     if not is_pow2(n):
         raise NotPowerOfTwo(f"reduction trace needs a power-of-two length, got {n}")

@@ -72,13 +72,13 @@ def inclusive_scan_hillis_steele(
     its shared stores between barriers; wider inputs run
     one launch per step and the host reads each step's row from its output.
     """
-    values = values if type(values) is list else list(values)
+    values = values if hasattr(values, "__len__") else list(values)
     n0 = len(values)
     if n0 == 0:
         return [], StepTrace([[]])
     sim = simulator or Simulator()
     n = next_pow2(n0)
-    padded = values + [0] * (n - n0)  # a list, which alloc converts without a further copy
+    padded = values if n == n0 else list(values) + [0] * (n - n0)
     one_block = n <= MAX_BLOCK_THREADS
     mem = DeviceMemory()
     src = mem.alloc("input" if one_block else "ping", padded)
@@ -161,7 +161,7 @@ def exclusive_scan_blelloch(
     metrics: Optional[MetricsReport] = None,
 ) -> list:
     """Running sum excluding each position: output[0] = 0, output[i] = sum(x[:i])."""
-    values = values if type(values) is list else list(values)
+    values = values if hasattr(values, "__len__") else list(values)
     n = len(values)
     if n == 0:
         return []

@@ -31,7 +31,8 @@ def vector_add(
     """Elementwise a + b via a boundary-guarded launch of 256-thread blocks."""
     if threads_per_block < 1:
         raise ValueError(f"threads_per_block={threads_per_block} must be at least 1")
-    a, b = (x if type(x) is list else list(x) for x in (a, b))
+    # alloc converts any input with a length itself, an ndarray with no Python object per element
+    a, b = (x if hasattr(x, "__len__") else list(x) for x in (a, b))
     if len(a) != len(b):
         raise LengthMismatch(f"lengths differ: {len(a)} vs {len(b)}")
     n = len(a)

@@ -104,10 +104,6 @@ class FastPath:
     rewrites: tuple[tuple[Callable, str, str], ...] = ()  # (function, old text, new text)
 
 
-def _no_memo(self, *args):
-    return None
-
-
 _access = engine.KernelContext._access
 _check_read = race._RaceTrack.check_read
 _check_write = race._RaceTrack.check_write
@@ -135,10 +131,10 @@ PATHS = {p.name: p for p in [
     FastPath("engine_uniform_branch", "a branch that splits no warp tallies nothing and keeps its parent's mask (if_)",
              ENGINE, rewrites=((engine.KernelContext.if_, "split = 0 < n_true < m.count", "split = True"),)),
     FastPath("engine_run_memo", "a run is checked by its bytes against the memo of runs that passed (_run)", ENGINE,
-             rewrites=((engine._run, "if n > 2 and _RUNS.get((lo, n, d)) != (got := ei.tobytes()):\n"
+             rewrites=((engine._run, "if n > 2 and access.MEMO.get((lo, n, d)) != (got := ei.tobytes()):\n"
                                      "        if np.count_nonzero(ei != np.arange(lo, hi + 1, d)):\n"
                                      "            return None\n"
-                                     "        _RUNS.add((lo, n, d), got, len(got))\n",
+                                     "        access.MEMO.add((lo, n, d), got, len(got))\n",
                         "if n > 2 and np.count_nonzero(ei != np.arange(lo, hi + 1, d)):\n"
                         "        return None\n"),)),
     FastPath("engine_full_mask_arith", "arithmetic under a full mask skips the scatter (_arith)", ENGINE,
@@ -146,8 +142,9 @@ PATHS = {p.name: p for p in [
     FastPath("engine_block_groups", "a batchable kernel runs consecutive blocks as one group", ENGINE,
              patches=((engine, "_GROUP_LANES", 1),)),
     # access
-    FastPath("access_cost_memo", "an access pattern is costed once per process (_CostMemo)", ENGINE,
-             patches=((access._CostMemo, "get", _no_memo), (access._CostMemo, "add", _no_memo))),
+    FastPath("access_cost_memo", "an access pattern is costed once per process (_Memo.cost)", ENGINE,
+             rewrites=((access._Memo.cost, "cost = self.get(key)", "cost = None"),
+                       (access._Memo.cost, "self.add(key, cost, held + len(warp_key))", "pass"))),
     # race
     FastPath("race_apart", "a run that meets no other thread's word skips the fold and gathers (_apart)", ENGINE,
              patches=((race, "_apart", lambda addrs, tids, accesses: False),)),

@@ -1,8 +1,9 @@
-"""The engine's cost memo changes no result, counter, warning or error.
+"""The engine's memo changes no result, counter, warning or error.
 
 Every launch of the process looks up each memory instruction's cost
 (coalesced segments or bank-conflict cycles) in one memo, ``access.MEMO``,
-under a key normalized by a shift of the space's period. These tests run
+under a key normalized by a shift of the space's period; the same memo
+keeps the runs of indices the engine has checked. These tests run
 random programs with the shared memo, kept across examples of different
 geometry, and with a memo that never keeps anything, and require identical
 memory, ``MetricsReport`` JSON, race warnings and ``SimError`` JSON. A
@@ -22,8 +23,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from warpsim import DeviceMemory, LaunchConfig, Recorder, SimError, Simulator
-from warpsim.core import access
-from warpsim.core.access import _COST_MEMO_KEY_BYTES, _CostMemo, bank_conflict_degree, coalesce_count
+from warpsim.core import access, block_batchable, engine
+from warpsim.core.access import _MEMO_BYTES, _Memo, bank_conflict_degree, coalesce_count
 from warpsim.kernels import (
     Matrix, exclusive_scan_blelloch, inclusive_scan_hillis_steele, matmul, matrix_add, reduce_sum, vector_add,
 )
@@ -32,8 +33,8 @@ GLOBAL_LEN = 4096
 SHARED_LEN = 512
 
 
-class NoMemo(_CostMemo):
-    """A memo that never keeps a cost: every instruction computes its own."""
+class NoMemo(_Memo):
+    """A memo that never keeps an entry: every instruction computes its own cost and checks its own runs."""
 
     adds = 0  # calls over all instances, which show that a launch looked its costs up in the swapped-in memo
 
@@ -280,7 +281,7 @@ def gather_kernel(ctx, buf, seeds, probe):
 
 
 def test_one_memo_serves_every_launch_and_stays_under_the_cap(monkeypatch):
-    memo = _CostMemo()
+    memo = _Memo()
     monkeypatch.setattr(access, "MEMO", memo)
 
     def child(ctx, buf):
@@ -294,16 +295,18 @@ def test_one_memo_serves_every_launch_and_stays_under_the_cap(monkeypatch):
     buf = mem.alloc("buf", 64)
     for sim in (Simulator(), Simulator()):
         sim.launch(parent, LaunchConfig(2, 32), mem, (buf,))
-    # Parent and child blocks of both simulators read one pattern, a run whose key counts 8 bytes: one add.
-    assert (len(memo), memo.key_bytes) == (1, 8)
+    # Parent and child blocks of both simulators read one pattern, a run whose key counts 8 bytes, at the
+    # indices 0, 1, ..., 31, whose 256 bytes the run check keeps: one add of each.
+    assert (len(memo), memo.nbytes) == (2, 8 + 256)
     Simulator(segment_bytes=64).launch(parent, LaunchConfig(2, 32), mem, (buf,))
-    assert len(memo) == 2
+    assert len(memo) == 3
 
     sizes = []
     big = mem.alloc("big", 1 << 16)
-    # 8 blocks x 64 instructions of 1024 lanes make about 6 MiB of keys.
-    Simulator().launch(gather_kernel, LaunchConfig(8, 1024), mem, (big, 64, lambda: sizes.append(memo.key_bytes)))
-    assert max(sizes) <= _COST_MEMO_KEY_BYTES
+    # 16 blocks x 64 instructions of 1024 lanes hold about 6 MiB of keys: 4 KiB of int32 addresses each, and
+    # under the branch 683 int32 addresses and 683 int64 warp ids.
+    Simulator().launch(gather_kernel, LaunchConfig(16, 1024), mem, (big, 64, lambda: sizes.append(memo.nbytes)))
+    assert max(sizes) <= _MEMO_BYTES
     assert sum(b2 < b1 for b1, b2 in zip(sizes, sizes[1:])) >= 1  # the memo started over
 
 
@@ -343,22 +346,27 @@ GEOMETRY_CASES = {
 @pytest.mark.parametrize("order", ["forward", "reverse"])
 @pytest.mark.parametrize("name", sorted(GEOMETRY_CASES))
 def test_each_geometry_input_is_in_the_memo_key(name, order, monkeypatch):
-    monkeypatch.setattr(access, "MEMO", _CostMemo())  # one fresh memo for both launches
+    monkeypatch.setattr(access, "MEMO", _Memo())  # one fresh memo for both launches
     space, threads, runs = GEOMETRY_CASES[name]
     for geometry, warp_size, cost in runs if order == "forward" else runs[::-1]:
         assert geometry_cost(space, threads, geometry, warp_size) == (cost, cost)
 
 
-def test_a_warm_memo_computes_no_cost(monkeypatch):
-    """Each shipped primitive costs its patterns on first sight only: a rerun computes nothing."""
-    monkeypatch.setattr(access, "MEMO", _CostMemo())  # empty, so the run stays far below the cap
+@pytest.fixture
+def cost_calls(monkeypatch):
+    """The names of the cost functions called, in order, under a fresh memo: each call costs one pattern."""
+    monkeypatch.setattr(access, "MEMO", _Memo())
     calls = []
     for name in ("_warp_segment_total", "_warp_bank_extra_cycles"):
         def counted(*args, _name=name, _f=getattr(access, name)):
             calls.append(_name)
             return _f(*args)
         monkeypatch.setattr(access, name, counted)
+    return calls
 
+
+def test_a_warm_memo_computes_no_cost(cost_calls):
+    """Each shipped primitive costs its patterns on first sight only: a rerun computes nothing."""
     m = Matrix(20, 20, list(range(400)))
     runs = [
         lambda: vector_add(list(range(300)), list(range(300))),
@@ -370,8 +378,50 @@ def test_a_warm_memo_computes_no_cost(monkeypatch):
     ]
     for run in runs:
         run()
-    assert set(calls) == {"_warp_segment_total", "_warp_bank_extra_cycles"}
-    first = len(calls)
+    assert set(cost_calls) == {"_warp_segment_total", "_warp_bank_extra_cycles"}
+    first = len(cost_calls)
     for run in runs:
         run()
-    assert len(calls) == first
+    assert len(cost_calls) == first
+
+
+def test_a_repeated_naive_matmul_128_computes_no_cost(cost_calls):
+    """Its 34 patterns of 16384 lanes hold 2.2 MB, within the budget: the memo keeps them all."""
+    m = Matrix(128, 128, list(range(128 * 128)))
+    matmul(m, m, "naive")
+    first = len(cost_calls)
+    matmul(m, m, "naive")
+    assert first > 0 and len(cost_calls) == first
+
+
+@block_batchable
+def shifted_load(ctx, buf):
+    buf[ctx.gx + 1]  # a run that is checked once per group: not the global id itself
+
+
+class CountingMemo(_Memo):
+    adds = clears = 0
+
+    def add(self, key, value, nbytes):
+        self.adds += 1
+        super().add(key, value, nbytes)
+
+    def clear(self):
+        self.clears += 1
+        super().clear()
+
+
+def test_a_repeated_launch_adds_nothing_to_the_memo(monkeypatch):
+    """Eight groups of 16384 lanes check eight runs, 1 MiB of indices; a second launch finds every entry."""
+    memo = CountingMemo()
+    monkeypatch.setattr(access, "MEMO", memo)
+    groups, lanes = 8, engine._GROUP_LANES
+    mem = DeviceMemory()
+    buf = mem.alloc("buf", groups * lanes + 1)
+    sim, config = Simulator(), LaunchConfig(groups * lanes // 1024, 1024)
+    sim.launch(shifted_load, config, mem, (buf,))
+    runs = {(g * lanes + 1, lanes, 1) for g in range(groups)}
+    assert runs <= set(memo) and sum(len(memo[k]) for k in runs) > 1 << 19
+    held, adds = dict(memo), memo.adds
+    sim.launch(shifted_load, config, mem, (buf,))
+    assert (dict(memo), memo.adds, memo.clears) == (held, adds, 0)

@@ -1326,13 +1326,14 @@ class TestOracleEquivalence:
 
 
 def test_the_run_memo_keeps_only_runs_that_passed_and_starts_over_at_its_cap(monkeypatch):
-    memo = access._Memo(64)
-    monkeypatch.setattr(engine, "_RUNS", memo)
+    memo = access._Memo()
+    monkeypatch.setattr(access, "MEMO", memo)
+    monkeypatch.setattr(access, "_MEMO_BYTES", 64)
     run = np.arange(3, 15, 3)  # 3, 6, 9, 12: 32 bytes under (lo, n, d) = (3, 4, 3)
     assert engine._run(run) == engine._run(run.copy()) == slice(3, 13, 3)
-    assert (list(memo), memo.key_bytes) == ([(3, 4, 3)], 32)
+    assert (list(memo), memo.nbytes) == ([(3, 4, 3)], 32)
     for not_a_run in ([3, 9, 6, 12], [3, 7, 8, 12]):  # the same ends and lane count
         assert engine._run(np.array(not_a_run)) is None
     assert list(memo) == [(3, 4, 3)]
-    assert engine._run(np.arange(8)) == slice(0, 8, 1)  # 64 more bytes would pass the cap: the memo starts over
-    assert (list(memo), memo.key_bytes) == ([(0, 8, 1)], 64)
+    assert engine._run(np.arange(8)) == slice(0, 8, 1)  # 64 more bytes would pass the budget: the memo starts over
+    assert (list(memo), memo.nbytes) == ([(0, 8, 1)], 64)

@@ -16,7 +16,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from warpsim import DeviceMemory, LaunchConfig, Simulator
+from warpsim import DeviceMemory, LaunchConfig, MetricsReport, Simulator
 from warpsim.kernels import (
     Matrix,
     exclusive_scan_blelloch,
@@ -284,6 +284,70 @@ def test_primitives_read_arrays_tuples_and_generators_as_the_same_list(name, for
         want = primitive_outcome(lambda: call(lambda: list(given)))
         assert primitive_outcome(lambda: call(lambda: make(given))) == want
 
+
+
+SIZED_FORMS = {
+    "int32": lambda n: np.arange(-(n // 2), n - n // 2, dtype=np.int32),
+    "int64": lambda n: np.arange(-(n // 2), n - n // 2),
+    "float64": lambda n: np.arange(n) / 4,
+    "bool": lambda n: np.arange(n) % 3 == 0,
+    "tuple": lambda n: tuple(range(n)),
+    "range": range,
+    "generator": lambda n: (v for v in range(n)),
+}
+PRIMITIVE_CALLS = [  # (call of a thunk that makes the input and of a report, input lengths)
+    (lambda x, m: vector_add(x(), x(), metrics=m), (13, 16)),
+    *((lambda x, m, v=v: reduce_sum(x(), v, metrics=m), (16, 2048)) for v in ("interleaved", "sequential")),
+    (lambda x, m: inclusive_scan_hillis_steele(x(), metrics=m), (13, 16, 1040)),
+    (lambda x, m: exclusive_scan_blelloch(x(), metrics=m), (16,)),
+    (lambda x, m: matrix_add(Matrix(4, 4, x()), Matrix(4, 4, x()), metrics=m), (16,)),
+    *((lambda x, m, v=v: matmul(Matrix(4, 4, x()), Matrix(4, 4, x()), v, metrics=m), (16,))
+      for v in ("naive", "tiled")),
+]
+
+
+def primitive_json(call, make):
+    """A primitive's result, its trace if any and its ``MetricsReport``, each as JSON."""
+    metrics = MetricsReport()
+    result = call(make, metrics)
+    trace = None
+    if isinstance(result, tuple):  # (result, StepTrace)
+        result, trace = result[0], json.dumps(result[1].to_json())
+    return json.dumps(getattr(result, "data", result)), trace, json.dumps(metrics.to_json())
+
+
+@pytest.mark.parametrize("form", SIZED_FORMS)
+def test_every_input_form_gives_the_json_of_its_list(form):
+    for call, sizes in PRIMITIVE_CALLS:
+        for n in sizes:
+            given = SIZED_FORMS[form](n)
+            as_list = given.tolist() if isinstance(given, np.ndarray) else list(range(n))
+            assert primitive_json(call, lambda: SIZED_FORMS[form](n)) == primitive_json(call, lambda: as_list)
+
+
+@pytest.mark.parametrize("given", ["ab", b"ab", {1: 2, 3: 4}], ids=["str", "bytes", "dict"])
+def test_a_whole_input_that_is_no_sequence_of_numbers_is_refused(given):
+    for call in (lambda: vector_add(given, given), lambda: reduce_sum(given),
+                 lambda: inclusive_scan_hillis_steele(given), lambda: exclusive_scan_blelloch(given)):
+        with pytest.raises(ValueError, match="must be an integer size or a sequence"):
+            call()
+
+
+def test_an_array_input_reaches_alloc_as_it_is(monkeypatch):
+    # alloc converts an ndarray at C speed; a list of its numpy scalars takes a Python object per element.
+    given = []
+    alloc = DeviceMemory.alloc
+
+    def spy(self, name, size_or_data, *args, **kwargs):
+        if not isinstance(size_or_data, int):
+            given.append((name, type(size_or_data)))
+        return alloc(self, name, size_or_data, *args, **kwargs)
+
+    monkeypatch.setattr(DeviceMemory, "alloc", spy)
+    x = np.arange(16)
+    vector_add(x, x), reduce_sum(x), inclusive_scan_hillis_steele(x), exclusive_scan_blelloch(x)
+    assert given == [("a", np.ndarray), ("b", np.ndarray), ("input", np.ndarray), ("input", np.ndarray),
+                     ("input", np.ndarray)]
 
 
 @pytest.mark.parametrize("n", [1, 16, 2048])

@@ -2,7 +2,7 @@
 
 Race tracking, access analysis and recording never import the engine, and
 the engine reads no field of a race track: it hands a track addresses and
-stamps and gets conflicts back. It names no cost memo: ``core/access.py``
+stamps and gets conflicts back. It names and builds no memo: ``core/access.py``
 owns the process's one memo. The engine counts each event once, into a
 context's own counters, and only ``MetricsReport.add`` writes a report.
 Only the CLI reads files: the stream and memory models take parsed JSON.
@@ -75,17 +75,35 @@ def test_engine_reads_no_race_track_field():
     assert hits == [], f"engine.py reads race-track fields {hits}"
 
 
+MEMO_NAMES = ("_Memo", "_CostMemo", "cost_memo", "cache", "lru_cache")
+CONTAINER_CALLS = ("dict", "set", "list", "defaultdict", "OrderedDict")
+CONTAINER_NODES = (ast.Dict, ast.Set, ast.List, ast.DictComp, ast.SetComp, ast.ListComp)
+
+
+def builds_a_container(value: ast.expr) -> bool:
+    """``value`` is a container display, or a call of a container type or of anything named ``...Memo``."""
+    if isinstance(value, ast.Call):
+        name = getattr(value.func, "id", None) or getattr(value.func, "attr", "")
+        return name in CONTAINER_CALLS or name.endswith("Memo")
+    return isinstance(value, CONTAINER_NODES)
+
+
 def test_engine_names_no_cost_memo():
-    """The memo's lifetime stays in ``core/access.py``: the engine only calls ``access.MEMO``."""
+    """``core/access.py`` owns the process's one memo: the engine names no memo class or cache, keeps no
+    module-level container, and only calls ``access.MEMO``."""
+    module = tree("engine.py")
     hits = sorted(
         {
             name
-            for node in ast.walk(tree("engine.py"))
+            for node in ast.walk(module)
             for name in (getattr(node, "id", None), getattr(node, "attr", None), getattr(node, "arg", None))
-            if name in ("_CostMemo", "cost_memo")
+            if name in MEMO_NAMES
         }
     )
-    assert hits == [], f"engine.py names {hits}"
+    hits += [f"line {node.lineno}" for node in module.body
+             if isinstance(node, (ast.Assign, ast.AnnAssign)) and node.value is not None
+             and builds_a_container(node.value)]
+    assert hits == [], f"engine.py names or builds a memo: {hits}"
 
 
 def augmented_attributes(module: ast.Module) -> list[ast.Attribute]:
