@@ -3,7 +3,8 @@
 Commands: run (execute a primitive and report metrics), trace (step tables),
 report (metrics only), pipeline (stream scenario -> schedule), memflow
 (training data-flow estimate). Exit codes: 0 success, 2 usage or input
-problem, 3 simulation error.
+problem, 3 simulation error. Only run, report and trace load numpy and the
+engine: pipeline and memflow run the host models alone.
 """
 
 from __future__ import annotations
@@ -14,22 +15,13 @@ import json
 import math
 import sys
 from pathlib import Path
-from typing import Any, Optional, Sequence
-
-import numpy as np
+from typing import TYPE_CHECKING, Any, Optional, Sequence
 
 from . import memperf, streams
-from .core import MetricsReport, SimError
-from .kernels import (
-    Matrix,
-    StepTrace,
-    exclusive_scan_blelloch,
-    inclusive_scan_hillis_steele,
-    matmul,
-    matrix_add,
-    reduce_sum,
-    vector_add,
-)
+
+if TYPE_CHECKING:
+    from .core import MetricsReport
+    from .kernels import Matrix, StepTrace
 
 USAGE_EXIT = 2
 SIM_EXIT = 3
@@ -89,6 +81,8 @@ def _load_array(path: str) -> list:
 
 
 def _load_matrix(path: str) -> Matrix:
+    from .kernels import Matrix
+
     data = _load_json(path)
     if not isinstance(data, list) or not data or not all(isinstance(r, list) for r in data):
         raise UsageError(f"{path}: expected a JSON array of rows")
@@ -119,17 +113,25 @@ def _check_size(args, name: str, square: bool = False) -> None:
                          f"more than the cap of {MAX_GENERATED}")
 
 
-def _random_array(rng: np.random.Generator, size: int) -> list:
-    return rng.integers(0, 100, size=size).tolist()
-
-
-def _random_matrix(rng: np.random.Generator, size: int) -> Matrix:
-    return Matrix(size, size, rng.integers(-9, 10, size=size * size).tolist())
-
-
 def _run_primitive(args) -> tuple[Any, Optional[StepTrace], MetricsReport]:
-    """Execute the named kernel; returns (result, trace_or_none, metrics)."""
-    name = args.kernel
+    """Execute the named kernel; returns (result as JSON, trace_or_none, metrics), the trace only for ``trace``.
+
+    It finds each primitive on ``warpsim.kernels`` when it is called, so that a wrapper installed there runs.
+    """
+    import numpy as np
+
+    from .core import MetricsReport
+    from .kernels import (
+        Matrix,
+        exclusive_scan_blelloch,
+        inclusive_scan_hillis_steele,
+        matmul,
+        matrix_add,
+        reduce_sum,
+        vector_add,
+    )
+
+    name, steps = args.kernel, args.command == "trace"
     metrics = MetricsReport()
     rng = np.random.default_rng(args.seed)
     if args.block_dim is not None and name != "vector_add":
@@ -141,42 +143,37 @@ def _run_primitive(args) -> tuple[Any, Optional[StepTrace], MetricsReport]:
         arrays = _inputs(args.input, n_inputs, _load_array)
         if arrays is None:
             _check_size(args, name)
-            arrays = [_random_array(rng, args.size) for _ in range(n_inputs)]
+            arrays = [rng.integers(0, 100, size=args.size).tolist() for _ in range(n_inputs)]
         if name == "vector_add":
             block = 256 if args.block_dim is None else args.block_dim
             result = vector_add(arrays[0], arrays[1], threads_per_block=block, metrics=metrics)
             return result, None, metrics
         if name == "reduce_sum":
-            total, trace = reduce_sum(arrays[0], args.variant or "interleaved", metrics=metrics)
+            total, trace = reduce_sum(arrays[0], args.variant or "interleaved", metrics=metrics, steps=steps)
             return total, trace, metrics
         if name == "inclusive_scan":
-            out, trace = inclusive_scan_hillis_steele(arrays[0], metrics=metrics)
+            out, trace = inclusive_scan_hillis_steele(arrays[0], metrics=metrics, steps=steps)
             return out, trace, metrics
         return exclusive_scan_blelloch(arrays[0], metrics=metrics), None, metrics
 
     matrices = _inputs(args.input, 2, _load_matrix)
     if matrices is None:
         _check_size(args, name, square=True)
-        matrices = [_random_matrix(rng, args.size) for _ in range(2)]
+        matrices = [Matrix(args.size, args.size, rng.integers(-9, 10, size=args.size**2).tolist())
+                    for _ in range(2)]
     if name == "matrix_add":
-        return matrix_add(matrices[0], matrices[1], metrics=metrics), None, metrics
+        return matrix_add(matrices[0], matrices[1], metrics=metrics).to_rows(), None, metrics
     a, b = matrices
     work = a.rows * a.cols * b.cols
     if a.cols == b.rows and work > MAX_MATMUL_WORK:  # the product's time grows with m * n * p, not with its inputs
         raise UsageError(f"matmul of {a.rows}x{a.cols} by {b.rows}x{b.cols} takes {work} multiply-adds, "
                          f"more than the cap of {MAX_MATMUL_WORK}")
-    return matmul(a, b, args.variant or "naive", metrics=metrics), None, metrics
-
-
-def _result_json(result: Any) -> Any:
-    if isinstance(result, Matrix):
-        return result.to_rows()
-    return result
+    return matmul(a, b, args.variant or "naive", metrics=metrics).to_rows(), None, metrics
 
 
 def _result_text(result: Any) -> str:
-    if isinstance(result, Matrix):
-        return "\n".join(" ".join(str(v) for v in row) for row in result.to_rows())
+    if isinstance(result, list) and result and isinstance(result[0], list):  # a matrix's rows
+        return "\n".join(" ".join(str(v) for v in row) for row in result)
     if isinstance(result, list):
         return " ".join(str(v) for v in result)
     return str(result)
@@ -195,11 +192,29 @@ def _emit(text: str, output: Optional[str]) -> None:
         Path(output).write_text(text)
 
 
+def _engine(cmd):
+    """``cmd`` runs a primitive: it loads numpy and the engine, and a ``SimError`` exits 3 with its JSON."""
+    @functools.wraps(cmd)
+    def run(args) -> int:
+        import numpy as np
+
+        from .core import SimError
+
+        try:
+            with np.errstate(over="ignore", invalid="ignore"):  # a non-finite result is reported as one error line
+                return cmd(args)
+        except SimError as e:
+            print(f"simulation error: {json.dumps(e.to_json())}", file=sys.stderr)
+            return SIM_EXIT
+    return run
+
+
+@_engine
 def cmd_run(args) -> int:
     result, _, metrics = _run_primitive(args)
     payload = {
         "kernel": args.kernel,
-        "result": _result_json(result),
+        "result": result,
         "metrics": metrics.to_json(),
     }
     if args.format == "json":
@@ -211,12 +226,14 @@ def cmd_run(args) -> int:
     return 0
 
 
+@_engine
 def cmd_report(args) -> int:
     _, _, metrics = _run_primitive(args)
     _emit(_dump({"kernel": args.kernel, "metrics": metrics.to_json()}), args.output)
     return 0
 
 
+@_engine
 def cmd_trace(args) -> int:
     if args.kernel not in TRACE_KERNELS:
         raise TraceUnsupported(
@@ -225,7 +242,7 @@ def cmd_trace(args) -> int:
     result, trace, _ = _run_primitive(args)
     assert trace is not None
     if args.format == "json":
-        _emit(_dump({"kernel": args.kernel, "result": _result_json(result), "steps": trace.to_json()}), args.output)
+        _emit(_dump({"kernel": args.kernel, "result": result, "steps": trace.to_json()}), args.output)
     else:
         _emit(trace.to_text(one_based=args.one_based) + "\n", args.output)
     return 0
@@ -317,16 +334,12 @@ _parser = functools.cache(build_parser)
 def main(argv: Optional[Sequence[str]] = None) -> int:
     args = _parser().parse_args(argv)
     try:
-        with np.errstate(over="ignore", invalid="ignore"):  # a non-finite result is reported as one error line
-            return args.func(args)
+        return args.func(args)
     except (UsageError, ValueError, OSError) as e:
         print(f"error: {e}", file=sys.stderr)
         return USAGE_EXIT
     except (streams.CyclicDependency, streams.UnknownEvent) as e:
         print(f"scheduling error: {e}", file=sys.stderr)
-        return SIM_EXIT
-    except SimError as e:
-        print(f"simulation error: {json.dumps(e.to_json())}", file=sys.stderr)
         return SIM_EXIT
 
 

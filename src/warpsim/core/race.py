@@ -133,8 +133,10 @@ class _RaceTrack:
             u_addr, rep, nxt, other, seen = addrs, st, _STALE, _STALE, False
         else:
             self.note_reads(shift)
-            u_addr, rep, nxt = (addrs, st, _STALE) if isinstance(addrs, slice) else _distinct(addrs, st)
             seen = bool(self.stores)  # only then can a writer word be of this interval
+            # an unseen store may write its words to test its addresses: every one of them is written again below
+            u_addr, rep, nxt = (addrs, st, _STALE) if isinstance(addrs, slice) else \
+                _distinct(addrs, st, None if seen else self.writer1)
             other = _other(self.writer1, self.writer2, addrs, st) if seen else _STALE
             if self.folded:  # and only then a reader word
                 other = np.where(other >= stamp, other, _other(self.reader1, self.reader2, addrs, st))
@@ -155,8 +157,10 @@ class _RaceTrack:
         _note(self.writer1, self.writer2, u_addr, rep, nxt, stamp, seen)
         if len(self.stores) <= _MEETS:
             self.stores.append((addrs if isinstance(addrs, slice) else None, tids))
-        if block is not None:
+        if block is not None and self.resolve:
             _fold(np.minimum, self.w_block1, addrs, block)
+        elif block is not None:  # a strict store got past its checks: no word at ``addrs`` lies below ``block``
+            self.w_block1[addrs] = block
         return eff
 
     def fold_cross_reads(self) -> None:
@@ -209,18 +213,27 @@ def _fold(ufunc: np.ufunc, words: np.ndarray, addrs: Any, values: Any) -> None:
         ufunc.at(words, addrs, values)
 
 
-def _distinct(addrs: np.ndarray, st: np.ndarray) -> tuple[np.ndarray, np.ndarray, Any]:
+def _distinct(addrs: np.ndarray, st: np.ndarray,
+              words: Optional[np.ndarray] = None) -> tuple[np.ndarray, np.ndarray, Any]:
     """Distinct addresses with the stamps of their first and second lanes (stale for a single lane).
 
     Lane addresses are usually distinct, and often ascend; then the second
     stamps are one stale scalar. Addresses that never descend skip the sort:
     the lanes of each address already follow one another in lane order.
-    ``addrs`` is the engine's own array, never one the kernel holds, so the
-    strictly ascending case may return it as is.
+    Others, given scratch ``words`` that the caller writes again at every
+    address, are first stored there and read back: the stamps are distinct,
+    so they are distinct addresses if and only if every lane reads back its
+    own stamp, whichever duplicate numpy stores last. ``addrs`` is the
+    engine's own array, never one the kernel holds, so the distinct cases may
+    return it as is.
     """
     if bool((addrs[1:] >= addrs[:-1]).all()):
         a, s = addrs, st
     else:
+        if words is not None:
+            words[addrs] = st
+            if bool((words[addrs] == st).all()):
+                return addrs, st, _STALE
         order = np.argsort(addrs, kind="stable")
         a, s = addrs[order], st[order]
     new = a[1:] != a[:-1]

@@ -61,12 +61,14 @@ def reduce_sum(
     *,
     simulator: Optional[Simulator] = None,
     metrics: Optional[MetricsReport] = None,
+    steps: bool = True,
 ) -> tuple:
-    """Sum a power-of-two array; returns (sum, StepTrace).
+    """Sum a power-of-two array; returns (sum, StepTrace), or (sum, None) with ``steps=False``.
 
     Single-block inputs (length <= 1024) produce the full per-step table,
     from a ``StepRows`` on the launch; longer inputs fall back to per-block
     partials plus host accumulation and the trace keeps only the input row.
+    Without ``steps`` no row is kept; the sum and the metrics are the same.
     """
     if variant not in VARIANTS:
         raise ValueError(f"unknown variant {variant!r}, expected one of {VARIANTS}")
@@ -78,17 +80,17 @@ def reduce_sum(
     inp = mem.alloc("input", values)
     row = inp.tolist()  # the values as the device holds them, in the dtype of every later row
     if n == 1:
-        return row[0], StepTrace([row])
+        return row[0], StepTrace([row]) if steps else None
 
     sim = simulator or Simulator()
     block = min(n, MAX_BLOCK_THREADS)
     blocks = n // block
     partials = mem.alloc("partials", blocks, dtype=inp.dtype)
-    steps = StepRows(n) if blocks == 1 else None
+    recorder = StepRows(n) if steps and blocks == 1 else None
     kernel = reduce_interleaved_kernel if variant == "interleaved" else reduce_sequential_kernel
     config = LaunchConfig(blocks, block, shared_mem_bytes=block * 4)
-    sim.launch(kernel, config, mem, (inp, partials), name=f"reduce_{variant}", metrics=metrics, recorder=steps)
+    sim.launch(kernel, config, mem, (inp, partials), name=f"reduce_{variant}", metrics=metrics, recorder=recorder)
 
     total = partials.data.cumsum()[-1].item()  # left to right in the device's dtype, as a block adds
-    rows = [row] + (steps.rows() if steps is not None else [])
-    return total, StepTrace(rows)
+    rows = [row] + (recorder.rows() if recorder is not None else [])
+    return total, StepTrace(rows) if steps else None

@@ -63,30 +63,32 @@ def inclusive_scan_hillis_steele(
     *,
     simulator: Optional[Simulator] = None,
     metrics: Optional[MetricsReport] = None,
+    steps: bool = True,
 ) -> tuple:
-    """Running sum including each position; returns (output, StepTrace).
+    """Running sum including each position; returns (output, StepTrace), or (output, None) with ``steps=False``.
 
     Arbitrary lengths are padded with the additive identity to the next power
     of two and the output (and trace columns) truncated back. A single-block
     input's step rows come from a ``StepRows`` on its launch, which keeps
     its shared stores between barriers; wider inputs run
     one launch per step and the host reads each step's row from its output.
+    Without ``steps`` no row is kept; the output and the metrics are the same.
     """
     values = values if hasattr(values, "__len__") else list(values)
     n0 = len(values)
     if n0 == 0:
-        return [], StepTrace([[]])
+        return [], StepTrace([[]]) if steps else None
     sim = simulator or Simulator()
     n = next_pow2(n0)
     padded = values if n == n0 else list(values) + [0] * (n - n0)
     one_block = n <= MAX_BLOCK_THREADS
     mem = DeviceMemory()
     src = mem.alloc("input" if one_block else "ping", padded)
-    rows = [src.tolist()[:n0]]  # the values as the device holds them, in the dtype of every later row
+    rows = [src.tolist()[:n0]] if steps else None  # the values as the device holds them, in every later row's dtype
 
     if one_block:
         out = mem.alloc("output", n, dtype=src.dtype)
-        steps = StepRows(n)
+        recorder = StepRows(n) if steps else None
         config = LaunchConfig(1, n, shared_mem_bytes=2 * n * 4)
         sim.launch(
             hillis_steele_block_kernel,
@@ -95,10 +97,11 @@ def inclusive_scan_hillis_steele(
             (src, out, n),
             name="inclusive_scan",
             metrics=metrics,
-            recorder=steps,
+            recorder=recorder,
         )
-        rows += [row[:n0] for row in steps.rows()]
-        return out.tolist()[:n0], StepTrace(rows)
+        if steps:
+            rows += [row[:n0] for row in recorder.rows()]
+        return out.tolist()[:n0], StepTrace(rows) if steps else None
 
     # Wide inputs: one launch per distance, grid-wide sync between passes.
     dst = mem.alloc("pong", n, dtype=src.dtype)
@@ -106,10 +109,11 @@ def inclusive_scan_hillis_steele(
     distance = 1
     while distance < n:
         sim.launch(scan_step_kernel, config, mem, (src, dst, distance), name="inclusive_scan", metrics=metrics)
-        rows.append(dst.tolist()[:n0])
+        if steps:
+            rows.append(dst.tolist()[:n0])
         src, dst = dst, src
         distance *= 2
-    return src.tolist()[:n0], StepTrace(rows)
+    return src.tolist()[:n0], StepTrace(rows) if steps else None
 
 
 def blelloch_block_kernel(ctx, inp, out, n):

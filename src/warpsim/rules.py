@@ -1,14 +1,18 @@
 """The number rules, each defined once: constructors and file readers call them with their own label and error."""
 
 import numbers
+import sys
 from typing import Any
-
-import numpy as np
 
 
 def is_int(value: Any) -> bool:
-    """A count of the engine: a Python or numpy integer, never a bool (True is data, not a count)."""
-    return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
+    """A count of the engine: a Python or numpy integer, never a bool (True is data, not a count).
+
+    No numpy integer exists before numpy is imported, so the rule tests for one only after that, and the
+    host models, which never import numpy, do not load it for this rule.
+    """
+    return (isinstance(value, int) or "numpy" in sys.modules and isinstance(value, sys.modules["numpy"].integer)) \
+        and not isinstance(value, bool)
 
 
 def is_number(value: Any) -> bool:

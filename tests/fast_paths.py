@@ -160,10 +160,14 @@ PATHS = {p.name: p for p in [
              rewrites=((race._distinct, "if new.all():", "if False:"),)),
     FastPath("race_distinct_ascending", "addresses that never descend skip the sort (_distinct)", ENGINE,
              rewrites=((race._distinct, "if bool((addrs[1:] >= addrs[:-1]).all()):", "if False:"),)),
+    FastPath("race_distinct_readback", "a first store of the interval tests its addresses by readback, not a sort",
+             ENGINE, rewrites=((race._distinct, "if words is not None:", "if False:"),)),
     FastPath("race_seen_stores", "a store gathers writer words only if the interval has stores", ENGINE,
              rewrites=((_check_write, "seen = bool(self.stores)", "seen = True"),)),
     FastPath("race_conflict_skip", "a clear store in one block skips the conflict test", ENGINE,
              rewrites=((_check_write, "if block is not None or not clear:", "if True:"),)),
+    FastPath("race_strict_block_store", "a strict store sets its block stamps without np.minimum.at (check_write)",
+             ENGINE, rewrites=((_check_write, "if block is not None and self.resolve:", "if block is not None:"),)),
     # host
     FastPath("stream_op_stream_id_type", "StreamOp takes a plain int stream id as is", HOST,
              rewrites=((streams.StreamOp.__post_init__, "if type(self.stream_id) is not int:", "if True:"),)),

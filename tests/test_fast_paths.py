@@ -88,6 +88,16 @@ def scatter_kernel(ctx, src, dst):
     dst[ctx.gx // 4] = src[ctx.gx]
 
 
+def reverse_kernel(ctx, src, dst):
+    """An index array that descends: distinct addresses that the race tracker cannot take as a run."""
+    dst[255 - ctx.gx] = src[ctx.gx]
+
+
+def reverse_scatter_kernel(ctx, src, dst):
+    """Descending addresses, four lanes to each: a race in every block."""
+    dst[(255 - ctx.gx) // 4] = src[ctx.gx]
+
+
 def out_of_bounds_kernel(ctx, src, dst):
     dst[ctx.gx + 1] = src[ctx.gx]
 
@@ -183,8 +193,8 @@ def battery():
               for n in (100, 1500)),
             primitive(lambda mt: kernels.exclusive_scan_blelloch(list(range(64)), metrics=mt)),
             *(launched(k, 256, size, mode) for mode in MODES
-              for k, size in ((parent_kernel, 256), (scatter_kernel, 64), (out_of_bounds_kernel, 256),
-                              (same_run_kernel, 32))),
+              for k, size in ((parent_kernel, 256), (scatter_kernel, 64), (reverse_kernel, 256),
+                              (reverse_scatter_kernel, 64), (out_of_bounds_kernel, 256), (same_run_kernel, 32))),
             *(observe(case, "strict", batched_program) for case in (
                 FORGOTTEN_READ_RACE, FORGOTTEN_READS_WITHOUT_RACE, CROSS_BARRIER_RACE, SHARED_RACE_IN_BLOCK_2)),
             *(observe(case, mode) for mode in MODES for case in SWEEPS),

@@ -157,3 +157,14 @@ class TestReductionOracles:
         assert got == want
         assert json.dumps(got[1].to_json()) == json.dumps(want[1].to_json())
         assert all(type(v) is type(values.tolist()[0]) for v in got[1].rows[0])
+
+
+@pytest.mark.parametrize("variant", ["interleaved", "sequential"])
+@pytest.mark.parametrize("n", [1, 2, 16, 1024, 2048])
+def test_without_steps_the_sum_and_metrics_are_the_same(n, variant):
+    values = [(7 * i) % 23 - 5 for i in range(n)]
+    with_steps, without = MetricsReport(), MetricsReport()
+    total, trace = reduce_sum(values, variant, metrics=with_steps)
+    assert reduce_sum(values, variant, metrics=without, steps=False) == (total, None)
+    assert isinstance(trace, StepTrace)
+    assert json.dumps(without.to_json()) == json.dumps(with_steps.to_json())

@@ -1,5 +1,7 @@
 """Prefix-sum golden tables, oracle checks, and work-count properties."""
 
+import json
+
 import numpy as np
 import pytest
 
@@ -137,3 +139,13 @@ class TestWorkCounts:
             report = MetricsReport()
             exclusive_scan_blelloch(list(range(n)), metrics=report)
             assert report.thread_steps == 2 * (n - 1)
+
+
+@pytest.mark.parametrize("n", [1, 2, 16, 1024, 1500])
+def test_hillis_steele_without_steps_gives_the_same_output_and_metrics(n):
+    values = [(7 * i) % 23 - 5 for i in range(n)]
+    with_steps, without = MetricsReport(), MetricsReport()
+    out, trace = inclusive_scan_hillis_steele(values, metrics=with_steps)
+    assert inclusive_scan_hillis_steele(values, metrics=without, steps=False) == (out, None)
+    assert trace.n_steps == (n - 1).bit_length()
+    assert json.dumps(without.to_json()) == json.dumps(with_steps.to_json())

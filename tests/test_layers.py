@@ -13,19 +13,28 @@ of memperf's private helpers. Only ``HierarchySpec``'s methods walk its
 levels, so one lookup picks a level by name.
 The stream model's per-op and per-event records are slotted: a program
 holds one of each per op or event, and a ``__dict__`` would double its size.
+The host models load neither numpy nor the engine: ``import warpsim``, the
+stream and memory models and the ``pipeline`` and ``memflow`` commands run
+without them, in a fresh process.
 """
 
 import ast
+import json
+import os
+import subprocess
+import sys
 from collections import Counter
 from dataclasses import fields
 from pathlib import Path
 
 import pytest
 
+import warpsim
 from warpsim.core.metrics import KernelCounters
 from warpsim.streams import EventRecord, ScheduledOp, StreamOp
 
-PACKAGE = Path(__file__).resolve().parent.parent / "src" / "warpsim"
+ROOT = Path(__file__).resolve().parent.parent
+PACKAGE = ROOT / "src" / "warpsim"
 CORE = PACKAGE / "core"
 FILE_MODULES = {"json", "pathlib"}
 BELOW_ENGINE = ("race.py", "access.py", "observe.py", "metrics.py")
@@ -189,3 +198,37 @@ def test_only_the_hierarchy_reads_its_levels():
 @pytest.mark.parametrize("record", [StreamOp, EventRecord, ScheduledOp], ids=lambda c: c.__name__)
 def test_stream_records_define_slots(record):
     assert "__slots__" in vars(record), f"{record.__name__} instances carry a __dict__: declare it with slots=True"
+
+
+ENGINE_MODULES = ("numpy", "warpsim.core", "warpsim.kernels")
+
+
+def cli_script(*argv: str) -> str:
+    """Run ``python -m warpsim ARGV`` in this process; any exit but 0 fails the script."""
+    return (f"import runpy\nsys.argv = ['warpsim', *{list(argv)!r}]\n"
+            "try:\n    runpy.run_module('warpsim', run_name='__main__', alter_sys=True)\n"
+            "except SystemExit as e:\n    assert e.code == 0, e.code\n")
+
+
+@pytest.mark.parametrize("script", [
+    "import warpsim",
+    "import warpsim.streams, warpsim.memperf",
+    cli_script("pipeline", str(ROOT / "scenarios" / "overlap_two_stream.json")),
+    cli_script("memflow", str(ROOT / "scenarios" / "fits_in_vram.json")),
+], ids=["package", "host-models", "pipeline", "memflow"])
+def test_the_host_models_load_neither_numpy_nor_the_engine(script):
+    check = f"import json, sys\n{script}\nprint(json.dumps(sorted(set({ENGINE_MODULES!r}) & sys.modules.keys())))"
+    env = {**os.environ, "PYTHONPATH": str(ROOT / "src")}
+    done = subprocess.run([sys.executable, "-c", check], capture_output=True, text=True, env=env, timeout=60)
+    assert done.returncode == 0, done.stderr
+    assert json.loads(done.stdout.splitlines()[-1]) == []
+
+
+def test_a_star_import_and_dir_give_every_public_name():
+    namespace: dict = {}
+    exec("from warpsim import *", namespace)
+    assert set(warpsim.__all__) <= namespace.keys()
+    assert set(warpsim.__all__) <= set(dir(warpsim))
+    for name in warpsim.__all__:
+        home = getattr(warpsim, name) if name in ("kernels", "memperf", "streams") else getattr(warpsim.core, name)
+        assert namespace[name] is home, name
