@@ -8,7 +8,8 @@ multiple of ``segment_bytes`` keeps the segment total, and one of
 ``bank_width_bytes`` the bank cycles, so its keys drop that shift. Each
 variant is one sort-based pass with no fast path, because a pattern is
 costed on first sight only. The same memo keeps the engine's checked runs
-of indices (``engine._run``), under one byte budget.
+of indices (``engine._run``) and its launches' race-check records
+(``engine._Tape``), under one byte budget.
 """
 
 from __future__ import annotations
@@ -106,6 +107,7 @@ def _warp_bank_extra_cycles(warp_ids: np.ndarray, byte_addrs: np.ndarray, bank_c
 
 
 _MEMO_BYTES = 4 << 20  # a memo whose held bytes would pass this starts over
+_RECORD_BYTES = _MEMO_BYTES // 16  # a launch whose race-check record would hold more keeps none
 
 
 def _key_type(bound: int) -> type:
@@ -121,8 +123,10 @@ class _Memo(dict):
     lane's rounded down to the space's period, as bytes of the narrowest integer type that holds the buffer's byte
     length, which the key names. A run of ``n`` lanes on the elements ``lo, lo + d, ...`` keeps only its first
     address's offset into the period, its pitch ``d * width`` and ``n``. ``engine._run`` keys the int64 bytes of a
-    run that passed its check by ``(lo, n, d)``. ``nbytes`` counts the bytes the entries hold: a cost key's addresses
-    and warp ids (8 for a run's key) and a run's bytes. The memo starts over before they would pass ``_MEMO_BYTES``.
+    run that passed its check by ``(lo, n, d)``, and a launch's race-check record by its kernel, geometry, mode,
+    observer and arguments (``engine._record_key``). ``nbytes`` counts the bytes the entries hold: a cost key's
+    addresses and warp ids (8 for a run's key), a run's bytes and a record's (``engine.KernelContext._check``).
+    The memo starts over before they would pass ``_MEMO_BYTES``.
     """
 
     nbytes = 0

@@ -23,7 +23,7 @@ branching has no direct expression, which is what keeps execution lockstep.
 
 from __future__ import annotations
 
-from functools import partial
+from collections.abc import Hashable
 from typing import Any, Callable, Optional, Sequence, Union
 
 import numpy as np
@@ -44,7 +44,7 @@ from .errors import (
 from .memory import Buffer, DeviceMemory
 from .metrics import KernelCounters, MetricsReport
 from .observe import Recorder
-from .race import _RaceTrack
+from .race import _pick, _RaceTrack
 
 LaneValue = Union[int, float, np.ndarray]
 
@@ -63,7 +63,7 @@ class _LaunchState:
     """Mutable state shared by every block of one grid at one nesting depth."""
 
     def __init__(self, sim: "Simulator", mem: DeviceMemory, metrics: MetricsReport, mode: str, depth: int,
-                 observer: Any = None):
+                 observer: Any = None, tape: Optional["_Tape"] = None):
         self.sim = sim
         self.mem = mem
         self.metrics = metrics
@@ -77,6 +77,7 @@ class _LaunchState:
         self.tracks: dict[Union[str, int], _RaceTrack] = {}  # global buffer name or shared byte offset
         self.configs: dict = {}  # per child geometry and per raw one of plain ints: a config with its lane arrays
         self.undo: Optional[list] = None  # (array, indices, old values) per store of a running group
+        self.tape = tape or _Tape([])  # the launch's race checks, shared by every depth
         self._child: Optional[_LaunchState] = None
 
     def group_blocks(self, kernel: Callable, config: LaunchConfig) -> int:
@@ -149,6 +150,8 @@ class _LaunchState:
         t = self.tracks.get(key)
         if t is None or t.length != view.data.size:
             t = self.tracks[key] = _RaceTrack(view.data.size, self.mode == "permissive")
+            t.serial = len(self.tape.tracks)
+            self.tape.tracks.append(t)
         return t
 
     def child(self) -> "_LaunchState":
@@ -161,16 +164,46 @@ class _LaunchState:
         child completes before the parent's next step).
         """
         if self._child is None:
-            self._child = _LaunchState(self.sim, self.mem, self.metrics, self.mode, self.depth + 1, self.observer)
+            self._child = _LaunchState(self.sim, self.mem, self.metrics, self.mode, self.depth + 1, self.observer,
+                                       self.tape)
         return self._child
 
     def release(self) -> None:
         """Drop the race state and lane arrays of this depth and every deeper one."""
         self.tracks.clear()
+        self.tape.tracks.clear()
         self.configs.clear()
         if self._child is not None:
             self._child.release()
             self._child = None
+
+
+class _Tape:
+    """The race checks of one launch, at every depth: an earlier launch's record to replay, or its own to keep.
+
+    An entry holds one check's inputs and its answer (README, "Checked once"). The inputs are the track's serial
+    number in the launch and its length, the indices (a run, or their bytes in the narrowest type the length
+    allows), the thread ids (first and count when consecutive, else their bytes), the stamp, the shift, the block
+    stamp and, for a load, whether its group can replay (None for a store). The answer is a store's apply mask
+    (None where every lane applies) or ``_RunAlone``, and the picks of the check's reports.
+    """
+
+    def __init__(self, record: Optional[list]):
+        self.record = record  # the entries to replay, or None: keep this launch's own
+        self.at = self.nbytes = 0  # entries of ``record`` matched so far; bytes ``log`` holds
+        self.log = self.keep = [] if record is None else None  # entries so far; the record to leave in the memo
+        self.tracks: list[_RaceTrack] = []  # the launch's tracks by serial number
+
+    def catch_up(self) -> None:
+        # Feed the entries matched so far to the launch's own tracks, which check exactly from here on. Their reports
+        # were made as they replayed, and no store needs undoing: each entry ran through in the recorded launch and
+        # applied its stores as the exact check does.
+        for (serial, length, addrs, tids, stamp, shift, block, replay), _, _ in self.record[:self.at]:
+            if type(addrs) is bytes:
+                addrs = np.frombuffer(addrs, access._key_type(length)).astype(np.int64)
+            tids = np.arange(tids[0], tids[0] + tids[1]) if type(tids) is tuple else np.frombuffer(tids, np.int64)
+            self.tracks[serial].check(addrs, tids, stamp, shift, block, lambda *conflict: None, replay)
+        self.record = None
 
 
 class _View:
@@ -299,13 +332,15 @@ class KernelContext:
     def active(self) -> np.ndarray:
         return self._mask_stack[-1].mask
 
-    def _lanes(self, value: LaneValue, dtype=None) -> np.ndarray:
+    def _lanes(self, value: LaneValue, dtype=None, scalar: bool = False) -> np.ndarray:
+        # ``value`` as one value per lane; with ``scalar`` a 0-d one stays 0-d, for a ufunc to broadcast. It promotes
+        # as the lanes it stands for: NEP 50 takes no 0-d array for a weak scalar.
         arr = np.asarray(value)
-        if arr.ndim == 0:
+        if arr.ndim == 0 and not scalar:
             arr = np.full(self.nthreads, arr[()])
         if dtype is not None:
             arr = arr.astype(dtype, copy=False)
-        if arr.shape != (self.nthreads,):
+        if arr.ndim and arr.shape != (self.nthreads,):
             raise ValueError(f"lane value has shape {arr.shape}, expected ({self.nthreads},)")
         return arr
 
@@ -399,12 +434,11 @@ class KernelContext:
         # the race tracker keeps the indices, and the kernel may change its own array in place: copy any ``ei`` that
         # may be that array or a view of it
         addrs = run or (ei.copy() if ei is idx or ei.base is not None else ei)
-        track, shift = state.track_for(view), stamp - self._gid0  # global thread ids to stamped words
-        fail = partial(self._race_fail, view, stamp)
+        track = state.track_for(view)
 
         result: Optional[np.ndarray] = None
         if value is _LOAD:
-            track.check_read(addrs, tids, stamp, shift, block, fail, state.undo is not None)
+            self._check(track, view, addrs, tids, stamp, block, state.undo is not None)
             got = data[addrs]
             if full:
                 result = got.copy() if run else got
@@ -416,9 +450,9 @@ class KernelContext:
             if not full:
                 vals = vals[m.sel]
             vals = vals.astype(data.dtype, copy=False)
-            eff = track.check_write(addrs, tids, stamp, shift, block, fail)
+            eff = self._check(track, view, addrs, tids, stamp, block, None)
             # a lane applies unless a higher thread stored its address in the interval: in strict mode all do
-            dst, src = (addrs, vals) if eff is None or eff.all() else (ei[eff], vals[eff])
+            dst, src = (addrs, vals) if eff is None else (ei[eff], vals[eff])
             if state.undo is not None:
                 state.undo.append((data, dst, data[dst].copy()))  # a run's old values are a view
             data[dst] = src
@@ -429,25 +463,67 @@ class KernelContext:
         return result
 
     # ------------------------------------------------------------------
-    # race reports (a track of ``race.py`` finds the conflicts, by index into
-    # ``view.data``; errors and warnings name a shared element by byte offset)
+    # race checks and reports (a track of ``race.py`` finds the conflicts, by
+    # index into ``view.data``; errors and warnings name a shared element by
+    # byte offset)
 
-    def _race_fail(self, view: _View, stamp: int, conflict: Any, addrs: Any, a: np.ndarray, b: Any) -> None:
-        """Report the first lane of ``conflict``: thread ``a`` against thread ``b``, or another block.
+    def _check(self, track: _RaceTrack, view: _View, addrs: Any, tids: np.ndarray, stamp: int, block: Optional[int],
+               replay: Optional[bool]) -> Optional[np.ndarray]:
+        """``track``'s check of a load (``replay``: whether its group can replay) or, with ``replay`` None, a store.
 
-        ``a`` and ``b`` hold stamped words per lane; a stale word in ``b``, or
-        a stale scalar ``b``, stands for another block and reads as -1.
+        Returns a store's apply mask, None where every lane applies. While the
+        inputs of each check equal the next entry of the launch's record, the
+        check takes that entry's answer and reports its picks (README,
+        "Checked once").
         """
-        if not np.count_nonzero(conflict):
-            return
-        i = int(np.argmax(conflict))
+        tape, shift = self._state.tape, stamp - self._gid0  # global thread ids to stamped words
+        if tape.record or tape.log is not None:
+            n, first = tids.size, int(tids[0])
+            key = (track.serial, track.length,
+                   addrs if isinstance(addrs, slice) else addrs.astype(access._key_type(track.length)).tobytes(),
+                   (first, n) if int(tids[-1]) - first == n - 1 else tids.tobytes(), stamp, shift, block, replay)
+            if tape.record:
+                if tape.at < len(tape.record) and tape.record[tape.at][0] == key:
+                    _, answer, picks = tape.record[tape.at]
+                    tape.at += 1
+                    for p in picks:
+                        self._report(view, stamp, *p)
+                    if answer is _RunAlone:
+                        raise _RunAlone
+                    return answer
+                tape.catch_up()
+        picks: list = []
+
+        def fail(*conflict):
+            p = _pick(*conflict)
+            if p:
+                picks.append(p)
+                self._report(view, stamp, *p)
+
+        answer = track.check(addrs, tids, stamp, shift, block, fail, replay)
+        if tape.log is not None:  # a log that would pass ``_RECORD_BYTES`` is given up and leaves an empty record
+            tape.nbytes += 16 + 24 * len(picks) + getattr(answer, "nbytes", 0) + sum(
+                len(k) for k in key[2:4] if type(k) is bytes)
+            if tape.nbytes > access._RECORD_BYTES:
+                tape.log, tape.keep, tape.nbytes = None, [], 16
+            else:
+                tape.log.append((key, answer, picks))
+        if answer is _RunAlone:
+            raise _RunAlone
+        return answer
+
+    def _report(self, view: _View, stamp: int, word: int, other: int, index: int) -> None:
+        """Report the stamped word of a thread against ``other``'s at ``index`` of ``view.data``: raise or warn.
+
+        A stale ``other`` stands for another block and reads as -1. A strict
+        report raises, and the launch keeps no record.
+        """
         shift = stamp - self._gid0
-        other = int(b if np.ndim(b) == 0 else b[i])
-        tid_a, tid_b = int(a[i]) - shift, other - shift if other >= stamp else -1
-        index = addrs.start + i * addrs.step if isinstance(addrs, slice) else int(addrs[i])
+        tid_a, tid_b = word - shift, other - shift if other >= stamp else -1
         address = index if view.space == "global" else view.byte_offset + index * view.element_width
         msg = f"conflicting accesses to {view.name!r} address {address} without an intervening barrier"
         if self._state.mode == "strict":
+            self._state.tape.log = self._state.tape.keep = None
             raise DataRace(msg, **self._err_kw([tid_a] if tid_b < 0 else [tid_a, tid_b], view.name))
         self._state.mem.race_warnings.append(
             f"{msg} (threads {tid_a} and {tid_b}, kernel {self.kernel_name}, block {self.block_linear}, step {self.step})"
@@ -524,14 +600,14 @@ class KernelContext:
 
     def _arith(self, a: LaneValue, b: LaneValue, op: Callable) -> np.ndarray:
         m = self._mask_stack[-1]
-        av = self._lanes(a)
-        bv = self._lanes(b)
+        av = self._lanes(a, scalar=True)
+        bv = self._lanes(b, scalar=av.ndim > 0)  # one operand of lanes, at least
         self._counters().thread_steps += m.count
         if m.count == self.nthreads:
             return op(av, bv)
         sel = m.select(self).sel
         out = np.zeros(self.nthreads, dtype=np.result_type(av, bv))
-        out[sel] = op(av[sel], bv[sel])
+        out[sel] = op(av[sel] if av.ndim else av, bv[sel] if bv.ndim else bv)
         return out
 
     def add(self, a: LaneValue, b: LaneValue) -> np.ndarray:
@@ -623,6 +699,19 @@ def _check_owned(mem: DeviceMemory, args: Sequence, err_kw: Callable[[], dict] =
             raise SimError(f"buffer {a.name!r} does not belong to this DeviceMemory", **err_kw())
 
 
+def _record_key(kernel: Callable, config: LaunchConfig, mode: str, recorder: Any, args: Sequence) -> Optional[tuple]:
+    """A launch's key to its race-check record in ``access.MEMO``; None unless each argument is a buffer or a scalar.
+
+    A buffer counts by its name, size and dtype, a scalar by its type and
+    value. The key only finds a record: each check still compares its inputs.
+    """
+    if not isinstance(kernel, Hashable) or not all(
+            isinstance(a, (Buffer, int, float, str, np.number, np.bool_)) for a in args):
+        return None
+    return (kernel, config.grid_dim, config.block_dim, config.shared_mem_bytes, config.warp_size, mode, recorder is None,
+            *((a.name, a.data.size, a.dtype) if isinstance(a, Buffer) else (type(a), a) for a in args))
+
+
 class Simulator:
     """A virtual GPU. Instances are independent and hold no launch state."""
 
@@ -665,7 +754,8 @@ class Simulator:
         _check_owned(mem, args)
         mem.race_warnings.clear()
         report = metrics if metrics is not None else MetricsReport()
-        state = _LaunchState(self, mem, report, mode, 0, recorder)
+        key = _record_key(kernel, config, mode, recorder, args)
+        state = _LaunchState(self, mem, report, mode, 0, recorder, _Tape(access.MEMO.get(key, []) if key else []))
         try:
             state.run_grid(kernel, config, tuple(args), name or kernel.__name__)
         finally:
@@ -673,6 +763,8 @@ class Simulator:
             # that would keep the race arrays alive until the cyclic
             # collector runs.
             state.release()
+        if key and (state.tape.keep is not None or key not in access.MEMO):  # the first launch marks its key with
+            access.MEMO.add(key, state.tape.keep, max(state.tape.nbytes, 16))  # None; the second leaves its record
         return report
 
 

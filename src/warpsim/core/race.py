@@ -1,7 +1,8 @@
 """Race tracking: the conflict state of one global buffer or shared array, as stamped words.
 
-The engine owns the stamps and turns each conflict a track reports into a
-``DataRace`` or a permissive warning.
+The engine owns the stamps; ``_pick`` takes the first lane of each conflict a
+track reports, which the engine turns into a ``DataRace`` or a permissive
+warning.
 """
 
 from __future__ import annotations
@@ -78,6 +79,18 @@ class _RaceTrack:
         if self.stamp != stamp:
             self.stamp, self.pending_reads, self.pending_count, self.stores = stamp, [], 0, []
             self.folded = self.forgot = False
+
+    def check(self, addrs: Any, tids: np.ndarray, stamp: int, shift: int, block: Optional[int], fail: Callable,
+              replay: Optional[bool]) -> Any:
+        """A load's check if ``replay`` is a bool, else a store's; returns a store's apply mask (None where every lane
+        applies), or ``_RunAlone`` where the check raised it."""
+        try:
+            if replay is None:
+                eff = self.check_write(addrs, tids, stamp, shift, block, fail)
+                return None if eff is None or eff.all() else eff
+            return self.check_read(addrs, tids, stamp, shift, block, fail, replay)
+        except _RunAlone:
+            return _RunAlone
 
     def check_read(self, addrs: Any, tids: np.ndarray, stamp: int, shift: int, block: Optional[int],
                    fail: Callable, replay: bool) -> None:
@@ -202,6 +215,18 @@ def _apart(addrs: Any, tids: np.ndarray, accesses: list) -> bool:
                 and (run.start - addrs.start) % gcd(run.step, addrs.step) == 0:
             return False
     return True
+
+
+def _pick(conflict: Any, addrs: Any, a: np.ndarray, b: Any) -> Optional[tuple[int, int, int]]:
+    """The first lane of ``conflict``: its word in ``a``, the other word and its index; None if no lane conflicts.
+
+    The other word is ``b``'s, or the stale scalar ``b``, which stands for another block.
+    """
+    if not np.count_nonzero(conflict):
+        return None
+    i = int(np.argmax(conflict))
+    return (int(a[i]), int(b if np.ndim(b) == 0 else b[i]),
+            addrs.start + i * addrs.step if isinstance(addrs, slice) else int(addrs[i]))
 
 
 def _fold(ufunc: np.ufunc, words: np.ndarray, addrs: Any, values: Any) -> None:

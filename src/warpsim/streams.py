@@ -16,6 +16,7 @@ import math
 import operator
 from dataclasses import dataclass
 from enum import Enum
+from functools import reduce
 from typing import Any, Sequence
 
 from .rules import is_number, real, whole
@@ -207,7 +208,8 @@ def simulate_timeline(
     for kind, size in sizes.items():
         if size <= 0 and any(op.kind == kind for op in ops):
             raise ValueError(f"no engine available for kind {kind.value!r}")
-    total = sum(op.duration for op in ops)  # the makespan never exceeds it
+    # left to right, as the schedule adds end times (``sum`` is compensated from Python 3.12 on); it bounds the makespan
+    total = reduce(operator.add, (op.duration for op in ops), 0)
     if not math.isfinite(total):
         raise ValueError(f"the ops last {total} time units in all, which is not finite")
 
@@ -332,7 +334,7 @@ def makespan_report(
 ) -> MakespanReport:
     """Utilization, critical path, and overlap savings for a schedule."""
     entries = list(schedule.entries.values())
-    serialized = sum(s.op.duration for s in entries)
+    serialized = reduce(operator.add, (s.op.duration for s in entries), 0)  # left to right, as ``total`` above
     busy: dict[str, float] = {name: 0.0 for name in schedule.engine_names}
     for s in entries:
         busy[s.engine] = busy.get(s.engine, 0.0) + (s.end - s.start)

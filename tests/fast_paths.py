@@ -51,6 +51,10 @@ under its switch, from the same seed into a directory of its own; that time
 is the class ``(op build)``, which the pass ratio leaves out, so a path that
 pays off at set-up is judged on its own.
 
+With ``--cold`` every op starts from an empty ``access.MEMO``, untimed, as a
+first call does: a path that pays off only on repeats, such as the cost memo
+or ``race_replay``, is judged there on what it costs a first call.
+
 The ablation checks every switched op's digest (``Op.check``) against the
 all-on op's and exits 1 when one differs, an oracle fails, or an old string
 no longer occurs once. It writes nothing under ``bench/`` or the repo: its
@@ -139,6 +143,10 @@ PATHS = {p.name: p for p in [
                         "        return None\n"),)),
     FastPath("engine_full_mask_arith", "arithmetic under a full mask skips the scatter (_arith)", ENGINE,
              rewrites=((engine.KernelContext._arith, "if m.count == self.nthreads:", "if False:"),)),
+    FastPath("engine_scalar_operands", "a 0-d operand reaches the ufunc unexpanded, for it to broadcast (_arith)",
+             ENGINE, rewrites=((engine.KernelContext._arith, "av = self._lanes(a, scalar=True)", "av = self._lanes(a)"),
+                               (engine.KernelContext._arith, "bv = self._lanes(b, scalar=av.ndim > 0)",
+                                "bv = self._lanes(b)"))),
     FastPath("engine_block_groups", "a batchable kernel runs consecutive blocks as one group", ENGINE,
              patches=((engine, "_GROUP_LANES", 1),)),
     # access
@@ -146,6 +154,9 @@ PATHS = {p.name: p for p in [
              rewrites=((access._Memo.cost, "cost = self.get(key)", "cost = None"),
                        (access._Memo.cost, "self.add(key, cost, held + len(warp_key))", "pass"))),
     # race
+    FastPath("race_replay", "a launch that repeats a checked one takes the checks' answers from its record (_Tape)",
+             ENGINE, rewrites=((engine.Simulator.launch, "_Tape(access.MEMO.get(key, []) if key else [])",
+                                "_Tape([])"),)),
     FastPath("race_apart", "a run that meets no other thread's word skips the fold and gathers (_apart)", ENGINE,
              patches=((race, "_apart", lambda addrs, tids, accesses: False),)),
     FastPath("race_forget_reads", "a group that can replay forgets its waiting reads instead of folding them",
@@ -290,10 +301,10 @@ BUILD = "(op build)"  # the class of ``--build``: building the workload's op lis
 
 
 def ablate(workload: str, passes: int, seed: int, switches: list[tuple[str, ...]], out: Optional[TextIO] = None,
-           as_json: bool = False, build: bool = False) -> int:
+           as_json: bool = False, build: bool = False, cold: bool = False) -> int:
     """Time ``switches`` against all-on on ``workload``; 0, or 1 if a digest differs or an oracle fails.
 
-    ``build`` also times the building of the op list, as the class ``BUILD``.
+    ``build`` also times the building of the op list, as the class ``BUILD``; ``cold`` empties the memo before each op.
     """
     import workloads  # bench/workloads.py, read only
 
@@ -332,6 +343,9 @@ def ablate(workload: str, passes: int, seed: int, switches: list[tuple[str, ...]
                         workloads.WORKLOADS[workload](np.random.default_rng(seed), build_dir)
                         spent[BUILD] += time.perf_counter() - t0
                     for op in ops:
+                        if cold:
+                            access.MEMO.clear()
+                            access.MEMO.nbytes = 0
                         t0 = time.perf_counter()
                         outcome = op.call()
                         spent[op.cls] += time.perf_counter() - t0
@@ -355,12 +369,13 @@ def ablate(workload: str, passes: int, seed: int, switches: list[tuple[str, ...]
         best = max(earns or classes, key=lambda c: by_class[c][1])
         rows.append({"switch": label, "median": _median(ratios), "lost": sum(r < 1 for r in ratios),
                      "classes": by_class, "earns": earns, "best_class": best})
-    head = {"workload": workload, "seed": seed, "passes": passes, "ops": len(ops)}
+    head = {"workload": workload, "seed": seed, "passes": passes, "ops": len(ops), "cold": cold}
     if as_json:
         for row in rows:
             print(json.dumps({**head, **row}), file=out)
     else:
-        print(f"{workload}: seed {seed}, {passes} passes of {len(ops)} ops; ratio = switched off / all on, "
+        cold_note = ", each from an empty memo" if cold else ""
+        print(f"{workload}: seed {seed}, {passes} passes of {len(ops)} ops{cold_note}; ratio = switched off / all on, "
               f"per op class its median [95% interval]", file=out)
         print(f"{'switch':34} {'median':>7} {'lost':>5}  earns on", file=out)
         for row in rows:
@@ -379,6 +394,7 @@ def main(argv: Optional[list[str]] = None) -> int:
     parser.add_argument("--seed", type=int, default=9001)
     parser.add_argument("--json", action="store_true", help="one JSON row per switch")
     parser.add_argument("--build", action="store_true", help=f"also time building the op list, as {BUILD!r}")
+    parser.add_argument("--cold", action="store_true", help="empty the memo before each op, untimed")
     parser.add_argument("names", nargs="*", help="paths to switch, NAME or NAME+NAME; default: all that run")
     args = parser.parse_args(argv)
     names = args.names or [p.name for p in PATHS.values() if args.workload in p.workloads]
@@ -386,7 +402,7 @@ def main(argv: Optional[list[str]] = None) -> int:
     unknown = sorted({n for s in switches for n in s} - PATHS.keys())
     if unknown:
         parser.error(f"unknown paths {unknown}; choose from {sorted(PATHS)}")
-    return ablate(args.workload, args.passes, args.seed, switches, as_json=args.json, build=args.build)
+    return ablate(args.workload, args.passes, args.seed, switches, as_json=args.json, build=args.build, cold=args.cold)
 
 
 if __name__ == "__main__":

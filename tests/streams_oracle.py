@@ -6,6 +6,8 @@ data classes and exceptions come from ``warpsim.streams``.
 """
 
 import math
+import operator
+from functools import reduce
 
 from warpsim.streams import CyclicDependency, EngineModel, OpKind, Schedule, ScheduledOp, UnknownEvent
 
@@ -58,7 +60,7 @@ def schedule(ops, events=(), engines=EngineModel()):
     for kind, pool in pool_of.items():
         if pools[pool] <= 0 and any(op.kind == kind for op in ops):
             raise ValueError(f"no engine available for kind {kind.value!r}")
-    total = sum(op.duration for op in ops)
+    total = reduce(operator.add, (op.duration for op in ops), 0)  # left to right, as streams.py adds
     if not math.isfinite(total):
         raise ValueError(f"the ops last {total} time units in all, which is not finite")
     entries = {}

@@ -23,7 +23,7 @@ from hypothesis import strategies as st
 import reference_machine
 from test_race_tracker import observe, patterns, run_program
 from warpsim import DeviceMemory, LaunchConfig, MetricsReport, Recorder, SimError, Simulator
-from warpsim.core import block_batchable, engine, race
+from warpsim.core import access, block_batchable, engine, race
 from warpsim.core.metrics import KernelCounters
 from warpsim.kernels import matrix, reduce, scan
 from warpsim.kernels.vector import vector_add_kernel
@@ -306,9 +306,10 @@ def tracked_slices(primitive):
             return check(track, addrs, *args)
         return counted
 
-    with mock.patch.object(race._RaceTrack, "check_read", spied(race._RaceTrack.check_read)), \
+    with mock.patch.object(access, "MEMO", access._Memo()), \
+            mock.patch.object(race._RaceTrack, "check_read", spied(race._RaceTrack.check_read)), \
             mock.patch.object(race._RaceTrack, "check_write", spied(race._RaceTrack.check_write)):
-        primitive()
+        primitive()  # under a fresh memo: no record to replay
     return sum(kinds), len(kinds)
 
 
@@ -584,7 +585,8 @@ def test_naive_matmul_sorts_addresses_once():
     """Its one 4096-lane group loads a and b, 4096 elements each, 64 times;
     it never stores them, so those loads are forgotten, not folded."""
     a = matrix.Matrix(64, 64, [(5 * i) % 23 - 11 for i in range(64 * 64)])
-    with mock.patch.object(race, "_distinct", wraps=race._distinct) as distinct:
+    with mock.patch.object(access, "MEMO", access._Memo()), \
+            mock.patch.object(race, "_distinct", wraps=race._distinct) as distinct:  # no record to replay
         c = matrix.matmul(a, a, "naive")
     want = np.array(a.data).reshape(64, 64)
     assert c.data == (want @ want).ravel().tolist()

@@ -296,10 +296,11 @@ def test_one_memo_serves_every_launch_and_stays_under_the_cap(monkeypatch):
     for sim in (Simulator(), Simulator()):
         sim.launch(parent, LaunchConfig(2, 32), mem, (buf,))
     # Parent and child blocks of both simulators read one pattern, a run whose key counts 8 bytes, at the
-    # indices 0, 1, ..., 31, whose 256 bytes the run check keeps: one add of each.
-    assert (len(memo), memo.nbytes) == (2, 8 + 256)
+    # indices 0, 1, ..., 31, whose 256 bytes the run check keeps: one add of each. The first launch marks its key
+    # (16 bytes), and the second leaves there the record of its six race checks, 16 bytes each.
+    assert (len(memo), memo.nbytes) == (3, 8 + 256 + 16 + 6 * 16)
     Simulator(segment_bytes=64).launch(parent, LaunchConfig(2, 32), mem, (buf,))
-    assert len(memo) == 3
+    assert len(memo) == 4
 
     sizes = []
     big = mem.alloc("big", 1 << 16)
@@ -412,7 +413,8 @@ class CountingMemo(_Memo):
 
 
 def test_a_repeated_launch_adds_nothing_to_the_memo(monkeypatch):
-    """Eight groups of 16384 lanes check eight runs, 1 MiB of indices; a second launch finds every entry."""
+    """Eight groups of 16384 lanes check eight runs, 1 MiB of indices; a second launch adds only the record of its
+    race checks, and a third finds every entry."""
     memo = CountingMemo()
     monkeypatch.setattr(access, "MEMO", memo)
     groups, lanes = 8, engine._GROUP_LANES
@@ -422,6 +424,11 @@ def test_a_repeated_launch_adds_nothing_to_the_memo(monkeypatch):
     sim.launch(shifted_load, config, mem, (buf,))
     runs = {(g * lanes + 1, lanes, 1) for g in range(groups)}
     assert runs <= set(memo) and sum(len(memo[k]) for k in runs) > 1 << 19
+    held, adds = dict(memo), memo.adds
+    sim.launch(shifted_load, config, mem, (buf,))
+    key = engine._record_key(shifted_load, config, "strict", None, (buf,))
+    assert (held[key], len(memo[key]), memo.adds) == (None, 8, adds + 1)  # a mark, then one check per group
+    assert {k: v for k, v in memo.items() if k != key} == {k: v for k, v in held.items() if k != key}
     held, adds = dict(memo), memo.adds
     sim.launch(shifted_load, config, mem, (buf,))
     assert (dict(memo), memo.adds, memo.clears) == (held, adds, 0)

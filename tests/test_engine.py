@@ -2,6 +2,7 @@
 
 import json
 import operator
+import warnings
 from unittest import mock
 
 import numpy as np
@@ -1337,3 +1338,56 @@ def test_the_run_memo_keeps_only_runs_that_passed_and_starts_over_at_its_cap(mon
     assert list(memo) == [(3, 4, 3)]
     assert engine._run(np.arange(8)) == slice(0, 8, 1)  # 64 more bytes would pass the budget: the memo starts over
     assert (list(memo), memo.nbytes) == ([(0, 8, 1)], 64)
+
+
+# ----------------------------------------------------------------------
+# scalar operands of the arithmetic instructions
+
+SCALARS = [3, 2.5, True, np.int32(3), 2**63, 2**64]
+ARITH = {"add": np.add, "sub": np.subtract, "mul": np.multiply, "floordiv": np.floor_divide}
+
+
+def outcome(compute):
+    """The dtype and values ``compute()`` gives, or its exception; with the warnings it raised."""
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        try:
+            got = compute()
+            result = (str(got.dtype), got.shape, got.tolist())
+        except Exception as e:
+            result = (type(e).__name__, str(e))
+    return result, [f"{w.category.__name__}: {w.message}" for w in caught]
+
+
+def expanded(a, b, op, mask):
+    """``op`` over the lanes of ``mask`` as it ran when a 0-d operand was first repeated once per lane."""
+    av, bv = (np.full(mask.size, np.asarray(v)[()]) if np.ndim(v) == 0 else v for v in (a, b))
+    if mask.all():
+        return op(av, bv)
+    out = np.zeros(mask.size, dtype=np.result_type(av, bv))
+    out[mask] = op(av[mask], bv[mask])
+    return out
+
+
+@pytest.mark.parametrize("placement", ["full", "partial"])
+@pytest.mark.parametrize("scalar", SCALARS, ids=repr)
+def test_a_scalar_operand_gives_the_dtype_values_and_errors_of_its_lanes(scalar, placement):
+    """A 0-d operand reaches the ufunc unexpanded; NEP 50 promotes a 0-d array as the lanes it stands for."""
+    got, want = [], []
+
+    def kernel(ctx, buf):
+        tid = ctx.thread_idx.x
+        lanes = [tid, tid.astype(np.int32), tid.astype(np.uint8), tid * 0.5, (tid % 2).astype(bool)]
+        mask = np.ones(ctx.nthreads, bool) if placement == "full" else (tid % 3 == 1)
+
+        def run():
+            for name, op in ARITH.items():
+                for a, b in [*((v, scalar) for v in lanes), *((scalar, v) for v in lanes), (scalar, scalar)]:
+                    got.append(outcome(lambda: getattr(ctx, name)(a, b)))
+                    want.append(outcome(lambda: expanded(a, b, op, mask)))
+
+        run() if placement == "full" else ctx.if_(mask, run)
+
+    mem = DeviceMemory()
+    Simulator().launch(kernel, LaunchConfig(1, 12), mem, (mem.alloc("buf", 1),))
+    assert len(got) == 4 * 11 and got == want

@@ -1,6 +1,8 @@
 """Timeline scheduling: golden scenarios, invariants, brute-force comparison."""
 
 import json
+import math
+import random
 import re
 import signal
 from pathlib import Path
@@ -8,6 +10,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from warpsim import streams
 from warpsim.streams import (
     MAX_ENGINES,
     CyclicDependency,
@@ -441,3 +444,27 @@ class TestRendering:
         payload = json.loads(json.dumps(schedule.to_json()))
         assert payload["makespan"] == 30
         assert {op["id"] for op in payload["ops"]} == {"copy1", "copy2", "kernel1", "kernel2"}
+
+
+class TestCompensatedSum:
+    """From Python 3.12 on, ``sum`` of floats is compensated, while the schedule adds end times left to right."""
+
+    @staticmethod
+    def one_stream(seed):
+        rng = random.Random(seed)
+        if seed == 0:
+            return [StreamOp(f"op{i}", 0, OpKind.KERNEL, 0.1) for i in range(10)]
+        durations = [0.1, 0.2, 0.3, 0.7, 1e-17, 0, 3]
+        return [StreamOp(f"op{i}", 0, rng.choice(list(OpKind)),
+                         rng.choice(durations) if rng.random() < 0.7 else round(rng.uniform(0, 5), rng.randint(1, 4)))
+                for i in range(rng.randint(1, 40))]
+
+    @pytest.mark.parametrize("seed", range(40))
+    def test_one_stream_saves_nothing_with_fsum_for_sum(self, seed, monkeypatch):
+        ops = self.one_stream(seed)
+        plain = makespan_report(simulate_timeline(ops), ops).to_json()
+        monkeypatch.setattr(streams, "sum", math.fsum, raising=False)  # 3.12's sum, for the floats at hand
+        report = makespan_report(simulate_timeline(ops), ops)
+        assert report.overlap_savings == 0.0
+        assert report.serialized_total == report.makespan
+        assert report.to_json() == plain
