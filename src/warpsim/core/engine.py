@@ -183,7 +183,7 @@ class _Tape:
 
     An entry holds one check's inputs and its answer (README, "Checked once"). The inputs are the track's serial
     number in the launch and its length, the indices (a run, or their bytes in the narrowest type the length
-    allows), the thread ids (first and count when consecutive, else their bytes), the stamp, the shift, the block
+    allows), the thread ids (the mask's run of global ids, else their int64 bytes), the stamp, the shift, the block
     stamp and, for a load, whether its group can replay (None for a store). The answer is a store's apply mask
     (None where every lane applies) or ``_RunAlone``, and the picks of the check's reports.
     """
@@ -201,7 +201,7 @@ class _Tape:
         for (serial, length, addrs, tids, stamp, shift, block, replay), _, _ in self.record[:self.at]:
             if type(addrs) is bytes:
                 addrs = np.frombuffer(addrs, access._key_type(length)).astype(np.int64)
-            tids = np.arange(tids[0], tids[0] + tids[1]) if type(tids) is tuple else np.frombuffer(tids, np.int64)
+            tids = np.arange(tids.start, tids.stop, tids.step) if type(tids) is slice else np.frombuffer(tids, np.int64)
             self.tracks[serial].check(addrs, tids, stamp, shift, block, lambda *conflict: None, replay)
         self.record = None
 
@@ -255,12 +255,12 @@ class SharedView(_View):
 class _Mask:
     """One branch's lane mask and active count; ``select`` gathers its active lanes once for all its instructions.
 
-    That is their indices ``sel`` (None for the full mask: the context's own arrays; a slice for one contiguous
-    range, whose gathers are views), thread and warp ids, group block offsets, the memo key of the warp ids and,
-    from ``if_``, the lanes per warp.
+    That is their indices ``sel`` (None for the full mask: the context's own arrays; a slice for an evenly stepped
+    mask, whose gathers are views), thread ids and their run (a slice, or None: the race-check record keeps their
+    bytes), warp ids, group block offsets, the memo key of the warp ids and, from ``if_``, the lanes per warp.
     """
 
-    __slots__ = ("mask", "count", "sel", "tids", "warp_ids", "offset", "warp_key", "warp_counts")
+    __slots__ = ("mask", "count", "sel", "tids", "tid_run", "warp_ids", "offset", "warp_key", "warp_counts")
 
     def __init__(self, mask: np.ndarray, count: int):
         self.mask, self.count, self.tids, self.warp_counts = mask, count, None, None
@@ -268,12 +268,14 @@ class _Mask:
     def select(self, ctx: "KernelContext") -> "_Mask":
         if self.tids is None:
             if self.count == ctx.nthreads:  # a full mask's key leaves out the warp ids (README)
-                self.sel, self.tids, self.warp_ids, self.offset, self.warp_key = (
-                    None, ctx.global_id, ctx._warp_ids, ctx._offset, b"")
+                self.sel, self.tids, self.tid_run, self.warp_ids, self.offset, self.warp_key = (
+                    None, ctx.global_id, slice(ctx._gid0, ctx._gid0 + ctx.nthreads, 1), ctx._warp_ids, ctx._offset,
+                    b"")
             else:
                 sel = np.flatnonzero(self.mask)
-                lo, hi = int(sel[0]), int(sel[-1]) + 1
-                sel = self.sel = slice(lo, hi) if hi - lo == self.count else sel  # ascending: the ends decide
+                sel = self.sel = _run(sel, True) or sel
+                self.tid_run = (slice(ctx._gid0 + sel.start, ctx._gid0 + sel.stop, sel.step)
+                                if type(sel) is slice else None)
                 self.tids, self.warp_ids = ctx.global_id[sel], ctx._warp_ids[sel]
                 self.offset = ctx._offset[sel] if ctx._blocks > 1 else 0
                 self.warp_key = self.warp_ids.tobytes()
@@ -407,7 +409,7 @@ class KernelContext:
         if not full:
             ei = ei[m.sel]
         length = view.length
-        run = _run(ei, idx is self.global_id and (full or type(m.sel) is slice))  # consecutive ids, selected by a slice
+        run = _run(ei, idx is self.global_id)  # global ids ascend under every mask
         # out of bounds; a negative index views as 2**63 or more
         if (run.start < 0 or run.stop > length) if run else ei.view(np.uint64).max() >= length:
             first = int(np.argmax((ei < 0) | (ei >= length)))
@@ -438,7 +440,7 @@ class KernelContext:
 
         result: Optional[np.ndarray] = None
         if value is _LOAD:
-            self._check(track, view, addrs, tids, stamp, block, state.undo is not None)
+            self._check(track, view, addrs, m, stamp, block, state.undo is not None)
             got = data[addrs]
             if full:
                 result = got.copy() if run else got
@@ -450,7 +452,7 @@ class KernelContext:
             if not full:
                 vals = vals[m.sel]
             vals = vals.astype(data.dtype, copy=False)
-            eff = self._check(track, view, addrs, tids, stamp, block, None)
+            eff = self._check(track, view, addrs, m, stamp, block, None)
             # a lane applies unless a higher thread stored its address in the interval: in strict mode all do
             dst, src = (addrs, vals) if eff is None else (ei[eff], vals[eff])
             if state.undo is not None:
@@ -467,9 +469,10 @@ class KernelContext:
     # index into ``view.data``; errors and warnings name a shared element by
     # byte offset)
 
-    def _check(self, track: _RaceTrack, view: _View, addrs: Any, tids: np.ndarray, stamp: int, block: Optional[int],
+    def _check(self, track: _RaceTrack, view: _View, addrs: Any, m: _Mask, stamp: int, block: Optional[int],
                replay: Optional[bool]) -> Optional[np.ndarray]:
-        """``track``'s check of a load (``replay``: whether its group can replay) or, with ``replay`` None, a store.
+        """``track``'s check of the lanes of mask ``m``: a load (``replay``: whether its group can replay) or, with
+        ``replay`` None, a store.
 
         Returns a store's apply mask, None where every lane applies. While the
         inputs of each check equal the next entry of the launch's record, the
@@ -478,10 +481,9 @@ class KernelContext:
         """
         tape, shift = self._state.tape, stamp - self._gid0  # global thread ids to stamped words
         if tape.record or tape.log is not None:
-            n, first = tids.size, int(tids[0])
             key = (track.serial, track.length,
                    addrs if isinstance(addrs, slice) else addrs.astype(access._key_type(track.length)).tobytes(),
-                   (first, n) if int(tids[-1]) - first == n - 1 else tids.tobytes(), stamp, shift, block, replay)
+                   m.tid_run or m.tids.tobytes(), stamp, shift, block, replay)
             if tape.record:
                 if tape.at < len(tape.record) and tape.record[tape.at][0] == key:
                     _, answer, picks = tape.record[tape.at]
@@ -500,7 +502,7 @@ class KernelContext:
                 picks.append(p)
                 self._report(view, stamp, *p)
 
-        answer = track.check(addrs, tids, stamp, shift, block, fail, replay)
+        answer = track.check(addrs, m.tids, stamp, shift, block, fail, replay)
         if tape.log is not None:  # a log that would pass ``_RECORD_BYTES`` is given up and leaves an empty record
             tape.nbytes += 16 + 24 * len(picks) + getattr(answer, "nbytes", 0) + sum(
                 len(k) for k in key[2:4] if type(k) is bytes)
@@ -665,21 +667,21 @@ class KernelContext:
         self.step += 1
 
 
-def _run(ei: np.ndarray, known: bool = False) -> Optional[slice]:
+def _run(ei: np.ndarray, ascending: bool = False) -> Optional[slice]:
     """``slice(lo, hi + 1, d)`` if the ``n`` indices ``ei`` are ``lo, lo + d, ..., hi`` with ``d >= 1``, else None.
 
-    ``known`` says they are ``lo, lo + 1, ...``. The ends fix ``d``; past two lanes the rest are checked once by a
-    compare with ``arange``. ``access.MEMO`` keeps the bytes of each run that passed it, by ``(lo, n, d)``, which
-    fix the run: indices with the same bytes are that run.
+    The ends fix ``d``; past two lanes the rest are checked once by a compare with ``arange``, unless ``ascending``
+    says they ascend strictly and ``d`` is 1: then they are consecutive. ``access.MEMO`` keeps the bytes of each run
+    that passed the compare, by ``(lo, n, d)``, which fix the run: indices with the same bytes are that run.
     """
     lo, n = int(ei[0]), ei.size
-    if known or n == 1:
-        return slice(lo, lo + n, 1)
+    if n == 1:
+        return slice(lo, lo + 1, 1)
     hi = int(ei[-1])
     d, r = divmod(hi - lo, n - 1)
     if d < 1 or r:
         return None
-    if n > 2 and access.MEMO.get((lo, n, d)) != (got := ei.tobytes()):
+    if n > 2 and not (ascending and d == 1) and access.MEMO.get((lo, n, d)) != (got := ei.tobytes()):
         if np.count_nonzero(ei != np.arange(lo, hi + 1, d)):
             return None
         access.MEMO.add((lo, n, d), got, len(got))

@@ -153,13 +153,12 @@ class _RaceTrack:
             other = _other(self.writer1, self.writer2, addrs, st) if seen else _STALE
             if self.folded:  # and only then a reader word
                 other = np.where(other >= stamp, other, _other(self.reader1, self.reader2, addrs, st))
-        if block is not None or not clear:
-            conflict = other >= stamp
-            if block is not None:
-                conflict = conflict | (self.w_block1[addrs] < block)
-                if self.rb_block1 is not None:  # some block's reads are folded
-                    conflict |= self.rb_block1[addrs] < block
-            fail(conflict, addrs, st, other)
+        conflict = other >= stamp
+        if block is not None:
+            conflict = conflict | (self.w_block1[addrs] < block)
+            if self.rb_block1 is not None:  # some block's reads are folded
+                conflict |= self.rb_block1[addrs] < block
+        fail(conflict, addrs, st, other)
         if isinstance(nxt, np.ndarray):  # two lanes of this store to one address
             fail(nxt >= stamp, u_addr, rep, nxt)
 
@@ -170,10 +169,8 @@ class _RaceTrack:
         _note(self.writer1, self.writer2, u_addr, rep, nxt, stamp, seen)
         if len(self.stores) <= _MEETS:
             self.stores.append((addrs if isinstance(addrs, slice) else None, tids))
-        if block is not None and self.resolve:
+        if block is not None:
             _fold(np.minimum, self.w_block1, addrs, block)
-        elif block is not None:  # a strict store got past its checks: no word at ``addrs`` lies below ``block``
-            self.w_block1[addrs] = block
         return eff
 
     def fold_cross_reads(self) -> None:
@@ -242,25 +239,21 @@ def _distinct(addrs: np.ndarray, st: np.ndarray,
               words: Optional[np.ndarray] = None) -> tuple[np.ndarray, np.ndarray, Any]:
     """Distinct addresses with the stamps of their first and second lanes (stale for a single lane).
 
-    Lane addresses are usually distinct, and often ascend; then the second
-    stamps are one stale scalar. Addresses that never descend skip the sort:
-    the lanes of each address already follow one another in lane order.
-    Others, given scratch ``words`` that the caller writes again at every
-    address, are first stored there and read back: the stamps are distinct,
-    so they are distinct addresses if and only if every lane reads back its
-    own stamp, whichever duplicate numpy stores last. ``addrs`` is the
-    engine's own array, never one the kernel holds, so the distinct cases may
-    return it as is.
+    Lane addresses are usually distinct; then the second stamps are one stale
+    scalar. Given scratch ``words`` that the caller writes again at every
+    address, the addresses are first stored there and read back: the stamps
+    are distinct, so they are distinct addresses if and only if every lane
+    reads back its own stamp, whichever duplicate numpy stores last.
+    ``addrs`` is the engine's own array, never one the kernel holds, so the
+    distinct case may return it as is. Else a stable sort keeps the lanes of
+    each address in lane order.
     """
-    if bool((addrs[1:] >= addrs[:-1]).all()):
-        a, s = addrs, st
-    else:
-        if words is not None:
-            words[addrs] = st
-            if bool((words[addrs] == st).all()):
-                return addrs, st, _STALE
-        order = np.argsort(addrs, kind="stable")
-        a, s = addrs[order], st[order]
+    if words is not None:
+        words[addrs] = st
+        if bool((words[addrs] == st).all()):
+            return addrs, st, _STALE
+    order = np.argsort(addrs, kind="stable")
+    a, s = addrs[order], st[order]
     new = a[1:] != a[:-1]
     if new.all():
         return a, s, _STALE

@@ -115,17 +115,16 @@ _check_write = race._RaceTrack.check_write
 PATHS = {p.name: p for p in [
     # engine
     FastPath("engine_run_slices", "a run of indices is tracked and costed as a slice (engine._run)", ENGINE,
-             patches=((engine, "_run", lambda ei, known=False: None),)),
-    FastPath("engine_global_id_hint", "the global id under a full or contiguous mask needs no compare to be a run",
-             ENGINE, rewrites=((_access, "_run(ei, idx is self.global_id and (full or type(m.sel) is slice))",
-                                "_run(ei)"),)),
+             patches=((engine, "_run", lambda ei, ascending=False: None),)),
+    FastPath("engine_global_id_hint", "global ids ascend, so consecutive ends make them a run with no compare (_run)",
+             ENGINE, rewrites=((_access, "_run(ei, idx is self.global_id)", "_run(ei)"),)),
     FastPath("engine_bounds_by_run_ends", "a run is in bounds when its ends are", ENGINE,
              rewrites=((_access, "(run.start < 0 or run.stop > length) if run else ei.view(np.uint64).max() >= length",
                         "ei.view(np.uint64).max() >= length"),)),
     FastPath("engine_run_memo_key", "a run's memo key is its first byte, pitch and count, not its addresses", ENGINE,
              rewrites=((_access, "byte_addrs = None if run else ei * width", "byte_addrs = ei * width"),)),
-    FastPath("engine_contiguous_mask_slice", "a contiguous lane mask selects by a slice (_Mask.select)", ENGINE,
-             rewrites=((engine._Mask.select, "slice(lo, hi) if hi - lo == self.count else sel", "sel"),)),
+    FastPath("engine_stepped_mask_slice", "an evenly stepped lane mask selects by a slice (_Mask.select)", ENGINE,
+             rewrites=((engine._Mask.select, "_run(sel, True) or sel", "sel"),)),
     FastPath("engine_one_d_grid", "a 1-D grid takes its ids from the lane arrays (if one_d)", ENGINE,
              rewrites=((engine.KernelContext.__init__, "if one_d:", "if False:"),)),
     FastPath("engine_raw_child_key", "a child launch of plain ints finds its config by the raw geometry", ENGINE,
@@ -135,11 +134,11 @@ PATHS = {p.name: p for p in [
     FastPath("engine_uniform_branch", "a branch that splits no warp tallies nothing and keeps its parent's mask (if_)",
              ENGINE, rewrites=((engine.KernelContext.if_, "split = 0 < n_true < m.count", "split = True"),)),
     FastPath("engine_run_memo", "a run is checked by its bytes against the memo of runs that passed (_run)", ENGINE,
-             rewrites=((engine._run, "if n > 2 and access.MEMO.get((lo, n, d)) != (got := ei.tobytes()):\n"
+             rewrites=((engine._run, "access.MEMO.get((lo, n, d)) != (got := ei.tobytes()):\n"
                                      "        if np.count_nonzero(ei != np.arange(lo, hi + 1, d)):\n"
                                      "            return None\n"
                                      "        access.MEMO.add((lo, n, d), got, len(got))\n",
-                        "if n > 2 and np.count_nonzero(ei != np.arange(lo, hi + 1, d)):\n"
+                        "np.count_nonzero(ei != np.arange(lo, hi + 1, d)):\n"
                         "        return None\n"),)),
     FastPath("engine_full_mask_arith", "arithmetic under a full mask skips the scatter (_arith)", ENGINE,
              rewrites=((engine.KernelContext._arith, "if m.count == self.nthreads:", "if False:"),)),
@@ -169,16 +168,10 @@ PATHS = {p.name: p for p in [
              rewrites=((race._fold, "if isinstance(addrs, slice):", "if False:"),)),
     FastPath("race_distinct_all_new", "distinct addresses return one stale second stamp (_distinct)", ENGINE,
              rewrites=((race._distinct, "if new.all():", "if False:"),)),
-    FastPath("race_distinct_ascending", "addresses that never descend skip the sort (_distinct)", ENGINE,
-             rewrites=((race._distinct, "if bool((addrs[1:] >= addrs[:-1]).all()):", "if False:"),)),
     FastPath("race_distinct_readback", "a first store of the interval tests its addresses by readback, not a sort",
              ENGINE, rewrites=((race._distinct, "if words is not None:", "if False:"),)),
     FastPath("race_seen_stores", "a store gathers writer words only if the interval has stores", ENGINE,
              rewrites=((_check_write, "seen = bool(self.stores)", "seen = True"),)),
-    FastPath("race_conflict_skip", "a clear store in one block skips the conflict test", ENGINE,
-             rewrites=((_check_write, "if block is not None or not clear:", "if True:"),)),
-    FastPath("race_strict_block_store", "a strict store sets its block stamps without np.minimum.at (check_write)",
-             ENGINE, rewrites=((_check_write, "if block is not None and self.resolve:", "if block is not None:"),)),
     # host
     FastPath("stream_op_stream_id_type", "StreamOp takes a plain int stream id as is", HOST,
              rewrites=((streams.StreamOp.__post_init__, "if type(self.stream_id) is not int:", "if True:"),)),

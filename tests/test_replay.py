@@ -20,12 +20,14 @@ from hypothesis import strategies as st
 
 import reference_machine
 from reference_machine import SHARED_LEN
+from test_batched_blocks import FORGOTTEN_READS_WITHOUT_RACE
 from test_cost_memo import CountingMemo
 from test_fast_paths import launched, parent_kernel, scatter_kernel
 from test_race_tracker import SHIFT0, cases, instructions, patterns, run_program
 from warpsim import DeviceMemory, LaunchConfig, MetricsReport, Recorder, SimError, Simulator, kernels
-from warpsim.core import access, engine
+from warpsim.core import access, block_batchable, engine
 from warpsim.core.access import _Memo
+from warpsim.core.errors import _RunAlone
 from warpsim.core.race import _RaceTrack
 
 MODES = ("strict", "permissive")
@@ -157,6 +159,7 @@ def test_a_launch_that_diverges_from_its_record_catches_up(case, where, new):
 
 
 BROADCAST5 = ("broadcast", 5, [0])
+EVEN_LOAD = ("if", 2, 1, [("gload", "x", SHIFT0)], [])  # lanes with an even global id
 
 
 def broadcast_race(readers):
@@ -177,6 +180,12 @@ DIVERGING = {
     ),
     # The copy's loads have the same addresses but other lanes: a store conflicts with another reader.
     "same_addresses_other_lanes": (broadcast_race((0, 8)), broadcast_race((8, 16))),
+    # The even lanes of two blocks load x[gid] under a strided mask, whose thread ids the record keeps as a run; in
+    # the copy block 1 then stores x[gid + 1], over its even lanes' loads, which the catch-up must give their own ids.
+    "store_over_strided_loads": (
+        (2, 16, list(range(32)), [0] * 32, [EVEN_LOAD, ("from_block", 1, [("gstore", "y", SHIFT0, 1)])]),
+        (2, 16, list(range(32)), [0] * 32, [EVEN_LOAD, ("from_block", 1, [("gstore", "x", ("shift", 1, [0]), 1)])]),
+    ),
 }
 
 
@@ -226,6 +235,51 @@ def test_a_launch_that_raised_leaves_no_record():
         assert record_of(ran_through, "strict", kernel) is None  # a mark: the next launch records
         launch(ran_through, "strict", kernel)
         assert len(record_of(ran_through, "strict", kernel)) == 4  # two blocks of a load and a store
+
+
+def test_a_replayed_group_runs_its_blocks_alone_as_the_recorded_one_did():
+    """A group that forgets its reads and then stores raises ``_RunAlone``; a replay takes that answer from the record
+    and runs the blocks one by one, as the recorded launch did."""
+    case = FORGOTTEN_READS_WITHOUT_RACE
+
+    @block_batchable
+    def kernel(ctx, x, y):
+        run_program(ctx, x, y, case[4])
+
+    with fresh_memo(), exact_checks() as calls:
+        runs = []
+        for _ in range(3):
+            calls.clear()
+            runs.append((launch(case, "strict", kernel), len(calls)))
+        record = record_of(case, "strict", kernel)
+    assert [answer for _, answer, _ in record].count(_RunAlone) == 1
+    assert runs[2] == (runs[0][0], 0) and runs[0][0][2] is None
+    assert [got for got, _ in runs] == [reference_machine.run(case, "strict")] * 3
+
+
+def test_a_log_past_the_record_cap_leaves_an_empty_record_and_later_launches_check_exactly(monkeypatch):
+    case = (2, 16, list(range(32)), [0] * 32, [("gload", "x", SHIFT0), ("gstore", "y", SHIFT0, 1)])
+    kernel = kernel_of([case[4]])
+    monkeypatch.setattr(access, "_RECORD_BYTES", 40)  # the third of four 16-byte entries passes it
+    want = reference_machine.run(case, "strict")
+    with fresh_memo() as memo, exact_checks() as calls:
+        assert launch(case, "strict", kernel) == want
+        exact, held = len(calls), memo.nbytes
+        assert record_of(case, "strict", kernel) is None
+        for nbytes in (held + 16, held + 16):  # the second launch's key keeps an empty record; the third adds nothing
+            calls.clear()
+            assert launch(case, "strict", kernel) == want
+            assert (record_of(case, "strict", kernel), len(calls), memo.nbytes) == ([], exact, nbytes)
+
+
+def test_strided_masks_key_their_thread_ids_as_runs_so_a_large_interleaved_reduction_keeps_its_record():
+    """At stride s the interleaved reduction's active lanes are every 2s-th lane of a 16-block group: a run of global
+    ids, whose record entry is a slice, not 8 bytes a lane."""
+    values = list(range(1 << 16))
+    with fresh_memo() as memo:
+        assert [kernels.reduce_sum(values, "interleaved")[0] for _ in range(3)] == [sum(values)] * 3
+        (record,) = [v for v in memo.values() if isinstance(v, list)]
+    assert record and all(type(key[3]) is slice for key, _, _ in record)
 
 
 def recorded(recorder):
